@@ -18,6 +18,7 @@ the truncation order) keeps every entry a genuine order-2 jet.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,6 @@ from .wjet import (
     jet_const,
     jet_var,
     pow_real,
-    solve_scalar_root,
 )
 
 E = math.e
@@ -312,18 +312,44 @@ def _coordinate_jets(p: Point | tuple, n: int):
     return zs, zbs
 
 
-def phi_value(p, hp: HopfParams, tol: float = 1e-13) -> float:
-    """Scalar Φ(p) without jet overhead (used by the domain samplers)."""
-    z, w = complex(p[0]), complex(p[1])
-    zz, ww = abs(z) ** 2, abs(w) ** 2
-    if zz + ww == 0.0:
+# Largest |log Φ| for which Φ is a finite, nonzero double.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _theta_root(zz: float, ww: float, hp: HopfParams) -> float:
+    """Root θ of g(θ) = |z|²e^{−c₁θ} + |w|²e^{−c₂θ} − 1, with cᵢ = kᵢ/π.
+
+    g is convex and strictly decreasing.  Analytic Newton starts at
+    θ₀ = max log(xᵢ)/cᵢ over the nonzero terms xᵢ ∈ {|z|², |w|²}: there one
+    term is 1, so g(θ₀) ≥ 0, and the iterates climb monotonically to the root
+    with every term ≤ 1, so nothing overflows.  The dominant term enters g
+    through expm1, which keeps the root accurate where the other term is tiny.
+    Newton stops once a step is below 1e-14 relative to |θ| + 1/|g′(θ)|
+    (1/|g′| is the distance over which g changes by 1).
+    """
+    terms = [(math.log(x), c) for x, c in ((zz, hp.k1 / math.pi), (ww, hp.k2 / math.pi))
+             if x > 0.0]
+    if not terms:
         raise ValueError("Φ is undefined at the origin")
-    c1, c2 = hp.k1 / math.pi, hp.k2 / math.pi
+    theta = max(lx / c for lx, c in terms)
+    for _ in range(100):
+        expo = sorted(((lx - c * theta, c) for lx, c in terms), reverse=True)
+        g = math.expm1(expo[0][0]) + sum(math.exp(e) for e, _ in expo[1:])
+        dg = -sum(c * math.exp(e) for e, c in expo)
+        step = g / dg
+        theta -= step
+        if abs(step) <= 1e-14 * (abs(theta) - 1.0 / dg):
+            break
+    else:
+        raise ValueError("Φ root iteration did not converge")
+    if abs((hp.k1 + hp.k2) * theta / (2.0 * math.pi)) > _LOG_FLOAT_MAX:
+        raise ValueError("Φ is outside the floating-point range at this point")
+    return theta
 
-    def f(theta: float) -> float:
-        return zz * math.exp(-c1 * theta) + ww * math.exp(-c2 * theta) - 1.0
 
-    theta = solve_scalar_root(f, 0.0, tol)
+def phi_value(p, hp: HopfParams) -> float:
+    """Scalar Φ(p) without jet overhead."""
+    theta = _theta_root(abs(p[0]) ** 2, abs(p[1]) ** 2, hp)
     return math.exp((hp.k1 + hp.k2) * theta / (2.0 * math.pi))
 
 
@@ -332,11 +358,11 @@ def phi_field(p, hp: HopfParams, tol: float = 1e-13):
 
     θ is the implicit solution of |z|² e^{−k₁θ/π} + |w|² e^{−k₂θ/π} = 1 (the
     left side is strictly decreasing in θ, so the root is unique), and
-    Φ = e^{(k₁+k₂)θ/(2π)},  Δ = α|z|²Φ^{−α} + (2−α)|w|²Φ^{α−2}.
+    Φ = e^{(k₁+k₂)θ/(2π)},  Δ = α|z|²Φ^{−α} + (2−α)|w|²Φ^{α−2}.  The scalar
+    root seeds the jet solve, which then only has to fill in the derivatives.
     """
     pt = tuple(p)
-    if abs(pt[0]) ** 2 + abs(pt[1]) ** 2 == 0.0:
-        raise ValueError("Φ is undefined at the origin")
+    theta0 = _theta_root(abs(pt[0]) ** 2, abs(pt[1]) ** 2, hp)
     (z, w), (zb, wb) = _coordinate_jets(pt, 2)
     zz = z * zb
     ww = w * wb
@@ -345,7 +371,7 @@ def phi_field(p, hp: HopfParams, tol: float = 1e-13):
     def F(theta: WJet) -> WJet:
         return zz * exp(-c1 * theta) + ww * exp(-c2 * theta) - 1.0
 
-    theta = implicit_solve(F, 0.0, tol, n_vars=2)
+    theta = implicit_solve(F, theta0, tol, n_vars=2)
     Phi = exp((hp.k1 + hp.k2) / (2.0 * math.pi) * theta)
     al = hp.alpha
     u = zz * pow_real(Phi, -al)

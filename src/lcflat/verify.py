@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from . import geometry as geo
 from . import metrics as mz
-from .wjet import Point, d_dz, d_dzbar, log, multi_indices, solve_scalar_root
+from .wjet import Point, d_dz, d_dzbar, log, multi_indices
 
 SCHEMA_VERSION = "1"
 
@@ -144,9 +144,11 @@ def sample_points(
     box: independent uniform real coordinates in [−w, w], redrawn while the
     point sits inside the origin-exclusion ball.
 
-    hopf-fundamental: a uniform direction on the unit sphere of ℂ², with the
-    radius solved so that Φ lands on a log-uniformly drawn target inside
-    [1, |a||b|) (small relative margins keep clear of the shell boundary).
+    hopf-fundamental: a uniform direction d on the unit sphere of ℂ², scaled
+    so that Φ lands on a log-uniformly drawn target t inside [1, |a||b|)
+    (small relative margins keep clear of the shell boundary).  Φ(rd) = t
+    turns the defining relation |z|²Φ^{−α} + |w|²Φ^{α−2} = 1 into the closed
+    form r = (|d₁|² t^{−α} + |d₂|² t^{α−2})^{−1/2}.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -164,20 +166,16 @@ def sample_points(
         if hp is None:
             raise ValueError("hopf-fundamental sampling needs HopfParams")
         lo, hi = 1.0, abs(hp.a) * abs(hp.b)
+        al = hp.alpha
         margin = 1e-3 * (hi - lo)
         pts = []
         for _ in range(n):
             v = rng.standard_normal(4)
             v /= np.linalg.norm(v)
             direction = (complex(v[0], v[1]), complex(v[2], v[3]))
-            target = math.exp(rng.uniform(math.log(lo + margin), math.log(hi - margin)))
-
-            def f(rho, d=direction, t=target):
-                q = (math.exp(rho) * d[0], math.exp(rho) * d[1])
-                return mz.phi_value(q, hp) - t
-
-            rho = solve_scalar_root(f, 0.0, 1e-12)
-            r = math.exp(rho)
+            t = math.exp(rng.uniform(math.log(lo + margin), math.log(hi - margin)))
+            d1, d2 = abs(direction[0]) ** 2, abs(direction[1]) ** 2
+            r = (d1 * t**-al + d2 * t ** (al - 2.0)) ** -0.5
             pts.append(Point((r * direction[0], r * direction[1])))
         return pts
     raise ValueError(f"unknown sampling domain {domain!r}")

@@ -441,9 +441,19 @@ def implicit_solve(
 
     F maps a theta-jet to the jet of F(z, zbar, theta(z, zbar)); the point
     dependence is baked into F (built from coordinate jets).  The constant
-    term is found by safeguarded Newton with bisection fallback; the
-    derivative coefficients follow from Newton iteration in the jet ring,
-    which converges in a few steps because the truncation ideal is nilpotent.
+    term t* is found by safeguarded Newton with bisection fallback (a seed
+    that already solves F returns after one evaluation).  The derivative
+    coefficients follow from chord steps in the jet ring,
+
+        theta <- theta - F(theta) / F'(t*),
+
+    with the scalar slope F'(t*) taken once, exactly, from one extra
+    evaluation.  Writing theta = theta* + e, a step maps the error e to
+    (1 - F'(theta*)/F'(t*)) e + O(e^2), and that factor has no constant term:
+    it lies in the nilpotent truncation ideal.  So each step fixes one more
+    degree: after two steps the jet is exact to rounding, and the loop ends
+    on the third (rarely the fourth), whose correction is below tolerance.
+    A step costs one F evaluation and a scalar divide.
 
     Parameters
     ----------
@@ -464,16 +474,19 @@ def implicit_solve(
     )
 
     theta = jet_const(t_star, n_vars)
-    h = 1e-5 * (1.0 + abs(t_star))
+    Fj = F(theta)
+    # theta = t* + (z^1 - z^1_0) moves F's z^1 slot by exactly F'(t*): the
+    # truncated chain rule is exact at first order.
+    unit = (1,) + (0,) * (2 * n_vars - 1)
+    slope = F(jet_var(1, t_star, n_vars)).coeff(unit) - Fj.coeff(unit)
+    if abs(slope) <= 1e-8 * (1.0 + Fj.max_abs()):
+        raise ValueError("dF/dtheta vanishes at the solution")
     for _ in range(40):
-        Fj = F(theta)
-        D = (F(theta + h) - F(theta - h)) * (1.0 / (2.0 * h))
-        if abs(D.value) <= 1e-8 * (1.0 + Fj.max_abs()):
-            raise ValueError("dF/dtheta vanishes at the solution")
-        delta = div(Fj, D)
+        delta = Fj / slope
         theta = theta - delta
         if delta.max_abs() <= 1e-14 * (1.0 + theta.max_abs()):
             break
+        Fj = F(theta)
     residual = F(theta).max_abs()
     if residual > 1e-10 * (1.0 + theta.max_abs()):
         raise ValueError(

@@ -79,6 +79,27 @@ class TestVerify:
         ])
         assert res.exit_code == 2
 
+    def test_equal_large_multipliers_pass(self, runner):
+        # Φ reaches 1e6 on this shell, where an absolute root tolerance of
+        # 1e-12 cannot be met in doubles; a valid spec is no usage error.
+        res = runner.invoke(main, [
+            "verify", "--identity", "lc-ricci-flat",
+            "--metric", "hopf-lc-flat{a=1000,b=1000}", "--seed", "0",
+        ])
+        assert res.exit_code == 0, res.output
+        assert "PASS" in res.output
+
+    def test_alpha_near_two_passes_without_traceback(self, runner):
+        # α = 2k₁/(k₁+k₂) ≈ 2 − 1.4e-5: Φ^{α−2} is nearly flat, and a solver
+        # that probes far from the root overflows math.exp.
+        res = runner.invoke(main, [
+            "verify", "--identity", "lc-ricci-flat",
+            "--metric", "hopf-lc-flat{a=1e6,b=1.0001}", "--seed", "0",
+        ])
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.exit_code == 0, res.output
+        assert "Traceback" not in res.output
+
     def test_seed_changes_sample_but_not_verdict(self, runner):
         outs = []
         for seed in ("3", "4"):

@@ -2,12 +2,15 @@
 assembly, deck invariance, conformal scaling, and the MetricSpec grammar."""
 
 import math
+import sys
+from decimal import Context, Decimal
 
 import numpy as np
 import pytest
 
 from lcflat import geometry as geo
 from lcflat import metrics as M
+from lcflat import verify as V
 from lcflat.wjet import d_dz, d_dzbar, jet_const, log, pow_real
 
 E = math.e
@@ -93,6 +96,83 @@ def test_phi_value_matches_jet_constant_term():
     for pt in POINTS:
         Phi, _, _ = M.phi_field(pt, hp)
         assert abs(M.phi_value(pt, hp) - Phi.value.real) < 1e-11
+
+
+@pytest.mark.parametrize("hp", HOPF_GRID, ids=["a=b", "a=e2", "a=e1.5"])
+def test_phi_field_jet_solve_stays_within_budget(hp, monkeypatch):
+    """The θ root seeds the jet solve, which needs at most 10 F evaluations
+    per call, the same number on every run."""
+    counts = []
+    solve = M.implicit_solve
+
+    def counting_solve(F, *args, **kwargs):
+        n = 0
+
+        def counted(theta):
+            nonlocal n
+            n += 1
+            return F(theta)
+
+        try:
+            return solve(counted, *args, **kwargs)
+        finally:
+            counts.append(n)
+
+    monkeypatch.setattr(M, "implicit_solve", counting_solve)
+    pts = POINTS + V.sample_points("hopf-fundamental", 20, 3, hp=hp)
+    for _ in range(2):
+        for pt in pts:
+            M.phi_field(pt, hp)
+    assert counts[: len(pts)] == counts[len(pts):]
+    assert max(counts) <= 10
+
+
+# (|a|, |b|) log-spaced over [1.0001, 1e6] with |a| >= |b|, and |z|², |w|² over
+# 1e-12 .. 1e12 plus zero: from Φ-equation terms of equal weight (α = 1) to
+# α → 2, where Φ^{α−2} is nearly flat and Φ leaves the float range.
+_MODULI = [1.0001, 31.6, 1000.0, 31623.0, 1e6]
+_ORACLE_GRID = [(a, b) for a in _MODULI for b in _MODULI if b <= a]
+_SQUARES = [0.0, 1e-12, 1e-6, 1.0, 1e6, 1e12]
+
+
+def _log_phi_bisection(z: float, w: float, hp) -> Decimal:
+    """log Φ at (z, w) by bisection on |z|²Φ^{−α} + |w|²Φ^{α−2} = 1 in
+    40-digit decimal arithmetic, independent of the float solver."""
+    ctx = Context(prec=40, Emax=10**9, Emin=-(10**9))
+    k1, k2 = Decimal(hp.k1), Decimal(hp.k2)
+    al = ctx.divide(2 * k1, k1 + k2)
+    terms = [(ctx.multiply(Decimal(x), Decimal(x)), beta)
+             for x, beta in ((z, al), (w, 2 - al)) if x != 0.0]
+
+    def excess(u):
+        return sum(ctx.multiply(xx, ctx.exp(-beta * u)) for xx, beta in terms) - 1
+
+    # At lo one term is 1, so excess >= 0; at hi every term is <= e^{-1}.
+    lo = max(ctx.divide(xx.ln(ctx), beta) for xx, beta in terms)
+    hi = lo + 1 / min(beta for _, beta in terms)
+    for _ in range(90):
+        mid = (lo + hi) / 2
+        if excess(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+@pytest.mark.parametrize("a,b", _ORACLE_GRID)
+def test_phi_value_matches_bisection_oracle_over_wide_range(a, b):
+    hp = M.HopfParams(a, b)
+    for zz in _SQUARES:
+        for ww in _SQUARES:
+            if zz == ww == 0.0:
+                continue
+            z, w = math.sqrt(zz), math.sqrt(ww)
+            u = _log_phi_bisection(z, w, hp)
+            if abs(u) > math.log(sys.float_info.max):
+                with pytest.raises(ValueError, match="floating-point range"):
+                    M.phi_value((z, w), hp)
+            else:
+                assert M.phi_value((z, w), hp) == pytest.approx(math.exp(u), rel=1e-12)
 
 
 def test_hopf_params_validation():

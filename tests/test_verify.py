@@ -32,10 +32,13 @@ def test_sampler_is_deterministic():
 
 
 def test_fundamental_domain_points_satisfy_phi_range():
-    pts = V.sample_points("hopf-fundamental", 40, 7, hp=HP)
-    bound = abs(HP.a) * abs(HP.b)
-    for p in pts:
-        assert 1.0 <= M.phi_value(p, HP) < bound
+    # The extra pairs sit at the ends of the admissible range: equal large
+    # multipliers, and α → 2 where Φ^{α−2} is nearly flat.
+    for hp in (HP, M.HopfParams(1000.0, 1000.0), M.HopfParams(1e6, 1.0001)):
+        pts = V.sample_points("hopf-fundamental", 40, 7, hp=hp)
+        bound = abs(hp.a) * abs(hp.b)
+        for p in pts:
+            assert 1.0 <= M.phi_value(p, hp) < bound
 
 
 def test_box_points_avoid_origin_ball():

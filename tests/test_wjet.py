@@ -33,9 +33,10 @@ def jet_strategy():
     return coeff_strategy().map(lambda c: WJet(2, c))
 
 
-def real_valued_jet_strategy(shift=4.0):
-    # r + conj(r) is real-valued by construction; the shift keeps the
-    # constant term away from zero for log/pow.
+def real_valued_jet_strategy(shift=5.0):
+    # r + conj(r) is real-valued by construction; its constant term 2·Re c₀
+    # lies in [−4, 4], so the shift keeps the constant term in [1, 9], away
+    # from zero for log/pow/div.
     return jet_strategy().map(lambda j: j + wj.conj(j) + shift)
 
 
