@@ -14,11 +14,19 @@ Their agreement on arbitrary metrics is the central identity this package
 verifies; the engineered `debug_corruption` context breaks it on purpose so
 the test harness can prove the comparison has teeth.
 
-Index conventions: the metric matrix `H[i][j]` holds h_{ij̄}; the inverse
-tensor h^{kℓ̄} is `Hinv[ℓ][k]` where `Hinv` is the plain matrix inverse of
-`H` (so that h^{kℓ̄} h_{iℓ̄} = δ^k_i).  Connection arrays are indexed with
-the upper index first: `hol[k][i][j]` is Γ^k_{ij}, `anti[k][i][j]` is
-Γ^k_{īj} (first lower slot barred).
+Array layout: the metric jet is read once per call as arrays (`wjet.partials`)
+— value H[i, j] = h_{ij̄}, Wirtinger gradient dH[i, j, s] and Hessian
+ddH[i, j, s, t] — where slot s < n is ∂/∂z^{s+1} and slot n + s is
+∂/∂z̄^{s+1}.  The connection layer is Taylor-mode differentiation truncated
+at order 1: each symbol is a (value, gradient) pair of arrays built by
+einsums, and curvature reads slices of the gradients.  The Chern-Ricci form
+stays on the jet path (log det h) so that the two Ricci paths share no code
+beyond the metric itself.
+
+Index conventions: the inverse tensor h^{kℓ̄} is `A[ℓ, k]` where `A` is the
+plain matrix inverse of `H` (so that h^{kℓ̄} h_{iℓ̄} = δ^k_i).  Connection
+arrays are indexed with the upper index first: `hol[k, i, j]` is Γ^k_{ij},
+`anti[k, i, j]` is Γ^k_{īj} (first lower slot barred).
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wjet import Point, WJet, conj, d_dz, d_dzbar, jet_const, log
+from .wjet import Point, WJet, conj, jet_const, log, partials
 
 # Toggled by `debug_corruption`; flips the sign of the mixed Levi-Civita
 # symbols so that the two Ricci paths disagree (mutation test hook).
@@ -87,53 +95,46 @@ class Form11:
 
 @dataclass
 class Form10:
-    """(1,0)-form a_i dz^i with order-1 jets retained per component."""
+    """(1,0)-form a_i dz^i, stored as the component vector."""
 
-    jets: tuple[WJet, ...]
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([j.value for j in self.jets])
+    values: np.ndarray
 
 
 @dataclass
 class Form01:
-    """(0,1)-form a_ī dz̄^i with order-1 jets retained per component."""
+    """(0,1)-form a_ī dz̄^i, stored as the component vector."""
 
-    jets: tuple[WJet, ...]
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([j.value for j in self.jets])
+    values: np.ndarray
 
 
 @dataclass
 class Christoffels:
-    """Connection symbols with order-1 jets (one more derivative is exact).
+    """Connection symbols and their first derivatives at the point.
 
-    chern[k][i][j]   = Γ^k_{ij}  of the Chern connection (h^{kℓ̄} ∂_i h_{jℓ̄})
-    lc_hol[k][i][j]  = Γ^k_{ij}  of the Levi-Civita connection (symmetric in ij)
-    lc_anti[k][i][j] = Γ^k_{īj}  mixed Levi-Civita symbols
+    chern[k, i, j]   = Γ^k_{ij}  of the Chern connection (h^{kℓ̄} ∂_i h_{jℓ̄})
+    lc_hol[k, i, j]  = Γ^k_{ij}  of the Levi-Civita connection (symmetric in ij)
+    lc_anti[k, i, j] = Γ^k_{īj}  mixed Levi-Civita symbols
+
+    Each `*_grad` array appends the Wirtinger slot s of the derivative:
+    `lc_anti_grad[k, i, j, s]` is ∂Γ^k_{īj}/∂z^{s+1} for s < n and
+    ∂Γ^k_{īj}/∂z̄^{s−n+1} for s ≥ n.
     """
 
-    chern: list[list[list[WJet]]]
-    lc_hol: list[list[list[WJet]]]
-    lc_anti: list[list[list[WJet]]]
-
-    def _values(self, arr) -> np.ndarray:
-        n = len(arr)
-        return np.array(
-            [[[arr[k][i][j].value for j in range(n)] for i in range(n)] for k in range(n)]
-        )
+    chern: np.ndarray
+    chern_grad: np.ndarray
+    lc_hol: np.ndarray
+    lc_hol_grad: np.ndarray
+    lc_anti: np.ndarray
+    lc_anti_grad: np.ndarray
 
     def chern_values(self) -> np.ndarray:
-        return self._values(self.chern)
+        return self.chern
 
     def lc_hol_values(self) -> np.ndarray:
-        return self._values(self.lc_hol)
+        return self.lc_hol
 
     def lc_anti_values(self) -> np.ndarray:
-        return self._values(self.lc_anti)
+        return self.lc_anti
 
 
 @dataclass
@@ -173,7 +174,7 @@ class Scalars:
     ddstar_hol_pairing: complex
 
 
-# -- internal jet linear algebra ----------------------------------------------
+# -- metric arrays ----------------------------------------------------------------
 
 
 def _check_metric(m: MetricJet) -> np.ndarray:
@@ -189,45 +190,10 @@ def _check_metric(m: MetricJet) -> np.ndarray:
     return vals
 
 
-def _jet_matrix_inverse(m: MetricJet) -> list[list[WJet]]:
-    """Jet of the matrix inverse via H = H0(I + E), E nilpotent to order 2."""
-    n = m.n
-    vals = _check_metric(m)
-    a = np.linalg.inv(vals)
-    # E = H0^{-1} H - I has zero constant term, so (I+E)^{-1} = I - E + E^2 exactly.
-    E = [
-        [
-            sum((a[i, k] * m.h[k][j] for k in range(n)), jet_const(0.0, m.h[0][0].n_vars))
-            - (1.0 if i == j else 0.0)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    E2 = [
-        [
-            sum((E[i][k] * E[k][j] for k in range(n)), jet_const(0.0, m.h[0][0].n_vars))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    inv = [
-        [
-            jet_const(1.0 if i == j else 0.0, m.h[0][0].n_vars) - E[i][j] + E2[i][j]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    # Multiply by H0^{-1} on the right: (I - E + E^2) a
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = jet_const(0.0, m.h[0][0].n_vars)
-            for k in range(n):
-                acc = acc + inv[i][k] * a[k, j]
-            row.append(acc)
-        out.append(row)
-    return out
+def _holo_grad(m: MetricJet) -> np.ndarray:
+    """[i, j, l] = ∂h_{jℓ̄}/∂z^i."""
+    _, dH, _ = partials(m.h)
+    return dH[:, :, : m.n].transpose(2, 0, 1)
 
 
 def _jet_det(h: list[list[WJet]]) -> WJet:
@@ -253,55 +219,40 @@ def inverse_transpose_values(m: MetricJet) -> np.ndarray:
 
 
 def christoffels(m: MetricJet) -> Christoffels:
-    """Chern and Levi-Civita connection symbols with order-1 jets.
+    """Chern and Levi-Civita connection symbols with their first derivatives.
 
     Γ^k_{ij}(Chern) = h^{kℓ̄} ∂h_{jℓ̄}/∂z^i
     Γ^k_{ij}(LC)    = ½ h^{kℓ̄} (∂h_{jℓ̄}/∂z^i + ∂h_{iℓ̄}/∂z^j)
     Γ^k_{īj}(LC)    = ½ h^{kℓ̄} (∂h_{jℓ̄}/∂z̄^i − ∂h_{jī}/∂z̄^ℓ)
+
+    The inverse metric is carried to order 1, ∂A = −A (∂H) A, and each symbol
+    h^{kℓ̄} T_{jℓ̄i} gets its gradient by the product rule.
     """
     n = m.n
-    nv = m.h[0][0].n_vars
-    Hinv = _jet_matrix_inverse(m)
+    A = np.linalg.inv(_check_metric(m))
+    _, dH, ddH = partials(m.h)
+    dA = -np.einsum("ab,bcs,cd->ads", A, dH, A)
 
-    def hup(k, l):
-        return Hinv[l][k]  # h^{kℓ̄}
+    def raise_index(T, dT):
+        # h^{kℓ̄} T[j, ℓ, i] -> [k, i, j], with its gradient
+        val = np.einsum("lk,jli->kij", A, T)
+        grad = np.einsum("lks,jli->kijs", dA, T) + np.einsum("lk,jlis->kijs", A, dT)
+        return val, grad
 
-    dh = [[[d_dz(m.h[j][l], i + 1) for l in range(n)] for j in range(n)] for i in range(n)]
-    dbh = [[[d_dzbar(m.h[j][l], i + 1) for l in range(n)] for j in range(n)] for i in range(n)]
-
-    zero = jet_const(0.0, nv)
-    chern = [
-        [
-            [sum((hup(k, l) * dh[i][j][l] for l in range(n)), zero) for j in range(n)]
-            for i in range(n)
-        ]
-        for k in range(n)
-    ]
-    lc_hol = [
-        [
-            [0.5 * (chern[k][i][j] + chern[k][j][i]) for j in range(n)]
-            for i in range(n)
-        ]
-        for k in range(n)
-    ]
-    lc_anti = [
-        [
-            [
-                sum(
-                    (0.5 * (hup(k, l) * (dbh[i][j][l] - dbh[l][j][i])) for l in range(n)),
-                    zero,
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        for k in range(n)
-    ]
-    if _CORRUPT_ANTI_SIGN:
-        lc_anti = [
-            [[-lc_anti[k][i][j] for j in range(n)] for i in range(n)] for k in range(n)
-        ]
-    return Christoffels(chern=chern, lc_hol=lc_hol, lc_anti=lc_anti)
+    chern, chern_grad = raise_index(dH[:, :, :n], ddH[:, :, :n])
+    # B[j, ℓ, i] = ∂h_{jℓ̄}/∂z̄^i − ∂h_{jī}/∂z̄^ℓ
+    B = dH[:, :, n:] - dH[:, :, n:].transpose(0, 2, 1)
+    dB = ddH[:, :, n:] - ddH[:, :, n:].transpose(0, 2, 1, 3)
+    anti, anti_grad = raise_index(B, dB)
+    sign = -0.5 if _CORRUPT_ANTI_SIGN else 0.5
+    return Christoffels(
+        chern=chern,
+        chern_grad=chern_grad,
+        lc_hol=0.5 * (chern + chern.transpose(0, 2, 1)),
+        lc_hol_grad=0.5 * (chern_grad + chern_grad.transpose(0, 2, 1, 3)),
+        lc_anti=sign * anti,
+        lc_anti_grad=sign * anti_grad,
+    )
 
 
 # -- Chern curvature ------------------------------------------------------------
@@ -310,57 +261,20 @@ def christoffels(m: MetricJet) -> Christoffels:
 def chern_curvature(m: MetricJet) -> Tensor4:
     """R_{ij̄kℓ̄} = −∂²h_{kℓ̄}/∂z^i∂z̄^j + h^{pq̄} (∂h_{kq̄}/∂z^i)(∂h_{pℓ̄}/∂z̄^j)."""
     n = m.n
-    vals = _check_metric(m)
-    Hinv = np.linalg.inv(vals)
-    dval = np.array(
-        [[[m.h[k][q].deriv_value(*_unit(n, i, None)) for q in range(n)] for k in range(n)]
-         for i in range(n)]
-    )
-    dbval = np.array(
-        [[[m.h[p][l].deriv_value(*_unit(n, None, j)) for l in range(n)] for p in range(n)]
-         for j in range(n)]
-    )
-    sec = np.array(
-        [
-            [
-                [[m.h[k][l].deriv_value(*_unit2(n, i, j)) for l in range(n)] for k in range(n)]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    )
+    Hinv = np.linalg.inv(_check_metric(m))
+    _, dH, ddH = partials(m.h)
+    sec = ddH[:, :, :n, n:].transpose(2, 3, 0, 1)  # [i, j, k, l]
     # h^{pq̄} = Hinv[q, p]
-    quad = np.einsum("qp,ikq,jpl->ijkl", Hinv, dval, dbval)
+    quad = np.einsum("qp,kqi,plj->ijkl", Hinv, dH[:, :, :n], dH[:, :, n:])
     return Tensor4(-sec + quad)
-
-
-def _unit(n, holo_i, anti_j):
-    holo = [0] * n
-    anti = [0] * n
-    if holo_i is not None:
-        holo[holo_i] = 1
-    if anti_j is not None:
-        anti[anti_j] = 1
-    return tuple(holo), tuple(anti)
-
-
-def _unit2(n, holo_i, anti_j):
-    holo = [0] * n
-    anti = [0] * n
-    holo[holo_i] += 1
-    anti[anti_j] += 1
-    return tuple(holo), tuple(anti)
 
 
 def chern_ricci(m: MetricJet) -> Form11:
     """Chern-Ricci form R_{ij̄} = −∂² log det(h) / ∂z^i ∂z̄^j."""
     n = m.n
     _check_metric(m)
-    ld = log(_jet_det(m.h))
-    A = np.array(
-        [[-ld.deriv_value(*_unit2(n, i, j)) for j in range(n)] for i in range(n)]
-    )
-    return Form11(A)
+    _, _, hess = partials(log(_jet_det(m.h)))
+    return Form11(-hess[:n, n:])
 
 
 def chern_ricci_trace_path(m: MetricJet) -> Form11:
@@ -389,26 +303,9 @@ def lc_curvature(m: MetricJet) -> LCCurvature:
     n = m.n
     vals = _check_metric(m)
     ch = christoffels(m)
-    hol_v = ch.lc_hol_values()
-    anti_v = ch.lc_anti_values()
-    d_hol = np.array(
-        [
-            [
-                [[d_dzbar(ch.lc_hol[l][i][k], j + 1).value for k in range(n)] for j in range(n)]
-                for i in range(n)
-            ]
-            for l in range(n)
-        ]
-    )  # [l, i, j, k] = ∂Γ^ℓ_{ik}/∂z̄^j
-    d_anti = np.array(
-        [
-            [
-                [[d_dz(ch.lc_anti[l][j][k], i + 1).value for k in range(n)] for j in range(n)]
-                for i in range(n)
-            ]
-            for l in range(n)
-        ]
-    )  # [l, i, j, k] = ∂Γ^ℓ_{j̄k}/∂z^i
+    hol_v, anti_v = ch.lc_hol, ch.lc_anti
+    d_hol = ch.lc_hol_grad[..., n:].transpose(0, 1, 3, 2)  # [l, i, j, k] = ∂Γ^ℓ_{ik}/∂z̄^j
+    d_anti = ch.lc_anti_grad[..., :n].transpose(0, 3, 1, 2)  # [l, i, j, k] = ∂Γ^ℓ_{j̄k}/∂z^i
     quad1 = np.einsum("sik,ljs->lijk", hol_v, anti_v)
     quad2 = np.einsum("sjk,lsi->lijk", anti_v, hol_v)
     upper = -(d_hol - d_anti + quad1 - quad2)
@@ -425,31 +322,22 @@ def lc_ricci(m: MetricJet) -> Form11:
 # -- adjoint forms ---------------------------------------------------------------
 
 
-def _anti_trace_jets(m: MetricJet) -> list[WJet]:
-    """Order-1 jets of Γ^k_{j̄k} (trace over the upper and second lower slot)."""
+def _anti_trace(m: MetricJet) -> tuple[np.ndarray, np.ndarray]:
+    """Γ^k_{j̄k} (trace over the upper and second lower slot) and its gradient [j, s]."""
     ch = christoffels(m)
-    n = m.n
-    nv = m.h[0][0].n_vars
-    return [
-        sum((ch.lc_anti[k][j][k] for k in range(n)), jet_const(0.0, nv)) for j in range(n)
-    ]
+    return np.einsum("kjk->j", ch.lc_anti), np.einsum("kjks->js", ch.lc_anti_grad)
 
 
 def del_star(m: MetricJet) -> tuple[Form01, Form10]:
     """Adjoint forms  ∂*ω = −2√−1 Γ^k_{j̄k} dz̄^j  and  ∂̄*ω = 2√−1 conj(Γ^k_{īk}) dz^i."""
-    traces = _anti_trace_jets(m)
-    a01 = tuple(-2j * t for t in traces)
-    a10 = tuple(2j * conj(t) for t in traces)
-    return Form01(a01), Form10(a10)
+    traces, _ = _anti_trace(m)
+    return Form01(-2j * traces), Form10(2j * traces.conj())
 
 
 def d_del_star_parts(m: MetricJet) -> tuple[Form11, Form11]:
     """The (1,1)-forms ∂∂*ω and ∂̄∂̄*ω (in the √−1 A_{ij̄} dz^i∧dz̄^j convention)."""
-    n = m.n
-    traces = _anti_trace_jets(m)
-    dz_traces = np.array(
-        [[d_dz(traces[j], i + 1).value for j in range(n)] for i in range(n)]
-    )  # [i, j] = ∂_i Γ^k_{j̄k}
+    _, grad = _anti_trace(m)
+    dz_traces = grad[:, : m.n].T  # [i, j] = ∂_i Γ^k_{j̄k}
     A1 = -2.0 * dz_traces
     A2 = -2.0 * dz_traces.conj().T
     return Form11(A1), Form11(A2)
@@ -474,13 +362,9 @@ def torsion(m: MetricJet) -> tuple[np.ndarray, float]:
 
     |T|² = h_{kℓ̄} h^{ip̄} h^{jq̄} T^k_{ij} conj(T^ℓ_{pq}), summed over all (i, j).
     """
-    n = m.n
     vals = _check_metric(m)
     Hinv = np.linalg.inv(vals)
-    dval = np.array(
-        [[[m.h[j][l].deriv_value(*_unit(n, i, None)) for l in range(n)] for j in range(n)]
-         for i in range(n)]
-    )  # [i, j, l] = ∂h_{jℓ̄}/∂z^i
+    dval = _holo_grad(m)  # [i, j, l] = ∂h_{jℓ̄}/∂z^i
     antis = dval - dval.transpose(1, 0, 2)
     # h^{kℓ̄} = Hinv[l, k]
     T = np.einsum("lk,ijl->kij", Hinv, antis)
@@ -529,32 +413,15 @@ def scalars(m: MetricJet) -> Scalars:
 
 def kahler_defect(m: MetricJet) -> float:
     """max |∂_i h_{jℓ̄} − ∂_j h_{iℓ̄}| at the point (0 iff Kähler there)."""
-    n = m.n
-    dval = np.array(
-        [[[m.h[j][l].deriv_value(*_unit(n, i, None)) for l in range(n)] for j in range(n)]
-         for i in range(n)]
-    )
+    dval = _holo_grad(m)
     return float(np.max(np.abs(dval - dval.transpose(1, 0, 2))))
 
 
 # -- background Riemannian scalar --------------------------------------------------
 
 
-def _real_partials(j: WJet, n: int):
-    """Value, gradient and Hessian of a jet in real coordinates (x^1..x^n, y^1..y^n)."""
-    dirs = []
-    for k in range(1, n + 1):
-        dirs.append(lambda f, k=k: d_dz(f, k) + d_dzbar(f, k))  # ∂/∂x^k
-    for k in range(1, n + 1):
-        dirs.append(lambda f, k=k: 1j * d_dz(f, k) - 1j * d_dzbar(f, k))  # ∂/∂y^k
-    first = [d(j) for d in dirs]
-    grad = np.array([f.value for f in first])
-    hess = np.array([[dirs[c](first[r]).value for c in range(2 * n)] for r in range(2 * n)])
-    return j.value, grad, hess
-
-
 def _real_blocks(M: np.ndarray) -> np.ndarray:
-    """2n×2n real block matrix [[2Re M, 2Im M], [−2Im M, 2Re M]] for Hermitian M."""
+    """Real block matrices [[2Re M, 2Im M], [−2Im M, 2Re M]] over the last two axes."""
     A = 2.0 * M.real
     B = 2.0 * M.imag
     return np.block([[A, B], [-B, A]])
@@ -570,22 +437,14 @@ def riemannian_scalar(m: MetricJet) -> float:
     """
     n = m.n
     _check_metric(m)
-    d = 2 * n
-    vals = np.empty((n, n), dtype=complex)
-    grads = np.empty((d, n, n), dtype=complex)
-    hesses = np.empty((d, d, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            v, g, hs = _real_partials(m.h[i][j], n)
-            vals[i, j] = v
-            grads[:, i, j] = g
-            hesses[:, :, i, j] = hs
+    vals, grads, hesses = partials(m.h)
+    # ∂/∂x^k = ∂_k + ∂̄_k and ∂/∂y^k = √−1 (∂_k − ∂̄_k), as rows over Wirtinger slots
+    eye = np.eye(n)
+    W = np.block([[eye, eye], [1j * eye, -1j * eye]])
 
     Gv = _real_blocks(vals)
-    Gd = np.array([_real_blocks(grads[c]) for c in range(d)])  # [c, a, b] = ∂_c g_ab
-    Gdd = np.array(
-        [[_real_blocks(hesses[c, e]) for e in range(d)] for c in range(d)]
-    )  # [c, e, a, b] = ∂_c ∂_e g_ab
+    Gd = _real_blocks(np.einsum("cs,ijs->cij", W, grads))  # [c, a, b] = ∂_c g_ab
+    Gdd = _real_blocks(np.einsum("cs,et,ijst->ceij", W, W, hesses))  # [c, e, a, b] = ∂_c ∂_e g_ab
 
     Ginv = np.linalg.inv(Gv)
     dGinv = -np.einsum("la,cab,br->clr", Ginv, Gd, Ginv)

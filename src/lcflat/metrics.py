@@ -40,6 +40,14 @@ from .wjet import (
 E = math.e
 
 
+class SpecError(ValueError):
+    """A metric spec that cannot serve the requested identity or field.
+
+    This is a usage error, raised before any numerics run on the point; it is
+    never counted as a per-point failure.
+    """
+
+
 # -- parameter types ---------------------------------------------------------------
 
 
@@ -542,14 +550,14 @@ def field_jet(f: FieldSpec, p, hp: HopfParams | None, n: int = 2) -> WJet:
         return f.amp * (q + conj(q))
     if f.kind == "log-phi":
         if hp is None:
-            raise ValueError("log-phi field needs Hopf parameters")
+            raise SpecError("log-phi field needs Hopf parameters")
         from .wjet import log as jet_log
 
         Phi, _, _ = phi_field(p, hp)
         return jet_log(Phi)
     if f.kind == "log-delta":
         if hp is None:
-            raise ValueError("log-delta field needs Hopf parameters")
+            raise SpecError("log-delta field needs Hopf parameters")
         from .wjet import log as jet_log
 
         _, _, Delta = phi_field(p, hp)
@@ -623,7 +631,7 @@ def deck_invariance_residual(spec: MetricSpec, p, hp: HopfParams | None = None) 
     """
     hp = hp or spec.hopf_params()
     if hp is None:
-        raise ValueError("deck test needs Hopf parameters (a, b) on the MetricSpec or passed in")
+        raise SpecError("deck test needs Hopf parameters (a, b) on the MetricSpec or passed in")
     if spec.dim != 2:
         raise ValueError("deck transformation acts on two complex coordinates")
     pt = tuple(complex(c) for c in tuple(p))

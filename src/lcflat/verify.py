@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from . import geometry as geo
 from . import metrics as mz
-from .wjet import Point, d_dz, d_dzbar, log, multi_indices
+from .wjet import Point, log, multi_indices, partials
 
 SCHEMA_VERSION = "1"
 
@@ -299,37 +299,26 @@ def _residual_key_relation(spec: mz.MetricSpec, p) -> float:
 
 def _residual_conformal_law(spec: mz.MetricSpec, p) -> float:
     if spec.kind != "conformal":
-        raise ValueError("conformal-law requires a conformal metric spec")
+        raise mz.SpecError("conformal-law requires a conformal metric spec")
     n = spec.dim
     mb = mz.build_metric(spec.base, p)
     mc = mz.build_metric(spec, p)
-    fj = mz.field_jet(spec.f, p, spec.hopf_params(), n=n)
+    _, df, ddf = partials(mz.field_jet(spec.f, p, spec.hopf_params(), n=n))
 
-    ddbar_f = np.array(
-        [
-            [fj.deriv_value(_unit(n, i), _unit(n, j)) for j in range(n)]
-            for i in range(n)
-        ]
-    )
     lhs = geo.lc_ricci(mc).A
-    rhs = geo.lc_ricci(mb).A - ddbar_f
+    rhs = geo.lc_ricci(mb).A - ddf[:n, n:]  # 𝔯ic(ω) − √−1∂∂̄f
     r_ric = _norm(_maxabs(lhs - rhs), _maxabs(lhs), _maxabs(rhs))
 
     _, a10_b = geo.del_star(mb)
     _, a10_c = geo.del_star(mc)
-    df = np.array([d_dz(fj, i + 1).value for i in range(n)])
-    want = a10_b.values + 1j * (n - 1) * df
+    want = a10_b.values + 1j * (n - 1) * df[:n]
     r_adj = _norm(_maxabs(a10_c.values - want), _maxabs(a10_c.values), _maxabs(want))
     return max(r_ric, r_adj)
 
 
-def _unit(n, i):
-    return tuple(1 if k == i else 0 for k in range(n))
-
-
 def _residual_det_formula(spec: mz.MetricSpec, p) -> float:
     if spec.kind != "hopf-omega-lambda":
-        raise ValueError("det-formula requires a hopf-omega-lambda metric spec")
+        raise mz.SpecError("det-formula requires a hopf-omega-lambda metric spec")
     hp = spec.hopf_params()
     lam = spec.lam if spec.lam is not None else 0.0
     m = mz.build_metric(spec, p)
@@ -341,7 +330,7 @@ def _residual_det_formula(spec: mz.MetricSpec, p) -> float:
 
 def _residual_tw_formula(spec: mz.MetricSpec, p) -> float:
     if spec.kind != "hopf-omega-lambda":
-        raise ValueError("tw-formula requires a hopf-omega-lambda metric spec")
+        raise mz.SpecError("tw-formula requires a hopf-omega-lambda metric spec")
     hp = spec.hopf_params()
     lam = spec.lam if spec.lam is not None else 0.0
     m = mz.build_metric(spec, p)
@@ -354,9 +343,8 @@ def _residual_tw_formula(spec: mz.MetricSpec, p) -> float:
 
     # ∂*ω_λ = (√−1/(1+λ)) ∂̄logΦ componentwise
     Phi, _, _ = mz.phi_field(p, hp)
-    lp = log(Phi)
-    grad_bar = np.array([d_dzbar(lp, i + 1).value for i in range(2)])
-    want = 1j / (1.0 + lam) * grad_bar
+    _, dlp, _ = partials(log(Phi))
+    want = 1j / (1.0 + lam) * dlp[2:]
     a01, _ = geo.del_star(m)
     r3 = _norm(_maxabs(a01.values - want), _maxabs(want))
     return max(r1, r2, r3)
@@ -382,17 +370,13 @@ def _residual_deck(spec: mz.MetricSpec, p) -> float:
 def _residual_hessian_matrices(spec: mz.MetricSpec, p, notes: dict) -> float:
     hp = spec.hopf_params()
     if hp is None:
-        raise ValueError("hessian-matrices requires a spec with Hopf parameters")
+        raise mz.SpecError("hessian-matrices requires a spec with Hopf parameters")
     L, P = mz.hessian_forms(p, hp)
     Phi, _, _ = mz.phi_field(p, hp)
-    lp = log(Phi)
-    n = 2
-    L_jet = np.array(
-        [[lp.deriv_value(_unit(n, i), _unit(n, j)) for j in range(n)] for i in range(n)]
-    )
-    grad = np.array([Phi.deriv_value(_unit(n, i), (0, 0)) for i in range(n)])
-    grad_b = np.array([Phi.deriv_value((0, 0), _unit(n, j)) for j in range(n)])
-    P_jet = np.outer(grad, grad_b)
+    _, _, ddlp = partials(log(Phi))
+    _, dPhi, _ = partials(Phi)
+    L_jet = ddlp[:2, 2:]
+    P_jet = np.outer(dPhi[:2], dPhi[2:])
     rL = _norm(_maxabs(L.A - L_jet), _maxabs(L.A))
     rP = _norm(_maxabs(P.A - P_jet), _maxabs(P.A))
     rdet = max(abs(np.linalg.det(L.A)), abs(np.linalg.det(P.A)))
@@ -464,10 +448,10 @@ def run_check(c: CheckSpec) -> VerificationReport:
             elif c.identity == "kahler-collapse":
                 r = _residual_kahler_collapse(c.metric, p)
             else:  # pragma: no cover - CheckSpec validates
-                raise ValueError(f"unknown identity {c.identity!r}")
+                raise mz.SpecError(f"unknown identity {c.identity!r}")
+        except mz.SpecError:
+            raise
         except ValueError as exc:
-            if _is_config_error(exc):
-                raise
             failures.append((p, str(exc)))
             continue
         per_point.append((p, float(r)))
@@ -479,11 +463,17 @@ def run_check(c: CheckSpec) -> VerificationReport:
         )
 
     per_point.sort(key=lambda pr: tuple((c.real, c.imag) for c in pr[0].coords))
-    residuals = [r for _, r in per_point]
-    max_r = max(residuals) if residuals else float("nan")
-    mean_r = float(np.mean(residuals)) if residuals else float("nan")
-    argmax = per_point[int(np.argmax(residuals))][0] if residuals else None
-    verdict = "pass" if residuals and max_r <= c.tol else "fail"
+    residuals = np.array([r for _, r in per_point])
+    if residuals.size:
+        # A non-finite residual is the worst point: the first one is max and
+        # argmax, it makes the mean non-finite, and the verdict is fail.
+        # (Python's max() would skip a NaN that is not first.)
+        bad = ~np.isfinite(residuals)
+        k = int(np.argmax(bad)) if bad.any() else int(np.argmax(residuals))
+        max_r, mean_r, argmax = float(residuals[k]), float(np.mean(residuals)), per_point[k][0]
+    else:
+        max_r, mean_r, argmax = float("nan"), float("nan"), None
+    verdict = "pass" if math.isfinite(max_r) and max_r <= c.tol else "fail"
     warning = (
         f"{len(failures)} of {len(points)} points failed to construct"
         if failures
@@ -501,15 +491,3 @@ def run_check(c: CheckSpec) -> VerificationReport:
         warning=warning,
         notes=notes,
     )
-
-
-_CONFIG_MARKERS = (
-    "requires",
-    "unknown identity",
-    "needs Hopf parameters",
-)
-
-
-def _is_config_error(exc: Exception) -> bool:
-    msg = str(exc)
-    return any(marker in msg for marker in _CONFIG_MARKERS)

@@ -100,6 +100,16 @@ def _deriv_table(n_vars: int, slot: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return np.array(src), np.array(dst), np.array(fac, dtype=np.float64)
 
 
+@lru_cache(maxsize=None)
+def _partial_tables(n_vars: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slots of the first and second partials, and the factorials they lost."""
+    pos = _positions(n_vars)
+    unit = np.eye(2 * n_vars, dtype=int)
+    grad = np.array([pos[tuple(u)] for u in unit])
+    hess = np.array([[pos[tuple(u + v)] for v in unit] for u in unit])
+    return grad, hess, 1.0 + np.eye(2 * n_vars)
+
+
 class WJet:
     """Truncated Wirtinger-Taylor polynomial at a point.
 
@@ -353,6 +363,23 @@ def d_dzbar(a: WJet, i: int) -> WJet:
     out = np.zeros_like(a.coeffs)
     out[dst] = fac * a.coeffs[src]
     return WJet(a.n_vars, out, a.order - 1)
+
+
+# -- partial-derivative arrays --------------------------------------------------
+
+
+def partials(jets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value, Wirtinger gradient and Hessian of an array of jets.
+
+    `jets` is one jet or a nested sequence of jets of shape S, all with the
+    same n_vars.  Returns arrays of shapes S, S + (2n,) and S + (2n, 2n) with
+    the factorials restored: gradient slot s < n is d/dz^{s+1} and slot n + s
+    is d/dzbar^{s+1}; the Hessian holds the second partials in those slots.
+    """
+    arr = np.asarray(jets, dtype=object)
+    c = np.array([j.coeffs for j in arr.flat]).reshape(arr.shape + (-1,))
+    grad, hess, fac = _partial_tables(arr.flat[0].n_vars)
+    return c[..., 0], c[..., grad], c[..., hess] * fac
 
 
 # -- predicates ---------------------------------------------------------------

@@ -10,8 +10,11 @@ import pytest
 
 from conftest import metric_from_fn, random_poly_metric_fn, random_small_point
 from lcflat import geometry as geo
+from lcflat import metrics as M
+from lcflat import verify as V
 from lcflat.wjet import conj, exp, jet_const
 
+E = np.e
 RNG = np.random.default_rng
 
 
@@ -250,6 +253,64 @@ def test_d_del_star_matches_finite_differences_across_points():
     assert np.max(np.abs(A2.A - A1.A.conj().T)) < 1e-14
 
 
+CHRISTOFFEL_FD_SPECS = [
+    "user-polynomial{seed=101,amp=0.05}",
+    "user-polynomial{seed=104,amp=0.05,n=3}",
+    f"hopf-lc-flat{{a={E**2!r},b={E!r}}}",
+]
+
+
+@pytest.mark.parametrize("text", CHRISTOFFEL_FD_SPECS)
+def test_christoffel_gradients_match_finite_differences_across_points(text):
+    """Every gradient slot of Γ(Chern), Γ(LC hol) and Γ(LC mixed), against central
+    differences of the symbol values at points shifted along x^i and y^i."""
+    spec = M.parse_metric_spec(text)
+    n = spec.dim
+    hp = spec.hopf_params()
+    if hp is not None:
+        pt = V.sample_points("hopf-fundamental", 1, 5, hp=hp)[0]
+    else:
+        pt = V.sample_points("box", 1, 5, dim=n)[0]
+    base = np.array(pt.coords)
+
+    def symbols_at(p):
+        ch = geo.christoffels(M.build_metric(spec, tuple(p)))
+        return np.stack([ch.chern, ch.lc_hol, ch.lc_anti])
+
+    ch = geo.christoffels(M.build_metric(spec, pt))
+    grads = np.stack([ch.chern_grad, ch.lc_hol_grad, ch.lc_anti_grad])
+    h = 1e-5
+    fd = np.empty_like(grads)
+    for i in range(n):
+        e = np.zeros(n, dtype=complex)
+        e[i] = h
+        dx = (symbols_at(base + e) - symbols_at(base - e)) / (2 * h)
+        dy = (symbols_at(base + 1j * e) - symbols_at(base - 1j * e)) / (2 * h)
+        fd[..., i] = 0.5 * (dx - 1j * dy)  # ∂/∂z^i
+        fd[..., n + i] = 0.5 * (dx + 1j * dy)  # ∂/∂z̄^i
+    scale = 1 + np.max(np.abs(grads), axis=(1, 2, 3, 4))
+    assert np.all(scale > 1.01)  # the slots under test are not all zero
+    err = np.max(np.abs(grads - fd), axis=(1, 2, 3, 4)) / scale
+    assert np.all(err < 1e-8), err
+
+
+# -- background Riemannian scalar ----------------------------------------------------
+
+
+def test_riemannian_scalar_of_hopf_standard_is_three():
+    """g = 2|z|⁻² (Euclidean) on ℝ⁴∖0 is ℝ × S³ scaled by 2, so s = 6/2 = 3."""
+    spec = M.parse_metric_spec("hopf-standard")
+    pts = V.sample_points("box", 6, 2) + V.sample_points("hopf-fundamental", 3, 2, hp=M.HopfParams(E, E))
+    for p in pts:
+        assert abs(geo.riemannian_scalar(M.build_metric(spec, p)) - 3.0) < 1e-12
+
+
+def test_riemannian_scalar_of_flat_metric_is_zero():
+    spec = M.parse_metric_spec("flat{n=3}")
+    for p in V.sample_points("box", 3, 4, dim=3):
+        assert geo.riemannian_scalar(M.build_metric(spec, p)) == 0.0
+
+
 # -- validation and debug hooks ------------------------------------------------------
 
 
@@ -294,6 +355,18 @@ def test_hermitian_jet_residual_detects_jet_level_mismatch():
         return h
 
     assert metric_from_fn(2, fn_good, (0.2, 0.3)).hermitian_jet_residual() == 0.0
+
+
+def test_debug_corruption_flips_mixed_symbols_and_their_gradients():
+    rng = RNG(67)
+    m = random_poly_metric_fn(2, rng)(random_small_point(2, rng))
+    good = geo.christoffels(m)
+    with geo.debug_corruption():
+        bad = geo.christoffels(m)
+    assert np.max(np.abs(good.lc_anti_grad)) > 1e-3
+    assert np.array_equal(bad.lc_anti, -good.lc_anti)
+    assert np.array_equal(bad.lc_anti_grad, -good.lc_anti_grad)
+    assert np.array_equal(bad.chern_grad, good.chern_grad)
 
 
 def test_debug_corruption_breaks_two_path_agreement_and_restores():

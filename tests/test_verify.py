@@ -137,6 +137,50 @@ def test_identity_metric_mismatch_is_config_error():
         )
 
 
+def test_spec_mismatch_raises_typed_spec_error():
+    with pytest.raises(M.SpecError):
+        V.run_check(V.CheckSpec(identity="hessian-matrices", metric=M.MetricSpec(kind="flat")))
+    with pytest.raises(M.SpecError):
+        V.run_check(V.CheckSpec(identity="deck-invariance", metric=M.MetricSpec(kind="flat")))
+
+
+def _box_points_sorted(n, seed):
+    pts = V.sample_points("box", n, seed, dim=2)
+    return sorted(pts, key=lambda p: tuple((c.real, c.imag) for c in p.coords))
+
+
+def test_per_point_value_error_mentioning_requires_is_a_point_failure(monkeypatch):
+    """Only SpecError is a usage error; any other ValueError fails just its point."""
+    bad = _box_points_sorted(20, 3)[7]
+
+    def residual(spec, p):
+        if p == bad:
+            raise ValueError("this step requires a smaller radius")
+        return 1e-15
+
+    monkeypatch.setattr(V, "_residual_key_relation", residual)
+    rep = V.run_check(
+        V.CheckSpec(identity="key-relation", metric=M.MetricSpec(kind="flat"), n_points=20, seed=3)
+    )
+    assert rep.failures == [(bad, "this step requires a smaller radius")]
+    assert len(rep.per_point) == 19
+    assert rep.verdict == "pass"
+
+
+@pytest.mark.parametrize("poison", [math.nan, math.inf, -math.inf])
+def test_non_finite_residual_forces_fail_and_sets_the_stats(monkeypatch, poison):
+    """A non-finite residual that is not first in the sorted sample still wins max/argmax."""
+    bad = _box_points_sorted(10, 3)[4]
+    monkeypatch.setattr(V, "_residual_key_relation", lambda spec, p: poison if p == bad else 1e-15)
+    rep = V.run_check(
+        V.CheckSpec(identity="key-relation", metric=M.MetricSpec(kind="flat"), n_points=10, seed=3)
+    )
+    assert rep.verdict == "fail"
+    assert rep.argmax_point == bad
+    assert not math.isfinite(rep.max_residual) and not math.isfinite(rep.mean_residual)
+    assert math.isnan(rep.max_residual) == math.isnan(poison)
+
+
 def test_deck_invariance_negative_control_through_reports():
     rep = V.run_check(
         V.CheckSpec(

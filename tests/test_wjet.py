@@ -234,6 +234,35 @@ def test_low_order_garbage_does_not_contaminate():
     )
 
 
+# -- partial-derivative arrays ------------------------------------------------
+
+
+@given(jet_strategy())
+@settings(max_examples=25, deadline=None)
+def test_partials_match_per_slot_derivatives(a):
+    """Gradient and Hessian slots agree with d_dz/d_dzbar applied one slot at a time."""
+    n = a.n_vars
+    dirs = [lambda f, k=k: wj.d_dz(f, k) for k in range(1, n + 1)]
+    dirs += [lambda f, k=k: wj.d_dzbar(f, k) for k in range(1, n + 1)]
+    value, grad, hess = wj.partials(a)
+    assert value == a.value
+    for s, ds in enumerate(dirs):
+        assert grad[s] == ds(a).value
+        for t, dt in enumerate(dirs):
+            assert hess[s, t] == dt(ds(a)).value
+
+
+def test_partials_stack_over_leading_axes():
+    z, zb = jet_var(1, 0.3 + 0.1j, 2), jet_conj_var(2, 0.2 - 0.5j, 2)
+    jets = [[z * zb, z * z], [jet_const(2.0, 2), zb]]
+    value, grad, hess = wj.partials(jets)
+    assert value.shape == (2, 2) and grad.shape == (2, 2, 4) and hess.shape == (2, 2, 4, 4)
+    assert hess[0, 1, 0, 0] == 2.0  # d²(z¹)²/(dz¹)², factorial restored
+    assert hess[0, 0, 0, 3] == hess[0, 0, 3, 0] == 1.0
+    assert grad[1, 1].tolist() == [0, 0, 0, 1]
+    assert np.all(grad[1, 0] == 0) and value[1, 0] == 2.0
+
+
 # -- real-valued predicate ----------------------------------------------------
 
 
