@@ -633,7 +633,7 @@ def deck_invariance_residual(spec: MetricSpec, p, hp: HopfParams | None = None) 
     if hp is None:
         raise SpecError("deck test needs Hopf parameters (a, b) on the MetricSpec or passed in")
     if spec.dim != 2:
-        raise ValueError("deck transformation acts on two complex coordinates")
+        raise SpecError("deck transformation acts on two complex coordinates")
     pt = tuple(complex(c) for c in tuple(p))
     image = (hp.a * pt[0], hp.b * pt[1])
     h_here = build_metric(spec, pt).values()

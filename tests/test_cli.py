@@ -73,6 +73,14 @@ class TestVerify:
         assert res.exit_code == 2
         assert "hopf-omega-lambda" in res.stderr
 
+    def test_deck_invariance_on_three_dimensional_metric_exit_two(self, runner):
+        res = invoke(runner, [
+            "verify", "--identity", "deck-invariance", "--metric", "flat{n=3,a=2.718,b=2.718}",
+            "--points", "5",
+        ])
+        assert res.exit_code == 2
+        assert "two complex coordinates" in res.stderr
+
     def test_unknown_identity_rejected_by_choice(self, runner):
         res = invoke(runner, [
             "verify", "--identity", "nonsense", "--metric", "flat",
