@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 import click
@@ -28,13 +29,8 @@ from . import verify as vf
 
 E = math.e
 
-# identity-specific default tolerances; everything else defaults to 1e-8
-DEFAULT_TOLS = {
-    "det-formula": 1e-10,
-    "deck-invariance": 1e-10,
-    "hessian-matrices": 1e-10,
-    "scalar-key1": 1e-6,
-}
+# The registry's default pass tolerance per tag, for scripts such as perfbench/worker.py.
+DEFAULT_TOLS = {tag: entry.tol for tag, entry in vf.IDENTITIES.items()}
 
 
 def _default_seed() -> int:
@@ -99,7 +95,7 @@ def main():
 
 
 @main.command("verify")
-@click.option("--identity", required=True, type=click.Choice(vf.IDENTITIES))
+@click.option("--identity", required=True, type=click.Choice(tuple(vf.IDENTITIES)))
 @click.option("--metric", "metric_text", required=True, help="metric spec, e.g. 'hopf-lc-flat{a=7.389,b=2.718}'")
 @click.option("--points", "n_points", default=100, show_default=True, type=int)
 @click.option("--seed", default=None, type=int, help="sampling seed [default: 0 or $LCFLAT_SEED]")
@@ -111,11 +107,11 @@ def cmd_verify(identity, metric_text, n_points, seed, tol, output, fmt, corrupt_
     """Run one identity check over a sampled point set."""
     spec = _parse_spec_or_usage_error(metric_text)
     seed = seed if seed is not None else _default_seed()
-    tol = tol if tol is not None else DEFAULT_TOLS.get(identity, 1e-8)
     try:
         check = vf.CheckSpec(identity=identity, metric=spec, n_points=n_points, seed=seed, tol=tol)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    tol = check.tol
 
     cfg = RunConfig(
         command="verify", metric=spec.canonical(), identity=identity,
@@ -123,10 +119,7 @@ def cmd_verify(identity, metric_text, n_points, seed, tol, output, fmt, corrupt_
         corrupt_gamma=corrupt_gamma,
     )
     try:
-        if corrupt_gamma:
-            with geo.debug_corruption():
-                report = vf.run_check(check)
-        else:
+        with geo.debug_corruption() if corrupt_gamma else nullcontext():
             report = vf.run_check(check)
     except vf.CheckAborted as exc:
         click.echo(f"check aborted: {exc}", err=True)
@@ -237,49 +230,36 @@ def cmd_suite(output, corrupt_gamma):
     cfg = RunConfig(command="suite", output=output, corrupt_gamma=corrupt_gamma)
     rows = []
     ok = True
-    for cell in _suite_cells():
-        spec = _parse_spec_or_usage_error(cell["metric"])
-        tol = DEFAULT_TOLS.get(cell["identity"], 1e-8)
-        for seed in SUITE_SEEDS:
-            check = vf.CheckSpec(
-                identity=cell["identity"], metric=spec,
-                n_points=cell["n_points"], seed=seed, tol=tol,
-            )
-            try:
-                if corrupt_gamma:
-                    with geo.debug_corruption():
-                        report = vf.run_check(check)
-                else:
+    with geo.debug_corruption() if corrupt_gamma else nullcontext():
+        for cell in _suite_cells():
+            spec = _parse_spec_or_usage_error(cell["metric"])
+            for seed in SUITE_SEEDS:
+                check = vf.CheckSpec(
+                    identity=cell["identity"], metric=spec, n_points=cell["n_points"], seed=seed,
+                )
+                row = {
+                    "identity": cell["identity"],
+                    "metric": spec.canonical(),
+                    "n_points": cell["n_points"],
+                    "seed": seed,
+                    "tol": check.tol,
+                    "expected": cell["expected"],
+                }
+                try:
                     report = vf.run_check(check)
-                verdict = report.verdict
-                row = {
-                    "identity": cell["identity"],
-                    "metric": spec.canonical(),
-                    "n_points": cell["n_points"],
-                    "seed": seed,
-                    "tol": tol,
-                    "expected": cell["expected"],
-                    "verdict": verdict,
-                    "max_residual": report.max_residual,
-                    "mean_residual": report.mean_residual,
-                    "warning": report.warning,
-                    "notes": report.notes,
-                }
-            except vf.CheckAborted as exc:
-                verdict = "aborted"
-                row = {
-                    "identity": cell["identity"],
-                    "metric": spec.canonical(),
-                    "n_points": cell["n_points"],
-                    "seed": seed,
-                    "tol": tol,
-                    "expected": cell["expected"],
-                    "verdict": verdict,
-                    "error": str(exc),
-                }
-            row["ok"] = verdict == cell["expected"]
-            ok = ok and row["ok"]
-            rows.append(row)
+                except vf.CheckAborted as exc:
+                    row.update(verdict="aborted", error=str(exc))
+                else:
+                    row.update(
+                        verdict=report.verdict,
+                        max_residual=report.max_residual,
+                        mean_residual=report.mean_residual,
+                        warning=report.warning,
+                        notes=report.notes,
+                    )
+                row["ok"] = row["verdict"] == cell["expected"]
+                ok = ok and row["ok"]
+                rows.append(row)
 
     payload = {
         "schema_version": vf.SCHEMA_VERSION,
@@ -304,7 +284,7 @@ def cmd_suite(output, corrupt_gamma):
 @click.option("--b-grid", required=True, help="comma-separated |b| values (each > 1)")
 @click.option("--points", "n_points", default=30, show_default=True, type=int)
 @click.option("--seed", default=None, type=int)
-@click.option("--tol", default=1e-8, show_default=True, type=float)
+@click.option("--tol", default=vf.IDENTITIES["lc-ricci-flat"].tol, show_default=True, type=float)
 @click.option("--output", default=None, type=click.Path(dir_okay=False), help="write CSV here")
 def cmd_sweep(a_grid, b_grid, n_points, seed, tol, output):
     """Max Ricci-form residual of the flattened metric per (a, b) grid cell.
@@ -330,21 +310,26 @@ def cmd_sweep(a_grid, b_grid, n_points, seed, tol, output):
     cells = [(a, b) for a in avals for b in bvals if a >= b]
     if not cells:
         raise click.UsageError("no admissible grid cells (need a >= b in every used cell)")
+    try:
+        checks = [
+            vf.CheckSpec(
+                identity="lc-ricci-flat", metric=mz.MetricSpec(kind="hopf-lc-flat", a=a, b=b),
+                n_points=n_points, seed=seed, tol=tol,
+            )
+            for a, b in cells
+        ]
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
     lines = ["a,b,alpha,lambda,identity,max_residual,verdict"]
     worst = 0.0
     all_pass = True
-    for a, b in cells:
-        hp = mz.HopfParams(a, b)
-        spec = mz.MetricSpec(kind="hopf-lc-flat", a=a, b=b)
-        check = vf.CheckSpec(
-            identity="lc-ricci-flat", metric=spec, n_points=n_points, seed=seed, tol=tol
-        )
+    for (a, b), check in zip(cells, checks):
         report = vf.run_check(check)
         worst = max(worst, report.max_residual)
         all_pass = all_pass and report.verdict == "pass"
         lines.append(
-            f"{a!r},{b!r},{hp.alpha!r},-0.5,lc-ricci-flat,"
+            f"{a!r},{b!r},{check.metric.hopf_params().alpha!r},-0.5,lc-ricci-flat,"
             f"{report.max_residual:.6e},{report.verdict}"
         )
     text = "\n".join(lines) + "\n"

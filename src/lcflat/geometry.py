@@ -14,14 +14,14 @@ Their agreement on arbitrary metrics is the central identity this package
 verifies; the engineered `debug_corruption` context breaks it on purpose so
 the test harness can prove the comparison has teeth.
 
-Array layout: the metric jet is read once per call as arrays (`wjet.partials`)
-— value H[i, j] = h_{ij̄}, Wirtinger gradient dH[i, j, s] and Hessian
-ddH[i, j, s, t] — where slot s < n is ∂/∂z^{s+1} and slot n + s is
-∂/∂z̄^{s+1}.  The connection layer is Taylor-mode differentiation truncated
-at order 1: each symbol is a (value, gradient) pair of arrays built by
-einsums, and curvature reads slices of the gradients.  The Chern-Ricci form
-stays on the jet path (log det h) so that the two Ricci paths share no code
-beyond the metric itself.
+Array layout: each metric jet is read as arrays (`wjet.partials`) once, the
+first time geometry needs them, and validated then — value H[i, j] = h_{ij̄},
+Wirtinger gradient dH[i, j, s] and Hessian ddH[i, j, s, t] — where slot s < n
+is ∂/∂z^{s+1} and slot n + s is ∂/∂z̄^{s+1}.  The connection layer is
+Taylor-mode differentiation truncated at order 1: each symbol is a (value,
+gradient) pair of arrays built by einsums, and curvature reads slices of the
+gradients.  The Chern-Ricci form stays on the jet path (log det h) so that
+the two Ricci paths share no code beyond the metric itself.
 
 Index conventions: the inverse tensor h^{kℓ̄} is `A[ℓ, k]` where `A` is the
 plain matrix inverse of `H` (so that h^{kℓ̄} h_{iℓ̄} = δ^k_i).  Connection
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,7 +63,9 @@ class MetricJet:
     """Order-2 jet of a Hermitian metric at a point.
 
     h[i][j] is the jet of h_{ij̄}; the value part must be Hermitian positive
-    definite and the jets must satisfy h_{ij̄} = conj(h_{jī}).
+    definite and the jets must satisfy h_{ij̄} = conj(h_{jī}).  `values()`
+    reads the value matrix unchecked; `arrays` and `inverse` are what the
+    geometry reads, and the metric is validated the first time they are.
     """
 
     n: int
@@ -71,6 +74,24 @@ class MetricJet:
 
     def values(self) -> np.ndarray:
         return np.array([[self.h[i][j].value for j in range(self.n)] for i in range(self.n)])
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(H, dH, ddH) from `wjet.partials`; raises ValueError unless H is Hermitian PD."""
+        H, dH, ddH = partials(self.h)
+        if not np.allclose(H, H.conj().T, atol=1e-10 * (1 + np.max(np.abs(H)))):
+            raise ValueError("metric value matrix is not Hermitian")
+        eig = np.linalg.eigvalsh(H)
+        if eig.min() <= 0:
+            raise ValueError(
+                f"metric value matrix is not positive definite (min eigenvalue {eig.min():.3g})"
+            )
+        return H, dH, ddH
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """Plain matrix inverse A of H, so that h^{kℓ̄} = A[ℓ, k]."""
+        return np.linalg.inv(self.arrays[0])
 
     def hermitian_jet_residual(self) -> float:
         r = 0.0
@@ -127,15 +148,6 @@ class Christoffels:
     lc_anti: np.ndarray
     lc_anti_grad: np.ndarray
 
-    def chern_values(self) -> np.ndarray:
-        return self.chern
-
-    def lc_hol_values(self) -> np.ndarray:
-        return self.lc_hol
-
-    def lc_anti_values(self) -> np.ndarray:
-        return self.lc_anti
-
 
 @dataclass
 class Tensor4:
@@ -177,23 +189,9 @@ class Scalars:
 # -- metric arrays ----------------------------------------------------------------
 
 
-def _check_metric(m: MetricJet) -> np.ndarray:
-    """Validate and return the value matrix; raises on a non-usable metric."""
-    vals = m.values()
-    if not np.allclose(vals, vals.conj().T, atol=1e-10 * (1 + np.max(np.abs(vals)))):
-        raise ValueError("metric value matrix is not Hermitian")
-    eig = np.linalg.eigvalsh(vals)
-    if eig.min() <= 0:
-        raise ValueError(
-            f"metric value matrix is not positive definite (min eigenvalue {eig.min():.3g})"
-        )
-    return vals
-
-
 def _holo_grad(m: MetricJet) -> np.ndarray:
     """[i, j, l] = ∂h_{jℓ̄}/∂z^i."""
-    _, dH, _ = partials(m.h)
-    return dH[:, :, : m.n].transpose(2, 0, 1)
+    return m.arrays[1][:, :, : m.n].transpose(2, 0, 1)
 
 
 def _jet_det(h: list[list[WJet]]) -> WJet:
@@ -210,11 +208,6 @@ def _jet_det(h: list[list[WJet]]) -> WJet:
     return det
 
 
-def inverse_transpose_values(m: MetricJet) -> np.ndarray:
-    """Matrix G with G[i, j] = h^{ij̄} (inverse metric in tensor index order)."""
-    return np.linalg.inv(_check_metric(m)).T
-
-
 # -- connections ---------------------------------------------------------------
 
 
@@ -229,8 +222,8 @@ def christoffels(m: MetricJet) -> Christoffels:
     h^{kℓ̄} T_{jℓ̄i} gets its gradient by the product rule.
     """
     n = m.n
-    A = np.linalg.inv(_check_metric(m))
-    _, dH, ddH = partials(m.h)
+    A = m.inverse
+    _, dH, ddH = m.arrays
     dA = -np.einsum("ab,bcs,cd->ads", A, dH, A)
 
     def raise_index(T, dT):
@@ -261,18 +254,17 @@ def christoffels(m: MetricJet) -> Christoffels:
 def chern_curvature(m: MetricJet) -> Tensor4:
     """R_{ij̄kℓ̄} = −∂²h_{kℓ̄}/∂z^i∂z̄^j + h^{pq̄} (∂h_{kq̄}/∂z^i)(∂h_{pℓ̄}/∂z̄^j)."""
     n = m.n
-    Hinv = np.linalg.inv(_check_metric(m))
-    _, dH, ddH = partials(m.h)
+    _, dH, ddH = m.arrays
     sec = ddH[:, :, :n, n:].transpose(2, 3, 0, 1)  # [i, j, k, l]
-    # h^{pq̄} = Hinv[q, p]
-    quad = np.einsum("qp,kqi,plj->ijkl", Hinv, dH[:, :, :n], dH[:, :, n:])
+    # h^{pq̄} = A[q, p]
+    quad = np.einsum("qp,kqi,plj->ijkl", m.inverse, dH[:, :, :n], dH[:, :, n:])
     return Tensor4(-sec + quad)
 
 
 def chern_ricci(m: MetricJet) -> Form11:
     """Chern-Ricci form R_{ij̄} = −∂² log det(h) / ∂z^i ∂z̄^j."""
     n = m.n
-    _check_metric(m)
+    m.arrays  # validates the metric; the Ricci form itself stays on the jet path
     _, _, hess = partials(log(_jet_det(m.h)))
     return Form11(-hess[:n, n:])
 
@@ -280,13 +272,12 @@ def chern_ricci(m: MetricJet) -> Form11:
 def chern_ricci_trace_path(m: MetricJet) -> Form11:
     """Chern-Ricci via the h^{kℓ̄}-trace of the full curvature tensor."""
     R = chern_curvature(m).R
-    Hinv = np.linalg.inv(_check_metric(m))
-    # h^{kℓ̄} = Hinv[ℓ, k]
-    return Form11(np.einsum("lk,ijkl->ij", Hinv, R))
+    # h^{kℓ̄} = A[ℓ, k]
+    return Form11(np.einsum("lk,ijkl->ij", m.inverse, R))
 
 
 def chern_scalar(m: MetricJet) -> float:
-    G = inverse_transpose_values(m)
+    G = m.inverse.T  # G[i, j] = h^{ij̄}
     return float(np.einsum("ij,ij->", G, chern_ricci(m).A).real)
 
 
@@ -301,7 +292,6 @@ def lc_curvature(m: MetricJet) -> LCCurvature:
     and the lowered tensor 𝔯R_{ij̄kℓ̄} = h_{sℓ̄} 𝔯R^s_{ij̄k}.
     """
     n = m.n
-    vals = _check_metric(m)
     ch = christoffels(m)
     hol_v, anti_v = ch.lc_hol, ch.lc_anti
     d_hol = ch.lc_hol_grad[..., n:].transpose(0, 1, 3, 2)  # [l, i, j, k] = ∂Γ^ℓ_{ik}/∂z̄^j
@@ -309,7 +299,7 @@ def lc_curvature(m: MetricJet) -> LCCurvature:
     quad1 = np.einsum("sik,ljs->lijk", hol_v, anti_v)
     quad2 = np.einsum("sjk,lsi->lijk", anti_v, hol_v)
     upper = -(d_hol - d_anti + quad1 - quad2)
-    lowered = np.einsum("sl,sijk->ijkl", vals, upper)
+    lowered = np.einsum("sl,sijk->ijkl", m.arrays[0], upper)
     return LCCurvature(upper=upper, lowered=lowered)
 
 
@@ -362,34 +352,25 @@ def torsion(m: MetricJet) -> tuple[np.ndarray, float]:
 
     |T|² = h_{kℓ̄} h^{ip̄} h^{jq̄} T^k_{ij} conj(T^ℓ_{pq}), summed over all (i, j).
     """
-    vals = _check_metric(m)
-    Hinv = np.linalg.inv(vals)
+    vals, A = m.arrays[0], m.inverse
     dval = _holo_grad(m)  # [i, j, l] = ∂h_{jℓ̄}/∂z^i
     antis = dval - dval.transpose(1, 0, 2)
-    # h^{kℓ̄} = Hinv[l, k]
-    T = np.einsum("lk,ijl->kij", Hinv, antis)
-    G = Hinv.T  # G[i, p] = h^{ip̄}
+    # h^{kℓ̄} = A[l, k]
+    T = np.einsum("lk,ijl->kij", A, antis)
+    G = A.T  # G[i, p] = h^{ip̄}
     tsq = np.einsum("kl,ip,jq,kij,lpq->", vals, G, G, T, T.conj())
     return T, float(tsq.real)
 
 
-def form11_inner(alpha: np.ndarray, beta: np.ndarray, m: MetricJet) -> complex:
-    """Pointwise inner product ⟨α, β⟩ = h^{ip̄} h^{qj̄} α_{ij̄} conj(β_{pq̄})."""
-    G = inverse_transpose_values(m)
-    return complex(np.einsum("ip,qj,ij,pq->", G, G, alpha, beta.conj()))
-
-
 def form01_norm_sq(a: np.ndarray, m: MetricJet) -> float:
     """|a|² for a (0,1)-form a_ī dz̄^i:  Σ a_ī conj(a_j̄) h^{jī}."""
-    Hinv = np.linalg.inv(_check_metric(m))
-    # h^{jī} = Hinv[i, j]
-    return float(np.einsum("i,j,ij->", a, a.conj(), Hinv).real)
+    # h^{jī} = A[i, j]
+    return float(np.einsum("i,j,ij->", a, a.conj(), m.inverse).real)
 
 
 def scalars(m: MetricJet) -> Scalars:
     """All scalar invariants; see the field-by-field description on `Scalars`."""
-    vals = _check_metric(m)
-    G = np.linalg.inv(vals).T
+    G = m.inverse.T
     ric = chern_ricci(m).A
     s_C = float(np.einsum("ij,ij->", G, ric).real)
     lowered = lc_curvature(m).lowered
@@ -436,8 +417,7 @@ def riemannian_scalar(m: MetricJet) -> float:
     s = g^{μν} R_{μν} with everything assembled from the jet data.
     """
     n = m.n
-    _check_metric(m)
-    vals, grads, hesses = partials(m.h)
+    vals, grads, hesses = m.arrays
     # ∂/∂x^k = ∂_k + ∂̄_k and ∂/∂y^k = √−1 (∂_k − ∂̄_k), as rows over Wirtinger slots
     eye = np.eye(n)
     W = np.block([[eye, eye], [1j * eye, -1j * eye]])

@@ -63,6 +63,11 @@ class HopfParams:
             raise ValueError(
                 f"need |a| >= |b| > 1, got |a|={abs(self.a):.6g}, |b|={abs(self.b):.6g}"
             )
+        # Φ ranges over [1, |a||b|) on the fundamental domain the sampler draws from.
+        if not math.isfinite(abs(self.a) * abs(self.b)):
+            raise ValueError(
+                f"|a||b| overflows a double, got |a|={abs(self.a):.6g}, |b|={abs(self.b):.6g}"
+            )
 
     @property
     def k1(self) -> float:

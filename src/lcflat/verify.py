@@ -4,22 +4,9 @@ Each identity tag names one equation the engine can test pointwise; a check
 draws a deterministic point sample, evaluates the residual at every point,
 and aggregates into a report with a pass/fail verdict.
 
-Identity tags
--------------
-lc-ricci-flat     max |𝔯ic(ω)| via both computation paths (headline: zero for
-                  the Δ³ω_{−1/2} Hopf metric)
-key-relation      the two 𝔯ic paths agree: curvature trace vs Ric − ½(∂∂*ω+∂̄∂̄*ω)
-conformal-law     𝔯ic(e^fω) = 𝔯ic(ω) − √−1∂∂̄f and ∂̄*_f ω_f = ∂̄*ω + √−1(n−1)∂f
-det-formula       det(ω_λ) = (1+λ)/(Δ³Φ²)
-tw-formula        ∂∂*ω_λ = ∂̄∂̄*ω_λ = √−1∂∂̄logΦ/(1+λ), and
-                  ∂*ω_λ = (√−1/(1+λ))∂̄logΦ componentwise
-scalar-010        s_LC = s_C − ½⟨∂∂*ω + ∂̄∂̄*ω, ω⟩
-scalar-key1       s = 2s_C + (⟨∂∂*ω + ∂̄∂̄*ω, ω⟩ − 2|∂*ω|²) − ½|T|²
-deck-invariance   J h(az,bw) J† = h(z,w) for J = diag(a,b)
-hessian-matrices  closed forms of √−1∂∂̄logΦ and √−1∂Φ∧∂̄Φ against the solved
-                  jet, plus their vanishing determinants
-kahler-collapse   torsion, adjoint forms, and the Chern/Levi-Civita gap all
-                  vanish on a Kähler metric; s = 2s_C and s_LC = s_C
+An identity is declared once, in `IDENTITIES`: its residual function (whose
+docstring states the equation), its default tolerance and what it needs of
+the metric spec.  `CheckSpec` checks those needs when it is built.
 
 Residuals for form identities are max-entry differences normalized by
 1 + (max entry of the dominant term), making pass/fail scale-invariant.
@@ -29,6 +16,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,19 +27,6 @@ from . import metrics as mz
 from .wjet import Point, log, multi_indices, partials
 
 SCHEMA_VERSION = "1"
-
-IDENTITIES = (
-    "lc-ricci-flat",
-    "key-relation",
-    "conformal-law",
-    "det-formula",
-    "tw-formula",
-    "scalar-010",
-    "scalar-key1",
-    "deck-invariance",
-    "hessian-matrices",
-    "kahler-collapse",
-)
 
 
 class CheckAborted(RuntimeError):
@@ -64,15 +39,22 @@ class CheckSpec:
     metric: mz.MetricSpec
     n_points: int = 100
     seed: int = 0
-    tol: float = 1e-8
+    tol: float | None = None  # None: the identity's default tolerance
 
     def __post_init__(self):
-        if self.identity not in IDENTITIES:
+        entry = IDENTITIES.get(self.identity)
+        if entry is None:
             raise ValueError(
-                f"unknown identity {self.identity!r}; expected one of {IDENTITIES}"
+                f"unknown identity {self.identity!r}; expected one of {tuple(IDENTITIES)}"
             )
+        for need in entry.needs:
+            holds, what = _NEEDS[need]
+            if not holds(self.metric):
+                raise mz.SpecError(f"{self.identity} requires {what}")
         if self.n_points < 1:
             raise ValueError("n_points must be >= 1")
+        if self.tol is None:
+            object.__setattr__(self, "tol", entry.tol)
         if not self.tol > 0:
             raise ValueError("tol must be > 0")
 
@@ -282,7 +264,8 @@ def _maxabs(arr) -> float:
     return float(np.max(np.abs(arr)))
 
 
-def _residual_lc_ricci_flat(spec: mz.MetricSpec, p) -> float:
+def _residual_lc_ricci_flat(spec: mz.MetricSpec, p, notes: dict) -> float:
+    """max |𝔯ic(ω)| over both computation paths; zero for the Δ³ω_{−1/2} Hopf metric."""
     m = mz.build_metric(spec, p)
     r1 = geo.lc_ricci(m).A
     r2 = geo.lc_ricci_via_relation(m).A
@@ -290,16 +273,16 @@ def _residual_lc_ricci_flat(spec: mz.MetricSpec, p) -> float:
     return _norm(max(_maxabs(r1), _maxabs(r2)), _maxabs(ric))
 
 
-def _residual_key_relation(spec: mz.MetricSpec, p) -> float:
+def _residual_key_relation(spec: mz.MetricSpec, p, notes: dict) -> float:
+    """The two 𝔯ic paths agree: curvature trace vs Ric − ½(∂∂*ω + ∂̄∂̄*ω)."""
     m = mz.build_metric(spec, p)
     r1 = geo.lc_ricci(m).A
     r2 = geo.lc_ricci_via_relation(m).A
     return _norm(_maxabs(r1 - r2), _maxabs(r1), _maxabs(r2))
 
 
-def _residual_conformal_law(spec: mz.MetricSpec, p) -> float:
-    if spec.kind != "conformal":
-        raise mz.SpecError("conformal-law requires a conformal metric spec")
+def _residual_conformal_law(spec: mz.MetricSpec, p, notes: dict) -> float:
+    """𝔯ic(e^fω) = 𝔯ic(ω) − √−1∂∂̄f and ∂̄*_f ω_f = ∂̄*ω + √−1(n−1)∂f."""
     n = spec.dim
     mb = mz.build_metric(spec.base, p)
     mc = mz.build_metric(spec, p)
@@ -316,9 +299,8 @@ def _residual_conformal_law(spec: mz.MetricSpec, p) -> float:
     return max(r_ric, r_adj)
 
 
-def _residual_det_formula(spec: mz.MetricSpec, p) -> float:
-    if spec.kind != "hopf-omega-lambda":
-        raise mz.SpecError("det-formula requires a hopf-omega-lambda metric spec")
+def _residual_det_formula(spec: mz.MetricSpec, p, notes: dict) -> float:
+    """det(ω_λ) = (1+λ)/(Δ³Φ²)."""
     hp = spec.hopf_params()
     lam = spec.lam if spec.lam is not None else 0.0
     m = mz.build_metric(spec, p)
@@ -328,9 +310,8 @@ def _residual_det_formula(spec: mz.MetricSpec, p) -> float:
     return abs(det - expect) / abs(expect)
 
 
-def _residual_tw_formula(spec: mz.MetricSpec, p) -> float:
-    if spec.kind != "hopf-omega-lambda":
-        raise mz.SpecError("tw-formula requires a hopf-omega-lambda metric spec")
+def _residual_tw_formula(spec: mz.MetricSpec, p, notes: dict) -> float:
+    """∂∂*ω_λ = ∂̄∂̄*ω_λ = √−1∂∂̄logΦ/(1+λ), and ∂*ω_λ = (√−1/(1+λ))∂̄logΦ componentwise."""
     hp = spec.hopf_params()
     lam = spec.lam if spec.lam is not None else 0.0
     m = mz.build_metric(spec, p)
@@ -350,27 +331,30 @@ def _residual_tw_formula(spec: mz.MetricSpec, p) -> float:
     return max(r1, r2, r3)
 
 
-def _residual_scalar_010(spec: mz.MetricSpec, p) -> float:
+def _residual_scalar_010(spec: mz.MetricSpec, p, notes: dict) -> float:
+    """s_LC = s_C − ½⟨∂∂*ω + ∂̄∂̄*ω, ω⟩."""
     m = mz.build_metric(spec, p)
     sc = geo.scalars(m)
     return abs(sc.s_LC - (sc.s_C - 0.5 * sc.ddstar_pairing)) / (1.0 + abs(sc.s_LC))
 
 
-def _residual_scalar_key1(spec: mz.MetricSpec, p) -> float:
+def _residual_scalar_key1(spec: mz.MetricSpec, p, notes: dict) -> float:
+    """s = 2s_C + (⟨∂∂*ω + ∂̄∂̄*ω, ω⟩ − 2|∂*ω|²) − ½|T|², s the Riemannian scalar."""
     m = mz.build_metric(spec, p)
     sc = geo.scalars(m)
     rhs = 2.0 * sc.s_C + (sc.ddstar_pairing - 2.0 * sc.delstar_sq) - 0.5 * sc.torsion_sq
     return abs(sc.s - rhs) / (1.0 + abs(sc.s))
 
 
-def _residual_deck(spec: mz.MetricSpec, p) -> float:
+def _residual_deck(spec: mz.MetricSpec, p, notes: dict) -> float:
+    """J h(az, bw) J† = h(z, w) for J = diag(a, b): the metric descends to the quotient."""
     return mz.deck_invariance_residual(spec, p)
 
 
 def _residual_hessian_matrices(spec: mz.MetricSpec, p, notes: dict) -> float:
+    """Closed forms of √−1∂∂̄logΦ and √−1∂Φ∧∂̄Φ against the solved jet, and their
+    vanishing determinants."""
     hp = spec.hopf_params()
-    if hp is None:
-        raise mz.SpecError("hessian-matrices requires a spec with Hopf parameters")
     L, P = mz.hessian_forms(p, hp)
     Phi, _, _ = mz.phi_field(p, hp)
     _, _, ddlp = partials(log(Phi))
@@ -387,7 +371,9 @@ def _residual_hessian_matrices(spec: mz.MetricSpec, p, notes: dict) -> float:
     return max(rL, rP, rdet)
 
 
-def _residual_kahler_collapse(spec: mz.MetricSpec, p) -> float:
+def _residual_kahler_collapse(spec: mz.MetricSpec, p, notes: dict) -> float:
+    """On a Kähler metric torsion, the adjoint forms and the Chern/Levi-Civita
+    Ricci gap vanish, s = 2s_C and s_LC = s_C."""
     m = mz.build_metric(spec, p)
     hscale = _maxabs(m.values())
     defect = _norm(geo.kahler_defect(m), hscale)
@@ -410,6 +396,49 @@ def _residual_kahler_collapse(spec: mz.MetricSpec, p) -> float:
     )
 
 
+# -- the identity registry -------------------------------------------------------------
+
+# What an identity can need of its metric spec: a test on the spec, and the
+# phrase that names what is needed in the SpecError a failing spec raises.
+_NEEDS = {
+    "conformal": (lambda s: s.kind == "conformal", "a conformal metric spec"),
+    "hopf-omega-lambda": (lambda s: s.kind == "hopf-omega-lambda",
+                          "a hopf-omega-lambda metric spec"),
+    "hopf": (lambda s: s.hopf_params() is not None, "a spec with Hopf parameters"),
+    "dim-2": (lambda s: s.dim == 2, "a metric on two complex coordinates"),
+}
+
+
+@dataclass(frozen=True)
+class Identity:
+    """How one identity tag is checked.
+
+    `residual(spec, point, notes)` returns the point's residual and may record
+    report notes; `tol` is the default pass tolerance; `needs` are keys of
+    `_NEEDS` that the metric spec must satisfy.
+    """
+
+    residual: Callable[[mz.MetricSpec, Point, dict], float]
+    tol: float = 1e-8
+    needs: tuple[str, ...] = ()
+
+
+# scalar-key1 is looser: its terms are fourth order in derivatives of the
+# metric, so more roundoff accumulates.
+IDENTITIES: dict[str, Identity] = {
+    "lc-ricci-flat": Identity(_residual_lc_ricci_flat),
+    "key-relation": Identity(_residual_key_relation),
+    "conformal-law": Identity(_residual_conformal_law, needs=("conformal",)),
+    "det-formula": Identity(_residual_det_formula, 1e-10, ("hopf-omega-lambda",)),
+    "tw-formula": Identity(_residual_tw_formula, needs=("hopf-omega-lambda",)),
+    "scalar-010": Identity(_residual_scalar_010),
+    "scalar-key1": Identity(_residual_scalar_key1, 1e-6),
+    "deck-invariance": Identity(_residual_deck, 1e-10, ("hopf", "dim-2")),
+    "hessian-matrices": Identity(_residual_hessian_matrices, 1e-10, ("hopf",)),
+    "kahler-collapse": Identity(_residual_kahler_collapse),
+}
+
+
 # -- orchestration ---------------------------------------------------------------------
 
 
@@ -422,33 +451,13 @@ def run_check(c: CheckSpec) -> VerificationReport:
     else:
         points = sample_points("box", c.n_points, c.seed, dim=c.metric.dim)
 
+    residual = IDENTITIES[c.identity].residual
     notes: dict = {}
     per_point = []
     failures = []
     for p in points:
         try:
-            if c.identity == "lc-ricci-flat":
-                r = _residual_lc_ricci_flat(c.metric, p)
-            elif c.identity == "key-relation":
-                r = _residual_key_relation(c.metric, p)
-            elif c.identity == "conformal-law":
-                r = _residual_conformal_law(c.metric, p)
-            elif c.identity == "det-formula":
-                r = _residual_det_formula(c.metric, p)
-            elif c.identity == "tw-formula":
-                r = _residual_tw_formula(c.metric, p)
-            elif c.identity == "scalar-010":
-                r = _residual_scalar_010(c.metric, p)
-            elif c.identity == "scalar-key1":
-                r = _residual_scalar_key1(c.metric, p)
-            elif c.identity == "deck-invariance":
-                r = _residual_deck(c.metric, p)
-            elif c.identity == "hessian-matrices":
-                r = _residual_hessian_matrices(c.metric, p, notes)
-            elif c.identity == "kahler-collapse":
-                r = _residual_kahler_collapse(c.metric, p)
-            else:  # pragma: no cover - CheckSpec validates
-                raise mz.SpecError(f"unknown identity {c.identity!r}")
+            r = residual(c.metric, p, notes)
         except mz.SpecError:
             raise
         except ValueError as exc:

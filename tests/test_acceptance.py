@@ -180,9 +180,9 @@ def test_c07_degenerations(capsys):
             flat_max,
             np.max(np.abs(geo.chern_curvature(h).R)),
             np.max(np.abs(geo.lc_curvature(h).upper)),
-            np.max(np.abs(gam.chern_values())),
-            np.max(np.abs(gam.lc_hol_values())),
-            np.max(np.abs(gam.lc_anti_values())),
+            np.max(np.abs(gam.chern)),
+            np.max(np.abs(gam.lc_hol)),
+            np.max(np.abs(gam.lc_anti)),
             abs(geo.scalars(h).s),
         )
     ok = worst <= 1e-12 and flat_max == 0.0

@@ -2,11 +2,14 @@
 
 import json
 import math
+import re
+from importlib.resources import files
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from lcflat.cli import main
+from lcflat.cli import cmd_verify, main
 
 E = math.e
 LC_FLAT = "hopf-lc-flat{a=7.38905609893065,b=2.718281828459045}"
@@ -290,6 +293,13 @@ class TestSweep:
         res = invoke(runner, ["sweep", "--a-grid", "1.5,zap", "--b-grid", "1.2"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("flag, message", [("--tol", "tol must be > 0"),
+                                               ("--points", "n_points must be >= 1")])
+    def test_sweep_rejects_bad_check_settings(self, runner, flag, message):
+        res = invoke(runner, ["sweep", "--a-grid", "3", "--b-grid", "2", flag, "0"])
+        assert res.exit_code == 2
+        assert message in res.stderr
+
 
 class TestDumpSamples:
     def test_box_deterministic(self, runner):
@@ -323,3 +333,34 @@ class TestDumpSamples:
         res = invoke(runner, ["dump-samples", "-n", "2"], env={"LCFLAT_SEED": "zzz"})
         assert res.exit_code == 2
         assert "LCFLAT_SEED" in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--identity", "lc-ricci-flat", "--metric", "hopf-lc-flat{a=1e300,b=1e299}"],
+    ["sweep", "--a-grid", "1e300", "--b-grid", "1e299"],
+    ["dump-samples", "--domain", "hopf-fundamental", "--a", "1e300", "--b", "1e299"],
+], ids=["verify", "sweep", "dump-samples"])
+def test_multiplier_product_beyond_a_double_is_usage_error(runner, args):
+    res = invoke(runner, args)
+    assert res.exit_code == 2
+    assert "|a||b|" in res.stderr
+
+
+def test_identity_lists_match_the_registry():
+    """The schema enum, the --identity choices and the README all list the registry."""
+    from lcflat.verify import IDENTITIES
+
+    tags = list(IDENTITIES)
+    schema = json.loads(files("lcflat").joinpath("report_schema.json").read_text())
+    assert schema["properties"]["check"]["properties"]["identity"]["enum"] == tags
+    choice = next(p.type for p in cmd_verify.params if p.name == "identity")
+    assert list(choice.choices) == tags
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Identity tags", 1)[1].split("\n### ", 1)[0]
+    assert re.findall(r"^\| `([a-z0-9-]+)`", section, re.M) == tags
+    sentence = re.search(r"Default pass tolerances: ([0-9.e-]+), except (.*?) \(", section, re.S)
+    tols = dict.fromkeys(tags, float(sentence[1]))
+    for group, tol in re.findall(r"((?:`[a-z0-9-]+`[\s/]*)+) at ([0-9.e-]+)", sentence[2]):
+        tols.update(dict.fromkeys(re.findall(r"`([a-z0-9-]+)`", group), float(tol)))
+    assert tols == {tag: entry.tol for tag, entry in IDENTITIES.items()}

@@ -3,6 +3,7 @@ plumbing, report shape, and the engineered mutation control."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,6 +145,31 @@ def test_spec_mismatch_raises_typed_spec_error():
         V.run_check(V.CheckSpec(identity="deck-invariance", metric=M.MetricSpec(kind="flat")))
 
 
+@pytest.mark.parametrize("identity, metric, needed", [
+    ("conformal-law", LC_FLAT, "a conformal metric spec"),
+    ("det-formula", M.MetricSpec(kind="flat"), "a hopf-omega-lambda metric spec"),
+    ("tw-formula", LC_FLAT, "a hopf-omega-lambda metric spec"),
+    ("hessian-matrices", M.MetricSpec(kind="flat"), "Hopf parameters"),
+    ("deck-invariance", M.MetricSpec(kind="flat"), "Hopf parameters"),
+    ("deck-invariance", M.MetricSpec(kind="flat", n=3, a=E, b=E), "two complex coordinates"),
+])
+def test_metric_needs_are_checked_when_the_check_spec_is_built(identity, metric, needed):
+    with pytest.raises(M.SpecError, match=f"{identity} requires .*{needed}"):
+        V.CheckSpec(identity=identity, metric=metric)
+
+
+def test_kahler_collapse_validates_its_metric_once_per_point(monkeypatch):
+    """Every geometry function reads one metric; only the first read validates it."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    rep = V.run_check(
+        V.CheckSpec(identity="kahler-collapse", metric=M.MetricSpec(kind="kahler-test"), n_points=1)
+    )
+    assert rep.verdict == "pass"
+    assert len(calls) == 1
+
+
 def _box_points_sorted(n, seed):
     pts = V.sample_points("box", n, seed, dim=2)
     return sorted(pts, key=lambda p: tuple((c.real, c.imag) for c in p.coords))
@@ -153,12 +179,13 @@ def test_per_point_value_error_mentioning_requires_is_a_point_failure(monkeypatc
     """Only SpecError is a usage error; any other ValueError fails just its point."""
     bad = _box_points_sorted(20, 3)[7]
 
-    def residual(spec, p):
+    def residual(spec, p, notes):
         if p == bad:
             raise ValueError("this step requires a smaller radius")
         return 1e-15
 
-    monkeypatch.setattr(V, "_residual_key_relation", residual)
+    monkeypatch.setitem(
+        V.IDENTITIES, "key-relation", replace(V.IDENTITIES["key-relation"], residual=residual))
     rep = V.run_check(
         V.CheckSpec(identity="key-relation", metric=M.MetricSpec(kind="flat"), n_points=20, seed=3)
     )
@@ -171,7 +198,8 @@ def test_per_point_value_error_mentioning_requires_is_a_point_failure(monkeypatc
 def test_non_finite_residual_forces_fail_and_sets_the_stats(monkeypatch, poison):
     """A non-finite residual that is not first in the sorted sample still wins max/argmax."""
     bad = _box_points_sorted(10, 3)[4]
-    monkeypatch.setattr(V, "_residual_key_relation", lambda spec, p: poison if p == bad else 1e-15)
+    monkeypatch.setitem(V.IDENTITIES, "key-relation", replace(
+        V.IDENTITIES["key-relation"], residual=lambda spec, p, notes: poison if p == bad else 1e-15))
     rep = V.run_check(
         V.CheckSpec(identity="key-relation", metric=M.MetricSpec(kind="flat"), n_points=10, seed=3)
     )
