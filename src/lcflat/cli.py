@@ -290,7 +290,8 @@ def cmd_sweep(a_grid, b_grid, n_points, seed, tol, output):
     """Max Ricci-form residual of the flattened metric per (a, b) grid cell.
 
     Cells with |b| > |a| are skipped (the family assumes |a| ≥ |b| > 1);
-    the CSV gets one row per admissible cell.
+    the CSV gets one row per admissible cell.  A cell whose check aborts
+    gets the verdict `aborted` and a NaN residual, and fails the sweep.
     """
     seed = seed if seed is not None else _default_seed()
 
@@ -323,21 +324,31 @@ def cmd_sweep(a_grid, b_grid, n_points, seed, tol, output):
 
     lines = ["a,b,alpha,lambda,identity,max_residual,verdict"]
     worst = 0.0
+    aborted = 0
     all_pass = True
     for (a, b), check in zip(cells, checks):
-        report = vf.run_check(check)
-        worst = max(worst, report.max_residual)
-        all_pass = all_pass and report.verdict == "pass"
+        try:
+            report = vf.run_check(check)
+        except vf.CheckAborted as exc:
+            click.echo(f"cell a={a!r}, b={b!r}: check aborted: {exc}", err=True)
+            aborted += 1
+            max_residual, verdict = math.nan, "aborted"
+        else:
+            max_residual, verdict = report.max_residual, report.verdict
+            worst = max(worst, max_residual)
+        all_pass = all_pass and verdict == "pass"
         lines.append(
             f"{a!r},{b!r},{check.metric.hopf_params().alpha!r},-0.5,lc-ricci-flat,"
-            f"{report.max_residual:.6e},{report.verdict}"
+            f"{max_residual:.6e},{verdict}"
         )
     text = "\n".join(lines) + "\n"
     if output:
         _write_atomic(output, text)
     else:
         click.echo(text, nl=False)
-    click.echo(f"sweep: {len(cells)} cells, worst residual {worst:.3e}", err=True)
+    click.echo(
+        f"sweep: {len(cells)} cells, {aborted} aborted, worst residual {worst:.3e}", err=True
+    )
     sys.exit(0 if all_pass else 1)
 
 

@@ -29,12 +29,11 @@ from .wjet import (
     WJet,
     conj,
     exp,
-    implicit_solve,
     is_real_valued,
     jet_conj_var,
     jet_const,
+    jet_from_partials,
     jet_var,
-    pow_real,
 )
 
 E = math.e
@@ -366,50 +365,85 @@ def phi_value(p, hp: HopfParams) -> float:
     return math.exp((hp.k1 + hp.k2) * theta / (2.0 * math.pi))
 
 
-def phi_field(p, hp: HopfParams, tol: float = 1e-13):
-    """Order-2 jets of (Φ, θ, Δ) at p ≠ 0.
+def phi_delta_values(p, hp: HopfParams) -> tuple[float, float]:
+    """Scalar (Φ, Δ) at p without jet overhead, with Δ = (c₁u + c₂v)/k as in
+    `phi_field` (u + v = 1, so neither term can overflow)."""
+    zz, ww = abs(p[0]) ** 2, abs(p[1]) ** 2
+    theta = _theta_root(zz, ww, hp)
+    c1, c2 = hp.k1 / math.pi, hp.k2 / math.pi
+    k = (hp.k1 + hp.k2) / (2.0 * math.pi)
+    u, v = zz * math.exp(-c1 * theta), ww * math.exp(-c2 * theta)
+    return math.exp(k * theta), (c1 * u + c2 * v) / k
 
-    θ is the implicit solution of |z|² e^{−k₁θ/π} + |w|² e^{−k₂θ/π} = 1 (the
-    left side is strictly decreasing in θ, so the root is unique), and
-    Φ = e^{(k₁+k₂)θ/(2π)},  Δ = α|z|²Φ^{−α} + (2−α)|w|²Φ^{α−2}.  The scalar
-    root seeds the jet solve, which then only has to fill in the derivatives.
+
+def phi_field(p, hp: HopfParams):
+    """Order-2 jets of (Φ, θ, Δ) at p ≠ 0, in closed form.
+
+    θ is the root of F(x, θ) = |z|²e^{−c₁θ} + |w|²e^{−c₂θ} − 1 with
+    cᵢ = kᵢ/π (F is strictly decreasing in θ, so the root is unique).  Past
+    the scalar root, the implicit-function theorem gives θ's partials in the
+    slots x = (z, w, z̄, w̄) directly:
+
+        θᵢ = −Fᵢ/F_θ,   θᵢⱼ = −(Fᵢⱼ + F_{iθ}θⱼ + F_{jθ}θᵢ + F_{θθ}θᵢθⱼ)/F_θ.
+
+    With u = |z|²e^{−c₁θ}, v = |w|²e^{−c₂θ} and k = (k₁+k₂)/2π, the chain
+    rule in the jet ring gives Φ = e^{kθ} and Δ = −F_θ/k = (c₁u + c₂v)/k,
+    which equals α|z|²Φ^{−α} + (2−α)|w|²Φ^{α−2} since kα = c₁, k(2−α) = c₂.
+    F on the θ jet is checked to vanish through order 2.
     """
     pt = tuple(p)
     theta0 = _theta_root(abs(pt[0]) ** 2, abs(pt[1]) ** 2, hp)
-    (z, w), (zb, wb) = _coordinate_jets(pt, 2)
-    zz = z * zb
-    ww = w * wb
     c1, c2 = hp.k1 / math.pi, hp.k2 / math.pi
+    e1, e2 = math.exp(-c1 * theta0), math.exp(-c2 * theta0)
+    z0, w0 = complex(pt[0]), complex(pt[1])
+    # Partials of F at the root, slots (z, w, z̄, w̄); F is linear in each
+    # of |z|², |w|², so the only x-x partials are F_{zz̄} = e₁, F_{ww̄} = e₂.
+    c = np.array([c1, c2, c1, c2])
+    Fx = np.array([z0.conjugate() * e1, w0.conjugate() * e2, z0 * e1, w0 * e2])
+    Fxx = np.zeros((4, 4), dtype=complex)
+    Fxx[0, 2] = Fxx[2, 0] = e1
+    Fxx[1, 3] = Fxx[3, 1] = e2
+    u0, v0 = abs(z0) ** 2 * e1, abs(w0) ** 2 * e2
+    Ft = -(c1 * u0 + c2 * v0)
+    Ftt = c1 * c1 * u0 + c2 * c2 * v0
+    Fxt = -c * Fx
+    if not (math.isfinite(Ft) and Ft != 0.0):
+        raise ValueError("dF/dtheta vanishes at the solution")
+    tx = -Fx / Ft
+    cross = np.outer(Fxt, tx)
+    txx = -(Fxx + cross + cross.T + Ftt * np.outer(tx, tx)) / Ft
+    theta = jet_from_partials(theta0, tx, txx)
 
-    def F(theta: WJet) -> WJet:
-        return zz * exp(-c1 * theta) + ww * exp(-c2 * theta) - 1.0
-
-    theta = implicit_solve(F, theta0, tol, n_vars=2)
-    Phi = exp((hp.k1 + hp.k2) / (2.0 * math.pi) * theta)
-    al = hp.alpha
-    u = zz * pow_real(Phi, -al)
-    v = ww * pow_real(Phi, al - 2.0)
-    Delta = al * u + (2.0 - al) * v
-    return Phi, theta, Delta
+    (z, w), (zb, wb) = _coordinate_jets(pt, 2)
+    u = z * zb * exp(-c1 * theta)
+    v = w * wb * exp(-c2 * theta)
+    residual = (u + v - 1.0).max_abs()
+    if residual > 1e-10 * (1.0 + theta.max_abs()):
+        raise ValueError(f"implicit jet iteration failed to converge (residual {residual:.3g})")
+    k = (hp.k1 + hp.k2) / (2.0 * math.pi)
+    return exp(k * theta), theta, (c1 * u + c2 * v) / k
 
 
-def _hopf_frame(p, hp: HopfParams):
-    """Shared jet ingredients for the closed-form Hopf metric entries."""
-    (z, w), (zb, wb) = _coordinate_jets(p, 2)
-    Phi, theta, Delta = phi_field(p, hp)
-    al = hp.alpha
-    inv_phi2 = pow_real(Phi, -2.0)
+def _hopf_frame(z, w, zb, wb, Phi, Delta, alpha: float) -> dict:
+    """Shared ingredients of the closed-form Hopf entries, on jets or on
+    scalars alike (jets overload *, / and **)."""
     inv_d2 = 1.0 / (Delta * Delta)
-    inv_d3 = inv_d2 / Delta
     return {
         "z": z, "w": w, "zb": zb, "wb": wb,
-        "Phi": Phi, "theta": theta, "Delta": Delta, "alpha": al,
-        "inv_phi2": inv_phi2, "inv_d2": inv_d2, "inv_d3": inv_d3,
+        "Phi": Phi, "Delta": Delta, "alpha": alpha,
+        "inv_phi2": Phi ** -2.0, "inv_d2": inv_d2, "inv_d3": inv_d2 / Delta,
     }
 
 
+def _jet_frame(p, hp: HopfParams) -> dict:
+    (z, w), (zb, wb) = _coordinate_jets(p, 2)
+    Phi, _, Delta = phi_field(p, hp)
+    return _hopf_frame(z, w, zb, wb, Phi, Delta, hp.alpha)
+
+
 def log_phi_hessian_jets(p, hp: HopfParams, frame=None) -> list[list[WJet]]:
-    """Order-2 jets of L_{ij̄} = ∂² log Φ / ∂z^i ∂z̄^j in closed form.
+    """Order-2 jets of L_{ij̄} = ∂² log Φ / ∂z^i ∂z̄^j in closed form (values
+    instead, when `frame` holds scalars).
 
     Eliminating θ from the implicit relation gives, with α = 2k₁/(k₁+k₂),
 
@@ -418,7 +452,7 @@ def log_phi_hessian_jets(p, hp: HopfParams, frame=None) -> list[list[WJet]]:
 
     (rank 1, so det L = 0 identically).
     """
-    fr = frame or _hopf_frame(p, hp)
+    fr = frame or _jet_frame(p, hp)
     al, k = fr["alpha"], fr["inv_phi2"] * fr["inv_d3"]
     z, w, zb, wb = fr["z"], fr["w"], fr["zb"], fr["wb"]
     return [
@@ -428,7 +462,8 @@ def log_phi_hessian_jets(p, hp: HopfParams, frame=None) -> list[list[WJet]]:
 
 
 def grad_phi_outer_jets(p, hp: HopfParams, frame=None) -> list[list[WJet]]:
-    """Order-2 jets of P_{ij̄} = Φ_i Φ_j̄ (entries of √−1 ∂Φ∧∂̄Φ).
+    """Order-2 jets of P_{ij̄} = Φ_i Φ_j̄ (entries of √−1 ∂Φ∧∂̄Φ); values
+    instead, when `frame` holds scalars.
 
     The gradient has the closed form Φ_z = z̄ Φ^{1−α}/Δ, Φ_w = w̄ Φ^{α−1}/Δ, so
 
@@ -437,12 +472,12 @@ def grad_phi_outer_jets(p, hp: HopfParams, frame=None) -> list[list[WJet]]:
 
     (also rank 1: det P = 0).
     """
-    fr = frame or _hopf_frame(p, hp)
+    fr = frame or _jet_frame(p, hp)
     al = fr["alpha"]
     z, w, zb, wb = fr["z"], fr["w"], fr["zb"], fr["wb"]
     inv_d2 = fr["inv_d2"]
-    p11 = (z * zb) * pow_real(fr["Phi"], 2.0 - 2.0 * al) * inv_d2
-    p22 = (w * wb) * pow_real(fr["Phi"], 2.0 * al - 2.0) * inv_d2
+    p11 = (z * zb) * fr["Phi"] ** (2.0 - 2.0 * al) * inv_d2
+    p22 = (w * wb) * fr["Phi"] ** (2.0 * al - 2.0) * inv_d2
     p12 = (zb * w) * inv_d2
     p21 = (z * wb) * inv_d2
     return [[p11, p12], [p21, p22]]
@@ -450,22 +485,30 @@ def grad_phi_outer_jets(p, hp: HopfParams, frame=None) -> list[list[WJet]]:
 
 def grad_phi_jets(p, hp: HopfParams, frame=None) -> tuple[list[WJet], list[WJet]]:
     """Closed-form order-2 jets of (Φ_z, Φ_w) and (Φ_z̄, Φ_w̄)."""
-    fr = frame or _hopf_frame(p, hp)
+    fr = frame or _jet_frame(p, hp)
     al = fr["alpha"]
-    S = pow_real(fr["Phi"], 1.0 - al) / fr["Delta"]
-    T = pow_real(fr["Phi"], al - 1.0) / fr["Delta"]
+    S = fr["Phi"] ** (1.0 - al) / fr["Delta"]
+    T = fr["Phi"] ** (al - 1.0) / fr["Delta"]
     holo = [fr["zb"] * S, fr["wb"] * T]
     anti = [fr["z"] * S, fr["w"] * T]
     return holo, anti
 
 
 def hessian_forms(p, hp: HopfParams) -> tuple[Form11, Form11]:
-    """Value matrices of √−1∂∂̄logΦ and √−1∂Φ∧∂̄Φ (both singular, PSD)."""
-    fr = _hopf_frame(p, hp)
-    L = log_phi_hessian_jets(p, hp, fr)
-    P = grad_phi_outer_jets(p, hp, fr)
-    to_vals = lambda M: np.array([[M[i][j].value for j in range(2)] for i in range(2)])
-    return Form11(to_vals(L)), Form11(to_vals(P))
+    """Value matrices of √−1∂∂̄logΦ and √−1∂Φ∧∂̄Φ (both singular, PSD).
+
+    The closed forms run on scalars (Φ and Δ from `phi_delta_values`); no jet
+    is built.
+    """
+    z, w = complex(p[0]), complex(p[1])
+    Phi, Delta = phi_delta_values(p, hp)
+    try:
+        fr = _hopf_frame(z, w, z.conjugate(), w.conjugate(), Phi, Delta, hp.alpha)
+        L = log_phi_hessian_jets(p, hp, fr)
+        P = grad_phi_outer_jets(p, hp, fr)
+    except OverflowError:
+        raise ValueError("a power of Φ is outside the floating-point range at this point") from None
+    return Form11(np.array(L)), Form11(np.array(P))
 
 
 # -- metric construction ---------------------------------------------------------------
@@ -493,7 +536,7 @@ def _hopf_standard_jets(p) -> list[list[WJet]]:
 
 
 def _omega_lambda_jets(p, hp: HopfParams, lam: float) -> list[list[WJet]]:
-    fr = _hopf_frame(p, hp)
+    fr = _jet_frame(p, hp)
     L = log_phi_hessian_jets(p, hp, fr)
     P = grad_phi_outer_jets(p, hp, fr)
     return [
@@ -503,7 +546,7 @@ def _omega_lambda_jets(p, hp: HopfParams, lam: float) -> list[list[WJet]]:
 
 
 def _lc_flat_jets(p, hp: HopfParams) -> list[list[WJet]]:
-    fr = _hopf_frame(p, hp)
+    fr = _jet_frame(p, hp)
     L = log_phi_hessian_jets(p, hp, fr)
     P = grad_phi_outer_jets(p, hp, fr)
     D = fr["Delta"]
@@ -629,7 +672,9 @@ def deck_invariance_residual(spec: MetricSpec, p, hp: HopfParams | None = None) 
 
     J = diag(a, b) is the Jacobian of the deck map, so the pullback of the
     metric tensor at (az, bw) has matrix J h(az,bw) J†; a metric descends to
-    the quotient surface exactly when this equals h(z, w).  Works for any
+    the quotient surface exactly when this equals h(z, w).  The max-entry
+    difference is divided by 1 + max|h(z, w)|, so the residual does not grow
+    with the size of the metric.  Works for any
     2-dimensional metric so that non-invariant ones (e.g. flat) can serve as
     negative controls; the deck parameters come from the MetricSpec unless
     passed explicitly.
@@ -644,4 +689,5 @@ def deck_invariance_residual(spec: MetricSpec, p, hp: HopfParams | None = None) 
     h_here = build_metric(spec, pt).values()
     h_image = build_metric(spec, image).values()
     J = np.diag([hp.a, hp.b])
-    return float(np.max(np.abs(J @ h_image @ J.conj().T - h_here)))
+    diff = J @ h_image @ J.conj().T - h_here
+    return float(np.max(np.abs(diff)) / (1.0 + np.max(np.abs(h_here))))

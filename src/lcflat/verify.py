@@ -9,7 +9,10 @@ docstring states the equation), its default tolerance and what it needs of
 the metric spec.  `CheckSpec` checks those needs when it is built.
 
 Residuals for form identities are max-entry differences normalized by
-1 + (max entry of the dominant term), making pass/fail scale-invariant.
+1 + (max entry of the dominant term), making pass/fail scale-invariant.  Two
+terms get the same treatment in their own way: the vanishing determinants of
+`hessian-matrices` are taken as |det M|/max|M|², and the `deck-invariance`
+difference J h(az, bw) J† − h(z, w) is divided by 1 + max|h(z, w)|.
 """
 
 from __future__ import annotations
@@ -264,6 +267,13 @@ def _maxabs(arr) -> float:
     return float(np.max(np.abs(arr)))
 
 
+def _scaled_det(M) -> float:
+    """|det M| / max|M|² for a 2×2 matrix M (0 for M = 0): a rank defect on
+    the matrix's own scale, so roundoff of order ε·max|M|² cannot fail it."""
+    s = _maxabs(M)
+    return abs(np.linalg.det(M / s)) if s > 0 else 0.0
+
+
 def _residual_lc_ricci_flat(spec: mz.MetricSpec, p, notes: dict) -> float:
     """max |𝔯ic(ω)| over both computation paths; zero for the Δ³ω_{−1/2} Hopf metric."""
     m = mz.build_metric(spec, p)
@@ -304,8 +314,8 @@ def _residual_det_formula(spec: mz.MetricSpec, p, notes: dict) -> float:
     hp = spec.hopf_params()
     lam = spec.lam if spec.lam is not None else 0.0
     m = mz.build_metric(spec, p)
-    Phi, _, Delta = mz.phi_field(p, hp)
-    expect = (1.0 + lam) / (Delta.value.real**3 * Phi.value.real**2)
+    Phi, Delta = mz.phi_delta_values(p, hp)
+    expect = (1.0 + lam) / (Delta**3 * Phi**2)
     det = complex(np.linalg.det(m.values()))
     return abs(det - expect) / abs(expect)
 
@@ -363,7 +373,7 @@ def _residual_hessian_matrices(spec: mz.MetricSpec, p, notes: dict) -> float:
     P_jet = np.outer(dPhi[:2], dPhi[2:])
     rL = _norm(_maxabs(L.A - L_jet), _maxabs(L.A))
     rP = _norm(_maxabs(P.A - P_jet), _maxabs(P.A))
-    rdet = max(abs(np.linalg.det(L.A)), abs(np.linalg.det(P.A)))
+    rdet = max(_scaled_det(L.A), _scaled_det(P.A))
     # The displayed matrices read with rows/columns swapped match the transpose;
     # record how far the literal row-column reading sits from the computed tensor.
     lit = max(_maxabs(L.A - L.A.T), _maxabs(P.A - P.A.T))

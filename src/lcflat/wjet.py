@@ -18,6 +18,7 @@ slots above.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -321,8 +322,22 @@ def _compose(a: WJet, f0: complex, f1: complex, f2: complex) -> WJet:
     return WJet(a.n_vars, out, a.order)
 
 
+def _derivatives(name: str, c: complex, fn: Callable[[], tuple]) -> tuple:
+    """fn() = (f, f′, f″) at c, or ValueError when one is not a finite number
+    (an overflow, or a NaN such as Python's inf**−2), so that no jet carries
+    inf or NaN into later results."""
+    try:
+        f = fn()
+    except (OverflowError, ZeroDivisionError):
+        f = (math.nan,)
+    if not all(cmath.isfinite(x) for x in f):
+        raise ValueError(f"{name} is outside the floating-point range at {c:.6g}")
+    return f
+
+
 def exp(a: WJet) -> WJet:
-    f0 = np.exp(complex(a.value))
+    c = a.value
+    (f0,) = _derivatives("exp", c, lambda: (cmath.exp(c),))
     return _compose(a, f0, f0, f0)
 
 
@@ -330,7 +345,8 @@ def log(a: WJet) -> WJet:
     c = a.value
     if c == 0:
         raise ValueError("log of jet whose constant term is zero")
-    return _compose(a, np.log(complex(c)), 1.0 / c, -1.0 / (c * c))
+    f = _derivatives("log", c, lambda: (np.log(complex(c)), 1.0 / c, -1.0 / (c * c)))
+    return _compose(a, *f)
 
 
 def pow_real(a: WJet, p: float) -> WJet:
@@ -338,7 +354,10 @@ def pow_real(a: WJet, p: float) -> WJet:
     if c == 0:
         raise ValueError("pow of jet whose constant term is zero")
     c = complex(c)
-    return _compose(a, c**p, p * c ** (p - 1), p * (p - 1) * c ** (p - 2))
+    f = _derivatives(
+        f"power {p:.6g}", c, lambda: (c**p, p * c ** (p - 1), p * (p - 1) * c ** (p - 2))
+    )
+    return _compose(a, *f)
 
 
 def d_dz(a: WJet, i: int) -> WJet:
@@ -380,6 +399,18 @@ def partials(jets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     c = np.array([j.coeffs for j in arr.flat]).reshape(arr.shape + (-1,))
     grad, hess, fac = _partial_tables(arr.flat[0].n_vars)
     return c[..., 0], c[..., grad], c[..., hess] * fac
+
+
+def jet_from_partials(value: complex, grad, hess) -> WJet:
+    """The jet with this value, Wirtinger gradient [2n] and symmetric Hessian
+    [2n, 2n], in the slot layout of `partials` (its inverse for one jet)."""
+    n_vars = len(grad) // 2
+    g, h, fac = _partial_tables(n_vars)
+    c = np.empty(len(multi_indices(n_vars)), dtype=np.complex128)
+    c[0] = value
+    c[g] = grad
+    c[h] = hess / fac
+    return WJet(n_vars, c)
 
 
 # -- predicates ---------------------------------------------------------------

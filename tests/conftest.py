@@ -1,9 +1,11 @@
 """Shared helpers for building metric jets in tests."""
 
+import math
+
 import numpy as np
 
 from lcflat.geometry import MetricJet
-from lcflat.wjet import Point, conj, jet_conj_var, jet_const, jet_var
+from lcflat.wjet import Point, conj, exp, jet_conj_var, jet_const, jet_var
 
 
 def coordinate_jets(n, pt):
@@ -56,3 +58,15 @@ def random_poly_metric_fn(n, rng, eps=0.08):
 
 def random_small_point(n, rng, scale=0.3):
     return tuple(scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+
+
+def hopf_theta_equation(z0, w0, k1, k2):
+    """F(θ) = |z|²e^{−k₁θ/π} + |w|²e^{−k₂θ/π} − 1 on jets at (z0, w0), for
+    `implicit_solve`."""
+    z, w = jet_var(1, z0, 2), jet_var(2, w0, 2)
+    zz, ww = z * conj(z), w * conj(w)
+
+    def F(theta):
+        return zz * exp(theta * (-k1 / math.pi)) + ww * exp(theta * (-k2 / math.pi)) - 1.0
+
+    return F

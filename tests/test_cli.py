@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from lcflat import verify as vf
 from lcflat.cli import cmd_verify, main
 
 E = math.e
@@ -344,6 +345,32 @@ def test_multiplier_product_beyond_a_double_is_usage_error(runner, args):
     res = invoke(runner, args)
     assert res.exit_code == 2
     assert "|a||b|" in res.stderr
+
+
+@pytest.mark.parametrize("identity, metric", [
+    ("lc-ricci-flat", "hopf-lc-flat{a=1e300,b=1.5}"),
+    ("hessian-matrices", "hopf-lc-flat{a=1e300,b=1.5}"),
+    ("det-formula", "hopf-omega-lambda{a=1e300,b=1.5}"),
+], ids=["lc-ricci-flat", "hessian-matrices", "det-formula"])
+def test_power_beyond_a_double_aborts_the_check(runner, identity, metric):
+    # Φ reaches 1.5e300 on this shell, so Φ^{2α−2} ≈ Φ² overflows.
+    res = runner.invoke(main, ["verify", "--identity", identity, "--metric", metric,
+                               "--points", "5"])
+    assert not isinstance(res.exception, ArithmeticError), res.exception
+    assert res.exit_code == 1
+    assert "check aborted: " in res.stderr
+
+
+def test_sweep_reports_an_aborted_cell_and_fails(runner):
+    res = runner.invoke(main, ["sweep", "--a-grid", "1e150,10", "--b-grid", "1.0001",
+                               "--points", "5"])
+    assert not isinstance(res.exception, vf.CheckAborted), res.exception
+    assert res.exit_code == 1
+    rows = [line.split(",") for line in res.stdout.strip().splitlines()[1:]]
+    assert (rows[0][0], rows[0][5], rows[0][6]) == ("1e+150", "nan", "aborted")
+    assert rows[1][6] == "pass"
+    assert "check aborted: " in res.stderr
+    assert "2 cells, 1 aborted" in res.stderr
 
 
 def test_identity_lists_match_the_registry():

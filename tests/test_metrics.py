@@ -8,10 +8,12 @@ from decimal import Context, Decimal
 import numpy as np
 import pytest
 
+from conftest import hopf_theta_equation
 from lcflat import geometry as geo
 from lcflat import metrics as M
 from lcflat import verify as V
-from lcflat.wjet import d_dz, d_dzbar, jet_const, log, pow_real
+from lcflat import wjet
+from lcflat.wjet import d_dz, d_dzbar, jet_const, log, multi_indices, pow_real
 
 E = math.e
 
@@ -98,33 +100,65 @@ def test_phi_value_matches_jet_constant_term():
         assert abs(M.phi_value(pt, hp) - Phi.value.real) < 1e-11
 
 
+# The chord solve and the closed form each sit within about 2e-11 and 4e-11
+# of a 50-digit implicit-function solution at (1e6, 1.0001), where both are
+# limited by conditioning; elsewhere they agree to roundoff.
+THETA_CASES = [(hp, 1e-12) for hp in HOPF_GRID + [M.HopfParams(1e3, 1.01)]]
+THETA_CASES.append((M.HopfParams(1e6, 1.0001), 1e-10))
+
+
+@pytest.mark.parametrize("hp, rel", THETA_CASES, ids=["a=b", "a=e2", "a=e1.5", "1e3", "1e6"])
+def test_phi_field_solves_theta_in_closed_form(hp, rel, monkeypatch):
+    """phi_field never calls implicit_solve, and its θ jet matches the chord
+    solve of the same equation coefficient by coefficient."""
+    solve = wjet.implicit_solve
+    calls = []
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(wjet, "implicit_solve", counting_solve)
+    monkeypatch.setattr(M, "implicit_solve", counting_solve, raising=False)
+    pts = V.sample_points("hopf-fundamental", 24, 3, hp=hp)
+    thetas = [M.phi_field(pt, hp)[1] for pt in pts]
+    assert calls == []
+
+    for pt, theta in zip(pts, thetas):
+        F = hopf_theta_equation(pt[0], pt[1], hp.k1, hp.k2)
+        want = solve(F, theta.value.real, 1e-13, 2)
+        assert np.max(np.abs(theta.coeffs - want.coeffs)) <= rel * np.max(np.abs(want.coeffs))
+
+
 @pytest.mark.parametrize("hp", HOPF_GRID, ids=["a=b", "a=e2", "a=e1.5"])
-def test_phi_field_jet_solve_stays_within_budget(hp, monkeypatch):
-    """The θ root seeds the jet solve, which needs at most 10 F evaluations
-    per call, the same number on every run."""
-    counts = []
-    solve = M.implicit_solve
+def test_phi_and_delta_jets_match_finite_differences(hp):
+    """Φ and Δ from the closed-form θ jet against central differences of
+    phi_value and of the defining Δ = α|z|²Φ^{−α} + (2−α)|w|²Φ^{α−2}."""
+    al = hp.alpha
+    degs = np.array([sum(mt) for mt in multi_indices(2)])
 
-    def counting_solve(F, *args, **kwargs):
-        n = 0
+    def delta(q):
+        phi = M.phi_value(q, hp)
+        return al * abs(q[0]) ** 2 * phi**-al + (2.0 - al) * abs(q[1]) ** 2 * phi ** (al - 2.0)
 
-        def counted(theta):
-            nonlocal n
-            n += 1
-            return F(theta)
+    for pt in V.sample_points("hopf-fundamental", 3, 5, hp=hp):
+        Phi, _, Delta = M.phi_field(pt, hp)
+        for jet, fn in ((Phi, lambda q: M.phi_value(q, hp)), (Delta, delta)):
+            rel = np.abs(V.fd_jet(fn, pt, 2) - jet.coeffs) / (1.0 + np.abs(jet.coeffs))
+            assert rel[degs == 1].max() < 1e-8
+            assert rel[degs == 2].max() < 1e-6
 
-        try:
-            return solve(counted, *args, **kwargs)
-        finally:
-            counts.append(n)
 
-    monkeypatch.setattr(M, "implicit_solve", counting_solve)
-    pts = POINTS + V.sample_points("hopf-fundamental", 20, 3, hp=hp)
-    for _ in range(2):
-        for pt in pts:
-            M.phi_field(pt, hp)
-    assert counts[: len(pts)] == counts[len(pts):]
-    assert max(counts) <= 10
+def test_phi_field_rejects_a_theta_jet_that_misses_its_equation(monkeypatch):
+    """The θ jet is checked against F by jet arithmetic: a wrong Hessian fails."""
+    packed = wjet.jet_from_partials
+
+    def bent(value, grad, hess):
+        return packed(value, grad, hess + 1e-6)
+
+    monkeypatch.setattr(M, "jet_from_partials", bent)
+    with pytest.raises(ValueError, match="failed to converge"):
+        M.phi_field(POINTS[0], HOPF_GRID[1])
 
 
 # (|a|, |b|) log-spaced over [1.0001, 1e6] with |a| >= |b|, and |z|², |w|² over
@@ -245,6 +279,18 @@ def test_hessian_form_equal_multipliers_at_symmetric_point():
     """a=b at (1,1): ∂∂̄log(|z|²+|w|²) = ¼[[1,−1],[−1,1]]."""
     L, _ = M.hessian_forms((1.0, 1.0), M.HopfParams(E, E))
     assert np.max(np.abs(L.A - 0.25 * np.array([[1, -1], [-1, 1]]))) < 1e-12
+
+
+@pytest.mark.parametrize("hp", HOPF_GRID + [M.HopfParams(1e3, 1.01)],
+                         ids=["a=b", "a=e2", "a=e1.5", "1e3"])
+def test_hessian_forms_on_scalars_equal_the_jet_values(hp):
+    """The value-only path runs the same closed forms as the jet builders."""
+    for pt in V.sample_points("hopf-fundamental", 10, 7, hp=hp):
+        L, P = M.hessian_forms(pt, hp)
+        for got, jets in ((L.A, M.log_phi_hessian_jets(pt, hp)),
+                          (P.A, M.grad_phi_outer_jets(pt, hp))):
+            want = np.array([[jets[i][j].value for j in range(2)] for i in range(2)])
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 # -- metric assembly --------------------------------------------------------------
@@ -374,10 +420,24 @@ def test_deck_invariance_with_phased_multipliers():
     assert M.deck_invariance_residual(spec, POINTS[0]) < 1e-10
 
 
+@pytest.mark.parametrize("spec", [
+    M.MetricSpec(kind="hopf-lc-flat", a=E**2, b=E),
+    # entries of 4e3 to 1.5e5 on this shell
+    M.MetricSpec(kind="hopf-omega-lambda", a=1e3 * np.exp(0.4j), b=1.01, lam=2.0),
+], ids=["lc-flat", "omega-large"])
+def test_deck_residual_catches_wrong_multipliers(spec):
+    hp = spec.hopf_params()
+    wrong = M.HopfParams(hp.a * 1.001, hp.b)
+    for pt in V.sample_points("hopf-fundamental", 5, 2, hp=hp):
+        assert M.deck_invariance_residual(spec, pt) < 1e-10
+        assert M.deck_invariance_residual(spec, pt, hp=wrong) > 1e-6
+
+
 def test_deck_flat_negative_control():
     spec = M.MetricSpec(kind="flat", a=E, b=E)
     res = M.deck_invariance_residual(spec, (1.0, 0.0))
-    assert abs(res - (E**2 - 1.0)) < 1e-12
+    # J I J† − I = (e² − 1)I, normalised by 1 + max|I|
+    assert abs(res - (E**2 - 1.0) / 2.0) < 1e-12
     with pytest.raises(ValueError, match="Hopf parameters"):
         M.deck_invariance_residual(M.MetricSpec(kind="flat"), (1.0, 0.0))
 

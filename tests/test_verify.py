@@ -223,6 +223,34 @@ def test_deck_invariance_negative_control_through_reports():
     assert rep.max_residual > 1.0
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e5])
+def test_hessian_determinant_term_is_measured_on_the_matrix_scale(scale):
+    """A rank-1 matrix passes at any scale; adding 1e-6·max|M|·I fails at any scale."""
+    tol = V.IDENTITIES["hessian-matrices"].tol
+    v = np.array([0.6 + 0.3j, -0.2 + 0.7j])
+    rank1 = np.outer(v, v.conj())
+    rank1 *= scale / np.max(np.abs(rank1))
+    assert V._scaled_det(rank1) <= 1e-15
+    assert V._scaled_det(rank1 + 1e-6 * scale * np.eye(2)) > tol
+    assert V._scaled_det(np.zeros((2, 2))) == 0.0
+
+
+@pytest.mark.parametrize("identity, metric, seed", [
+    # P has entries up to 5e5, so roundoff alone made |det P| 2.3e-5
+    ("hessian-matrices",
+     "hopf-omega-lambda{a=-894.702661620498+342.72267008739993j,"
+     "b=-676.0257258193486+555.4043418082852j,lambda=0.9059292429842938}", 1924240443),
+    # metric entries of 5e4 to 7e4 gave absolute deck differences of 4e-10 to 5e-10
+    ("deck-invariance",
+     "hopf-omega-lambda{a=18.640430161454745-120.09941011910766j,"
+     "b=0.46862471385143634-0.8961828322036215j,lambda=2.5778785352078}", 444851059),
+], ids=["hessian-matrices", "deck-invariance"])
+def test_large_metrics_pass_on_their_own_scale(identity, metric, seed):
+    spec = M.parse_metric_spec(metric)
+    rep = V.run_check(V.CheckSpec(identity=identity, metric=spec, n_points=3, seed=seed))
+    assert rep.verdict == "pass", rep.max_residual
+
+
 def test_construction_failures_warn_below_ten_percent():
     # seed/amp chosen so exactly 3 of these 40 box points are not positive definite
     spec = M.MetricSpec(kind="user-polynomial", seed=0, amp=0.25)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import hopf_theta_equation
 from lcflat import wjet as wj
 from lcflat.wjet import (
     WJet,
@@ -280,18 +281,6 @@ def test_real_valued_predicate_rejects():
 
 
 # -- implicit solver ----------------------------------------------------------
-
-
-def hopf_theta_equation(z0, w0, k1, k2):
-    z, w = jet_var(1, z0, 2), jet_var(2, w0, 2)
-    zz, ww = z * wj.conj(z), w * wj.conj(w)
-
-    def F(theta):
-        return zz * wj.exp(theta * (-k1 / math.pi)) + ww * wj.exp(
-            theta * (-k2 / math.pi)
-        ) - 1.0
-
-    return F
 
 
 def bisect(f, lo, hi, iters=200):
