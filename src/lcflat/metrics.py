@@ -9,10 +9,15 @@ the one-parameter metrics
 and the conformally rescaled metric Δ³·ω_{−1/2}, whose Levi-Civita Ricci form
 vanishes identically — the headline identity this package verifies.
 
-All metric entries are produced as full order-2 Wirtinger jets.  The first and
-second derivatives of Φ admit closed forms in (z, w, Φ, Δ); building the metric
-from those closed forms (rather than differentiating Φ's jet, which would drop
-the truncation order) keeps every entry a genuine order-2 jet.
+All metric entries are produced as full order-2 Wirtinger jets.  `hopf_jets`
+solves Φ = e^{kθ} in closed form and returns the jets of the coordinates, of θ,
+of e₁ = Φ^{−α} = e^{−c₁θ}, e₂ = Φ^{α−2} = e^{−c₂θ}, u = |z|²e₁, v = |w|²e₂
+and of Δ = αu + (2−α)v.  Δ³ω_λ is a polynomial in these jets, so the Hopf
+metrics form no power of Φ and, apart from the one division of Δ³ω_λ by Δ³,
+no jet quotient; nothing overflows while Φ² and the metric's entries are
+doubles.  The closed forms of √−1∂∂̄ log Φ and √−1∂Φ∧∂̄Φ that the metrics
+are derived from are written once, on scalars, in `hessian_forms`, which the
+checks compare against the metrics and against derivatives of the Φ jet.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +40,7 @@ from .wjet import (
     jet_const,
     jet_from_partials,
     jet_var,
+    log,
 )
 
 E = math.e
@@ -81,21 +88,34 @@ class HopfParams:
         """2k₁/(k₁+k₂) ∈ [1, 2)."""
         return 2.0 * self.k1 / (self.k1 + self.k2)
 
+    @property
+    def k(self) -> float:
+        """(k₁+k₂)/2π, so that Φ = e^{kθ} for the θ of `hopf_jets`."""
+        return (self.k1 + self.k2) / (2.0 * math.pi)
+
+
+# keys each field kind accepts in the textual spec grammar
+_FIELD_KEYS = {"zero": (), "poly": ("seed", "amp"), "log-phi": ("scale",), "log-delta": ("scale",)}
+
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Scalar conformal factor: zero | poly{seed,amp} | log-phi | log-delta{scale}."""
+    """Scalar conformal factor: zero | poly{seed,amp} | log-phi{scale} | log-delta{scale},
+    the last two being scale·log Φ and scale·log Δ."""
 
     kind: str = "zero"
     seed: int = 0
     amp: float = 0.1
     scale: float = 1.0
 
-    _KINDS = ("zero", "poly", "log-phi", "log-delta")
-
     def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown field kind {self.kind!r}; expected one of {self._KINDS}")
+        if self.kind not in _FIELD_KEYS:
+            raise ValueError(f"unknown field kind {self.kind!r}; expected one of {tuple(_FIELD_KEYS)}")
+
+    def canonical(self) -> str:
+        text = {"seed": str(self.seed), "amp": _fmt_float(self.amp), "scale": _fmt_float(self.scale)}
+        keys = _FIELD_KEYS[self.kind]
+        return f"{self.kind}{{{','.join(f'{k}={text[k]}' for k in keys)}}}" if keys else self.kind
 
 
 _METRIC_KINDS = (
@@ -186,7 +206,7 @@ class MetricSpec:
         if self.base is not None:
             parts.append(f"base={self.base.canonical()}")
         if self.f is not None:
-            parts.append(f"f={_fmt_field(self.f)}")
+            parts.append(f"f={self.f.canonical()}")
         return self.kind if not parts else f"{self.kind}{{{','.join(parts)}}}"
 
 
@@ -199,14 +219,6 @@ def _fmt_complex(x: complex) -> str:
     if x.imag == 0.0:
         return _fmt_float(x.real)
     return f"{_fmt_float(x.real)}{x.imag:+}j"
-
-
-def _fmt_field(f: FieldSpec) -> str:
-    if f.kind == "poly":
-        return f"poly{{seed={f.seed},amp={_fmt_float(f.amp)}}}"
-    if f.kind == "log-delta":
-        return f"log-delta{{scale={_fmt_float(f.scale)}}}"
-    return f.kind
 
 
 def _split_top_level(body: str) -> list[str]:
@@ -262,33 +274,9 @@ def _parse_int(key: str, raw: str) -> int:
         raise ValueError(f"field {key!r}: cannot parse {raw!r} as an integer") from None
 
 
-def parse_field_spec(text: str) -> FieldSpec:
-    kind, body = _split_kind_body(text)
-    kwargs = {}
-    for item in _split_top_level(body) if body else []:
-        if not item.strip():
-            continue
-        if "=" not in item:
-            raise ValueError(f"field spec item {item!r} is not key=value")
-        key, raw = (s.strip() for s in item.split("=", 1))
-        if key == "seed":
-            kwargs["seed"] = _parse_int(key, raw)
-        elif key == "amp":
-            kwargs["amp"] = _parse_float(key, raw)
-        elif key == "scale":
-            kwargs["scale"] = _parse_float(key, raw)
-        else:
-            raise ValueError(f"field {key!r} is not valid for a scalar-field spec")
-    return FieldSpec(kind=kind, **kwargs)
-
-
-def parse_metric_spec(text: str) -> MetricSpec:
-    """Parse the `kind{key=value,...}` grammar (values may nest the same grammar)."""
-    kind, body = _split_kind_body(text)
-    if kind not in _METRIC_KINDS:
-        raise ValueError(f"unknown metric kind {kind!r}; expected one of {_METRIC_KINDS}")
-    allowed = _ALLOWED_KEYS[kind]
-    kwargs = {}
+def _spec_items(body: str | None, allowed, what: str):
+    """(key, raw value) pairs of a spec body; each key must be allowed and given once."""
+    seen = set()
     for item in _split_top_level(body) if body else []:
         if not item.strip():
             continue
@@ -296,7 +284,29 @@ def parse_metric_spec(text: str) -> MetricSpec:
             raise ValueError(f"spec item {item!r} is not key=value")
         key, raw = (s.strip() for s in item.split("=", 1))
         if key not in allowed:
-            raise ValueError(f"field {key!r} is not valid for metric kind {kind!r}")
+            raise ValueError(f"field {key!r} is not valid for {what}")
+        if key in seen:
+            raise ValueError(f"field {key!r} is given more than once for {what}")
+        seen.add(key)
+        yield key, raw
+
+
+def parse_field_spec(text: str) -> FieldSpec:
+    kind, body = _split_kind_body(text)
+    if kind not in _FIELD_KEYS:
+        raise ValueError(f"unknown field kind {kind!r}; expected one of {tuple(_FIELD_KEYS)}")
+    parse = {"seed": _parse_int, "amp": _parse_float, "scale": _parse_float}
+    items = _spec_items(body, _FIELD_KEYS[kind], f"field kind {kind!r}")
+    return FieldSpec(kind=kind, **{key: parse[key](key, raw) for key, raw in items})
+
+
+def parse_metric_spec(text: str) -> MetricSpec:
+    """Parse the `kind{key=value,...}` grammar (values may nest the same grammar)."""
+    kind, body = _split_kind_body(text)
+    if kind not in _METRIC_KINDS:
+        raise ValueError(f"unknown metric kind {kind!r}; expected one of {_METRIC_KINDS}")
+    kwargs = {}
+    for key, raw in _spec_items(body, _ALLOWED_KEYS[kind], f"metric kind {kind!r}"):
         if key in ("a", "b"):
             kwargs[key] = _parse_complex(key, raw)
         elif key == "lambda":
@@ -328,8 +338,9 @@ def _coordinate_jets(p: Point | tuple, n: int):
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-def _theta_root(zz: float, ww: float, hp: HopfParams) -> float:
-    """Root θ of g(θ) = |z|²e^{−c₁θ} + |w|²e^{−c₂θ} − 1, with cᵢ = kᵢ/π.
+def _theta_root(p, hp: HopfParams) -> tuple[float, float, float]:
+    """(|z|², |w|², θ) at p, with θ the root of g(θ) = |z|²e^{−c₁θ} + |w|²e^{−c₂θ} − 1
+    and cᵢ = kᵢ/π.
 
     g is convex and strictly decreasing.  Analytic Newton starts at
     θ₀ = max log(xᵢ)/cᵢ over the nonzero terms xᵢ ∈ {|z|², |w|²}: there one
@@ -339,6 +350,10 @@ def _theta_root(zz: float, ww: float, hp: HopfParams) -> float:
     Newton stops once a step is below 1e-14 relative to |θ| + 1/|g′(θ)|
     (1/|g′| is the distance over which g changes by 1).
     """
+    try:
+        zz, ww = abs(p[0]) ** 2, abs(p[1]) ** 2
+    except OverflowError:
+        raise ValueError("|z|² or |w|² is outside the floating-point range at this point") from None
     terms = [(math.log(x), c) for x, c in ((zz, hp.k1 / math.pi), (ww, hp.k2 / math.pi))
              if x > 0.0]
     if not terms:
@@ -354,30 +369,43 @@ def _theta_root(zz: float, ww: float, hp: HopfParams) -> float:
             break
     else:
         raise ValueError("Φ root iteration did not converge")
-    if abs((hp.k1 + hp.k2) * theta / (2.0 * math.pi)) > _LOG_FLOAT_MAX:
+    if abs(hp.k * theta) > _LOG_FLOAT_MAX:
         raise ValueError("Φ is outside the floating-point range at this point")
-    return theta
+    return zz, ww, theta
 
 
 def phi_value(p, hp: HopfParams) -> float:
     """Scalar Φ(p) without jet overhead."""
-    theta = _theta_root(abs(p[0]) ** 2, abs(p[1]) ** 2, hp)
-    return math.exp((hp.k1 + hp.k2) * theta / (2.0 * math.pi))
+    return math.exp(hp.k * _theta_root(p, hp)[2])
 
 
 def phi_delta_values(p, hp: HopfParams) -> tuple[float, float]:
-    """Scalar (Φ, Δ) at p without jet overhead, with Δ = (c₁u + c₂v)/k as in
-    `phi_field` (u + v = 1, so neither term can overflow)."""
-    zz, ww = abs(p[0]) ** 2, abs(p[1]) ** 2
-    theta = _theta_root(zz, ww, hp)
-    c1, c2 = hp.k1 / math.pi, hp.k2 / math.pi
-    k = (hp.k1 + hp.k2) / (2.0 * math.pi)
-    u, v = zz * math.exp(-c1 * theta), ww * math.exp(-c2 * theta)
-    return math.exp(k * theta), (c1 * u + c2 * v) / k
+    """Scalar (Φ, Δ) at p without jet overhead, with Δ = αu + (2−α)v as in
+    `hopf_jets` (u + v = 1, so neither term can overflow)."""
+    zz, ww, theta = _theta_root(p, hp)
+    u = zz * math.exp(-hp.k1 / math.pi * theta)
+    v = ww * math.exp(-hp.k2 / math.pi * theta)
+    return math.exp(hp.k * theta), hp.alpha * u + (2.0 - hp.alpha) * v
 
 
-def phi_field(p, hp: HopfParams):
-    """Order-2 jets of (Φ, θ, Δ) at p ≠ 0, in closed form.
+class HopfJets(NamedTuple):
+    """Order-2 jets at one point of the coordinates and of θ, e₁ = e^{−c₁θ},
+    e₂ = e^{−c₂θ}, u = |z|²e₁, v = |w|²e₂ and Δ = αu + (2−α)v."""
+
+    z: WJet
+    w: WJet
+    zb: WJet
+    wb: WJet
+    theta: WJet
+    e1: WJet
+    e2: WJet
+    u: WJet
+    v: WJet
+    delta: WJet
+
+
+def hopf_jets(p, hp: HopfParams) -> HopfJets:
+    """The jets every Hopf quantity is built from, at p ≠ 0, in closed form.
 
     θ is the root of F(x, θ) = |z|²e^{−c₁θ} + |w|²e^{−c₂θ} − 1 with
     cᵢ = kᵢ/π (F is strictly decreasing in θ, so the root is unique).  Past
@@ -386,16 +414,15 @@ def phi_field(p, hp: HopfParams):
 
         θᵢ = −Fᵢ/F_θ,   θᵢⱼ = −(Fᵢⱼ + F_{iθ}θⱼ + F_{jθ}θᵢ + F_{θθ}θᵢθⱼ)/F_θ.
 
-    With u = |z|²e^{−c₁θ}, v = |w|²e^{−c₂θ} and k = (k₁+k₂)/2π, the chain
-    rule in the jet ring gives Φ = e^{kθ} and Δ = −F_θ/k = (c₁u + c₂v)/k,
-    which equals α|z|²Φ^{−α} + (2−α)|w|²Φ^{α−2} since kα = c₁, k(2−α) = c₂.
-    F on the θ jet is checked to vanish through order 2.
+    With k = (k₁+k₂)/2π, Φ = e^{kθ}; since kα = c₁ and k(2−α) = c₂, the
+    factors e₁ = Φ^{−α} and e₂ = Φ^{α−2} are exponentials of the θ jet, and
+    Δ = αu + (2−α)v = α|z|²Φ^{−α} + (2−α)|w|²Φ^{α−2} = −F_θ/k.
+    F = u + v − 1 on the θ jet is checked to vanish through order 2.
     """
-    pt = tuple(p)
-    theta0 = _theta_root(abs(pt[0]) ** 2, abs(pt[1]) ** 2, hp)
+    zz, ww, theta0 = _theta_root(p, hp)
     c1, c2 = hp.k1 / math.pi, hp.k2 / math.pi
     e1, e2 = math.exp(-c1 * theta0), math.exp(-c2 * theta0)
-    z0, w0 = complex(pt[0]), complex(pt[1])
+    z0, w0 = complex(p[0]), complex(p[1])
     # Partials of F at the root, slots (z, w, z̄, w̄); F is linear in each
     # of |z|², |w|², so the only x-x partials are F_{zz̄} = e₁, F_{ww̄} = e₂.
     c = np.array([c1, c2, c1, c2])
@@ -403,7 +430,7 @@ def phi_field(p, hp: HopfParams):
     Fxx = np.zeros((4, 4), dtype=complex)
     Fxx[0, 2] = Fxx[2, 0] = e1
     Fxx[1, 3] = Fxx[3, 1] = e2
-    u0, v0 = abs(z0) ** 2 * e1, abs(w0) ** 2 * e2
+    u0, v0 = zz * e1, ww * e2
     Ft = -(c1 * u0 + c2 * v0)
     Ftt = c1 * c1 * u0 + c2 * c2 * v0
     Fxt = -c * Fx
@@ -414,101 +441,49 @@ def phi_field(p, hp: HopfParams):
     txx = -(Fxx + cross + cross.T + Ftt * np.outer(tx, tx)) / Ft
     theta = jet_from_partials(theta0, tx, txx)
 
-    (z, w), (zb, wb) = _coordinate_jets(pt, 2)
-    u = z * zb * exp(-c1 * theta)
-    v = w * wb * exp(-c2 * theta)
+    (z, w), (zb, wb) = _coordinate_jets(p, 2)
+    e1j, e2j = exp(-c1 * theta), exp(-c2 * theta)
+    u, v = z * zb * e1j, w * wb * e2j
     residual = (u + v - 1.0).max_abs()
     if residual > 1e-10 * (1.0 + theta.max_abs()):
         raise ValueError(f"implicit jet iteration failed to converge (residual {residual:.3g})")
-    k = (hp.k1 + hp.k2) / (2.0 * math.pi)
-    return exp(k * theta), theta, (c1 * u + c2 * v) / k
+    return HopfJets(z, w, zb, wb, theta, e1j, e2j, u, v, hp.alpha * u + (2.0 - hp.alpha) * v)
 
 
-def _hopf_frame(z, w, zb, wb, Phi, Delta, alpha: float) -> dict:
-    """Shared ingredients of the closed-form Hopf entries, on jets or on
-    scalars alike (jets overload *, / and **)."""
-    inv_d2 = 1.0 / (Delta * Delta)
-    return {
-        "z": z, "w": w, "zb": zb, "wb": wb,
-        "Phi": Phi, "Delta": Delta, "alpha": alpha,
-        "inv_phi2": Phi ** -2.0, "inv_d2": inv_d2, "inv_d3": inv_d2 / Delta,
-    }
+def phi_field(p, hp: HopfParams):
+    """Order-2 jets of (Φ, θ, Δ) at p ≠ 0, with Φ = e^{kθ} (see `hopf_jets`)."""
+    hj = hopf_jets(p, hp)
+    return exp(hp.k * hj.theta), hj.theta, hj.delta
 
 
-def _jet_frame(p, hp: HopfParams) -> dict:
-    (z, w), (zb, wb) = _coordinate_jets(p, 2)
-    Phi, _, Delta = phi_field(p, hp)
-    return _hopf_frame(z, w, zb, wb, Phi, Delta, hp.alpha)
-
-
-def log_phi_hessian_jets(p, hp: HopfParams, frame=None) -> list[list[WJet]]:
-    """Order-2 jets of L_{ij̄} = ∂² log Φ / ∂z^i ∂z̄^j in closed form (values
-    instead, when `frame` holds scalars).
+def hessian_forms(p, hp: HopfParams) -> tuple[Form11, Form11]:
+    """Value matrices L of √−1∂∂̄logΦ and P of √−1∂Φ∧∂̄Φ, on scalars (Φ and Δ
+    from `phi_delta_values`); no jet is built.
 
     Eliminating θ from the implicit relation gives, with α = 2k₁/(k₁+k₂),
 
         L = (1/(Φ²Δ³)) [[ (α−2)²|w|²,  α(α−2) z̄w ],
-                         [ α(α−2) zw̄,   α²|z|²    ]]
+                         [ α(α−2) zw̄,   α²|z|²    ]],
 
-    (rank 1, so det L = 0 identically).
-    """
-    fr = frame or _jet_frame(p, hp)
-    al, k = fr["alpha"], fr["inv_phi2"] * fr["inv_d3"]
-    z, w, zb, wb = fr["z"], fr["w"], fr["zb"], fr["wb"]
-    return [
-        [((al - 2.0) ** 2) * (w * wb) * k, al * (al - 2.0) * (zb * w) * k],
-        [al * (al - 2.0) * (z * wb) * k, (al**2) * (z * zb) * k],
-    ]
-
-
-def grad_phi_outer_jets(p, hp: HopfParams, frame=None) -> list[list[WJet]]:
-    """Order-2 jets of P_{ij̄} = Φ_i Φ_j̄ (entries of √−1 ∂Φ∧∂̄Φ); values
-    instead, when `frame` holds scalars.
-
-    The gradient has the closed form Φ_z = z̄ Φ^{1−α}/Δ, Φ_w = w̄ Φ^{α−1}/Δ, so
+    and the gradient Φ_z = z̄ Φ^{1−α}/Δ, Φ_w = w̄ Φ^{α−1}/Δ gives
 
         P = (1/Δ²) [[ |z|² Φ^{2−2α},  z̄w ],
-                    [ zw̄,            |w|² Φ^{2α−2} ]]
+                    [ zw̄,            |w|² Φ^{2α−2} ]].
 
-    (also rank 1: det P = 0).
-    """
-    fr = frame or _jet_frame(p, hp)
-    al = fr["alpha"]
-    z, w, zb, wb = fr["z"], fr["w"], fr["zb"], fr["wb"]
-    inv_d2 = fr["inv_d2"]
-    p11 = (z * zb) * fr["Phi"] ** (2.0 - 2.0 * al) * inv_d2
-    p22 = (w * wb) * fr["Phi"] ** (2.0 * al - 2.0) * inv_d2
-    p12 = (zb * w) * inv_d2
-    p21 = (z * wb) * inv_d2
-    return [[p11, p12], [p21, p22]]
-
-
-def grad_phi_jets(p, hp: HopfParams, frame=None) -> tuple[list[WJet], list[WJet]]:
-    """Closed-form order-2 jets of (Φ_z, Φ_w) and (Φ_z̄, Φ_w̄)."""
-    fr = frame or _jet_frame(p, hp)
-    al = fr["alpha"]
-    S = fr["Phi"] ** (1.0 - al) / fr["Delta"]
-    T = fr["Phi"] ** (al - 1.0) / fr["Delta"]
-    holo = [fr["zb"] * S, fr["wb"] * T]
-    anti = [fr["z"] * S, fr["w"] * T]
-    return holo, anti
-
-
-def hessian_forms(p, hp: HopfParams) -> tuple[Form11, Form11]:
-    """Value matrices of √−1∂∂̄logΦ and √−1∂Φ∧∂̄Φ (both singular, PSD).
-
-    The closed forms run on scalars (Φ and Δ from `phi_delta_values`); no jet
-    is built.
+    Both are rank 1 (det L = det P = 0) and positive semidefinite.
     """
     z, w = complex(p[0]), complex(p[1])
     Phi, Delta = phi_delta_values(p, hp)
-    try:
-        fr = _hopf_frame(z, w, z.conjugate(), w.conjugate(), Phi, Delta, hp.alpha)
-        L = log_phi_hessian_jets(p, hp, fr)
-        P = grad_phi_outer_jets(p, hp, fr)
-    except OverflowError:
+    al, zbw = hp.alpha, z.conjugate() * w
+    try:  # a float power raises OverflowError; numpy raises FloatingPointError here
+        with np.errstate(over="raise", invalid="raise"):
+            L = np.array([[(al - 2.0) ** 2 * abs(w) ** 2, al * (al - 2.0) * zbw],
+                          [al * (al - 2.0) * zbw.conjugate(), al**2 * abs(z) ** 2]])
+            P = np.array([[abs(z) ** 2 * Phi ** (2.0 - 2.0 * al), zbw],
+                          [zbw.conjugate(), abs(w) ** 2 * Phi ** (2.0 * al - 2.0)]])
+            return Form11(L * (Phi**-2.0 / Delta**3)), Form11(P / Delta**2)
+    except ArithmeticError:
         raise ValueError("a power of Φ is outside the floating-point range at this point") from None
-    return Form11(np.array(L)), Form11(np.array(P))
 
 
 # -- metric construction ---------------------------------------------------------------
@@ -535,25 +510,20 @@ def _hopf_standard_jets(p) -> list[list[WJet]]:
     return [[inv, zero], [zero, inv]]
 
 
-def _omega_lambda_jets(p, hp: HopfParams, lam: float) -> list[list[WJet]]:
-    fr = _jet_frame(p, hp)
-    L = log_phi_hessian_jets(p, hp, fr)
-    P = grad_phi_outer_jets(p, hp, fr)
-    return [
-        [(1.0 + lam) * L[i][j] + P[i][j] * fr["inv_phi2"] for j in range(2)]
-        for i in range(2)
-    ]
+def _delta_cubed_omega_jets(hj: HopfJets, al: float, lam: float) -> list[list[WJet]]:
+    """Δ³ω_λ = Δ³((1+λ)L + P/Φ²), with L and P as in `hessian_forms`.
 
+    Φ^{−α} = e₁, Φ^{α−2} = e₂ and Φ^{−2} = e₁e₂ make it a polynomial in the
+    jets of `hopf_jets`, with no power of Φ and no division:
 
-def _lc_flat_jets(p, hp: HopfParams) -> list[list[WJet]]:
-    fr = _jet_frame(p, hp)
-    L = log_phi_hessian_jets(p, hp, fr)
-    P = grad_phi_outer_jets(p, hp, fr)
-    D = fr["Delta"]
-    D3 = D * D * D
+        [[ e₁((1+λ)(α−2)²v + Δu),      ((1+λ)α(α−2) + Δ) z̄w·e₁e₂ ],
+         [ conj of the (1,2) entry,     e₂((1+λ)α²u + Δv)         ]]
+    """
+    s, D = 1.0 + lam, hj.delta
+    h12 = (s * al * (al - 2.0) + D) * (hj.zb * hj.w * (hj.e1 * hj.e2))
     return [
-        [D3 * (0.5 * L[i][j] + P[i][j] * fr["inv_phi2"]) for j in range(2)]
-        for i in range(2)
+        [hj.e1 * (s * (al - 2.0) ** 2 * hj.v + D * hj.u), h12],
+        [conj(h12), hj.e2 * (s * al**2 * hj.u + D * hj.v)],
     ]
 
 
@@ -590,7 +560,8 @@ def field_jet(f: FieldSpec, p, hp: HopfParams | None, n: int = 2) -> WJet:
     if f.kind == "poly":
         rng = np.random.default_rng(f.seed)
         zs, zbs = _coordinate_jets(p, n)
-        c = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        m = max(8, 2 * n + 2)  # 8 keeps the draws of n <= 3 unchanged
+        c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         q = jet_const(0.0, n)
         for i in range(n):
             q = q + c[i] * zs[i] + c[n + i] * zs[i] * zbs[(i + 1) % n]
@@ -599,17 +570,11 @@ def field_jet(f: FieldSpec, p, hp: HopfParams | None, n: int = 2) -> WJet:
     if f.kind == "log-phi":
         if hp is None:
             raise SpecError("log-phi field needs Hopf parameters")
-        from .wjet import log as jet_log
-
-        Phi, _, _ = phi_field(p, hp)
-        return jet_log(Phi)
+        return (f.scale * hp.k) * hopf_jets(p, hp).theta  # log Φ = kθ
     if f.kind == "log-delta":
         if hp is None:
             raise SpecError("log-delta field needs Hopf parameters")
-        from .wjet import log as jet_log
-
-        _, _, Delta = phi_field(p, hp)
-        return f.scale * jet_log(Delta)
+        return f.scale * log(hopf_jets(p, hp).delta)
     raise ValueError(f"unknown field kind {f.kind!r}")
 
 
@@ -639,11 +604,15 @@ def build_metric(spec: MetricSpec, p) -> MetricJet:
         h = _kahler_test_jets(pt, n)
     elif spec.kind == "hopf-standard":
         h = _hopf_standard_jets(pt)
-    elif spec.kind == "hopf-omega-lambda":
-        lam = spec.lam if spec.lam is not None else 0.0
-        h = _omega_lambda_jets(pt, spec.hopf_params(), lam)
-    elif spec.kind == "hopf-lc-flat":
-        h = _lc_flat_jets(pt, spec.hopf_params())
+    elif spec.kind in ("hopf-omega-lambda", "hopf-lc-flat"):
+        hp = spec.hopf_params()
+        hj = hopf_jets(pt, hp)
+        if spec.kind == "hopf-lc-flat":
+            h = _delta_cubed_omega_jets(hj, hp.alpha, -0.5)
+        else:
+            lam = spec.lam if spec.lam is not None else 0.0
+            inv_d3 = 1.0 / (hj.delta * hj.delta * hj.delta)
+            h = [[inv_d3 * x for x in row] for row in _delta_cubed_omega_jets(hj, hp.alpha, lam)]
     elif spec.kind == "conformal":
         base = build_metric(spec.base, pt)
         fj = field_jet(spec.f, pt, spec.hopf_params(), n=base.n)

@@ -130,10 +130,12 @@ def sample_points(
     point sits inside the origin-exclusion ball.
 
     hopf-fundamental: a uniform direction d on the unit sphere of ℂ², scaled
-    so that Φ lands on a log-uniformly drawn target t inside [1, |a||b|)
-    (small relative margins keep clear of the shell boundary).  Φ(rd) = t
-    turns the defining relation |z|²Φ^{−α} + |w|²Φ^{α−2} = 1 into the closed
-    form r = (|d₁|² t^{−α} + |d₂|² t^{α−2})^{−1/2}.
+    so that Φ lands on a target t inside [1, |a||b|), with log t uniform on
+    [δ, log|a||b| − δ] and δ = 1e-3·log|a||b|: the margin is taken on the log
+    scale, so it keeps clear of both ends of the shell without leaving out
+    part of log Φ's range, however wide the shell.  Φ(rd) = t turns the
+    defining relation |z|²Φ^{−α} + |w|²Φ^{α−2} = 1 into the closed form
+    r = (|d₁|² t^{−α} + |d₂|² t^{α−2})^{−1/2}.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -150,15 +152,15 @@ def sample_points(
     if domain == "hopf-fundamental":
         if hp is None:
             raise ValueError("hopf-fundamental sampling needs HopfParams")
-        lo, hi = 1.0, abs(hp.a) * abs(hp.b)
+        log_hi = math.log(abs(hp.a) * abs(hp.b))
+        margin = 1e-3 * log_hi
         al = hp.alpha
-        margin = 1e-3 * (hi - lo)
         pts = []
         for _ in range(n):
             v = rng.standard_normal(4)
             v /= np.linalg.norm(v)
             direction = (complex(v[0], v[1]), complex(v[2], v[3]))
-            t = math.exp(rng.uniform(math.log(lo + margin), math.log(hi - margin)))
+            t = math.exp(rng.uniform(margin, log_hi - margin))
             d1, d2 = abs(direction[0]) ** 2, abs(direction[1]) ** 2
             r = (d1 * t**-al + d2 * t ** (al - 2.0)) ** -0.5
             pts.append(Point((r * direction[0], r * direction[1])))
@@ -315,9 +317,12 @@ def _residual_det_formula(spec: mz.MetricSpec, p, notes: dict) -> float:
     lam = spec.lam if spec.lam is not None else 0.0
     m = mz.build_metric(spec, p)
     Phi, Delta = mz.phi_delta_values(p, hp)
-    expect = (1.0 + lam) / (Delta**3 * Phi**2)
     det = complex(np.linalg.det(m.values()))
-    return abs(det - expect) / abs(expect)
+    try:
+        expect = (1.0 + lam) / (Delta**3 * Phi**2)
+        return abs(det - expect) / abs(expect)
+    except ArithmeticError:  # Φ² overflows, or Δ³Φ² does and expect is 0
+        raise ValueError("Φ² is outside the floating-point range at this point") from None
 
 
 def _residual_tw_formula(spec: mz.MetricSpec, p, notes: dict) -> float:

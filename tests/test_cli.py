@@ -351,7 +351,10 @@ def test_multiplier_product_beyond_a_double_is_usage_error(runner, args):
     ("lc-ricci-flat", "hopf-lc-flat{a=1e300,b=1.5}"),
     ("hessian-matrices", "hopf-lc-flat{a=1e300,b=1.5}"),
     ("det-formula", "hopf-omega-lambda{a=1e300,b=1.5}"),
-], ids=["lc-ricci-flat", "hessian-matrices", "det-formula"])
+    ("det-formula", "hopf-omega-lambda{a=1e200,b=1.5}"),
+    ("deck-invariance", "hopf-lc-flat{a=1e200,b=1.5}"),
+], ids=["lc-ricci-flat", "hessian-matrices", "det-formula", "det-formula-1e200",
+        "deck-invariance-1e200"])
 def test_power_beyond_a_double_aborts_the_check(runner, identity, metric):
     # Φ reaches 1.5e300 on this shell, so Φ^{2α−2} ≈ Φ² overflows.
     res = runner.invoke(main, ["verify", "--identity", identity, "--metric", metric,
@@ -359,6 +362,46 @@ def test_power_beyond_a_double_aborts_the_check(runner, identity, metric):
     assert not isinstance(res.exception, ArithmeticError), res.exception
     assert res.exit_code == 1
     assert "check aborted: " in res.stderr
+
+
+@pytest.mark.parametrize("identity, metric", [
+    ("det-formula", "hopf-omega-lambda{a=1e100,b=1.5}"),
+    ("deck-invariance", "hopf-lc-flat{a=1e40,b=1.5}"),
+], ids=["det-formula", "deck-invariance"])
+def test_hopf_metrics_build_where_phi_squared_is_a_double(runner, identity, metric):
+    # Φ reaches 1.5e100 on the first shell and 2.3e80 on the deck image of the
+    # second; the metrics form no power of Φ, so both checks run to a verdict.
+    res = invoke(runner, ["verify", "--identity", identity, "--metric", metric,
+                          "--points", "10"])
+    assert res.exit_code == 0, res.output + res.stderr
+    assert "PASS" in res.output
+
+
+@pytest.mark.parametrize("identity", ["conformal-law", "key-relation", "scalar-key1"])
+def test_poly_factor_on_four_coordinates(runner, identity):
+    res = runner.invoke(main, [
+        "verify", "--identity", identity, "--points", "10", "--metric",
+        "conformal{base=user-polynomial{n=4,seed=3,amp=0.03},f=poly{seed=1,amp=0.1}}",
+    ])
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 0, res.output
+    assert "PASS" in res.output
+
+
+@pytest.mark.parametrize("metric, key", [
+    ("conformal{base=hopf-lc-flat{a=3,b=2},f=log-phi{seed=3}}", "seed"),
+    ("conformal{base=flat,f=poly{scale=5}}", "scale"),
+    ("conformal{base=hopf-lc-flat{a=3,b=2},f=log-delta{seed=4}}", "seed"),
+    ("conformal{base=flat,f=zero{amp=1}}", "amp"),
+    ("hopf-lc-flat{a=2,a=3}", "a"),
+    ("conformal{base=flat,f=poly{seed=1,seed=2}}", "seed"),
+], ids=["log-phi-seed", "poly-scale", "log-delta-seed", "zero-amp", "repeated-a",
+        "repeated-seed"])
+def test_spec_key_a_kind_does_not_take_is_usage_error(runner, metric, key):
+    res = invoke(runner, ["verify", "--identity", "conformal-law", "--metric", metric,
+                          "--points", "2"])
+    assert res.exit_code == 2
+    assert f"field {key!r}" in res.stderr
 
 
 def test_sweep_reports_an_aborted_cell_and_fails(runner):

@@ -218,17 +218,17 @@ def test_hopf_params_validation():
     M.HopfParams(3.0 * np.exp(1j), 2.0 * np.exp(-2j))
 
 
-# -- closed-form derivative jets versus the implicit solve ------------------------
+# -- closed-form matrices versus derivatives of the Φ jet --------------------------
 
 
 @pytest.mark.parametrize("hp", HOPF_GRID, ids=["a=b", "a=e2", "a=e1.5"])
 def test_closed_form_gradient_matches_jet_derivatives(hp):
-    pt = POINTS[0]
-    Phi, _, _ = M.phi_field(pt, hp)
-    holo, anti = M.grad_phi_jets(pt, hp)
-    for i in range(2):
-        assert abs(holo[i].value - d_dz(Phi, i + 1).value) < 1e-11
-        assert abs(anti[i].value - d_dzbar(Phi, i + 1).value) < 1e-11
+    """The closed-form P of `hessian_forms` is ∂Φ ⊗ ∂̄Φ read off the Φ jet."""
+    for pt in POINTS[:2]:
+        _, P = M.hessian_forms(pt, hp)
+        _, dPhi, _ = wjet.partials(M.phi_field(pt, hp)[0])
+        want = np.outer(dPhi[:2], dPhi[2:])
+        assert np.all(np.abs(P.A - want) < 1e-12 * (1 + np.abs(P.A)))
 
 
 @pytest.mark.parametrize("hp", HOPF_GRID, ids=["a=b", "a=e2", "a=e1.5"])
@@ -236,22 +236,11 @@ def test_closed_form_hessian_matches_log_phi_jet(hp):
     pt = POINTS[2]
     Phi, _, _ = M.phi_field(pt, hp)
     lp = log(Phi)
-    L = M.log_phi_hessian_jets(pt, hp)
+    L = M.hessian_forms(pt, hp)[0].A
     for i in range(2):
         for j in range(2):
             want = lp.deriv_value(unit(i), unit(j))
-            assert abs(L[i][j].value - want) < 1e-10 * (1 + abs(want))
-
-
-def test_outer_product_matrix_is_gradient_outer_product():
-    hp = M.HopfParams(E**2, E)
-    pt = POINTS[1]
-    holo, anti = M.grad_phi_jets(pt, hp)
-    P = M.grad_phi_outer_jets(pt, hp)
-    for i in range(2):
-        for j in range(2):
-            want = holo[i].value * anti[j].value
-            assert abs(P[i][j].value - want) < 1e-12 * (1 + abs(want))
+            assert abs(L[i, j] - want) < 1e-10 * (1 + abs(want))
 
 
 # -- hessian form matrices ------------------------------------------------------
@@ -281,16 +270,23 @@ def test_hessian_form_equal_multipliers_at_symmetric_point():
     assert np.max(np.abs(L.A - 0.25 * np.array([[1, -1], [-1, 1]]))) < 1e-12
 
 
-@pytest.mark.parametrize("hp", HOPF_GRID + [M.HopfParams(1e3, 1.01)],
-                         ids=["a=b", "a=e2", "a=e1.5", "1e3"])
-def test_hessian_forms_on_scalars_equal_the_jet_values(hp):
-    """The value-only path runs the same closed forms as the jet builders."""
+@pytest.mark.parametrize("hp, rel", [(hp, 1e-14) for hp in HOPF_GRID] + [
+    (M.HopfParams(1e3, 1.01), 1e-12), (M.HopfParams(1e6, 1.0001), 1e-10),
+], ids=["a=b", "a=e2", "a=e1.5", "1e3", "1e6"])
+def test_hopf_metrics_equal_the_closed_forms_of_L_and_P(hp, rel):
+    """The metric jets, built from θ's jets alone, have the values
+    ω_λ = (1+λ)L + P/Φ² and Δ³ω_{−1/2} = Δ³(½L + P/Φ²), with L and P from
+    `hessian_forms`."""
     for pt in V.sample_points("hopf-fundamental", 10, 7, hp=hp):
         L, P = M.hessian_forms(pt, hp)
-        for got, jets in ((L.A, M.log_phi_hessian_jets(pt, hp)),
-                          (P.A, M.grad_phi_outer_jets(pt, hp))):
-            want = np.array([[jets[i][j].value for j in range(2)] for i in range(2)])
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        Phi, Delta = M.phi_delta_values(pt, hp)
+        cases = [(M.MetricSpec(kind="hopf-omega-lambda", a=hp.a, b=hp.b, lam=lam),
+                  (1 + lam) * L.A + P.A / Phi**2) for lam in (-0.5, 0.0, 1.0)]
+        cases.append((M.MetricSpec(kind="hopf-lc-flat", a=hp.a, b=hp.b),
+                      Delta**3 * (0.5 * L.A + P.A / Phi**2)))
+        for spec, want in cases:
+            got = M.build_metric(spec, pt).values()
+            assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
 
 
 # -- metric assembly --------------------------------------------------------------
@@ -527,9 +523,25 @@ def test_spec_canonical_round_trip():
             base=M.MetricSpec(kind="user-polynomial", seed=3, amp=0.04),
             f=M.FieldSpec(kind="poly", seed=9, amp=0.2),
         ),
+        M.MetricSpec(
+            kind="conformal",
+            base=M.MetricSpec(kind="hopf-lc-flat", a=E**1.5, b=E**1.1),
+            f=M.FieldSpec(kind="log-phi", scale=-1.0),
+        ),
+        M.MetricSpec(kind="conformal", base=M.MetricSpec(kind="flat"), f=M.FieldSpec()),
     ]
     for s in specs:
         assert M.parse_metric_spec(s.canonical()) == s
+        assert M.parse_metric_spec(s.canonical()).canonical() == s.canonical()
+
+
+def test_log_phi_field_is_scale_times_log_phi():
+    hp = HOPF_GRID[2]
+    for pt in POINTS[:2]:
+        log_phi = log(M.phi_field(pt, hp)[0])
+        for scale in (-1.0, 0.5):
+            got = M.field_jet(M.FieldSpec(kind="log-phi", scale=scale), pt, hp)
+            assert np.max(np.abs(got.coeffs - scale * log_phi.coeffs)) < 1e-14
 
 
 @pytest.mark.parametrize(
@@ -543,6 +555,8 @@ def test_spec_canonical_round_trip():
         ("conformal{base=flat}", "base and f"),
         ("hopf-lc-flat{a=2.0,b=1.5", "closing brace"),
         ("conformal{base=flat,f=mystery}", "unknown field kind"),
+        ("conformal{base=flat,f=log-phi{seed=3}}", "not valid for field kind 'log-phi'"),
+        ("flat{n=2,n=3}", "'n' is given more than once"),
     ],
 )
 def test_spec_parse_errors_name_the_problem(text, msg):

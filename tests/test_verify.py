@@ -42,6 +42,16 @@ def test_fundamental_domain_points_satisfy_phi_range():
             assert 1.0 <= M.phi_value(p, hp) < bound
 
 
+def test_fundamental_domain_sample_reaches_both_ends_of_log_phi():
+    """On a wide shell the whole of [0, log|a||b|] is sampled, not only its
+    upper half: the boundary margin is relative on the log scale."""
+    hp = M.HopfParams(1e6, 1.0001)
+    top = math.log(abs(hp.a) * abs(hp.b))
+    pts = V.sample_points("hopf-fundamental", 1000, 7, hp=hp)
+    share = [math.log(M.phi_value(p, hp)) / top for p in pts]
+    assert min(share) < 0.01 and max(share) > 0.99
+
+
 def test_box_points_avoid_origin_ball():
     pts = V.sample_points("box", 60, 3, dim=2)
     for p in pts:
