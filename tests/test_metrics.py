@@ -231,6 +231,19 @@ def test_closed_form_gradient_matches_jet_derivatives(hp):
         assert np.all(np.abs(P.A - want) < 1e-12 * (1 + np.abs(P.A)))
 
 
+def test_outer_product_matrix_is_gradient_outer_product():
+    """Entry by entry, P[i][j] = ∂_iΦ · ∂̄_jΦ with the gradient of the Φ jet."""
+    hp = M.HopfParams(E**2, E)
+    pt = POINTS[1]
+    _, P = M.hessian_forms(pt, hp)
+    _, dPhi, _ = wjet.partials(M.phi_field(pt, hp)[0])
+    holo, anti = dPhi[:2], dPhi[2:]
+    for i in range(2):
+        for j in range(2):
+            want = holo[i] * anti[j]
+            assert abs(P.A[i, j] - want) < 1e-12 * (1 + abs(want))
+
+
 @pytest.mark.parametrize("hp", HOPF_GRID, ids=["a=b", "a=e2", "a=e1.5"])
 def test_closed_form_hessian_matches_log_phi_jet(hp):
     pt = POINTS[2]
