@@ -94,11 +94,9 @@ class MetricJet:
         return np.linalg.inv(self.arrays[0])
 
     def hermitian_jet_residual(self) -> float:
-        r = 0.0
-        for i in range(self.n):
-            for j in range(self.n):
-                r = max(r, float(np.max(np.abs(self.h[i][j].coeffs - conj(self.h[j][i]).coeffs))))
-        return r
+        """Largest Taylor coefficient of h_{ij̄} − conj(h_{jī}) over all entries."""
+        h, n = self.h, self.n
+        return max((h[i][j] - conj(h[j][i])).max_abs() for i in range(n) for j in range(n))
 
 
 @dataclass

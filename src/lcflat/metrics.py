@@ -38,7 +38,6 @@ from .wjet import (
     is_real_valued,
     jet_conj_var,
     jet_const,
-    jet_from_partials,
     jet_var,
     log,
 )
@@ -113,9 +112,7 @@ class FieldSpec:
             raise ValueError(f"unknown field kind {self.kind!r}; expected one of {tuple(_FIELD_KEYS)}")
 
     def canonical(self) -> str:
-        text = {"seed": str(self.seed), "amp": _fmt_float(self.amp), "scale": _fmt_float(self.scale)}
-        keys = _FIELD_KEYS[self.kind]
-        return f"{self.kind}{{{','.join(f'{k}={text[k]}' for k in keys)}}}" if keys else self.kind
+        return _canonical(self, _FIELD_KEYS[self.kind])
 
 
 _METRIC_KINDS = (
@@ -190,24 +187,7 @@ class MetricSpec:
     # -- canonical text form ---------------------------------------------------
 
     def canonical(self) -> str:
-        parts = []
-        if self.a is not None:
-            parts.append(f"a={_fmt_complex(self.a)}")
-        if self.b is not None:
-            parts.append(f"b={_fmt_complex(self.b)}")
-        if self.lam is not None:
-            parts.append(f"lambda={_fmt_float(self.lam)}")
-        if self.seed is not None:
-            parts.append(f"seed={self.seed}")
-        if self.amp is not None:
-            parts.append(f"amp={_fmt_float(self.amp)}")
-        if self.n is not None:
-            parts.append(f"n={self.n}")
-        if self.base is not None:
-            parts.append(f"base={self.base.canonical()}")
-        if self.f is not None:
-            parts.append(f"f={self.f.canonical()}")
-        return self.kind if not parts else f"{self.kind}{{{','.join(parts)}}}"
+        return _canonical(self, _METRIC_KEYS)
 
 
 def _fmt_float(x: float) -> str:
@@ -274,9 +254,38 @@ def _parse_int(key: str, raw: str) -> int:
         raise ValueError(f"field {key!r}: cannot parse {raw!r} as an integer") from None
 
 
-def _spec_items(body: str | None, allowed, what: str):
-    """(key, raw value) pairs of a spec body; each key must be allowed and given once."""
-    seen = set()
+# The spec grammar, one entry per key: the attribute the key sets, its parser
+# (key, raw text) -> value and its formatter value -> text.
+_SPEC_KEYS = {
+    "a": ("a", _parse_complex, _fmt_complex),
+    "b": ("b", _parse_complex, _fmt_complex),
+    "lambda": ("lam", _parse_float, _fmt_float),
+    "seed": ("seed", _parse_int, str),
+    "amp": ("amp", _parse_float, _fmt_float),
+    "n": ("n", _parse_int, str),
+    "base": ("base", lambda key, raw: parse_metric_spec(raw), lambda spec: spec.canonical()),
+    "f": ("f", lambda key, raw: parse_field_spec(raw), lambda spec: spec.canonical()),
+    "scale": ("scale", _parse_float, _fmt_float),
+}
+# A metric spec's canonical text lists its keys in this order.
+_METRIC_KEYS = ("a", "b", "lambda", "seed", "amp", "n", "base", "f")
+
+
+def _canonical(spec, keys) -> str:
+    """`kind{key=value,...}` over those of `keys` that the spec sets."""
+    parts = []
+    for key in keys:
+        attr, _, fmt = _SPEC_KEYS[key]
+        value = getattr(spec, attr)
+        if value is not None:
+            parts.append(f"{key}={fmt(value)}")
+    return f"{spec.kind}{{{','.join(parts)}}}" if parts else spec.kind
+
+
+def _spec_kwargs(body: str | None, allowed, what: str) -> dict:
+    """Constructor keywords parsed from a spec body; each key must be allowed
+    and given once."""
+    kwargs = {}
     for item in _split_top_level(body) if body else []:
         if not item.strip():
             continue
@@ -285,19 +294,18 @@ def _spec_items(body: str | None, allowed, what: str):
         key, raw = (s.strip() for s in item.split("=", 1))
         if key not in allowed:
             raise ValueError(f"field {key!r} is not valid for {what}")
-        if key in seen:
+        attr, parse, _ = _SPEC_KEYS[key]
+        if attr in kwargs:
             raise ValueError(f"field {key!r} is given more than once for {what}")
-        seen.add(key)
-        yield key, raw
+        kwargs[attr] = parse(key, raw)
+    return kwargs
 
 
 def parse_field_spec(text: str) -> FieldSpec:
     kind, body = _split_kind_body(text)
     if kind not in _FIELD_KEYS:
         raise ValueError(f"unknown field kind {kind!r}; expected one of {tuple(_FIELD_KEYS)}")
-    parse = {"seed": _parse_int, "amp": _parse_float, "scale": _parse_float}
-    items = _spec_items(body, _FIELD_KEYS[kind], f"field kind {kind!r}")
-    return FieldSpec(kind=kind, **{key: parse[key](key, raw) for key, raw in items})
+    return FieldSpec(kind=kind, **_spec_kwargs(body, _FIELD_KEYS[kind], f"field kind {kind!r}"))
 
 
 def parse_metric_spec(text: str) -> MetricSpec:
@@ -305,23 +313,7 @@ def parse_metric_spec(text: str) -> MetricSpec:
     kind, body = _split_kind_body(text)
     if kind not in _METRIC_KINDS:
         raise ValueError(f"unknown metric kind {kind!r}; expected one of {_METRIC_KINDS}")
-    kwargs = {}
-    for key, raw in _spec_items(body, _ALLOWED_KEYS[kind], f"metric kind {kind!r}"):
-        if key in ("a", "b"):
-            kwargs[key] = _parse_complex(key, raw)
-        elif key == "lambda":
-            kwargs["lam"] = _parse_float(key, raw)
-        elif key == "seed":
-            kwargs["seed"] = _parse_int(key, raw)
-        elif key == "amp":
-            kwargs["amp"] = _parse_float(key, raw)
-        elif key == "n":
-            kwargs["n"] = _parse_int(key, raw)
-        elif key == "base":
-            kwargs["base"] = parse_metric_spec(raw)
-        elif key == "f":
-            kwargs["f"] = parse_field_spec(raw)
-    return MetricSpec(kind=kind, **kwargs)
+    return MetricSpec(kind=kind, **_spec_kwargs(body, _ALLOWED_KEYS[kind], f"metric kind {kind!r}"))
 
 
 # -- the Hopf potential -------------------------------------------------------------
@@ -439,7 +431,7 @@ def hopf_jets(p, hp: HopfParams) -> HopfJets:
     tx = -Fx / Ft
     cross = np.outer(Fxt, tx)
     txx = -(Fxx + cross + cross.T + Ftt * np.outer(tx, tx)) / Ft
-    theta = jet_from_partials(theta0, tx, txx)
+    theta = WJet(theta0, tx, txx)
 
     (z, w), (zb, wb) = _coordinate_jets(p, 2)
     e1j, e2j = exp(-c1 * theta), exp(-c2 * theta)

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from . import geometry as geo
 from . import metrics as mz
-from .wjet import Point, log, multi_indices, partials
+from .wjet import Point
 
 SCHEMA_VERSION = "1"
 
@@ -113,6 +113,10 @@ def _point_json(p: Point) -> list:
 
 # -- sampling ------------------------------------------------------------------------
 
+# Box samples: real coordinates uniform in [−w, w], clear of a ball about the origin.
+BOX_HALFWIDTH = 1.2
+ORIGIN_EXCLUSION = 0.1
+
 
 def sample_points(
     domain: str,
@@ -121,13 +125,11 @@ def sample_points(
     *,
     dim: int = 2,
     hp: mz.HopfParams | None = None,
-    box_halfwidth: float = 1.2,
-    origin_exclusion: float = 0.1,
 ) -> list[Point]:
     """Deterministic point sample in a box or a Hopf fundamental-domain shell.
 
-    box: independent uniform real coordinates in [−w, w], redrawn while the
-    point sits inside the origin-exclusion ball.
+    box: independent uniform real coordinates in [−w, w] (w = BOX_HALFWIDTH),
+    redrawn while the point sits inside the ball of radius ORIGIN_EXCLUSION.
 
     hopf-fundamental: a uniform direction d on the unit sphere of ℂ², scaled
     so that Φ lands on a target t inside [1, |a||b|), with log t uniform on
@@ -143,9 +145,9 @@ def sample_points(
     if domain == "box":
         pts = []
         while len(pts) < n:
-            raw = rng.uniform(-box_halfwidth, box_halfwidth, size=2 * dim)
+            raw = rng.uniform(-BOX_HALFWIDTH, BOX_HALFWIDTH, size=2 * dim)
             coords = raw[:dim] + 1j * raw[dim:]
-            if np.linalg.norm(coords) <= origin_exclusion:
+            if np.linalg.norm(coords) <= ORIGIN_EXCLUSION:
                 continue
             pts.append(Point(tuple(complex(c) for c in coords)))
         return pts
@@ -173,13 +175,14 @@ def sample_points(
 
 def fd_jet(
     fn, p, n_vars: int, order: int = 2, step: float = 1e-5, step2: float = 1e-4
-) -> np.ndarray:
-    """Central-difference estimate of a function's jet coefficients at p.
+) -> tuple[complex, np.ndarray, np.ndarray]:
+    """Central-difference estimate of a function's (value, gradient, Hessian) at p.
 
     `fn` maps a coordinate tuple to a complex value.  Derivatives are taken in
-    the 2·n_vars real coordinates and converted to Wirtinger coefficients via
-    ∂_{z^k} = ½(∂_{x^k} − i∂_{y^k}), ∂_{z̄^k} = ½(∂_{x^k} + i∂_{y^k}); the
-    result uses the same multi-index layout (and a!b! normalization) as WJet.
+    the 2·n_vars real coordinates and converted to Wirtinger derivatives via
+    ∂_{z^k} = ½(∂_{x^k} − i∂_{y^k}), ∂_{z̄^k} = ½(∂_{x^k} + i∂_{y^k}), in the
+    slots of WJet's gradient [2n] and Hessian [2n, 2n].  Derivatives above
+    `order` are zero.
 
     First derivatives use `step`; second-derivative stencils use the larger
     `step2` because their roundoff floor scales like ε/h² — at h = 1e-5 that
@@ -224,26 +227,11 @@ def fd_jet(
         dirs[k, nv + k] = -0.5j  # ∂_{z^k}
         dirs[nv + k, k] = 0.5
         dirs[nv + k, nv + k] = 0.5j  # ∂_{z̄^k}
-
-    mts = multi_indices(nv)
-    out = np.zeros(len(mts), dtype=complex)
-    for idx, m in enumerate(mts):
-        deg = sum(m)
-        if deg == 0:
-            out[idx] = f0
-        elif deg == 1 and order >= 1:
-            slot = m.index(1)
-            out[idx] = dirs[slot] @ grad
-        elif deg == 2 and order >= 2:
-            slots = [s for s, e in enumerate(m) for _ in range(e)]
-            u, v = slots
-            val = dirs[u] @ hess @ dirs[v]
-            out[idx] = val / (2.0 if u == v else 1.0)
-    return out
+    return f0, dirs @ grad, dirs @ hess @ dirs.T
 
 
 def fd_oracle(spec: mz.MetricSpec, p, order: int = 2) -> dict:
-    """FD jet-coefficient table for every metric entry, keyed by (i, j)."""
+    """FD (value, gradient, Hessian) of every metric entry, keyed by (i, j)."""
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     n = spec.dim
@@ -298,15 +286,15 @@ def _residual_conformal_law(spec: mz.MetricSpec, p, notes: dict) -> float:
     n = spec.dim
     mb = mz.build_metric(spec.base, p)
     mc = mz.build_metric(spec, p)
-    _, df, ddf = partials(mz.field_jet(spec.f, p, spec.hopf_params(), n=n))
+    fj = mz.field_jet(spec.f, p, spec.hopf_params(), n=n)
 
     lhs = geo.lc_ricci(mc).A
-    rhs = geo.lc_ricci(mb).A - ddf[:n, n:]  # 𝔯ic(ω) − √−1∂∂̄f
+    rhs = geo.lc_ricci(mb).A - fj.hess[:n, n:]  # 𝔯ic(ω) − √−1∂∂̄f
     r_ric = _norm(_maxabs(lhs - rhs), _maxabs(lhs), _maxabs(rhs))
 
     _, a10_b = geo.del_star(mb)
     _, a10_c = geo.del_star(mc)
-    want = a10_b.values + 1j * (n - 1) * df[:n]
+    want = a10_b.values + 1j * (n - 1) * fj.grad[:n]
     r_adj = _norm(_maxabs(a10_c.values - want), _maxabs(a10_c.values), _maxabs(want))
     return max(r_ric, r_adj)
 
@@ -337,10 +325,9 @@ def _residual_tw_formula(spec: mz.MetricSpec, p, notes: dict) -> float:
     r1 = _norm(_maxabs(p1.A - target), _maxabs(target))
     r2 = _norm(_maxabs(p2.A - target), _maxabs(target))
 
-    # ∂*ω_λ = (√−1/(1+λ)) ∂̄logΦ componentwise
-    Phi, _, _ = mz.phi_field(p, hp)
-    _, dlp, _ = partials(log(Phi))
-    want = 1j / (1.0 + lam) * dlp[2:]
+    # ∂*ω_λ = (√−1/(1+λ)) ∂̄logΦ componentwise, with log Φ = kθ
+    _, theta, _ = mz.phi_field(p, hp)
+    want = 1j * hp.k / (1.0 + lam) * theta.grad[2:]
     a01, _ = geo.del_star(m)
     r3 = _norm(_maxabs(a01.values - want), _maxabs(want))
     return max(r1, r2, r3)
@@ -371,11 +358,9 @@ def _residual_hessian_matrices(spec: mz.MetricSpec, p, notes: dict) -> float:
     vanishing determinants."""
     hp = spec.hopf_params()
     L, P = mz.hessian_forms(p, hp)
-    Phi, _, _ = mz.phi_field(p, hp)
-    _, _, ddlp = partials(log(Phi))
-    _, dPhi, _ = partials(Phi)
-    L_jet = ddlp[:2, 2:]
-    P_jet = np.outer(dPhi[:2], dPhi[2:])
+    Phi, theta, _ = mz.phi_field(p, hp)
+    L_jet = hp.k * theta.hess[:2, 2:]  # log Φ = kθ
+    P_jet = np.outer(Phi.grad[:2], Phi.grad[2:])
     rL = _norm(_maxabs(L.A - L_jet), _maxabs(L.A))
     rP = _norm(_maxabs(P.A - P_jet), _maxabs(P.A))
     rdet = max(_scaled_det(L.A), _scaled_det(P.A))

@@ -1,29 +1,29 @@
 """Order-2 truncated Taylor arithmetic in complex coordinates and their conjugates.
 
-A Wirtinger jet stores the value and all partial derivatives through total
-order 2 of a smooth function with respect to the 2n formally independent
-variables (z^1..z^n, zbar^1..zbar^n).  The coefficient attached to the
-multi-index (a_1..a_n, b_1..b_n) is
+A Wirtinger jet holds the value, the gradient and the Hessian at one point of
+a smooth function of the 2n formally independent variables (z^1..z^n,
+zbar^1..zbar^n).  Gradient slot s < n is d/dz^{s+1} and slot n + s is
+d/dzbar^{s+1}; the symmetric Hessian holds the second partials in those slots.
+Products follow the Leibniz rule and compositions the chain rule, truncated at
+order 2 (Taylor-mode arithmetic: Griewank & Walther, Evaluating Derivatives,
+ch. 13).  Truncation is graded: the order-k part of any product, quotient or
+composition depends only on input parts of order <= k, which is what makes it
+safe to keep differentiating results whose top part is no longer meaningful.
+Each jet carries the order through which it is trustworthy (``order``);
+differentiation lowers it by one and zeroes the part above.
 
-    1/(a! b!) * d^{|a|+|b|} f / (dz^a dzbar^b)
-
-evaluated at the base point, so jets multiply like truncated polynomials.
-Truncation is graded: the degree-k coefficient of any product, quotient or
-composition depends only on input coefficients of degree <= k, which is what
-makes it safe to keep differentiating results whose top coefficients are no
-longer meaningful.  Each jet carries the order through which its coefficients
-are trustworthy (``order``); differentiation lowers it by one and zeroes the
-slots above.
+A jet keeps the three in one flat array, so that ± and scalar × are one
+numpy call each.  The magnitude checks (`WJet.max_abs`, `jets_close`,
+`is_real_valued`) read Taylor coefficients, f_ss/2 on the Hessian's
+diagonal, so that their bounds do not depend on the factorials.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -34,178 +34,108 @@ JET_ORDER = 2
 EQ_TOL = 1e-12
 
 
-@lru_cache(maxsize=None)
-def multi_indices(n_vars: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical ordering of the exponent tuples with total degree <= 2.
-
-    Sorted by total degree, then lexicographically, so index 0 is always the
-    constant term and indices 1..2n are the first-order slots.
-    """
-    idx = [
-        m
-        for m in itertools.product(range(JET_ORDER + 1), repeat=2 * n_vars)
-        if sum(m) <= JET_ORDER
-    ]
-    idx.sort(key=lambda m: (sum(m), m))
-    return tuple(idx)
-
-
-@lru_cache(maxsize=None)
-def _positions(n_vars: int) -> dict[tuple[int, ...], int]:
-    return {m: i for i, m in enumerate(multi_indices(n_vars))}
-
-
-@lru_cache(maxsize=None)
-def _degrees(n_vars: int) -> np.ndarray:
-    return np.array([sum(m) for m in multi_indices(n_vars)])
-
-
-@lru_cache(maxsize=None)
-def _mul_table(n_vars: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index triples (ia, ib, iout) with coeff[iout] += a[ia]*b[ib]."""
-    idx = multi_indices(n_vars)
-    pos = _positions(n_vars)
-    ia, ib, iout = [], [], []
-    for i, mi in enumerate(idx):
-        di = sum(mi)
-        for j, mj in enumerate(idx):
-            if di + sum(mj) <= JET_ORDER:
-                ia.append(i)
-                ib.append(j)
-                iout.append(pos[tuple(x + y for x, y in zip(mi, mj))])
-    return np.array(ia), np.array(ib), np.array(iout)
-
-
-@lru_cache(maxsize=None)
-def _conj_perm(n_vars: int) -> np.ndarray:
-    """Permutation sending the (a, b) slot to the (b, a) slot."""
-    pos = _positions(n_vars)
-    return np.array(
-        [pos[m[n_vars:] + m[:n_vars]] for m in multi_indices(n_vars)]
-    )
-
-
-@lru_cache(maxsize=None)
-def _deriv_table(n_vars: int, slot: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(src, dst, factor) triples for d/d(variable at `slot`)."""
-    idx = multi_indices(n_vars)
-    pos = _positions(n_vars)
-    src, dst, fac = [], [], []
-    for t, mt in enumerate(idx):
-        if sum(mt) <= JET_ORDER - 1:
-            shifted = list(mt)
-            shifted[slot] += 1
-            src.append(pos[tuple(shifted)])
-            dst.append(t)
-            fac.append(mt[slot] + 1)
-    return np.array(src), np.array(dst), np.array(fac, dtype=np.float64)
-
-
-@lru_cache(maxsize=None)
-def _partial_tables(n_vars: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slots of the first and second partials, and the factorials they lost."""
-    pos = _positions(n_vars)
-    unit = np.eye(2 * n_vars, dtype=int)
-    grad = np.array([pos[tuple(u)] for u in unit])
-    hess = np.array([[pos[tuple(u + v)] for v in unit] for u in unit])
-    return grad, hess, 1.0 + np.eye(2 * n_vars)
-
-
 class WJet:
-    """Truncated Wirtinger-Taylor polynomial at a point.
+    """Order-2 Wirtinger jet of a function at a point.
 
     Parameters
     ----------
-    n_vars : int
-        Number of complex variables.
-    coeffs : array_like
-        Coefficient vector in the `multi_indices(n_vars)` ordering.
+    value : complex
+        The function's value.
+    grad : array_like, shape (2n,)
+        Wirtinger gradient: slot s < n is d/dz^{s+1}, slot n + s is d/dzbar^{s+1}.
+    hess : array_like, shape (2n, 2n)
+        Symmetric matrix of the second partials in the same slots.
     order : int
-        Degree through which the coefficients are meaningful (0..2).
-        Slots above `order` are zeroed on construction.
+        Order through which the jet is meaningful (0..2).  The gradient
+        (below order 1) and the Hessian (below order 2) are zeroed on
+        construction.
+
+    The jet keeps one flat array, ``data`` = [value, grad, hess.ravel()],
+    which `value`, `grad` and `hess` read.  Jets are values: no operation
+    writes into an existing jet's array, so treat ``data`` and its views as
+    read-only.
     """
 
-    __slots__ = ("n_vars", "coeffs", "order")
+    __slots__ = ("n_vars", "data", "order")
 
-    def __init__(self, n_vars: int, coeffs, order: int = JET_ORDER):
-        self.n_vars = n_vars
-        c = np.array(coeffs, dtype=np.complex128)
-        if c.shape != (len(multi_indices(n_vars)),):
+    def __init__(self, value, grad, hess, order: int = JET_ORDER):
+        grad = np.asarray(grad, dtype=np.complex128)
+        hess = np.asarray(hess, dtype=np.complex128)
+        m = grad.size
+        if grad.ndim != 1 or m == 0 or m % 2 or hess.shape != (m, m):
             raise ValueError(
-                f"expected {len(multi_indices(n_vars))} coefficients for "
-                f"n_vars={n_vars}, got shape {c.shape}"
+                "expected a gradient of shape (2n,) and a Hessian of shape (2n, 2n), "
+                f"got {grad.shape} and {hess.shape}"
             )
-        if order < JET_ORDER:
-            c[_degrees(n_vars) > order] = 0.0
-        self.n_vars = n_vars
-        self.coeffs = c
-        self.order = order
-
-    # -- accessors ---------------------------------------------------------
+        data = np.empty(1 + m + m * m, dtype=np.complex128)
+        data[0] = value
+        data[1 : m + 1] = grad
+        data[m + 1 :] = hess.reshape(-1)
+        _bind(self, data, m // 2, order)
 
     @property
     def value(self) -> complex:
-        return complex(self.coeffs[0])
+        return complex(self.data[0])
 
-    def coeff(self, multi: Sequence[int]) -> complex:
-        """Coefficient for exponent tuple (a_1..a_n, b_1..b_n)."""
-        return complex(self.coeffs[_positions(self.n_vars)[tuple(multi)]])
+    @property
+    def grad(self) -> np.ndarray:
+        return self.data[1 : 2 * self.n_vars + 1]
 
-    def deriv_value(self, holo: Sequence[int], anti: Sequence[int]) -> complex:
-        """Actual mixed partial d^{|a|+|b|} f / dz^a dzbar^b (factorials restored)."""
-        m = tuple(holo) + tuple(anti)
-        scale = 1.0
-        for e in m:
-            scale *= math.factorial(e)
-        return self.coeff(m) * scale
+    @property
+    def hess(self) -> np.ndarray:
+        m = 2 * self.n_vars
+        return self.data[m + 1 :].reshape(m, m)
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
+        """Largest Taylor coefficient magnitude."""
+        return float(np.max(np.abs(_coefficients(self))))
 
     def __repr__(self) -> str:
         return f"WJet(n_vars={self.n_vars}, order={self.order}, value={self.value:.6g})"
 
     # -- ring operations ---------------------------------------------------
 
-    def _lift(self, other) -> "WJet":
-        if isinstance(other, WJet):
-            if other.n_vars != self.n_vars:
-                raise ValueError("jets have different n_vars")
-            return other
-        return jet_const(other, self.n_vars)
-
     def __add__(self, other):
-        o = self._lift(other)
-        return WJet(self.n_vars, self.coeffs + o.coeffs, min(self.order, o.order))
+        if not isinstance(other, WJet):
+            data = self.data.copy()
+            data[0] += other
+            return _jet(data, self.n_vars, self.order)
+        _check_vars(self, other)
+        return _jet(self.data + other.data, self.n_vars, min(self.order, other.order))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
-        return WJet(self.n_vars, self.coeffs - o.coeffs, min(self.order, o.order))
+        if not isinstance(other, WJet):
+            data = self.data.copy()
+            data[0] -= other
+            return _jet(data, self.n_vars, self.order)
+        _check_vars(self, other)
+        return _jet(self.data - other.data, self.n_vars, min(self.order, other.order))
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        return WJet(self.n_vars, o.coeffs - self.coeffs, min(self.order, o.order))
+        data = -self.data
+        data[0] += other
+        return _jet(data, self.n_vars, self.order)
 
     def __neg__(self):
-        return WJet(self.n_vars, -self.coeffs, self.order)
+        return _jet(-self.data, self.n_vars, self.order)
 
     def __mul__(self, other):
         if not isinstance(other, WJet):
-            return WJet(self.n_vars, self.coeffs * other, self.order)
+            return _jet(self.data * other, self.n_vars, self.order)
         return mul(self, other)
 
     def __rmul__(self, other):
-        return WJet(self.n_vars, self.coeffs * other, self.order)
+        return _jet(self.data * other, self.n_vars, self.order)
 
     def __truediv__(self, other):
         if not isinstance(other, WJet):
-            return WJet(self.n_vars, self.coeffs / other, self.order)
+            return _jet(self.data / other, self.n_vars, self.order)
         return div(self, other)
 
     def __rtruediv__(self, other):
-        return div(jet_const(other, self.n_vars), self)
+        return other * _reciprocal(self)
 
     def __pow__(self, p):
         return pow_real(self, p)
@@ -218,6 +148,22 @@ class WJet:
 
     def dbar(self, i: int) -> "WJet":
         return d_dzbar(self, i)
+
+
+def _bind(jet: WJet, data: np.ndarray, n_vars: int, order: int) -> None:
+    if order < JET_ORDER:
+        data[1 + 2 * n_vars * order :] = 0.0
+    jet.n_vars = n_vars
+    jet.data = data
+    jet.order = order
+
+
+def _jet(data: np.ndarray, n_vars: int, order: int = JET_ORDER) -> WJet:
+    """The jet whose flat array is `data`, taken without a copy: arithmetic
+    hands over each new result this way."""
+    jet = WJet.__new__(WJet)
+    _bind(jet, data, n_vars, order)
+    return jet
 
 
 @dataclass(frozen=True)
@@ -240,21 +186,35 @@ class Point:
         return len(self.coords)
 
 
+def _check_vars(a: WJet, b: WJet) -> None:
+    if a.n_vars != b.n_vars:
+        raise ValueError("jets have different n_vars")
+
+
+def _coefficients(a: WJet, order: int = JET_ORDER) -> np.ndarray:
+    """The Taylor coefficients of `a` through `order`, flattened: the value,
+    the gradient and the Hessian with its diagonal halved (each off-diagonal
+    coefficient appears twice)."""
+    m = 2 * a.n_vars
+    c = a.data.copy()
+    c[1 + m :: m + 1] *= 0.5  # the Hessian's diagonal
+    return c[: (1, 1 + m, c.size)[order]]
+
+
 # -- constructors ------------------------------------------------------------
 
 
 def jet_const(value: complex, n_vars: int) -> WJet:
-    c = np.zeros(len(multi_indices(n_vars)), dtype=np.complex128)
-    c[0] = value
-    return WJet(n_vars, c)
+    m = 2 * n_vars
+    data = np.zeros(1 + m + m * m, dtype=np.complex128)
+    data[0] = value
+    return _jet(data, n_vars)
 
 
 def _seed(slot: int, value: complex, n_vars: int) -> WJet:
-    c = np.zeros(len(multi_indices(n_vars)), dtype=np.complex128)
-    c[0] = value
-    unit = tuple(1 if k == slot else 0 for k in range(2 * n_vars))
-    c[_positions(n_vars)[unit]] = 1.0
-    return WJet(n_vars, c)
+    jet = jet_const(value, n_vars)
+    jet.data[1 + slot] = 1.0
+    return jet
 
 
 def jet_var(i: int, value: complex, n_vars: int) -> WJet:
@@ -274,52 +234,53 @@ def jet_conj_var(i: int, value: complex, n_vars: int) -> WJet:
 # -- arithmetic ---------------------------------------------------------------
 
 
-def add(a: WJet, b: WJet) -> WJet:
-    return a + b
-
-
-def neg(a: WJet) -> WJet:
-    return -a
-
-
 def mul(a: WJet, b: WJet) -> WJet:
-    if a.n_vars != b.n_vars:
-        raise ValueError("jets have different n_vars")
-    ia, ib, iout = _mul_table(a.n_vars)
-    out = np.zeros_like(a.coeffs)
-    np.add.at(out, iout, a.coeffs[ia] * b.coeffs[ib])
-    return WJet(a.n_vars, out, min(a.order, b.order))
+    """Leibniz rule: (ab)' = a'b + ab', (ab)'' = a''b + a'⊗b' + b'⊗a' + ab''."""
+    _check_vars(a, b)
+    a0, b0 = a.data[0], b.data[0]
+    cross = a.grad[:, None] * b.grad
+    data = a0 * b.data
+    data[2 * a.n_vars + 1 :] += (cross + cross.T).reshape(-1)
+    data += b0 * a.data
+    data[0] = a0 * b0
+    return _jet(data, a.n_vars, min(a.order, b.order))
 
 
 def div(a: WJet, b: WJet) -> WJet:
-    """Truncated quotient a/b via series inversion of b."""
-    if a.n_vars != b.n_vars:
-        raise ValueError("jets have different n_vars")
-    c = b.value
+    """Truncated quotient a/b = a · (1/b)."""
+    _check_vars(a, b)
+    return mul(a, _reciprocal(b))
+
+
+def _reciprocal(b: WJet) -> WJet:
+    c = b.data[0]
     if c == 0:
         raise ZeroDivisionError("division by jet with zero constant term")
-    # b = c (1 + e) with e nilpotent to order 2, so 1/b = (1 - e + e^2)/c.
-    e = WJet(b.n_vars, b.coeffs / c, b.order)
-    e.coeffs[0] = 0.0
-    e2 = mul(e, e)
-    inv = WJet(b.n_vars, (-e.coeffs + e2.coeffs) / c, b.order)
-    inv.coeffs[0] += 1.0 / c
-    return mul(a, inv)
+    # b = c(1 + e) with e = b/c − 1, whose value is 0, so 1/b = (1 − e + e²)/c.
+    e = b.data / c
+    data = e / -c
+    data[0] = 1.0 / c
+    g = e[1 : 2 * b.n_vars + 1]
+    data[2 * b.n_vars + 1 :] += (g[:, None] * g).reshape(-1) * (2.0 / c)
+    return _jet(data, b.n_vars, b.order)
 
 
 def conj(a: WJet) -> WJet:
-    """Complex conjugate: swaps the z and zbar exponents and conjugates values."""
-    return WJet(a.n_vars, np.conj(a.coeffs[_conj_perm(a.n_vars)]), a.order)
+    """Complex conjugate: swaps the z and zbar halves and conjugates values."""
+    n, m = a.n_vars, 2 * a.n_vars
+    data = np.empty_like(a.data)
+    data[0] = a.data[0]
+    data[1 : m + 1].reshape(2, n)[...] = a.grad.reshape(2, n)[::-1]
+    data[m + 1 :].reshape(2, n, 2, n)[...] = a.hess.reshape(2, n, 2, n)[::-1, :, ::-1]
+    return _jet(np.conjugate(data, out=data), n, a.order)
 
 
 def _compose(a: WJet, f0: complex, f1: complex, f2: complex) -> WJet:
-    """f(a) through order 2: f0 + f1*(a - a0) + (f2/2)*(a - a0)^2."""
-    e = WJet(a.n_vars, a.coeffs, a.order)
-    e.coeffs[0] = 0.0
-    e2 = mul(e, e)
-    out = f1 * e.coeffs + 0.5 * f2 * e2.coeffs
-    out[0] += f0
-    return WJet(a.n_vars, out, a.order)
+    """f(a) by the chain rule, from f, f′ and f″ at a's value."""
+    data = f1 * a.data
+    data[0] = f0
+    data[2 * a.n_vars + 1 :] += (f2 * a.grad[:, None] * a.grad).reshape(-1)
+    return _jet(data, a.n_vars, a.order)
 
 
 def _derivatives(name: str, c: complex, fn: Callable[[], tuple]) -> tuple:
@@ -342,46 +303,54 @@ def exp(a: WJet) -> WJet:
 
 
 def log(a: WJet) -> WJet:
+    """log a = log c + log(a/c) for c = a's value: the relative jet a/c has
+    value 1, so no power of c is formed and a tiny or huge c stays in range."""
     c = a.value
     if c == 0:
         raise ValueError("log of jet whose constant term is zero")
-    f = _derivatives("log", c, lambda: (np.log(complex(c)), 1.0 / c, -1.0 / (c * c)))
-    return _compose(a, *f)
+    m = 2 * a.n_vars
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = a.data / c
+        g = data[1 : m + 1]
+        data[m + 1 :] -= (g[:, None] * g).reshape(-1)
+    if not np.isfinite(data).all():
+        raise ValueError(f"log is outside the floating-point range at {c:.6g}")
+    data[0] = cmath.log(c)
+    return _jet(data, a.n_vars, a.order)
 
 
 def pow_real(a: WJet, p: float) -> WJet:
     c = a.value
     if c == 0:
         raise ValueError("pow of jet whose constant term is zero")
-    c = complex(c)
     f = _derivatives(
         f"power {p:.6g}", c, lambda: (c**p, p * c ** (p - 1), p * (p - 1) * c ** (p - 2))
     )
     return _compose(a, *f)
 
 
+def _derivative(a: WJet, slot: int) -> WJet:
+    if a.order < 1:
+        raise ValueError("cannot differentiate an order-0 jet")
+    m = 2 * a.n_vars
+    data = np.zeros_like(a.data)
+    data[0] = a.data[1 + slot]
+    data[1 : m + 1] = a.hess[slot]
+    return _jet(data, a.n_vars, a.order - 1)
+
+
 def d_dz(a: WJet, i: int) -> WJet:
     """Jet of df/dz^i (i is 1-based); meaningful through order a.order - 1."""
     if not 1 <= i <= a.n_vars:
         raise ValueError(f"variable index {i} out of range 1..{a.n_vars}")
-    if a.order < 1:
-        raise ValueError("cannot differentiate an order-0 jet")
-    src, dst, fac = _deriv_table(a.n_vars, i - 1)
-    out = np.zeros_like(a.coeffs)
-    out[dst] = fac * a.coeffs[src]
-    return WJet(a.n_vars, out, a.order - 1)
+    return _derivative(a, i - 1)
 
 
 def d_dzbar(a: WJet, i: int) -> WJet:
     """Jet of df/dzbar^i (i is 1-based); meaningful through order a.order - 1."""
     if not 1 <= i <= a.n_vars:
         raise ValueError(f"variable index {i} out of range 1..{a.n_vars}")
-    if a.order < 1:
-        raise ValueError("cannot differentiate an order-0 jet")
-    src, dst, fac = _deriv_table(a.n_vars, a.n_vars + i - 1)
-    out = np.zeros_like(a.coeffs)
-    out[dst] = fac * a.coeffs[src]
-    return WJet(a.n_vars, out, a.order - 1)
+    return _derivative(a, a.n_vars + i - 1)
 
 
 # -- partial-derivative arrays --------------------------------------------------
@@ -391,44 +360,35 @@ def partials(jets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Value, Wirtinger gradient and Hessian of an array of jets.
 
     `jets` is one jet or a nested sequence of jets of shape S, all with the
-    same n_vars.  Returns arrays of shapes S, S + (2n,) and S + (2n, 2n) with
-    the factorials restored: gradient slot s < n is d/dz^{s+1} and slot n + s
-    is d/dzbar^{s+1}; the Hessian holds the second partials in those slots.
+    same n_vars.  Returns arrays of shapes S, S + (2n,) and S + (2n, 2n),
+    read from one new stack of the jets' flat arrays.
     """
     arr = np.asarray(jets, dtype=object)
-    c = np.array([j.coeffs for j in arr.flat]).reshape(arr.shape + (-1,))
-    grad, hess, fac = _partial_tables(arr.flat[0].n_vars)
-    return c[..., 0], c[..., grad], c[..., hess] * fac
-
-
-def jet_from_partials(value: complex, grad, hess) -> WJet:
-    """The jet with this value, Wirtinger gradient [2n] and symmetric Hessian
-    [2n, 2n], in the slot layout of `partials` (its inverse for one jet)."""
-    n_vars = len(grad) // 2
-    g, h, fac = _partial_tables(n_vars)
-    c = np.empty(len(multi_indices(n_vars)), dtype=np.complex128)
-    c[0] = value
-    c[g] = grad
-    c[h] = hess / fac
-    return WJet(n_vars, c)
+    data = np.array([j.data for j in arr.flat])
+    m = 2 * arr.flat[0].n_vars
+    return (
+        data[:, 0].reshape(arr.shape),
+        data[:, 1 : m + 1].reshape(arr.shape + (m,)),
+        data[:, m + 1 :].reshape(arr.shape + (m, m)),
+    )
 
 
 # -- predicates ---------------------------------------------------------------
 
 
 def is_real_valued(a: WJet, tol: float = EQ_TOL) -> bool:
-    """True iff coeff(a, b) = conj(coeff(b, a)) for every index pair."""
-    mirrored = np.conj(a.coeffs[_conj_perm(a.n_vars)])
-    scale = max(1.0, float(np.max(np.abs(a.coeffs))))
-    return bool(np.max(np.abs(a.coeffs - mirrored)) <= tol * scale)
+    """True iff a = conj(a), Taylor coefficient by coefficient."""
+    c = _coefficients(a)
+    scale = max(1.0, float(np.max(np.abs(c))))
+    return bool(np.max(np.abs(c - _coefficients(conj(a)))) <= tol * scale)
 
 
 def jets_close(a: WJet, b: WJet, tol: float = EQ_TOL) -> bool:
     """Coefficientwise comparison through the common valid order."""
     if a.n_vars != b.n_vars:
         return False
-    mask = _degrees(a.n_vars) <= min(a.order, b.order)
-    ca, cb = a.coeffs[mask], b.coeffs[mask]
+    order = min(a.order, b.order)
+    ca, cb = _coefficients(a, order), _coefficients(b, order)
     scale = max(1.0, float(np.max(np.abs(ca))), float(np.max(np.abs(cb))))
     return bool(np.max(np.abs(ca - cb)) <= tol * scale)
 
@@ -535,8 +495,7 @@ def implicit_solve(
     Fj = F(theta)
     # theta = t* + (z^1 - z^1_0) moves F's z^1 slot by exactly F'(t*): the
     # truncated chain rule is exact at first order.
-    unit = (1,) + (0,) * (2 * n_vars - 1)
-    slope = F(jet_var(1, t_star, n_vars)).coeff(unit) - Fj.coeff(unit)
+    slope = F(jet_var(1, t_star, n_vars)).grad[0] - Fj.grad[0]
     if abs(slope) <= 1e-8 * (1.0 + Fj.max_abs()):
         raise ValueError("dF/dtheta vanishes at the solution")
     for _ in range(40):

@@ -367,10 +367,14 @@ def test_power_beyond_a_double_aborts_the_check(runner, identity, metric):
 @pytest.mark.parametrize("identity, metric", [
     ("det-formula", "hopf-omega-lambda{a=1e100,b=1.5}"),
     ("deck-invariance", "hopf-lc-flat{a=1e40,b=1.5}"),
-], ids=["det-formula", "deck-invariance"])
+    ("lc-ricci-flat", "hopf-lc-flat{a=1e100,b=1.5}"),
+    ("hessian-matrices", "hopf-lc-flat{a=1e162,b=1.5}"),
+], ids=["det-formula", "deck-invariance", "lc-ricci-flat", "hessian-matrices"])
 def test_hopf_metrics_build_where_phi_squared_is_a_double(runner, identity, metric):
-    # Φ reaches 1.5e100 on the first shell and 2.3e80 on the deck image of the
-    # second; the metrics form no power of Φ, so both checks run to a verdict.
+    # Φ reaches 1.5e100 on the first and third shells, 2.3e80 on the deck
+    # image of the second and 1.5e162 on the fourth.  The metrics form no
+    # power of Φ, log det h is taken relative to its value (det h ≈ 1e-200
+    # here), and log Φ is read as kθ, so every check runs to a verdict.
     res = invoke(runner, ["verify", "--identity", identity, "--metric", metric,
                           "--points", "10"])
     assert res.exit_code == 0, res.output + res.stderr
@@ -405,12 +409,12 @@ def test_spec_key_a_kind_does_not_take_is_usage_error(runner, metric, key):
 
 
 def test_sweep_reports_an_aborted_cell_and_fails(runner):
-    res = runner.invoke(main, ["sweep", "--a-grid", "1e150,10", "--b-grid", "1.0001",
+    res = runner.invoke(main, ["sweep", "--a-grid", "1e200,10", "--b-grid", "1.5",
                                "--points", "5"])
     assert not isinstance(res.exception, vf.CheckAborted), res.exception
     assert res.exit_code == 1
     rows = [line.split(",") for line in res.stdout.strip().splitlines()[1:]]
-    assert (rows[0][0], rows[0][5], rows[0][6]) == ("1e+150", "nan", "aborted")
+    assert (rows[0][0], rows[0][5], rows[0][6]) == ("1e+200", "nan", "aborted")
     assert rows[1][6] == "pass"
     assert "check aborted: " in res.stderr
     assert "2 cells, 1 aborted" in res.stderr

@@ -13,7 +13,7 @@ from lcflat import geometry as geo
 from lcflat import metrics as M
 from lcflat import verify as V
 from lcflat import wjet
-from lcflat.wjet import d_dz, d_dzbar, jet_const, log, multi_indices, pow_real
+from lcflat.wjet import d_dz, d_dzbar, log, pow_real
 
 E = math.e
 
@@ -31,14 +31,6 @@ POINTS = [
 ]
 
 
-def unit(i):
-    return tuple(1 if k == i else 0 for k in range(2))
-
-
-def zero2():
-    return (0, 0)
-
-
 # -- potential ---------------------------------------------------------------
 
 
@@ -51,7 +43,7 @@ def test_constraint_jet_is_identically_one(hp, pt):
     c = zs[0] * zbs[0] * pow_real(Phi, -hp.alpha) + zs[1] * zbs[1] * pow_real(
         Phi, hp.alpha - 2.0
     )
-    assert np.max(np.abs(c.coeffs - jet_const(1.0, 2).coeffs)) < 1e-12
+    assert (c - 1.0).max_abs() < 1e-12
 
 
 def test_phi_deck_scaling_and_delta_invariance():
@@ -75,8 +67,8 @@ def test_equal_multipliers_degeneration():
     Phi, _, Delta = M.phi_field(pt, hp)
     zs, zbs = M._coordinate_jets(pt, 2)
     S = zs[0] * zbs[0] + zs[1] * zbs[1]
-    assert np.max(np.abs(Phi.coeffs - S.coeffs)) < 1e-12
-    assert np.max(np.abs(Delta.coeffs - jet_const(1.0, 2).coeffs)) < 1e-12
+    assert (Phi - S).max_abs() < 1e-12
+    assert (Delta - 1.0).max_abs() < 1e-12
 
 
 def test_phi_at_unit_point_on_axis():
@@ -127,7 +119,7 @@ def test_phi_field_solves_theta_in_closed_form(hp, rel, monkeypatch):
     for pt, theta in zip(pts, thetas):
         F = hopf_theta_equation(pt[0], pt[1], hp.k1, hp.k2)
         want = solve(F, theta.value.real, 1e-13, 2)
-        assert np.max(np.abs(theta.coeffs - want.coeffs)) <= rel * np.max(np.abs(want.coeffs))
+        assert (theta - want).max_abs() <= rel * want.max_abs()
 
 
 @pytest.mark.parametrize("hp", HOPF_GRID, ids=["a=b", "a=e2", "a=e1.5"])
@@ -135,7 +127,6 @@ def test_phi_and_delta_jets_match_finite_differences(hp):
     """Φ and Δ from the closed-form θ jet against central differences of
     phi_value and of the defining Δ = α|z|²Φ^{−α} + (2−α)|w|²Φ^{α−2}."""
     al = hp.alpha
-    degs = np.array([sum(mt) for mt in multi_indices(2)])
 
     def delta(q):
         phi = M.phi_value(q, hp)
@@ -144,19 +135,17 @@ def test_phi_and_delta_jets_match_finite_differences(hp):
     for pt in V.sample_points("hopf-fundamental", 3, 5, hp=hp):
         Phi, _, Delta = M.phi_field(pt, hp)
         for jet, fn in ((Phi, lambda q: M.phi_value(q, hp)), (Delta, delta)):
-            rel = np.abs(V.fd_jet(fn, pt, 2) - jet.coeffs) / (1.0 + np.abs(jet.coeffs))
-            assert rel[degs == 1].max() < 1e-8
-            assert rel[degs == 2].max() < 1e-6
+            _, grad, hess = V.fd_jet(fn, pt, 2)
+            assert np.max(np.abs(grad - jet.grad) / (1.0 + np.abs(jet.grad))) < 1e-8
+            assert np.max(np.abs(hess - jet.hess) / (1.0 + np.abs(jet.hess))) < 1e-6
 
 
 def test_phi_field_rejects_a_theta_jet_that_misses_its_equation(monkeypatch):
     """The θ jet is checked against F by jet arithmetic: a wrong Hessian fails."""
-    packed = wjet.jet_from_partials
-
     def bent(value, grad, hess):
-        return packed(value, grad, hess + 1e-6)
+        return wjet.WJet(value, grad, hess + 1e-6)
 
-    monkeypatch.setattr(M, "jet_from_partials", bent)
+    monkeypatch.setattr(M, "WJet", bent)
     with pytest.raises(ValueError, match="failed to converge"):
         M.phi_field(POINTS[0], HOPF_GRID[1])
 
@@ -252,7 +241,7 @@ def test_closed_form_hessian_matches_log_phi_jet(hp):
     L = M.hessian_forms(pt, hp)[0].A
     for i in range(2):
         for j in range(2):
-            want = lp.deriv_value(unit(i), unit(j))
+            want = lp.hess[i, 2 + j]
             assert abs(L[i, j] - want) < 1e-10 * (1 + abs(want))
 
 
@@ -328,9 +317,9 @@ def test_omega_lambda_matches_direct_phi_derivative_assembly():
     phi = Phi.value
     for i in range(2):
         for j in range(2):
-            phi_ij = Phi.deriv_value(unit(i), unit(j))
-            phi_i = Phi.deriv_value(unit(i), zero2())
-            phi_jb = Phi.deriv_value(zero2(), unit(j))
+            phi_ij = Phi.hess[i, 2 + j]
+            phi_i = Phi.grad[i]
+            phi_jb = Phi.grad[2 + j]
             want = (1 + lam) * phi_ij / phi - lam * phi_i * phi_jb / phi**2
             assert abs(m.h[i][j].value - want) < 1e-10 * (1 + abs(want))
 
@@ -344,8 +333,8 @@ def test_lc_flat_is_delta_cubed_times_omega_minus_half():
     D3 = Delta * Delta * Delta
     for i in range(2):
         for j in range(2):
-            want = (D3 * mh.h[i][j]).coeffs
-            assert np.max(np.abs(mf.h[i][j].coeffs - want)) < 1e-12 * (1 + np.max(np.abs(want)))
+            want = D3 * mh.h[i][j]
+            assert (mf.h[i][j] - want).max_abs() < 1e-12 * (1 + want.max_abs())
 
 
 def test_lc_flat_equals_conformal_scaling_of_omega_minus_half():
@@ -362,7 +351,7 @@ def test_lc_flat_equals_conformal_scaling_of_omega_minus_half():
         md = M.build_metric(direct, pt)
         for i in range(2):
             for j in range(2):
-                assert np.max(np.abs(mc.h[i][j].coeffs - md.h[i][j].coeffs)) < 1e-12
+                assert (mc.h[i][j] - md.h[i][j]).max_abs() < 1e-12
 
 
 def test_flat_and_kahler_test_metrics():
@@ -389,10 +378,10 @@ def test_user_polynomial_determinism_and_pd_guard():
     m2 = M.build_metric(spec, pt)
     for i in range(2):
         for j in range(2):
-            assert np.array_equal(m1.h[i][j].coeffs, m2.h[i][j].coeffs)
+            assert np.array_equal(m1.h[i][j].data, m2.h[i][j].data)
     other = M.build_metric(M.MetricSpec(kind="user-polynomial", seed=13, amp=0.05), pt)
     assert any(
-        not np.array_equal(m1.h[i][j].coeffs, other.h[i][j].coeffs)
+        not np.array_equal(m1.h[i][j].data, other.h[i][j].data)
         for i in range(2)
         for j in range(2)
     )
@@ -465,7 +454,7 @@ def test_conformal_zero_field_is_identity():
     mb = M.build_metric(spec.base, pt)
     for i in range(2):
         for j in range(2):
-            assert np.array_equal(mc.h[i][j].coeffs, mb.h[i][j].coeffs)
+            assert np.array_equal(mc.h[i][j].data, mb.h[i][j].data)
 
 
 def test_conformal_ricci_change_law():
@@ -479,7 +468,7 @@ def test_conformal_ricci_change_law():
         mc = M.build_metric(conf, pt)
         fj = M.field_jet(f, pt, None)
         ddbar_f = np.array(
-            [[fj.deriv_value(unit(i), unit(j)) for j in range(2)] for i in range(2)]
+            [[fj.hess[i, 2 + j] for j in range(2)] for i in range(2)]
         )
         lhs = geo.lc_ricci(mc).A
         rhs = geo.lc_ricci(mb).A - ddbar_f
@@ -554,7 +543,7 @@ def test_log_phi_field_is_scale_times_log_phi():
         log_phi = log(M.phi_field(pt, hp)[0])
         for scale in (-1.0, 0.5):
             got = M.field_jet(M.FieldSpec(kind="log-phi", scale=scale), pt, hp)
-            assert np.max(np.abs(got.coeffs - scale * log_phi.coeffs)) < 1e-14
+            assert (got - scale * log_phi).max_abs() < 1e-14
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import pytest
 from lcflat import geometry as geo
 from lcflat import metrics as M
 from lcflat import verify as V
-from lcflat.wjet import log, multi_indices
+from lcflat.wjet import log
 
 E = math.e
 HP = M.HopfParams(E**2, E)
@@ -116,19 +116,7 @@ def test_omega0_negative_control_fails_with_predicted_pattern():
         ric = geo.lc_ricci(m).A
         L, _ = M.hessian_forms(p, HP)
         _, _, Delta = M.phi_field(p, HP)
-        ld = log(Delta)
-        dd_log_delta = np.array(
-            [
-                [
-                    ld.deriv_value(
-                        tuple(1 if k == i else 0 for k in range(2)),
-                        tuple(1 if k == j else 0 for k in range(2)),
-                    )
-                    for j in range(2)
-                ]
-                for i in range(2)
-            ]
-        )
+        dd_log_delta = log(Delta).hess[:2, 2:]
         rhs = (2.0 - 1.0 / (1.0 + 0.0)) * L.A + 3.0 * dd_log_delta
         assert np.max(np.abs(ric - rhs)) / (1 + np.max(np.abs(rhs))) < 1e-12
 
@@ -348,13 +336,18 @@ def test_report_validates_against_shipped_schema():
 # -- FD oracle ----------------------------------------------------------------------
 
 
+def assert_fd_close(jet, fd):
+    """First derivatives within 1e-8 and second within 1e-6, relative to 1 + |jet's|."""
+    _, grad, hess = fd
+    assert np.max(np.abs(grad - jet.grad) / (1 + np.abs(jet.grad))) < 1e-8
+    assert np.max(np.abs(hess - jet.hess) / (1 + np.abs(jet.hess))) < 1e-6
+
+
 def test_fd_oracle_flat_metric_is_exact():
     table = V.fd_oracle(M.MetricSpec(kind="flat"), (0.4 + 0.1j, -0.3 + 0.2j))
-    for (i, j), coeffs in table.items():
-        want = np.zeros(len(coeffs), dtype=complex)
-        if i == j:
-            want[0] = 1.0
-        assert np.max(np.abs(coeffs - want)) < 1e-10
+    for (i, j), (value, grad, hess) in table.items():
+        assert abs(value - (1.0 if i == j else 0.0)) < 1e-10
+        assert np.max(np.abs(grad)) < 1e-10 and np.max(np.abs(hess)) < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -372,38 +365,27 @@ def test_fd_oracle_agrees_with_jets_on_builtin_metrics(spec):
     p = V.sample_points("box", 1, 9, dim=2)[0]
     m = M.build_metric(spec, p)
     table = V.fd_oracle(spec, p, order=2)
-    degs = np.array([sum(mt) for mt in multi_indices(2)])
-    for (i, j), coeffs in table.items():
-        rel = np.abs(coeffs - m.h[i][j].coeffs) / (1 + np.abs(m.h[i][j].coeffs))
-        assert rel[degs == 1].max() < 1e-8
-        assert rel[degs == 2].max() < 1e-6
+    for (i, j), fd in table.items():
+        assert_fd_close(m.h[i][j], fd)
 
 
 def test_fd_oracle_on_potential_scalars():
     p = V.sample_points("hopf-fundamental", 1, 17, hp=HP)[0]
     Phi, _, Delta = M.phi_field(p, HP)
-    degs = np.array([sum(mt) for mt in multi_indices(2)])
     cases = [
         (Phi, lambda q: M.phi_value(q, HP)),
         (log(Phi), lambda q: math.log(M.phi_value(q, HP))),
         (Delta, lambda q: M.phi_field(q, HP)[2].value.real),
     ]
     for jet, fn in cases:
-        fd = V.fd_jet(fn, p, 2)
-        rel = np.abs(fd - jet.coeffs) / (1 + np.abs(jet.coeffs))
-        assert rel[degs == 1].max() < 1e-8
-        assert rel[degs == 2].max() < 1e-6
+        assert_fd_close(jet, V.fd_jet(fn, p, 2))
 
 
 def test_fd_jet_order_one_fills_only_first_order_slots():
-    fd = V.fd_jet(lambda q: q[0] * np.conj(q[0]), (0.3 + 0.4j, 0.1), 2, order=1)
-    mts = multi_indices(2)
-    for idx, mt in enumerate(mts):
-        if sum(mt) == 2:
-            assert fd[idx] == 0.0
+    _, grad, hess = V.fd_jet(lambda q: q[0] * np.conj(q[0]), (0.3 + 0.4j, 0.1), 2, order=1)
+    assert not hess.any()
     # first-order slots: d(z zbar)/dz = zbar
-    slot_z1 = mts.index((1, 0, 0, 0))
-    assert abs(fd[slot_z1] - (0.3 - 0.4j)) < 1e-9
+    assert abs(grad[0] - (0.3 - 0.4j)) < 1e-9
 
 
 def test_fd_oracle_rejects_bad_order():

@@ -16,11 +16,19 @@ from lcflat.wjet import (
     jet_conj_var,
     jet_var,
     jets_close,
-    multi_indices,
     solve_scalar_root,
 )
 
-N_COEFFS_2 = 15  # (2n+2)(2n+1)/2 for n = 2
+N_COEFFS_2 = 15  # 1 value + 4 gradient + 10 Hessian entries for n = 2
+
+
+def random_jet(c, order=2):
+    """The n = 2 jet with value c[0], gradient c[1:5] and the symmetric
+    Hessian whose upper triangle is c[5:15], doubled on the diagonal (so that
+    c holds its Taylor coefficients)."""
+    upper = np.zeros((4, 4), dtype=complex)
+    upper[np.triu_indices(4)] = c[5:]
+    return WJet(c[0], c[1:5], upper + upper.T, order)
 
 
 def coeff_strategy(scale=2.0):
@@ -31,7 +39,7 @@ def coeff_strategy(scale=2.0):
 
 
 def jet_strategy():
-    return coeff_strategy().map(lambda c: WJet(2, c))
+    return coeff_strategy().map(random_jet)
 
 
 def real_valued_jet_strategy(shift=5.0):
@@ -41,17 +49,17 @@ def real_valued_jet_strategy(shift=5.0):
     return jet_strategy().map(lambda j: j + wj.conj(j) + shift)
 
 
-# -- index bookkeeping --------------------------------------------------------
+# -- layout -------------------------------------------------------------------
 
 
-def test_multi_index_count_and_order():
-    idx = multi_indices(2)
-    assert len(idx) == N_COEFFS_2
-    assert idx[0] == (0, 0, 0, 0)
-    degrees = [sum(m) for m in idx]
-    assert degrees == sorted(degrees)
-    # n = 1 has (2*1+2)(2*1+1)/2 = 6 coefficients
-    assert len(multi_indices(1)) == 6
+def test_constructor_checks_the_layout():
+    a = WJet(1.0, np.zeros(4), np.zeros((4, 4)))
+    assert a.n_vars == 2 and a.grad.shape == (4,) and a.hess.shape == (4, 4)
+    assert WJet(0.0, np.zeros(2), np.zeros((2, 2))).n_vars == 1
+    for grad, hess in [(np.zeros(3), np.zeros((3, 3))), (np.zeros(4), np.zeros((4, 2))),
+                       (np.zeros((2, 2)), np.zeros((4, 4))), (np.zeros(0), np.zeros((0, 0)))]:
+        with pytest.raises(ValueError, match="expected a gradient"):
+            WJet(0.0, grad, hess)
 
 
 # -- coordinate jets ----------------------------------------------------------
@@ -60,8 +68,8 @@ def test_multi_index_count_and_order():
 def test_jet_var_seeds_coordinate():
     j = jet_var(1, 3 + 0j, 2)
     assert j.value == 3
-    assert j.coeff((1, 0, 0, 0)) == 1
-    assert np.count_nonzero(j.coeffs) == 2
+    assert j.grad.tolist() == [1, 0, 0, 0]
+    assert not j.hess.any()
 
 
 def test_jet_var_index_out_of_range():
@@ -79,7 +87,8 @@ def test_abs_square_of_coordinate():
     z = jet_var(1, 1.0, 2)
     m = z * wj.conj(z)
     assert m.value == 1
-    assert m.coeff((1, 0, 1, 0)) == 1  # d^2/dz dzbar of |z|^2
+    assert m.hess[0, 2] == m.hess[2, 0] == 1  # d^2/dz dzbar of |z|^2
+    assert np.count_nonzero(m.hess) == 2
 
 
 # -- ring operations ----------------------------------------------------------
@@ -88,7 +97,7 @@ def test_abs_square_of_coordinate():
 def test_mul_times_inverse_is_one():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        a = WJet(2, rng.normal(size=15) + 1j * rng.normal(size=15))
+        a = random_jet(rng.normal(size=15) + 1j * rng.normal(size=15))
         assert jets_close(a / a, jet_const(1.0, 2))
 
 
@@ -112,14 +121,14 @@ def test_abs_fourth_power_against_finite_differences():
     fx = (val(2 + h, 0) - val(2 - h, 0)) / (2 * h)
     fy = (val(2, h) - val(2, -h)) / (2 * h)
     fd_dz = 0.5 * (fx - 1j * fy)
-    assert f.deriv_value((1,), (0,)) == pytest.approx(fd_dz, rel=1e-8)
-    assert f.deriv_value((1,), (0,)) == pytest.approx(16.0)
+    assert f.grad[0] == pytest.approx(fd_dz, rel=1e-8)
+    assert f.grad[0] == pytest.approx(16.0)
 
 
 @settings(max_examples=60)
 @given(jet_strategy(), jet_strategy())
 def test_mul_commutative(a, b):
-    assert np.allclose(wj.mul(a, b).coeffs, wj.mul(b, a).coeffs, rtol=0, atol=1e-12)
+    assert np.allclose(wj.mul(a, b).data, wj.mul(b, a).data, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=60)
@@ -186,14 +195,14 @@ def test_pow_chain_rule_against_fd():
     x0, y0 = z0.real, z0.imag
     fx = (val(x0 + h, y0) - val(x0 - h, y0)) / (2 * h)
     fy = (val(x0, y0 + h) - val(x0, y0 - h)) / (2 * h)
-    assert g.deriv_value((1,), (0,)) == pytest.approx(0.5 * (fx - 1j * fy), rel=1e-8)
+    assert g.grad[0] == pytest.approx(0.5 * (fx - 1j * fy), rel=1e-8)
     mixed_fd = (
         val(x0 + h, y0 + h) - val(x0 + h, y0 - h) - val(x0 - h, y0 + h) + val(x0 - h, y0 - h)
     ) / (4 * h * h)
     # d/dx = d/dz + d/dzbar and d/dy = i(d/dz - d/dzbar), so the cross terms
     # cancel and d^2/dxdy = i(d^2/dz^2 - d^2/dzbar^2).
-    dzdz = g.deriv_value((2,), (0,))
-    dzbdzb = g.deriv_value((0,), (2,))
+    dzdz = g.hess[0, 0]
+    dzbdzb = g.hess[1, 1]
     jet_mixed = (1j * (dzdz - dzbdzb)).real
     assert jet_mixed == pytest.approx(mixed_fd, rel=1e-5, abs=1e-6)
 
@@ -205,16 +214,28 @@ def test_log_of_zero_constant_raises():
         wj.pow_real(jet_var(1, 0.0, 2), 0.5)
 
 
+def test_log_is_taken_on_the_relative_jet():
+    # log(c·a) = log c + log a: a tiny c changes only the value, where forming
+    # 1/c² would overflow at c = 1e-200.
+    z = jet_var(1, 0.3 + 0.1j, 2)
+    a = 1.0 + z * wj.conj(z)
+    tiny = wj.log(1e-200 * a)
+    assert tiny.value == pytest.approx(math.log(1e-200) + wj.log(a).value)
+    assert np.allclose(tiny.grad, wj.log(a).grad, rtol=1e-14, atol=0)
+    assert np.allclose(tiny.hess, wj.log(a).hess, rtol=1e-14, atol=0)
+    with pytest.raises(ValueError, match="log is outside the floating-point range"):
+        wj.log(jet_var(1, 1e-310, 2))  # d log z/dz = 1/z overflows
+
+
 # -- grading / order tracking -------------------------------------------------
 
 
 def test_derivative_lowers_order_and_zeroes_top():
     rng = np.random.default_rng(3)
-    a = WJet(2, rng.normal(size=15))
+    a = random_jet(rng.normal(size=15))
     da = wj.d_dz(a, 1)
     assert da.order == 1
-    degs = np.array([sum(m) for m in multi_indices(2)])
-    assert np.all(da.coeffs[degs > 1] == 0)
+    assert not da.hess.any()
     dda = wj.d_dzbar(da, 1)
     assert dda.order == 0
     with pytest.raises(ValueError):
@@ -224,15 +245,13 @@ def test_derivative_lowers_order_and_zeroes_top():
 def test_low_order_garbage_does_not_contaminate():
     # The degree-<=1 part of a product must not depend on degree-2 inputs.
     rng = np.random.default_rng(4)
-    a = WJet(2, rng.normal(size=15))
-    b = WJet(2, rng.normal(size=15))
-    a_trunc = WJet(2, a.coeffs, order=1)
+    a = random_jet(rng.normal(size=15))
+    b = random_jet(rng.normal(size=15))
+    a_trunc = WJet(a.value, a.grad, a.hess, order=1)
     prod_full = a * b
     prod_trunc = a_trunc * b
-    degs = np.array([sum(m) for m in multi_indices(2)])
-    assert np.allclose(
-        prod_full.coeffs[degs <= 1], prod_trunc.coeffs[degs <= 1], atol=0
-    )
+    assert prod_full.value == prod_trunc.value
+    assert np.allclose(prod_full.grad, prod_trunc.grad, atol=0)
 
 
 # -- partial-derivative arrays ------------------------------------------------
@@ -340,13 +359,11 @@ def test_implicit_solve_derivatives_against_fd_oracle():
 
     h = 1e-5
     fd_x1 = (theta_val(z0 + h, w0) - theta_val(z0 - h, w0)) / (2 * h)
-    jet_x1 = (theta.deriv_value((1, 0), (0, 0)) + theta.deriv_value((0, 0), (1, 0))).real
+    jet_x1 = (theta.grad[0] + theta.grad[2]).real
     assert jet_x1 == pytest.approx(fd_x1, rel=1e-8)
 
     fd_y2 = (theta_val(z0, w0 + 1j * h) - theta_val(z0, w0 - 1j * h)) / (2 * h)
-    jet_y2 = (
-        1j * theta.deriv_value((0, 1), (0, 0)) - 1j * theta.deriv_value((0, 0), (0, 1))
-    ).real
+    jet_y2 = (1j * theta.grad[1] - 1j * theta.grad[3]).real
     assert jet_y2 == pytest.approx(fd_y2, rel=1e-8)
 
     fd_x1x2 = (
