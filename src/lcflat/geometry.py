@@ -32,7 +32,7 @@ arrays are indexed with the upper index first: `hol[k, i, j]` is Γ^k_{ij},
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -66,6 +66,8 @@ class MetricJet:
     definite and the jets must satisfy h_{ij̄} = conj(h_{jī}).  `values()`
     reads the value matrix unchecked; `arrays` and `inverse` are what the
     geometry reads, and the metric is validated the first time they are.
+    The connection and the Chern-Ricci form are built once per metric too;
+    read them through `christoffels` and `chern_ricci`.
     """
 
     n: int
@@ -90,8 +92,23 @@ class MetricJet:
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        """Plain matrix inverse A of H, so that h^{kℓ̄} = A[ℓ, k]."""
-        return np.linalg.inv(self.arrays[0])
+        """Plain matrix inverse A of H, so that h^{kℓ̄} = A[ℓ, k]; raises
+        ValueError when it leaves the double range (H nearly subnormal)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            A = np.linalg.inv(self.arrays[0])
+        _check_finite("the inverse metric", A)
+        return A
+
+    @cached_property
+    def connection(self) -> Christoffels:
+        return _connection(self)
+
+    @cached_property
+    def chern_ricci(self) -> Form11:
+        n = self.n
+        self.arrays  # validates the metric; the Ricci form itself stays on the jet path
+        _, _, hess = partials(log(_jet_det(self.h)))
+        return Form11(-hess[:n, n:])
 
     def hermitian_jet_residual(self) -> float:
         """Largest Taylor coefficient of h_{ij̄} − conj(h_{jī}) over all entries."""
@@ -209,6 +226,12 @@ def _jet_det(h: list[list[WJet]]) -> WJet:
 # -- connections ---------------------------------------------------------------
 
 
+def _check_finite(what: str, *arrays: np.ndarray) -> None:
+    """Raise ValueError if any entry of the arrays is inf or NaN."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(f"{what} is outside the floating-point range at this point")
+
+
 def christoffels(m: MetricJet) -> Christoffels:
     """Chern and Levi-Civita connection symbols with their first derivatives.
 
@@ -216,13 +239,24 @@ def christoffels(m: MetricJet) -> Christoffels:
     Γ^k_{ij}(LC)    = ½ h^{kℓ̄} (∂h_{jℓ̄}/∂z^i + ∂h_{iℓ̄}/∂z^j)
     Γ^k_{īj}(LC)    = ½ h^{kℓ̄} (∂h_{jℓ̄}/∂z̄^i − ∂h_{jī}/∂z̄^ℓ)
 
-    The inverse metric is carried to order 1, ∂A = −A (∂H) A, and each symbol
-    h^{kℓ̄} T_{jℓ̄i} gets its gradient by the product rule.
+    They are built once per metric (`MetricJet.connection`); while
+    `debug_corruption` is active the mixed symbols are read with their sign
+    flipped, and the cached ones stay correct.
     """
+    ch = m.connection
+    if _CORRUPT_ANTI_SIGN:
+        return replace(ch, lc_anti=-ch.lc_anti, lc_anti_grad=-ch.lc_anti_grad)
+    return ch
+
+
+def _connection(m: MetricJet) -> Christoffels:
+    """The symbols of `christoffels`.  The inverse metric is carried to
+    order 1, ∂A = −A (∂H) A, and each symbol h^{kℓ̄} T_{jℓ̄i} gets its
+    gradient by the product rule.  Raises ValueError when a symbol leaves
+    the double range."""
     n = m.n
     A = m.inverse
     _, dH, ddH = m.arrays
-    dA = -np.einsum("ab,bcs,cd->ads", A, dH, A)
 
     def raise_index(T, dT):
         # h^{kℓ̄} T[j, ℓ, i] -> [k, i, j], with its gradient
@@ -230,20 +264,23 @@ def christoffels(m: MetricJet) -> Christoffels:
         grad = np.einsum("lks,jli->kijs", dA, T) + np.einsum("lk,jlis->kijs", A, dT)
         return val, grad
 
-    chern, chern_grad = raise_index(dH[:, :, :n], ddH[:, :, :n])
-    # B[j, ℓ, i] = ∂h_{jℓ̄}/∂z̄^i − ∂h_{jī}/∂z̄^ℓ
-    B = dH[:, :, n:] - dH[:, :, n:].transpose(0, 2, 1)
-    dB = ddH[:, :, n:] - ddH[:, :, n:].transpose(0, 2, 1, 3)
-    anti, anti_grad = raise_index(B, dB)
-    sign = -0.5 if _CORRUPT_ANTI_SIGN else 0.5
-    return Christoffels(
-        chern=chern,
-        chern_grad=chern_grad,
-        lc_hol=0.5 * (chern + chern.transpose(0, 2, 1)),
-        lc_hol_grad=0.5 * (chern_grad + chern_grad.transpose(0, 2, 1, 3)),
-        lc_anti=sign * anti,
-        lc_anti_grad=sign * anti_grad,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        dA = -np.einsum("ab,bcs,cd->ads", A, dH, A)
+        chern, chern_grad = raise_index(dH[:, :, :n], ddH[:, :, :n])
+        # B[j, ℓ, i] = ∂h_{jℓ̄}/∂z̄^i − ∂h_{jī}/∂z̄^ℓ
+        B = dH[:, :, n:] - dH[:, :, n:].transpose(0, 2, 1)
+        dB = ddH[:, :, n:] - ddH[:, :, n:].transpose(0, 2, 1, 3)
+        anti, anti_grad = raise_index(B, dB)
+        ch = Christoffels(
+            chern=chern,
+            chern_grad=chern_grad,
+            lc_hol=0.5 * (chern + chern.transpose(0, 2, 1)),
+            lc_hol_grad=0.5 * (chern_grad + chern_grad.transpose(0, 2, 1, 3)),
+            lc_anti=0.5 * anti,
+            lc_anti_grad=0.5 * anti_grad,
+        )
+    _check_finite("the connection", *vars(ch).values())
+    return ch
 
 
 # -- Chern curvature ------------------------------------------------------------
@@ -260,11 +297,9 @@ def chern_curvature(m: MetricJet) -> Tensor4:
 
 
 def chern_ricci(m: MetricJet) -> Form11:
-    """Chern-Ricci form R_{ij̄} = −∂² log det(h) / ∂z^i ∂z̄^j."""
-    n = m.n
-    m.arrays  # validates the metric; the Ricci form itself stays on the jet path
-    _, _, hess = partials(log(_jet_det(m.h)))
-    return Form11(-hess[:n, n:])
+    """Chern-Ricci form R_{ij̄} = −∂² log det(h) / ∂z^i ∂z̄^j, built once per
+    metric (`MetricJet.chern_ricci`)."""
+    return m.chern_ricci
 
 
 def chern_ricci_trace_path(m: MetricJet) -> Form11:

@@ -15,9 +15,12 @@ of e₁ = Φ^{−α} = e^{−c₁θ}, e₂ = Φ^{α−2} = e^{−c₂θ}, u = |z
 and of Δ = αu + (2−α)v.  Δ³ω_λ is a polynomial in these jets, so the Hopf
 metrics form no power of Φ and, apart from the one division of Δ³ω_λ by Δ³,
 no jet quotient; nothing overflows while Φ² and the metric's entries are
-doubles.  The closed forms of √−1∂∂̄ log Φ and √−1∂Φ∧∂̄Φ that the metrics
-are derived from are written once, on scalars, in `hessian_forms`, which the
-checks compare against the metrics and against derivatives of the Φ jet.
+doubles.  `hopf_values` is the same frame on scalars, and `metric_values`
+evaluates the metrics' closed form on it, so identities that read only the
+metric's values build no jet.  The closed forms of √−1∂∂̄ log Φ and
+√−1∂Φ∧∂̄Φ that the metrics are derived from are written once, on scalars, in
+`hessian_forms`, which the checks compare against the metrics and against
+derivatives of the Φ jet.
 """
 
 from __future__ import annotations
@@ -330,9 +333,8 @@ def _coordinate_jets(p: Point | tuple, n: int):
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-def _theta_root(p, hp: HopfParams) -> tuple[float, float, float]:
-    """(|z|², |w|², θ) at p, with θ the root of g(θ) = |z|²e^{−c₁θ} + |w|²e^{−c₂θ} − 1
-    and cᵢ = kᵢ/π.
+def _theta_root(p, hp: HopfParams) -> float:
+    """θ at p, the root of g(θ) = |z|²e^{−c₁θ} + |w|²e^{−c₂θ} − 1 with cᵢ = kᵢ/π.
 
     g is convex and strictly decreasing.  Analytic Newton starts at
     θ₀ = max log(xᵢ)/cᵢ over the nonzero terms xᵢ ∈ {|z|², |w|²}: there one
@@ -363,46 +365,74 @@ def _theta_root(p, hp: HopfParams) -> tuple[float, float, float]:
         raise ValueError("Φ root iteration did not converge")
     if abs(hp.k * theta) > _LOG_FLOAT_MAX:
         raise ValueError("Φ is outside the floating-point range at this point")
-    return zz, ww, theta
+    return theta
 
 
 def phi_value(p, hp: HopfParams) -> float:
     """Scalar Φ(p) without jet overhead."""
-    return math.exp(hp.k * _theta_root(p, hp)[2])
+    return math.exp(hp.k * _theta_root(p, hp))
 
 
 def phi_delta_values(p, hp: HopfParams) -> tuple[float, float]:
-    """Scalar (Φ, Δ) at p without jet overhead, with Δ = αu + (2−α)v as in
-    `hopf_jets` (u + v = 1, so neither term can overflow)."""
-    zz, ww, theta = _theta_root(p, hp)
-    u = zz * math.exp(-hp.k1 / math.pi * theta)
-    v = ww * math.exp(-hp.k2 / math.pi * theta)
-    return math.exp(hp.k * theta), hp.alpha * u + (2.0 - hp.alpha) * v
+    """Scalar (Φ, Δ) at p without jet overhead, read from `hopf_values`."""
+    hv = hopf_values(p, hp)
+    return math.exp(hp.k * hv.theta), hv.delta
 
 
-class HopfJets(NamedTuple):
-    """Order-2 jets at one point of the coordinates and of θ, e₁ = e^{−c₁θ},
-    e₂ = e^{−c₂θ}, u = |z|²e₁, v = |w|²e₂ and Δ = αu + (2−α)v."""
+class HopfFrame(NamedTuple):
+    """The coordinates and θ, e₁ = e^{−c₁θ}, e₂ = e^{−c₂θ}, u = |z|²e₁,
+    v = |w|²e₂ and Δ = αu + (2−α)v at one point: their values
+    (`hopf_values`) or their order-2 jets (`hopf_jets`)."""
 
-    z: WJet
-    w: WJet
-    zb: WJet
-    wb: WJet
-    theta: WJet
-    e1: WJet
-    e2: WJet
-    u: WJet
-    v: WJet
-    delta: WJet
+    z: complex | WJet
+    w: complex | WJet
+    zb: complex | WJet
+    wb: complex | WJet
+    theta: float | WJet
+    e1: float | WJet
+    e2: float | WJet
+    u: float | WJet
+    v: float | WJet
+    delta: float | WJet
 
 
-def hopf_jets(p, hp: HopfParams) -> HopfJets:
+def _check_implicit(residual: float, theta_size: float) -> None:
+    """Raise unless F = u + v − 1 vanishes to 1e-10·(1 + |θ|)."""
+    if residual > 1e-10 * (1.0 + theta_size):
+        raise ValueError(f"implicit jet iteration failed to converge (residual {residual:.3g})")
+
+
+def hopf_values(p, hp: HopfParams) -> HopfFrame:
+    """The frame's values at p ≠ 0, from one `_theta_root` and no jet.
+
+    Each value is formed by the arithmetic that forms the value of the
+    matching jet in `hopf_jets` (u is (z·z̄)e₁, not |z|²e₁), and the order-0
+    part of truncated Taylor arithmetic is that arithmetic on the values.  So
+    a polynomial in this frame, such as `_delta_cubed_omega`, equals the
+    value of the same polynomial in the jets bit for bit.  u + v = 1, so
+    neither term of Δ can overflow.
+    """
+    theta = _theta_root(p, hp)
+    try:
+        e1, e2 = math.exp(-hp.k1 / math.pi * theta), math.exp(-hp.k2 / math.pi * theta)
+    except OverflowError:
+        raise ValueError(
+            "Φ^{−α} or Φ^{α−2} is outside the floating-point range at this point"
+        ) from None
+    z, w = complex(p[0]), complex(p[1])
+    zb, wb = z.conjugate(), w.conjugate()
+    u, v = (z * zb).real * e1, (w * wb).real * e2
+    _check_implicit(abs(u + v - 1.0), abs(theta))
+    return HopfFrame(z, w, zb, wb, theta, e1, e2, u, v, hp.alpha * u + (2.0 - hp.alpha) * v)
+
+
+def hopf_jets(p, hp: HopfParams) -> HopfFrame:
     """The jets every Hopf quantity is built from, at p ≠ 0, in closed form.
 
     θ is the root of F(x, θ) = |z|²e^{−c₁θ} + |w|²e^{−c₂θ} − 1 with
     cᵢ = kᵢ/π (F is strictly decreasing in θ, so the root is unique).  Past
-    the scalar root, the implicit-function theorem gives θ's partials in the
-    slots x = (z, w, z̄, w̄) directly:
+    the scalar frame (`hopf_values`), the implicit-function theorem gives
+    θ's partials in the slots x = (z, w, z̄, w̄) directly:
 
         θᵢ = −Fᵢ/F_θ,   θᵢⱼ = −(Fᵢⱼ + F_{iθ}θⱼ + F_{jθ}θᵢ + F_{θθ}θᵢθⱼ)/F_θ.
 
@@ -411,18 +441,16 @@ def hopf_jets(p, hp: HopfParams) -> HopfJets:
     Δ = αu + (2−α)v = α|z|²Φ^{−α} + (2−α)|w|²Φ^{α−2} = −F_θ/k.
     F = u + v − 1 on the θ jet is checked to vanish through order 2.
     """
-    zz, ww, theta0 = _theta_root(p, hp)
+    hv = hopf_values(p, hp)
     c1, c2 = hp.k1 / math.pi, hp.k2 / math.pi
-    e1, e2 = math.exp(-c1 * theta0), math.exp(-c2 * theta0)
-    z0, w0 = complex(p[0]), complex(p[1])
+    e1, e2, u0, v0 = hv.e1, hv.e2, hv.u, hv.v
     # Partials of F at the root, slots (z, w, z̄, w̄); F is linear in each
     # of |z|², |w|², so the only x-x partials are F_{zz̄} = e₁, F_{ww̄} = e₂.
     c = np.array([c1, c2, c1, c2])
-    Fx = np.array([z0.conjugate() * e1, w0.conjugate() * e2, z0 * e1, w0 * e2])
+    Fx = np.array([hv.zb * e1, hv.wb * e2, hv.z * e1, hv.w * e2])
     Fxx = np.zeros((4, 4), dtype=complex)
     Fxx[0, 2] = Fxx[2, 0] = e1
     Fxx[1, 3] = Fxx[3, 1] = e2
-    u0, v0 = zz * e1, ww * e2
     Ft = -(c1 * u0 + c2 * v0)
     Ftt = c1 * c1 * u0 + c2 * c2 * v0
     Fxt = -c * Fx
@@ -431,15 +459,13 @@ def hopf_jets(p, hp: HopfParams) -> HopfJets:
     tx = -Fx / Ft
     cross = np.outer(Fxt, tx)
     txx = -(Fxx + cross + cross.T + Ftt * np.outer(tx, tx)) / Ft
-    theta = WJet(theta0, tx, txx)
+    theta = WJet(hv.theta, tx, txx)
 
     (z, w), (zb, wb) = _coordinate_jets(p, 2)
     e1j, e2j = exp(-c1 * theta), exp(-c2 * theta)
     u, v = z * zb * e1j, w * wb * e2j
-    residual = (u + v - 1.0).max_abs()
-    if residual > 1e-10 * (1.0 + theta.max_abs()):
-        raise ValueError(f"implicit jet iteration failed to converge (residual {residual:.3g})")
-    return HopfJets(z, w, zb, wb, theta, e1j, e2j, u, v, hp.alpha * u + (2.0 - hp.alpha) * v)
+    _check_implicit((u + v - 1.0).max_abs(), theta.max_abs())
+    return HopfFrame(z, w, zb, wb, theta, e1j, e2j, u, v, hp.alpha * u + (2.0 - hp.alpha) * v)
 
 
 def phi_field(p, hp: HopfParams):
@@ -502,21 +528,32 @@ def _hopf_standard_jets(p) -> list[list[WJet]]:
     return [[inv, zero], [zero, inv]]
 
 
-def _delta_cubed_omega_jets(hj: HopfJets, al: float, lam: float) -> list[list[WJet]]:
-    """Δ³ω_λ = Δ³((1+λ)L + P/Φ²), with L and P as in `hessian_forms`.
+def _delta_cubed_omega(hf: HopfFrame, al: float, lam: float) -> list[list]:
+    """Δ³ω_λ = Δ³((1+λ)L + P/Φ²), with L and P as in `hessian_forms`, over a
+    frame of values or of jets.
 
     Φ^{−α} = e₁, Φ^{α−2} = e₂ and Φ^{−2} = e₁e₂ make it a polynomial in the
-    jets of `hopf_jets`, with no power of Φ and no division:
+    frame, with no power of Φ and no division:
 
         [[ e₁((1+λ)(α−2)²v + Δu),      ((1+λ)α(α−2) + Δ) z̄w·e₁e₂ ],
          [ conj of the (1,2) entry,     e₂((1+λ)α²u + Δv)         ]]
     """
-    s, D = 1.0 + lam, hj.delta
-    h12 = (s * al * (al - 2.0) + D) * (hj.zb * hj.w * (hj.e1 * hj.e2))
+    s, D = 1.0 + lam, hf.delta
+    h12 = (s * al * (al - 2.0) + D) * (hf.zb * hf.w * (hf.e1 * hf.e2))
     return [
-        [hj.e1 * (s * (al - 2.0) ** 2 * hj.v + D * hj.u), h12],
-        [conj(h12), hj.e2 * (s * al**2 * hj.u + D * hj.v)],
+        [hf.e1 * (s * (al - 2.0) ** 2 * hf.v + D * hf.u), h12],
+        [h12.conjugate(), hf.e2 * (s * al**2 * hf.u + D * hf.v)],
     ]
+
+
+def _hopf_metric(spec: MetricSpec, hf: HopfFrame) -> list[list]:
+    """Δ³ω_{−1/2} for hopf-lc-flat, ω_λ = Δ³ω_λ/Δ³ for hopf-omega-lambda."""
+    al = spec.hopf_params().alpha
+    if spec.kind == "hopf-lc-flat":
+        return _delta_cubed_omega(hf, al, -0.5)
+    lam = spec.lam if spec.lam is not None else 0.0
+    inv_d3 = 1.0 / (hf.delta * hf.delta * hf.delta)
+    return [[inv_d3 * x for x in row] for row in _delta_cubed_omega(hf, al, lam)]
 
 
 def random_polynomial_jets(p, n: int, seed: int, amp: float = 0.05) -> list[list[WJet]]:
@@ -583,12 +620,21 @@ def conformal_scale(base: MetricJet, f: WJet) -> MetricJet:
     )
 
 
+# Metric kinds that are one closed form over the Hopf frame.
+_HOPF_FRAME_KINDS = ("hopf-omega-lambda", "hopf-lc-flat")
+
+
+def _metric_point(spec: MetricSpec, p) -> Point:
+    pt = Point(tuple(complex(c) for c in tuple(p)))
+    if len(pt.coords) != spec.dim:
+        raise ValueError(f"point has {len(pt.coords)} coordinates, metric expects {spec.dim}")
+    return pt
+
+
 def build_metric(spec: MetricSpec, p) -> MetricJet:
     """Realize a MetricSpec as an order-2 metric jet at the point p."""
-    pt = Point(tuple(complex(c) for c in tuple(p)))
+    pt = _metric_point(spec, p)
     n = spec.dim
-    if len(pt.coords) != n:
-        raise ValueError(f"point has {len(pt.coords)} coordinates, metric expects {n}")
 
     if spec.kind == "flat":
         h = _flat_jets(n)
@@ -596,15 +642,8 @@ def build_metric(spec: MetricSpec, p) -> MetricJet:
         h = _kahler_test_jets(pt, n)
     elif spec.kind == "hopf-standard":
         h = _hopf_standard_jets(pt)
-    elif spec.kind in ("hopf-omega-lambda", "hopf-lc-flat"):
-        hp = spec.hopf_params()
-        hj = hopf_jets(pt, hp)
-        if spec.kind == "hopf-lc-flat":
-            h = _delta_cubed_omega_jets(hj, hp.alpha, -0.5)
-        else:
-            lam = spec.lam if spec.lam is not None else 0.0
-            inv_d3 = 1.0 / (hj.delta * hj.delta * hj.delta)
-            h = [[inv_d3 * x for x in row] for row in _delta_cubed_omega_jets(hj, hp.alpha, lam)]
+    elif spec.kind in _HOPF_FRAME_KINDS:
+        h = _hopf_metric(spec, hopf_jets(pt, spec.hopf_params()))
     elif spec.kind == "conformal":
         base = build_metric(spec.base, pt)
         fj = field_jet(spec.f, pt, spec.hopf_params(), n=base.n)
@@ -623,6 +662,17 @@ def build_metric(spec: MetricSpec, p) -> MetricJet:
         raise ValueError(f"unknown metric kind {spec.kind!r}")
 
     return MetricJet(n=n, h=h, point=pt)
+
+
+def metric_values(spec: MetricSpec, p) -> np.ndarray:
+    """The value matrix of `build_metric(spec, p)`, equal to it bit for bit.
+
+    The Hopf metrics evaluate their closed form on the scalar frame
+    (`hopf_values`), so no jet is built; every other kind builds its metric.
+    """
+    if spec.kind not in _HOPF_FRAME_KINDS:
+        return build_metric(spec, p).values()
+    return np.array(_hopf_metric(spec, hopf_values(_metric_point(spec, p), spec.hopf_params())))
 
 
 # -- deck invariance ---------------------------------------------------------------
@@ -647,8 +697,8 @@ def deck_invariance_residual(spec: MetricSpec, p, hp: HopfParams | None = None) 
         raise SpecError("deck transformation acts on two complex coordinates")
     pt = tuple(complex(c) for c in tuple(p))
     image = (hp.a * pt[0], hp.b * pt[1])
-    h_here = build_metric(spec, pt).values()
-    h_image = build_metric(spec, image).values()
+    h_here = metric_values(spec, pt)
+    h_image = metric_values(spec, image)
     J = np.diag([hp.a, hp.b])
     diff = J @ h_image @ J.conj().T - h_here
     return float(np.max(np.abs(diff)) / (1.0 + np.max(np.abs(h_here))))

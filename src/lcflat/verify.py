@@ -303,9 +303,9 @@ def _residual_det_formula(spec: mz.MetricSpec, p, notes: dict) -> float:
     """det(ω_λ) = (1+λ)/(Δ³Φ²)."""
     hp = spec.hopf_params()
     lam = spec.lam if spec.lam is not None else 0.0
-    m = mz.build_metric(spec, p)
+    H = mz.metric_values(spec, p)
     Phi, Delta = mz.phi_delta_values(p, hp)
-    det = complex(np.linalg.det(m.values()))
+    det = complex(np.linalg.det(H))
     try:
         expect = (1.0 + lam) / (Delta**3 * Phi**2)
         return abs(det - expect) / abs(expect)

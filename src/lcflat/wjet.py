@@ -143,6 +143,8 @@ class WJet:
     def conj(self) -> "WJet":
         return conj(self)
 
+    conjugate = conj  # the name Python's numbers use, so closed forms take either
+
     def d(self, i: int) -> "WJet":
         return d_dz(self, i)
 

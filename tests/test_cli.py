@@ -353,10 +353,15 @@ def test_multiplier_product_beyond_a_double_is_usage_error(runner, args):
     ("det-formula", "hopf-omega-lambda{a=1e300,b=1.5}"),
     ("det-formula", "hopf-omega-lambda{a=1e200,b=1.5}"),
     ("deck-invariance", "hopf-lc-flat{a=1e200,b=1.5}"),
+    ("lc-ricci-flat", "hopf-lc-flat{a=1e161,b=1.5}"),
+    ("key-relation", "hopf-lc-flat{a=1e161,b=1.5}"),
 ], ids=["lc-ricci-flat", "hessian-matrices", "det-formula", "det-formula-1e200",
-        "deck-invariance-1e200"])
+        "deck-invariance-1e200", "lc-ricci-flat-1e161", "key-relation-1e161"])
 def test_power_beyond_a_double_aborts_the_check(runner, identity, metric):
-    # Φ reaches 1.5e300 on this shell, so Φ^{2α−2} ≈ Φ² overflows.
+    # Φ reaches 1.5e300 on this shell, so Φ^{2α−2} ≈ Φ² overflows.  At
+    # a = 1e161 det h falls below the normal doubles, so the inverse metric
+    # and the connection leave the double range: an error, not a warning
+    # (a RuntimeWarning fails the test) and never an inf carried onward.
     res = runner.invoke(main, ["verify", "--identity", identity, "--metric", metric,
                                "--points", "5"])
     assert not isinstance(res.exception, ArithmeticError), res.exception

@@ -377,3 +377,16 @@ def test_debug_corruption_breaks_two_path_agreement_and_restores():
     good = np.max(np.abs(geo.lc_ricci(m).A - geo.lc_ricci_via_relation(m).A))
     assert bad > 1e-3
     assert good < 1e-12
+
+
+def test_connection_and_chern_ricci_are_built_once_per_metric(monkeypatch):
+    calls = []
+    build = geo._connection
+    monkeypatch.setattr(geo, "_connection", lambda m: calls.append(m) or build(m))
+    rng = RNG(71)
+    m = random_poly_metric_fn(2, rng)(random_small_point(2, rng))
+    geo.lc_ricci(m)
+    geo.lc_ricci_via_relation(m)
+    geo.scalars(m)
+    assert len(calls) == 1
+    assert geo.chern_ricci(m) is geo.chern_ricci(m)

@@ -440,6 +440,48 @@ def test_deck_flat_negative_control():
         M.deck_invariance_residual(M.MetricSpec(kind="flat"), (1.0, 0.0))
 
 
+# -- the scalar frame -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("hp", HOPF_GRID + [M.HopfParams(1e3, 1.01), M.HopfParams(1e6, 1.0001)],
+                         ids=["a=b", "a=e2", "a=e1.5", "1e3", "1e6"])
+def test_metric_values_equal_the_metric_jets_values_bit_for_bit(hp):
+    """The Hopf metrics' closed form on the scalar frame gives the values of
+    the same closed form on the jets exactly, here and at the deck image."""
+    specs = [M.MetricSpec(kind="hopf-omega-lambda", a=hp.a, b=hp.b, lam=lam)
+             for lam in (-0.5, 0.0, 1.0)]
+    specs.append(M.MetricSpec(kind="hopf-lc-flat", a=hp.a, b=hp.b))
+    for pt in V.sample_points("hopf-fundamental", 8, 4, hp=hp):
+        for q in (pt, (hp.a * pt[0], hp.b * pt[1])):
+            for spec in specs:
+                assert np.array_equal(M.metric_values(spec, q), M.build_metric(spec, q).values())
+
+
+def test_value_only_identities_build_no_jets(monkeypatch):
+    def no_jets(p, hp):
+        raise AssertionError("hopf_jets called")
+
+    monkeypatch.setattr(M, "hopf_jets", no_jets)
+    omega = M.MetricSpec(kind="hopf-omega-lambda", a=E**2, b=E * np.exp(0.3j), lam=0.5)
+    checks = [("det-formula", omega), ("deck-invariance", omega),
+              ("deck-invariance", M.MetricSpec(kind="hopf-lc-flat", a=E**2, b=E))]
+    for identity, spec in checks:
+        rep = V.run_check(V.CheckSpec(identity=identity, metric=spec, n_points=10, seed=3))
+        assert rep.verdict == "pass" and not rep.failures
+
+
+@pytest.mark.parametrize("pt, msg", [((0.0, 0.0), "origin"), ((1e200, 1.0), "floating-point range")],
+                         ids=["origin", "overflow"])
+def test_hopf_values_rejects_what_hopf_jets_rejects(pt, msg):
+    hp = M.HopfParams(E**2, E)
+    errors = []
+    for frame in (M.hopf_values, M.hopf_jets):
+        with pytest.raises(ValueError, match=msg) as err:
+            frame(pt, hp)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+
+
 # -- conformal scaling ----------------------------------------------------------------
 
 
