@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .wjet import (  # noqa: F401
     WJet,
-    Point,
     jet_var,
     jet_conj_var,
     jet_const,

@@ -375,7 +375,7 @@ def cmd_dump_samples(domain, n_points, seed, a_val, b_val, output):
     payload = {
         "run_config": RunConfig(command="dump-samples", seed=seed).echo(),
         "domain": domain,
-        "points": [[[c.real, c.imag] for c in p.coords] for p in pts],
+        "points": [[[c.real, c.imag] for c in p] for p in pts],
     }
     _emit(payload, output)
 

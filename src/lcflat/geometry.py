@@ -14,14 +14,18 @@ Their agreement on arbitrary metrics is the central identity this package
 verifies; the engineered `debug_corruption` context breaks it on purpose so
 the test harness can prove the comparison has teeth.
 
-Array layout: each metric jet is read as arrays (`wjet.partials`) once, the
-first time geometry needs them, and validated then — value H[i, j] = h_{ij̄},
+Array layout: a metric jet is three arrays — value H[i, j] = h_{ij̄},
 Wirtinger gradient dH[i, j, s] and Hessian ddH[i, j, s, t] — where slot s < n
 is ∂/∂z^{s+1} and slot n + s is ∂/∂z̄^{s+1}.  The connection layer is
 Taylor-mode differentiation truncated at order 1: each symbol is a (value,
 gradient) pair of arrays built by einsums, and curvature reads slices of the
-gradients.  The Chern-Ricci form stays on the jet path (log det h) so that
-the two Ricci paths share no code beyond the metric itself.
+gradients.  The Chern-Ricci form stays on the jet path (log det h, over the
+entry jets rebuilt from the arrays) so that the two Ricci paths share no code
+beyond the metric itself.
+
+Forms and tensors are returned as plain arrays: a (1,1)-form
+√−1 A_{ij̄} dz^i ∧ dz̄^j as the matrix A, a (1,0)- or (0,1)-form as its
+component vector, a curvature tensor R_{ij̄kℓ̄} as R[i, j, k, l].
 
 Index conventions: the inverse tensor h^{kℓ̄} is `A[ℓ, k]` where `A` is the
 plain matrix inverse of `H` (so that h^{kℓ̄} h_{iℓ̄} = δ^k_i).  Connection
@@ -37,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .wjet import Point, WJet, conj, jet_const, log, partials
+from .wjet import WJet, jet_const, log, partials
 
 # Toggled by `debug_corruption`; flips the sign of the mixed Levi-Civita
 # symbols so that the two Ricci paths disagree (mutation test hook).
@@ -58,29 +62,23 @@ def debug_corruption():
 # -- types ---------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class MetricJet:
-    """Order-2 jet of a Hermitian metric at a point.
+    """Order-2 jet of a Hermitian metric at a point, as three arrays.
 
-    h[i][j] is the jet of h_{ij̄}; the value part must be Hermitian positive
-    definite and the jets must satisfy h_{ij̄} = conj(h_{jī}).  `values()`
-    reads the value matrix unchecked; `arrays` and `inverse` are what the
-    geometry reads, and the metric is validated the first time they are.
-    The connection and the Chern-Ricci form are built once per metric too;
-    read them through `christoffels` and `chern_ricci`.
+    H[i, j] = h_{ij̄}, its Wirtinger gradient dH[i, j, s] and its Hessian
+    ddH[i, j, s, t], in the slots of `wjet.partials`.  H must be Hermitian
+    positive definite, which is checked when the metric is built.  The
+    inverse, the connection and the Chern-Ricci form are built once per
+    metric; read the last two through `christoffels` and `chern_ricci`.
     """
 
-    n: int
-    h: list[list[WJet]]
-    point: Point
+    H: np.ndarray
+    dH: np.ndarray
+    ddH: np.ndarray
 
-    def values(self) -> np.ndarray:
-        return np.array([[self.h[i][j].value for j in range(self.n)] for i in range(self.n)])
-
-    @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(H, dH, ddH) from `wjet.partials`; raises ValueError unless H is Hermitian PD."""
-        H, dH, ddH = partials(self.h)
+    def __post_init__(self):
+        H = self.H
         if not np.allclose(H, H.conj().T, atol=1e-10 * (1 + np.max(np.abs(H)))):
             raise ValueError("metric value matrix is not Hermitian")
         eig = np.linalg.eigvalsh(H)
@@ -88,14 +86,17 @@ class MetricJet:
             raise ValueError(
                 f"metric value matrix is not positive definite (min eigenvalue {eig.min():.3g})"
             )
-        return H, dH, ddH
+
+    @property
+    def n(self) -> int:
+        return self.H.shape[0]
 
     @cached_property
     def inverse(self) -> np.ndarray:
         """Plain matrix inverse A of H, so that h^{kℓ̄} = A[ℓ, k]; raises
         ValueError when it leaves the double range (H nearly subnormal)."""
         with np.errstate(over="ignore", invalid="ignore"):
-            A = np.linalg.inv(self.arrays[0])
+            A = np.linalg.inv(self.H)
         _check_finite("the inverse metric", A)
         return A
 
@@ -104,43 +105,23 @@ class MetricJet:
         return _connection(self)
 
     @cached_property
-    def chern_ricci(self) -> Form11:
+    def chern_ricci(self) -> np.ndarray:
+        # The Ricci form stays on the jet path: log det of the entry jets.
         n = self.n
-        self.arrays  # validates the metric; the Ricci form itself stays on the jet path
-        _, _, hess = partials(log(_jet_det(self.h)))
-        return Form11(-hess[:n, n:])
+        h = [[WJet(self.H[i, j], self.dH[i, j], self.ddH[i, j]) for j in range(n)]
+             for i in range(n)]
+        _, _, hess = partials(log(_jet_det(h)))
+        return -hess[:n, n:]
 
     def hermitian_jet_residual(self) -> float:
         """Largest Taylor coefficient of h_{ij̄} − conj(h_{jī}) over all entries."""
-        h, n = self.h, self.n
-        return max((h[i][j] - conj(h[j][i])).max_abs() for i in range(n) for j in range(n))
-
-
-@dataclass
-class Form11:
-    """(1,1)-form √−1 A_{ij̄} dz^i ∧ dz̄^j, stored as the matrix A."""
-
-    A: np.ndarray
-
-    def hermitian_residual(self) -> float:
-        return float(np.max(np.abs(self.A - self.A.conj().T)))
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.A)))
-
-
-@dataclass
-class Form10:
-    """(1,0)-form a_i dz^i, stored as the component vector."""
-
-    values: np.ndarray
-
-
-@dataclass
-class Form01:
-    """(0,1)-form a_ī dz̄^i, stored as the component vector."""
-
-    values: np.ndarray
+        n = self.n
+        swap = np.r_[n : 2 * n, :n]  # conjugation trades the z and z̄ slots
+        dH = self.dH - self.dH.transpose(1, 0, 2).conj()[..., swap]
+        ddH = self.ddH - self.ddH.transpose(1, 0, 2, 3).conj()[..., swap, :][..., swap]
+        ddH *= 1.0 - 0.5 * np.eye(2 * n)  # Taylor coefficients: f_ss/2 on the diagonal
+        gap = self.H - self.H.conj().T
+        return float(max(np.max(np.abs(gap)), np.max(np.abs(dH)), np.max(np.abs(ddH))))
 
 
 @dataclass
@@ -162,21 +143,6 @@ class Christoffels:
     lc_hol_grad: np.ndarray
     lc_anti: np.ndarray
     lc_anti_grad: np.ndarray
-
-
-@dataclass
-class Tensor4:
-    """Curvature tensor R_{ij̄kℓ̄}, indexed [i, j, k, l]."""
-
-    R: np.ndarray
-
-
-@dataclass
-class LCCurvature:
-    """Levi-Civita curvature: upper[l,i,j,k] = 𝔯R^ℓ_{ij̄k}, lowered[i,j,k,l] = 𝔯R_{ij̄kℓ̄}."""
-
-    upper: np.ndarray
-    lowered: np.ndarray
 
 
 @dataclass
@@ -206,7 +172,7 @@ class Scalars:
 
 def _holo_grad(m: MetricJet) -> np.ndarray:
     """[i, j, l] = ∂h_{jℓ̄}/∂z^i."""
-    return m.arrays[1][:, :, : m.n].transpose(2, 0, 1)
+    return m.dH[:, :, : m.n].transpose(2, 0, 1)
 
 
 def _jet_det(h: list[list[WJet]]) -> WJet:
@@ -255,8 +221,7 @@ def _connection(m: MetricJet) -> Christoffels:
     gradient by the product rule.  Raises ValueError when a symbol leaves
     the double range."""
     n = m.n
-    A = m.inverse
-    _, dH, ddH = m.arrays
+    A, dH, ddH = m.inverse, m.dH, m.ddH
 
     def raise_index(T, dT):
         # h^{kℓ̄} T[j, ℓ, i] -> [k, i, j], with its gradient
@@ -286,39 +251,39 @@ def _connection(m: MetricJet) -> Christoffels:
 # -- Chern curvature ------------------------------------------------------------
 
 
-def chern_curvature(m: MetricJet) -> Tensor4:
-    """R_{ij̄kℓ̄} = −∂²h_{kℓ̄}/∂z^i∂z̄^j + h^{pq̄} (∂h_{kq̄}/∂z^i)(∂h_{pℓ̄}/∂z̄^j)."""
-    n = m.n
-    _, dH, ddH = m.arrays
+def chern_curvature(m: MetricJet) -> np.ndarray:
+    """R_{ij̄kℓ̄} = −∂²h_{kℓ̄}/∂z^i∂z̄^j + h^{pq̄} (∂h_{kq̄}/∂z^i)(∂h_{pℓ̄}/∂z̄^j),
+    as R[i, j, k, l]."""
+    n, dH, ddH = m.n, m.dH, m.ddH
     sec = ddH[:, :, :n, n:].transpose(2, 3, 0, 1)  # [i, j, k, l]
     # h^{pq̄} = A[q, p]
     quad = np.einsum("qp,kqi,plj->ijkl", m.inverse, dH[:, :, :n], dH[:, :, n:])
-    return Tensor4(-sec + quad)
+    return -sec + quad
 
 
-def chern_ricci(m: MetricJet) -> Form11:
+def chern_ricci(m: MetricJet) -> np.ndarray:
     """Chern-Ricci form R_{ij̄} = −∂² log det(h) / ∂z^i ∂z̄^j, built once per
     metric (`MetricJet.chern_ricci`)."""
     return m.chern_ricci
 
 
-def chern_ricci_trace_path(m: MetricJet) -> Form11:
+def chern_ricci_trace_path(m: MetricJet) -> np.ndarray:
     """Chern-Ricci via the h^{kℓ̄}-trace of the full curvature tensor."""
-    R = chern_curvature(m).R
     # h^{kℓ̄} = A[ℓ, k]
-    return Form11(np.einsum("lk,ijkl->ij", m.inverse, R))
+    return np.einsum("lk,ijkl->ij", m.inverse, chern_curvature(m))
 
 
 def chern_scalar(m: MetricJet) -> float:
     G = m.inverse.T  # G[i, j] = h^{ij̄}
-    return float(np.einsum("ij,ij->", G, chern_ricci(m).A).real)
+    return float(np.einsum("ij,ij->", G, chern_ricci(m)).real)
 
 
 # -- Levi-Civita curvature -------------------------------------------------------
 
 
-def lc_curvature(m: MetricJet) -> LCCurvature:
-    """(1,1)-part of the Levi-Civita curvature on the holomorphic tangent bundle.
+def lc_curvature(m: MetricJet) -> tuple[np.ndarray, np.ndarray]:
+    """(1,1)-part of the Levi-Civita curvature on the holomorphic tangent bundle,
+    as the pair (upper[l, i, j, k], lowered[i, j, k, l]):
 
     𝔯R^ℓ_{ij̄k} = −(∂Γ^ℓ_{ik}/∂z̄^j − ∂Γ^ℓ_{j̄k}/∂z^i + Γ^s_{ik} Γ^ℓ_{j̄s} − Γ^s_{j̄k} Γ^ℓ_{si})
 
@@ -332,14 +297,13 @@ def lc_curvature(m: MetricJet) -> LCCurvature:
     quad1 = np.einsum("sik,ljs->lijk", hol_v, anti_v)
     quad2 = np.einsum("sjk,lsi->lijk", anti_v, hol_v)
     upper = -(d_hol - d_anti + quad1 - quad2)
-    lowered = np.einsum("sl,sijk->ijkl", m.arrays[0], upper)
-    return LCCurvature(upper=upper, lowered=lowered)
+    return upper, np.einsum("sl,sijk->ijkl", m.H, upper)
 
 
-def lc_ricci(m: MetricJet) -> Form11:
+def lc_ricci(m: MetricJet) -> np.ndarray:
     """First Levi-Civita Ricci form 𝔯R^{(1)}_{ij̄} = 𝔯R^k_{ij̄k}."""
-    upper = lc_curvature(m).upper
-    return Form11(np.einsum("kijk->ij", upper))
+    upper, _ = lc_curvature(m)
+    return np.einsum("kijk->ij", upper)
 
 
 # -- adjoint forms ---------------------------------------------------------------
@@ -351,30 +315,29 @@ def _anti_trace(m: MetricJet) -> tuple[np.ndarray, np.ndarray]:
     return np.einsum("kjk->j", ch.lc_anti), np.einsum("kjks->js", ch.lc_anti_grad)
 
 
-def del_star(m: MetricJet) -> tuple[Form01, Form10]:
-    """Adjoint forms  ∂*ω = −2√−1 Γ^k_{j̄k} dz̄^j  and  ∂̄*ω = 2√−1 conj(Γ^k_{īk}) dz^i."""
+def del_star(m: MetricJet) -> tuple[np.ndarray, np.ndarray]:
+    """Components of the adjoint forms  ∂*ω = −2√−1 Γ^k_{j̄k} dz̄^j  and
+    ∂̄*ω = 2√−1 conj(Γ^k_{īk}) dz^i, in that order."""
     traces, _ = _anti_trace(m)
-    return Form01(-2j * traces), Form10(2j * traces.conj())
+    return -2j * traces, 2j * traces.conj()
 
 
-def d_del_star_parts(m: MetricJet) -> tuple[Form11, Form11]:
+def d_del_star_parts(m: MetricJet) -> tuple[np.ndarray, np.ndarray]:
     """The (1,1)-forms ∂∂*ω and ∂̄∂̄*ω (in the √−1 A_{ij̄} dz^i∧dz̄^j convention)."""
     _, grad = _anti_trace(m)
     dz_traces = grad[:, : m.n].T  # [i, j] = ∂_i Γ^k_{j̄k}
-    A1 = -2.0 * dz_traces
-    A2 = -2.0 * dz_traces.conj().T
-    return Form11(A1), Form11(A2)
+    return -2.0 * dz_traces, -2.0 * dz_traces.conj().T
 
 
-def d_del_star(m: MetricJet) -> Form11:
+def d_del_star(m: MetricJet) -> np.ndarray:
     """½(∂∂*ω + ∂̄∂̄*ω); Hermitian by construction."""
     p1, p2 = d_del_star_parts(m)
-    return Form11(0.5 * (p1.A + p2.A))
+    return 0.5 * (p1 + p2)
 
 
-def lc_ricci_via_relation(m: MetricJet) -> Form11:
+def lc_ricci_via_relation(m: MetricJet) -> np.ndarray:
     """Second path to the Levi-Civita Ricci form: Ric(ω) − ½(∂∂*ω + ∂̄∂̄*ω)."""
-    return Form11(chern_ricci(m).A - d_del_star(m).A)
+    return chern_ricci(m) - d_del_star(m)
 
 
 # -- torsion and scalars ----------------------------------------------------------
@@ -385,7 +348,7 @@ def torsion(m: MetricJet) -> tuple[np.ndarray, float]:
 
     |T|² = h_{kℓ̄} h^{ip̄} h^{jq̄} T^k_{ij} conj(T^ℓ_{pq}), summed over all (i, j).
     """
-    vals, A = m.arrays[0], m.inverse
+    vals, A = m.H, m.inverse
     dval = _holo_grad(m)  # [i, j, l] = ∂h_{jℓ̄}/∂z^i
     antis = dval - dval.transpose(1, 0, 2)
     # h^{kℓ̄} = A[l, k]
@@ -404,16 +367,15 @@ def form01_norm_sq(a: np.ndarray, m: MetricJet) -> float:
 def scalars(m: MetricJet) -> Scalars:
     """All scalar invariants; see the field-by-field description on `Scalars`."""
     G = m.inverse.T
-    ric = chern_ricci(m).A
-    s_C = float(np.einsum("ij,ij->", G, ric).real)
-    lowered = lc_curvature(m).lowered
+    s_C = chern_scalar(m)
+    _, lowered = lc_curvature(m)
     s_LC = float(np.einsum("ij,kl,ijkl->", G, G, lowered).real)
     _, tsq = torsion(m)
     a01, _ = del_star(m)
-    dsq = form01_norm_sq(a01.values, m)
+    dsq = form01_norm_sq(a01, m)
     p1, p2 = d_del_star_parts(m)
-    pairing = complex(np.einsum("ij,ij->", G, p1.A + p2.A))
-    pairing_hol = complex(np.einsum("ij,ij->", G, p1.A))
+    pairing = complex(np.einsum("ij,ij->", G, p1 + p2))
+    pairing_hol = complex(np.einsum("ij,ij->", G, p1))
     return Scalars(
         s_C=s_C,
         s_LC=s_LC,
@@ -450,7 +412,7 @@ def riemannian_scalar(m: MetricJet) -> float:
     s = g^{μν} R_{μν} with everything assembled from the jet data.
     """
     n = m.n
-    vals, grads, hesses = m.arrays
+    vals, grads, hesses = m.H, m.dH, m.ddH
     # ∂/∂x^k = ∂_k + ∂̄_k and ∂/∂y^k = √−1 (∂_k − ∂̄_k), as rows over Wirtinger slots
     eye = np.eye(n)
     W = np.block([[eye, eye], [1j * eye, -1j * eye]])

@@ -32,9 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Form11, MetricJet
+from .geometry import MetricJet
 from .wjet import (
-    Point,
     WJet,
     conj,
     exp,
@@ -43,6 +42,7 @@ from .wjet import (
     jet_const,
     jet_var,
     log,
+    partials,
 )
 
 E = math.e
@@ -118,16 +118,6 @@ class FieldSpec:
         return _canonical(self, _FIELD_KEYS[self.kind])
 
 
-_METRIC_KINDS = (
-    "flat",
-    "kahler-test",
-    "hopf-standard",
-    "hopf-omega-lambda",
-    "hopf-lc-flat",
-    "conformal",
-    "user-polynomial",
-)
-
 # keys each kind accepts in the textual spec grammar
 _ALLOWED_KEYS = {
     "flat": {"a", "b", "n"},
@@ -138,6 +128,7 @@ _ALLOWED_KEYS = {
     "conformal": {"base", "f"},
     "user-polynomial": {"seed", "amp", "n"},
 }
+_METRIC_KINDS = tuple(_ALLOWED_KEYS)
 
 
 @dataclass(frozen=True)
@@ -157,15 +148,18 @@ class MetricSpec:
     def __post_init__(self):
         if self.kind not in _METRIC_KINDS:
             raise ValueError(f"unknown metric kind {self.kind!r}; expected one of {_METRIC_KINDS}")
-        if self.kind == "hopf-omega-lambda":
-            lam = self.lam if self.lam is not None else 0.0
-            if not lam > -1.0:
-                raise ValueError(f"lambda must be > -1 for a positive metric, got {lam}")
+        if self.kind == "hopf-omega-lambda" and not self.lam_value > -1.0:
+            raise ValueError(f"lambda must be > -1 for a positive metric, got {self.lam_value}")
         if self.kind == "conformal":
             if self.base is None or self.f is None:
                 raise ValueError("conformal spec needs both base and f")
         if self.kind.startswith("hopf") and (self.a is not None or self.b is not None):
             self.hopf_params()  # validates |a| >= |b| > 1 eagerly
+
+    @property
+    def lam_value(self) -> float:
+        """λ of hopf-omega-lambda; 0 when the spec leaves it out."""
+        return self.lam if self.lam is not None else 0.0
 
     @property
     def dim(self) -> int:
@@ -322,10 +316,9 @@ def parse_metric_spec(text: str) -> MetricSpec:
 # -- the Hopf potential -------------------------------------------------------------
 
 
-def _coordinate_jets(p: Point | tuple, n: int):
-    pt = tuple(p)
-    zs = [jet_var(i + 1, pt[i], n) for i in range(n)]
-    zbs = [jet_conj_var(i + 1, np.conj(pt[i]), n) for i in range(n)]
+def _coordinate_jets(p, n: int):
+    zs = [jet_var(i + 1, p[i], n) for i in range(n)]
+    zbs = [jet_conj_var(i + 1, np.conj(p[i]), n) for i in range(n)]
     return zs, zbs
 
 
@@ -371,12 +364,6 @@ def _theta_root(p, hp: HopfParams) -> float:
 def phi_value(p, hp: HopfParams) -> float:
     """Scalar Φ(p) without jet overhead."""
     return math.exp(hp.k * _theta_root(p, hp))
-
-
-def phi_delta_values(p, hp: HopfParams) -> tuple[float, float]:
-    """Scalar (Φ, Δ) at p without jet overhead, read from `hopf_values`."""
-    hv = hopf_values(p, hp)
-    return math.exp(hp.k * hv.theta), hv.delta
 
 
 class HopfFrame(NamedTuple):
@@ -474,9 +461,9 @@ def phi_field(p, hp: HopfParams):
     return exp(hp.k * hj.theta), hj.theta, hj.delta
 
 
-def hessian_forms(p, hp: HopfParams) -> tuple[Form11, Form11]:
-    """Value matrices L of √−1∂∂̄logΦ and P of √−1∂Φ∧∂̄Φ, on scalars (Φ and Δ
-    from `phi_delta_values`); no jet is built.
+def hessian_forms(p, hp: HopfParams) -> tuple[np.ndarray, np.ndarray]:
+    """Value matrices L of √−1∂∂̄logΦ and P of √−1∂Φ∧∂̄Φ, on the scalar frame
+    (`hopf_values`); no jet is built.
 
     Eliminating θ from the implicit relation gives, with α = 2k₁/(k₁+k₂),
 
@@ -490,16 +477,17 @@ def hessian_forms(p, hp: HopfParams) -> tuple[Form11, Form11]:
 
     Both are rank 1 (det L = det P = 0) and positive semidefinite.
     """
-    z, w = complex(p[0]), complex(p[1])
-    Phi, Delta = phi_delta_values(p, hp)
-    al, zbw = hp.alpha, z.conjugate() * w
+    hv = hopf_values(p, hp)
+    z, w, Delta = hv.z, hv.w, hv.delta
+    Phi = math.exp(hp.k * hv.theta)
+    al, zbw = hp.alpha, hv.zb * w
     try:  # a float power raises OverflowError; numpy raises FloatingPointError here
         with np.errstate(over="raise", invalid="raise"):
             L = np.array([[(al - 2.0) ** 2 * abs(w) ** 2, al * (al - 2.0) * zbw],
                           [al * (al - 2.0) * zbw.conjugate(), al**2 * abs(z) ** 2]])
             P = np.array([[abs(z) ** 2 * Phi ** (2.0 - 2.0 * al), zbw],
                           [zbw.conjugate(), abs(w) ** 2 * Phi ** (2.0 * al - 2.0)]])
-            return Form11(L * (Phi**-2.0 / Delta**3)), Form11(P / Delta**2)
+            return L * (Phi**-2.0 / Delta**3), P / Delta**2
     except ArithmeticError:
         raise ValueError("a power of Φ is outside the floating-point range at this point") from None
 
@@ -546,17 +534,21 @@ def _delta_cubed_omega(hf: HopfFrame, al: float, lam: float) -> list[list]:
     ]
 
 
-def _hopf_metric(spec: MetricSpec, hf: HopfFrame) -> list[list]:
-    """Δ³ω_{−1/2} for hopf-lc-flat, ω_λ = Δ³ω_λ/Δ³ for hopf-omega-lambda."""
+def hopf_metric(spec: MetricSpec, hf: HopfFrame) -> list[list]:
+    """Δ³ω_{−1/2} for hopf-lc-flat, ω_λ = Δ³ω_λ/Δ³ for hopf-omega-lambda, over
+    a frame of values (`hopf_values`) or of jets (`hopf_jets`)."""
     al = spec.hopf_params().alpha
     if spec.kind == "hopf-lc-flat":
         return _delta_cubed_omega(hf, al, -0.5)
-    lam = spec.lam if spec.lam is not None else 0.0
     inv_d3 = 1.0 / (hf.delta * hf.delta * hf.delta)
-    return [[inv_d3 * x for x in row] for row in _delta_cubed_omega(hf, al, lam)]
+    return [[inv_d3 * x for x in row] for row in _delta_cubed_omega(hf, al, spec.lam_value)]
 
 
-def random_polynomial_jets(p, n: int, seed: int, amp: float = 0.05) -> list[list[WJet]]:
+# Perturbation size of a user-polynomial spec that sets no amp.
+_POLY_AMP = 0.05
+
+
+def random_polynomial_jets(p, n: int, seed: int, amp: float) -> list[list[WJet]]:
     """Seeded Hermitian perturbation of the flat metric by degree-≤2 polynomials."""
     rng = np.random.default_rng(seed)
     zs, zbs = _coordinate_jets(p, n)
@@ -607,61 +599,56 @@ def field_jet(f: FieldSpec, p, hp: HopfParams | None, n: int = 2) -> WJet:
     raise ValueError(f"unknown field kind {f.kind!r}")
 
 
-def conformal_scale(base: MetricJet, f: WJet) -> MetricJet:
+def conformal_scale(h: list[list[WJet]], f: WJet) -> list[list[WJet]]:
     """Entrywise e^f · h for a real-valued scalar jet f."""
     if not is_real_valued(f):
         raise ValueError("conformal factor must be a real-valued jet")
     ef = exp(f)
-    n = base.n
-    return MetricJet(
-        n=n,
-        h=[[ef * base.h[i][j] for j in range(n)] for i in range(n)],
-        point=base.point,
-    )
+    return [[ef * x for x in row] for row in h]
 
 
 # Metric kinds that are one closed form over the Hopf frame.
 _HOPF_FRAME_KINDS = ("hopf-omega-lambda", "hopf-lc-flat")
 
 
-def _metric_point(spec: MetricSpec, p) -> Point:
-    pt = Point(tuple(complex(c) for c in tuple(p)))
-    if len(pt.coords) != spec.dim:
-        raise ValueError(f"point has {len(pt.coords)} coordinates, metric expects {spec.dim}")
+def _metric_point(spec: MetricSpec, p) -> tuple[complex, ...]:
+    pt = tuple(complex(c) for c in p)
+    if len(pt) != spec.dim:
+        raise ValueError(f"point has {len(pt)} coordinates, metric expects {spec.dim}")
     return pt
 
 
-def build_metric(spec: MetricSpec, p) -> MetricJet:
-    """Realize a MetricSpec as an order-2 metric jet at the point p."""
-    pt = _metric_point(spec, p)
+def _metric_jets(spec: MetricSpec, pt: tuple[complex, ...]) -> list[list[WJet]]:
+    """The entry jets h_{ij̄} of the metric at pt."""
     n = spec.dim
-
     if spec.kind == "flat":
-        h = _flat_jets(n)
-    elif spec.kind == "kahler-test":
-        h = _kahler_test_jets(pt, n)
-    elif spec.kind == "hopf-standard":
-        h = _hopf_standard_jets(pt)
-    elif spec.kind in _HOPF_FRAME_KINDS:
-        h = _hopf_metric(spec, hopf_jets(pt, spec.hopf_params()))
-    elif spec.kind == "conformal":
-        base = build_metric(spec.base, pt)
-        fj = field_jet(spec.f, pt, spec.hopf_params(), n=base.n)
-        return conformal_scale(base, fj)
-    elif spec.kind == "user-polynomial":
+        return _flat_jets(n)
+    if spec.kind == "kahler-test":
+        return _kahler_test_jets(pt, n)
+    if spec.kind == "hopf-standard":
+        return _hopf_standard_jets(pt)
+    if spec.kind in _HOPF_FRAME_KINDS:
+        return hopf_metric(spec, hopf_jets(pt, spec.hopf_params()))
+    if spec.kind == "conformal":
+        base = _metric_jets(spec.base, pt)
+        return conformal_scale(base, field_jet(spec.f, pt, spec.hopf_params(), n=n))
+    if spec.kind == "user-polynomial":
         h = random_polynomial_jets(
             pt, n, seed=spec.seed if spec.seed is not None else 0,
-            amp=spec.amp if spec.amp is not None else 0.05,
+            amp=spec.amp if spec.amp is not None else _POLY_AMP,
         )
         vals = np.array([[h[i][j].value for j in range(n)] for i in range(n)])
         if np.linalg.eigvalsh(vals).min() <= 0:
             raise ValueError(
-                f"user polynomial metric (seed={spec.seed}) is not positive definite at {tuple(pt)}"
+                f"user polynomial metric (seed={spec.seed}) is not positive definite at {pt}"
             )
-    else:  # pragma: no cover - guarded by MetricSpec validation
-        raise ValueError(f"unknown metric kind {spec.kind!r}")
+        return h
+    raise ValueError(f"unknown metric kind {spec.kind!r}")  # pragma: no cover (MetricSpec checks)
 
-    return MetricJet(n=n, h=h, point=pt)
+
+def build_metric(spec: MetricSpec, p) -> MetricJet:
+    """Realize a MetricSpec as an order-2 metric jet at the point p."""
+    return MetricJet(*partials(_metric_jets(spec, _metric_point(spec, p))))
 
 
 def metric_values(spec: MetricSpec, p) -> np.ndarray:
@@ -671,8 +658,8 @@ def metric_values(spec: MetricSpec, p) -> np.ndarray:
     (`hopf_values`), so no jet is built; every other kind builds its metric.
     """
     if spec.kind not in _HOPF_FRAME_KINDS:
-        return build_metric(spec, p).values()
-    return np.array(_hopf_metric(spec, hopf_values(_metric_point(spec, p), spec.hopf_params())))
+        return build_metric(spec, p).H
+    return np.array(hopf_metric(spec, hopf_values(_metric_point(spec, p), spec.hopf_params())))
 
 
 # -- deck invariance ---------------------------------------------------------------
@@ -695,7 +682,7 @@ def deck_invariance_residual(spec: MetricSpec, p, hp: HopfParams | None = None) 
         raise SpecError("deck test needs Hopf parameters (a, b) on the MetricSpec or passed in")
     if spec.dim != 2:
         raise SpecError("deck transformation acts on two complex coordinates")
-    pt = tuple(complex(c) for c in tuple(p))
+    pt = tuple(complex(c) for c in p)
     image = (hp.a * pt[0], hp.b * pt[1])
     h_here = metric_values(spec, pt)
     h_image = metric_values(spec, image)

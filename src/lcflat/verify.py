@@ -27,7 +27,6 @@ import numpy as np
 from . import __version__
 from . import geometry as geo
 from . import metrics as mz
-from .wjet import Point
 
 SCHEMA_VERSION = "1"
 
@@ -65,21 +64,20 @@ class CheckSpec:
 @dataclass
 class VerificationReport:
     check: CheckSpec
-    per_point: list  # [(Point, residual)]
-    failures: list  # [(Point, error message)]
+    per_point: list  # [(point, residual)]
+    failures: list  # [(point, error message)]
     verdict: str
     max_residual: float
     mean_residual: float
-    argmax_point: Point | None
+    argmax_point: tuple[complex, ...] | None
     wall_time: float
     warning: str | None = None
     notes: dict = field(default_factory=dict)
-    engine_version: str = __version__
 
     def to_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
-            "engine_version": self.engine_version,
+            "engine_version": __version__,
             "check": {
                 "identity": self.check.identity,
                 "metric": self.check.metric.canonical(),
@@ -107,8 +105,8 @@ class VerificationReport:
         }
 
 
-def _point_json(p: Point) -> list:
-    return [[float(c.real), float(c.imag)] for c in p.coords]
+def _point_json(p: tuple[complex, ...]) -> list:
+    return [[float(c.real), float(c.imag)] for c in p]
 
 
 # -- sampling ------------------------------------------------------------------------
@@ -125,8 +123,9 @@ def sample_points(
     *,
     dim: int = 2,
     hp: mz.HopfParams | None = None,
-) -> list[Point]:
-    """Deterministic point sample in a box or a Hopf fundamental-domain shell.
+) -> list[tuple[complex, ...]]:
+    """Deterministic point sample in a box or a Hopf fundamental-domain shell,
+    as tuples of complex coordinates.
 
     box: independent uniform real coordinates in [−w, w] (w = BOX_HALFWIDTH),
     redrawn while the point sits inside the ball of radius ORIGIN_EXCLUSION.
@@ -149,7 +148,7 @@ def sample_points(
             coords = raw[:dim] + 1j * raw[dim:]
             if np.linalg.norm(coords) <= ORIGIN_EXCLUSION:
                 continue
-            pts.append(Point(tuple(complex(c) for c in coords)))
+            pts.append(tuple(complex(c) for c in coords))
         return pts
     if domain == "hopf-fundamental":
         if hp is None:
@@ -165,7 +164,7 @@ def sample_points(
             t = math.exp(rng.uniform(margin, log_hi - margin))
             d1, d2 = abs(direction[0]) ** 2, abs(direction[1]) ** 2
             r = (d1 * t**-al + d2 * t ** (al - 2.0)) ** -0.5
-            pts.append(Point((r * direction[0], r * direction[1])))
+            pts.append((r * direction[0], r * direction[1]))
         return pts
     raise ValueError(f"unknown sampling domain {domain!r}")
 
@@ -173,9 +172,11 @@ def sample_points(
 # -- finite-difference oracle -----------------------------------------------------------
 
 
-def fd_jet(
-    fn, p, n_vars: int, order: int = 2, step: float = 1e-5, step2: float = 1e-4
-) -> tuple[complex, np.ndarray, np.ndarray]:
+# Central-difference steps of `fd_jet`: first derivatives, second derivatives.
+FD_STEP, FD_STEP2 = 1e-5, 1e-4
+
+
+def fd_jet(fn, p, n_vars: int, order: int = 2) -> tuple[complex, np.ndarray, np.ndarray]:
     """Central-difference estimate of a function's (value, gradient, Hessian) at p.
 
     `fn` maps a coordinate tuple to a complex value.  Derivatives are taken in
@@ -184,12 +185,12 @@ def fd_jet(
     slots of WJet's gradient [2n] and Hessian [2n, 2n].  Derivatives above
     `order` are zero.
 
-    First derivatives use `step`; second-derivative stencils use the larger
-    `step2` because their roundoff floor scales like ε/h² — at h = 1e-5 that
+    First derivatives use FD_STEP; second-derivative stencils use the larger
+    FD_STEP2 because their roundoff floor scales like ε/h² — at h = 1e-5 that
     floor (≈2e-6 relative) would sit above the 1e-6 agreement target, while
     h = 1e-4 balances truncation against roundoff near the optimum ε^{1/4}.
     """
-    pt = np.array(tuple(p), dtype=complex)
+    pt = np.array(p, dtype=complex)
     nv = n_vars
     d = 2 * nv
 
@@ -204,20 +205,20 @@ def fd_jet(
     if order >= 1:
         for a in range(d):
             e = np.zeros(d)
-            e[a] = step
-            grad[a] = (shift(e) - shift(-e)) / (2 * step)
+            e[a] = FD_STEP
+            grad[a] = (shift(e) - shift(-e)) / (2 * FD_STEP)
     hess = np.zeros((d, d), dtype=complex)
     if order >= 2:
         for a in range(d):
             ea = np.zeros(d)
-            ea[a] = step2
-            hess[a, a] = (shift(ea) - 2 * f0 + shift(-ea)) / step2**2
+            ea[a] = FD_STEP2
+            hess[a, a] = (shift(ea) - 2 * f0 + shift(-ea)) / FD_STEP2**2
             for b in range(a + 1, d):
                 eb = np.zeros(d)
-                eb[b] = step2
+                eb[b] = FD_STEP2
                 mixed = (
                     shift(ea + eb) - shift(ea - eb) - shift(-ea + eb) + shift(-ea - eb)
-                ) / (4 * step2**2)
+                ) / (4 * FD_STEP2**2)
                 hess[a, b] = hess[b, a] = mixed
 
     # complex direction vectors: columns are real-coordinate weights
@@ -237,7 +238,7 @@ def fd_oracle(spec: mz.MetricSpec, p, order: int = 2) -> dict:
     n = spec.dim
 
     def entry_fn(i, j):
-        return lambda q: mz.build_metric(spec, q).h[i][j].value
+        return lambda q: mz.build_metric(spec, q).H[i, j]
 
     return {
         (i, j): fd_jet(entry_fn(i, j), p, n, order=order)
@@ -267,17 +268,17 @@ def _scaled_det(M) -> float:
 def _residual_lc_ricci_flat(spec: mz.MetricSpec, p, notes: dict) -> float:
     """max |𝔯ic(ω)| over both computation paths; zero for the Δ³ω_{−1/2} Hopf metric."""
     m = mz.build_metric(spec, p)
-    r1 = geo.lc_ricci(m).A
-    r2 = geo.lc_ricci_via_relation(m).A
-    ric = geo.chern_ricci(m).A
+    r1 = geo.lc_ricci(m)
+    r2 = geo.lc_ricci_via_relation(m)
+    ric = geo.chern_ricci(m)
     return _norm(max(_maxabs(r1), _maxabs(r2)), _maxabs(ric))
 
 
 def _residual_key_relation(spec: mz.MetricSpec, p, notes: dict) -> float:
     """The two 𝔯ic paths agree: curvature trace vs Ric − ½(∂∂*ω + ∂̄∂̄*ω)."""
     m = mz.build_metric(spec, p)
-    r1 = geo.lc_ricci(m).A
-    r2 = geo.lc_ricci_via_relation(m).A
+    r1 = geo.lc_ricci(m)
+    r2 = geo.lc_ricci_via_relation(m)
     return _norm(_maxabs(r1 - r2), _maxabs(r1), _maxabs(r2))
 
 
@@ -288,26 +289,25 @@ def _residual_conformal_law(spec: mz.MetricSpec, p, notes: dict) -> float:
     mc = mz.build_metric(spec, p)
     fj = mz.field_jet(spec.f, p, spec.hopf_params(), n=n)
 
-    lhs = geo.lc_ricci(mc).A
-    rhs = geo.lc_ricci(mb).A - fj.hess[:n, n:]  # 𝔯ic(ω) − √−1∂∂̄f
+    lhs = geo.lc_ricci(mc)
+    rhs = geo.lc_ricci(mb) - fj.hess[:n, n:]  # 𝔯ic(ω) − √−1∂∂̄f
     r_ric = _norm(_maxabs(lhs - rhs), _maxabs(lhs), _maxabs(rhs))
 
     _, a10_b = geo.del_star(mb)
     _, a10_c = geo.del_star(mc)
-    want = a10_b.values + 1j * (n - 1) * fj.grad[:n]
-    r_adj = _norm(_maxabs(a10_c.values - want), _maxabs(a10_c.values), _maxabs(want))
+    want = a10_b + 1j * (n - 1) * fj.grad[:n]
+    r_adj = _norm(_maxabs(a10_c - want), _maxabs(a10_c), _maxabs(want))
     return max(r_ric, r_adj)
 
 
 def _residual_det_formula(spec: mz.MetricSpec, p, notes: dict) -> float:
     """det(ω_λ) = (1+λ)/(Δ³Φ²)."""
     hp = spec.hopf_params()
-    lam = spec.lam if spec.lam is not None else 0.0
-    H = mz.metric_values(spec, p)
-    Phi, Delta = mz.phi_delta_values(p, hp)
-    det = complex(np.linalg.det(H))
+    hv = mz.hopf_values(p, hp)
+    det = complex(np.linalg.det(np.array(mz.hopf_metric(spec, hv))))
+    Phi = math.exp(hp.k * hv.theta)
     try:
-        expect = (1.0 + lam) / (Delta**3 * Phi**2)
+        expect = (1.0 + spec.lam_value) / (hv.delta**3 * Phi**2)
         return abs(det - expect) / abs(expect)
     except ArithmeticError:  # Φ² overflows, or Δ³Φ² does and expect is 0
         raise ValueError("Φ² is outside the floating-point range at this point") from None
@@ -316,20 +316,20 @@ def _residual_det_formula(spec: mz.MetricSpec, p, notes: dict) -> float:
 def _residual_tw_formula(spec: mz.MetricSpec, p, notes: dict) -> float:
     """∂∂*ω_λ = ∂̄∂̄*ω_λ = √−1∂∂̄logΦ/(1+λ), and ∂*ω_λ = (√−1/(1+λ))∂̄logΦ componentwise."""
     hp = spec.hopf_params()
-    lam = spec.lam if spec.lam is not None else 0.0
+    lam = spec.lam_value
     m = mz.build_metric(spec, p)
 
     L, _ = mz.hessian_forms(p, hp)
-    target = L.A / (1.0 + lam)
+    target = L / (1.0 + lam)
     p1, p2 = geo.d_del_star_parts(m)
-    r1 = _norm(_maxabs(p1.A - target), _maxabs(target))
-    r2 = _norm(_maxabs(p2.A - target), _maxabs(target))
+    r1 = _norm(_maxabs(p1 - target), _maxabs(target))
+    r2 = _norm(_maxabs(p2 - target), _maxabs(target))
 
     # ∂*ω_λ = (√−1/(1+λ)) ∂̄logΦ componentwise, with log Φ = kθ
     _, theta, _ = mz.phi_field(p, hp)
     want = 1j * hp.k / (1.0 + lam) * theta.grad[2:]
     a01, _ = geo.del_star(m)
-    r3 = _norm(_maxabs(a01.values - want), _maxabs(want))
+    r3 = _norm(_maxabs(a01 - want), _maxabs(want))
     return max(r1, r2, r3)
 
 
@@ -361,12 +361,12 @@ def _residual_hessian_matrices(spec: mz.MetricSpec, p, notes: dict) -> float:
     Phi, theta, _ = mz.phi_field(p, hp)
     L_jet = hp.k * theta.hess[:2, 2:]  # log Φ = kθ
     P_jet = np.outer(Phi.grad[:2], Phi.grad[2:])
-    rL = _norm(_maxabs(L.A - L_jet), _maxabs(L.A))
-    rP = _norm(_maxabs(P.A - P_jet), _maxabs(P.A))
-    rdet = max(_scaled_det(L.A), _scaled_det(P.A))
+    rL = _norm(_maxabs(L - L_jet), _maxabs(L))
+    rP = _norm(_maxabs(P - P_jet), _maxabs(P))
+    rdet = max(_scaled_det(L), _scaled_det(P))
     # The displayed matrices read with rows/columns swapped match the transpose;
     # record how far the literal row-column reading sits from the computed tensor.
-    lit = max(_maxabs(L.A - L.A.T), _maxabs(P.A - P.A.T))
+    lit = max(_maxabs(L - L.T), _maxabs(P - P.T))
     notes["display_transpose_gap"] = max(lit, notes.get("display_transpose_gap", 0.0))
     return max(rL, rP, rdet)
 
@@ -375,21 +375,21 @@ def _residual_kahler_collapse(spec: mz.MetricSpec, p, notes: dict) -> float:
     """On a Kähler metric torsion, the adjoint forms and the Chern/Levi-Civita
     Ricci gap vanish, s = 2s_C and s_LC = s_C."""
     m = mz.build_metric(spec, p)
-    hscale = _maxabs(m.values())
+    hscale = _maxabs(m.H)
     defect = _norm(geo.kahler_defect(m), hscale)
     _, tsq = geo.torsion(m)
     a01, _ = geo.del_star(m)
     dd = geo.d_del_star(m)
     sc = geo.scalars(m)
     ric_gap = _norm(
-        _maxabs(geo.lc_ricci(m).A - geo.chern_ricci(m).A),
-        _maxabs(geo.chern_ricci(m).A),
+        _maxabs(geo.lc_ricci(m) - geo.chern_ricci(m)),
+        _maxabs(geo.chern_ricci(m)),
     )
     return max(
         defect,
         abs(tsq),
-        _maxabs(a01.values),
-        dd.max_abs(),
+        _maxabs(a01),
+        _maxabs(dd),
         abs(sc.s - 2.0 * sc.s_C) / (1.0 + abs(sc.s)),
         abs(sc.s_LC - sc.s_C) / (1.0 + abs(sc.s_LC)),
         ric_gap,
@@ -418,7 +418,7 @@ class Identity:
     `_NEEDS` that the metric spec must satisfy.
     """
 
-    residual: Callable[[mz.MetricSpec, Point, dict], float]
+    residual: Callable[[mz.MetricSpec, tuple[complex, ...], dict], float]
     tol: float = 1e-8
     needs: tuple[str, ...] = ()
 
@@ -471,7 +471,7 @@ def run_check(c: CheckSpec) -> VerificationReport:
             f"first error: {failures[0][1]}"
         )
 
-    per_point.sort(key=lambda pr: tuple((c.real, c.imag) for c in pr[0].coords))
+    per_point.sort(key=lambda pr: tuple((c.real, c.imag) for c in pr[0]))
     residuals = np.array([r for _, r in per_point])
     if residuals.size:
         # A non-finite residual is the worst point: the first one is max and

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -145,12 +144,6 @@ class WJet:
 
     conjugate = conj  # the name Python's numbers use, so closed forms take either
 
-    def d(self, i: int) -> "WJet":
-        return d_dz(self, i)
-
-    def dbar(self, i: int) -> "WJet":
-        return d_dzbar(self, i)
-
 
 def _bind(jet: WJet, data: np.ndarray, n_vars: int, order: int) -> None:
     if order < JET_ORDER:
@@ -166,26 +159,6 @@ def _jet(data: np.ndarray, n_vars: int, order: int = JET_ORDER) -> WJet:
     jet = WJet.__new__(WJet)
     _bind(jet, data, n_vars, order)
     return jet
-
-
-@dataclass(frozen=True)
-class Point:
-    """Chart coordinates of an evaluation point."""
-
-    coords: tuple[complex, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __getitem__(self, i: int) -> complex:
-        return self.coords[i]
-
-    def __len__(self) -> int:
-        return len(self.coords)
 
 
 def _check_vars(a: WJet, b: WJet) -> None:

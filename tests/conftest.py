@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from lcflat.geometry import MetricJet
-from lcflat.wjet import Point, conj, exp, jet_conj_var, jet_const, jet_var
+from lcflat.wjet import WJet, conj, exp, jet_conj_var, jet_const, jet_var, partials
 
 
 def coordinate_jets(n, pt):
@@ -17,7 +17,12 @@ def coordinate_jets(n, pt):
 def metric_from_fn(n, fn, pt):
     """MetricJet at `pt` from a callable fn(z_jets, zbar_jets) -> nested h list."""
     zs, zbs = coordinate_jets(n, pt)
-    return MetricJet(n=n, h=fn(zs, zbs), point=Point(tuple(pt)))
+    return MetricJet(*partials(fn(zs, zbs)))
+
+
+def entry_jets(m):
+    """The entry jets h_{ij̄} of a MetricJet, rebuilt from its arrays."""
+    return [[WJet(m.H[i, j], m.dH[i, j], m.ddH[i, j]) for j in range(m.n)] for i in range(m.n)]
 
 
 def random_poly_metric_fn(n, rng, eps=0.08):

@@ -12,7 +12,7 @@ import numpy as np
 from lcflat import geometry as geo
 from lcflat import metrics as mz
 from lcflat import verify as vf
-from lcflat.wjet import Point, jet_conj_var, jet_var, log
+from lcflat.wjet import jet_conj_var, jet_var, log
 
 E = math.e
 HOPF_PAIRS = [(E, E), (E**2, E), (E**1.5, E**1.1)]
@@ -86,10 +86,10 @@ def test_c04_ricci_relation_on_random_metrics(capsys):
         spec = mz.MetricSpec(kind="user-polynomial", seed=seed, amp=0.05)
         rng = np.random.default_rng(1000 + seed)
         for _ in range(5):
-            pt = Point(tuple(complex(x, y) for x, y in rng.uniform(-0.5, 0.5, (2, 2))))
+            pt = tuple(complex(x, y) for x, y in rng.uniform(-0.5, 0.5, (2, 2)))
             h = mz.build_metric(spec, pt)
-            direct = geo.lc_ricci(h).A
-            via = geo.lc_ricci_via_relation(h).A
+            direct = geo.lc_ricci(h)
+            via = geo.lc_ricci_via_relation(h)
             scale = 1.0 + max(np.max(np.abs(direct)), np.max(np.abs(via)))
             worst = max(worst, np.max(np.abs(direct - via)) / scale)
     _report(capsys, "C4", worst <= 1e-8,
@@ -137,7 +137,7 @@ def test_c06_scalar_curvature_identities(capsys):
     kahler_gap = 0.0
     rng = np.random.default_rng(17)
     for _ in range(5):
-        pt = Point(tuple(complex(x, y) for x, y in rng.uniform(-0.5, 0.5, (2, 2))))
+        pt = tuple(complex(x, y) for x, y in rng.uniform(-0.5, 0.5, (2, 2)))
         h = mz.build_metric(mz.MetricSpec(kind="kahler-test"), pt)
         sc = geo.scalars(h)
         kahler_gap = max(kahler_gap, abs(sc.s - 2 * sc.s_C) / (1 + abs(sc.s)))
@@ -157,8 +157,8 @@ def test_c07_degenerations(capsys):
     worst = abs(hp.alpha - 1.0)
     rng = np.random.default_rng(5)
     for _ in range(10):
-        pt = Point(tuple(complex(x, y) for x, y in rng.uniform(-1.0, 1.0, (2, 2))))
-        if sum(abs(c) ** 2 for c in pt.coords) < 0.04:
+        pt = tuple(complex(x, y) for x, y in rng.uniform(-1.0, 1.0, (2, 2)))
+        if sum(abs(c) ** 2 for c in pt) < 0.04:
             continue
         phi, _, delta = mz.phi_field(pt, hp)
         zj = jet_var(1, pt[0], 2)
@@ -170,13 +170,13 @@ def test_c07_degenerations(capsys):
 
     flat_max = 0.0
     for _ in range(5):
-        pt = Point(tuple(complex(x, y) for x, y in rng.uniform(-1.0, 1.0, (2, 2))))
+        pt = tuple(complex(x, y) for x, y in rng.uniform(-1.0, 1.0, (2, 2)))
         h = mz.build_metric(mz.MetricSpec(kind="flat"), pt)
         gam = geo.christoffels(h)
         flat_max = max(
             flat_max,
-            np.max(np.abs(geo.chern_curvature(h).R)),
-            np.max(np.abs(geo.lc_curvature(h).upper)),
+            np.max(np.abs(geo.chern_curvature(h))),
+            np.max(np.abs(geo.lc_curvature(h)[0])),
             np.max(np.abs(gam.chern)),
             np.max(np.abs(gam.lc_hol)),
             np.max(np.abs(gam.lc_anti)),
@@ -204,7 +204,7 @@ def test_c08_potential_hessian_matrices(capsys):
         hp = mz.HopfParams(a, b)
         for p in vf.sample_points("hopf-fundamental", 40, 1, hp=hp):
             L, P = mz.hessian_forms(p, hp)
-            for A in (L.A, P.A):
+            for A in (L, P):
                 scale = 1.0 + np.max(np.abs(A))
                 worst_det = max(worst_det, abs(np.linalg.det(A)) / scale)
     ok = worst <= 1e-10 and worst_det <= 1e-12
@@ -250,10 +250,10 @@ def test_c10_finite_difference_oracle(capsys):
     hp = mz.HopfParams(E**1.5, E**1.1)
     rng = np.random.default_rng(23)
 
-    def rel_gaps(jet, fd):
-        _, grad, hess = fd
-        return (np.max(np.abs(grad - jet.grad) / (1.0 + np.abs(jet.grad))),
-                np.max(np.abs(hess - jet.hess) / (1.0 + np.abs(jet.hess))))
+    def rel_gaps(grad, hess, fd):
+        _, fd_grad, fd_hess = fd
+        return (np.max(np.abs(fd_grad - grad) / (1.0 + np.abs(grad))),
+                np.max(np.abs(fd_hess - hess) / (1.0 + np.abs(hess))))
 
     worst1, worst2 = 0.0, 0.0
     # the potential trio on fundamental-domain points
@@ -264,7 +264,7 @@ def test_c10_finite_difference_oracle(capsys):
             (delta, lambda q: mz.phi_field(q, hp)[2].value.real),
             (log(phi), lambda q: math.log(mz.phi_value(q, hp))),
         ):
-            f1, f2 = rel_gaps(jet, vf.fd_jet(fn, p, 2))
+            f1, f2 = rel_gaps(jet.grad, jet.hess, vf.fd_jet(fn, p, 2))
             worst1, worst2 = max(worst1, f1), max(worst2, f2)
 
     # every built-in metric kind, all entries
@@ -284,14 +284,14 @@ def test_c10_finite_difference_oracle(capsys):
         needs_hp = spec.hopf_params() is not None
         pts = (vf.sample_points("hopf-fundamental", 2, 7, hp=spec.hopf_params())
                if needs_hp else
-               [Point(tuple(complex(x, y) for x, y in rng.uniform(-0.6, 0.6, (2, 2))))
+               [tuple(complex(x, y) for x, y in rng.uniform(-0.6, 0.6, (2, 2)))
                 for _ in range(2)])
         for p in pts:
             h = mz.build_metric(spec, p)
             table = vf.fd_oracle(spec, p)
             for i in range(2):
                 for j in range(2):
-                    f1, f2 = rel_gaps(h.h[i][j], table[(i, j)])
+                    f1, f2 = rel_gaps(h.dH[i, j], h.ddH[i, j], table[(i, j)])
                     worst1, worst2 = max(worst1, f1), max(worst2, f2)
 
     ok = worst1 <= 1e-8 and worst2 <= 1e-6

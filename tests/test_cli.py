@@ -208,6 +208,14 @@ class TestSuite:
         }
         assert all(r["verdict"] == "fail" and r["ok"] for r in controls)
 
+    def test_cells_expected_to_pass_hold_to_roundoff(self, suite_payload):
+        # Far below every tolerance (1e-10 to 1e-6): the largest is 3.8e-15.
+        _, payload = suite_payload
+        passing = [r for r in payload["cells"] if r["expected"] == "pass"]
+        assert len(passing) == 90
+        worst = max(passing, key=lambda r: r["max_residual"])
+        assert worst["max_residual"] <= 1e-13, worst
+
     def test_suite_deterministic_modulo_wall_time(self, suite_payload, tmp_path):
         _, first = suite_payload
         runner = CliRunner()
@@ -310,7 +318,6 @@ class TestDumpSamples:
 
     def test_fundamental_domain_points_satisfy_radial_bounds(self, runner):
         from lcflat.metrics import HopfParams, phi_value
-        from lcflat.wjet import Point
 
         res = invoke(runner, [
             "dump-samples", "--domain", "hopf-fundamental", "-n", "12",
@@ -320,7 +327,7 @@ class TestDumpSamples:
         pts = json.loads(res.output)["points"]
         assert len(pts) == 12
         for coords in pts:
-            p = Point(tuple(complex(re, im) for re, im in coords))
+            p = tuple(complex(re, im) for re, im in coords)
             phi = phi_value(p, hp)
             assert 1.0 <= phi < 7.389 * 2.718
 

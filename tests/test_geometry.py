@@ -18,6 +18,10 @@ E = np.e
 RNG = np.random.default_rng
 
 
+def hermitian_residual(A):
+    return np.max(np.abs(A - A.conj().T))
+
+
 def flat_metric(n, pt):
     return metric_from_fn(
         n,
@@ -49,10 +53,10 @@ def kahler_potential_metric(n, pt):
 
 def test_flat_metric_all_curvature_vanishes():
     m = flat_metric(2, (0.3 + 0.2j, -0.1 + 0.5j))
-    assert np.max(np.abs(geo.chern_curvature(m).R)) == 0.0
-    assert np.max(np.abs(geo.chern_ricci(m).A)) == 0.0
-    assert np.max(np.abs(geo.lc_ricci(m).A)) == 0.0
-    assert np.max(np.abs(geo.lc_curvature(m).lowered)) == 0.0
+    assert np.max(np.abs(geo.chern_curvature(m))) == 0.0
+    assert np.max(np.abs(geo.chern_ricci(m))) == 0.0
+    assert np.max(np.abs(geo.lc_ricci(m))) == 0.0
+    assert np.max(np.abs(geo.lc_curvature(m)[1])) == 0.0
     sc = geo.scalars(m)
     assert sc.s_C == sc.s_LC == sc.s == 0.0
     assert sc.torsion_sq == sc.delstar_sq == 0.0
@@ -78,7 +82,7 @@ def test_conformal_exp_metric_chern_ricci_is_constant(sign, expected):
     """h = e^{±|z|²} has R_{11̄} = −∂²(±|z|²)/∂z∂z̄ = ∓1 at every point."""
     pt = (0.3 - 0.45j,)
     m = metric_from_fn(1, lambda z, zb: [[exp(sign * z[0] * zb[0])]], pt)
-    A = geo.chern_ricci(m).A
+    A = geo.chern_ricci(m)
     assert abs(A[0, 0] - expected) < 1e-13
     # scalar: s_C = h^{-1} R
     zz = abs(pt[0]) ** 2
@@ -93,10 +97,10 @@ def test_one_variable_metrics_have_no_torsion():
     assert np.max(np.abs(T)) == 0.0
     assert tsq == 0.0
     a01, a10 = geo.del_star(m)
-    assert np.max(np.abs(a01.values)) == 0.0
-    assert np.max(np.abs(a10.values)) == 0.0
+    assert np.max(np.abs(a01)) == 0.0
+    assert np.max(np.abs(a10)) == 0.0
     # with no adjoint defect the two Ricci paths coincide componentwise
-    assert np.allclose(geo.lc_ricci(m).A, geo.chern_ricci(m).A, atol=1e-12)
+    assert np.allclose(geo.lc_ricci(m), geo.chern_ricci(m), atol=1e-12)
 
 
 # -- independent paths to the same tensor -------------------------------------
@@ -106,8 +110,8 @@ def test_chern_ricci_trace_path_matches_log_det_path():
     rng = RNG(23)
     for _ in range(10):
         m = random_poly_metric_fn(2, rng)(random_small_point(2, rng))
-        A1 = geo.chern_ricci(m).A
-        A2 = geo.chern_ricci_trace_path(m).A
+        A1 = geo.chern_ricci(m)
+        A2 = geo.chern_ricci_trace_path(m)
         scale = 1 + max(np.max(np.abs(A1)), np.max(np.abs(A2)))
         assert np.max(np.abs(A1 - A2)) / scale < 1e-10
 
@@ -117,8 +121,8 @@ def test_lc_ricci_two_paths_agree_on_random_metrics():
     rng = RNG(5)
     for _ in range(20):
         m = random_poly_metric_fn(2, rng)(random_small_point(2, rng))
-        r1 = geo.lc_ricci(m).A
-        r2 = geo.lc_ricci_via_relation(m).A
+        r1 = geo.lc_ricci(m)
+        r2 = geo.lc_ricci_via_relation(m)
         scale = 1 + max(np.max(np.abs(r1)), np.max(np.abs(r2)))
         assert np.max(np.abs(r1 - r2)) / scale < 1e-12
 
@@ -126,13 +130,13 @@ def test_lc_ricci_two_paths_agree_on_random_metrics():
 def test_curvature_and_ricci_are_hermitian():
     rng = RNG(31)
     m = random_poly_metric_fn(2, rng)(random_small_point(2, rng))
-    assert geo.chern_ricci(m).hermitian_residual() < 1e-12
-    assert geo.lc_ricci(m).hermitian_residual() < 1e-12
-    assert geo.d_del_star(m).hermitian_residual() < 1e-14
-    R = geo.chern_curvature(m).R
+    assert hermitian_residual(geo.chern_ricci(m)) < 1e-12
+    assert hermitian_residual(geo.lc_ricci(m)) < 1e-12
+    assert hermitian_residual(geo.d_del_star(m)) < 1e-14
+    R = geo.chern_curvature(m)
     # R_{ij̄kℓ̄} = conj(R_{jīℓk̄})
     assert np.max(np.abs(R - R.transpose(1, 0, 3, 2).conj())) < 1e-12
-    low = geo.lc_curvature(m).lowered
+    _, low = geo.lc_curvature(m)
     assert np.max(np.abs(low - low.transpose(1, 0, 3, 2).conj())) < 1e-12
 
 
@@ -153,10 +157,10 @@ def test_kahler_metric_collapses_all_torsion_quantities():
     assert np.max(np.abs(ch.chern - ch.lc_hol)) < 1e-13
 
     a01, _ = geo.del_star(m)
-    assert np.max(np.abs(a01.values)) < 1e-13
-    assert geo.d_del_star(m).max_abs() < 1e-12
+    assert np.max(np.abs(a01)) < 1e-13
+    assert np.max(np.abs(geo.d_del_star(m))) < 1e-12
 
-    assert np.max(np.abs(geo.lc_ricci(m).A - geo.chern_ricci(m).A)) < 1e-12
+    assert np.max(np.abs(geo.lc_ricci(m) - geo.chern_ricci(m))) < 1e-12
 
 
 def test_kahler_scalar_relations():
@@ -222,7 +226,7 @@ def test_del_star_pair_is_mutually_conjugate():
     rng = RNG(53)
     m = random_poly_metric_fn(2, rng)(random_small_point(2, rng))
     a01, a10 = geo.del_star(m)
-    assert np.max(np.abs(a10.values - a01.values.conj())) < 1e-14
+    assert np.max(np.abs(a10 - a01.conj())) < 1e-14
 
 
 def test_d_del_star_matches_finite_differences_across_points():
@@ -234,7 +238,7 @@ def test_d_del_star_matches_finite_differences_across_points():
 
     def traces_at(p):
         a01, _ = geo.del_star(metric_at(p))
-        return a01.values / (-2j)  # Γ^k_{j̄k} values
+        return a01 / (-2j)  # Γ^k_{j̄k} values
 
     h = 1e-5
     A1_fd = np.empty((n, n), dtype=complex)
@@ -248,9 +252,9 @@ def test_d_del_star_matches_finite_differences_across_points():
         A1_fd[i, :] = -2.0 * 0.5 * (dx - 1j * dy)  # −2 ∂_{z^i} Γ^k_{j̄k}
 
     A1, A2 = geo.d_del_star_parts(metric_at(pt))
-    scale = 1 + np.max(np.abs(A1.A))
-    assert np.max(np.abs(A1.A - A1_fd)) / scale < 1e-8
-    assert np.max(np.abs(A2.A - A1.A.conj().T)) < 1e-14
+    scale = 1 + np.max(np.abs(A1))
+    assert np.max(np.abs(A1 - A1_fd)) / scale < 1e-8
+    assert np.max(np.abs(A2 - A1.conj().T)) < 1e-14
 
 
 CHRISTOFFEL_FD_SPECS = [
@@ -271,7 +275,7 @@ def test_christoffel_gradients_match_finite_differences_across_points(text):
         pt = V.sample_points("hopf-fundamental", 1, 5, hp=hp)[0]
     else:
         pt = V.sample_points("box", 1, 5, dim=n)[0]
-    base = np.array(pt.coords)
+    base = np.array(pt)
 
     def symbols_at(p):
         ch = geo.christoffels(M.build_metric(spec, tuple(p)))
@@ -321,9 +325,8 @@ def test_non_hermitian_metric_rejected():
             [jet_const(0.5j, 2), jet_const(1.0, 2)],  # should be −0.5j
         ]
 
-    m = metric_from_fn(2, fn, (0.1, 0.2))
     with pytest.raises(ValueError, match="Hermitian"):
-        geo.chern_ricci(m)
+        metric_from_fn(2, fn, (0.1, 0.2))
 
 
 def test_non_positive_definite_metric_rejected():
@@ -333,16 +336,15 @@ def test_non_positive_definite_metric_rejected():
             [jet_const(2.0, 2), jet_const(1.0, 2)],
         ]
 
-    m = metric_from_fn(2, fn, (0.0, 0.0))
     with pytest.raises(ValueError, match="positive definite"):
-        geo.christoffels(m)
+        metric_from_fn(2, fn, (0.0, 0.0))
 
 
 def test_hermitian_jet_residual_detects_jet_level_mismatch():
     def fn(z, zb):
         h = [[jet_const(1.0 if i == j else 0.0, 2) for j in range(2)] for i in range(2)]
         h[0][1] = 0.1 * z[0]
-        h[1][0] = 0.1 * zb[0] + 0.05 * z[1]  # not conj(h[0][1])
+        h[1][0] = 0.1 * zb[0] + 0.05 * (z[1] - 0.3)  # Hermitian values, not conj(h[0][1])
         return h
 
     m = metric_from_fn(2, fn, (0.2, 0.3))
@@ -373,8 +375,8 @@ def test_debug_corruption_breaks_two_path_agreement_and_restores():
     rng = RNG(61)
     m = random_poly_metric_fn(2, rng)(random_small_point(2, rng))
     with geo.debug_corruption():
-        bad = np.max(np.abs(geo.lc_ricci(m).A - geo.lc_ricci_via_relation(m).A))
-    good = np.max(np.abs(geo.lc_ricci(m).A - geo.lc_ricci_via_relation(m).A))
+        bad = np.max(np.abs(geo.lc_ricci(m) - geo.lc_ricci_via_relation(m)))
+    good = np.max(np.abs(geo.lc_ricci(m) - geo.lc_ricci_via_relation(m)))
     assert bad > 1e-3
     assert good < 1e-12
 

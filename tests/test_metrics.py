@@ -8,7 +8,7 @@ from decimal import Context, Decimal
 import numpy as np
 import pytest
 
-from conftest import hopf_theta_equation
+from conftest import entry_jets, hopf_theta_equation
 from lcflat import geometry as geo
 from lcflat import metrics as M
 from lcflat import verify as V
@@ -217,7 +217,7 @@ def test_closed_form_gradient_matches_jet_derivatives(hp):
         _, P = M.hessian_forms(pt, hp)
         _, dPhi, _ = wjet.partials(M.phi_field(pt, hp)[0])
         want = np.outer(dPhi[:2], dPhi[2:])
-        assert np.all(np.abs(P.A - want) < 1e-12 * (1 + np.abs(P.A)))
+        assert np.all(np.abs(P - want) < 1e-12 * (1 + np.abs(P)))
 
 
 def test_outer_product_matrix_is_gradient_outer_product():
@@ -230,7 +230,7 @@ def test_outer_product_matrix_is_gradient_outer_product():
     for i in range(2):
         for j in range(2):
             want = holo[i] * anti[j]
-            assert abs(P.A[i, j] - want) < 1e-12 * (1 + abs(want))
+            assert abs(P[i, j] - want) < 1e-12 * (1 + abs(want))
 
 
 @pytest.mark.parametrize("hp", HOPF_GRID, ids=["a=b", "a=e2", "a=e1.5"])
@@ -238,7 +238,7 @@ def test_closed_form_hessian_matches_log_phi_jet(hp):
     pt = POINTS[2]
     Phi, _, _ = M.phi_field(pt, hp)
     lp = log(Phi)
-    L = M.hessian_forms(pt, hp)[0].A
+    L = M.hessian_forms(pt, hp)[0]
     for i in range(2):
         for j in range(2):
             want = lp.hess[i, 2 + j]
@@ -255,21 +255,21 @@ def test_hessian_forms_closed_form_entries_and_rank():
     Phi, _, Delta = M.phi_field(pt, hp)
     phi, dl, al = Phi.value.real, Delta.value.real, hp.alpha
     z, w = pt
-    assert abs(L.A[0, 0] - (al - 2) ** 2 * abs(w) ** 2 / (dl**3 * phi**2)) < 1e-10
-    assert abs(L.A[1, 1] - al**2 * abs(z) ** 2 / (dl**3 * phi**2)) < 1e-10
+    assert abs(L[0, 0] - (al - 2) ** 2 * abs(w) ** 2 / (dl**3 * phi**2)) < 1e-10
+    assert abs(L[1, 1] - al**2 * abs(z) ** 2 / (dl**3 * phi**2)) < 1e-10
     # both matrices are rank one
-    assert abs(np.linalg.det(L.A)) < 1e-12
-    assert abs(np.linalg.det(P.A)) < 1e-12
-    assert L.hermitian_residual() < 1e-14
-    assert P.hermitian_residual() < 1e-14
-    assert np.linalg.eigvalsh(L.A).max() > 0
-    assert np.linalg.eigvalsh(L.A).min() > -1e-14
+    assert abs(np.linalg.det(L)) < 1e-12
+    assert abs(np.linalg.det(P)) < 1e-12
+    assert np.max(np.abs(L - L.conj().T)) < 1e-14
+    assert np.max(np.abs(P - P.conj().T)) < 1e-14
+    assert np.linalg.eigvalsh(L).max() > 0
+    assert np.linalg.eigvalsh(L).min() > -1e-14
 
 
 def test_hessian_form_equal_multipliers_at_symmetric_point():
     """a=b at (1,1): ∂∂̄log(|z|²+|w|²) = ¼[[1,−1],[−1,1]]."""
     L, _ = M.hessian_forms((1.0, 1.0), M.HopfParams(E, E))
-    assert np.max(np.abs(L.A - 0.25 * np.array([[1, -1], [-1, 1]]))) < 1e-12
+    assert np.max(np.abs(L - 0.25 * np.array([[1, -1], [-1, 1]]))) < 1e-12
 
 
 @pytest.mark.parametrize("hp, rel", [(hp, 1e-14) for hp in HOPF_GRID] + [
@@ -281,13 +281,14 @@ def test_hopf_metrics_equal_the_closed_forms_of_L_and_P(hp, rel):
     `hessian_forms`."""
     for pt in V.sample_points("hopf-fundamental", 10, 7, hp=hp):
         L, P = M.hessian_forms(pt, hp)
-        Phi, Delta = M.phi_delta_values(pt, hp)
+        hv = M.hopf_values(pt, hp)
+        Phi, Delta = math.exp(hp.k * hv.theta), hv.delta
         cases = [(M.MetricSpec(kind="hopf-omega-lambda", a=hp.a, b=hp.b, lam=lam),
-                  (1 + lam) * L.A + P.A / Phi**2) for lam in (-0.5, 0.0, 1.0)]
+                  (1 + lam) * L + P / Phi**2) for lam in (-0.5, 0.0, 1.0)]
         cases.append((M.MetricSpec(kind="hopf-lc-flat", a=hp.a, b=hp.b),
-                      Delta**3 * (0.5 * L.A + P.A / Phi**2)))
+                      Delta**3 * (0.5 * L + P / Phi**2)))
         for spec, want in cases:
-            got = M.build_metric(spec, pt).values()
+            got = M.build_metric(spec, pt).H
             assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
 
 
@@ -302,9 +303,9 @@ def test_omega_lambda_determinant_formula(hp, lam):
         m = M.build_metric(spec, pt)
         Phi, _, Delta = M.phi_field(pt, hp)
         expect = (1 + lam) / (Delta.value.real**3 * Phi.value.real**2)
-        det = np.linalg.det(m.values())
+        det = np.linalg.det(m.H)
         assert abs(det - expect) / abs(expect) < 1e-10
-        assert np.linalg.eigvalsh(m.values()).min() > 0
+        assert np.linalg.eigvalsh(m.H).min() > 0
 
 
 def test_omega_lambda_matches_direct_phi_derivative_assembly():
@@ -321,7 +322,7 @@ def test_omega_lambda_matches_direct_phi_derivative_assembly():
             phi_i = Phi.grad[i]
             phi_jb = Phi.grad[2 + j]
             want = (1 + lam) * phi_ij / phi - lam * phi_i * phi_jb / phi**2
-            assert abs(m.h[i][j].value - want) < 1e-10 * (1 + abs(want))
+            assert abs(m.H[i, j] - want) < 1e-10 * (1 + abs(want))
 
 
 def test_lc_flat_is_delta_cubed_times_omega_minus_half():
@@ -331,10 +332,11 @@ def test_lc_flat_is_delta_cubed_times_omega_minus_half():
     mh = M.build_metric(M.MetricSpec(kind="hopf-omega-lambda", a=hp.a, b=hp.b, lam=-0.5), pt)
     _, _, Delta = M.phi_field(pt, hp)
     D3 = Delta * Delta * Delta
+    hf, hh = entry_jets(mf), entry_jets(mh)
     for i in range(2):
         for j in range(2):
-            want = D3 * mh.h[i][j]
-            assert (mf.h[i][j] - want).max_abs() < 1e-12 * (1 + want.max_abs())
+            want = D3 * hh[i][j]
+            assert (hf[i][j] - want).max_abs() < 1e-12 * (1 + want.max_abs())
 
 
 def test_lc_flat_equals_conformal_scaling_of_omega_minus_half():
@@ -347,19 +349,19 @@ def test_lc_flat_equals_conformal_scaling_of_omega_minus_half():
     )
     direct = M.MetricSpec(kind="hopf-lc-flat", a=hp.a, b=hp.b)
     for pt in POINTS[:2]:
-        mc = M.build_metric(conf, pt)
-        md = M.build_metric(direct, pt)
+        hc = entry_jets(M.build_metric(conf, pt))
+        hd = entry_jets(M.build_metric(direct, pt))
         for i in range(2):
             for j in range(2):
-                assert (mc.h[i][j] - md.h[i][j]).max_abs() < 1e-12
+                assert (hc[i][j] - hd[i][j]).max_abs() < 1e-12
 
 
 def test_flat_and_kahler_test_metrics():
     m = M.build_metric(M.MetricSpec(kind="flat"), (0.4 + 0.1j, -0.2j))
-    assert np.allclose(m.values(), np.eye(2))
+    assert np.allclose(m.H, np.eye(2))
     mk = M.build_metric(M.MetricSpec(kind="kahler-test"), (0.4 + 0.1j, -0.2j))
     assert geo.kahler_defect(mk) < 1e-14
-    assert np.linalg.eigvalsh(mk.values()).min() >= 1.0 - 1e-12
+    assert np.linalg.eigvalsh(mk.H).min() >= 1.0 - 1e-12
     mk3 = M.build_metric(M.MetricSpec(kind="kahler-test", n=3), (0.1, 0.2j, 0.3))
     assert mk3.n == 3
     assert geo.kahler_defect(mk3) < 1e-14
@@ -376,15 +378,11 @@ def test_user_polynomial_determinism_and_pd_guard():
     pt = (0.3 - 0.2j, 0.5 + 0.4j)
     m1 = M.build_metric(spec, pt)
     m2 = M.build_metric(spec, pt)
-    for i in range(2):
-        for j in range(2):
-            assert np.array_equal(m1.h[i][j].data, m2.h[i][j].data)
+    for a, b in zip((m1.H, m1.dH, m1.ddH), (m2.H, m2.dH, m2.ddH)):
+        assert np.array_equal(a, b)
     other = M.build_metric(M.MetricSpec(kind="user-polynomial", seed=13, amp=0.05), pt)
-    assert any(
-        not np.array_equal(m1.h[i][j].data, other.h[i][j].data)
-        for i in range(2)
-        for j in range(2)
-    )
+    assert any(not np.array_equal(a, b)
+               for a, b in zip((m1.H, m1.dH, m1.ddH), (other.H, other.dH, other.ddH)))
     with pytest.raises(ValueError, match="positive definite"):
         M.build_metric(M.MetricSpec(kind="user-polynomial", seed=12, amp=50.0), pt)
 
@@ -454,7 +452,7 @@ def test_metric_values_equal_the_metric_jets_values_bit_for_bit(hp):
     for pt in V.sample_points("hopf-fundamental", 8, 4, hp=hp):
         for q in (pt, (hp.a * pt[0], hp.b * pt[1])):
             for spec in specs:
-                assert np.array_equal(M.metric_values(spec, q), M.build_metric(spec, q).values())
+                assert np.array_equal(M.metric_values(spec, q), M.build_metric(spec, q).H)
 
 
 def test_value_only_identities_build_no_jets(monkeypatch):
@@ -468,6 +466,16 @@ def test_value_only_identities_build_no_jets(monkeypatch):
     for identity, spec in checks:
         rep = V.run_check(V.CheckSpec(identity=identity, metric=spec, n_points=10, seed=3))
         assert rep.verdict == "pass" and not rep.failures
+
+
+def test_det_formula_solves_one_theta_root_per_point(monkeypatch):
+    calls = []
+    root = M._theta_root
+    monkeypatch.setattr(M, "_theta_root", lambda p, hp: calls.append(p) or root(p, hp))
+    spec = M.MetricSpec(kind="hopf-omega-lambda", a=E**2, b=E, lam=0.5)
+    rep = V.run_check(V.CheckSpec(identity="det-formula", metric=spec, n_points=10, seed=3))
+    assert rep.verdict == "pass" and len(rep.per_point) == 10
+    assert len(calls) == 10
 
 
 @pytest.mark.parametrize("pt, msg", [((0.0, 0.0), "origin"), ((1e200, 1.0), "floating-point range")],
@@ -494,9 +502,8 @@ def test_conformal_zero_field_is_identity():
     pt = (0.25 + 0.3j, -0.4 + 0.1j)
     mc = M.build_metric(spec, pt)
     mb = M.build_metric(spec.base, pt)
-    for i in range(2):
-        for j in range(2):
-            assert np.array_equal(mc.h[i][j].data, mb.h[i][j].data)
+    for a, b in zip((mc.H, mc.dH, mc.ddH), (mb.H, mb.dH, mb.ddH)):
+        assert np.array_equal(a, b)
 
 
 def test_conformal_ricci_change_law():
@@ -512,8 +519,8 @@ def test_conformal_ricci_change_law():
         ddbar_f = np.array(
             [[fj.hess[i, 2 + j] for j in range(2)] for i in range(2)]
         )
-        lhs = geo.lc_ricci(mc).A
-        rhs = geo.lc_ricci(mb).A - ddbar_f
+        lhs = geo.lc_ricci(mc)
+        rhs = geo.lc_ricci(mb) - ddbar_f
         assert np.max(np.abs(lhs - rhs)) / (1 + np.max(np.abs(rhs))) < 1e-10
 
 
@@ -528,22 +535,22 @@ def test_conformal_adjoint_change_law():
     _, a10_base = geo.del_star(mb)
     _, a10_conf = geo.del_star(mc)
     df = np.array([d_dz(fj, i + 1).value for i in range(2)])
-    want = a10_base.values + 1j * (2 - 1) * df
-    assert np.max(np.abs(a10_conf.values - want)) < 1e-10 * (1 + np.max(np.abs(want)))
+    want = a10_base + 1j * (2 - 1) * df
+    assert np.max(np.abs(a10_conf - want)) < 1e-10 * (1 + np.max(np.abs(want)))
     # and the conjugate law for the other adjoint
     a01_base, _ = geo.del_star(mb)
     a01_conf, _ = geo.del_star(mc)
     dbf = np.array([d_dzbar(fj, i + 1).value for i in range(2)])
-    want01 = a01_base.values - 1j * (2 - 1) * dbf
-    assert np.max(np.abs(a01_conf.values - want01)) < 1e-10 * (1 + np.max(np.abs(want01)))
+    want01 = a01_base - 1j * (2 - 1) * dbf
+    assert np.max(np.abs(a01_conf - want01)) < 1e-10 * (1 + np.max(np.abs(want01)))
 
 
 def test_conformal_scale_rejects_complex_factor():
     from lcflat.wjet import jet_var
 
-    mb = M.build_metric(M.MetricSpec(kind="flat"), (0.1, 0.2))
+    h = [[wjet.jet_const(1.0, 2)]]
     with pytest.raises(ValueError, match="real-valued"):
-        M.conformal_scale(mb, jet_var(1, 0.1, 2))
+        M.conformal_scale(h, jet_var(1, 0.1, 2))
 
 
 # -- spec grammar -----------------------------------------------------------------

@@ -55,7 +55,7 @@ def test_fundamental_domain_sample_reaches_both_ends_of_log_phi():
 def test_box_points_avoid_origin_ball():
     pts = V.sample_points("box", 60, 3, dim=2)
     for p in pts:
-        assert np.linalg.norm(p.coords) > 0.1
+        assert np.linalg.norm(p) > 0.1
 
 
 def test_sampler_edge_cases():
@@ -113,11 +113,11 @@ def test_omega0_negative_control_fails_with_predicted_pattern():
 
     for p, _ in rep.per_point[:4]:
         m = M.build_metric(OMEGA0, p)
-        ric = geo.lc_ricci(m).A
+        ric = geo.lc_ricci(m)
         L, _ = M.hessian_forms(p, HP)
         _, _, Delta = M.phi_field(p, HP)
         dd_log_delta = log(Delta).hess[:2, 2:]
-        rhs = (2.0 - 1.0 / (1.0 + 0.0)) * L.A + 3.0 * dd_log_delta
+        rhs = (2.0 - 1.0 / (1.0 + 0.0)) * L + 3.0 * dd_log_delta
         assert np.max(np.abs(ric - rhs)) / (1 + np.max(np.abs(rhs))) < 1e-12
 
 
@@ -157,7 +157,7 @@ def test_metric_needs_are_checked_when_the_check_spec_is_built(identity, metric,
 
 
 def test_kahler_collapse_validates_its_metric_once_per_point(monkeypatch):
-    """Every geometry function reads one metric; only the first read validates it."""
+    """Every geometry function reads one metric, validated once when it is built."""
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
@@ -170,7 +170,7 @@ def test_kahler_collapse_validates_its_metric_once_per_point(monkeypatch):
 
 def _box_points_sorted(n, seed):
     pts = V.sample_points("box", n, seed, dim=2)
-    return sorted(pts, key=lambda p: tuple((c.real, c.imag) for c in p.coords))
+    return sorted(pts, key=lambda p: tuple((c.real, c.imag) for c in p))
 
 
 def test_per_point_value_error_mentioning_requires_is_a_point_failure(monkeypatch):
@@ -274,7 +274,7 @@ def test_per_point_is_sorted_canonically():
     rep = V.run_check(
         V.CheckSpec(identity="key-relation", metric=LC_FLAT, n_points=12, seed=5, tol=1e-8)
     )
-    keys = [tuple((c.real, c.imag) for c in p.coords) for p, _ in rep.per_point]
+    keys = [tuple((c.real, c.imag) for c in p) for p, _ in rep.per_point]
     assert keys == sorted(keys)
 
 
@@ -336,11 +336,11 @@ def test_report_validates_against_shipped_schema():
 # -- FD oracle ----------------------------------------------------------------------
 
 
-def assert_fd_close(jet, fd):
-    """First derivatives within 1e-8 and second within 1e-6, relative to 1 + |jet's|."""
-    _, grad, hess = fd
-    assert np.max(np.abs(grad - jet.grad) / (1 + np.abs(jet.grad))) < 1e-8
-    assert np.max(np.abs(hess - jet.hess) / (1 + np.abs(jet.hess))) < 1e-6
+def assert_fd_close(grad, hess, fd):
+    """First derivatives within 1e-8 and second within 1e-6, relative to 1 + |exact|."""
+    _, fd_grad, fd_hess = fd
+    assert np.max(np.abs(fd_grad - grad) / (1 + np.abs(grad))) < 1e-8
+    assert np.max(np.abs(fd_hess - hess) / (1 + np.abs(hess))) < 1e-6
 
 
 def test_fd_oracle_flat_metric_is_exact():
@@ -366,7 +366,7 @@ def test_fd_oracle_agrees_with_jets_on_builtin_metrics(spec):
     m = M.build_metric(spec, p)
     table = V.fd_oracle(spec, p, order=2)
     for (i, j), fd in table.items():
-        assert_fd_close(m.h[i][j], fd)
+        assert_fd_close(m.dH[i, j], m.ddH[i, j], fd)
 
 
 def test_fd_oracle_on_potential_scalars():
@@ -378,7 +378,7 @@ def test_fd_oracle_on_potential_scalars():
         (Delta, lambda q: M.phi_field(q, HP)[2].value.real),
     ]
     for jet, fn in cases:
-        assert_fd_close(jet, V.fd_jet(fn, p, 2))
+        assert_fd_close(jet.grad, jet.hess, V.fd_jet(fn, p, 2))
 
 
 def test_fd_jet_order_one_fills_only_first_order_slots():
