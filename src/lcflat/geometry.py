@@ -35,6 +35,7 @@ arrays are indexed with the upper index first: `hol[k, i, j]` is Γ^k_{ij},
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -62,6 +63,24 @@ def debug_corruption():
 # -- types ---------------------------------------------------------------------
 
 
+def is_hermitian(H: np.ndarray) -> bool:
+    """|H − Hᴴ| ≤ atol + 1e-5·|Hᴴ| entrywise, atol = 1e-10·(1 + max|H|).
+
+    This is the test of `np.allclose(H, Hᴴ, atol=atol)`, written out because
+    `allclose` costs about ten times as much on a 2×2 matrix.  A non-finite H
+    makes atol non-finite, and then `allclose` itself decides.
+    """
+    Hh = H.conj().T
+    atol = 1e-10 * (1 + np.abs(H).max())
+    if not math.isfinite(atol):
+        return bool(np.allclose(H, Hh, atol=atol))
+    return bool((np.abs(H - Hh) <= atol + 1e-5 * np.abs(Hh)).all())
+
+
+class NotPositiveDefinite(ValueError):
+    """A metric value matrix with an eigenvalue ≤ 0."""
+
+
 @dataclass(eq=False)
 class MetricJet:
     """Order-2 jet of a Hermitian metric at a point, as three arrays.
@@ -79,11 +98,11 @@ class MetricJet:
 
     def __post_init__(self):
         H = self.H
-        if not np.allclose(H, H.conj().T, atol=1e-10 * (1 + np.max(np.abs(H)))):
+        if not is_hermitian(H):
             raise ValueError("metric value matrix is not Hermitian")
         eig = np.linalg.eigvalsh(H)
         if eig.min() <= 0:
-            raise ValueError(
+            raise NotPositiveDefinite(
                 f"metric value matrix is not positive definite (min eigenvalue {eig.min():.3g})"
             )
 

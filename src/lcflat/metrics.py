@@ -28,11 +28,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import MetricJet
+from .geometry import MetricJet, NotPositiveDefinite
 from .wjet import (
     WJet,
     conj,
@@ -77,20 +78,32 @@ class HopfParams:
                 f"|a||b| overflows a double, got |a|={abs(self.a):.6g}, |b|={abs(self.b):.6g}"
             )
 
-    @property
+    # The constants are derived once per object: the Hopf checks read them at
+    # every point.
+    @cached_property
     def k1(self) -> float:
         return math.log(abs(self.a))
 
-    @property
+    @cached_property
     def k2(self) -> float:
         return math.log(abs(self.b))
 
-    @property
+    @cached_property
+    def c1(self) -> float:
+        """k₁/π, the rate of e₁ = Φ^{−α} = e^{−c₁θ}."""
+        return self.k1 / math.pi
+
+    @cached_property
+    def c2(self) -> float:
+        """k₂/π, the rate of e₂ = Φ^{α−2} = e^{−c₂θ}."""
+        return self.k2 / math.pi
+
+    @cached_property
     def alpha(self) -> float:
         """2k₁/(k₁+k₂) ∈ [1, 2)."""
         return 2.0 * self.k1 / (self.k1 + self.k2)
 
-    @property
+    @cached_property
     def k(self) -> float:
         """(k₁+k₂)/2π, so that Φ = e^{kθ} for the θ of `hopf_jets`."""
         return (self.k1 + self.k2) / (2.0 * math.pi)
@@ -170,7 +183,15 @@ class MetricSpec:
         return self.n if self.n is not None else 2
 
     def hopf_params(self) -> HopfParams | None:
-        """HopfParams carried by this spec, searching through conformal bases."""
+        """HopfParams carried by this spec, searching through conformal bases.
+
+        Built on first use, once per spec, so a spec's constants are derived
+        once; multipliers that `HopfParams` rejects raise at every call.
+        """
+        return self._hopf_params
+
+    @cached_property
+    def _hopf_params(self) -> HopfParams | None:
         if self.kind == "conformal":
             return self.base.hopf_params()
         if self.a is not None or self.b is not None:
@@ -336,20 +357,30 @@ def _theta_root(p, hp: HopfParams) -> float:
     through expm1, which keeps the root accurate where the other term is tiny.
     Newton stops once a step is below 1e-14 relative to |θ| + 1/|g′(θ)|
     (1/|g′| is the distance over which g changes by 1).
+
+    A zero coordinate enters as log xᵢ = −∞, a term e^{−∞} = 0 that adds
+    nothing, so one loop serves one term and two.  The dominant term is the
+    one with the larger exponent log xᵢ − cᵢθ (on a tie, the larger cᵢ, else z).
     """
     try:
         zz, ww = abs(p[0]) ** 2, abs(p[1]) ** 2
     except OverflowError:
         raise ValueError("|z|² or |w|² is outside the floating-point range at this point") from None
-    terms = [(math.log(x), c) for x, c in ((zz, hp.k1 / math.pi), (ww, hp.k2 / math.pi))
-             if x > 0.0]
-    if not terms:
+    if not (zz > 0.0 or ww > 0.0):
         raise ValueError("Φ is undefined at the origin")
-    theta = max(lx / c for lx, c in terms)
+    lz = math.log(zz) if zz > 0.0 else -math.inf
+    lw = math.log(ww) if ww > 0.0 else -math.inf
+    c1, c2 = hp.c1, hp.c2
+    theta = max(lz / c1, lw / c2)
     for _ in range(100):
-        expo = sorted(((lx - c * theta, c) for lx, c in terms), reverse=True)
-        g = math.expm1(expo[0][0]) + sum(math.exp(e) for e, _ in expo[1:])
-        dg = -sum(c * math.exp(e) for e, c in expo)
+        ez, ew = lz - c1 * theta, lw - c2 * theta
+        if ez < ew or (ez == ew and c1 < c2):
+            e_hi, c_hi, e_lo, c_lo = ew, c2, ez, c1
+        else:
+            e_hi, c_hi, e_lo, c_lo = ez, c1, ew, c2
+        x_lo = math.exp(e_lo)
+        g = math.expm1(e_hi) + x_lo
+        dg = -(c_hi * math.exp(e_hi) + c_lo * x_lo)
         step = g / dg
         theta -= step
         if abs(step) <= 1e-14 * (abs(theta) - 1.0 / dg):
@@ -401,7 +432,7 @@ def hopf_values(p, hp: HopfParams) -> HopfFrame:
     """
     theta = _theta_root(p, hp)
     try:
-        e1, e2 = math.exp(-hp.k1 / math.pi * theta), math.exp(-hp.k2 / math.pi * theta)
+        e1, e2 = math.exp(-hp.c1 * theta), math.exp(-hp.c2 * theta)
     except OverflowError:
         raise ValueError(
             "Φ^{−α} or Φ^{α−2} is outside the floating-point range at this point"
@@ -429,23 +460,22 @@ def hopf_jets(p, hp: HopfParams) -> HopfFrame:
     F = u + v − 1 on the θ jet is checked to vanish through order 2.
     """
     hv = hopf_values(p, hp)
-    c1, c2 = hp.k1 / math.pi, hp.k2 / math.pi
+    c1, c2 = hp.c1, hp.c2
     e1, e2, u0, v0 = hv.e1, hv.e2, hv.u, hv.v
     # Partials of F at the root, slots (z, w, z̄, w̄); F is linear in each
     # of |z|², |w|², so the only x-x partials are F_{zz̄} = e₁, F_{ww̄} = e₂.
     c = np.array([c1, c2, c1, c2])
     Fx = np.array([hv.zb * e1, hv.wb * e2, hv.z * e1, hv.w * e2])
-    Fxx = np.zeros((4, 4), dtype=complex)
-    Fxx[0, 2] = Fxx[2, 0] = e1
-    Fxx[1, 3] = Fxx[3, 1] = e2
+    Fxx = np.array([[0.0, 0.0, e1, 0.0], [0.0, 0.0, 0.0, e2],
+                    [e1, 0.0, 0.0, 0.0], [0.0, e2, 0.0, 0.0]], dtype=complex)
     Ft = -(c1 * u0 + c2 * v0)
     Ftt = c1 * c1 * u0 + c2 * c2 * v0
     Fxt = -c * Fx
     if not (math.isfinite(Ft) and Ft != 0.0):
         raise ValueError("dF/dtheta vanishes at the solution")
     tx = -Fx / Ft
-    cross = np.outer(Fxt, tx)
-    txx = -(Fxx + cross + cross.T + Ftt * np.outer(tx, tx)) / Ft
+    cross = Fxt[:, None] * tx
+    txx = -(Fxx + cross + cross.T + Ftt * (tx[:, None] * tx)) / Ft
     theta = WJet(hv.theta, tx, txx)
 
     (z, w), (zb, wb) = _coordinate_jets(p, 2)
@@ -633,22 +663,31 @@ def _metric_jets(spec: MetricSpec, pt: tuple[complex, ...]) -> list[list[WJet]]:
         base = _metric_jets(spec.base, pt)
         return conformal_scale(base, field_jet(spec.f, pt, spec.hopf_params(), n=n))
     if spec.kind == "user-polynomial":
-        h = random_polynomial_jets(
+        return random_polynomial_jets(
             pt, n, seed=spec.seed if spec.seed is not None else 0,
             amp=spec.amp if spec.amp is not None else _POLY_AMP,
         )
-        vals = np.array([[h[i][j].value for j in range(n)] for i in range(n)])
-        if np.linalg.eigvalsh(vals).min() <= 0:
-            raise ValueError(
-                f"user polynomial metric (seed={spec.seed}) is not positive definite at {pt}"
-            )
-        return h
     raise ValueError(f"unknown metric kind {spec.kind!r}")  # pragma: no cover (MetricSpec checks)
 
 
 def build_metric(spec: MetricSpec, p) -> MetricJet:
-    """Realize a MetricSpec as an order-2 metric jet at the point p."""
-    return MetricJet(*partials(_metric_jets(spec, _metric_point(spec, p))))
+    """Realize a MetricSpec as an order-2 metric jet at the point p.
+
+    `MetricJet` checks positive definiteness, once; where a user polynomial
+    (or a conformal rescaling of one) fails it, the error names its seed.
+    """
+    pt = _metric_point(spec, p)
+    try:
+        return MetricJet(*partials(_metric_jets(spec, pt)))
+    except NotPositiveDefinite:
+        base = spec
+        while base.kind == "conformal":
+            base = base.base
+        if base.kind != "user-polynomial":
+            raise
+        raise ValueError(
+            f"user polynomial metric (seed={base.seed}) is not positive definite at {pt}"
+        ) from None
 
 
 def metric_values(spec: MetricSpec, p) -> np.ndarray:
@@ -686,6 +725,6 @@ def deck_invariance_residual(spec: MetricSpec, p, hp: HopfParams | None = None) 
     image = (hp.a * pt[0], hp.b * pt[1])
     h_here = metric_values(spec, pt)
     h_image = metric_values(spec, image)
-    J = np.diag([hp.a, hp.b])
+    J = np.array([[hp.a, 0.0], [0.0, hp.b]])
     diff = J @ h_image @ J.conj().T - h_here
-    return float(np.max(np.abs(diff)) / (1.0 + np.max(np.abs(h_here))))
+    return float(np.abs(diff).max() / (1.0 + np.abs(h_here).max()))

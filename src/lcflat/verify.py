@@ -159,7 +159,7 @@ def sample_points(
         pts = []
         for _ in range(n):
             v = rng.standard_normal(4)
-            v /= np.linalg.norm(v)
+            v /= math.sqrt(v @ v)
             direction = (complex(v[0], v[1]), complex(v[2], v[3]))
             t = math.exp(rng.uniform(margin, log_hi - margin))
             d1, d2 = abs(direction[0]) ** 2, abs(direction[1]) ** 2
@@ -255,7 +255,7 @@ def _norm(diff: float, *scales: float) -> float:
 
 
 def _maxabs(arr) -> float:
-    return float(np.max(np.abs(arr)))
+    return float(np.abs(arr).max())
 
 
 def _scaled_det(M) -> float:
@@ -360,7 +360,7 @@ def _residual_hessian_matrices(spec: mz.MetricSpec, p, notes: dict) -> float:
     L, P = mz.hessian_forms(p, hp)
     Phi, theta, _ = mz.phi_field(p, hp)
     L_jet = hp.k * theta.hess[:2, 2:]  # log Φ = kθ
-    P_jet = np.outer(Phi.grad[:2], Phi.grad[2:])
+    P_jet = Phi.grad[:2, None] * Phi.grad[2:]
     rL = _norm(_maxabs(L - L_jet), _maxabs(L))
     rP = _norm(_maxabs(P - P_jet), _maxabs(P))
     rdet = max(_scaled_det(L), _scaled_det(P))
@@ -478,8 +478,8 @@ def run_check(c: CheckSpec) -> VerificationReport:
         # argmax, it makes the mean non-finite, and the verdict is fail.
         # (Python's max() would skip a NaN that is not first.)
         bad = ~np.isfinite(residuals)
-        k = int(np.argmax(bad)) if bad.any() else int(np.argmax(residuals))
-        max_r, mean_r, argmax = float(residuals[k]), float(np.mean(residuals)), per_point[k][0]
+        k = int(bad.argmax()) if bad.any() else int(residuals.argmax())
+        max_r, mean_r, argmax = float(residuals[k]), float(residuals.mean()), per_point[k][0]
     else:
         max_r, mean_r, argmax = float("nan"), float("nan"), None
     verdict = "pass" if math.isfinite(max_r) and max_r <= c.tol else "fail"

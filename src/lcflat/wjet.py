@@ -87,7 +87,7 @@ class WJet:
 
     def max_abs(self) -> float:
         """Largest Taylor coefficient magnitude."""
-        return float(np.max(np.abs(_coefficients(self))))
+        return float(np.abs(_coefficients(self)).max())
 
     def __repr__(self) -> str:
         return f"WJet(n_vars={self.n_vars}, order={self.order}, value={self.value:.6g})"

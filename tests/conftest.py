@@ -1,6 +1,7 @@
 """Shared helpers for building metric jets in tests."""
 
 import math
+import sys
 
 import numpy as np
 
@@ -75,3 +76,30 @@ def hopf_theta_equation(z0, w0, k1, k2):
         return zz * exp(theta * (-k1 / math.pi)) + ww * exp(theta * (-k2 / math.pi)) - 1.0
 
     return F
+
+
+def theta_root_oracle(p, hp):
+    """θ at p by the sorted-list Newton loop that `metrics._theta_root` replaced,
+    kept as the bit-for-bit oracle of its two-term rewrite."""
+    try:
+        zz, ww = abs(p[0]) ** 2, abs(p[1]) ** 2
+    except OverflowError:
+        raise ValueError("|z|² or |w|² is outside the floating-point range at this point") from None
+    terms = [(math.log(x), c) for x, c in ((zz, hp.k1 / math.pi), (ww, hp.k2 / math.pi))
+             if x > 0.0]
+    if not terms:
+        raise ValueError("Φ is undefined at the origin")
+    theta = max(lx / c for lx, c in terms)
+    for _ in range(100):
+        expo = sorted(((lx - c * theta, c) for lx, c in terms), reverse=True)
+        g = math.expm1(expo[0][0]) + sum(math.exp(e) for e, _ in expo[1:])
+        dg = -sum(c * math.exp(e) for e, c in expo)
+        step = g / dg
+        theta -= step
+        if abs(step) <= 1e-14 * (abs(theta) - 1.0 / dg):
+            break
+    else:
+        raise ValueError("Φ root iteration did not converge")
+    if abs(hp.k * theta) > math.log(sys.float_info.max):
+        raise ValueError("Φ is outside the floating-point range at this point")
+    return theta

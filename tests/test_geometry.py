@@ -329,6 +329,25 @@ def test_non_hermitian_metric_rejected():
         metric_from_fn(2, fn, (0.1, 0.2))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_hermitian_test_accepts_exactly_what_allclose_accepts(n):
+    """Finite matrices over twelve decades, with one entry's asymmetry set to
+    a multiple of the tolerance near 1, so that both answers occur."""
+    rng = RNG(83 + n)
+    seen = set()
+    for scale in 10.0 ** np.arange(-6, 7):
+        for t in (0.0, 0.5, 0.9999, 0.999999, 1.0, 1.000001, 1.0001, 2.0):
+            B = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            H = B + B.conj().T
+            i, j = sorted(rng.choice(n, 2, replace=False))
+            atol = 1e-10 * (1 + np.max(np.abs(H)))
+            H[i, j] += t * (atol + 1e-5 * abs(H[j, i])) * np.exp(2j * np.pi * rng.random())
+            want = np.allclose(H, H.conj().T, atol=1e-10 * (1 + np.max(np.abs(H))))
+            assert geo.is_hermitian(H) == want, (scale, t)
+            seen.add(want)
+    assert seen == {True, False}
+
+
 def test_non_positive_definite_metric_rejected():
     def fn(z, zb):
         return [

@@ -7,8 +7,10 @@ from decimal import Context, Decimal
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import entry_jets, hopf_theta_equation
+from conftest import entry_jets, hopf_theta_equation, theta_root_oracle
 from lcflat import geometry as geo
 from lcflat import metrics as M
 from lcflat import verify as V
@@ -476,6 +478,110 @@ def test_det_formula_solves_one_theta_root_per_point(monkeypatch):
     rep = V.run_check(V.CheckSpec(identity="det-formula", metric=spec, n_points=10, seed=3))
     assert rep.verdict == "pass" and len(rep.per_point) == 10
     assert len(calls) == 10
+
+
+@pytest.mark.parametrize("identity, budget", [
+    ("det-formula", 1), ("deck-invariance", 2), ("hessian-matrices", 2)])
+def test_theta_root_budget_per_point(identity, budget, monkeypatch):
+    """θ roots per point over run_check: det-formula reads one scalar frame,
+    deck-invariance one at the point and one at its image, and
+    hessian-matrices one for the closed forms and one for the Φ jet."""
+    calls = []
+    root = M._theta_root
+    monkeypatch.setattr(M, "_theta_root", lambda p, hp: calls.append(p) or root(p, hp))
+    spec = M.MetricSpec(kind="hopf-omega-lambda", a=E**2 * np.exp(0.4j), b=E, lam=0.5)
+    rep = V.run_check(V.CheckSpec(identity=identity, metric=spec, n_points=10, seed=3))
+    assert rep.verdict == "pass" and len(rep.per_point) == 10
+    assert len(calls) <= budget * 10
+
+
+# -- the θ root against the sorted-list Newton loop it replaced ------------------------
+
+ROOT_PARAMS = HOPF_GRID + [M.HopfParams(1e3, 1.01), M.HopfParams(1e6, 1.0001)]
+ROOT_IDS = ["a=b", "a=e2", "a=e1.5", "1e3", "1e6"]
+
+
+def _same_root(p, hp):
+    """`_theta_root` and the oracle give the same float, or the same error."""
+    try:
+        want = theta_root_oracle(p, hp)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        with pytest.raises(type(exc)) as err:
+            M._theta_root(p, hp)
+        assert str(err.value) == str(exc)
+        return
+    got = M._theta_root(p, hp)
+    assert got == want or (math.isnan(got) and math.isnan(want)), (p, got, want)
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@pytest.mark.parametrize("hp", ROOT_PARAMS, ids=ROOT_IDS)
+def test_theta_root_equals_the_sorted_newton_loop(hp):
+    """Bit for bit on sampled points, their deck images, points on either
+    axis (a single term) and points far inside and outside the shell."""
+    pts = []
+    for seed in (0, 1, 2):
+        for p in V.sample_points("hopf-fundamental", 20, seed, hp=hp):
+            pts += [p, (hp.a * p[0], hp.b * p[1])]
+    for r in (1e-150, 1e-3, 0.5, 1.0, 2.0, 1e3, 1e150):
+        pts += [(r, 0.0), (0.0, r), (r * 1j, 0.0), (0.0, -r), (r, r), (r, 1e-3 * r)]
+    pts += [(0.0, 0.0), (1e200, 1.0), (0.0, 0.0j)]
+    for p in pts:
+        _same_root(p, hp)
+
+
+class _SwappedRates:
+    """Rates with c₁ < c₂, which `HopfParams` does not admit; on a tie they
+    make the w term the one that goes through expm1."""
+
+    def __init__(self, hp):
+        self.k1, self.k2, self.k = hp.k2, hp.k1, hp.k
+        self.c1, self.c2 = hp.c2, hp.c1
+
+
+@pytest.mark.parametrize("hp", [HOPF_GRID[1], _SwappedRates(HOPF_GRID[1]), HOPF_GRID[0]],
+                         ids=["c1>c2", "c1<c2", "c1=c2"])
+@pytest.mark.parametrize("p", [(1.0, 1.0), (1j, -1.0), (0.25, 0.25j), (3.0, 3.0), (-1.0, -1.0j)])
+def test_theta_root_breaks_ties_as_the_sorted_loop(hp, p):
+    """|z| = |w| makes both exponents equal at the start, so the rates decide
+    which term enters through expm1."""
+    _same_root(p, hp)
+
+
+_coordinate = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+    st.floats(min_value=1e-300, max_value=1e300),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.tuples(_coordinate, _coordinate, _coordinate, _coordinate),
+       mb=st.floats(min_value=1.0001, max_value=1e3), ratio=st.floats(min_value=1.0, max_value=1e3),
+       phase=st.floats(min_value=0.0, max_value=6.283))
+def test_theta_root_equals_the_sorted_newton_loop_on_drawn_points(x, mb, ratio, phase):
+    a = mb * ratio * complex(math.cos(phase), math.sin(phase))
+    assume(abs(a) >= mb)  # the rotation can round |a| below |b| when ratio = 1
+    hp = M.HopfParams(a, mb)
+    _same_root((complex(x[0], x[1]), complex(x[2], x[3])), hp)
+
+
+def test_hopf_constants_are_built_once_per_spec():
+    base = M.MetricSpec(kind="hopf-omega-lambda", a=E**2, b=E, lam=0.5)
+    conf = M.MetricSpec(kind="conformal", base=base, f=M.FieldSpec(kind="log-phi"))
+    hp = base.hopf_params()
+    assert base.hopf_params() is hp
+    assert conf.hopf_params() is hp
+    assert M.MetricSpec(kind="hopf-lc-flat").hopf_params() == M.HopfParams(E, E)
+    assert hp.c1 == hp.k1 / math.pi and hp.c2 == hp.k2 / math.pi
+    assert hp.alpha == 2.0 * hp.k1 / (hp.k1 + hp.k2)
+
+
+def test_invalid_multipliers_on_a_non_hopf_kind_raise_at_every_call():
+    spec = M.MetricSpec(kind="flat", a=1.5, b=2.0)  # not validated eagerly
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"\|a\| >= \|b\| > 1"):
+            spec.hopf_params()
 
 
 @pytest.mark.parametrize("pt, msg", [((0.0, 0.0), "origin"), ((1e200, 1.0), "floating-point range")],

@@ -168,6 +168,18 @@ def test_kahler_collapse_validates_its_metric_once_per_point(monkeypatch):
     assert len(calls) == 1
 
 
+def test_user_polynomial_metric_is_validated_once_per_point(monkeypatch):
+    """One positive-definiteness test per point: MetricJet's, whose failure
+    build_metric reports with the polynomial's seed."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    spec = M.parse_metric_spec("user-polynomial{seed=101,amp=0.05}")
+    rep = V.run_check(V.CheckSpec(identity="key-relation", metric=spec, n_points=10, seed=0))
+    assert rep.verdict == "pass" and len(rep.per_point) == 10
+    assert len(calls) == 10
+
+
 def _box_points_sorted(n, seed):
     pts = V.sample_points("box", n, seed, dim=2)
     return sorted(pts, key=lambda p: tuple((c.real, c.imag) for c in p))
