@@ -35,7 +35,6 @@ arrays are indexed with the upper index first: `hol[k, i, j]` is Γ^k_{ij},
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -66,14 +65,11 @@ def debug_corruption():
 def is_hermitian(H: np.ndarray) -> bool:
     """|H − Hᴴ| ≤ atol + 1e-5·|Hᴴ| entrywise, atol = 1e-10·(1 + max|H|).
 
-    This is the test of `np.allclose(H, Hᴴ, atol=atol)`, written out because
-    `allclose` costs about ten times as much on a 2×2 matrix.  A non-finite H
-    makes atol non-finite, and then `allclose` itself decides.
+    This is the test of `np.allclose(H, Hᴴ, atol=atol)` on a finite H, written
+    out because `allclose` costs about ten times as much on a 2×2 matrix.
     """
     Hh = H.conj().T
     atol = 1e-10 * (1 + np.abs(H).max())
-    if not math.isfinite(atol):
-        return bool(np.allclose(H, Hh, atol=atol))
     return bool((np.abs(H - Hh) <= atol + 1e-5 * np.abs(Hh)).all())
 
 
@@ -86,8 +82,8 @@ class MetricJet:
     """Order-2 jet of a Hermitian metric at a point, as three arrays.
 
     H[i, j] = h_{ij̄}, its Wirtinger gradient dH[i, j, s] and its Hessian
-    ddH[i, j, s, t], in the slots of `wjet.partials`.  H must be Hermitian
-    positive definite, which is checked when the metric is built.  The
+    ddH[i, j, s, t], in the slots of `wjet.partials`.  H must be finite and
+    Hermitian positive definite, which is checked when the metric is built.  The
     inverse, the connection and the Chern-Ricci form are built once per
     metric; read the last two through `christoffels` and `chern_ricci`.
     """
@@ -98,6 +94,7 @@ class MetricJet:
 
     def __post_init__(self):
         H = self.H
+        _check_finite("the metric", H)
         if not is_hermitian(H):
             raise ValueError("metric value matrix is not Hermitian")
         eig = np.linalg.eigvalsh(H)
@@ -169,7 +166,7 @@ class Scalars:
     """Scalar invariants at the point.
 
     s_C          Chern scalar curvature
-    s_LC         Levi-Civita scalar curvature (double trace of 𝔯R_{ij̄kℓ̄})
+    s_LC         Levi-Civita scalar curvature (h^{ij̄} 𝔯ic_{ij̄}, the double trace of 𝔯R_{ij̄kℓ̄})
     s            Riemannian scalar curvature of the background real metric
     torsion_sq   |T|²
     delstar_sq   |∂*ω|²
@@ -300,13 +297,11 @@ def chern_scalar(m: MetricJet) -> float:
 # -- Levi-Civita curvature -------------------------------------------------------
 
 
-def lc_curvature(m: MetricJet) -> tuple[np.ndarray, np.ndarray]:
+def lc_curvature(m: MetricJet) -> np.ndarray:
     """(1,1)-part of the Levi-Civita curvature on the holomorphic tangent bundle,
-    as the pair (upper[l, i, j, k], lowered[i, j, k, l]):
+    as R[l, i, j, k]:
 
     𝔯R^ℓ_{ij̄k} = −(∂Γ^ℓ_{ik}/∂z̄^j − ∂Γ^ℓ_{j̄k}/∂z^i + Γ^s_{ik} Γ^ℓ_{j̄s} − Γ^s_{j̄k} Γ^ℓ_{si})
-
-    and the lowered tensor 𝔯R_{ij̄kℓ̄} = h_{sℓ̄} 𝔯R^s_{ij̄k}.
     """
     n = m.n
     ch = christoffels(m)
@@ -315,14 +310,12 @@ def lc_curvature(m: MetricJet) -> tuple[np.ndarray, np.ndarray]:
     d_anti = ch.lc_anti_grad[..., :n].transpose(0, 3, 1, 2)  # [l, i, j, k] = ∂Γ^ℓ_{j̄k}/∂z^i
     quad1 = np.einsum("sik,ljs->lijk", hol_v, anti_v)
     quad2 = np.einsum("sjk,lsi->lijk", anti_v, hol_v)
-    upper = -(d_hol - d_anti + quad1 - quad2)
-    return upper, np.einsum("sl,sijk->ijkl", m.H, upper)
+    return -(d_hol - d_anti + quad1 - quad2)
 
 
 def lc_ricci(m: MetricJet) -> np.ndarray:
     """First Levi-Civita Ricci form 𝔯R^{(1)}_{ij̄} = 𝔯R^k_{ij̄k}."""
-    upper, _ = lc_curvature(m)
-    return np.einsum("kijk->ij", upper)
+    return np.einsum("kijk->ij", lc_curvature(m))
 
 
 # -- adjoint forms ---------------------------------------------------------------
@@ -363,17 +356,15 @@ def lc_ricci_via_relation(m: MetricJet) -> np.ndarray:
 
 
 def torsion(m: MetricJet) -> tuple[np.ndarray, float]:
-    """Torsion T^k_{ij} = h^{kℓ̄}(∂h_{jℓ̄}/∂z^i − ∂h_{iℓ̄}/∂z^j) and its squared norm.
+    """Torsion T^k_{ij} = Γ^k_{ij} − Γ^k_{ji} of the Chern connection and its
+    squared norm.
 
     |T|² = h_{kℓ̄} h^{ip̄} h^{jq̄} T^k_{ij} conj(T^ℓ_{pq}), summed over all (i, j).
     """
-    vals, A = m.H, m.inverse
-    dval = _holo_grad(m)  # [i, j, l] = ∂h_{jℓ̄}/∂z^i
-    antis = dval - dval.transpose(1, 0, 2)
-    # h^{kℓ̄} = A[l, k]
-    T = np.einsum("lk,ijl->kij", A, antis)
-    G = A.T  # G[i, p] = h^{ip̄}
-    tsq = np.einsum("kl,ip,jq,kij,lpq->", vals, G, G, T, T.conj())
+    chern = m.connection.chern
+    T = chern - chern.transpose(0, 2, 1)
+    G = m.inverse.T  # G[i, p] = h^{ip̄}
+    tsq = np.einsum("kl,ip,jq,kij,lpq->", m.H, G, G, T, T.conj())
     return T, float(tsq.real)
 
 
@@ -387,8 +378,8 @@ def scalars(m: MetricJet) -> Scalars:
     """All scalar invariants; see the field-by-field description on `Scalars`."""
     G = m.inverse.T
     s_C = chern_scalar(m)
-    _, lowered = lc_curvature(m)
-    s_LC = float(np.einsum("ij,kl,ijkl->", G, G, lowered).real)
+    # h^{kℓ̄} h_{sℓ̄} = δ^k_s: the double trace of 𝔯R_{ij̄kℓ̄} is h^{ij̄} 𝔯ic_{ij̄}
+    s_LC = float(np.einsum("ij,ij->", G, lc_ricci(m)).real)
     _, tsq = torsion(m)
     a01, _ = del_star(m)
     dsq = form01_norm_sq(a01, m)
@@ -415,57 +406,40 @@ def kahler_defect(m: MetricJet) -> float:
 # -- background Riemannian scalar --------------------------------------------------
 
 
-def _real_blocks(M: np.ndarray) -> np.ndarray:
-    """Real block matrices [[2Re M, 2Im M], [−2Im M, 2Re M]] over the last two axes."""
-    A = 2.0 * M.real
-    B = 2.0 * M.imag
-    return np.block([[A, B], [-B, A]])
-
-
 def riemannian_scalar(m: MetricJet) -> float:
-    """Scalar curvature of the background Riemannian metric.
+    """Scalar curvature s = gᵃᵇ R_ab of the background Riemannian metric.
 
     The real metric is fixed by g(∂/∂z^i, ∂/∂z̄^j) = h_{ij̄} under ℂ-bilinear
-    extension, i.e. g_xx = g_yy = 2 Re h and g_xy = 2 Im h in coordinates
-    z^i = x^i + √−1 y^i.  Scalar curvature comes from the standard formula
-    s = g^{μν} R_{μν} with everything assembled from the jet data.
+    extension.  The Christoffel formula holds in any holonomic frame, so s is
+    taken on the 2n Wirtinger slots, where the complexified metric is
+    G = [[0, H], [Hᵀ, 0]] and its derivatives are the same placement of dH
+    and ddH.  G has its own inversion, independent of `MetricJet.inverse`.
     """
     n = m.n
-    vals, grads, hesses = m.H, m.dH, m.ddH
-    # ∂/∂x^k = ∂_k + ∂̄_k and ∂/∂y^k = √−1 (∂_k − ∂̄_k), as rows over Wirtinger slots
-    eye = np.eye(n)
-    W = np.block([[eye, eye], [1j * eye, -1j * eye]])
+    # G[a, b], dG[a, b, c] = ∂_c G_ab and ddG[a, b, c, e] = ∂_c ∂_e G_ab
+    G, dG, ddG = (np.zeros((2 * n, 2 * n) + A.shape[2:], complex) for A in (m.H, m.dH, m.ddH))
+    for B, A in ((G, m.H), (dG, m.dH), (ddG, m.ddH)):
+        B[:n, n:] = A
+        B[n:, :n] = A.swapaxes(0, 1)
 
-    Gv = _real_blocks(vals)
-    Gd = _real_blocks(np.einsum("cs,ijs->cij", W, grads))  # [c, a, b] = ∂_c g_ab
-    Gdd = _real_blocks(np.einsum("cs,et,ijst->ceij", W, W, hesses))  # [c, e, a, b] = ∂_c ∂_e g_ab
+    Ginv = np.linalg.inv(G)
+    dGinv = -np.einsum("la,abc,br->lrc", Ginv, dG, Ginv)
 
-    Ginv = np.linalg.inv(Gv)
-    dGinv = -np.einsum("la,cab,br->clr", Ginv, Gd, Ginv)
-
-    # Γ^l_{mn} = ½ g^{lr} (∂_m g_rn + ∂_n g_rm − ∂_r g_mn)
-    bracket = (
-        np.einsum("mrn->rmn", Gd)
-        + np.einsum("nrm->rmn", Gd)
-        - np.einsum("rmn->rmn", Gd)
-    )
+    # Γ^l_{mn} = ½ g^{lr} (∂_m g_rn + ∂_n g_rm − ∂_r g_mn), bracket[r, m, n]
+    bracket = dG.transpose(0, 2, 1) + dG - dG.transpose(2, 0, 1)
     Gamma = 0.5 * np.einsum("lr,rmn->lmn", Ginv, bracket)
 
-    dbracket = (
-        np.einsum("cmrn->crmn", Gdd)
-        + np.einsum("cnrm->crmn", Gdd)
-        - np.einsum("crmn->crmn", Gdd)
-    )
+    dbracket = ddG.transpose(0, 2, 1, 3) + ddG - ddG.transpose(2, 0, 1, 3)  # [r, m, n, c]
     dGamma = 0.5 * (
-        np.einsum("clr,rmn->clmn", dGinv, bracket)
-        + np.einsum("lr,crmn->clmn", Ginv, dbracket)
+        np.einsum("lrc,rmn->lmnc", dGinv, bracket)
+        + np.einsum("lr,rmnc->lmnc", Ginv, dbracket)
     )
 
     # R_{mn} = ∂_l Γ^l_{mn} − ∂_n Γ^l_{ml} + Γ^l_{lr} Γ^r_{mn} − Γ^l_{nr} Γ^r_{ml}
     ric = (
-        np.einsum("llmn->mn", dGamma)
-        - np.einsum("nlml->mn", dGamma)
+        np.einsum("lmnl->mn", dGamma)
+        - np.einsum("lmln->mn", dGamma)
         + np.einsum("llr,rmn->mn", Gamma, Gamma)
         - np.einsum("lnr,rml->mn", Gamma, Gamma)
     )
-    return float(np.einsum("mn,mn->", Ginv, ric))
+    return float(np.einsum("mn,mn->", Ginv, ric).real)

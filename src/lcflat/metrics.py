@@ -360,7 +360,8 @@ def _theta_root(p, hp: HopfParams) -> float:
 
     A zero coordinate enters as log xᵢ = −∞, a term e^{−∞} = 0 that adds
     nothing, so one loop serves one term and two.  The dominant term is the
-    one with the larger exponent log xᵢ − cᵢθ (on a tie, the larger cᵢ, else z).
+    one with the larger exponent log xᵢ − cᵢθ (z on a tie, where either choice
+    gives the same g and g′).
     """
     try:
         zz, ww = abs(p[0]) ** 2, abs(p[1]) ** 2
@@ -374,7 +375,7 @@ def _theta_root(p, hp: HopfParams) -> float:
     theta = max(lz / c1, lw / c2)
     for _ in range(100):
         ez, ew = lz - c1 * theta, lw - c2 * theta
-        if ez < ew or (ez == ew and c1 < c2):
+        if ez < ew:
             e_hi, c_hi, e_lo, c_lo = ew, c2, ez, c1
         else:
             e_hi, c_hi, e_lo, c_lo = ez, c1, ew, c2

@@ -258,11 +258,14 @@ def _maxabs(arr) -> float:
     return float(np.abs(arr).max())
 
 
-def _scaled_det(M) -> float:
-    """|det M| / max|M|² for a 2×2 matrix M (0 for M = 0): a rank defect on
-    the matrix's own scale, so roundoff of order ε·max|M|² cannot fail it."""
-    s = _maxabs(M)
-    return abs(np.linalg.det(M / s)) if s > 0 else 0.0
+def _scaled_det(M, s: float) -> float:
+    """|det M| / s² for a 2×2 matrix M with s = max|M| (0 for M = 0): a rank
+    defect on the matrix's own scale, so roundoff of order ε·s² cannot fail it.
+    The determinant is taken on M/s, whose products stay in range."""
+    if s == 0:
+        return 0.0
+    (a, b), (c, d) = (M / s).tolist()
+    return abs(a * d - b * c)
 
 
 def _residual_lc_ricci_flat(spec: mz.MetricSpec, p, notes: dict) -> float:
@@ -361,9 +364,10 @@ def _residual_hessian_matrices(spec: mz.MetricSpec, p, notes: dict) -> float:
     Phi, theta, _ = mz.phi_field(p, hp)
     L_jet = hp.k * theta.hess[:2, 2:]  # log Φ = kθ
     P_jet = Phi.grad[:2, None] * Phi.grad[2:]
-    rL = _norm(_maxabs(L - L_jet), _maxabs(L))
-    rP = _norm(_maxabs(P - P_jet), _maxabs(P))
-    rdet = max(_scaled_det(L), _scaled_det(P))
+    sL, sP = _maxabs(L), _maxabs(P)
+    rL = _norm(_maxabs(L - L_jet), sL)
+    rP = _norm(_maxabs(P - P_jet), sP)
+    rdet = max(_scaled_det(L, sL), _scaled_det(P, sP))
     # The displayed matrices read with rows/columns swapped match the transpose;
     # record how far the literal row-column reading sits from the computed tensor.
     lit = max(_maxabs(L - L.T), _maxabs(P - P.T))

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 
+from lcflat import geometry as geo
 from lcflat.geometry import MetricJet
 from lcflat.wjet import WJet, conj, exp, jet_conj_var, jet_const, jet_var, partials
 
@@ -103,3 +104,73 @@ def theta_root_oracle(p, hp):
     if abs(hp.k * theta) > math.log(sys.float_info.max):
         raise ValueError("Φ is outside the floating-point range at this point")
     return theta
+
+
+# -- oracles for the geometry's scalars: the derivations they replaced --------------
+
+
+def lowered_lc_curvature(m):
+    """𝔯R_{ij̄kℓ̄} = h_{sℓ̄} 𝔯R^s_{ij̄k}, as [i, j, k, l]."""
+    return np.einsum("sl,sijk->ijkl", m.H, geo.lc_curvature(m))
+
+
+def lc_scalar_oracle(m):
+    """s_LC as the double trace h^{ij̄} h^{kℓ̄} 𝔯R_{ij̄kℓ̄} of the lowered tensor."""
+    G = m.inverse.T
+    return float(np.einsum("ij,kl,ijkl->", G, G, lowered_lc_curvature(m)).real)
+
+
+def torsion_oracle(m):
+    """T^k_{ij} = h^{kℓ̄}(∂h_{jℓ̄}/∂z^i − ∂h_{iℓ̄}/∂z^j), raised from the metric's gradient."""
+    dval = m.dH[:, :, : m.n].transpose(2, 0, 1)  # [i, j, l] = ∂h_{jℓ̄}/∂z^i
+    return np.einsum("lk,ijl->kij", m.inverse, dval - dval.transpose(1, 0, 2))
+
+
+def _real_blocks(M):
+    """Real block matrices [[2Re M, 2Im M], [−2Im M, 2Re M]] over the last two axes."""
+    A = 2.0 * M.real
+    B = 2.0 * M.imag
+    return np.block([[A, B], [-B, A]])
+
+
+def riemannian_scalar_oracle(m):
+    """The Riemannian scalar on the real coordinates z^k = x^k + √−1 y^k, where
+    g_xx = g_yy = 2 Re h and g_xy = 2 Im h, from the real partials of the jets."""
+    n = m.n
+    # ∂/∂x^k = ∂_k + ∂̄_k and ∂/∂y^k = √−1 (∂_k − ∂̄_k), as rows over Wirtinger slots
+    eye = np.eye(n)
+    W = np.block([[eye, eye], [1j * eye, -1j * eye]])
+
+    Gv = _real_blocks(m.H)
+    Gd = _real_blocks(np.einsum("cs,ijs->cij", W, m.dH))  # [c, a, b] = ∂_c g_ab
+    Gdd = _real_blocks(np.einsum("cs,et,ijst->ceij", W, W, m.ddH))  # [c, e, a, b]
+
+    Ginv = np.linalg.inv(Gv)
+    dGinv = -np.einsum("la,cab,br->clr", Ginv, Gd, Ginv)
+
+    # Γ^l_{mn} = ½ g^{lr} (∂_m g_rn + ∂_n g_rm − ∂_r g_mn)
+    bracket = (
+        np.einsum("mrn->rmn", Gd)
+        + np.einsum("nrm->rmn", Gd)
+        - np.einsum("rmn->rmn", Gd)
+    )
+    Gamma = 0.5 * np.einsum("lr,rmn->lmn", Ginv, bracket)
+
+    dbracket = (
+        np.einsum("cmrn->crmn", Gdd)
+        + np.einsum("cnrm->crmn", Gdd)
+        - np.einsum("crmn->crmn", Gdd)
+    )
+    dGamma = 0.5 * (
+        np.einsum("clr,rmn->clmn", dGinv, bracket)
+        + np.einsum("lr,crmn->clmn", Ginv, dbracket)
+    )
+
+    # R_{mn} = ∂_l Γ^l_{mn} − ∂_n Γ^l_{ml} + Γ^l_{lr} Γ^r_{mn} − Γ^l_{nr} Γ^r_{ml}
+    ric = (
+        np.einsum("llmn->mn", dGamma)
+        - np.einsum("nlml->mn", dGamma)
+        + np.einsum("llr,rmn->mn", Gamma, Gamma)
+        - np.einsum("lnr,rml->mn", Gamma, Gamma)
+    )
+    return float(np.einsum("mn,mn->", Ginv, ric))

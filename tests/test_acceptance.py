@@ -176,7 +176,7 @@ def test_c07_degenerations(capsys):
         flat_max = max(
             flat_max,
             np.max(np.abs(geo.chern_curvature(h))),
-            np.max(np.abs(geo.lc_curvature(h)[0])),
+            np.max(np.abs(geo.lc_curvature(h))),
             np.max(np.abs(gam.chern)),
             np.max(np.abs(gam.lc_hol)),
             np.max(np.abs(gam.lc_anti)),

@@ -5,10 +5,21 @@ hand-computed Ricci, Kähler potentials (all torsion-type quantities collapse),
 and cross-checks between independent computation paths for the same tensor.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
-from conftest import metric_from_fn, random_poly_metric_fn, random_small_point
+from conftest import (
+    lc_scalar_oracle,
+    lowered_lc_curvature,
+    metric_from_fn,
+    random_poly_metric_fn,
+    random_small_point,
+    riemannian_scalar_oracle,
+    torsion_oracle,
+)
+from lcflat import cli
 from lcflat import geometry as geo
 from lcflat import metrics as M
 from lcflat import verify as V
@@ -56,7 +67,8 @@ def test_flat_metric_all_curvature_vanishes():
     assert np.max(np.abs(geo.chern_curvature(m))) == 0.0
     assert np.max(np.abs(geo.chern_ricci(m))) == 0.0
     assert np.max(np.abs(geo.lc_ricci(m))) == 0.0
-    assert np.max(np.abs(geo.lc_curvature(m)[1])) == 0.0
+    assert np.max(np.abs(geo.lc_curvature(m))) == 0.0
+    assert np.max(np.abs(lowered_lc_curvature(m))) == 0.0
     sc = geo.scalars(m)
     assert sc.s_C == sc.s_LC == sc.s == 0.0
     assert sc.torsion_sq == sc.delstar_sq == 0.0
@@ -136,7 +148,7 @@ def test_curvature_and_ricci_are_hermitian():
     R = geo.chern_curvature(m)
     # R_{ij̄kℓ̄} = conj(R_{jīℓk̄})
     assert np.max(np.abs(R - R.transpose(1, 0, 3, 2).conj())) < 1e-12
-    _, low = geo.lc_curvature(m)
+    low = lowered_lc_curvature(m)
     assert np.max(np.abs(low - low.transpose(1, 0, 3, 2).conj())) < 1e-12
 
 
@@ -315,6 +327,80 @@ def test_riemannian_scalar_of_flat_metric_is_zero():
         assert geo.riemannian_scalar(M.build_metric(spec, p)) == 0.0
 
 
+ORACLE_SPECS = [
+    "flat",
+    "kahler-test{n=3}",
+    "hopf-standard",
+    f"hopf-omega-lambda{{a={-3.1 + 2.2j!r},b={0.5 - 1.4j!r},lambda=0.7}}",
+    f"hopf-lc-flat{{a={E**2!r},b={E!r}}}",
+    "user-polynomial{seed=104,amp=0.05}",
+    "user-polynomial{seed=104,amp=0.05,n=3}",
+    "conformal{base=user-polynomial{seed=7,amp=0.04},f=poly{seed=8,amp=0.15}}",
+    f"conformal{{base=hopf-omega-lambda{{a={E**2!r},b={E!r},lambda=-0.5}},f=log-delta{{scale=3.0}}}}",
+]
+
+
+@pytest.mark.parametrize("text", ORACLE_SPECS)
+def test_scalars_and_torsion_match_the_derivations_they_replaced(text):
+    """s on the Wirtinger slots against s on the real coordinates, the torsion
+    read from the Chern symbols against the raised metric gradient, and
+    s_LC = h^{ij̄}𝔯ic_{ij̄} against the double trace of the lowered tensor."""
+    spec = M.parse_metric_spec(text)
+    hp = spec.hopf_params()
+    if hp is not None and spec.dim == 2:
+        pts = V.sample_points("hopf-fundamental", 8, 3, hp=hp)
+    else:
+        pts = V.sample_points("box", 8, 3, dim=spec.dim)
+    for p in pts:
+        m = M.build_metric(spec, p)
+        sc = geo.scalars(m)
+        T, _ = geo.torsion(m)
+        T0 = torsion_oracle(m)
+        for new, old in ((sc.s, riemannian_scalar_oracle(m)), (sc.s_LC, lc_scalar_oracle(m))):
+            assert abs(new - old) <= 1e-13 * (1 + abs(old)), (p, new, old)
+        assert np.max(np.abs(T - T0)) <= 1e-13 * (1 + np.max(np.abs(T0))), p
+
+
+# Planted defects in `riemannian_scalar`: one source line and its replacement.
+SCALAR_DEFECTS = {
+    "untransposed-block": ("B[n:, :n] = A.swapaxes(0, 1)", "B[n:, :n] = A"),
+    "dropped-quadratic-term": ('        - np.einsum("lnr,rml->mn", Gamma, Gamma)\n', ""),
+}
+
+
+def _mutant_riemannian_scalar(defect):
+    old, new = SCALAR_DEFECTS[defect]
+    src = inspect.getsource(geo.riemannian_scalar)
+    assert src.count(old) == 1, defect
+    namespace = dict(vars(geo))
+    exec(src.replace(old, new), namespace)
+    return namespace["riemannian_scalar"]
+
+
+def _scalar_key1_cell(kind):
+    (cell,) = [c for c in cli._suite_cells()
+               if c["identity"] == "scalar-key1" and c["metric"].startswith(kind)]
+    return cell
+
+
+@pytest.mark.parametrize("defect, kind", [
+    ("untransposed-block", "hopf-omega-lambda"),
+    ("untransposed-block", "user-polynomial"),
+    ("dropped-quadratic-term", "hopf-omega-lambda"),
+    ("dropped-quadratic-term", "user-polynomial"),
+    # H is real and diagonal on hopf-standard, so the untransposed block is invisible there
+    ("dropped-quadratic-term", "hopf-standard"),
+])
+def test_scalar_key1_suite_cells_fail_on_a_planted_scalar_defect(monkeypatch, defect, kind):
+    cell = _scalar_key1_cell(kind)
+    monkeypatch.setattr(geo, "riemannian_scalar", _mutant_riemannian_scalar(defect))
+    for seed in (1, 2, 3):
+        rep = V.run_check(V.CheckSpec(identity="scalar-key1",
+                                      metric=M.parse_metric_spec(cell["metric"]),
+                                      n_points=cell["n_points"], seed=seed))
+        assert rep.verdict == "fail", (seed, rep.max_residual)
+
+
 # -- validation and debug hooks ------------------------------------------------------
 
 
@@ -346,6 +432,17 @@ def test_hermitian_test_accepts_exactly_what_allclose_accepts(n):
             assert geo.is_hermitian(H) == want, (scale, t)
             seen.add(want)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("H", [
+    np.diag([np.inf, 1.0]),
+    np.array([[1.0, np.inf], [np.inf, 1.0]]),
+    np.array([[1.0, np.nan], [np.nan, 1.0]]),
+], ids=["inf-diagonal", "inf-off-diagonal", "nan"])
+def test_non_finite_metric_rejected(H):
+    """A ValueError, not a RuntimeWarning (warnings are errors under pytest)."""
+    with pytest.raises(ValueError, match="floating-point range"):
+        geo.MetricJet(H.astype(complex), np.zeros((2, 2, 4), complex), np.zeros((2, 2, 4, 4), complex))
 
 
 def test_non_positive_definite_metric_rejected():

@@ -532,7 +532,7 @@ def test_theta_root_equals_the_sorted_newton_loop(hp):
 
 class _SwappedRates:
     """Rates with c₁ < c₂, which `HopfParams` does not admit; on a tie they
-    make the w term the one that goes through expm1."""
+    make the sorted loop send the w term through expm1."""
 
     def __init__(self, hp):
         self.k1, self.k2, self.k = hp.k2, hp.k1, hp.k
@@ -543,8 +543,9 @@ class _SwappedRates:
                          ids=["c1>c2", "c1<c2", "c1=c2"])
 @pytest.mark.parametrize("p", [(1.0, 1.0), (1j, -1.0), (0.25, 0.25j), (3.0, 3.0), (-1.0, -1.0j)])
 def test_theta_root_breaks_ties_as_the_sorted_loop(hp, p):
-    """|z| = |w| makes both exponents equal at the start, so the rates decide
-    which term enters through expm1."""
+    """|z| = |w| makes both exponents equal at the start.  There the sorted
+    loop lets the rates decide which term enters through expm1, and
+    `_theta_root` takes z; g and g′ come out the same either way."""
     _same_root(p, hp)
 
 

@@ -240,9 +240,10 @@ def test_hessian_determinant_term_is_measured_on_the_matrix_scale(scale):
     v = np.array([0.6 + 0.3j, -0.2 + 0.7j])
     rank1 = np.outer(v, v.conj())
     rank1 *= scale / np.max(np.abs(rank1))
-    assert V._scaled_det(rank1) <= 1e-15
-    assert V._scaled_det(rank1 + 1e-6 * scale * np.eye(2)) > tol
-    assert V._scaled_det(np.zeros((2, 2))) == 0.0
+    bumped = rank1 + 1e-6 * scale * np.eye(2)
+    assert V._scaled_det(rank1, np.max(np.abs(rank1))) <= 1e-15
+    assert V._scaled_det(bumped, np.max(np.abs(bumped))) > tol
+    assert V._scaled_det(np.zeros((2, 2)), 0.0) == 0.0
 
 
 @pytest.mark.parametrize("identity, metric, seed", [
