@@ -175,6 +175,11 @@ class MetricSpec:
         return self.lam if self.lam is not None else 0.0
 
     @property
+    def seed_value(self) -> int:
+        """Seed of user-polynomial; 0 when the spec leaves it out."""
+        return self.seed if self.seed is not None else 0
+
+    @property
     def dim(self) -> int:
         if self.kind == "conformal":
             return self.base.dim
@@ -260,16 +265,22 @@ def _parse_complex(key: str, raw: str) -> complex:
 
 def _parse_float(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        x = float(raw)
     except ValueError:
         raise ValueError(f"field {key!r}: cannot parse {raw!r} as a real number") from None
+    if not math.isfinite(x):
+        raise ValueError(f"field {key!r}: expected a finite number, got {raw!r}")
+    return x
 
 
-def _parse_int(key: str, raw: str) -> int:
+def _parse_int(key: str, raw: str, least: int = 0) -> int:
     try:
-        return int(raw)
+        x = int(raw)
     except ValueError:
         raise ValueError(f"field {key!r}: cannot parse {raw!r} as an integer") from None
+    if x < least:
+        raise ValueError(f"field {key!r}: expected an integer >= {least}, got {raw!r}")
+    return x
 
 
 # The spec grammar, one entry per key: the attribute the key sets, its parser
@@ -280,7 +291,7 @@ _SPEC_KEYS = {
     "lambda": ("lam", _parse_float, _fmt_float),
     "seed": ("seed", _parse_int, str),
     "amp": ("amp", _parse_float, _fmt_float),
-    "n": ("n", _parse_int, str),
+    "n": ("n", lambda key, raw: _parse_int(key, raw, 1), str),
     "base": ("base", lambda key, raw: parse_metric_spec(raw), lambda spec: spec.canonical()),
     "f": ("f", lambda key, raw: parse_field_spec(raw), lambda spec: spec.canonical()),
     "scale": ("scale", _parse_float, _fmt_float),
@@ -523,6 +534,12 @@ def hessian_forms(p, hp: HopfParams) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("a power of Φ is outside the floating-point range at this point") from None
 
 
+def dbar_log_phi(hv: HopfFrame) -> np.ndarray:
+    """∂̄ log Φ = (z e₁, w e₂)/Δ on the scalar frame: log Φ = kθ, and with F as
+    in `hopf_jets`, θ_z̄ = −F_z̄/F_θ = z e₁/(kΔ) since F_θ = −kΔ (so for w̄)."""
+    return np.array([hv.z * hv.e1, hv.w * hv.e2]) / hv.delta
+
+
 # -- metric construction ---------------------------------------------------------------
 
 
@@ -665,7 +682,7 @@ def _metric_jets(spec: MetricSpec, pt: tuple[complex, ...]) -> list[list[WJet]]:
         return conformal_scale(base, field_jet(spec.f, pt, spec.hopf_params(), n=n))
     if spec.kind == "user-polynomial":
         return random_polynomial_jets(
-            pt, n, seed=spec.seed if spec.seed is not None else 0,
+            pt, n, seed=spec.seed_value,
             amp=spec.amp if spec.amp is not None else _POLY_AMP,
         )
     raise ValueError(f"unknown metric kind {spec.kind!r}")  # pragma: no cover (MetricSpec checks)
@@ -687,7 +704,7 @@ def build_metric(spec: MetricSpec, p) -> MetricJet:
         if base.kind != "user-polynomial":
             raise
         raise ValueError(
-            f"user polynomial metric (seed={base.seed}) is not positive definite at {pt}"
+            f"user polynomial metric (seed={base.seed_value}) is not positive definite at {pt}"
         ) from None
 
 

@@ -140,6 +140,8 @@ def sample_points(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
     rng = np.random.default_rng(seed)
     if domain == "box":
         pts = []
@@ -176,14 +178,13 @@ def sample_points(
 FD_STEP, FD_STEP2 = 1e-5, 1e-4
 
 
-def fd_jet(fn, p, n_vars: int, order: int = 2) -> tuple[complex, np.ndarray, np.ndarray]:
+def fd_jet(fn, p, n_vars: int) -> tuple[complex, np.ndarray, np.ndarray]:
     """Central-difference estimate of a function's (value, gradient, Hessian) at p.
 
     `fn` maps a coordinate tuple to a complex value.  Derivatives are taken in
     the 2·n_vars real coordinates and converted to Wirtinger derivatives via
     ∂_{z^k} = ½(∂_{x^k} − i∂_{y^k}), ∂_{z̄^k} = ½(∂_{x^k} + i∂_{y^k}), in the
-    slots of WJet's gradient [2n] and Hessian [2n, 2n].  Derivatives above
-    `order` are zero.
+    slots of WJet's gradient [2n] and Hessian [2n, 2n].
 
     First derivatives use FD_STEP; second-derivative stencils use the larger
     FD_STEP2 because their roundoff floor scales like ε/h² — at h = 1e-5 that
@@ -202,24 +203,22 @@ def fd_jet(fn, p, n_vars: int, order: int = 2) -> tuple[complex, np.ndarray, np.
 
     f0 = complex(shift(np.zeros(d)))
     grad = np.zeros(d, dtype=complex)
-    if order >= 1:
-        for a in range(d):
-            e = np.zeros(d)
-            e[a] = FD_STEP
-            grad[a] = (shift(e) - shift(-e)) / (2 * FD_STEP)
+    for a in range(d):
+        e = np.zeros(d)
+        e[a] = FD_STEP
+        grad[a] = (shift(e) - shift(-e)) / (2 * FD_STEP)
     hess = np.zeros((d, d), dtype=complex)
-    if order >= 2:
-        for a in range(d):
-            ea = np.zeros(d)
-            ea[a] = FD_STEP2
-            hess[a, a] = (shift(ea) - 2 * f0 + shift(-ea)) / FD_STEP2**2
-            for b in range(a + 1, d):
-                eb = np.zeros(d)
-                eb[b] = FD_STEP2
-                mixed = (
-                    shift(ea + eb) - shift(ea - eb) - shift(-ea + eb) + shift(-ea - eb)
-                ) / (4 * FD_STEP2**2)
-                hess[a, b] = hess[b, a] = mixed
+    for a in range(d):
+        ea = np.zeros(d)
+        ea[a] = FD_STEP2
+        hess[a, a] = (shift(ea) - 2 * f0 + shift(-ea)) / FD_STEP2**2
+        for b in range(a + 1, d):
+            eb = np.zeros(d)
+            eb[b] = FD_STEP2
+            mixed = (
+                shift(ea + eb) - shift(ea - eb) - shift(-ea + eb) + shift(-ea - eb)
+            ) / (4 * FD_STEP2**2)
+            hess[a, b] = hess[b, a] = mixed
 
     # complex direction vectors: columns are real-coordinate weights
     dirs = np.zeros((2 * nv, d), dtype=complex)  # row = formal variable slot
@@ -231,17 +230,15 @@ def fd_jet(fn, p, n_vars: int, order: int = 2) -> tuple[complex, np.ndarray, np.
     return f0, dirs @ grad, dirs @ hess @ dirs.T
 
 
-def fd_oracle(spec: mz.MetricSpec, p, order: int = 2) -> dict:
+def fd_oracle(spec: mz.MetricSpec, p) -> dict:
     """FD (value, gradient, Hessian) of every metric entry, keyed by (i, j)."""
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
     n = spec.dim
 
     def entry_fn(i, j):
         return lambda q: mz.build_metric(spec, q).H[i, j]
 
     return {
-        (i, j): fd_jet(entry_fn(i, j), p, n, order=order)
+        (i, j): fd_jet(entry_fn(i, j), p, n)
         for i in range(n)
         for j in range(n)
     }
@@ -328,9 +325,8 @@ def _residual_tw_formula(spec: mz.MetricSpec, p, notes: dict) -> float:
     r1 = _norm(_maxabs(p1 - target), _maxabs(target))
     r2 = _norm(_maxabs(p2 - target), _maxabs(target))
 
-    # ∂*ω_λ = (√−1/(1+λ)) ∂̄logΦ componentwise, with log Φ = kθ
-    _, theta, _ = mz.phi_field(p, hp)
-    want = 1j * hp.k / (1.0 + lam) * theta.grad[2:]
+    # ∂*ω_λ = (√−1/(1+λ)) ∂̄logΦ componentwise
+    want = 1j / (1.0 + lam) * mz.dbar_log_phi(mz.hopf_values(p, hp))
     a01, _ = geo.del_star(m)
     r3 = _norm(_maxabs(a01 - want), _maxabs(want))
     return max(r1, r2, r3)

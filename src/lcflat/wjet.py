@@ -7,10 +7,9 @@ d/dzbar^{s+1}; the symmetric Hessian holds the second partials in those slots.
 Products follow the Leibniz rule and compositions the chain rule, truncated at
 order 2 (Taylor-mode arithmetic: Griewank & Walther, Evaluating Derivatives,
 ch. 13).  Truncation is graded: the order-k part of any product, quotient or
-composition depends only on input parts of order <= k, which is what makes it
-safe to keep differentiating results whose top part is no longer meaningful.
-Each jet carries the order through which it is trustworthy (``order``);
-differentiation lowers it by one and zeroes the part above.
+composition depends only on input parts of order <= k, so arithmetic on a
+jet whose Hessian is unknown (a derivative from `d_dz`) still gives exact
+values and gradients.
 
 A jet keeps the three in one flat array, so that ± and scalar × are one
 numpy call each.  The magnitude checks (`WJet.max_abs`, `jets_close`,
@@ -25,8 +24,6 @@ import math
 from typing import Callable
 
 import numpy as np
-
-JET_ORDER = 2
 
 # Per-coefficient tolerance for jet equality, scaled by the dominant
 # coefficient magnitude (never below an absolute scale of 1).
@@ -44,10 +41,6 @@ class WJet:
         Wirtinger gradient: slot s < n is d/dz^{s+1}, slot n + s is d/dzbar^{s+1}.
     hess : array_like, shape (2n, 2n)
         Symmetric matrix of the second partials in the same slots.
-    order : int
-        Order through which the jet is meaningful (0..2).  The gradient
-        (below order 1) and the Hessian (below order 2) are zeroed on
-        construction.
 
     The jet keeps one flat array, ``data`` = [value, grad, hess.ravel()],
     which `value`, `grad` and `hess` read.  Jets are values: no operation
@@ -55,9 +48,9 @@ class WJet:
     read-only.
     """
 
-    __slots__ = ("n_vars", "data", "order")
+    __slots__ = ("n_vars", "data")
 
-    def __init__(self, value, grad, hess, order: int = JET_ORDER):
+    def __init__(self, value, grad, hess):
         grad = np.asarray(grad, dtype=np.complex128)
         hess = np.asarray(hess, dtype=np.complex128)
         m = grad.size
@@ -70,7 +63,8 @@ class WJet:
         data[0] = value
         data[1 : m + 1] = grad
         data[m + 1 :] = hess.reshape(-1)
-        _bind(self, data, m // 2, order)
+        self.n_vars = m // 2
+        self.data = data
 
     @property
     def value(self) -> complex:
@@ -90,7 +84,7 @@ class WJet:
         return float(np.abs(_coefficients(self)).max())
 
     def __repr__(self) -> str:
-        return f"WJet(n_vars={self.n_vars}, order={self.order}, value={self.value:.6g})"
+        return f"WJet(n_vars={self.n_vars}, value={self.value:.6g})"
 
     # -- ring operations ---------------------------------------------------
 
@@ -98,9 +92,9 @@ class WJet:
         if not isinstance(other, WJet):
             data = self.data.copy()
             data[0] += other
-            return _jet(data, self.n_vars, self.order)
+            return _jet(data, self.n_vars)
         _check_vars(self, other)
-        return _jet(self.data + other.data, self.n_vars, min(self.order, other.order))
+        return _jet(self.data + other.data, self.n_vars)
 
     __radd__ = __add__
 
@@ -108,29 +102,29 @@ class WJet:
         if not isinstance(other, WJet):
             data = self.data.copy()
             data[0] -= other
-            return _jet(data, self.n_vars, self.order)
+            return _jet(data, self.n_vars)
         _check_vars(self, other)
-        return _jet(self.data - other.data, self.n_vars, min(self.order, other.order))
+        return _jet(self.data - other.data, self.n_vars)
 
     def __rsub__(self, other):
         data = -self.data
         data[0] += other
-        return _jet(data, self.n_vars, self.order)
+        return _jet(data, self.n_vars)
 
     def __neg__(self):
-        return _jet(-self.data, self.n_vars, self.order)
+        return _jet(-self.data, self.n_vars)
 
     def __mul__(self, other):
         if not isinstance(other, WJet):
-            return _jet(self.data * other, self.n_vars, self.order)
+            return _jet(self.data * other, self.n_vars)
         return mul(self, other)
 
     def __rmul__(self, other):
-        return _jet(self.data * other, self.n_vars, self.order)
+        return _jet(self.data * other, self.n_vars)
 
     def __truediv__(self, other):
         if not isinstance(other, WJet):
-            return _jet(self.data / other, self.n_vars, self.order)
+            return _jet(self.data / other, self.n_vars)
         return div(self, other)
 
     def __rtruediv__(self, other):
@@ -145,19 +139,12 @@ class WJet:
     conjugate = conj  # the name Python's numbers use, so closed forms take either
 
 
-def _bind(jet: WJet, data: np.ndarray, n_vars: int, order: int) -> None:
-    if order < JET_ORDER:
-        data[1 + 2 * n_vars * order :] = 0.0
-    jet.n_vars = n_vars
-    jet.data = data
-    jet.order = order
-
-
-def _jet(data: np.ndarray, n_vars: int, order: int = JET_ORDER) -> WJet:
+def _jet(data: np.ndarray, n_vars: int) -> WJet:
     """The jet whose flat array is `data`, taken without a copy: arithmetic
     hands over each new result this way."""
     jet = WJet.__new__(WJet)
-    _bind(jet, data, n_vars, order)
+    jet.n_vars = n_vars
+    jet.data = data
     return jet
 
 
@@ -166,14 +153,14 @@ def _check_vars(a: WJet, b: WJet) -> None:
         raise ValueError("jets have different n_vars")
 
 
-def _coefficients(a: WJet, order: int = JET_ORDER) -> np.ndarray:
-    """The Taylor coefficients of `a` through `order`, flattened: the value,
-    the gradient and the Hessian with its diagonal halved (each off-diagonal
-    coefficient appears twice)."""
+def _coefficients(a: WJet) -> np.ndarray:
+    """The Taylor coefficients of `a`, flattened: the value, the gradient and
+    the Hessian with its diagonal halved (each off-diagonal coefficient
+    appears twice)."""
     m = 2 * a.n_vars
     c = a.data.copy()
     c[1 + m :: m + 1] *= 0.5  # the Hessian's diagonal
-    return c[: (1, 1 + m, c.size)[order]]
+    return c
 
 
 # -- constructors ------------------------------------------------------------
@@ -218,7 +205,7 @@ def mul(a: WJet, b: WJet) -> WJet:
     data[2 * a.n_vars + 1 :] += (cross + cross.T).reshape(-1)
     data += b0 * a.data
     data[0] = a0 * b0
-    return _jet(data, a.n_vars, min(a.order, b.order))
+    return _jet(data, a.n_vars)
 
 
 def div(a: WJet, b: WJet) -> WJet:
@@ -237,7 +224,7 @@ def _reciprocal(b: WJet) -> WJet:
     data[0] = 1.0 / c
     g = e[1 : 2 * b.n_vars + 1]
     data[2 * b.n_vars + 1 :] += (g[:, None] * g).reshape(-1) * (2.0 / c)
-    return _jet(data, b.n_vars, b.order)
+    return _jet(data, b.n_vars)
 
 
 def conj(a: WJet) -> WJet:
@@ -247,7 +234,7 @@ def conj(a: WJet) -> WJet:
     data[0] = a.data[0]
     data[1 : m + 1].reshape(2, n)[...] = a.grad.reshape(2, n)[::-1]
     data[m + 1 :].reshape(2, n, 2, n)[...] = a.hess.reshape(2, n, 2, n)[::-1, :, ::-1]
-    return _jet(np.conjugate(data, out=data), n, a.order)
+    return _jet(np.conjugate(data, out=data), n)
 
 
 def _compose(a: WJet, f0: complex, f1: complex, f2: complex) -> WJet:
@@ -255,7 +242,7 @@ def _compose(a: WJet, f0: complex, f1: complex, f2: complex) -> WJet:
     data = f1 * a.data
     data[0] = f0
     data[2 * a.n_vars + 1 :] += (f2 * a.grad[:, None] * a.grad).reshape(-1)
-    return _jet(data, a.n_vars, a.order)
+    return _jet(data, a.n_vars)
 
 
 def _derivatives(name: str, c: complex, fn: Callable[[], tuple]) -> tuple:
@@ -291,7 +278,7 @@ def log(a: WJet) -> WJet:
     if not np.isfinite(data).all():
         raise ValueError(f"log is outside the floating-point range at {c:.6g}")
     data[0] = cmath.log(c)
-    return _jet(data, a.n_vars, a.order)
+    return _jet(data, a.n_vars)
 
 
 def pow_real(a: WJet, p: float) -> WJet:
@@ -305,24 +292,23 @@ def pow_real(a: WJet, p: float) -> WJet:
 
 
 def _derivative(a: WJet, slot: int) -> WJet:
-    if a.order < 1:
-        raise ValueError("cannot differentiate an order-0 jet")
     m = 2 * a.n_vars
     data = np.zeros_like(a.data)
     data[0] = a.data[1 + slot]
     data[1 : m + 1] = a.hess[slot]
-    return _jet(data, a.n_vars, a.order - 1)
+    return _jet(data, a.n_vars)
 
 
 def d_dz(a: WJet, i: int) -> WJet:
-    """Jet of df/dz^i (i is 1-based); meaningful through order a.order - 1."""
+    """Jet of df/dz^i (i is 1-based): the derivative's value and gradient, and
+    a zero Hessian, since that would need third derivatives of f."""
     if not 1 <= i <= a.n_vars:
         raise ValueError(f"variable index {i} out of range 1..{a.n_vars}")
     return _derivative(a, i - 1)
 
 
 def d_dzbar(a: WJet, i: int) -> WJet:
-    """Jet of df/dzbar^i (i is 1-based); meaningful through order a.order - 1."""
+    """Jet of df/dzbar^i (i is 1-based); its Hessian is zero, as in `d_dz`."""
     if not 1 <= i <= a.n_vars:
         raise ValueError(f"variable index {i} out of range 1..{a.n_vars}")
     return _derivative(a, a.n_vars + i - 1)
@@ -351,19 +337,18 @@ def partials(jets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # -- predicates ---------------------------------------------------------------
 
 
-def is_real_valued(a: WJet, tol: float = EQ_TOL) -> bool:
-    """True iff a = conj(a), Taylor coefficient by coefficient."""
+def is_real_valued(a: WJet) -> bool:
+    """True iff a = conj(a), Taylor coefficient by coefficient, to EQ_TOL."""
     c = _coefficients(a)
     scale = max(1.0, float(np.max(np.abs(c))))
-    return bool(np.max(np.abs(c - _coefficients(conj(a)))) <= tol * scale)
+    return bool(np.max(np.abs(c - _coefficients(conj(a)))) <= EQ_TOL * scale)
 
 
 def jets_close(a: WJet, b: WJet, tol: float = EQ_TOL) -> bool:
-    """Coefficientwise comparison through the common valid order."""
+    """Coefficientwise comparison."""
     if a.n_vars != b.n_vars:
         return False
-    order = min(a.order, b.order)
-    ca, cb = _coefficients(a, order), _coefficients(b, order)
+    ca, cb = _coefficients(a), _coefficients(b)
     scale = max(1.0, float(np.max(np.abs(ca))), float(np.max(np.abs(cb))))
     return bool(np.max(np.abs(ca - cb)) <= tol * scale)
 
@@ -371,18 +356,12 @@ def jets_close(a: WJet, b: WJet, tol: float = EQ_TOL) -> bool:
 # -- implicit function solver -------------------------------------------------
 
 
-def solve_scalar_root(
-    f: Callable[[float], float],
-    seed: float,
-    tol: float,
-    max_bracket: int = 80,
-    max_iter: int = 200,
-) -> float:
+def solve_scalar_root(f: Callable[[float], float], seed: float, tol: float) -> float:
     """Safeguarded Newton for a scalar root of a monotone-ish function.
 
-    Brackets the root by geometric expansion around `seed`, then runs Newton
-    steps (finite-difference slope) confined to the bracket with bisection
-    fallback, until |f| <= tol.
+    Brackets the root by geometric expansion around `seed` (at most 80
+    doublings), then runs Newton steps (finite-difference slope) confined to
+    the bracket with bisection fallback, until |f| <= tol (at most 200 steps).
     """
     t = float(seed)
     ft = f(t)
@@ -392,7 +371,7 @@ def solve_scalar_root(
     step = 1.0
     lo = hi = t
     flo = fhi = ft
-    for _ in range(max_bracket):
+    for _ in range(80):
         lo, hi = t - step, t + step
         flo, fhi = f(lo), f(hi)
         if flo == 0.0:
@@ -406,7 +385,7 @@ def solve_scalar_root(
         raise ValueError(
             "failed to bracket a root (is the function monotone with a sign change?)"
         )
-    for _ in range(max_iter):
+    for _ in range(200):
         ft = f(t)
         if abs(ft) <= tol:
             return t

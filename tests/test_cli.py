@@ -69,6 +69,17 @@ class TestVerify:
         assert res.exit_code == 2
         assert "bee" in res.stderr
 
+    @pytest.mark.parametrize("metric, message", [
+        ("flat{n=0}", "expected an integer >= 1"),
+        ("user-polynomial{amp=inf}", "expected a finite number"),
+    ])
+    def test_spec_the_engine_cannot_run_exit_two(self, runner, metric, message):
+        res = invoke(runner, [
+            "verify", "--identity", "key-relation", "--metric", metric, "--points", "3",
+        ])
+        assert res.exit_code == 2
+        assert message in res.stderr
+
     def test_identity_metric_mismatch_exit_two(self, runner):
         res = invoke(runner, [
             "verify", "--identity", "det-formula", "--metric", "flat",

@@ -368,13 +368,15 @@ SCALAR_DEFECTS = {
 }
 
 
-def _mutant_riemannian_scalar(defect):
-    old, new = SCALAR_DEFECTS[defect]
-    src = inspect.getsource(geo.riemannian_scalar)
-    assert src.count(old) == 1, defect
-    namespace = dict(vars(geo))
-    exec(src.replace(old, new), namespace)
-    return namespace["riemannian_scalar"]
+def _mutant(module, name, edits):
+    """`module.name` compiled from its source with each (old, new) edit made once."""
+    src = inspect.getsource(getattr(module, name))
+    for old, new in edits:
+        assert src.count(old) == 1, old
+        src = src.replace(old, new)
+    namespace = dict(vars(module))
+    exec(src, namespace)
+    return namespace[name]
 
 
 def _scalar_key1_cell(kind):
@@ -393,12 +395,59 @@ def _scalar_key1_cell(kind):
 ])
 def test_scalar_key1_suite_cells_fail_on_a_planted_scalar_defect(monkeypatch, defect, kind):
     cell = _scalar_key1_cell(kind)
-    monkeypatch.setattr(geo, "riemannian_scalar", _mutant_riemannian_scalar(defect))
+    monkeypatch.setattr(geo, "riemannian_scalar",
+                        _mutant(geo, "riemannian_scalar", [SCALAR_DEFECTS[defect]]))
     for seed in (1, 2, 3):
         rep = V.run_check(V.CheckSpec(identity="scalar-key1",
                                       metric=M.parse_metric_spec(cell["metric"]),
                                       n_points=cell["n_points"], seed=seed))
         assert rep.verdict == "fail", (seed, rep.max_residual)
+
+
+# Planted defects upstream of several identities: the function, its source edits,
+# and the suite cells (identity, metric kind) that must fail at every seed.
+PLANTED_DEFECTS = {
+    # B and its gradient transposed on the wrong axes in the mixed Levi-Civita symbols
+    "B-wrong-axes": (geo, "_connection", [
+        ("B = dH[:, :, n:] - dH[:, :, n:].transpose(0, 2, 1)",
+         "B = dH[:, :, n:] - dH[:, :, n:].transpose(2, 1, 0)"),
+        ("dB = ddH[:, :, n:] - ddH[:, :, n:].transpose(0, 2, 1, 3)",
+         "dB = ddH[:, :, n:] - ddH[:, :, n:].transpose(2, 1, 0, 3)"),
+    ]),
+    # the sign of Δ flipped in the (1,2) entry of Δ³ω_λ
+    "minus-D": (M, "_delta_cubed_omega", [
+        ("(s * al * (al - 2.0) + D)", "(s * al * (al - 2.0) - D)"),
+    ]),
+}
+PLANTED_DEFECT_CELLS = [
+    ("B-wrong-axes", "lc-ricci-flat", "hopf-lc-flat"),
+    ("B-wrong-axes", "tw-formula", "hopf-omega-lambda"),
+    ("B-wrong-axes", "key-relation", "hopf-lc-flat"),
+    ("B-wrong-axes", "key-relation", "user-polynomial"),
+    ("B-wrong-axes", "scalar-010", "hopf-omega-lambda"),
+    ("B-wrong-axes", "scalar-010", "user-polynomial"),
+    ("B-wrong-axes", "scalar-key1", "hopf-omega-lambda"),
+    ("B-wrong-axes", "scalar-key1", "user-polynomial"),
+    ("B-wrong-axes", "kahler-collapse", "kahler-test"),
+    ("minus-D", "lc-ricci-flat", "hopf-lc-flat"),
+    ("minus-D", "det-formula", "hopf-omega-lambda"),
+    ("minus-D", "tw-formula", "hopf-omega-lambda"),
+]
+
+
+@pytest.mark.parametrize("defect, identity, kind", PLANTED_DEFECT_CELLS)
+def test_suite_cells_fail_on_a_planted_defect(monkeypatch, defect, identity, kind):
+    module, name, edits = PLANTED_DEFECTS[defect]
+    monkeypatch.setattr(module, name, _mutant(module, name, edits))
+    cells = [c for c in cli._suite_cells() if c["identity"] == identity
+             and c["metric"].split("{")[0] == kind and c["expected"] == "pass"]
+    assert cells
+    for cell in cells:
+        spec = M.parse_metric_spec(cell["metric"])
+        for seed in (1, 2, 3):
+            rep = V.run_check(V.CheckSpec(identity=identity, metric=spec,
+                                          n_points=cell["n_points"], seed=seed))
+            assert rep.verdict == "fail", (cell["metric"], seed, rep.max_residual)
 
 
 # -- validation and debug hooks ------------------------------------------------------

@@ -495,6 +495,30 @@ def test_theta_root_budget_per_point(identity, budget, monkeypatch):
     assert len(calls) <= budget * 10
 
 
+def test_tw_formula_builds_one_jet_frame_per_point(monkeypatch):
+    """The metric jet needs the jet frame; the ∂̄ log Φ target reads the scalar frame."""
+    calls = []
+    jets = M.hopf_jets
+    monkeypatch.setattr(M, "hopf_jets", lambda p, hp: calls.append(p) or jets(p, hp))
+    spec = M.MetricSpec(kind="hopf-omega-lambda", a=E**2 * np.exp(0.4j), b=E, lam=0.5)
+    rep = V.run_check(V.CheckSpec(identity="tw-formula", metric=spec, n_points=10, seed=3))
+    assert rep.verdict == "pass" and len(rep.per_point) == 10
+    assert len(calls) <= 10
+
+
+@pytest.mark.parametrize("hp, tol", [(hp, 1e-14) for hp in HOPF_GRID] + [
+    (M.HopfParams(E**2 * np.exp(0.4j), E * np.exp(-1.1j)), 1e-14),
+    (M.HopfParams(1e3, 1.01), 1e-12),
+    (M.HopfParams(1e6, 1.0001), 1e-10),
+], ids=["a=b", "a=e2", "a=e1.5", "complex", "1e3", "1e6"])
+def test_dbar_log_phi_closed_form_matches_the_theta_jet(hp, tol):
+    """(z e₁, w e₂)/Δ on the scalar frame against k·∂̄θ of the solved jet."""
+    for p in V.sample_points("hopf-fundamental", 20, 5, hp=hp):
+        want = hp.k * M.hopf_jets(p, hp).theta.grad[2:]
+        got = M.dbar_log_phi(M.hopf_values(p, hp))
+        assert np.abs(got - want).max() <= tol * np.abs(want).max(), p
+
+
 # -- the θ root against the sorted-list Newton loop it replaced ------------------------
 
 ROOT_PARAMS = HOPF_GRID + [M.HopfParams(1e3, 1.01), M.HopfParams(1e6, 1.0001)]
@@ -715,8 +739,28 @@ def test_log_phi_field_is_scale_times_log_phi():
         ("conformal{base=flat,f=mystery}", "unknown field kind"),
         ("conformal{base=flat,f=log-phi{seed=3}}", "not valid for field kind 'log-phi'"),
         ("flat{n=2,n=3}", "'n' is given more than once"),
+        # Specs the engine cannot run: an empty or negative dimension, a
+        # non-finite number, a negative seed.
+        ("flat{n=0}", "'n': expected an integer >= 1"),
+        ("flat{n=-1}", "'n': expected an integer >= 1"),
+        ("user-polynomial{n=0}", "'n': expected an integer >= 1"),
+        ("kahler-test{n=0}", "'n': expected an integer >= 1"),
+        ("user-polynomial{amp=inf}", "'amp': expected a finite number"),
+        ("conformal{base=hopf-lc-flat,f=log-phi{scale=inf}}", "'scale': expected a finite"),
+        ("hopf-omega-lambda{lambda=inf}", "'lambda': expected a finite number"),
+        ("conformal{base=hopf-lc-flat,f=poly{amp=nan}}", "'amp': expected a finite number"),
+        ("conformal{base=hopf-lc-flat,f=log-delta{scale=nan}}", "'scale': expected a finite"),
+        ("user-polynomial{seed=-1}", "'seed': expected an integer >= 0"),
+        ("conformal{base=hopf-lc-flat,f=poly{seed=-2}}", "'seed': expected an integer >= 0"),
     ],
 )
 def test_spec_parse_errors_name_the_problem(text, msg):
     with pytest.raises(ValueError, match=msg):
         M.parse_metric_spec(text)
+
+
+def test_user_polynomial_error_names_the_default_seed():
+    """A spec that sets no seed draws seed 0, and the abort says so."""
+    spec = M.parse_metric_spec("user-polynomial{amp=1e300}")
+    with pytest.raises(V.CheckAborted, match=r"seed=0\) is not positive definite"):
+        V.run_check(V.CheckSpec(identity="key-relation", metric=spec, n_points=3))

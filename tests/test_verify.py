@@ -66,6 +66,8 @@ def test_sampler_edge_cases():
         V.sample_points("hopf-fundamental", 5, 0)
     with pytest.raises(ValueError):
         V.sample_points("box", 0, 0)
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        V.sample_points("box", 3, 0, dim=0)  # no point could leave the origin ball
 
 
 # -- check spec validation ------------------------------------------------------
@@ -377,7 +379,7 @@ def test_fd_oracle_flat_metric_is_exact():
 def test_fd_oracle_agrees_with_jets_on_builtin_metrics(spec):
     p = V.sample_points("box", 1, 9, dim=2)[0]
     m = M.build_metric(spec, p)
-    table = V.fd_oracle(spec, p, order=2)
+    table = V.fd_oracle(spec, p)
     for (i, j), fd in table.items():
         assert_fd_close(m.dH[i, j], m.ddH[i, j], fd)
 
@@ -393,14 +395,3 @@ def test_fd_oracle_on_potential_scalars():
     for jet, fn in cases:
         assert_fd_close(jet.grad, jet.hess, V.fd_jet(fn, p, 2))
 
-
-def test_fd_jet_order_one_fills_only_first_order_slots():
-    _, grad, hess = V.fd_jet(lambda q: q[0] * np.conj(q[0]), (0.3 + 0.4j, 0.1), 2, order=1)
-    assert not hess.any()
-    # first-order slots: d(z zbar)/dz = zbar
-    assert abs(grad[0] - (0.3 - 0.4j)) < 1e-9
-
-
-def test_fd_oracle_rejects_bad_order():
-    with pytest.raises(ValueError, match="order"):
-        V.fd_oracle(M.MetricSpec(kind="flat"), (0.1, 0.2), order=3)

@@ -22,13 +22,13 @@ from lcflat.wjet import (
 N_COEFFS_2 = 15  # 1 value + 4 gradient + 10 Hessian entries for n = 2
 
 
-def random_jet(c, order=2):
+def random_jet(c):
     """The n = 2 jet with value c[0], gradient c[1:5] and the symmetric
     Hessian whose upper triangle is c[5:15], doubled on the diagonal (so that
     c holds its Taylor coefficients)."""
     upper = np.zeros((4, 4), dtype=complex)
     upper[np.triu_indices(4)] = c[5:]
-    return WJet(c[0], c[1:5], upper + upper.T, order)
+    return WJet(c[0], c[1:5], upper + upper.T)
 
 
 def coeff_strategy(scale=2.0):
@@ -142,11 +142,14 @@ def test_mul_associative(a, b, c):
 @settings(max_examples=60)
 @given(jet_strategy(), jet_strategy())
 def test_product_rule_exact_at_coefficient_level(a, b):
+    # A derivative jet holds no third derivatives, so compare value and gradient.
     ab = a * b
     for i in (1, 2):
         lhs = wj.d_dz(ab, i)
         rhs = wj.d_dz(a, i) * b + a * wj.d_dz(b, i)
-        assert jets_close(lhs, rhs, 1e-13), f"product rule fails for d/dz^{i}"
+        got, want = np.r_[lhs.value, lhs.grad], np.r_[rhs.value, rhs.grad]
+        scale = max(1.0, np.abs(got).max(), np.abs(want).max())
+        assert np.abs(got - want).max() <= 1e-13 * scale, f"product rule fails for d/dz^{i}"
 
 
 @settings(max_examples=60)
@@ -227,19 +230,7 @@ def test_log_is_taken_on_the_relative_jet():
         wj.log(jet_var(1, 1e-310, 2))  # d log z/dz = 1/z overflows
 
 
-# -- grading / order tracking -------------------------------------------------
-
-
-def test_derivative_lowers_order_and_zeroes_top():
-    rng = np.random.default_rng(3)
-    a = random_jet(rng.normal(size=15))
-    da = wj.d_dz(a, 1)
-    assert da.order == 1
-    assert not da.hess.any()
-    dda = wj.d_dzbar(da, 1)
-    assert dda.order == 0
-    with pytest.raises(ValueError):
-        wj.d_dz(dda, 1)
+# -- grading -------------------------------------------------------------------
 
 
 def test_low_order_garbage_does_not_contaminate():
@@ -247,11 +238,12 @@ def test_low_order_garbage_does_not_contaminate():
     rng = np.random.default_rng(4)
     a = random_jet(rng.normal(size=15))
     b = random_jet(rng.normal(size=15))
-    a_trunc = WJet(a.value, a.grad, a.hess, order=1)
+    g = rng.normal(size=(4, 4)) * 1e3
+    a_garbage = WJet(a.value, a.grad, g + g.T)
     prod_full = a * b
-    prod_trunc = a_trunc * b
-    assert prod_full.value == prod_trunc.value
-    assert np.allclose(prod_full.grad, prod_trunc.grad, atol=0)
+    prod_garbage = a_garbage * b
+    assert prod_full.value == prod_garbage.value
+    assert np.array_equal(prod_full.grad, prod_garbage.grad)
 
 
 # -- partial-derivative arrays ------------------------------------------------
