@@ -21,6 +21,14 @@ metric's values build no jet.  The closed forms of √−1∂∂̄ log Φ and
 √−1∂Φ∧∂̄Φ that the metrics are derived from are written once, on scalars, in
 `hessian_forms`, which the checks compare against the metrics and against
 derivatives of the Φ jet.
+
+The polynomial kinds (`flat`, `kahler-test`, `user-polynomial`) and the
+`poly` field are degree-≤2 polynomials in the 2n Wirtinger slots
+x = (z¹…zⁿ, z̄¹…z̄ⁿ), so their order-2 jet is exact and linear in the
+coefficients.  Each is a `PolyTable` (C0, B, Q) with h(x) = C0 + B·x + ½xᵀQx,
+drawn once per spec; a point's jet is two contractions and no jet
+arithmetic.  A conformal factor scales the base's arrays by one Leibniz
+product, broadcast over the entries.
 """
 
 from __future__ import annotations
@@ -36,7 +44,6 @@ import numpy as np
 from .geometry import MetricJet, NotPositiveDefinite
 from .wjet import (
     WJet,
-    conj,
     exp,
     is_real_valued,
     jet_conj_var,
@@ -130,6 +137,18 @@ class FieldSpec:
     def canonical(self) -> str:
         return _canonical(self, _FIELD_KEYS[self.kind])
 
+    def poly_table(self, n: int) -> PolyTable:
+        """Coefficient table of the poly field on n coordinates, drawn once
+        per spec and n."""
+        tables = self._poly_tables
+        if n not in tables:
+            tables[n] = _frozen(_poly_field_table(n, self.seed, self.amp))
+        return tables[n]
+
+    @cached_property
+    def _poly_tables(self) -> dict[int, PolyTable]:
+        return {}
+
 
 # keys each kind accepts in the textual spec grammar
 _ALLOWED_KEYS = {
@@ -207,6 +226,20 @@ class MetricSpec:
             return HopfParams(E, E)
         return None
 
+    @cached_property
+    def poly_table(self) -> PolyTable | None:
+        """Coefficient table of h for the polynomial kinds, drawn once per
+        spec; None for the other kinds."""
+        n = self.dim
+        if self.kind == "flat":
+            return _frozen(_poly_table(np.eye(n), n))
+        if self.kind == "kahler-test":
+            return _frozen(_kahler_test_table(n))
+        if self.kind == "user-polynomial":
+            amp = self.amp if self.amp is not None else _POLY_AMP
+            return _frozen(_user_polynomial_table(n, self.seed_value, amp))
+        return None
+
     # -- canonical text form ---------------------------------------------------
 
     def canonical(self) -> str:
@@ -273,14 +306,21 @@ def _parse_float(key: str, raw: str) -> float:
     return x
 
 
-def _parse_int(key: str, raw: str, least: int = 0) -> int:
+def _parse_int(key: str, raw: str, least: int = 0, most: int | None = None) -> int:
     try:
         x = int(raw)
     except ValueError:
         raise ValueError(f"field {key!r}: cannot parse {raw!r} as an integer") from None
     if x < least:
         raise ValueError(f"field {key!r}: expected an integer >= {least}, got {raw!r}")
+    if most is not None and x > most:
+        raise ValueError(f"field {key!r}: expected an integer <= {most}, got {raw!r}")
     return x
+
+
+# Largest number of coordinates a spec may ask for.  A polynomial metric's
+# table holds n²(2n)² Hessian entries, and the geometry's arrays grow alike.
+MAX_DIM = 8
 
 
 # The spec grammar, one entry per key: the attribute the key sets, its parser
@@ -291,7 +331,7 @@ _SPEC_KEYS = {
     "lambda": ("lam", _parse_float, _fmt_float),
     "seed": ("seed", _parse_int, str),
     "amp": ("amp", _parse_float, _fmt_float),
-    "n": ("n", lambda key, raw: _parse_int(key, raw, 1), str),
+    "n": ("n", lambda key, raw: _parse_int(key, raw, 1, MAX_DIM), str),
     "base": ("base", lambda key, raw: parse_metric_spec(raw), lambda spec: spec.canonical()),
     "f": ("f", lambda key, raw: parse_field_spec(raw), lambda spec: spec.canonical()),
     "scale": ("scale", _parse_float, _fmt_float),
@@ -503,9 +543,10 @@ def phi_field(p, hp: HopfParams):
     return exp(hp.k * hj.theta), hj.theta, hj.delta
 
 
-def hessian_forms(p, hp: HopfParams) -> tuple[np.ndarray, np.ndarray]:
+def hessian_forms(hv: HopfFrame, hp: HopfParams) -> tuple[np.ndarray, np.ndarray]:
     """Value matrices L of √−1∂∂̄logΦ and P of √−1∂Φ∧∂̄Φ, on the scalar frame
-    (`hopf_values`); no jet is built.
+    hv (`hopf_values`); no jet is built, and the caller's frame is read, so a
+    check that needs the frame for more solves θ once for all of it.
 
     Eliminating θ from the implicit relation gives, with α = 2k₁/(k₁+k₂),
 
@@ -519,7 +560,6 @@ def hessian_forms(p, hp: HopfParams) -> tuple[np.ndarray, np.ndarray]:
 
     Both are rank 1 (det L = det P = 0) and positive semidefinite.
     """
-    hv = hopf_values(p, hp)
     z, w, Delta = hv.z, hv.w, hv.delta
     Phi = math.exp(hp.k * hv.theta)
     al, zbw = hp.alpha, hv.zb * w
@@ -540,20 +580,122 @@ def dbar_log_phi(hv: HopfFrame) -> np.ndarray:
     return np.array([hv.z * hv.e1, hv.w * hv.e2]) / hv.delta
 
 
-# -- metric construction ---------------------------------------------------------------
+# -- polynomial coefficient tables -----------------------------------------------------
 
 
-def _flat_jets(n: int) -> list[list[WJet]]:
-    return [[jet_const(1.0 if i == j else 0.0, n) for j in range(n)] for i in range(n)]
+class PolyTable(NamedTuple):
+    """A degree-≤2 polynomial in the 2n Wirtinger slots x = (z¹…zⁿ, z̄¹…z̄ⁿ),
+    h(x) = C0 + B·x + ½xᵀQx, entrywise over the leading axes S of C0.
+
+    B has shape S + (2n,) and Q, symmetric in its last two axes, S + (2n, 2n).
+    The order-2 jet of such a polynomial is exact: at x the value is
+    C0 + (B + ½Qx)·x, the gradient B + Qx and the Hessian Q (`jet`).
+    """
+
+    C0: np.ndarray
+    B: np.ndarray
+    Q: np.ndarray
+
+    def jet(self, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(value, gradient, Hessian) at the point p, in the slots of `partials`.
+
+        The contractions are einsums rather than matmuls: a BLAS matrix-vector
+        product may fuse multiply and add, and then δ + zⁱz̄ʲ (kahler-test)
+        is not the once-rounded product that Leibniz arithmetic forms.
+        """
+        x = np.array(p, dtype=complex)
+        x = np.concatenate((x, x.conj()))
+        Qx = np.einsum("...st,t->...s", self.Q, x)
+        return self.C0 + np.einsum("...s,s->...", self.B + 0.5 * Qx, x), self.B + Qx, self.Q
 
 
-def _kahler_test_jets(p, n: int) -> list[list[WJet]]:
-    zs, zbs = _coordinate_jets(p, n)
-    h = _flat_jets(n)
+def _poly_table(C0, n: int) -> PolyTable:
+    """The table of the constant C0 on n coordinates; add terms with `_add_monomial`."""
+    C0 = np.array(C0, dtype=complex)
+    m = 2 * n
+    return PolyTable(C0, np.zeros(C0.shape + (m,), complex), np.zeros(C0.shape + (m, m), complex))
+
+
+def _add_monomial(t: PolyTable, idx: tuple, c: complex, *slots: int) -> None:
+    """Add c·x_a (slots = (a,)) or c·x_a·x_b (slots = (a, b)) to entry idx of t."""
+    if len(slots) == 1:
+        t.B[idx + slots] += c
+    else:
+        a, b = slots
+        t.Q[idx + (a, b)] += c  # ½(Q_ab + Q_ba)x_a x_b = c x_a x_b; Q_aa = 2c
+        t.Q[idx + (b, a)] += c
+
+
+def _conj(t: PolyTable, n: int) -> PolyTable:
+    """The table of conj(h): conjugation trades the z and z̄ slots."""
+    swap = np.r_[n : 2 * n, :n]
+    return PolyTable(t.C0.conj(), t.B[..., swap].conj(), t.Q[..., swap, :][..., swap].conj())
+
+
+def _frozen(t: PolyTable) -> PolyTable:
+    """t with read-only arrays: a spec keeps its table, and `jet` hands out Q."""
+    t = PolyTable(*(np.asarray(a) for a in t))
+    for a in t:
+        a.setflags(write=False)
+    return t
+
+
+def _kahler_test_table(n: int) -> PolyTable:
+    """h_{ij̄} = δ_ij + zⁱz̄ʲ; ∂_k h_{ij̄} = δ_ik z̄ʲ is symmetric in i and k,
+    so the metric is Kähler."""
+    t = _poly_table(np.eye(n), n)
     for i in range(n):
         for j in range(n):
-            h[i][j] = h[i][j] + zs[i] * zbs[j]
-    return h
+            _add_monomial(t, (i, j), 1.0, i, n + j)
+    return t
+
+
+# Perturbation size of a user-polynomial spec that sets no amp.
+_POLY_AMP = 0.05
+
+
+def _user_polynomial_table(n: int, seed: int, amp: float) -> PolyTable:
+    """Seeded Hermitian perturbation of the flat metric by degree-≤2 polynomials.
+
+    For i ≤ j, with six seeded complex normals c,
+
+        q_ij = c₀zⁱz̄ʲ + c₁z¹zⁿ + c₂z̄¹z̄ⁿ + c₃zⁱ + c₄z̄ʲ + c₅z¹z̄¹,
+
+    and h = I + amp·(U + U†), where U holds q_ij above the diagonal and on
+    it, and U†_ij = conj(U_ji); so h_ii = 1 + amp(q_ii + conj q_ii) and
+    h_ji = conj(h_ij).
+    """
+    rng = np.random.default_rng(seed)
+    u = _poly_table(np.zeros((n, n)), n)
+    for i in range(n):
+        for j in range(i, n):
+            c = amp * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+            terms = ((i, n + j), (0, n - 1), (n, 2 * n - 1), (i,), (n + j,), (0, n))
+            for ck, slots in zip(c, terms):
+                _add_monomial(u, (i, j), ck, *slots)
+    uh = _conj(u, n)
+    return PolyTable(
+        np.eye(n) + u.C0 + uh.C0.T, u.B + uh.B.swapaxes(0, 1), u.Q + uh.Q.swapaxes(0, 1)
+    )
+
+
+def _poly_field_table(n: int, seed: int, amp: float) -> PolyTable:
+    """The seeded real poly field f = amp(q + conj q) on n coordinates, with
+    q = Σᵢ (cᵢzⁱ + c_{n+i}zⁱz̄^{i+1}) + c_{2n}z¹zⁿ + c_{2n+1}z¹z̄¹ (indices
+    mod n)."""
+    rng = np.random.default_rng(seed)
+    m = max(8, 2 * n + 2)  # 8 keeps the draws of n <= 3 unchanged
+    c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    q = _poly_table(0.0, n)
+    for i in range(n):
+        _add_monomial(q, (), c[i], i)
+        _add_monomial(q, (), c[n + i], i, n + (i + 1) % n)
+    _add_monomial(q, (), c[2 * n], 0, n - 1)
+    _add_monomial(q, (), c[2 * n + 1], 0, n)
+    return PolyTable(*(amp * (a + b) for a, b in zip(q, _conj(q, n))))
+
+
+# -- metric construction ---------------------------------------------------------------
 
 
 def _hopf_standard_jets(p) -> list[list[WJet]]:
@@ -592,50 +734,12 @@ def hopf_metric(spec: MetricSpec, hf: HopfFrame) -> list[list]:
     return [[inv_d3 * x for x in row] for row in _delta_cubed_omega(hf, al, spec.lam_value)]
 
 
-# Perturbation size of a user-polynomial spec that sets no amp.
-_POLY_AMP = 0.05
-
-
-def random_polynomial_jets(p, n: int, seed: int, amp: float) -> list[list[WJet]]:
-    """Seeded Hermitian perturbation of the flat metric by degree-≤2 polynomials."""
-    rng = np.random.default_rng(seed)
-    zs, zbs = _coordinate_jets(p, n)
-    h = _flat_jets(n)
-    for i in range(n):
-        for j in range(i, n):
-            c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-            q = (
-                c[0] * zs[i] * zbs[j]
-                + c[1] * zs[0] * zs[n - 1]
-                + c[2] * zbs[0] * zbs[n - 1]
-                + c[3] * zs[i]
-                + c[4] * zbs[j]
-                + c[5] * zs[0] * zbs[0]
-            )
-            if i == j:
-                h[i][j] = h[i][j] + amp * (q + conj(q))
-            else:
-                h[i][j] = h[i][j] + amp * q
-    for i in range(n):
-        for j in range(i):
-            h[i][j] = conj(h[j][i])
-    return h
-
-
 def field_jet(f: FieldSpec, p, hp: HopfParams | None, n: int = 2) -> WJet:
     """Real-valued order-2 jet of a scalar conformal factor."""
     if f.kind == "zero":
         return jet_const(0.0, n)
     if f.kind == "poly":
-        rng = np.random.default_rng(f.seed)
-        zs, zbs = _coordinate_jets(p, n)
-        m = max(8, 2 * n + 2)  # 8 keeps the draws of n <= 3 unchanged
-        c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        q = jet_const(0.0, n)
-        for i in range(n):
-            q = q + c[i] * zs[i] + c[n + i] * zs[i] * zbs[(i + 1) % n]
-        q = q + c[2 * n] * zs[0] * zs[n - 1] + c[2 * n + 1] * zs[0] * zbs[0]
-        return f.amp * (q + conj(q))
+        return WJet(*f.poly_table(n).jet(p))
     if f.kind == "log-phi":
         if hp is None:
             raise SpecError("log-phi field needs Hopf parameters")
@@ -647,12 +751,23 @@ def field_jet(f: FieldSpec, p, hp: HopfParams | None, n: int = 2) -> WJet:
     raise ValueError(f"unknown field kind {f.kind!r}")
 
 
-def conformal_scale(h: list[list[WJet]], f: WJet) -> list[list[WJet]]:
-    """Entrywise e^f · h for a real-valued scalar jet f."""
+def conformal_scale(h, f: WJet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entrywise e^f · h for a real-valued scalar jet f, where h = (H, dH, ddH).
+
+    One Leibniz product, broadcast over the entries:
+    (e^f h)'' = e^f h'' + h' ⊗ (e^f)' + (e^f)' ⊗ h' + h (e^f)''.
+    """
     if not is_real_valued(f):
         raise ValueError("conformal factor must be a real-valued jet")
+    H, dH, ddH = h
     ef = exp(f)
-    return [[ef * x for x in row] for row in h]
+    e0, eg, eh = ef.value, ef.grad, ef.hess
+    cross = dH[..., :, None] * eg
+    return (
+        e0 * H,
+        e0 * dH + H[..., None] * eg,
+        e0 * ddH + (cross + cross.swapaxes(-1, -2)) + H[..., None, None] * eh,
+    )
 
 
 # Metric kinds that are one closed form over the Hopf frame.
@@ -666,25 +781,18 @@ def _metric_point(spec: MetricSpec, p) -> tuple[complex, ...]:
     return pt
 
 
-def _metric_jets(spec: MetricSpec, pt: tuple[complex, ...]) -> list[list[WJet]]:
-    """The entry jets h_{ij̄} of the metric at pt."""
-    n = spec.dim
-    if spec.kind == "flat":
-        return _flat_jets(n)
-    if spec.kind == "kahler-test":
-        return _kahler_test_jets(pt, n)
+def _metric_arrays(spec: MetricSpec, pt: tuple[complex, ...]) -> tuple[np.ndarray, ...]:
+    """(H, dH, ddH) of the metric at pt."""
+    table = spec.poly_table
+    if table is not None:
+        return table.jet(pt)
     if spec.kind == "hopf-standard":
-        return _hopf_standard_jets(pt)
+        return partials(_hopf_standard_jets(pt))
     if spec.kind in _HOPF_FRAME_KINDS:
-        return hopf_metric(spec, hopf_jets(pt, spec.hopf_params()))
+        return partials(hopf_metric(spec, hopf_jets(pt, spec.hopf_params())))
     if spec.kind == "conformal":
-        base = _metric_jets(spec.base, pt)
-        return conformal_scale(base, field_jet(spec.f, pt, spec.hopf_params(), n=n))
-    if spec.kind == "user-polynomial":
-        return random_polynomial_jets(
-            pt, n, seed=spec.seed_value,
-            amp=spec.amp if spec.amp is not None else _POLY_AMP,
-        )
+        base = _metric_arrays(spec.base, pt)
+        return conformal_scale(base, field_jet(spec.f, pt, spec.hopf_params(), n=spec.dim))
     raise ValueError(f"unknown metric kind {spec.kind!r}")  # pragma: no cover (MetricSpec checks)
 
 
@@ -696,7 +804,7 @@ def build_metric(spec: MetricSpec, p) -> MetricJet:
     """
     pt = _metric_point(spec, p)
     try:
-        return MetricJet(*partials(_metric_jets(spec, pt)))
+        return MetricJet(*_metric_arrays(spec, pt))
     except NotPositiveDefinite:
         base = spec
         while base.kind == "conformal":

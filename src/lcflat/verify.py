@@ -304,7 +304,11 @@ def _residual_det_formula(spec: mz.MetricSpec, p, notes: dict) -> float:
     """det(ω_λ) = (1+λ)/(Δ³Φ²)."""
     hp = spec.hopf_params()
     hv = mz.hopf_values(p, hp)
-    det = complex(np.linalg.det(np.array(mz.hopf_metric(spec, hv))))
+    try:  # a huge λ makes h's entries, or its determinant, overflow
+        with np.errstate(over="raise", invalid="raise"):
+            det = complex(np.linalg.det(np.array(mz.hopf_metric(spec, hv))))
+    except ArithmeticError:
+        raise ValueError("det ω_λ is outside the floating-point range at this point") from None
     Phi = math.exp(hp.k * hv.theta)
     try:
         expect = (1.0 + spec.lam_value) / (hv.delta**3 * Phi**2)
@@ -319,14 +323,15 @@ def _residual_tw_formula(spec: mz.MetricSpec, p, notes: dict) -> float:
     lam = spec.lam_value
     m = mz.build_metric(spec, p)
 
-    L, _ = mz.hessian_forms(p, hp)
+    hv = mz.hopf_values(p, hp)
+    L, _ = mz.hessian_forms(hv, hp)
     target = L / (1.0 + lam)
     p1, p2 = geo.d_del_star_parts(m)
     r1 = _norm(_maxabs(p1 - target), _maxabs(target))
     r2 = _norm(_maxabs(p2 - target), _maxabs(target))
 
     # ∂*ω_λ = (√−1/(1+λ)) ∂̄logΦ componentwise
-    want = 1j / (1.0 + lam) * mz.dbar_log_phi(mz.hopf_values(p, hp))
+    want = 1j / (1.0 + lam) * mz.dbar_log_phi(hv)
     a01, _ = geo.del_star(m)
     r3 = _norm(_maxabs(a01 - want), _maxabs(want))
     return max(r1, r2, r3)
@@ -356,7 +361,7 @@ def _residual_hessian_matrices(spec: mz.MetricSpec, p, notes: dict) -> float:
     """Closed forms of √−1∂∂̄logΦ and √−1∂Φ∧∂̄Φ against the solved jet, and their
     vanishing determinants."""
     hp = spec.hopf_params()
-    L, P = mz.hessian_forms(p, hp)
+    L, P = mz.hessian_forms(mz.hopf_values(p, hp), hp)
     Phi, theta, _ = mz.phi_field(p, hp)
     L_jet = hp.k * theta.hess[:2, 2:]  # log Φ = kθ
     P_jet = Phi.grad[:2, None] * Phi.grad[2:]

@@ -27,40 +27,92 @@ def entry_jets(m):
     return [[WJet(m.H[i, j], m.dH[i, j], m.ddH[i, j]) for j in range(m.n)] for i in range(m.n)]
 
 
+def flat_jets(n):
+    return [[jet_const(1.0 if i == j else 0.0, n) for j in range(n)] for i in range(n)]
+
+
+def poly_coefficients(n, rng):
+    """Six complex normals per entry i <= j, drawn in the order `metrics` draws them."""
+    return {(i, j): rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            for i in range(n) for j in range(i, n)}
+
+
+def poly_metric_jets(z, zb, coeffs, eps):
+    """h = I + eps*(perturbation) by jet products, Hermitian by construction."""
+    n = len(z)
+    h = flat_jets(n)
+    for (i, j), c in coeffs.items():
+        p = (
+            c[0] * z[i] * zb[j]
+            + c[1] * z[0] * z[n - 1]
+            + c[2] * zb[0] * zb[n - 1]
+            + c[3] * z[i]
+            + c[4] * zb[j]
+            + c[5] * z[0] * zb[0]
+        )
+        if i == j:
+            h[i][j] = h[i][j] + eps * (p + conj(p))
+        else:
+            h[i][j] = h[i][j] + eps * p
+    for i in range(n):
+        for j in range(i):
+            h[i][j] = conj(h[j][i])
+    return h
+
+
 def random_poly_metric_fn(n, rng, eps=0.08):
     """A reusable metric function h = I + eps*(perturbation), Hermitian by construction.
 
     Returns a closure pt -> MetricJet so the same metric can be evaluated at
     several points (needed for finite-difference checks across points).
     """
-    coeffs = {}
+    coeffs = poly_coefficients(n, rng)
+    return lambda pt: metric_from_fn(n, lambda z, zb: poly_metric_jets(z, zb, coeffs, eps), pt)
+
+
+# -- Leibniz oracles for the coefficient tables of `metrics` -------------------------
+
+
+def poly_field_jet(pt, n, seed, amp):
+    """The poly conformal factor by jet products, drawing as `metrics` draws."""
+    rng = np.random.default_rng(seed)
+    zs, zbs = coordinate_jets(n, pt)
+    m = max(8, 2 * n + 2)
+    c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    q = jet_const(0.0, n)
     for i in range(n):
-        for j in range(i, n):
-            coeffs[(i, j)] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        q = q + c[i] * zs[i] + c[n + i] * zs[i] * zbs[(i + 1) % n]
+    q = q + c[2 * n] * zs[0] * zs[n - 1] + c[2 * n + 1] * zs[0] * zbs[0]
+    return amp * (q + conj(q))
 
-    def fn(z, zb):
-        h = [[jet_const(1.0 if i == j else 0.0, n) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                c = coeffs[(i, j)]
-                p = (
-                    c[0] * z[i] * zb[j]
-                    + c[1] * z[0] * z[n - 1]
-                    + c[2] * zb[0] * zb[n - 1]
-                    + c[3] * z[i]
-                    + c[4] * zb[j]
-                    + c[5] * z[0] * zb[0]
-                )
-                if i == j:
-                    h[i][j] = h[i][j] + eps * (p + conj(p))
-                else:
-                    h[i][j] = h[i][j] + eps * p
-        for i in range(n):
-            for j in range(i):
-                h[i][j] = conj(h[j][i])
-        return h
 
-    return lambda pt: metric_from_fn(n, fn, pt)
+def leibniz_metric_arrays(spec, pt):
+    """(H, dH, ddH) of a flat, kahler-test, user-polynomial or hopf metric, or
+    of a conformal rescaling of one, from entry jets multiplied one by one."""
+    from lcflat import metrics as mz
+
+    n = spec.dim
+    zs, zbs = coordinate_jets(n, pt)
+    if spec.kind == "flat":
+        return partials(flat_jets(n))
+    if spec.kind == "kahler-test":  # δ_ij + z^i z̄^j
+        return partials([[h + zs[i] * zbs[j] for j, h in enumerate(row)]
+                         for i, row in enumerate(flat_jets(n))])
+    if spec.kind == "user-polynomial":
+        coeffs = poly_coefficients(n, np.random.default_rng(spec.seed_value))
+        amp = spec.amp if spec.amp is not None else mz._POLY_AMP
+        return partials(poly_metric_jets(zs, zbs, coeffs, amp))
+    if spec.kind == "conformal":
+        H, dH, ddH = leibniz_metric_arrays(spec.base, pt)
+        if spec.f.kind == "poly":
+            f = poly_field_jet(pt, n, spec.f.seed, spec.f.amp)
+        else:
+            f = mz.field_jet(spec.f, pt, spec.hopf_params(), n=n)
+        ef = exp(f)
+        return partials([[ef * WJet(H[i, j], dH[i, j], ddH[i, j]) for j in range(n)]
+                         for i in range(n)])
+    m = mz.build_metric(spec, pt)
+    return m.H, m.dH, m.ddH
 
 
 def random_small_point(n, rng, scale=0.3):

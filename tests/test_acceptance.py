@@ -203,7 +203,7 @@ def test_c08_potential_hessian_matrices(capsys):
         gaps.append(report.notes.get("display_transpose_gap", 0.0))
         hp = mz.HopfParams(a, b)
         for p in vf.sample_points("hopf-fundamental", 40, 1, hp=hp):
-            L, P = mz.hessian_forms(p, hp)
+            L, P = mz.hessian_forms(mz.hopf_values(p, hp), hp)
             for A in (L, P):
                 scale = 1.0 + np.max(np.abs(A))
                 worst_det = max(worst_det, abs(np.linalg.det(A)) / scale)

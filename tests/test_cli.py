@@ -71,6 +71,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("metric, message", [
         ("flat{n=0}", "expected an integer >= 1"),
+        ("flat{n=9}", "expected an integer <= 8"),
+        ("flat{n=5000000}", "expected an integer <= 8"),
         ("user-polynomial{amp=inf}", "expected a finite number"),
     ])
     def test_spec_the_engine_cannot_run_exit_two(self, runner, metric, message):
@@ -373,13 +375,16 @@ def test_multiplier_product_beyond_a_double_is_usage_error(runner, args):
     ("deck-invariance", "hopf-lc-flat{a=1e200,b=1.5}"),
     ("lc-ricci-flat", "hopf-lc-flat{a=1e161,b=1.5}"),
     ("key-relation", "hopf-lc-flat{a=1e161,b=1.5}"),
+    ("det-formula", "hopf-omega-lambda{lambda=1e308}"),
 ], ids=["lc-ricci-flat", "hessian-matrices", "det-formula", "det-formula-1e200",
-        "deck-invariance-1e200", "lc-ricci-flat-1e161", "key-relation-1e161"])
+        "deck-invariance-1e200", "lc-ricci-flat-1e161", "key-relation-1e161",
+        "det-formula-lambda-1e308"])
 def test_power_beyond_a_double_aborts_the_check(runner, identity, metric):
     # Φ reaches 1.5e300 on this shell, so Φ^{2α−2} ≈ Φ² overflows.  At
     # a = 1e161 det h falls below the normal doubles, so the inverse metric
     # and the connection leave the double range: an error, not a warning
     # (a RuntimeWarning fails the test) and never an inf carried onward.
+    # At λ = 1e308 the entries of ω_λ are near 1e308 and det ω_λ overflows.
     res = runner.invoke(main, ["verify", "--identity", identity, "--metric", metric,
                                "--points", "5"])
     assert not isinstance(res.exception, ArithmeticError), res.exception

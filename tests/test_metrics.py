@@ -10,7 +10,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import entry_jets, hopf_theta_equation, theta_root_oracle
+from conftest import (
+    entry_jets,
+    hopf_theta_equation,
+    leibniz_metric_arrays,
+    poly_field_jet,
+    theta_root_oracle,
+)
 from lcflat import geometry as geo
 from lcflat import metrics as M
 from lcflat import verify as V
@@ -216,7 +222,7 @@ def test_hopf_params_validation():
 def test_closed_form_gradient_matches_jet_derivatives(hp):
     """The closed-form P of `hessian_forms` is ∂Φ ⊗ ∂̄Φ read off the Φ jet."""
     for pt in POINTS[:2]:
-        _, P = M.hessian_forms(pt, hp)
+        _, P = M.hessian_forms(M.hopf_values(pt, hp), hp)
         _, dPhi, _ = wjet.partials(M.phi_field(pt, hp)[0])
         want = np.outer(dPhi[:2], dPhi[2:])
         assert np.all(np.abs(P - want) < 1e-12 * (1 + np.abs(P)))
@@ -226,7 +232,7 @@ def test_outer_product_matrix_is_gradient_outer_product():
     """Entry by entry, P[i][j] = ∂_iΦ · ∂̄_jΦ with the gradient of the Φ jet."""
     hp = M.HopfParams(E**2, E)
     pt = POINTS[1]
-    _, P = M.hessian_forms(pt, hp)
+    _, P = M.hessian_forms(M.hopf_values(pt, hp), hp)
     _, dPhi, _ = wjet.partials(M.phi_field(pt, hp)[0])
     holo, anti = dPhi[:2], dPhi[2:]
     for i in range(2):
@@ -240,7 +246,7 @@ def test_closed_form_hessian_matches_log_phi_jet(hp):
     pt = POINTS[2]
     Phi, _, _ = M.phi_field(pt, hp)
     lp = log(Phi)
-    L = M.hessian_forms(pt, hp)[0]
+    L = M.hessian_forms(M.hopf_values(pt, hp), hp)[0]
     for i in range(2):
         for j in range(2):
             want = lp.hess[i, 2 + j]
@@ -253,7 +259,7 @@ def test_closed_form_hessian_matches_log_phi_jet(hp):
 def test_hessian_forms_closed_form_entries_and_rank():
     hp = M.HopfParams(E**2, E)
     pt = POINTS[0]
-    L, P = M.hessian_forms(pt, hp)
+    L, P = M.hessian_forms(M.hopf_values(pt, hp), hp)
     Phi, _, Delta = M.phi_field(pt, hp)
     phi, dl, al = Phi.value.real, Delta.value.real, hp.alpha
     z, w = pt
@@ -270,7 +276,8 @@ def test_hessian_forms_closed_form_entries_and_rank():
 
 def test_hessian_form_equal_multipliers_at_symmetric_point():
     """a=b at (1,1): ∂∂̄log(|z|²+|w|²) = ¼[[1,−1],[−1,1]]."""
-    L, _ = M.hessian_forms((1.0, 1.0), M.HopfParams(E, E))
+    hp = M.HopfParams(E, E)
+    L, _ = M.hessian_forms(M.hopf_values((1.0, 1.0), hp), hp)
     assert np.max(np.abs(L - 0.25 * np.array([[1, -1], [-1, 1]]))) < 1e-12
 
 
@@ -282,7 +289,7 @@ def test_hopf_metrics_equal_the_closed_forms_of_L_and_P(hp, rel):
     ω_λ = (1+λ)L + P/Φ² and Δ³ω_{−1/2} = Δ³(½L + P/Φ²), with L and P from
     `hessian_forms`."""
     for pt in V.sample_points("hopf-fundamental", 10, 7, hp=hp):
-        L, P = M.hessian_forms(pt, hp)
+        L, P = M.hessian_forms(M.hopf_values(pt, hp), hp)
         hv = M.hopf_values(pt, hp)
         Phi, Delta = math.exp(hp.k * hv.theta), hv.delta
         cases = [(M.MetricSpec(kind="hopf-omega-lambda", a=hp.a, b=hp.b, lam=lam),
@@ -481,11 +488,13 @@ def test_det_formula_solves_one_theta_root_per_point(monkeypatch):
 
 
 @pytest.mark.parametrize("identity, budget", [
-    ("det-formula", 1), ("deck-invariance", 2), ("hessian-matrices", 2)])
+    ("det-formula", 1), ("deck-invariance", 2), ("hessian-matrices", 2), ("tw-formula", 2)])
 def test_theta_root_budget_per_point(identity, budget, monkeypatch):
     """θ roots per point over run_check: det-formula reads one scalar frame,
-    deck-invariance one at the point and one at its image, and
-    hessian-matrices one for the closed forms and one for the Φ jet."""
+    deck-invariance one at the point and one at its image,
+    hessian-matrices one for the closed forms and one for the Φ jet, and
+    tw-formula one for the metric's jet frame and one scalar frame for both
+    closed forms."""
     calls = []
     root = M._theta_root
     monkeypatch.setattr(M, "_theta_root", lambda p, hp: calls.append(p) or root(p, hp))
@@ -676,10 +685,96 @@ def test_conformal_adjoint_change_law():
     assert np.max(np.abs(a01_conf - want01)) < 1e-10 * (1 + np.max(np.abs(want01)))
 
 
+# -- coefficient tables against jet products --------------------------------------
+
+
+def _assert_arrays_close(got, want, rel=1e-15):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= rel * max(1.0, np.max(np.abs(w)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_polynomial_metric_tables_match_jet_products(n):
+    """H, dH and ddH from the coefficient tables equal the Leibniz-built
+    metric to 1e-15 relative, at several seeds and amps."""
+    rng = np.random.default_rng(40 + n)
+    specs = [M.MetricSpec(kind="flat", n=n), M.MetricSpec(kind="kahler-test", n=n)]
+    specs += [M.MetricSpec(kind="user-polynomial", seed=seed, amp=amp, n=n)
+              for seed in (0, 7, 104) for amp in (None, 0.03, 0.3)]
+    for spec in specs:
+        for _ in range(4):
+            pt = tuple(rng.uniform(-1.2, 1.2, n) + 1j * rng.uniform(-1.2, 1.2, n))
+            _assert_arrays_close(spec.poly_table.jet(pt), leibniz_metric_arrays(spec, pt))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_poly_field_table_matches_jet_products(n):
+    rng = np.random.default_rng(50 + n)
+    for seed, amp in ((0, 0.1), (9, 0.15), (247968, 2.0)):
+        f = M.FieldSpec(kind="poly", seed=seed, amp=amp)
+        for _ in range(4):
+            pt = tuple(rng.uniform(-1.2, 1.2, n) + 1j * rng.uniform(-1.2, 1.2, n))
+            got = wjet.partials(M.field_jet(f, pt, None, n=n))
+            _assert_arrays_close(got, wjet.partials(poly_field_jet(pt, n, seed, amp)))
+
+
+@pytest.mark.parametrize("text", [
+    "conformal{base=user-polynomial{seed=3,amp=0.04},f=poly{seed=9,amp=0.2}}",
+    "conformal{base=kahler-test{n=3},f=poly{seed=5,amp=0.15}}",
+    "conformal{base=user-polynomial{seed=8,amp=0.03,n=4},f=poly{seed=1,amp=0.1}}",
+    "conformal{base=hopf-omega-lambda{a=7.38905609893065,b=2.718281828459045,lambda=0.5},"
+    "f=log-delta{scale=3.0}}",
+    "conformal{base=hopf-lc-flat{a=12.1+3.2j,b=-2.5+1.1j},f=log-delta{scale=-1.5}}",
+])
+def test_conformal_scaling_matches_entrywise_jet_products(text):
+    """One Leibniz product broadcast over the base's arrays equals e^f times
+    each entry jet."""
+    spec = M.parse_metric_spec(text)
+    hp = spec.hopf_params()
+    if hp is None:
+        rng = np.random.default_rng(6)
+        pts = [tuple(rng.uniform(-1.2, 1.2, spec.dim) + 1j * rng.uniform(-1.2, 1.2, spec.dim))
+               for _ in range(5)]
+    else:
+        pts = V.sample_points("hopf-fundamental", 5, 6, hp=hp)
+    for pt in pts:
+        m = M.build_metric(spec, pt)
+        _assert_arrays_close((m.H, m.dH, m.ddH), leibniz_metric_arrays(spec, pt))
+
+
+@pytest.mark.parametrize("text", [
+    "flat", "flat{n=3}", "kahler-test{n=3}", "user-polynomial{seed=5,amp=0.03,n=3}",
+    "conformal{base=user-polynomial{seed=5,amp=0.03},f=poly{seed=2,amp=0.15}}",
+    "conformal{base=kahler-test,f=zero}",
+])
+def test_polynomial_metrics_make_no_jet_product(text, monkeypatch):
+    calls = []
+    mul = wjet.mul
+    monkeypatch.setattr(wjet, "mul", lambda a, b: calls.append(1) or mul(a, b))
+    spec = M.parse_metric_spec(text)
+    M.build_metric(spec, (0.3 - 0.2j,) + (0.1 + 0.4j,) * (spec.dim - 1))
+    assert calls == []
+    # The counter sees the products of the other kinds.
+    M.build_metric(M.MetricSpec(kind="hopf-lc-flat"), (0.5 + 0.1j, 0.4 - 0.3j))
+    assert calls
+
+
+def test_coefficient_tables_are_drawn_once_per_spec_and_read_only():
+    spec = M.parse_metric_spec("user-polynomial{seed=5,amp=0.03,n=3}")
+    assert spec.poly_table is spec.poly_table
+    f = M.FieldSpec(kind="poly", seed=2, amp=0.15)
+    assert f.poly_table(3) is f.poly_table(3)
+    assert M.MetricSpec(kind="hopf-lc-flat").poly_table is None
+    m = M.build_metric(spec, (0.1j, 0.2, -0.3))
+    with pytest.raises(ValueError, match="read-only"):
+        m.ddH[0, 0, 0, 0] = 1.0
+
+
 def test_conformal_scale_rejects_complex_factor():
     from lcflat.wjet import jet_var
 
-    h = [[wjet.jet_const(1.0, 2)]]
+    h = (np.ones((1, 1), complex), np.zeros((1, 1, 4), complex), np.zeros((1, 1, 4, 4), complex))
     with pytest.raises(ValueError, match="real-valued"):
         M.conformal_scale(h, jet_var(1, 0.1, 2))
 
@@ -742,6 +837,10 @@ def test_log_phi_field_is_scale_times_log_phi():
         # Specs the engine cannot run: an empty or negative dimension, a
         # non-finite number, a negative seed.
         ("flat{n=0}", "'n': expected an integer >= 1"),
+        ("flat{n=9}", "'n': expected an integer <= 8"),
+        ("flat{n=5000000}", "'n': expected an integer <= 8"),
+        ("user-polynomial{n=9}", "'n': expected an integer <= 8"),
+        ("conformal{base=kahler-test{n=9},f=zero}", "'n': expected an integer <= 8"),
         ("flat{n=-1}", "'n': expected an integer >= 1"),
         ("user-polynomial{n=0}", "'n': expected an integer >= 1"),
         ("kahler-test{n=0}", "'n': expected an integer >= 1"),

@@ -116,7 +116,7 @@ def test_omega0_negative_control_fails_with_predicted_pattern():
     for p, _ in rep.per_point[:4]:
         m = M.build_metric(OMEGA0, p)
         ric = geo.lc_ricci(m)
-        L, _ = M.hessian_forms(p, HP)
+        L, _ = M.hessian_forms(M.hopf_values(p, HP), HP)
         _, _, Delta = M.phi_field(p, HP)
         dd_log_delta = log(Delta).hess[:2, 2:]
         rhs = (2.0 - 1.0 / (1.0 + 0.0)) * L + 3.0 * dd_log_delta
