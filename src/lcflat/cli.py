@@ -302,6 +302,9 @@ def cmd_sweep(a_grid, b_grid, n_points, seed, tol, output):
             raise click.UsageError(f"{name} must be comma-separated numbers, got {text!r}")
         if not vals:
             raise click.UsageError(f"{name} is empty")
+        for v in vals:
+            if not math.isfinite(v):
+                raise click.UsageError(f"{name} values must be finite numbers, got {v!r}")
         if any(v <= 1.0 for v in vals):
             raise click.UsageError(f"{name} values must all exceed 1 (deck multipliers), got {text!r}")
         return vals

@@ -19,9 +19,10 @@ Wirtinger gradient dH[i, j, s] and Hessian ddH[i, j, s, t] — where slot s < n
 is ∂/∂z^{s+1} and slot n + s is ∂/∂z̄^{s+1}.  The connection layer is
 Taylor-mode differentiation truncated at order 1: each symbol is a (value,
 gradient) pair of arrays built by einsums, and curvature reads slices of the
-gradients.  The Chern-Ricci form stays on the jet path (log det h, over the
-entry jets rebuilt from the arrays) so that the two Ricci paths share no code
-beyond the metric itself.
+gradients.  The Chern-Ricci form is the h^{kℓ̄}-trace of the Chern curvature
+(Jacobi's formula for −∂∂̄ log det h), with its own inversion of H: it reads
+neither `MetricJet.inverse` nor the connection, so the second Ricci path shares
+no code with the first beyond the metric itself.
 
 Forms and tensors are returned as plain arrays: a (1,1)-form
 √−1 A_{ij̄} dz^i ∧ dz̄^j as the matrix A, a (1,0)- or (0,1)-form as its
@@ -40,8 +41,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-
-from .wjet import WJet, jet_const, log, partials
 
 # Toggled by `debug_corruption`; flips the sign of the mixed Levi-Civita
 # symbols so that the two Ricci paths disagree (mutation test hook).
@@ -122,12 +121,13 @@ class MetricJet:
 
     @cached_property
     def chern_ricci(self) -> np.ndarray:
-        # The Ricci form stays on the jet path: log det of the entry jets.
-        n = self.n
-        h = [[WJet(self.H[i, j], self.dH[i, j], self.ddH[i, j]) for j in range(n)]
-             for i in range(n)]
-        _, _, hess = partials(log(_jet_det(h)))
-        return -hess[:n, n:]
+        # H is inverted here, not read from `inverse`, so that the second Ricci
+        # path shares no inversion with the connection.
+        with np.errstate(over="ignore", invalid="ignore"):
+            A = np.linalg.inv(self.H)
+            ric = np.einsum("lk,ijkl->ij", A, chern_curvature(self, A))  # h^{kℓ̄} = A[ℓ, k]
+        _check_finite("the Chern-Ricci form", ric)
+        return ric
 
     def hermitian_jet_residual(self) -> float:
         """Largest Taylor coefficient of h_{ij̄} − conj(h_{jī}) over all entries."""
@@ -189,20 +189,6 @@ class Scalars:
 def _holo_grad(m: MetricJet) -> np.ndarray:
     """[i, j, l] = ∂h_{jℓ̄}/∂z^i."""
     return m.dH[:, :, : m.n].transpose(2, 0, 1)
-
-
-def _jet_det(h: list[list[WJet]]) -> WJet:
-    """Determinant of a small jet matrix by Laplace expansion."""
-    n = len(h)
-    if n == 1:
-        return h[0][0]
-    if n == 2:
-        return h[0][0] * h[1][1] - h[0][1] * h[1][0]
-    det = jet_const(0.0, h[0][0].n_vars)
-    for j in range(n):
-        minor = [[h[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        det = det + ((-1) ** j) * h[0][j] * _jet_det(minor)
-    return det
 
 
 # -- connections ---------------------------------------------------------------
@@ -267,26 +253,21 @@ def _connection(m: MetricJet) -> Christoffels:
 # -- Chern curvature ------------------------------------------------------------
 
 
-def chern_curvature(m: MetricJet) -> np.ndarray:
+def chern_curvature(m: MetricJet, A: np.ndarray) -> np.ndarray:
     """R_{ij̄kℓ̄} = −∂²h_{kℓ̄}/∂z^i∂z̄^j + h^{pq̄} (∂h_{kq̄}/∂z^i)(∂h_{pℓ̄}/∂z̄^j),
-    as R[i, j, k, l]."""
+    as R[i, j, k, l], where h^{pq̄} = A[q, p] for A the matrix inverse of H."""
     n, dH, ddH = m.n, m.dH, m.ddH
     sec = ddH[:, :, :n, n:].transpose(2, 3, 0, 1)  # [i, j, k, l]
-    # h^{pq̄} = A[q, p]
-    quad = np.einsum("qp,kqi,plj->ijkl", m.inverse, dH[:, :, :n], dH[:, :, n:])
+    quad = np.einsum("qp,kqi,plj->ijkl", A, dH[:, :, :n], dH[:, :, n:])
     return -sec + quad
 
 
 def chern_ricci(m: MetricJet) -> np.ndarray:
-    """Chern-Ricci form R_{ij̄} = −∂² log det(h) / ∂z^i ∂z̄^j, built once per
-    metric (`MetricJet.chern_ricci`)."""
+    """Chern-Ricci form R_{ij̄} = −∂² log det(h) / ∂z^i ∂z̄^j, taken as the trace
+    h^{kℓ̄} R_{ij̄kℓ̄} of `chern_curvature` and built once per metric
+    (`MetricJet.chern_ricci`).  Raises ValueError when it leaves the double
+    range."""
     return m.chern_ricci
-
-
-def chern_ricci_trace_path(m: MetricJet) -> np.ndarray:
-    """Chern-Ricci via the h^{kℓ̄}-trace of the full curvature tensor."""
-    # h^{kℓ̄} = A[ℓ, k]
-    return np.einsum("lk,ijkl->ij", m.inverse, chern_curvature(m))
 
 
 def chern_scalar(m: MetricJet) -> float:

@@ -55,6 +55,8 @@ class CheckSpec:
                 raise mz.SpecError(f"{self.identity} requires {what}")
         if self.n_points < 1:
             raise ValueError("n_points must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.tol is None:
             object.__setattr__(self, "tol", entry.tol)
         if not self.tol > 0:

@@ -7,7 +7,7 @@ import numpy as np
 
 from lcflat import geometry as geo
 from lcflat.geometry import MetricJet
-from lcflat.wjet import WJet, conj, exp, jet_conj_var, jet_const, jet_var, partials
+from lcflat.wjet import WJet, conj, exp, jet_conj_var, jet_const, jet_var, log, partials
 
 
 def coordinate_jets(n, pt):
@@ -158,7 +158,28 @@ def theta_root_oracle(p, hp):
     return theta
 
 
-# -- oracles for the geometry's scalars: the derivations they replaced --------------
+# -- oracles for the geometry: the derivations they replaced --------------------------
+
+
+def jet_det(h):
+    """Determinant of a small jet matrix by Laplace expansion."""
+    n = len(h)
+    if n == 1:
+        return h[0][0]
+    if n == 2:
+        return h[0][0] * h[1][1] - h[0][1] * h[1][0]
+    det = jet_const(0.0, h[0][0].n_vars)
+    for j in range(n):
+        minor = [[h[r][c] for c in range(n) if c != j] for r in range(1, n)]
+        det = det + ((-1) ** j) * h[0][j] * jet_det(minor)
+    return det
+
+
+def chern_ricci_oracle(m):
+    """R_{ij̄} = −∂²log det h/∂z^i∂z̄^j from the jet of log det over the entry
+    jets rebuilt from the arrays."""
+    _, _, hess = partials(log(jet_det(entry_jets(m))))
+    return -hess[: m.n, m.n :]
 
 
 def lowered_lc_curvature(m):

@@ -175,7 +175,7 @@ def test_c07_degenerations(capsys):
         gam = geo.christoffels(h)
         flat_max = max(
             flat_max,
-            np.max(np.abs(geo.chern_curvature(h))),
+            np.max(np.abs(geo.chern_curvature(h, h.inverse))),
             np.max(np.abs(geo.lc_curvature(h))),
             np.max(np.abs(gam.chern)),
             np.max(np.abs(gam.lc_hol)),

@@ -322,6 +322,28 @@ class TestSweep:
         assert res.exit_code == 2
         assert message in res.stderr
 
+    @pytest.mark.parametrize("a_grid, b_grid, bad", [
+        ("nan,3", "2", "--a-grid values must be finite numbers, got nan"),
+        ("3", "nan", "--b-grid values must be finite numbers, got nan"),
+        ("inf", "2", "--a-grid values must be finite numbers, got inf"),
+    ], ids=["nan-a", "nan-b", "inf-a"])
+    def test_sweep_rejects_a_non_finite_grid_value(self, runner, a_grid, b_grid, bad):
+        res = invoke(runner, ["sweep", "--a-grid", a_grid, "--b-grid", b_grid, "--points", "2"])
+        assert res.exit_code == 2
+        assert bad in res.stderr
+
+    @pytest.mark.parametrize("args, env", [
+        (["--seed", "-1"], {}),
+        ([], {"LCFLAT_SEED": "-4"}),
+    ], ids=["flag", "env"])
+    def test_sweep_rejects_a_negative_seed(self, runner, args, env):
+        res = runner.invoke(main, ["sweep", "--a-grid", "3", "--b-grid", "2", "--points", "2",
+                                   *args], env=env)
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 2
+        seed = args[1] if args else env["LCFLAT_SEED"]
+        assert f"seed must be >= 0, got {seed}" in res.stderr
+
 
 class TestDumpSamples:
     def test_box_deterministic(self, runner):
@@ -401,8 +423,9 @@ def test_power_beyond_a_double_aborts_the_check(runner, identity, metric):
 def test_hopf_metrics_build_where_phi_squared_is_a_double(runner, identity, metric):
     # Φ reaches 1.5e100 on the first and third shells, 2.3e80 on the deck
     # image of the second and 1.5e162 on the fourth.  The metrics form no
-    # power of Φ, log det h is taken relative to its value (det h ≈ 1e-200
-    # here), and log Φ is read as kθ, so every check runs to a verdict.
+    # power of Φ, the Chern-Ricci form is a curvature trace that forms no
+    # det h (det h ≈ 1e-200 here), and log Φ is read as kθ, so every check
+    # runs to a verdict.
     res = invoke(runner, ["verify", "--identity", identity, "--metric", metric,
                           "--points", "10"])
     assert res.exit_code == 0, res.output + res.stderr

@@ -6,11 +6,14 @@ and cross-checks between independent computation paths for the same tensor.
 """
 
 import inspect
+import textwrap
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from conftest import (
+    chern_ricci_oracle,
     lc_scalar_oracle,
     lowered_lc_curvature,
     metric_from_fn,
@@ -23,6 +26,7 @@ from lcflat import cli
 from lcflat import geometry as geo
 from lcflat import metrics as M
 from lcflat import verify as V
+from lcflat import wjet
 from lcflat.wjet import conj, exp, jet_const
 
 E = np.e
@@ -64,7 +68,7 @@ def kahler_potential_metric(n, pt):
 
 def test_flat_metric_all_curvature_vanishes():
     m = flat_metric(2, (0.3 + 0.2j, -0.1 + 0.5j))
-    assert np.max(np.abs(geo.chern_curvature(m))) == 0.0
+    assert np.max(np.abs(geo.chern_curvature(m, m.inverse))) == 0.0
     assert np.max(np.abs(geo.chern_ricci(m))) == 0.0
     assert np.max(np.abs(geo.lc_ricci(m))) == 0.0
     assert np.max(np.abs(geo.lc_curvature(m))) == 0.0
@@ -118,14 +122,25 @@ def test_one_variable_metrics_have_no_torsion():
 # -- independent paths to the same tensor -------------------------------------
 
 
-def test_chern_ricci_trace_path_matches_log_det_path():
+def test_chern_ricci_matches_the_jet_log_det_oracle():
+    """The curvature trace h^{kℓ̄}R_{ij̄kℓ̄} against −∂∂̄ log det h taken on jets,
+    on random polynomial metrics at n = 1, 2, 3 and on the Hopf kinds."""
     rng = RNG(23)
-    for _ in range(10):
-        m = random_poly_metric_fn(2, rng)(random_small_point(2, rng))
+    metrics = [random_poly_metric_fn(n, rng)(random_small_point(n, rng))
+               for n in (1, 2, 3) for _ in range(4)]
+    for text in (
+        f"hopf-lc-flat{{a={E**2!r},b={E!r}}}",
+        f"hopf-omega-lambda{{a={-3.1 + 2.2j!r},b={0.5 - 1.4j!r},lambda=0.7}}",
+        f"conformal{{base=hopf-omega-lambda{{a={E**2!r},b={E!r},lambda=-0.5}},f=log-delta{{scale=3.0}}}}",
+    ):
+        spec = M.parse_metric_spec(text)
+        metrics += [M.build_metric(spec, p)
+                    for p in V.sample_points("hopf-fundamental", 4, 3, hp=spec.hopf_params())]
+    for m in metrics:
         A1 = geo.chern_ricci(m)
-        A2 = geo.chern_ricci_trace_path(m)
+        A2 = chern_ricci_oracle(m)
         scale = 1 + max(np.max(np.abs(A1)), np.max(np.abs(A2)))
-        assert np.max(np.abs(A1 - A2)) / scale < 1e-10
+        assert np.max(np.abs(A1 - A2)) / scale < 1e-14  # 6.2e-16 measured
 
 
 def test_lc_ricci_two_paths_agree_on_random_metrics():
@@ -145,7 +160,7 @@ def test_curvature_and_ricci_are_hermitian():
     assert hermitian_residual(geo.chern_ricci(m)) < 1e-12
     assert hermitian_residual(geo.lc_ricci(m)) < 1e-12
     assert hermitian_residual(geo.d_del_star(m)) < 1e-14
-    R = geo.chern_curvature(m)
+    R = geo.chern_curvature(m, m.inverse)
     # R_{ij̄kℓ̄} = conj(R_{jīℓk̄})
     assert np.max(np.abs(R - R.transpose(1, 0, 3, 2).conj())) < 1e-12
     low = lowered_lc_curvature(m)
@@ -368,14 +383,19 @@ SCALAR_DEFECTS = {
 }
 
 
-def _mutant(module, name, edits):
-    """`module.name` compiled from its source with each (old, new) edit made once."""
-    src = inspect.getsource(getattr(module, name))
+def _mutant(owner, name, edits):
+    """`owner.name` compiled from its source with each (old, new) edit made once.
+    The owner is a module, or a class whose attribute is a cached property."""
+    attr = vars(owner)[name]
+    prop = isinstance(attr, cached_property)
+    src = textwrap.dedent(inspect.getsource(attr.func if prop else attr))
     for old, new in edits:
         assert src.count(old) == 1, old
         src = src.replace(old, new)
-    namespace = dict(vars(module))
+    namespace = dict(vars(inspect.getmodule(owner)))
     exec(src, namespace)
+    if prop:
+        namespace[name].__set_name__(owner, name)
     return namespace[name]
 
 
@@ -418,6 +438,11 @@ PLANTED_DEFECTS = {
     "minus-D": (M, "_delta_cubed_omega", [
         ("(s * al * (al - 2.0) + D)", "(s * al * (al - 2.0) - D)"),
     ]),
+    # the quadratic term h^{pq̄}(∂_i h_{kq̄})(∂̄_j h_{pℓ̄}) dropped from the Chern curvature
+    "chern-quad-dropped": (geo, "chern_curvature", [("return -sec + quad", "return -sec")]),
+    # the inverse metric transposed; the Chern side inverts H itself, so only
+    # the connection and the scalars read the defect
+    "inverse-transposed": (geo.MetricJet, "inverse", [("    return A\n", "    return A.T\n")]),
 }
 PLANTED_DEFECT_CELLS = [
     ("B-wrong-axes", "lc-ricci-flat", "hopf-lc-flat"),
@@ -432,6 +457,27 @@ PLANTED_DEFECT_CELLS = [
     ("minus-D", "lc-ricci-flat", "hopf-lc-flat"),
     ("minus-D", "det-formula", "hopf-omega-lambda"),
     ("minus-D", "tw-formula", "hopf-omega-lambda"),
+    ("chern-quad-dropped", "lc-ricci-flat", "hopf-lc-flat"),
+    ("chern-quad-dropped", "key-relation", "hopf-lc-flat"),
+    ("chern-quad-dropped", "key-relation", "hopf-standard"),
+    ("chern-quad-dropped", "key-relation", "user-polynomial"),
+    ("chern-quad-dropped", "scalar-010", "hopf-standard"),
+    ("chern-quad-dropped", "scalar-010", "hopf-omega-lambda"),
+    ("chern-quad-dropped", "scalar-010", "user-polynomial"),
+    ("chern-quad-dropped", "scalar-key1", "hopf-standard"),
+    ("chern-quad-dropped", "scalar-key1", "hopf-omega-lambda"),
+    ("chern-quad-dropped", "scalar-key1", "user-polynomial"),
+    ("chern-quad-dropped", "kahler-collapse", "kahler-test"),
+    ("inverse-transposed", "lc-ricci-flat", "hopf-lc-flat"),
+    ("inverse-transposed", "tw-formula", "hopf-omega-lambda"),
+    ("inverse-transposed", "key-relation", "hopf-lc-flat"),
+    ("inverse-transposed", "key-relation", "user-polynomial"),
+    ("inverse-transposed", "conformal-law", "conformal"),
+    ("inverse-transposed", "scalar-010", "hopf-omega-lambda"),
+    ("inverse-transposed", "scalar-010", "user-polynomial"),
+    ("inverse-transposed", "scalar-key1", "hopf-omega-lambda"),
+    ("inverse-transposed", "scalar-key1", "user-polynomial"),
+    ("inverse-transposed", "kahler-collapse", "kahler-test"),
 ]
 
 
@@ -494,6 +540,15 @@ def test_non_finite_metric_rejected(H):
         geo.MetricJet(H.astype(complex), np.zeros((2, 2, 4), complex), np.zeros((2, 2, 4, 4), complex))
 
 
+def test_chern_ricci_outside_the_double_range_is_a_value_error():
+    """A gradient near 1e200 squares past the doubles in the curvature's
+    quadratic term: a ValueError, not an inf or a RuntimeWarning."""
+    H = np.eye(2, dtype=complex)
+    m = geo.MetricJet(H, np.full((2, 2, 4), 1e200, complex), np.zeros((2, 2, 4, 4), complex))
+    with pytest.raises(ValueError, match="Chern-Ricci form is outside the floating-point range"):
+        geo.chern_ricci(m)
+
+
 def test_non_positive_definite_metric_rejected():
     def fn(z, zb):
         return [
@@ -544,6 +599,28 @@ def test_debug_corruption_breaks_two_path_agreement_and_restores():
     good = np.max(np.abs(geo.lc_ricci(m) - geo.lc_ricci_via_relation(m)))
     assert bad > 1e-3
     assert good < 1e-12
+
+
+@pytest.mark.parametrize("identity, metric, verdict", [
+    ("key-relation", "user-polynomial{n=3}", "pass"),
+    ("key-relation", "kahler-test{n=3}", "pass"),
+    ("scalar-010", "user-polynomial{n=3}", "pass"),
+    ("scalar-010", "kahler-test{n=3}", "pass"),
+    ("kahler-collapse", "user-polynomial{n=3}", "fail"),  # not Kähler
+    ("kahler-collapse", "kahler-test{n=3}", "pass"),
+])
+def test_checks_on_polynomial_metrics_build_no_jets(monkeypatch, identity, metric, verdict):
+    """The geometry and the coefficient tables reach a verdict with every jet
+    constructor and the jet product raising."""
+
+    def no_jets(*args):
+        raise AssertionError("a jet was built")
+
+    for owner, name in ((wjet.WJet, "__init__"), (wjet, "_jet"), (wjet, "mul")):
+        monkeypatch.setattr(owner, name, no_jets)
+    rep = V.run_check(V.CheckSpec(identity=identity, metric=M.parse_metric_spec(metric),
+                                  n_points=10, seed=1))
+    assert rep.verdict == verdict, rep.max_residual
 
 
 def test_connection_and_chern_ricci_are_built_once_per_metric(monkeypatch):

@@ -80,6 +80,8 @@ def test_check_spec_validation():
         V.CheckSpec(identity="key-relation", metric=LC_FLAT, n_points=0)
     with pytest.raises(ValueError, match="tol"):
         V.CheckSpec(identity="key-relation", metric=LC_FLAT, tol=0.0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        V.CheckSpec(identity="key-relation", metric=LC_FLAT, seed=-1)
 
 
 # -- run_check behavior ------------------------------------------------------------
