@@ -9,18 +9,22 @@ the one-parameter metrics
 and the conformally rescaled metric Δ³·ω_{−1/2}, whose Levi-Civita Ricci form
 vanishes identically — the headline identity this package verifies.
 
-All metric entries are produced as full order-2 Wirtinger jets.  `hopf_jets`
-solves Φ = e^{kθ} in closed form and returns the jets of the coordinates, of θ,
-of e₁ = Φ^{−α} = e^{−c₁θ}, e₂ = Φ^{α−2} = e^{−c₂θ}, u = |z|²e₁, v = |w|²e₂
-and of Δ = αu + (2−α)v.  Δ³ω_λ is a polynomial in these jets, so the Hopf
-metrics form no power of Φ and, apart from the one division of Δ³ω_λ by Δ³,
-no jet quotient; nothing overflows while Φ² and the metric's entries are
-doubles.  `hopf_values` is the same frame on scalars, and `metric_values`
-evaluates the metrics' closed form on it, so identities that read only the
-metric's values build no jet.  The closed forms of √−1∂∂̄ log Φ and
-√−1∂Φ∧∂̄Φ that the metrics are derived from are written once, on scalars, in
-`hessian_forms`, which the checks compare against the metrics and against
-derivatives of the Φ jet.
+Every metric is built as its order-2 arrays (H, dH, ddH); only
+`hopf-standard`, the identity over |z|² + |w|², still multiplies jets.
+`hopf_values` solves Φ = e^{kθ} in closed form and returns the scalar frame:
+the coordinates, θ, e₁ = Φ^{−α} = e^{−c₁θ}, e₂ = Φ^{α−2} = e^{−c₂θ},
+u = |z|²e₁, v = |w|²e₂ and Δ = αu + (2−α)v.  `hopf_rows` extends it to
+order 2 as plain arrays: rows of (value, gradient, Hessian) for θ (from its
+closed-form partials), e₁, e₂ and e₁e₂ (one stacked chain rule), u, v and
+z̄w·e₁e₂ (one stacked Leibniz product) and Δ.  Δ³ω_λ is a polynomial in
+these, so the Hopf metrics form no power of Φ and, apart from the one
+division of Δ³ω_λ by Δ³, no quotient; nothing overflows while Φ² and the
+metric's entries are doubles.  The same closed form on the scalar frame
+(`hopf_metric`) gives the metrics' values bit for bit, so identities that
+read only the metric's values (`metric_values`) build no order-2 arrays.
+The closed forms of √−1∂∂̄ log Φ and √−1∂Φ∧∂̄Φ that the metrics are derived
+from are written once, on scalars, in `hessian_forms`, which the checks
+compare against the metrics and against derivatives of the Φ jet.
 
 The polynomial kinds (`flat`, `kahler-test`, `user-polynomial`) and the
 `poly` field are degree-≤2 polynomials in the 2n Wirtinger slots
@@ -42,16 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import MetricJet, NotPositiveDefinite
-from .wjet import (
-    WJet,
-    exp,
-    is_real_valued,
-    jet_conj_var,
-    jet_const,
-    jet_var,
-    log,
-    partials,
-)
+from .wjet import WJet, is_real_valued, jet_conj_var, jet_const, jet_var, partials
 
 E = math.e
 
@@ -112,7 +107,7 @@ class HopfParams:
 
     @cached_property
     def k(self) -> float:
-        """(k₁+k₂)/2π, so that Φ = e^{kθ} for the θ of `hopf_jets`."""
+        """(k₁+k₂)/2π, so that Φ = e^{kθ} for the θ of `_theta_root`."""
         return (self.k1 + self.k2) / (2.0 * math.pi)
 
 
@@ -451,19 +446,18 @@ def phi_value(p, hp: HopfParams) -> float:
 
 class HopfFrame(NamedTuple):
     """The coordinates and θ, e₁ = e^{−c₁θ}, e₂ = e^{−c₂θ}, u = |z|²e₁,
-    v = |w|²e₂ and Δ = αu + (2−α)v at one point: their values
-    (`hopf_values`) or their order-2 jets (`hopf_jets`)."""
+    v = |w|²e₂ and Δ = αu + (2−α)v at one point, as values (`hopf_values`)."""
 
-    z: complex | WJet
-    w: complex | WJet
-    zb: complex | WJet
-    wb: complex | WJet
-    theta: float | WJet
-    e1: float | WJet
-    e2: float | WJet
-    u: float | WJet
-    v: float | WJet
-    delta: float | WJet
+    z: complex
+    w: complex
+    zb: complex
+    wb: complex
+    theta: float
+    e1: float
+    e2: float
+    u: float
+    v: float
+    delta: float
 
 
 def _check_implicit(residual: float, theta_size: float) -> None:
@@ -473,14 +467,13 @@ def _check_implicit(residual: float, theta_size: float) -> None:
 
 
 def hopf_values(p, hp: HopfParams) -> HopfFrame:
-    """The frame's values at p ≠ 0, from one `_theta_root` and no jet.
+    """The frame's values at p ≠ 0, from one `_theta_root`.
 
-    Each value is formed by the arithmetic that forms the value of the
-    matching jet in `hopf_jets` (u is (z·z̄)e₁, not |z|²e₁), and the order-0
-    part of truncated Taylor arithmetic is that arithmetic on the values.  So
-    a polynomial in this frame, such as `_delta_cubed_omega`, equals the
-    value of the same polynomial in the jets bit for bit.  u + v = 1, so
-    neither term of Δ can overflow.
+    Each value is formed by the arithmetic that forms the value slot of the
+    matching row in `hopf_rows` (u is (z·z̄)e₁, not |z|²e₁), and the value
+    slot of a Leibniz product is the product of the values.  So the closed
+    form of the metrics on this frame (`hopf_metric`) equals the values of
+    their rows bit for bit.  u + v = 1, so neither term of Δ can overflow.
     """
     theta = _theta_root(p, hp)
     try:
@@ -496,51 +489,149 @@ def hopf_values(p, hp: HopfParams) -> HopfFrame:
     return HopfFrame(z, w, zb, wb, theta, e1, e2, u, v, hp.alpha * u + (2.0 - hp.alpha) * v)
 
 
-def hopf_jets(p, hp: HopfParams) -> HopfFrame:
-    """The jets every Hopf quantity is built from, at p ≠ 0, in closed form.
+# -- order-2 rows ----------------------------------------------------------------------
+#
+# A row is the order-2 jet of one function of (z, w) at a point: its value,
+# its gradient in the slots (z, w, z̄, w̄) and its Hessian row-major, which is
+# the flat layout of a two-coordinate `WJet`.  Rows stack into (k, 21) arrays,
+# and `_leibniz` multiplies two stacks row by row (Griewank & Walther,
+# Evaluating Derivatives, ch. 13).
+
+_ROW = 21
+# Conjugation trades the z and z̄ slots: row[_CONJ].conj() is the conjugate row.
+_SWAP = (2, 3, 0, 1)
+_CONJ = np.array([0, *(1 + s for s in _SWAP), *(5 + 4 * s + t for s in _SWAP for t in _SWAP)])
+# The row of the constant function 1.
+_ONE = np.eye(1, _ROW, dtype=complex)[0]
+
+
+def _monomial_rows() -> np.ndarray:
+    """The Hessian slots of |z|², |w|² and z̄w, whose second partials are
+    ∂z∂z̄|z|² = ∂w∂w̄|w|² = ∂w∂z̄(z̄w) = 1; `hopf_rows` fills the rest."""
+    rows = np.zeros((3, _ROW), complex)
+    for k, (a, b) in enumerate(((0, 2), (1, 3), (1, 2))):
+        rows[k, 5 + 4 * a + b] = rows[k, 5 + 4 * b + a] = 1.0
+    rows.setflags(write=False)
+    return rows
+
+
+_MONOMIALS = _monomial_rows()
+
+
+def _leibniz(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise product of two stacks of rows (shapes broadcast), by the
+    arithmetic of `wjet.mul`: (ab)' = a'b + ab',
+    (ab)'' = a''b + a'⊗b' + b'⊗a' + ab''."""
+    cross = a[..., 1:5, None] * b[..., None, 1:5]
+    out = a[..., :1] * b
+    out[..., 5:] += (cross + cross.swapaxes(-1, -2)).reshape(out.shape[:-1] + (16,))
+    out[..., 1:] += b[..., :1] * a[..., 1:]
+    return out
+
+
+def _taylor_max(rows: np.ndarray) -> np.ndarray:
+    """Largest Taylor coefficient magnitude of each row (f_ss/2 on the
+    Hessian's diagonal), as `WJet.max_abs` reads a jet."""
+    c = np.abs(rows)
+    c[..., 5::5] *= 0.5  # the Hessian's diagonal
+    return c.max(axis=-1)
+
+
+def _reciprocal(b: np.ndarray) -> np.ndarray:
+    """The row of 1/b, by the arithmetic of `wjet._reciprocal`: with c the
+    value of b and e = b/c − 1, 1/b = (1 − e + e²)/c."""
+    c = b[0]
+    e = b / c
+    out = e / -c
+    out[0] = 1.0 / c
+    out[5:] += (e[1:5, None] * e[1:5]).reshape(16) * (2.0 / c)
+    return out
+
+
+def _theta_row(hv: HopfFrame, hp: HopfParams) -> np.ndarray:
+    """θ's row at hv's point, in closed form.
 
     θ is the root of F(x, θ) = |z|²e^{−c₁θ} + |w|²e^{−c₂θ} − 1 with
     cᵢ = kᵢ/π (F is strictly decreasing in θ, so the root is unique).  Past
-    the scalar frame (`hopf_values`), the implicit-function theorem gives
-    θ's partials in the slots x = (z, w, z̄, w̄) directly:
+    the scalar frame, the implicit-function theorem gives θ's partials in the
+    slots x = (z, w, z̄, w̄) directly:
 
         θᵢ = −Fᵢ/F_θ,   θᵢⱼ = −(Fᵢⱼ + F_{iθ}θⱼ + F_{jθ}θᵢ + F_{θθ}θᵢθⱼ)/F_θ.
 
-    With k = (k₁+k₂)/2π, Φ = e^{kθ}; since kα = c₁ and k(2−α) = c₂, the
-    factors e₁ = Φ^{−α} and e₂ = Φ^{α−2} are exponentials of the θ jet, and
-    Δ = αu + (2−α)v = α|z|²Φ^{−α} + (2−α)|w|²Φ^{α−2} = −F_θ/k.
-    F = u + v − 1 on the θ jet is checked to vanish through order 2.
+    F is linear in each of |z|², |w|², so the only x-x partials are
+    F_{zz̄} = e₁ and F_{ww̄} = e₂.
     """
-    hv = hopf_values(p, hp)
     c1, c2 = hp.c1, hp.c2
     e1, e2, u0, v0 = hv.e1, hv.e2, hv.u, hv.v
-    # Partials of F at the root, slots (z, w, z̄, w̄); F is linear in each
-    # of |z|², |w|², so the only x-x partials are F_{zz̄} = e₁, F_{ww̄} = e₂.
-    c = np.array([c1, c2, c1, c2])
     Fx = np.array([hv.zb * e1, hv.wb * e2, hv.z * e1, hv.w * e2])
     Fxx = np.array([[0.0, 0.0, e1, 0.0], [0.0, 0.0, 0.0, e2],
                     [e1, 0.0, 0.0, 0.0], [0.0, e2, 0.0, 0.0]], dtype=complex)
     Ft = -(c1 * u0 + c2 * v0)
     Ftt = c1 * c1 * u0 + c2 * c2 * v0
-    Fxt = -c * Fx
+    Fxt = np.array([-c1, -c2, -c1, -c2]) * Fx
     if not (math.isfinite(Ft) and Ft != 0.0):
         raise ValueError("dF/dtheta vanishes at the solution")
-    tx = -Fx / Ft
+    tx = Fx / -Ft
     cross = Fxt[:, None] * tx
-    txx = -(Fxx + cross + cross.T + Ftt * (tx[:, None] * tx)) / Ft
-    theta = WJet(hv.theta, tx, txx)
-
-    (z, w), (zb, wb) = _coordinate_jets(p, 2)
-    e1j, e2j = exp(-c1 * theta), exp(-c2 * theta)
-    u, v = z * zb * e1j, w * wb * e2j
-    _check_implicit((u + v - 1.0).max_abs(), theta.max_abs())
-    return HopfFrame(z, w, zb, wb, theta, e1j, e2j, u, v, hp.alpha * u + (2.0 - hp.alpha) * v)
+    txx = (Fxx + cross + cross.T + Ftt * (tx[:, None] * tx)) / -Ft
+    return np.concatenate(((hv.theta,), tx, txx.ravel()))
 
 
-def phi_field(p, hp: HopfParams):
-    """Order-2 jets of (Φ, θ, Δ) at p ≠ 0, with Φ = e^{kθ} (see `hopf_jets`)."""
-    hj = hopf_jets(p, hp)
-    return exp(hp.k * hj.theta), hj.theta, hj.delta
+class HopfRows(NamedTuple):
+    """The order-2 rows every Hopf quantity is built from (`hopf_rows`)."""
+
+    theta: np.ndarray  # (21,)
+    e: np.ndarray  # (3, 21): e₁, e₂, e₁e₂
+    uvq: np.ndarray  # (3, 21): u = |z|²e₁, v = |w|²e₂, q = z̄w·e₁e₂
+    delta: np.ndarray  # (21,): Δ = αu + (2−α)v
+
+
+def hopf_rows(hv: HopfFrame, hp: HopfParams) -> HopfRows:
+    """The order-2 frame at the point of the scalar frame hv, as rows.
+
+    θ's row comes from its closed-form partials (`_theta_row`).  With
+    k = (k₁+k₂)/2π, Φ = e^{kθ}; since kα = c₁ and k(2−α) = c₂, the factors
+    e₁ = Φ^{−α}, e₂ = Φ^{α−2} and e₁e₂ = Φ^{−2} are e^{−rθ} for the rates
+    r = c₁, c₂, c₁ + c₂, one stacked chain rule:
+
+        (e^{−rθ})' = −r e^{−rθ} θ',   (e^{−rθ})'' = e^{−rθ}(r² θ'⊗θ' − r θ'').
+
+    |z|², |w|² and z̄w have fixed rows, so u, v and q = z̄w·e₁e₂ are one
+    stacked Leibniz product, and Δ = αu + (2−α)v = −F_θ/k.  F = u + v − 1
+    is checked to vanish through order 2.  The value slots are the scalar
+    frame's values, or products of them.
+    """
+    theta = _theta_row(hv, hp)
+    minus_r = np.array([[-hp.c1], [-hp.c2], [-(hp.c1 + hp.c2)]])
+    g = minus_r * theta[1:5]
+    e = np.empty((3, _ROW), complex)
+    e[:, 0] = hv.e1, hv.e2, hv.e1 * hv.e2
+    e[:, 1:5] = e[:, :1] * g
+    e[:, 5:] = e[:, :1] * (minus_r * theta[5:]) + (e[:, 1:5, None] * g[:, None, :]).reshape(3, 16)
+
+    z, w, zb, wb = hv.z, hv.w, hv.zb, hv.wb
+    x = _MONOMIALS.copy()
+    x[:, :5] = ((z * zb, zb, 0.0, z, 0.0), (w * wb, 0.0, wb, 0.0, w), (zb * w, 0.0, zb, w, 0.0))
+    uvq = _leibniz(x, e)
+    _check_implicit(*_taylor_max(np.array((uvq[0] + uvq[1] - _ONE, theta))))
+    return HopfRows(theta, e, uvq, hp.alpha * uvq[0] + (2.0 - hp.alpha) * uvq[1])
+
+
+def _row_jet(row: np.ndarray) -> WJet:
+    """The two-coordinate jet whose flat data is `row`."""
+    return WJet(row[0], row[1:5], row[5:].reshape(4, 4))
+
+
+def phi_field(hv: HopfFrame, hp: HopfParams) -> tuple[WJet, WJet, WJet]:
+    """Order-2 jets of (Φ, θ, Δ) at the point of the scalar frame hv, read
+    from `hopf_rows`; Φ = e^{kθ} by the chain rule."""
+    fr = hopf_rows(hv, hp)
+    k, theta = hp.k, fr.theta
+    phi = np.empty(_ROW, complex)
+    phi[0] = math.exp(k * hv.theta)
+    phi[1:5] = phi[0] * (k * theta[1:5])
+    phi[5:] = phi[0] * (k * theta[5:]) + (phi[1:5, None] * (k * theta[1:5])).ravel()
+    return _row_jet(phi), _row_jet(theta), _row_jet(fr.delta)
 
 
 def hessian_forms(hv: HopfFrame, hp: HopfParams) -> tuple[np.ndarray, np.ndarray]:
@@ -576,7 +667,7 @@ def hessian_forms(hv: HopfFrame, hp: HopfParams) -> tuple[np.ndarray, np.ndarray
 
 def dbar_log_phi(hv: HopfFrame) -> np.ndarray:
     """∂̄ log Φ = (z e₁, w e₂)/Δ on the scalar frame: log Φ = kθ, and with F as
-    in `hopf_jets`, θ_z̄ = −F_z̄/F_θ = z e₁/(kΔ) since F_θ = −kΔ (so for w̄)."""
+    in `_theta_row`, θ_z̄ = −F_z̄/F_θ = z e₁/(kΔ) since F_θ = −kΔ (so for w̄)."""
     return np.array([hv.z * hv.e1, hv.w * hv.e2]) / hv.delta
 
 
@@ -707,8 +798,8 @@ def _hopf_standard_jets(p) -> list[list[WJet]]:
 
 
 def _delta_cubed_omega(hf: HopfFrame, al: float, lam: float) -> list[list]:
-    """Δ³ω_λ = Δ³((1+λ)L + P/Φ²), with L and P as in `hessian_forms`, over a
-    frame of values or of jets.
+    """Δ³ω_λ = Δ³((1+λ)L + P/Φ²), with L and P as in `hessian_forms`, on the
+    scalar frame; `_delta_cubed_omega_rows` is the same closed form on rows.
 
     Φ^{−α} = e₁, Φ^{α−2} = e₂ and Φ^{−2} = e₁e₂ make it a polynomial in the
     frame, with no power of Φ and no division:
@@ -724,9 +815,21 @@ def _delta_cubed_omega(hf: HopfFrame, al: float, lam: float) -> list[list]:
     ]
 
 
+def _delta_cubed_omega_rows(fr: HopfRows, al: float, lam: float) -> np.ndarray:
+    """The rows of h₁₁, h₁₂ and h₂₂ of `_delta_cubed_omega`, and of Δ³, by two
+    stacked Leibniz products: Δ·(u, v, Δ), then e₁·A, C·q, e₂·B and Δ²·Δ for
+    A = (1+λ)(α−2)²v + Δu, C = (1+λ)α(α−2) + Δ and B = (1+λ)α²u + Δv.
+    Each value slot is formed as the matching value of `_delta_cubed_omega`."""
+    s, D = 1.0 + lam, fr.delta
+    u, v, q = fr.uvq
+    Du, Dv, D2 = _leibniz(D, np.array((u, v, D)))
+    factors = np.array((fr.e[0], D + s * al * (al - 2.0) * _ONE, fr.e[1], D2))
+    return _leibniz(factors, np.array((s * (al - 2.0) ** 2 * v + Du, q, s * al**2 * u + Dv, D)))
+
+
 def hopf_metric(spec: MetricSpec, hf: HopfFrame) -> list[list]:
-    """Δ³ω_{−1/2} for hopf-lc-flat, ω_λ = Δ³ω_λ/Δ³ for hopf-omega-lambda, over
-    a frame of values (`hopf_values`) or of jets (`hopf_jets`)."""
+    """Δ³ω_{−1/2} for hopf-lc-flat, ω_λ = Δ³ω_λ/Δ³ for hopf-omega-lambda, on
+    the scalar frame (`hopf_values`)."""
     al = spec.hopf_params().alpha
     if spec.kind == "hopf-lc-flat":
         return _delta_cubed_omega(hf, al, -0.5)
@@ -734,34 +837,80 @@ def hopf_metric(spec: MetricSpec, hf: HopfFrame) -> list[list]:
     return [[inv_d3 * x for x in row] for row in _delta_cubed_omega(hf, al, spec.lam_value)]
 
 
+def _hopf_metric_arrays(spec: MetricSpec, fr: HopfRows) -> tuple[np.ndarray, ...]:
+    """(H, dH, ddH) of `hopf_metric` from the rows of the frame: ω_λ is
+    Δ³ω_λ times the reciprocal of Δ·Δ·Δ, as `hopf_metric` forms it."""
+    al = spec.hopf_params().alpha
+    if spec.kind == "hopf-lc-flat":
+        h = _delta_cubed_omega_rows(fr, al, -0.5)
+    else:
+        h = _delta_cubed_omega_rows(fr, al, spec.lam_value)
+        h = _leibniz(_reciprocal(h[3]), h[:3])
+    rows = h[[0, 1, 1, 2]]
+    rows[2] = rows[2, _CONJ].conj()
+    return rows[:, 0].reshape(2, 2), rows[:, 1:5].reshape(2, 2, 4), rows[:, 5:].reshape(2, 2, 4, 4)
+
+
+def _field_hopf_params(f: FieldSpec, hp: HopfParams | None) -> HopfParams:
+    if hp is None:
+        raise SpecError(f"{f.kind} field needs Hopf parameters")
+    return hp
+
+
 def field_jet(f: FieldSpec, p, hp: HopfParams | None, n: int = 2) -> WJet:
-    """Real-valued order-2 jet of a scalar conformal factor."""
+    """Real-valued order-2 jet of a scalar conformal factor.  The Hopf fields
+    are rows of `hopf_rows`: log Φ = kθ, and log Δ by the chain rule,
+    (log Δ)' = Δ'/Δ, (log Δ)'' = Δ''/Δ − (Δ'/Δ)⊗(Δ'/Δ).  The value is the
+    one `field_value` gives."""
     if f.kind == "zero":
         return jet_const(0.0, n)
     if f.kind == "poly":
         return WJet(*f.poly_table(n).jet(p))
+    hp = _field_hopf_params(f, hp)
+    hv = hopf_values(p, hp)
+    fr = hopf_rows(hv, hp)
     if f.kind == "log-phi":
-        if hp is None:
-            raise SpecError("log-phi field needs Hopf parameters")
-        return (f.scale * hp.k) * hopf_jets(p, hp).theta  # log Φ = kθ
-    if f.kind == "log-delta":
-        if hp is None:
-            raise SpecError("log-delta field needs Hopf parameters")
-        return f.scale * log(hopf_jets(p, hp).delta)
-    raise ValueError(f"unknown field kind {f.kind!r}")
+        return _row_jet((f.scale * hp.k) * fr.theta)
+    row = fr.delta / hv.delta
+    row[5:] -= (row[1:5, None] * row[1:5]).ravel()
+    row[0] = math.log(hv.delta)
+    return _row_jet(f.scale * row)
+
+
+def field_value(f: FieldSpec, p, hp: HopfParams | None, n: int = 2) -> float:
+    """The value of `field_jet(f, p, hp, n)`, bit for bit, from the scalar
+    frame; no jet is built."""
+    if f.kind == "zero":
+        return 0.0
+    if f.kind == "poly":
+        return f.poly_table(n).jet(p)[0].real
+    hp = _field_hopf_params(f, hp)
+    hv = hopf_values(p, hp)
+    if f.kind == "log-phi":
+        return (f.scale * hp.k) * hv.theta
+    return f.scale * math.log(hv.delta)
+
+
+def _exp_field(f0: float) -> float:
+    try:
+        return math.exp(f0)
+    except OverflowError:
+        raise ValueError(f"e^f is outside the floating-point range at f = {f0:.6g}") from None
 
 
 def conformal_scale(h, f: WJet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Entrywise e^f · h for a real-valued scalar jet f, where h = (H, dH, ddH).
 
-    One Leibniz product, broadcast over the entries:
+    e^f by the chain rule, (e^f)' = e^f f', (e^f)'' = e^f (f'' + f'⊗f'), and
+    then one Leibniz product, broadcast over the entries:
     (e^f h)'' = e^f h'' + h' ⊗ (e^f)' + (e^f)' ⊗ h' + h (e^f)''.
     """
     if not is_real_valued(f):
         raise ValueError("conformal factor must be a real-valued jet")
     H, dH, ddH = h
-    ef = exp(f)
-    e0, eg, eh = ef.value, ef.grad, ef.hess
+    e0 = _exp_field(f.value.real)
+    eg = e0 * f.grad
+    eh = e0 * f.hess + eg[:, None] * f.grad
     cross = dH[..., :, None] * eg
     return (
         e0 * H,
@@ -789,7 +938,8 @@ def _metric_arrays(spec: MetricSpec, pt: tuple[complex, ...]) -> tuple[np.ndarra
     if spec.kind == "hopf-standard":
         return partials(_hopf_standard_jets(pt))
     if spec.kind in _HOPF_FRAME_KINDS:
-        return partials(hopf_metric(spec, hopf_jets(pt, spec.hopf_params())))
+        hp = spec.hopf_params()
+        return _hopf_metric_arrays(spec, hopf_rows(hopf_values(pt, hp), hp))
     if spec.kind == "conformal":
         base = _metric_arrays(spec.base, pt)
         return conformal_scale(base, field_jet(spec.f, pt, spec.hopf_params(), n=spec.dim))
@@ -820,11 +970,17 @@ def metric_values(spec: MetricSpec, p) -> np.ndarray:
     """The value matrix of `build_metric(spec, p)`, equal to it bit for bit.
 
     The Hopf metrics evaluate their closed form on the scalar frame
-    (`hopf_values`), so no jet is built; every other kind builds its metric.
+    (`hopf_values`) and a conformal metric is e^f times its base's values,
+    with f from `field_value`, so neither builds a jet (nor checks that the
+    values are positive definite); the other kinds build their metric.
     """
-    if spec.kind not in _HOPF_FRAME_KINDS:
-        return build_metric(spec, p).H
-    return np.array(hopf_metric(spec, hopf_values(_metric_point(spec, p), spec.hopf_params())))
+    pt = _metric_point(spec, p)
+    if spec.kind in _HOPF_FRAME_KINDS:
+        return np.array(hopf_metric(spec, hopf_values(pt, spec.hopf_params())))
+    if spec.kind == "conformal":
+        f0 = field_value(spec.f, pt, spec.hopf_params(), n=spec.dim)
+        return _exp_field(f0) * metric_values(spec.base, pt)
+    return build_metric(spec, pt).H
 
 
 # -- deck invariance ---------------------------------------------------------------

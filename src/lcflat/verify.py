@@ -144,6 +144,8 @@ def sample_points(
         raise ValueError("n must be >= 1")
     if dim < 1:
         raise ValueError("dim must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     if domain == "box":
         pts = []
@@ -363,8 +365,9 @@ def _residual_hessian_matrices(spec: mz.MetricSpec, p, notes: dict) -> float:
     """Closed forms of √−1∂∂̄logΦ and √−1∂Φ∧∂̄Φ against the solved jet, and their
     vanishing determinants."""
     hp = spec.hopf_params()
-    L, P = mz.hessian_forms(mz.hopf_values(p, hp), hp)
-    Phi, theta, _ = mz.phi_field(p, hp)
+    hv = mz.hopf_values(p, hp)
+    L, P = mz.hessian_forms(hv, hp)
+    Phi, theta, _ = mz.phi_field(hv, hp)
     L_jet = hp.k * theta.hess[:2, 2:]  # log Φ = kθ
     P_jet = Phi.grad[:2, None] * Phi.grad[2:]
     sL, sP = _maxabs(L), _maxabs(P)

@@ -102,10 +102,14 @@ def leibniz_metric_arrays(spec, pt):
         coeffs = poly_coefficients(n, np.random.default_rng(spec.seed_value))
         amp = spec.amp if spec.amp is not None else mz._POLY_AMP
         return partials(poly_metric_jets(zs, zbs, coeffs, amp))
+    if spec.kind in ("hopf-lc-flat", "hopf-omega-lambda"):
+        return hopf_metric_oracle(spec, pt)
     if spec.kind == "conformal":
         H, dH, ddH = leibniz_metric_arrays(spec.base, pt)
         if spec.f.kind == "poly":
             f = poly_field_jet(pt, n, spec.f.seed, spec.f.amp)
+        elif spec.f.kind in ("log-phi", "log-delta"):
+            f = hopf_field_oracle(spec.f, pt, spec.hopf_params())
         else:
             f = mz.field_jet(spec.f, pt, spec.hopf_params(), n=n)
         ef = exp(f)
@@ -113,6 +117,61 @@ def leibniz_metric_arrays(spec, pt):
                          for i in range(n)])
     m = mz.build_metric(spec, pt)
     return m.H, m.dH, m.ddH
+
+
+# -- the Hopf frame by jet products: the oracle of `metrics.hopf_rows` -----------------
+
+
+def hopf_jets(p, hp):
+    """The Hopf frame at p ≠ 0 as order-2 jets, the build that
+    `metrics.hopf_rows` replaced: θ's jet from its closed-form partials
+    (θᵢ = −Fᵢ/F_θ, θᵢⱼ = −(Fᵢⱼ + F_{iθ}θⱼ + F_{jθ}θᵢ + F_{θθ}θᵢθⱼ)/F_θ for
+    F = |z|²e^{−c₁θ} + |w|²e^{−c₂θ} − 1), then e₁ = exp(−c₁θ), e₂ = exp(−c₂θ),
+    u = z·z̄·e₁, v = w·w̄·e₂ and Δ = αu + (2−α)v by jet arithmetic."""
+    from lcflat import metrics as mz
+
+    hv = mz.hopf_values(p, hp)
+    c1, c2 = hp.c1, hp.c2
+    e1, e2, u0, v0 = hv.e1, hv.e2, hv.u, hv.v
+    c = np.array([c1, c2, c1, c2])
+    Fx = np.array([hv.zb * e1, hv.wb * e2, hv.z * e1, hv.w * e2])
+    Fxx = np.array([[0.0, 0.0, e1, 0.0], [0.0, 0.0, 0.0, e2],
+                    [e1, 0.0, 0.0, 0.0], [0.0, e2, 0.0, 0.0]], dtype=complex)
+    Ft = -(c1 * u0 + c2 * v0)
+    Ftt = c1 * c1 * u0 + c2 * c2 * v0
+    tx = -Fx / Ft
+    cross = (-c * Fx)[:, None] * tx
+    theta = WJet(hv.theta, tx, -(Fxx + cross + cross.T + Ftt * (tx[:, None] * tx)) / Ft)
+
+    (z, w), (zb, wb) = coordinate_jets(2, p)
+    e1j, e2j = exp(-c1 * theta), exp(-c2 * theta)
+    u, v = z * zb * e1j, w * wb * e2j
+    assert (u + v - 1.0).max_abs() <= 1e-10 * (1.0 + theta.max_abs())
+    return mz.HopfFrame(z, w, zb, wb, theta, e1j, e2j, u, v, hp.alpha * u + (2.0 - hp.alpha) * v)
+
+
+def hopf_metric_oracle(spec, pt):
+    """(H, dH, ddH) of a hopf-lc-flat or hopf-omega-lambda metric: the closed
+    form `metrics.hopf_metric` evaluated on the jets of `hopf_jets`."""
+    from lcflat import metrics as mz
+
+    return partials(mz.hopf_metric(spec, hopf_jets(pt, spec.hopf_params())))
+
+
+def hopf_field_oracle(f, pt, hp):
+    """The log-phi field (scale·kθ) or log-delta field (scale·log Δ) as a jet
+    of `hopf_jets`."""
+    hj = hopf_jets(pt, hp)
+    if f.kind == "log-phi":
+        return (f.scale * hp.k) * hj.theta
+    return f.scale * log(hj.delta)
+
+
+def phi_jets(pt, hp):
+    """(Φ, θ, Δ) jets at pt from `metrics.phi_field`, on the scalar frame at pt."""
+    from lcflat import metrics as mz
+
+    return mz.phi_field(mz.hopf_values(pt, hp), hp)
 
 
 def random_small_point(n, rng, scale=0.3):

@@ -377,6 +377,18 @@ class TestDumpSamples:
         assert res.exit_code == 2
         assert "LCFLAT_SEED" in res.stderr
 
+    @pytest.mark.parametrize("args, env", [
+        (["--seed", "-3"], {}),
+        (["--domain", "hopf-fundamental", "--seed", "-3"], {}),
+        ([], {"LCFLAT_SEED": "-4"}),
+    ], ids=["box", "hopf-fundamental", "env"])
+    def test_negative_seed_is_a_usage_error_that_names_it(self, runner, args, env):
+        res = runner.invoke(main, ["dump-samples", "-n", "2", *args], env=env)
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 2
+        seed = args[-1] if args else env["LCFLAT_SEED"]
+        assert f"seed must be >= 0, got {seed}" in res.stderr
+
 
 @pytest.mark.parametrize("args", [
     ["verify", "--identity", "lc-ricci-flat", "--metric", "hopf-lc-flat{a=1e300,b=1e299}"],

@@ -6,6 +6,7 @@ and cross-checks between independent computation paths for the same tensor.
 """
 
 import inspect
+import math
 import textwrap
 from functools import cached_property
 
@@ -424,26 +425,45 @@ def test_scalar_key1_suite_cells_fail_on_a_planted_scalar_defect(monkeypatch, de
         assert rep.verdict == "fail", (seed, rep.max_residual)
 
 
-# Planted defects upstream of several identities: the function, its source edits,
-# and the suite cells (identity, metric kind) that must fail at every seed.
+# Planted defects upstream of several identities: each is a list of (owner,
+# function, source edits), and the suite cells (identity, metric kind) that must
+# fail at every seed are listed below.
 PLANTED_DEFECTS = {
     # B and its gradient transposed on the wrong axes in the mixed Levi-Civita symbols
-    "B-wrong-axes": (geo, "_connection", [
+    "B-wrong-axes": [(geo, "_connection", [
         ("B = dH[:, :, n:] - dH[:, :, n:].transpose(0, 2, 1)",
          "B = dH[:, :, n:] - dH[:, :, n:].transpose(2, 1, 0)"),
         ("dB = ddH[:, :, n:] - ddH[:, :, n:].transpose(0, 2, 1, 3)",
          "dB = ddH[:, :, n:] - ddH[:, :, n:].transpose(2, 1, 0, 3)"),
-    ]),
-    # the sign of Δ flipped in the (1,2) entry of Δ³ω_λ
-    "minus-D": (M, "_delta_cubed_omega", [
-        ("(s * al * (al - 2.0) + D)", "(s * al * (al - 2.0) - D)"),
-    ]),
+    ])],
+    # the sign of Δ flipped in the (1,2) entry of Δ³ω_λ, in its value form and
+    # in its row form alike
+    "minus-D": [
+        (M, "_delta_cubed_omega", [("(s * al * (al - 2.0) + D)", "(s * al * (al - 2.0) - D)")]),
+        (M, "_delta_cubed_omega_rows", [("D + s * al * (al - 2.0) * _ONE",
+                                         "-D + s * al * (al - 2.0) * _ONE")]),
+    ],
     # the quadratic term h^{pq̄}(∂_i h_{kq̄})(∂̄_j h_{pℓ̄}) dropped from the Chern curvature
-    "chern-quad-dropped": (geo, "chern_curvature", [("return -sec + quad", "return -sec")]),
+    "chern-quad-dropped": [(geo, "chern_curvature", [("return -sec + quad", "return -sec")])],
     # the inverse metric transposed; the Chern side inverts H itself, so only
     # the connection and the scalars read the defect
-    "inverse-transposed": (geo.MetricJet, "inverse", [("    return A\n", "    return A.T\n")]),
+    "inverse-transposed": [(geo.MetricJet, "inverse", [("    return A\n", "    return A.T\n")])],
+    # the term h'⊗(e^f)' of the conformal Leibniz product kept without its transpose
+    "conformal-cross-unsymmetrised": [(M, "conformal_scale", [
+        ("(cross + cross.swapaxes(-1, -2))", "(cross + cross)")])],
+    # F_{iθ}θⱼ written for F_{jθ}θᵢ in θ's Hessian
+    "theta-cross-unsymmetrised": [(M, "_theta_row", [
+        ("Fxx + cross + cross.T", "Fxx + cross + cross")])],
+    # the rate of e₁ used for e₂ in the θ root
+    "theta-root-c1-for-c2": [(M, "_theta_root", [
+        ("c1, c2 = hp.c1, hp.c2", "c1, c2 = hp.c1, hp.c1")])],
 }
+# Suite cells named by their spec text, where a defect misses the other cells
+# of the same kind.
+LC_FLAT_E2 = f"hopf-lc-flat{{a={math.e**2!r},b={math.e!r}}}"
+LC_FLAT_E15 = f"hopf-lc-flat{{a={math.e**1.5!r},b={math.e**1.1!r}}}"
+CONFORMAL_HOPF = (f"conformal{{base=hopf-omega-lambda{{a={math.e**2!r},b={math.e!r},lambda=-0.5}},"
+                  "f=log-delta{scale=3.0}}")
 PLANTED_DEFECT_CELLS = [
     ("B-wrong-axes", "lc-ricci-flat", "hopf-lc-flat"),
     ("B-wrong-axes", "tw-formula", "hopf-omega-lambda"),
@@ -478,22 +498,58 @@ PLANTED_DEFECT_CELLS = [
     ("inverse-transposed", "scalar-key1", "hopf-omega-lambda"),
     ("inverse-transposed", "scalar-key1", "user-polynomial"),
     ("inverse-transposed", "kahler-collapse", "kahler-test"),
+    ("conformal-cross-unsymmetrised", "conformal-law", "conformal"),
+    # θ's Hessian is symmetric where c₁ = c₂ (a = b), so those cells are immune;
+    # where it is wrong, the order-2 check of F = u + v − 1 aborts the check
+    ("theta-cross-unsymmetrised", "lc-ricci-flat", LC_FLAT_E2),
+    ("theta-cross-unsymmetrised", "lc-ricci-flat", LC_FLAT_E15),
+    ("theta-cross-unsymmetrised", "tw-formula", "hopf-omega-lambda"),
+    ("theta-cross-unsymmetrised", "key-relation", "hopf-lc-flat"),
+    ("theta-cross-unsymmetrised", "conformal-law", CONFORMAL_HOPF),
+    ("theta-cross-unsymmetrised", "scalar-010", "hopf-omega-lambda"),
+    ("theta-cross-unsymmetrised", "scalar-key1", "hopf-omega-lambda"),
+    ("theta-cross-unsymmetrised", "hessian-matrices", "hopf-lc-flat"),
+    # a wrong θ misses F = u + v − 1 in value, which the scalar frame checks
+    ("theta-root-c1-for-c2", "lc-ricci-flat", LC_FLAT_E2),
+    ("theta-root-c1-for-c2", "lc-ricci-flat", LC_FLAT_E15),
+    ("theta-root-c1-for-c2", "det-formula", "hopf-omega-lambda"),
+    ("theta-root-c1-for-c2", "tw-formula", "hopf-omega-lambda"),
+    ("theta-root-c1-for-c2", "key-relation", "hopf-lc-flat"),
+    ("theta-root-c1-for-c2", "conformal-law", CONFORMAL_HOPF),
+    ("theta-root-c1-for-c2", "scalar-010", "hopf-omega-lambda"),
+    ("theta-root-c1-for-c2", "scalar-key1", "hopf-omega-lambda"),
+    ("theta-root-c1-for-c2", "deck-invariance", "hopf-omega-lambda"),
+    ("theta-root-c1-for-c2", "deck-invariance", "hopf-lc-flat"),
+    ("theta-root-c1-for-c2", "deck-invariance", "conformal"),
+    ("theta-root-c1-for-c2", "hessian-matrices", "hopf-lc-flat"),
 ]
 
 
-@pytest.mark.parametrize("defect, identity, kind", PLANTED_DEFECT_CELLS)
-def test_suite_cells_fail_on_a_planted_defect(monkeypatch, defect, identity, kind):
-    module, name, edits = PLANTED_DEFECTS[defect]
-    monkeypatch.setattr(module, name, _mutant(module, name, edits))
-    cells = [c for c in cli._suite_cells() if c["identity"] == identity
-             and c["metric"].split("{")[0] == kind and c["expected"] == "pass"]
+# How a defect shows: a failing verdict, or a check that aborts because its
+# points fail to build.
+PLANTED_DEFECT_OUTCOMES = {"theta-cross-unsymmetrised": "aborted", "theta-root-c1-for-c2": "aborted"}
+
+
+@pytest.mark.parametrize("defect, identity, metric", PLANTED_DEFECT_CELLS)
+def test_suite_cells_fail_on_a_planted_defect(monkeypatch, defect, identity, metric):
+    """Every expected-pass suite cell of the identity whose metric is of the
+    kind `metric`, or is the spec `metric`, fails at every seed."""
+    for owner, name, edits in PLANTED_DEFECTS[defect]:
+        monkeypatch.setattr(owner, name, _mutant(owner, name, edits))
+    cells = [c for c in cli._suite_cells() if c["identity"] == identity and c["expected"] == "pass"
+             and metric in (c["metric"], c["metric"].split("{")[0])]
     assert cells
+    want = PLANTED_DEFECT_OUTCOMES.get(defect, "fail")
     for cell in cells:
         spec = M.parse_metric_spec(cell["metric"])
         for seed in (1, 2, 3):
-            rep = V.run_check(V.CheckSpec(identity=identity, metric=spec,
-                                          n_points=cell["n_points"], seed=seed))
-            assert rep.verdict == "fail", (cell["metric"], seed, rep.max_residual)
+            check = V.CheckSpec(identity=identity, metric=spec, n_points=cell["n_points"], seed=seed)
+            try:
+                rep = V.run_check(check)
+            except V.CheckAborted:
+                assert want == "aborted", (cell["metric"], seed)
+            else:
+                assert rep.verdict == want, (cell["metric"], seed, rep.max_residual)
 
 
 # -- validation and debug hooks ------------------------------------------------------

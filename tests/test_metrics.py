@@ -12,8 +12,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     entry_jets,
+    hopf_field_oracle,
+    hopf_jets,
+    hopf_metric_oracle,
     hopf_theta_equation,
     leibniz_metric_arrays,
+    phi_jets,
     poly_field_jet,
     theta_root_oracle,
 )
@@ -46,7 +50,7 @@ POINTS = [
 @pytest.mark.parametrize("pt", POINTS)
 def test_constraint_jet_is_identically_one(hp, pt):
     """|z|²Φ^{−α} + |w|²Φ^{α−2} = 1 must hold through second order, not just in value."""
-    Phi, _, _ = M.phi_field(pt, hp)
+    Phi, _, _ = phi_jets(pt, hp)
     zs, zbs = M._coordinate_jets(pt, 2)
     c = zs[0] * zbs[0] * pow_real(Phi, -hp.alpha) + zs[1] * zbs[1] * pow_real(
         Phi, hp.alpha - 2.0
@@ -57,8 +61,8 @@ def test_constraint_jet_is_identically_one(hp, pt):
 def test_phi_deck_scaling_and_delta_invariance():
     hp = M.HopfParams(E**2, E)
     pt = POINTS[0]
-    Phi, _, Delta = M.phi_field(pt, hp)
-    Phi2, _, Delta2 = M.phi_field((hp.a * pt[0], hp.b * pt[1]), hp)
+    Phi, _, Delta = phi_jets(pt, hp)
+    Phi2, _, Delta2 = phi_jets((hp.a * pt[0], hp.b * pt[1]), hp)
     assert abs(Phi2.value / (abs(hp.a) * abs(hp.b) * Phi.value) - 1) < 1e-10
     assert abs(Delta2.value - Delta.value) < 1e-12
     # |z|²Φ^{−α} is itself deck-invariant
@@ -72,7 +76,7 @@ def test_equal_multipliers_degeneration():
     hp = M.HopfParams(E, E)
     assert hp.alpha == 1.0
     pt = POINTS[1]
-    Phi, _, Delta = M.phi_field(pt, hp)
+    Phi, _, Delta = phi_jets(pt, hp)
     zs, zbs = M._coordinate_jets(pt, 2)
     S = zs[0] * zbs[0] + zs[1] * zbs[1]
     assert (Phi - S).max_abs() < 1e-12
@@ -81,14 +85,14 @@ def test_equal_multipliers_degeneration():
 
 def test_phi_at_unit_point_on_axis():
     hp = M.HopfParams(E**2, E)
-    Phi, _, Delta = M.phi_field((1.0, 0.0), hp)
+    Phi, _, Delta = phi_jets((1.0, 0.0), hp)
     assert abs(Phi.value - 1.0) < 1e-12
     assert abs(Delta.value - hp.alpha) < 1e-12
 
 
 def test_phi_rejects_origin():
     with pytest.raises(ValueError, match="origin"):
-        M.phi_field((0.0, 0.0), M.HopfParams(E, E))
+        phi_jets((0.0, 0.0), M.HopfParams(E, E))
     with pytest.raises(ValueError, match="origin"):
         M.phi_value((0.0, 0.0), M.HopfParams(E, E))
 
@@ -96,7 +100,7 @@ def test_phi_rejects_origin():
 def test_phi_value_matches_jet_constant_term():
     hp = M.HopfParams(E**1.5, E**1.1)
     for pt in POINTS:
-        Phi, _, _ = M.phi_field(pt, hp)
+        Phi, _, _ = phi_jets(pt, hp)
         assert abs(M.phi_value(pt, hp) - Phi.value.real) < 1e-11
 
 
@@ -121,7 +125,7 @@ def test_phi_field_solves_theta_in_closed_form(hp, rel, monkeypatch):
     monkeypatch.setattr(wjet, "implicit_solve", counting_solve)
     monkeypatch.setattr(M, "implicit_solve", counting_solve, raising=False)
     pts = V.sample_points("hopf-fundamental", 24, 3, hp=hp)
-    thetas = [M.phi_field(pt, hp)[1] for pt in pts]
+    thetas = [phi_jets(pt, hp)[1] for pt in pts]
     assert calls == []
 
     for pt, theta in zip(pts, thetas):
@@ -141,7 +145,7 @@ def test_phi_and_delta_jets_match_finite_differences(hp):
         return al * abs(q[0]) ** 2 * phi**-al + (2.0 - al) * abs(q[1]) ** 2 * phi ** (al - 2.0)
 
     for pt in V.sample_points("hopf-fundamental", 3, 5, hp=hp):
-        Phi, _, Delta = M.phi_field(pt, hp)
+        Phi, _, Delta = phi_jets(pt, hp)
         for jet, fn in ((Phi, lambda q: M.phi_value(q, hp)), (Delta, delta)):
             _, grad, hess = V.fd_jet(fn, pt, 2)
             assert np.max(np.abs(grad - jet.grad) / (1.0 + np.abs(jet.grad))) < 1e-8
@@ -149,13 +153,17 @@ def test_phi_and_delta_jets_match_finite_differences(hp):
 
 
 def test_phi_field_rejects_a_theta_jet_that_misses_its_equation(monkeypatch):
-    """The θ jet is checked against F by jet arithmetic: a wrong Hessian fails."""
-    def bent(value, grad, hess):
-        return wjet.WJet(value, grad, hess + 1e-6)
+    """θ's row is checked against F through order 2: a wrong Hessian fails."""
+    row = M._theta_row
 
-    monkeypatch.setattr(M, "WJet", bent)
+    def bent(hv, hp):
+        r = row(hv, hp)
+        r[5:] += 1e-6
+        return r
+
+    monkeypatch.setattr(M, "_theta_row", bent)
     with pytest.raises(ValueError, match="failed to converge"):
-        M.phi_field(POINTS[0], HOPF_GRID[1])
+        phi_jets(POINTS[0], HOPF_GRID[1])
 
 
 # (|a|, |b|) log-spaced over [1.0001, 1e6] with |a| >= |b|, and |z|², |w|² over
@@ -223,7 +231,7 @@ def test_closed_form_gradient_matches_jet_derivatives(hp):
     """The closed-form P of `hessian_forms` is ∂Φ ⊗ ∂̄Φ read off the Φ jet."""
     for pt in POINTS[:2]:
         _, P = M.hessian_forms(M.hopf_values(pt, hp), hp)
-        _, dPhi, _ = wjet.partials(M.phi_field(pt, hp)[0])
+        _, dPhi, _ = wjet.partials(phi_jets(pt, hp)[0])
         want = np.outer(dPhi[:2], dPhi[2:])
         assert np.all(np.abs(P - want) < 1e-12 * (1 + np.abs(P)))
 
@@ -233,7 +241,7 @@ def test_outer_product_matrix_is_gradient_outer_product():
     hp = M.HopfParams(E**2, E)
     pt = POINTS[1]
     _, P = M.hessian_forms(M.hopf_values(pt, hp), hp)
-    _, dPhi, _ = wjet.partials(M.phi_field(pt, hp)[0])
+    _, dPhi, _ = wjet.partials(phi_jets(pt, hp)[0])
     holo, anti = dPhi[:2], dPhi[2:]
     for i in range(2):
         for j in range(2):
@@ -244,7 +252,7 @@ def test_outer_product_matrix_is_gradient_outer_product():
 @pytest.mark.parametrize("hp", HOPF_GRID, ids=["a=b", "a=e2", "a=e1.5"])
 def test_closed_form_hessian_matches_log_phi_jet(hp):
     pt = POINTS[2]
-    Phi, _, _ = M.phi_field(pt, hp)
+    Phi, _, _ = phi_jets(pt, hp)
     lp = log(Phi)
     L = M.hessian_forms(M.hopf_values(pt, hp), hp)[0]
     for i in range(2):
@@ -260,7 +268,7 @@ def test_hessian_forms_closed_form_entries_and_rank():
     hp = M.HopfParams(E**2, E)
     pt = POINTS[0]
     L, P = M.hessian_forms(M.hopf_values(pt, hp), hp)
-    Phi, _, Delta = M.phi_field(pt, hp)
+    Phi, _, Delta = phi_jets(pt, hp)
     phi, dl, al = Phi.value.real, Delta.value.real, hp.alpha
     z, w = pt
     assert abs(L[0, 0] - (al - 2) ** 2 * abs(w) ** 2 / (dl**3 * phi**2)) < 1e-10
@@ -310,7 +318,7 @@ def test_omega_lambda_determinant_formula(hp, lam):
     spec = M.MetricSpec(kind="hopf-omega-lambda", a=hp.a, b=hp.b, lam=lam)
     for pt in POINTS:
         m = M.build_metric(spec, pt)
-        Phi, _, Delta = M.phi_field(pt, hp)
+        Phi, _, Delta = phi_jets(pt, hp)
         expect = (1 + lam) / (Delta.value.real**3 * Phi.value.real**2)
         det = np.linalg.det(m.H)
         assert abs(det - expect) / abs(expect) < 1e-10
@@ -323,7 +331,7 @@ def test_omega_lambda_matches_direct_phi_derivative_assembly():
     lam = 0.7
     pt = POINTS[3]
     m = M.build_metric(M.MetricSpec(kind="hopf-omega-lambda", a=hp.a, b=hp.b, lam=lam), pt)
-    Phi, _, _ = M.phi_field(pt, hp)
+    Phi, _, _ = phi_jets(pt, hp)
     phi = Phi.value
     for i in range(2):
         for j in range(2):
@@ -339,7 +347,7 @@ def test_lc_flat_is_delta_cubed_times_omega_minus_half():
     pt = POINTS[0]
     mf = M.build_metric(M.MetricSpec(kind="hopf-lc-flat", a=hp.a, b=hp.b), pt)
     mh = M.build_metric(M.MetricSpec(kind="hopf-omega-lambda", a=hp.a, b=hp.b, lam=-0.5), pt)
-    _, _, Delta = M.phi_field(pt, hp)
+    _, _, Delta = phi_jets(pt, hp)
     D3 = Delta * Delta * Delta
     hf, hh = entry_jets(mf), entry_jets(mh)
     for i in range(2):
@@ -454,24 +462,37 @@ def test_deck_flat_negative_control():
                          ids=["a=b", "a=e2", "a=e1.5", "1e3", "1e6"])
 def test_metric_values_equal_the_metric_jets_values_bit_for_bit(hp):
     """The Hopf metrics' closed form on the scalar frame gives the values of
-    the same closed form on the jets exactly, here and at the deck image."""
+    their rows exactly, and a conformal metric's values, e^f times its base's,
+    give the value of its arrays exactly, here and at the deck image."""
     specs = [M.MetricSpec(kind="hopf-omega-lambda", a=hp.a, b=hp.b, lam=lam)
              for lam in (-0.5, 0.0, 1.0)]
     specs.append(M.MetricSpec(kind="hopf-lc-flat", a=hp.a, b=hp.b))
+    fields = [M.FieldSpec(kind="log-delta", scale=3.0), M.FieldSpec(kind="log-phi", scale=-0.5),
+              M.FieldSpec(kind="zero")]
+    specs += [M.MetricSpec(kind="conformal", base=base, f=f)
+              for base in (specs[0], specs[3]) for f in fields]
+    # The poly field grows with |z|², so it is read at the sampled points only.
+    poly = [M.MetricSpec(kind="conformal", base=base, f=M.FieldSpec(kind="poly", seed=5, amp=0.01))
+            for base in (specs[0], specs[3])]
     for pt in V.sample_points("hopf-fundamental", 8, 4, hp=hp):
-        for q in (pt, (hp.a * pt[0], hp.b * pt[1])):
-            for spec in specs:
-                assert np.array_equal(M.metric_values(spec, q), M.build_metric(spec, q).H)
+        image = (hp.a * pt[0], hp.b * pt[1])
+        for q, spec in [(pt, s) for s in specs + poly] + [(image, s) for s in specs]:
+            assert np.array_equal(M.metric_values(spec, q), M.build_metric(spec, q).H)
 
 
 def test_value_only_identities_build_no_jets(monkeypatch):
-    def no_jets(p, hp):
-        raise AssertionError("hopf_jets called")
+    def no_jets(*args):
+        raise AssertionError("an order-2 frame or jet was built")
 
-    monkeypatch.setattr(M, "hopf_jets", no_jets)
+    for owner, name in ((M, "hopf_rows"), (wjet.WJet, "__init__"), (wjet, "_jet")):
+        monkeypatch.setattr(owner, name, no_jets)
     omega = M.MetricSpec(kind="hopf-omega-lambda", a=E**2, b=E * np.exp(0.3j), lam=0.5)
+    conformal = M.MetricSpec(kind="conformal",
+                             base=M.MetricSpec(kind="hopf-omega-lambda", a=E**2, b=E, lam=-0.5),
+                             f=M.FieldSpec(kind="log-delta", scale=3.0))
     checks = [("det-formula", omega), ("deck-invariance", omega),
-              ("deck-invariance", M.MetricSpec(kind="hopf-lc-flat", a=E**2, b=E))]
+              ("deck-invariance", M.MetricSpec(kind="hopf-lc-flat", a=E**2, b=E)),
+              ("deck-invariance", conformal)]
     for identity, spec in checks:
         rep = V.run_check(V.CheckSpec(identity=identity, metric=spec, n_points=10, seed=3))
         assert rep.verdict == "pass" and not rep.failures
@@ -488,12 +509,12 @@ def test_det_formula_solves_one_theta_root_per_point(monkeypatch):
 
 
 @pytest.mark.parametrize("identity, budget", [
-    ("det-formula", 1), ("deck-invariance", 2), ("hessian-matrices", 2), ("tw-formula", 2)])
+    ("det-formula", 1), ("deck-invariance", 2), ("hessian-matrices", 1), ("tw-formula", 2)])
 def test_theta_root_budget_per_point(identity, budget, monkeypatch):
     """θ roots per point over run_check: det-formula reads one scalar frame,
     deck-invariance one at the point and one at its image,
-    hessian-matrices one for the closed forms and one for the Φ jet, and
-    tw-formula one for the metric's jet frame and one scalar frame for both
+    hessian-matrices one for the closed forms and the Φ jet alike, and
+    tw-formula one for the metric's rows and one scalar frame for both
     closed forms."""
     calls = []
     root = M._theta_root
@@ -505,10 +526,10 @@ def test_theta_root_budget_per_point(identity, budget, monkeypatch):
 
 
 def test_tw_formula_builds_one_jet_frame_per_point(monkeypatch):
-    """The metric jet needs the jet frame; the ∂̄ log Φ target reads the scalar frame."""
+    """The metric's arrays need the rows; the ∂̄ log Φ target reads the scalar frame."""
     calls = []
-    jets = M.hopf_jets
-    monkeypatch.setattr(M, "hopf_jets", lambda p, hp: calls.append(p) or jets(p, hp))
+    rows = M.hopf_rows
+    monkeypatch.setattr(M, "hopf_rows", lambda hv, hp: calls.append(hv) or rows(hv, hp))
     spec = M.MetricSpec(kind="hopf-omega-lambda", a=E**2 * np.exp(0.4j), b=E, lam=0.5)
     rep = V.run_check(V.CheckSpec(identity="tw-formula", metric=spec, n_points=10, seed=3))
     assert rep.verdict == "pass" and len(rep.per_point) == 10
@@ -521,11 +542,69 @@ def test_tw_formula_builds_one_jet_frame_per_point(monkeypatch):
     (M.HopfParams(1e6, 1.0001), 1e-10),
 ], ids=["a=b", "a=e2", "a=e1.5", "complex", "1e3", "1e6"])
 def test_dbar_log_phi_closed_form_matches_the_theta_jet(hp, tol):
-    """(z e₁, w e₂)/Δ on the scalar frame against k·∂̄θ of the solved jet."""
+    """(z e₁, w e₂)/Δ on the scalar frame against k·∂̄θ of θ's row."""
     for p in V.sample_points("hopf-fundamental", 20, 5, hp=hp):
-        want = hp.k * M.hopf_jets(p, hp).theta.grad[2:]
-        got = M.dbar_log_phi(M.hopf_values(p, hp))
+        hv = M.hopf_values(p, hp)
+        want = hp.k * M.hopf_rows(hv, hp).theta[3:5]  # the z̄, w̄ slots
+        got = M.dbar_log_phi(hv)
         assert np.abs(got - want).max() <= tol * np.abs(want).max(), p
+
+
+# -- the rows against the jet-product oracle ------------------------------------------
+
+FRAME_PARAMS = HOPF_GRID + [M.HopfParams(E**2 * np.exp(0.4j), E * np.exp(-1.1j)),
+                            M.HopfParams(1e3, 1.01), M.HopfParams(1e6, 1.0001)]
+FRAME_IDS = ["a=b", "a=e2", "a=e1.5", "complex", "1e3", "1e6"]
+
+
+@pytest.mark.parametrize("hp", FRAME_PARAMS, ids=FRAME_IDS)
+def test_hopf_metric_arrays_match_the_jet_product_oracle(hp):
+    """H, dH and ddH from the rows equal the closed form on the jets of the
+    oracle `hopf_jets` to 1e-15 relative, at sampled points and their deck
+    images; so do the Φ, θ and Δ jets of `phi_field`."""
+    specs = [M.MetricSpec(kind="hopf-omega-lambda", a=hp.a, b=hp.b, lam=lam)
+             for lam in (-0.5, 0.0, 1.0)]
+    specs.append(M.MetricSpec(kind="hopf-lc-flat", a=hp.a, b=hp.b))
+    for pt in V.sample_points("hopf-fundamental", 10, 8, hp=hp):
+        for q in (pt, (hp.a * pt[0], hp.b * pt[1])):
+            for spec in specs:
+                m = M.build_metric(spec, q)
+                _assert_arrays_close((m.H, m.dH, m.ddH), hopf_metric_oracle(spec, q))
+            hj = hopf_jets(q, hp)
+            for got, want in zip(phi_jets(q, hp), (wjet.exp(hp.k * hj.theta), hj.theta, hj.delta)):
+                _assert_arrays_close(wjet.partials(got), wjet.partials(want))
+
+
+@pytest.mark.parametrize("kind", ["log-phi", "log-delta"])
+@pytest.mark.parametrize("hp", FRAME_PARAMS, ids=FRAME_IDS)
+def test_hopf_field_jets_match_the_jet_product_oracle(hp, kind):
+    f = M.FieldSpec(kind=kind, scale=-1.5)
+    for pt in V.sample_points("hopf-fundamental", 10, 9, hp=hp):
+        got = M.field_jet(f, pt, hp)
+        _assert_arrays_close(wjet.partials(got), wjet.partials(hopf_field_oracle(f, pt, hp)))
+        assert got.value == M.field_value(f, pt, hp)
+
+
+@pytest.mark.parametrize("identity, metric", [
+    ("lc-ricci-flat", "hopf-lc-flat{a=7.38905609893065,b=2.718281828459045}"),
+    ("lc-ricci-flat", "hopf-lc-flat{a=6.8+2.9j,b=1.2-2.4j}"),
+    ("tw-formula", "hopf-omega-lambda{a=7.38905609893065,b=2.718281828459045,lambda=0.5}"),
+    ("det-formula", "hopf-omega-lambda{a=7.38905609893065,b=2.718281828459045,lambda=0.5}"),
+    ("hessian-matrices", "hopf-lc-flat{a=4.4816890703380645,b=3.0041660239464334}"),
+])
+def test_hopf_checks_make_no_jet_arithmetic(identity, metric, monkeypatch):
+    """The Hopf frame, its metrics and the Φ jet are array arithmetic: with
+    the jet product, the chain rule and the reciprocal raising, the checks
+    still pass."""
+
+    def no_arithmetic(*args):
+        raise AssertionError("jet arithmetic was used")
+
+    for name in ("mul", "_compose", "_reciprocal"):
+        monkeypatch.setattr(wjet, name, no_arithmetic)
+    rep = V.run_check(V.CheckSpec(identity=identity, metric=M.parse_metric_spec(metric),
+                                  n_points=10, seed=2))
+    assert rep.verdict == "pass" and not rep.failures, rep.max_residual
 
 
 # -- the θ root against the sorted-list Newton loop it replaced ------------------------
@@ -621,13 +700,16 @@ def test_invalid_multipliers_on_a_non_hopf_kind_raise_at_every_call():
 @pytest.mark.parametrize("pt, msg", [((0.0, 0.0), "origin"), ((1e200, 1.0), "floating-point range")],
                          ids=["origin", "overflow"])
 def test_hopf_values_rejects_what_hopf_jets_rejects(pt, msg):
+    """The scalar frame, the jet oracle, the Φ jet and the metric's arrays
+    fail alike where the frame cannot be formed."""
     hp = M.HopfParams(E**2, E)
+    spec = M.MetricSpec(kind="hopf-lc-flat", a=hp.a, b=hp.b)
     errors = []
-    for frame in (M.hopf_values, M.hopf_jets):
+    for frame in (M.hopf_values, hopf_jets, phi_jets, lambda q, _: M.build_metric(spec, q)):
         with pytest.raises(ValueError, match=msg) as err:
             frame(pt, hp)
         errors.append(str(err.value))
-    assert errors[0] == errors[1]
+    assert len(set(errors)) == 1
 
 
 # -- conformal scaling ----------------------------------------------------------------
@@ -755,8 +837,8 @@ def test_polynomial_metrics_make_no_jet_product(text, monkeypatch):
     spec = M.parse_metric_spec(text)
     M.build_metric(spec, (0.3 - 0.2j,) + (0.1 + 0.4j,) * (spec.dim - 1))
     assert calls == []
-    # The counter sees the products of the other kinds.
-    M.build_metric(M.MetricSpec(kind="hopf-lc-flat"), (0.5 + 0.1j, 0.4 - 0.3j))
+    # The counter sees the products of the one kind still built from jets.
+    M.build_metric(M.MetricSpec(kind="hopf-standard"), (0.5 + 0.1j, 0.4 - 0.3j))
     assert calls
 
 
@@ -815,7 +897,7 @@ def test_spec_canonical_round_trip():
 def test_log_phi_field_is_scale_times_log_phi():
     hp = HOPF_GRID[2]
     for pt in POINTS[:2]:
-        log_phi = log(M.phi_field(pt, hp)[0])
+        log_phi = log(phi_jets(pt, hp)[0])
         for scale in (-1.0, 0.5):
             got = M.field_jet(M.FieldSpec(kind="log-phi", scale=scale), pt, hp)
             assert (got - scale * log_phi).max_abs() < 1e-14

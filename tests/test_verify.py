@@ -119,7 +119,7 @@ def test_omega0_negative_control_fails_with_predicted_pattern():
         m = M.build_metric(OMEGA0, p)
         ric = geo.lc_ricci(m)
         L, _ = M.hessian_forms(M.hopf_values(p, HP), HP)
-        _, _, Delta = M.phi_field(p, HP)
+        _, _, Delta = M.phi_field(M.hopf_values(p, HP), HP)
         dd_log_delta = log(Delta).hess[:2, 2:]
         rhs = (2.0 - 1.0 / (1.0 + 0.0)) * L + 3.0 * dd_log_delta
         assert np.max(np.abs(ric - rhs)) / (1 + np.max(np.abs(rhs))) < 1e-12
@@ -388,11 +388,11 @@ def test_fd_oracle_agrees_with_jets_on_builtin_metrics(spec):
 
 def test_fd_oracle_on_potential_scalars():
     p = V.sample_points("hopf-fundamental", 1, 17, hp=HP)[0]
-    Phi, _, Delta = M.phi_field(p, HP)
+    Phi, _, Delta = M.phi_field(M.hopf_values(p, HP), HP)
     cases = [
         (Phi, lambda q: M.phi_value(q, HP)),
         (log(Phi), lambda q: math.log(M.phi_value(q, HP))),
-        (Delta, lambda q: M.phi_field(q, HP)[2].value.real),
+        (Delta, lambda q: M.phi_field(M.hopf_values(q, HP), HP)[2].value.real),
     ]
     for jet, fn in cases:
         assert_fd_close(jet.grad, jet.hess, V.fd_jet(fn, p, 2))
