@@ -37,7 +37,7 @@ arrays are indexed with the upper index first: `hol[k, i, j]` is Γ^k_{ij},
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -140,30 +140,28 @@ class MetricJet:
         return float(max(np.max(np.abs(gap)), np.max(np.abs(dH)), np.max(np.abs(ddH))))
 
 
-@dataclass
 class Christoffels:
-    """Connection symbols and their first derivatives at the point.
+    """Connection symbols and their first derivatives at the point, as views
+    of one value array `value[t, k, i, j]` and one gradient array
+    `grad[t, k, i, j, s]`:
 
-    chern[k, i, j]   = Γ^k_{ij}  of the Chern connection (h^{kℓ̄} ∂_i h_{jℓ̄})
-    lc_hol[k, i, j]  = Γ^k_{ij}  of the Levi-Civita connection (symmetric in ij)
-    lc_anti[k, i, j] = Γ^k_{īj}  mixed Levi-Civita symbols
+    chern[k, i, j]   = value[0] = Γ^k_{ij}  of the Chern connection (h^{kℓ̄} ∂_i h_{jℓ̄})
+    lc_hol[k, i, j]  = value[1] = Γ^k_{ij}  of the Levi-Civita connection (symmetric in ij)
+    lc_anti[k, i, j] = value[2] = Γ^k_{īj}  mixed Levi-Civita symbols
 
-    Each `*_grad` array appends the Wirtinger slot s of the derivative:
-    `lc_anti_grad[k, i, j, s]` is ∂Γ^k_{īj}/∂z^{s+1} for s < n and
-    ∂Γ^k_{īj}/∂z̄^{s−n+1} for s ≥ n.
+    Each `*_grad` array is the matching slice of `grad`, which appends the
+    Wirtinger slot s of the derivative: `lc_anti_grad[k, i, j, s]` is
+    ∂Γ^k_{īj}/∂z^{s+1} for s < n and ∂Γ^k_{īj}/∂z̄^{s−n+1} for s ≥ n.
     """
 
-    chern: np.ndarray
-    chern_grad: np.ndarray
-    lc_hol: np.ndarray
-    lc_hol_grad: np.ndarray
-    lc_anti: np.ndarray
-    lc_anti_grad: np.ndarray
+    def __init__(self, value: np.ndarray, grad: np.ndarray):
+        self.value, self.grad = value, grad
+        self.chern, self.lc_hol, self.lc_anti = value
+        self.chern_grad, self.lc_hol_grad, self.lc_anti_grad = grad
 
 
-@dataclass
 class Scalars:
-    """Scalar invariants at the point.
+    """Scalar invariants at the point, each formed on its first read and kept.
 
     s_C          Chern scalar curvature
     s_LC         Levi-Civita scalar curvature (h^{ij̄} 𝔯ic_{ij̄}, the double trace of 𝔯R_{ij̄kℓ̄})
@@ -172,15 +170,65 @@ class Scalars:
     delstar_sq   |∂*ω|²
     ddstar_pairing       ⟨∂∂*ω + ∂̄∂̄*ω, ω⟩  (real)
     ddstar_hol_pairing   ⟨∂∂*ω, ω⟩          (complex in general)
+
+    The forms they trace are kept as well, so that a residual reading a form
+    and its scalar forms it once:
+
+    lc_ric        𝔯ic, from `lc_ricci`
+    del_stars     (∂*ω, ∂̄*ω), from `del_star`
+    ddstar_parts  (∂∂*ω, ∂̄∂̄*ω), from `d_del_star_parts`
+
+    Everything is read through the module-level functions (`chern_scalar`,
+    `lc_ricci`, `riemannian_scalar`, `torsion`, `del_star`,
+    `d_del_star_parts`), and only what a caller reads is formed: a point
+    where s cannot be formed fails only a residual that reads s.  An object
+    belongs to one metric and is kept by nothing in this module.
     """
 
-    s_C: float
-    s_LC: float
-    s: float
-    torsion_sq: float
-    delstar_sq: float
-    ddstar_pairing: float
-    ddstar_hol_pairing: complex
+    def __init__(self, m: MetricJet):
+        self.m = m
+
+    @cached_property
+    def lc_ric(self) -> np.ndarray:
+        return lc_ricci(self.m)
+
+    @cached_property
+    def del_stars(self) -> tuple[np.ndarray, np.ndarray]:
+        return del_star(self.m)
+
+    @cached_property
+    def ddstar_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        return d_del_star_parts(self.m)
+
+    @cached_property
+    def s_C(self) -> float:
+        return chern_scalar(self.m)
+
+    @cached_property
+    def s_LC(self) -> float:
+        # h^{kℓ̄} h_{sℓ̄} = δ^k_s: the double trace of 𝔯R_{ij̄kℓ̄} is h^{ij̄} 𝔯ic_{ij̄}
+        return float(np.einsum("ij,ij->", self.m.inverse.T, self.lc_ric).real)
+
+    @cached_property
+    def s(self) -> float:
+        return riemannian_scalar(self.m)
+
+    @cached_property
+    def torsion_sq(self) -> float:
+        return torsion(self.m)[1]
+
+    @cached_property
+    def delstar_sq(self) -> float:
+        return form01_norm_sq(self.del_stars[0], self.m)
+
+    @cached_property
+    def ddstar_pairing(self) -> float:
+        p1, p2 = self.ddstar_parts
+        return float(np.einsum("ij,ij->", self.m.inverse.T, p1 + p2).real)
+
+    @cached_property
+    def ddstar_hol_pairing(self) -> complex:
+        return complex(np.einsum("ij,ij->", self.m.inverse.T, self.ddstar_parts[0]))
 
 
 # -- metric arrays ----------------------------------------------------------------
@@ -194,10 +242,15 @@ def _holo_grad(m: MetricJet) -> np.ndarray:
 # -- connections ---------------------------------------------------------------
 
 
-def _check_finite(what: str, *arrays: np.ndarray) -> None:
-    """Raise ValueError if any entry of the arrays is inf or NaN."""
-    if not all(np.isfinite(a).all() for a in arrays):
+def _check_finite(what: str, a: np.ndarray) -> None:
+    """Raise ValueError if any entry of the array is inf or NaN."""
+    if not np.isfinite(a).all():
         raise ValueError(f"{what} is outside the floating-point range at this point")
+
+
+# Reading under `debug_corruption` multiplies the stacked symbols by this,
+# which flips the mixed ones.
+_FLIP_ANTI = np.array([1.0, 1.0, -1.0])[:, None, None, None]
 
 
 def christoffels(m: MetricJet) -> Christoffels:
@@ -213,41 +266,44 @@ def christoffels(m: MetricJet) -> Christoffels:
     """
     ch = m.connection
     if _CORRUPT_ANTI_SIGN:
-        return replace(ch, lc_anti=-ch.lc_anti, lc_anti_grad=-ch.lc_anti_grad)
+        return Christoffels(ch.value * _FLIP_ANTI, ch.grad * _FLIP_ANTI[..., None])
     return ch
 
 
 def _connection(m: MetricJet) -> Christoffels:
     """The symbols of `christoffels`.  The inverse metric is carried to
-    order 1, ∂A = −A (∂H) A, and each symbol h^{kℓ̄} T_{jℓ̄i} gets its
-    gradient by the product rule.  Raises ValueError when a symbol leaves
-    the double range."""
+    order 1, ∂A = −A (∂H) A.  The Chern and mixed symbols are one raised
+    index h^{kℓ̄} T[t, j, ℓ, i] over the stack T = (∂h_{jℓ̄}/∂z^i, B), with
+    its gradient by the product rule; the holomorphic Levi-Civita symbols are
+    the symmetric part of the Chern ones.  Raises ValueError when a symbol
+    leaves the double range."""
     n = m.n
-    A, dH, ddH = m.inverse, m.dH, m.ddH
-
-    def raise_index(T, dT):
-        # h^{kℓ̄} T[j, ℓ, i] -> [k, i, j], with its gradient
-        val = np.einsum("lk,jli->kij", A, T)
-        grad = np.einsum("lks,jli->kijs", dA, T) + np.einsum("lk,jlis->kijs", A, dT)
-        return val, grad
-
+    At, dH, ddH = m.inverse.T, m.dH, m.ddH  # At[k, ℓ] = h^{kℓ̄}
+    # T[t, j, ℓ, i] and dT[t, j, ℓ, i, s] are stored with ℓ first (Tl, dTl),
+    # so that raising ℓ is one matrix product
+    Tl, dTl = np.empty((n, 2, n, n), complex), np.empty((n, 2, n, n, 2 * n), complex)
+    T, dT = Tl.transpose(1, 2, 0, 3), dTl.transpose(1, 2, 0, 3, 4)
+    value = np.empty((3, n, n, n), complex)  # [t, k, i, j]
+    grad = np.empty((3, n, n, n, 2 * n), complex)  # [t, k, i, j, s]
     with np.errstate(over="ignore", invalid="ignore"):
-        dA = -np.einsum("ab,bcs,cd->ads", A, dH, A)
-        chern, chern_grad = raise_index(dH[:, :, :n], ddH[:, :, :n])
+        T[0], dT[0] = dH[:, :, :n], ddH[:, :, :n]
         # B[j, ℓ, i] = ∂h_{jℓ̄}/∂z̄^i − ∂h_{jī}/∂z̄^ℓ
-        B = dH[:, :, n:] - dH[:, :, n:].transpose(0, 2, 1)
-        dB = ddH[:, :, n:] - ddH[:, :, n:].transpose(0, 2, 1, 3)
-        anti, anti_grad = raise_index(B, dB)
-        ch = Christoffels(
-            chern=chern,
-            chern_grad=chern_grad,
-            lc_hol=0.5 * (chern + chern.transpose(0, 2, 1)),
-            lc_hol_grad=0.5 * (chern_grad + chern_grad.transpose(0, 2, 1, 3)),
-            lc_anti=0.5 * anti,
-            lc_anti_grad=0.5 * anti_grad,
-        )
-    _check_finite("the connection", *vars(ch).values())
-    return ch
+        T[1] = dH[:, :, n:] - dH[:, :, n:].transpose(0, 2, 1)
+        dT[1] = ddH[:, :, n:] - ddH[:, :, n:].transpose(0, 2, 1, 3)
+        Tl, dTl = Tl.reshape(n, -1), dTl.reshape(n, -1)
+        # ∂_s h^{kℓ̄} = −h^{kb̄} ∂_s h_{ab̄} h^{aℓ̄}, as [s, k, ℓ]
+        dAt = np.einsum("kb,abs->ska", At, dH) @ -At
+        # slots 0 and 2: h^{kℓ̄} T[t, j, ℓ, i] and its gradient, each product
+        # reshaped from [k, t, j, i, ...] or [s, k, t, j, i] to [t, k, i, j, ...]
+        value[::2] = (At @ Tl).reshape(n, 2, n, n).transpose(1, 0, 3, 2)
+        np.add((dAt.reshape(-1, n) @ Tl).reshape(2 * n, n, 2, n, n).transpose(2, 1, 4, 3, 0),
+               (At @ dTl).reshape(n, 2, n, n, 2 * n).transpose(1, 0, 3, 2, 4), out=grad[::2])
+        for raised in (value, grad):  # (Γ_C, ·, Γ_B) -> (Γ_C, ½(Γ_C + Γ_Cᵀ), ½Γ_B)
+            np.add(raised[0], raised[0].swapaxes(1, 2), out=raised[1])
+            raised[1:] *= 0.5
+    _check_finite("the connection", value)
+    _check_finite("the connection", grad)
+    return Christoffels(value, grad)
 
 
 # -- Chern curvature ------------------------------------------------------------
@@ -356,26 +412,9 @@ def form01_norm_sq(a: np.ndarray, m: MetricJet) -> float:
 
 
 def scalars(m: MetricJet) -> Scalars:
-    """All scalar invariants; see the field-by-field description on `Scalars`."""
-    G = m.inverse.T
-    s_C = chern_scalar(m)
-    # h^{kℓ̄} h_{sℓ̄} = δ^k_s: the double trace of 𝔯R_{ij̄kℓ̄} is h^{ij̄} 𝔯ic_{ij̄}
-    s_LC = float(np.einsum("ij,ij->", G, lc_ricci(m)).real)
-    _, tsq = torsion(m)
-    a01, _ = del_star(m)
-    dsq = form01_norm_sq(a01, m)
-    p1, p2 = d_del_star_parts(m)
-    pairing = complex(np.einsum("ij,ij->", G, p1 + p2))
-    pairing_hol = complex(np.einsum("ij,ij->", G, p1))
-    return Scalars(
-        s_C=s_C,
-        s_LC=s_LC,
-        s=riemannian_scalar(m),
-        torsion_sq=tsq,
-        delstar_sq=dsq,
-        ddstar_pairing=float(pairing.real),
-        ddstar_hol_pairing=pairing_hol,
-    )
+    """The scalar invariants of m, each formed when it is first read; see
+    `Scalars`."""
+    return Scalars(m)
 
 
 def kahler_defect(m: MetricJet) -> float:
@@ -395,6 +434,8 @@ def riemannian_scalar(m: MetricJet) -> float:
     taken on the 2n Wirtinger slots, where the complexified metric is
     G = [[0, H], [Hᵀ, 0]] and its derivatives are the same placement of dH
     and ddH.  G has its own inversion, independent of `MetricJet.inverse`.
+    The derivative ∂Γ is never formed whole: R_mn reads two of its traces,
+    which are contracted as they are formed.
     """
     n = m.n
     # G[a, b], dG[a, b, c] = ∂_c G_ab and ddG[a, b, c, e] = ∂_c ∂_e G_ab
@@ -404,22 +445,29 @@ def riemannian_scalar(m: MetricJet) -> float:
         B[n:, :n] = A.swapaxes(0, 1)
 
     Ginv = np.linalg.inv(G)
-    dGinv = -np.einsum("la,abc,br->lrc", Ginv, dG, Ginv)
+    # ∂_c g^{lr} = −g^{la} ∂_c g_ab g^{br}, as dGinv[l, r, c], two pairwise products
+    dGinv = -np.einsum("la,abc->lbc", Ginv, dG)
+    dGinv = np.einsum("lbc,br->lrc", dGinv, Ginv)
 
     # Γ^l_{mn} = ½ g^{lr} (∂_m g_rn + ∂_n g_rm − ∂_r g_mn), bracket[r, m, n]
     bracket = dG.transpose(0, 2, 1) + dG - dG.transpose(2, 0, 1)
     Gamma = 0.5 * np.einsum("lr,rmn->lmn", Ginv, bracket)
 
+    # ∂_l Γ^l_{mn} and ∂_n Γ^l_{ml}: the two traces of
+    # ∂_c Γ^l_{mn} = ½ (∂_c g^{lr} bracket[r, m, n] + g^{lr} ∂_c bracket[r, m, n])
+    # that R_mn reads, each contracted as it is formed
     dbracket = ddG.transpose(0, 2, 1, 3) + ddG - ddG.transpose(2, 0, 1, 3)  # [r, m, n, c]
-    dGamma = 0.5 * (
-        np.einsum("lrc,rmn->lmnc", dGinv, bracket)
-        + np.einsum("lr,rmnc->lmnc", Ginv, dbracket)
+    dl_Gamma = 0.5 * (
+        np.einsum("lrl,rmn->mn", dGinv, bracket) + np.einsum("lr,rmnl->mn", Ginv, dbracket)
+    )
+    dn_Gamma = 0.5 * (
+        np.einsum("lrn,rml->mn", dGinv, bracket) + np.einsum("lr,rmln->mn", Ginv, dbracket)
     )
 
     # R_{mn} = ∂_l Γ^l_{mn} − ∂_n Γ^l_{ml} + Γ^l_{lr} Γ^r_{mn} − Γ^l_{nr} Γ^r_{ml}
     ric = (
-        np.einsum("lmnl->mn", dGamma)
-        - np.einsum("lmln->mn", dGamma)
+        dl_Gamma
+        - dn_Gamma
         + np.einsum("llr,rmn->mn", Gamma, Gamma)
         - np.einsum("lnr,rml->mn", Gamma, Gamma)
     )

@@ -33,6 +33,11 @@ coefficients.  Each is a `PolyTable` (C0, B, Q) with h(x) = C0 + B·x + ½xᵀQx
 drawn once per spec; a point's jet is two contractions and no jet
 arithmetic.  A conformal factor scales the base's arrays by one Leibniz
 product, broadcast over the entries.
+
+A check that already holds a scalar frame builds its Hopf metric from it
+(`build_hopf_metric`), and a check that needs a conformal metric and its
+base builds both from one set of base arrays (`build_conformal_metrics`), so
+neither solves θ nor builds the base twice at a point.
 """
 
 from __future__ import annotations
@@ -946,15 +951,12 @@ def _metric_arrays(spec: MetricSpec, pt: tuple[complex, ...]) -> tuple[np.ndarra
     raise ValueError(f"unknown metric kind {spec.kind!r}")  # pragma: no cover (MetricSpec checks)
 
 
-def build_metric(spec: MetricSpec, p) -> MetricJet:
-    """Realize a MetricSpec as an order-2 metric jet at the point p.
-
-    `MetricJet` checks positive definiteness, once; where a user polynomial
-    (or a conformal rescaling of one) fails it, the error names its seed.
-    """
-    pt = _metric_point(spec, p)
+def _metric_jet(spec: MetricSpec, pt: tuple[complex, ...], arrays) -> MetricJet:
+    """`MetricJet(*arrays)` for spec at pt.  `MetricJet` checks positive
+    definiteness, once; where a user polynomial (or a conformal rescaling of
+    one) fails it, the error names its seed."""
     try:
-        return MetricJet(*_metric_arrays(spec, pt))
+        return MetricJet(*arrays)
     except NotPositiveDefinite:
         base = spec
         while base.kind == "conformal":
@@ -964,6 +966,29 @@ def build_metric(spec: MetricSpec, p) -> MetricJet:
         raise ValueError(
             f"user polynomial metric (seed={base.seed_value}) is not positive definite at {pt}"
         ) from None
+
+
+def build_metric(spec: MetricSpec, p) -> MetricJet:
+    """Realize a MetricSpec as an order-2 metric jet at the point p."""
+    pt = _metric_point(spec, p)
+    return _metric_jet(spec, pt, _metric_arrays(spec, pt))
+
+
+def build_hopf_metric(spec: MetricSpec, hv: HopfFrame) -> MetricJet:
+    """`build_metric` of a Hopf-frame kind at the point of the scalar frame
+    hv (`hopf_values`), extended to rows with no second θ root."""
+    return MetricJet(*_hopf_metric_arrays(spec, hopf_rows(hv, spec.hopf_params())))
+
+
+def build_conformal_metrics(spec: MetricSpec, p) -> tuple[MetricJet, MetricJet, WJet]:
+    """The base metric ω of a conformal spec, its e^f ω and the jet of f at p,
+    from one build of the base's arrays and one f jet; each metric is checked
+    as `build_metric` checks it."""
+    pt = _metric_point(spec, p)
+    base = _metric_arrays(spec.base, pt)
+    mb = _metric_jet(spec.base, pt, base)
+    f = field_jet(spec.f, pt, spec.hopf_params(), n=spec.dim)
+    return mb, _metric_jet(spec, pt, conformal_scale(base, f)), f
 
 
 def metric_values(spec: MetricSpec, p) -> np.ndarray:

@@ -59,8 +59,8 @@ class CheckSpec:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.tol is None:
             object.__setattr__(self, "tol", entry.tol)
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
 
 
 @dataclass
@@ -289,9 +289,7 @@ def _residual_key_relation(spec: mz.MetricSpec, p, notes: dict) -> float:
 def _residual_conformal_law(spec: mz.MetricSpec, p, notes: dict) -> float:
     """𝔯ic(e^fω) = 𝔯ic(ω) − √−1∂∂̄f and ∂̄*_f ω_f = ∂̄*ω + √−1(n−1)∂f."""
     n = spec.dim
-    mb = mz.build_metric(spec.base, p)
-    mc = mz.build_metric(spec, p)
-    fj = mz.field_jet(spec.f, p, spec.hopf_params(), n=n)
+    mb, mc, fj = mz.build_conformal_metrics(spec, p)
 
     lhs = geo.lc_ricci(mc)
     rhs = geo.lc_ricci(mb) - fj.hess[:n, n:]  # 𝔯ic(ω) − √−1∂∂̄f
@@ -325,9 +323,9 @@ def _residual_tw_formula(spec: mz.MetricSpec, p, notes: dict) -> float:
     """∂∂*ω_λ = ∂̄∂̄*ω_λ = √−1∂∂̄logΦ/(1+λ), and ∂*ω_λ = (√−1/(1+λ))∂̄logΦ componentwise."""
     hp = spec.hopf_params()
     lam = spec.lam_value
-    m = mz.build_metric(spec, p)
-
     hv = mz.hopf_values(p, hp)
+    m = mz.build_hopf_metric(spec, hv)
+
     L, _ = mz.hessian_forms(hv, hp)
     target = L / (1.0 + lam)
     p1, p2 = geo.d_del_star_parts(m)
@@ -385,21 +383,16 @@ def _residual_kahler_collapse(spec: mz.MetricSpec, p, notes: dict) -> float:
     """On a Kähler metric torsion, the adjoint forms and the Chern/Levi-Civita
     Ricci gap vanish, s = 2s_C and s_LC = s_C."""
     m = mz.build_metric(spec, p)
-    hscale = _maxabs(m.H)
-    defect = _norm(geo.kahler_defect(m), hscale)
-    _, tsq = geo.torsion(m)
-    a01, _ = geo.del_star(m)
-    dd = geo.d_del_star(m)
+    defect = _norm(geo.kahler_defect(m), _maxabs(m.H))
     sc = geo.scalars(m)
-    ric_gap = _norm(
-        _maxabs(geo.lc_ricci(m) - geo.chern_ricci(m)),
-        _maxabs(geo.chern_ricci(m)),
-    )
+    p1, p2 = sc.ddstar_parts
+    ric = geo.chern_ricci(m)
+    ric_gap = _norm(_maxabs(sc.lc_ric - ric), _maxabs(ric))
     return max(
         defect,
-        abs(tsq),
-        _maxabs(a01),
-        _maxabs(dd),
+        abs(sc.torsion_sq),
+        _maxabs(sc.del_stars[0]),
+        _maxabs(0.5 * (p1 + p2)),
         abs(sc.s - 2.0 * sc.s_C) / (1.0 + abs(sc.s)),
         abs(sc.s_LC - sc.s_C) / (1.0 + abs(sc.s_LC)),
         ric_gap,

@@ -306,3 +306,53 @@ def riemannian_scalar_oracle(m):
         - np.einsum("lnr,rml->mn", Gamma, Gamma)
     )
     return float(np.einsum("mn,mn->", Ginv, ric))
+
+
+def riemannian_scalar_full_oracle(m):
+    """The Riemannian scalar on the Wirtinger slots, as `geometry` took it
+    before contracting early: the whole (2n)⁴ tensor ∂_c Γ^l_{mn} is built and
+    R_mn reads two of its traces."""
+    n = m.n
+    G, dG, ddG = (np.zeros((2 * n, 2 * n) + A.shape[2:], complex) for A in (m.H, m.dH, m.ddH))
+    for B, A in ((G, m.H), (dG, m.dH), (ddG, m.ddH)):
+        B[:n, n:] = A
+        B[n:, :n] = A.swapaxes(0, 1)
+
+    Ginv = np.linalg.inv(G)
+    dGinv = -np.einsum("la,abc,br->lrc", Ginv, dG, Ginv)
+    bracket = dG.transpose(0, 2, 1) + dG - dG.transpose(2, 0, 1)
+    Gamma = 0.5 * np.einsum("lr,rmn->lmn", Ginv, bracket)
+    dbracket = ddG.transpose(0, 2, 1, 3) + ddG - ddG.transpose(2, 0, 1, 3)
+    dGamma = 0.5 * (
+        np.einsum("lrc,rmn->lmnc", dGinv, bracket)
+        + np.einsum("lr,rmnc->lmnc", Ginv, dbracket)
+    )
+    ric = (
+        np.einsum("lmnl->mn", dGamma)
+        - np.einsum("lmln->mn", dGamma)
+        + np.einsum("llr,rmn->mn", Gamma, Gamma)
+        - np.einsum("lnr,rml->mn", Gamma, Gamma)
+    )
+    return float(np.einsum("mn,mn->", Ginv, ric).real)
+
+
+def connection_oracle(m):
+    """The six connection arrays (chern, lc_hol, lc_anti and their gradients)
+    raised symbol by symbol, as `geometry` built them before stacking:
+    ∂A = −A(∂H)A in one contraction, then each h^{kℓ̄} T[j, ℓ, i] with its
+    gradient by the product rule."""
+    n = m.n
+    A, dH, ddH = m.inverse, m.dH, m.ddH
+    dA = -np.einsum("ab,bcs,cd->ads", A, dH, A)
+
+    def raise_index(T, dT):
+        val = np.einsum("lk,jli->kij", A, T)
+        grad = np.einsum("lks,jli->kijs", dA, T) + np.einsum("lk,jlis->kijs", A, dT)
+        return val, grad
+
+    chern, chern_grad = raise_index(dH[:, :, :n], ddH[:, :, :n])
+    B = dH[:, :, n:] - dH[:, :, n:].transpose(0, 2, 1)
+    dB = ddH[:, :, n:] - ddH[:, :, n:].transpose(0, 2, 1, 3)
+    anti, anti_grad = raise_index(B, dB)
+    return (chern, 0.5 * (chern + chern.transpose(0, 2, 1)), 0.5 * anti,
+            chern_grad, 0.5 * (chern_grad + chern_grad.transpose(0, 2, 1, 3)), 0.5 * anti_grad)

@@ -82,6 +82,19 @@ class TestVerify:
         assert res.exit_code == 2
         assert message in res.stderr
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-inf"])
+    @pytest.mark.parametrize("fmt", ["pretty", "json"])
+    def test_non_finite_tol_is_a_usage_error_that_names_it(self, runner, tol, fmt):
+        """A non-finite tolerance would pass every finite residual (inf) or
+        none (nan), and `inf` is no JSON token: exit 2 before any check."""
+        res = invoke(runner, [
+            "verify", "--identity", "scalar-010", "--metric", "user-polynomial{n=3}",
+            "--points", "2", "--tol", tol, "--format", fmt,
+        ])
+        assert res.exit_code == 2
+        assert f"tol must be finite and > 0, got {tol}" in res.stderr
+        assert "PASS" not in res.output and "Infinity" not in res.output
+
     def test_identity_metric_mismatch_exit_two(self, runner):
         res = invoke(runner, [
             "verify", "--identity", "det-formula", "--metric", "flat",
@@ -315,12 +328,18 @@ class TestSweep:
         res = invoke(runner, ["sweep", "--a-grid", "1.5,zap", "--b-grid", "1.2"])
         assert res.exit_code == 2
 
-    @pytest.mark.parametrize("flag, message", [("--tol", "tol must be > 0"),
+    @pytest.mark.parametrize("flag, message", [("--tol", "tol must be finite and > 0, got 0.0"),
                                                ("--points", "n_points must be >= 1")])
     def test_sweep_rejects_bad_check_settings(self, runner, flag, message):
         res = invoke(runner, ["sweep", "--a-grid", "3", "--b-grid", "2", flag, "0"])
         assert res.exit_code == 2
         assert message in res.stderr
+
+    def test_sweep_rejects_a_non_finite_tol(self, runner):
+        res = invoke(runner, ["sweep", "--a-grid", "3", "--b-grid", "2", "--points", "2",
+                              "--tol", "inf"])
+        assert res.exit_code == 2
+        assert "tol must be finite and > 0, got inf" in res.stderr
 
     @pytest.mark.parametrize("a_grid, b_grid, bad", [
         ("nan,3", "2", "--a-grid values must be finite numbers, got nan"),

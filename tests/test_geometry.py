@@ -8,6 +8,7 @@ and cross-checks between independent computation paths for the same tensor.
 import inspect
 import math
 import textwrap
+from collections import Counter
 from functools import cached_property
 
 import numpy as np
@@ -15,11 +16,13 @@ import pytest
 
 from conftest import (
     chern_ricci_oracle,
+    connection_oracle,
     lc_scalar_oracle,
     lowered_lc_curvature,
     metric_from_fn,
     random_poly_metric_fn,
     random_small_point,
+    riemannian_scalar_full_oracle,
     riemannian_scalar_oracle,
     torsion_oracle,
 )
@@ -377,6 +380,46 @@ def test_scalars_and_torsion_match_the_derivations_they_replaced(text):
         assert np.max(np.abs(T - T0)) <= 1e-13 * (1 + np.max(np.abs(T0))), p
 
 
+def _check_points(spec, n_points, seeds):
+    """The points `run_check` samples for spec, over several seeds."""
+    hp = spec.hopf_params()
+    if hp is not None and spec.dim == 2:
+        return [p for seed in seeds for p in V.sample_points("hopf-fundamental", n_points, seed, hp=hp)]
+    return [p for seed in seeds for p in V.sample_points("box", n_points, seed, dim=spec.dim)]
+
+
+@pytest.mark.parametrize("text", ORACLE_SPECS)
+def test_stacked_connection_matches_the_symbol_by_symbol_raise(text):
+    """Each of the six views of the stacked arrays against the symbol raised on
+    its own; the products sum in another order, so they agree to a few ulps
+    of each array's largest entry (at most 4.9e-16 measured, 2e-15 allowed)."""
+    spec = M.parse_metric_spec(text)
+    for p in _check_points(spec, 10, (1, 2, 3)):
+        m = M.build_metric(spec, p)
+        ch = geo.christoffels(m)
+        got = (ch.chern, ch.lc_hol, ch.lc_anti, ch.chern_grad, ch.lc_hol_grad, ch.lc_anti_grad)
+        for new, old in zip(got, connection_oracle(m)):
+            assert np.abs(new - old).max() <= 2e-15 * (1 + np.abs(old).max()), p
+
+
+# On the Hopf-frame metrics s is a sum with cancellation, and the two
+# summation orders part by more than 1e-15·(1 + |s|): up to 2.0e-15 on these
+# three specs at seeds 1–6, and 5.6e-15 on hopf-omega-lambda{a=1e3,b=1.01,lambda=3}.
+CANCELLING_SPECS = {ORACLE_SPECS[3], ORACLE_SPECS[4], ORACLE_SPECS[8]}
+
+
+@pytest.mark.parametrize("text", ORACLE_SPECS)
+def test_riemannian_scalar_matches_the_full_derivative_formula(text):
+    """s from the two traces of ∂Γ that R_mn reads, against s from the whole
+    (2n)⁴ tensor ∂Γ, at seeds 1–3."""
+    spec = M.parse_metric_spec(text)
+    tol = 1e-14 if text in CANCELLING_SPECS else 1e-15
+    for p in _check_points(spec, 10, (1, 2, 3)):
+        m = M.build_metric(spec, p)
+        s, want = geo.riemannian_scalar(m), riemannian_scalar_full_oracle(m)
+        assert abs(s - want) <= tol * (1 + abs(want)), (p, s, want)
+
+
 # Planted defects in `riemannian_scalar`: one source line and its replacement.
 SCALAR_DEFECTS = {
     "untransposed-block": ("B[n:, :n] = A.swapaxes(0, 1)", "B[n:, :n] = A"),
@@ -429,12 +472,13 @@ def test_scalar_key1_suite_cells_fail_on_a_planted_scalar_defect(monkeypatch, de
 # function, source edits), and the suite cells (identity, metric kind) that must
 # fail at every seed are listed below.
 PLANTED_DEFECTS = {
-    # B and its gradient transposed on the wrong axes in the mixed Levi-Civita symbols
+    # B and its gradient, the mixed slot of the stacked connection, transposed
+    # on the wrong axes
     "B-wrong-axes": [(geo, "_connection", [
-        ("B = dH[:, :, n:] - dH[:, :, n:].transpose(0, 2, 1)",
-         "B = dH[:, :, n:] - dH[:, :, n:].transpose(2, 1, 0)"),
-        ("dB = ddH[:, :, n:] - ddH[:, :, n:].transpose(0, 2, 1, 3)",
-         "dB = ddH[:, :, n:] - ddH[:, :, n:].transpose(2, 1, 0, 3)"),
+        ("T[1] = dH[:, :, n:] - dH[:, :, n:].transpose(0, 2, 1)",
+         "T[1] = dH[:, :, n:] - dH[:, :, n:].transpose(2, 1, 0)"),
+        ("dT[1] = ddH[:, :, n:] - ddH[:, :, n:].transpose(0, 2, 1, 3)",
+         "dT[1] = ddH[:, :, n:] - ddH[:, :, n:].transpose(2, 1, 0, 3)"),
     ])],
     # the sign of Δ flipped in the (1,2) entry of Δ³ω_λ, in its value form and
     # in its row form alike
@@ -457,6 +501,9 @@ PLANTED_DEFECTS = {
     # the rate of e₁ used for e₂ in the θ root
     "theta-root-c1-for-c2": [(M, "_theta_root", [
         ("c1, c2 = hp.c1, hp.c2", "c1, c2 = hp.c1, hp.c1")])],
+    # ∂_nΓ^l_{ml} taken as ∂_lΓ^l_{mn} in the Riemannian Ricci tensor
+    "riemannian-trace-swapped": [(geo, "riemannian_scalar", [
+        ("        - dn_Gamma\n", "        - dl_Gamma\n")])],
 }
 # Suite cells named by their spec text, where a defect misses the other cells
 # of the same kind.
@@ -522,6 +569,10 @@ PLANTED_DEFECT_CELLS = [
     ("theta-root-c1-for-c2", "deck-invariance", "hopf-lc-flat"),
     ("theta-root-c1-for-c2", "deck-invariance", "conformal"),
     ("theta-root-c1-for-c2", "hessian-matrices", "hopf-lc-flat"),
+    ("riemannian-trace-swapped", "scalar-key1", "hopf-standard"),
+    ("riemannian-trace-swapped", "scalar-key1", "hopf-omega-lambda"),
+    ("riemannian-trace-swapped", "scalar-key1", "user-polynomial"),
+    ("riemannian-trace-swapped", "kahler-collapse", "kahler-test"),
 ]
 
 
@@ -687,6 +738,56 @@ def test_connection_and_chern_ricci_are_built_once_per_metric(monkeypatch):
     m = random_poly_metric_fn(2, rng)(random_small_point(2, rng))
     geo.lc_ricci(m)
     geo.lc_ricci_via_relation(m)
-    geo.scalars(m)
+    sc = geo.scalars(m)
+    for name in SCALAR_FIELDS:
+        assert np.isfinite(getattr(sc, name)), name
     assert len(calls) == 1
     assert geo.chern_ricci(m) is geo.chern_ricci(m)
+
+
+SCALAR_FIELDS = ("s_C", "s_LC", "s", "torsion_sq", "delstar_sq", "ddstar_pairing",
+                 "ddstar_hol_pairing")
+
+
+def test_scalars_form_each_field_once_and_only_when_read(monkeypatch):
+    """Nothing is formed by `scalars` itself; each read forms its field once,
+    through the module-level function that the tracer wraps."""
+    calls = Counter()
+    for name in ("chern_scalar", "lc_ricci", "riemannian_scalar", "torsion", "del_star",
+                 "d_del_star_parts"):
+        fn = getattr(geo, name)
+        monkeypatch.setattr(geo, name, lambda m, fn=fn, name=name: calls.update([name]) or fn(m))
+    rng = RNG(73)
+    m = random_poly_metric_fn(3, rng)(random_small_point(3, rng))
+    sc = geo.scalars(m)
+    assert not calls
+    first = {name: getattr(sc, name) for name in SCALAR_FIELDS}
+    assert {name: getattr(sc, name) for name in SCALAR_FIELDS} == first
+    assert set(calls.values()) == {1} and len(calls) == 6
+
+
+@pytest.mark.parametrize("metric", [
+    "user-polynomial{seed=103,amp=0.05,n=3}",
+    f"hopf-omega-lambda{{a={E**2!r},b={E!r},lambda=0.0}}",
+])
+def test_scalar_010_reads_neither_the_riemannian_scalar_nor_the_torsion(monkeypatch, metric):
+    def unread(m):
+        raise AssertionError("scalar-010 formed an invariant it does not read")
+
+    monkeypatch.setattr(geo, "riemannian_scalar", unread)
+    monkeypatch.setattr(geo, "torsion", unread)
+    rep = V.run_check(V.CheckSpec(identity="scalar-010", metric=M.parse_metric_spec(metric),
+                                  n_points=10, seed=1))
+    assert rep.verdict == "pass" and not rep.failures
+
+
+def test_kahler_collapse_forms_each_invariant_once_per_point(monkeypatch):
+    calls = Counter()
+    for name in ("_connection", "lc_curvature", "torsion", "riemannian_scalar", "del_star",
+                 "d_del_star_parts"):
+        fn = getattr(geo, name)
+        monkeypatch.setattr(geo, name, lambda m, fn=fn, name=name: calls.update([name]) or fn(m))
+    rep = V.run_check(V.CheckSpec(identity="kahler-collapse",
+                                  metric=M.parse_metric_spec("kahler-test{n=3}"), n_points=10, seed=1))
+    assert rep.verdict == "pass" and len(rep.per_point) == 10
+    assert set(calls.values()) == {10} and len(calls) == 6, calls

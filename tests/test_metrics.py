@@ -21,6 +21,7 @@ from conftest import (
     poly_field_jet,
     theta_root_oracle,
 )
+from lcflat import cli
 from lcflat import geometry as geo
 from lcflat import metrics as M
 from lcflat import verify as V
@@ -509,13 +510,12 @@ def test_det_formula_solves_one_theta_root_per_point(monkeypatch):
 
 
 @pytest.mark.parametrize("identity, budget", [
-    ("det-formula", 1), ("deck-invariance", 2), ("hessian-matrices", 1), ("tw-formula", 2)])
+    ("det-formula", 1), ("deck-invariance", 2), ("hessian-matrices", 1), ("tw-formula", 1)])
 def test_theta_root_budget_per_point(identity, budget, monkeypatch):
     """θ roots per point over run_check: det-formula reads one scalar frame,
     deck-invariance one at the point and one at its image,
     hessian-matrices one for the closed forms and the Φ jet alike, and
-    tw-formula one for the metric's rows and one scalar frame for both
-    closed forms."""
+    tw-formula one for the metric's rows and both closed forms."""
     calls = []
     root = M._theta_root
     monkeypatch.setattr(M, "_theta_root", lambda p, hp: calls.append(p) or root(p, hp))
@@ -534,6 +534,34 @@ def test_tw_formula_builds_one_jet_frame_per_point(monkeypatch):
     rep = V.run_check(V.CheckSpec(identity="tw-formula", metric=spec, n_points=10, seed=3))
     assert rep.verdict == "pass" and len(rep.per_point) == 10
     assert len(calls) <= 10
+
+
+def test_conformal_law_builds_its_hopf_base_and_field_once_per_point(monkeypatch):
+    """The base's arrays and the field's jet are built once per point and
+    shared by both metrics, so a Hopf base and a Hopf field make one θ root
+    and one set of rows each."""
+    roots, rows = [], []
+    root, build_rows = M._theta_root, M.hopf_rows
+    monkeypatch.setattr(M, "_theta_root", lambda p, hp: roots.append(p) or root(p, hp))
+    monkeypatch.setattr(M, "hopf_rows", lambda hv, hp: rows.append(hv) or build_rows(hv, hp))
+    (cell,) = [c for c in cli._suite_cells()
+               if c["identity"] == "conformal-law" and "hopf" in c["metric"]]
+    rep = V.run_check(V.CheckSpec(identity="conformal-law", metric=M.parse_metric_spec(cell["metric"]),
+                                  n_points=10, seed=3))
+    assert rep.verdict == "pass" and len(rep.per_point) == 10
+    assert len(roots) <= 2 * 10 and len(rows) <= 2 * 10
+
+
+def test_conformal_metrics_reject_a_user_polynomial_by_its_seed():
+    """The shared build keeps `build_metric`'s message for a base that is not
+    a metric at the point."""
+    spec = M.parse_metric_spec("conformal{base=user-polynomial{seed=5,amp=4},f=zero}")
+    bad = [p for p in V.sample_points("box", 40, 1, dim=2)
+           if np.linalg.eigvalsh(spec.base.poly_table.jet(p)[0]).min() <= 0]
+    assert bad
+    for build in (lambda p: M.build_metric(spec, p), lambda p: M.build_conformal_metrics(spec, p)):
+        with pytest.raises(ValueError, match=r"user polynomial metric \(seed=5\) is not positive definite"):
+            build(bad[0])
 
 
 @pytest.mark.parametrize("hp, tol", [(hp, 1e-14) for hp in HOPF_GRID] + [
