@@ -1,9 +1,10 @@
 """Pointwise Hermitian geometry of a metric jet.
 
 Everything here consumes a `MetricJet` — the order-2 Wirtinger jet of a
-Hermitian metric h_{ij̄} at one point — and produces connection coefficients,
-curvature tensors, adjoint forms and scalar invariants.  Two independent
-computation paths to the Levi-Civita Ricci form are provided:
+Hermitian metric h_{ij̄} at one point, or at each point of a sample — and
+produces connection coefficients, curvature tensors, adjoint forms and scalar
+invariants.  Two independent computation paths to the Levi-Civita Ricci form
+are provided:
 
 * `lc_ricci`: trace of the (1,1)-part of the Levi-Civita curvature tensor,
   built from the mixed connection symbols;
@@ -23,6 +24,13 @@ gradients.  The Chern-Ricci form is the h^{kℓ̄}-trace of the Chern curvature
 (Jacobi's formula for −∂∂̄ log det h), with its own inversion of H: it reads
 neither `MetricJet.inverse` nor the connection, so the second Ricci path shares
 no code with the first beyond the metric itself.
+
+Batch axis: every array may carry leading batch axes, one point per index,
+in front of the per-point axes described here.  The connection and the two
+Ricci paths are written in the gufunc style (`...` in the einsums,
+transposes relative to the last axes, n = H.shape[-1]), so one call serves a
+point and a whole sample; the torsion, the scalars and the Riemannian scalar
+take one point.
 
 Forms and tensors are returned as plain arrays: a (1,1)-form
 √−1 A_{ij̄} dz^i ∧ dz̄^j as the matrix A, a (1,0)- or (0,1)-form as its
@@ -62,27 +70,36 @@ def debug_corruption():
 
 
 def is_hermitian(H: np.ndarray) -> bool:
-    """|H − Hᴴ| ≤ atol + 1e-5·|Hᴴ| entrywise, atol = 1e-10·(1 + max|H|).
+    """|H − Hᴴ| ≤ atol + 1e-5·|Hᴴ| entrywise, atol = 1e-10·(1 + max|H|), at
+    every point of a stack H[..., i, j] (max|H| taken per point).
 
     This is the test of `np.allclose(H, Hᴴ, atol=atol)` on a finite H, written
     out because `allclose` costs about ten times as much on a 2×2 matrix.
     """
-    Hh = H.conj().T
-    atol = 1e-10 * (1 + np.abs(H).max())
-    return bool((np.abs(H - Hh) <= atol + 1e-5 * np.abs(Hh)).all())
+    Hh = H.conj().swapaxes(-1, -2)
+    aH = np.abs(H)
+    atol = 1e-10 * (1 + aH.max(axis=(-2, -1), keepdims=True))
+    return bool((np.abs(H - Hh) <= atol + 1e-5 * aH.swapaxes(-1, -2)).all())
 
 
 class NotPositiveDefinite(ValueError):
-    """A metric value matrix with an eigenvalue ≤ 0."""
+    """A metric value matrix with an eigenvalue ≤ 0; `index` is the flat
+    batch index of the first such point (0 for one point)."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(eq=False)
 class MetricJet:
-    """Order-2 jet of a Hermitian metric at a point, as three arrays.
+    """Order-2 jet of a Hermitian metric at a point, or at each point of a
+    sample, as three arrays.
 
-    H[i, j] = h_{ij̄}, its Wirtinger gradient dH[i, j, s] and its Hessian
-    ddH[i, j, s, t], in the slots of `wjet.partials`.  H must be finite and
-    Hermitian positive definite, which is checked when the metric is built.  The
+    H[..., i, j] = h_{ij̄}, its Wirtinger gradient dH[..., i, j, s] and its
+    Hessian ddH[..., i, j, s, t], in the slots of `wjet.partials`; the leading
+    axes, if any, index the points.  H must be finite and Hermitian positive
+    definite at every point, which is checked when the metric is built.  The
     inverse, the connection and the Chern-Ricci form are built once per
     metric; read the last two through `christoffels` and `chern_ricci`.
     """
@@ -96,15 +113,17 @@ class MetricJet:
         _check_finite("the metric", H)
         if not is_hermitian(H):
             raise ValueError("metric value matrix is not Hermitian")
-        eig = np.linalg.eigvalsh(H)
-        if eig.min() <= 0:
+        low = np.linalg.eigvalsh(H)[..., 0]  # ascending: each point's least eigenvalue
+        bad = low <= 0
+        if np.count_nonzero(bad):
+            k = int(bad.argmax())
             raise NotPositiveDefinite(
-                f"metric value matrix is not positive definite (min eigenvalue {eig.min():.3g})"
+                f"metric value matrix is not positive definite (min eigenvalue {low.flat[k]:.3g})", k
             )
 
     @property
     def n(self) -> int:
-        return self.H.shape[0]
+        return self.H.shape[-1]
 
     @cached_property
     def inverse(self) -> np.ndarray:
@@ -125,7 +144,7 @@ class MetricJet:
         # path shares no inversion with the connection.
         with np.errstate(over="ignore", invalid="ignore"):
             A = np.linalg.inv(self.H)
-            ric = np.einsum("lk,ijkl->ij", A, chern_curvature(self, A))  # h^{kℓ̄} = A[ℓ, k]
+            ric = np.einsum("...lk,...ijkl->...ij", A, chern_curvature(self, A))  # h^{kℓ̄} = A[ℓ, k]
         _check_finite("the Chern-Ricci form", ric)
         return ric
 
@@ -142,8 +161,8 @@ class MetricJet:
 
 class Christoffels:
     """Connection symbols and their first derivatives at the point, as views
-    of one value array `value[t, k, i, j]` and one gradient array
-    `grad[t, k, i, j, s]`:
+    of one value array `value[t, ..., k, i, j]` and one gradient array
+    `grad[t, ..., k, i, j, s]` (the batch axes, if any, after t):
 
     chern[k, i, j]   = value[0] = Γ^k_{ij}  of the Chern connection (h^{kℓ̄} ∂_i h_{jℓ̄})
     lc_hol[k, i, j]  = value[1] = Γ^k_{ij}  of the Levi-Civita connection (symmetric in ij)
@@ -248,9 +267,11 @@ def _check_finite(what: str, a: np.ndarray) -> None:
         raise ValueError(f"{what} is outside the floating-point range at this point")
 
 
-# Reading under `debug_corruption` multiplies the stacked symbols by this,
-# which flips the mixed ones.
-_FLIP_ANTI = np.array([1.0, 1.0, -1.0])[:, None, None, None]
+def _flip_anti(a: np.ndarray) -> np.ndarray:
+    """The stacked symbols a[t, ...] with the mixed ones (t = 2) negated."""
+    a = a.copy()
+    a[2] *= -1.0
+    return a
 
 
 def christoffels(m: MetricJet) -> Christoffels:
@@ -266,7 +287,7 @@ def christoffels(m: MetricJet) -> Christoffels:
     """
     ch = m.connection
     if _CORRUPT_ANTI_SIGN:
-        return Christoffels(ch.value * _FLIP_ANTI, ch.grad * _FLIP_ANTI[..., None])
+        return Christoffels(_flip_anti(ch.value), _flip_anti(ch.grad))
     return ch
 
 
@@ -276,30 +297,35 @@ def _connection(m: MetricJet) -> Christoffels:
     index h^{kℓ̄} T[t, j, ℓ, i] over the stack T = (∂h_{jℓ̄}/∂z^i, B), with
     its gradient by the product rule; the holomorphic Levi-Civita symbols are
     the symmetric part of the Chern ones.  Raises ValueError when a symbol
-    leaves the double range."""
-    n = m.n
-    At, dH, ddH = m.inverse.T, m.dH, m.ddH  # At[k, ℓ] = h^{kℓ̄}
-    # T[t, j, ℓ, i] and dT[t, j, ℓ, i, s] are stored with ℓ first (Tl, dTl),
-    # so that raising ℓ is one matrix product
-    Tl, dTl = np.empty((n, 2, n, n), complex), np.empty((n, 2, n, n, 2 * n), complex)
-    T, dT = Tl.transpose(1, 2, 0, 3), dTl.transpose(1, 2, 0, 3, 4)
-    value = np.empty((3, n, n, n), complex)  # [t, k, i, j]
-    grad = np.empty((3, n, n, n, 2 * n), complex)  # [t, k, i, j, s]
+    leaves the double range at any point."""
+    bs, n = m.H.shape[:-2], m.n  # the batch shape, and the dimension
+    b, p = range(len(bs)), len(bs)  # the batch axes, and the first per-point axis
+    At, dH, ddH = m.inverse.swapaxes(-1, -2), m.dH, m.ddH  # At[..., k, ℓ] = h^{kℓ̄}
+    # T[t, ..., j, ℓ, i] and dT[t, ..., j, ℓ, i, s] are stored as Tl[..., ℓ, t, j, i]
+    # and dTl[..., ℓ, t, j, i, s], so that raising ℓ is one matrix product per point
+    Tl, dTl = np.empty(bs + (n, 2, n, n), complex), np.empty(bs + (n, 2, n, n, 2 * n), complex)
+    T = Tl.transpose(p + 1, *b, p + 2, p, p + 3)
+    dT = dTl.transpose(p + 1, *b, p + 2, p, p + 3, p + 4)
+    value = np.empty((3,) + bs + (n, n, n), complex)  # [t, ..., k, i, j]
+    grad = np.empty((3,) + bs + (n, n, n, 2 * n), complex)  # [t, ..., k, i, j, s]
     with np.errstate(over="ignore", invalid="ignore"):
-        T[0], dT[0] = dH[:, :, :n], ddH[:, :, :n]
+        T[0], dT[0] = dH[..., :n], ddH[..., :n, :]
         # B[j, ℓ, i] = ∂h_{jℓ̄}/∂z̄^i − ∂h_{jī}/∂z̄^ℓ
-        T[1] = dH[:, :, n:] - dH[:, :, n:].transpose(0, 2, 1)
-        dT[1] = ddH[:, :, n:] - ddH[:, :, n:].transpose(0, 2, 1, 3)
-        Tl, dTl = Tl.reshape(n, -1), dTl.reshape(n, -1)
-        # ∂_s h^{kℓ̄} = −h^{kb̄} ∂_s h_{ab̄} h^{aℓ̄}, as [s, k, ℓ]
-        dAt = np.einsum("kb,abs->ska", At, dH) @ -At
+        T[1] = dH[..., n:] - dH[..., n:].swapaxes(-1, -2)
+        dT[1] = ddH[..., n:, :] - ddH[..., n:, :].swapaxes(-2, -3)
+        Tl, dTl = Tl.reshape(bs + (n, -1)), dTl.reshape(bs + (n, -1))
+        # ∂_s h^{kℓ̄} = −h^{kc̄} ∂_s h_{ac̄} h^{aℓ̄}, as [..., s, k, ℓ]
+        dAt = np.einsum("...kc,...acs->...ska", At, dH) @ -At[..., None, :, :]
         # slots 0 and 2: h^{kℓ̄} T[t, j, ℓ, i] and its gradient, each product
-        # reshaped from [k, t, j, i, ...] or [s, k, t, j, i] to [t, k, i, j, ...]
-        value[::2] = (At @ Tl).reshape(n, 2, n, n).transpose(1, 0, 3, 2)
-        np.add((dAt.reshape(-1, n) @ Tl).reshape(2 * n, n, 2, n, n).transpose(2, 1, 4, 3, 0),
-               (At @ dTl).reshape(n, 2, n, n, 2 * n).transpose(1, 0, 3, 2, 4), out=grad[::2])
+        # transposed from [..., k, t, j, i, (s)] or [..., s, k, t, j, i] to
+        # [t, ..., k, i, j, (s)]
+        value[::2] = (At @ Tl).reshape(bs + (n, 2, n, n)).transpose(p + 1, *b, p, p + 3, p + 2)
+        np.add((dAt.reshape(bs + (-1, n)) @ Tl).reshape(bs + (2 * n, n, 2, n, n))
+               .transpose(p + 2, *b, p + 1, p + 4, p + 3, p),
+               (At @ dTl).reshape(bs + (n, 2, n, n, 2 * n)).transpose(p + 1, *b, p, p + 3, p + 2, p + 4),
+               out=grad[::2])
         for raised in (value, grad):  # (Γ_C, ·, Γ_B) -> (Γ_C, ½(Γ_C + Γ_Cᵀ), ½Γ_B)
-            np.add(raised[0], raised[0].swapaxes(1, 2), out=raised[1])
+            np.add(raised[0], raised[0].swapaxes(p + 1, p + 2), out=raised[1])
             raised[1:] *= 0.5
     _check_finite("the connection", value)
     _check_finite("the connection", grad)
@@ -311,10 +337,11 @@ def _connection(m: MetricJet) -> Christoffels:
 
 def chern_curvature(m: MetricJet, A: np.ndarray) -> np.ndarray:
     """R_{ij̄kℓ̄} = −∂²h_{kℓ̄}/∂z^i∂z̄^j + h^{pq̄} (∂h_{kq̄}/∂z^i)(∂h_{pℓ̄}/∂z̄^j),
-    as R[i, j, k, l], where h^{pq̄} = A[q, p] for A the matrix inverse of H."""
+    as R[..., i, j, k, l], where h^{pq̄} = A[..., q, p] for A the matrix
+    inverse of H."""
     n, dH, ddH = m.n, m.dH, m.ddH
-    sec = ddH[:, :, :n, n:].transpose(2, 3, 0, 1)  # [i, j, k, l]
-    quad = np.einsum("qp,kqi,plj->ijkl", A, dH[:, :, :n], dH[:, :, n:])
+    sec = ddH[..., :n, n:].swapaxes(-4, -2).swapaxes(-3, -1)  # [..., i, j, k, l]
+    quad = np.einsum("...qp,...kqi,...plj->...ijkl", A, dH[..., :n], dH[..., n:])
     return -sec + quad
 
 
@@ -336,32 +363,33 @@ def chern_scalar(m: MetricJet) -> float:
 
 def lc_curvature(m: MetricJet) -> np.ndarray:
     """(1,1)-part of the Levi-Civita curvature on the holomorphic tangent bundle,
-    as R[l, i, j, k]:
+    as R[..., l, i, j, k]:
 
     𝔯R^ℓ_{ij̄k} = −(∂Γ^ℓ_{ik}/∂z̄^j − ∂Γ^ℓ_{j̄k}/∂z^i + Γ^s_{ik} Γ^ℓ_{j̄s} − Γ^s_{j̄k} Γ^ℓ_{si})
     """
     n = m.n
     ch = christoffels(m)
     hol_v, anti_v = ch.lc_hol, ch.lc_anti
-    d_hol = ch.lc_hol_grad[..., n:].transpose(0, 1, 3, 2)  # [l, i, j, k] = ∂Γ^ℓ_{ik}/∂z̄^j
-    d_anti = ch.lc_anti_grad[..., :n].transpose(0, 3, 1, 2)  # [l, i, j, k] = ∂Γ^ℓ_{j̄k}/∂z^i
-    quad1 = np.einsum("sik,ljs->lijk", hol_v, anti_v)
-    quad2 = np.einsum("sjk,lsi->lijk", anti_v, hol_v)
+    d_hol = ch.lc_hol_grad[..., n:].swapaxes(-1, -2)  # [..., l, i, j, k] = ∂Γ^ℓ_{ik}/∂z̄^j
+    # [..., l, i, j, k] = ∂Γ^ℓ_{j̄k}/∂z^i
+    d_anti = ch.lc_anti_grad[..., :n].swapaxes(-1, -3).swapaxes(-1, -2)
+    quad1 = np.einsum("...sik,...ljs->...lijk", hol_v, anti_v)
+    quad2 = np.einsum("...sjk,...lsi->...lijk", anti_v, hol_v)
     return -(d_hol - d_anti + quad1 - quad2)
 
 
 def lc_ricci(m: MetricJet) -> np.ndarray:
     """First Levi-Civita Ricci form 𝔯R^{(1)}_{ij̄} = 𝔯R^k_{ij̄k}."""
-    return np.einsum("kijk->ij", lc_curvature(m))
+    return np.einsum("...kijk->...ij", lc_curvature(m))
 
 
 # -- adjoint forms ---------------------------------------------------------------
 
 
 def _anti_trace(m: MetricJet) -> tuple[np.ndarray, np.ndarray]:
-    """Γ^k_{j̄k} (trace over the upper and second lower slot) and its gradient [j, s]."""
+    """Γ^k_{j̄k} (trace over the upper and second lower slot) and its gradient [..., j, s]."""
     ch = christoffels(m)
-    return np.einsum("kjk->j", ch.lc_anti), np.einsum("kjks->js", ch.lc_anti_grad)
+    return np.einsum("...kjk->...j", ch.lc_anti), np.einsum("...kjks->...js", ch.lc_anti_grad)
 
 
 def del_star(m: MetricJet) -> tuple[np.ndarray, np.ndarray]:
@@ -374,8 +402,8 @@ def del_star(m: MetricJet) -> tuple[np.ndarray, np.ndarray]:
 def d_del_star_parts(m: MetricJet) -> tuple[np.ndarray, np.ndarray]:
     """The (1,1)-forms ∂∂*ω and ∂̄∂̄*ω (in the √−1 A_{ij̄} dz^i∧dz̄^j convention)."""
     _, grad = _anti_trace(m)
-    dz_traces = grad[:, : m.n].T  # [i, j] = ∂_i Γ^k_{j̄k}
-    return -2.0 * dz_traces, -2.0 * dz_traces.conj().T
+    dz_traces = grad[..., : m.n].swapaxes(-1, -2)  # [..., i, j] = ∂_i Γ^k_{j̄k}
+    return -2.0 * dz_traces, -2.0 * dz_traces.conj().swapaxes(-1, -2)
 
 
 def d_del_star(m: MetricJet) -> np.ndarray:

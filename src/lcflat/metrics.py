@@ -38,6 +38,14 @@ A check that already holds a scalar frame builds its Hopf metric from it
 (`build_hopf_metric`), and a check that needs a conformal metric and its
 base builds both from one set of base arrays (`build_conformal_metrics`), so
 neither solves θ nor builds the base twice at a point.
+
+`build_metric` takes one point or a sample of points (an array whose last
+axis holds the coordinates) and builds one metric over all of them: the
+rows, tables, fields and metric arrays carry the sample's axes in front,
+through the same code as one point.  Only the θ roots are found point by
+point (`hopf_frames`).  Each number is formed by the arithmetic that forms
+it at one point, so a sample's arrays equal the per-point arrays bit for
+bit.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import MetricJet, NotPositiveDefinite
-from .wjet import WJet, is_real_valued, jet_conj_var, jet_const, jet_var, partials
+from .wjet import WJet, _jet, all_real_valued, jet_conj_var, jet_const, jet_var, partials
 
 E = math.e
 
@@ -243,6 +251,11 @@ class MetricSpec:
     # -- canonical text form ---------------------------------------------------
 
     def canonical(self) -> str:
+        return self._canonical
+
+    @cached_property
+    def _canonical(self) -> str:
+        # formed once per spec: every report and suite row on the spec echoes it
         return _canonical(self, _METRIC_KEYS)
 
 
@@ -451,7 +464,9 @@ def phi_value(p, hp: HopfParams) -> float:
 
 class HopfFrame(NamedTuple):
     """The coordinates and θ, e₁ = e^{−c₁θ}, e₂ = e^{−c₂θ}, u = |z|²e₁,
-    v = |w|²e₂ and Δ = αu + (2−α)v at one point, as values (`hopf_values`)."""
+    v = |w|²e₂ and Δ = αu + (2−α)v at one point, as values (`hopf_values`),
+    or at each point of a sample, as arrays over its batch axes
+    (`hopf_frames`)."""
 
     z: complex
     w: complex
@@ -494,20 +509,39 @@ def hopf_values(p, hp: HopfParams) -> HopfFrame:
     return HopfFrame(z, w, zb, wb, theta, e1, e2, u, v, hp.alpha * u + (2.0 - hp.alpha) * v)
 
 
+def hopf_frames(pts: np.ndarray, hp: HopfParams) -> HopfFrame:
+    """The frame at each point of the (..., 2) array pts, from one
+    `hopf_values` (one θ root) per point: the scalar frame itself at one
+    point (pts of shape (2,)), and at a sample a frame of arrays over its
+    batch axes, the coordinates complex and the rest real."""
+    frames = [hopf_values(p, hp) for p in pts.reshape(-1, 2).tolist()]
+    if pts.ndim == 1:
+        return frames[0]
+    shape = pts.shape[:-1]
+    coords = np.array([f[:4] for f in frames]).T.reshape((4,) + shape)
+    reals = np.array([f[4:] for f in frames]).T.reshape((6,) + shape)
+    return HopfFrame(*coords, *reals)
+
+
 # -- order-2 rows ----------------------------------------------------------------------
 #
 # A row is the order-2 jet of one function of (z, w) at a point: its value,
 # its gradient in the slots (z, w, z̄, w̄) and its Hessian row-major, which is
-# the flat layout of a two-coordinate `WJet`.  Rows stack into (k, 21) arrays,
-# and `_leibniz` multiplies two stacks row by row (Griewank & Walther,
-# Evaluating Derivatives, ch. 13).
+# the flat layout of a two-coordinate `WJet`.  At each point of a sample the
+# rows carry the sample's batch axes in front, (..., 21), and k rows stack
+# along a new first axis, (k, ..., 21), so that a stack unpacks into its
+# rows.  `_leibniz` multiplies two stacks row by row, broadcasting
+# (Griewank & Walther, Evaluating Derivatives, ch. 13).
 
 _ROW = 21
-# Conjugation trades the z and z̄ slots: row[_CONJ].conj() is the conjugate row.
+# Conjugation trades the z and z̄ slots: row[..., _CONJ].conj() is the conjugate row.
 _SWAP = (2, 3, 0, 1)
 _CONJ = np.array([0, *(1 + s for s in _SWAP), *(5 + 4 * s + t for s in _SWAP for t in _SWAP)])
 # The row of the constant function 1.
 _ONE = np.eye(1, _ROW, dtype=complex)[0]
+# The Hessian of F in `_theta_row` is this pattern times (e₁, e₂, e₁, e₂)
+# down its rows: F_{zz̄} = e₁, F_{ww̄} = e₂.
+_SLOT_SWAP = np.eye(4)[list(_SWAP)]
 
 
 def _monomial_rows() -> np.ndarray:
@@ -542,19 +576,39 @@ def _taylor_max(rows: np.ndarray) -> np.ndarray:
     return c.max(axis=-1)
 
 
+def _slots_last(a: np.ndarray) -> np.ndarray:
+    """An array [slot, ...], formed slot first so that per-point values
+    broadcast against it, as rows [..., slot]."""
+    return a.transpose(*range(1, a.ndim), 0)
+
+
 def _reciprocal(b: np.ndarray) -> np.ndarray:
-    """The row of 1/b, by the arithmetic of `wjet._reciprocal`: with c the
-    value of b and e = b/c − 1, 1/b = (1 − e + e²)/c."""
+    """The row of 1/b at each point, by the arithmetic of `wjet._reciprocal`:
+    with c the value of b and e = b/c − 1, 1/b = (1 − e + e²)/c."""
+    b = b.transpose(-1, *range(b.ndim - 1))  # slot first, [slot, ...]
     c = b[0]
     e = b / c
     out = e / -c
     out[0] = 1.0 / c
-    out[5:] += (e[1:5, None] * e[1:5]).reshape(16) * (2.0 / c)
-    return out
+    out[5:] += (e[1:5, None] * e[1:5]).reshape((16,) + e.shape[1:]) * (2.0 / c)
+    return _slots_last(out)
+
+
+def _product(a, b):
+    """a·b for complex numbers or arrays a and b, as Python's complex product
+    forms it: that product itself for numbers, and on arrays the same
+    arithmetic on their parts.  numpy's complex multiply may fuse a multiply
+    and an add, which rounds differently, and the value slots of the rows
+    must equal the scalar frame's values bit for bit.  (Adding 1j·im is
+    exact: its real part is a zero.)"""
+    if isinstance(a, complex):
+        return a * b
+    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
 
 
 def _theta_row(hv: HopfFrame, hp: HopfParams) -> np.ndarray:
-    """θ's row at hv's point, in closed form.
+    """θ's row at hv's point (or at each point of a stacked frame, (..., 21)),
+    in closed form.
 
     θ is the root of F(x, θ) = |z|²e^{−c₁θ} + |w|²e^{−c₂θ} − 1 with
     cᵢ = kᵢ/π (F is strictly decreasing in θ, so the root is unique).  Past
@@ -564,35 +618,38 @@ def _theta_row(hv: HopfFrame, hp: HopfParams) -> np.ndarray:
         θᵢ = −Fᵢ/F_θ,   θᵢⱼ = −(Fᵢⱼ + F_{iθ}θⱼ + F_{jθ}θᵢ + F_{θθ}θᵢθⱼ)/F_θ.
 
     F is linear in each of |z|², |w|², so the only x-x partials are
-    F_{zz̄} = e₁ and F_{ww̄} = e₂.
+    F_{zz̄} = e₁ and F_{ww̄} = e₂.  The partials are formed slot first,
+    [slot, ...], so that the frame's values broadcast against them.
     """
     c1, c2 = hp.c1, hp.c2
     e1, e2, u0, v0 = hv.e1, hv.e2, hv.u, hv.v
-    Fx = np.array([hv.zb * e1, hv.wb * e2, hv.z * e1, hv.w * e2])
-    Fxx = np.array([[0.0, 0.0, e1, 0.0], [0.0, 0.0, 0.0, e2],
-                    [e1, 0.0, 0.0, 0.0], [0.0, e2, 0.0, 0.0]], dtype=complex)
+    Fz, Fw, Fzb, Fwb = hv.zb * e1, hv.wb * e2, hv.z * e1, hv.w * e2
+    Fx = np.array((Fz, Fw, Fzb, Fwb))
+    Fxt = np.array((-c1 * Fz, -c2 * Fw, -c1 * Fzb, -c2 * Fwb))
+    ee = np.array((e1, e2, e1, e2))
+    Fxx = _SLOT_SWAP.reshape((4, 4) + (1,) * (ee.ndim - 1)) * ee[:, None]
     Ft = -(c1 * u0 + c2 * v0)
     Ftt = c1 * c1 * u0 + c2 * c2 * v0
-    Fxt = np.array([-c1, -c2, -c1, -c2]) * Fx
-    if not (math.isfinite(Ft) and Ft != 0.0):
+    if np.count_nonzero(~np.isfinite(Ft) | (Ft == 0.0)):  # at any point
         raise ValueError("dF/dtheta vanishes at the solution")
     tx = Fx / -Ft
     cross = Fxt[:, None] * tx
-    txx = (Fxx + cross + cross.T + Ftt * (tx[:, None] * tx)) / -Ft
-    return np.concatenate(((hv.theta,), tx, txx.ravel()))
+    txx = (Fxx + cross + cross.swapaxes(0, 1) + Ftt * (tx[:, None] * tx)) / -Ft
+    return _slots_last(np.concatenate(((hv.theta,), tx, txx.reshape((16,) + tx.shape[1:]))))
 
 
 class HopfRows(NamedTuple):
     """The order-2 rows every Hopf quantity is built from (`hopf_rows`)."""
 
-    theta: np.ndarray  # (21,)
-    e: np.ndarray  # (3, 21): e₁, e₂, e₁e₂
-    uvq: np.ndarray  # (3, 21): u = |z|²e₁, v = |w|²e₂, q = z̄w·e₁e₂
-    delta: np.ndarray  # (21,): Δ = αu + (2−α)v
+    theta: np.ndarray  # (..., 21)
+    e: np.ndarray  # (3, ..., 21): e₁, e₂, e₁e₂
+    uvq: np.ndarray  # (3, ..., 21): u = |z|²e₁, v = |w|²e₂, q = z̄w·e₁e₂
+    delta: np.ndarray  # (..., 21): Δ = αu + (2−α)v
 
 
 def hopf_rows(hv: HopfFrame, hp: HopfParams) -> HopfRows:
-    """The order-2 frame at the point of the scalar frame hv, as rows.
+    """The order-2 frame at the point of the scalar frame hv, as rows (at
+    each point of a stacked frame, with its batch axes after the row axis).
 
     θ's row comes from its closed-form partials (`_theta_row`).  With
     k = (k₁+k₂)/2π, Φ = e^{kθ}; since kα = c₁ and k(2−α) = c₂, the factors
@@ -607,24 +664,40 @@ def hopf_rows(hv: HopfFrame, hp: HopfParams) -> HopfRows:
     frame's values, or products of them.
     """
     theta = _theta_row(hv, hp)
-    minus_r = np.array([[-hp.c1], [-hp.c2], [-(hp.c1 + hp.c2)]])
-    g = minus_r * theta[1:5]
-    e = np.empty((3, _ROW), complex)
-    e[:, 0] = hv.e1, hv.e2, hv.e1 * hv.e2
-    e[:, 1:5] = e[:, :1] * g
-    e[:, 5:] = e[:, :1] * (minus_r * theta[5:]) + (e[:, 1:5, None] * g[:, None, :]).reshape(3, 16)
+    minus_r = np.array([-hp.c1, -hp.c2, -(hp.c1 + hp.c2)]).reshape((3,) + (1,) * theta.ndim)
+    g = minus_r * theta[..., 1:5]
+    e = np.empty((3,) + theta.shape, complex)
+    e[..., 0] = hv.e1, hv.e2, hv.e1 * hv.e2
+    e[..., 1:5] = e[..., :1] * g
+    e[..., 5:] = e[..., :1] * (minus_r * theta[..., 5:]) + (
+        e[..., 1:5, None] * g[..., None, :]).reshape(g.shape[:-1] + (16,))
 
     z, w, zb, wb = hv.z, hv.w, hv.zb, hv.wb
-    x = _MONOMIALS.copy()
-    x[:, :5] = ((z * zb, zb, 0.0, z, 0.0), (w * wb, 0.0, wb, 0.0, w), (zb * w, 0.0, zb, w, 0.0))
+    x = np.empty(e.shape, complex)
+    x[...] = _MONOMIALS.reshape((3,) + (1,) * (theta.ndim - 1) + (_ROW,))
+    # the value and gradient slots of |z|², |w|² and z̄w (the others are 0)
+    x[..., 0] = _product(z, zb), _product(w, wb), _product(zb, w)
+    x[0, ..., 1], x[0, ..., 3] = zb, z
+    x[1, ..., 2], x[1, ..., 4] = wb, w
+    x[2, ..., 2], x[2, ..., 3] = zb, w
     uvq = _leibniz(x, e)
-    _check_implicit(*_taylor_max(np.array((uvq[0] + uvq[1] - _ONE, theta))))
+    res, size = _taylor_max(np.array((uvq[0] + uvq[1] - _ONE, theta)))
+    bad = res > 1e-10 * (1.0 + size)
+    if np.count_nonzero(bad):
+        k = bad.argmax()
+        _check_implicit(res.flat[k], size.flat[k])
     return HopfRows(theta, e, uvq, hp.alpha * uvq[0] + (2.0 - hp.alpha) * uvq[1])
 
 
+def _row_arrays(row: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(value, gradient, Hessian) of a row (or of each row of a stack)."""
+    return row[..., 0], row[..., 1:5], row[..., 5:].reshape(row.shape[:-1] + (4, 4))
+
+
 def _row_jet(row: np.ndarray) -> WJet:
-    """The two-coordinate jet whose flat data is `row`."""
-    return WJet(row[0], row[1:5], row[5:].reshape(4, 4))
+    """The two-coordinate jet whose flat data is `row` (one point's, a new
+    array that nothing else writes), taken without a copy."""
+    return _jet(row, 2)
 
 
 def phi_field(hv: HopfFrame, hp: HopfParams) -> tuple[WJet, WJet, WJet]:
@@ -681,7 +754,7 @@ def dbar_log_phi(hv: HopfFrame) -> np.ndarray:
 
 class PolyTable(NamedTuple):
     """A degree-≤2 polynomial in the 2n Wirtinger slots x = (z¹…zⁿ, z̄¹…z̄ⁿ),
-    h(x) = C0 + B·x + ½xᵀQx, entrywise over the leading axes S of C0.
+    h(x) = C0 + B·x + ½xᵀQx, entrywise over the axes S of C0.
 
     B has shape S + (2n,) and Q, symmetric in its last two axes, S + (2n, 2n).
     The order-2 jet of such a polynomial is exact: at x the value is
@@ -693,16 +766,23 @@ class PolyTable(NamedTuple):
     Q: np.ndarray
 
     def jet(self, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(value, gradient, Hessian) at the point p, in the slots of `partials`.
+        """(value, gradient, Hessian) at the point p, in the slots of
+        `partials`; for an array p[..., k] of points, at each of them, with
+        the batch axes of p in front of S.
 
         The contractions are einsums rather than matmuls: a BLAS matrix-vector
         product may fuse multiply and add, and then δ + zⁱz̄ʲ (kahler-test)
         is not the once-rounded product that Leibniz arithmetic forms.
         """
-        x = np.array(p, dtype=complex)
-        x = np.concatenate((x, x.conj()))
-        Qx = np.einsum("...st,t->...s", self.Q, x)
-        return self.C0 + np.einsum("...s,s->...", self.B + 0.5 * Qx, x), self.B + Qx, self.Q
+        x = np.asarray(p, dtype=complex)
+        x = np.concatenate((x, x.conj()), axis=-1)
+        x = x.reshape(x.shape[:-1] + (1,) * self.C0.ndim + x.shape[-1:])  # broadcasts over S
+        Qx = np.einsum("...st,...t->...s", self.Q, x)
+        # Q repeated over the batch axes, as a read-only view of the table
+        # (what np.broadcast_to gives, at a fifth of its cost)
+        Q = self.Q
+        Q = np.ndarray(Qx.shape + Q.shape[-1:], Q.dtype, Q, 0, (0,) * (Qx.ndim - Q.ndim + 1) + Q.strides)
+        return self.C0 + np.einsum("...s,...s->...", self.B + 0.5 * Qx, x), self.B + Qx, Q
 
 
 def _poly_table(C0, n: int) -> PolyTable:
@@ -730,7 +810,7 @@ def _conj(t: PolyTable, n: int) -> PolyTable:
 
 def _frozen(t: PolyTable) -> PolyTable:
     """t with read-only arrays: a spec keeps its table, and `jet` hands out Q."""
-    t = PolyTable(*(np.asarray(a) for a in t))
+    t = PolyTable(*(np.array(a, order="C") for a in t))  # C order: `jet` views Q
     for a in t:
         a.setflags(write=False)
     return t
@@ -824,7 +904,8 @@ def _delta_cubed_omega_rows(fr: HopfRows, al: float, lam: float) -> np.ndarray:
     """The rows of h₁₁, h₁₂ and h₂₂ of `_delta_cubed_omega`, and of Δ³, by two
     stacked Leibniz products: Δ·(u, v, Δ), then e₁·A, C·q, e₂·B and Δ²·Δ for
     A = (1+λ)(α−2)²v + Δu, C = (1+λ)α(α−2) + Δ and B = (1+λ)α²u + Δv.
-    Each value slot is formed as the matching value of `_delta_cubed_omega`."""
+    Each value slot is formed as the matching value of `_delta_cubed_omega`.
+    The stack is (4, ..., 21), over the batch axes of the frame."""
     s, D = 1.0 + lam, fr.delta
     u, v, q = fr.uvq
     Du, Dv, D2 = _leibniz(D, np.array((u, v, D)))
@@ -843,8 +924,9 @@ def hopf_metric(spec: MetricSpec, hf: HopfFrame) -> list[list]:
 
 
 def _hopf_metric_arrays(spec: MetricSpec, fr: HopfRows) -> tuple[np.ndarray, ...]:
-    """(H, dH, ddH) of `hopf_metric` from the rows of the frame: ω_λ is
-    Δ³ω_λ times the reciprocal of Δ·Δ·Δ, as `hopf_metric` forms it."""
+    """(H, dH, ddH) of `hopf_metric` from the rows of the frame, over its
+    batch axes: ω_λ is Δ³ω_λ times the reciprocal of Δ·Δ·Δ, as `hopf_metric`
+    forms it."""
     al = spec.hopf_params().alpha
     if spec.kind == "hopf-lc-flat":
         h = _delta_cubed_omega_rows(fr, al, -0.5)
@@ -852,8 +934,11 @@ def _hopf_metric_arrays(spec: MetricSpec, fr: HopfRows) -> tuple[np.ndarray, ...
         h = _delta_cubed_omega_rows(fr, al, spec.lam_value)
         h = _leibniz(_reciprocal(h[3]), h[:3])
     rows = h[[0, 1, 1, 2]]
-    rows[2] = rows[2, _CONJ].conj()
-    return rows[:, 0].reshape(2, 2), rows[:, 1:5].reshape(2, 2, 4), rows[:, 5:].reshape(2, 2, 4, 4)
+    rows[2] = rows[2][..., _CONJ].conj()
+    rows = rows.transpose(*range(1, rows.ndim - 1), 0, -1)  # [..., entry, slot]
+    bs = rows.shape[:-2]
+    return (rows[..., 0].reshape(bs + (2, 2)), rows[..., 1:5].reshape(bs + (2, 2, 4)),
+            rows[..., 5:].reshape(bs + (2, 2, 4, 4)))
 
 
 def _field_hopf_params(f: FieldSpec, hp: HopfParams | None) -> HopfParams:
@@ -862,24 +947,29 @@ def _field_hopf_params(f: FieldSpec, hp: HopfParams | None) -> HopfParams:
     return hp
 
 
-def field_jet(f: FieldSpec, p, hp: HopfParams | None, n: int = 2) -> WJet:
-    """Real-valued order-2 jet of a scalar conformal factor.  The Hopf fields
-    are rows of `hopf_rows`: log Φ = kθ, and log Δ by the chain rule,
-    (log Δ)' = Δ'/Δ, (log Δ)'' = Δ''/Δ − (Δ'/Δ)⊗(Δ'/Δ).  The value is the
-    one `field_value` gives."""
+def field_jet(f: FieldSpec, p, hp: HopfParams | None, n: int = 2) -> tuple[np.ndarray, ...]:
+    """Real-valued order-2 jet of a scalar conformal factor, as (value,
+    gradient, Hessian) arrays in the slots of `partials`, at the point p or at
+    each point of an array p[..., n] of points (batch axes in front).  The
+    Hopf fields are rows of `hopf_rows`: log Φ = kθ, and log Δ by the chain
+    rule, (log Δ)' = Δ'/Δ, (log Δ)'' = Δ''/Δ − (Δ'/Δ)⊗(Δ'/Δ).  The value is
+    the one `field_value` gives."""
+    pts = np.asarray(p, dtype=complex)
     if f.kind == "zero":
-        return jet_const(0.0, n)
+        bs, m = pts.shape[:-1], 2 * n
+        return np.zeros(bs, complex), np.zeros(bs + (m,), complex), np.zeros(bs + (m, m), complex)
     if f.kind == "poly":
-        return WJet(*f.poly_table(n).jet(p))
+        return f.poly_table(n).jet(pts)
     hp = _field_hopf_params(f, hp)
-    hv = hopf_values(p, hp)
+    hv = hopf_frames(pts, hp)
     fr = hopf_rows(hv, hp)
     if f.kind == "log-phi":
-        return _row_jet((f.scale * hp.k) * fr.theta)
-    row = fr.delta / hv.delta
-    row[5:] -= (row[1:5, None] * row[1:5]).ravel()
-    row[0] = math.log(hv.delta)
-    return _row_jet(f.scale * row)
+        return _row_arrays((f.scale * hp.k) * fr.theta)
+    delta = np.asarray(hv.delta)
+    row = fr.delta / delta[..., None]
+    row[..., 5:] -= (row[..., 1:5, None] * row[..., None, 1:5]).reshape(row.shape[:-1] + (16,))
+    row[..., 0] = np.reshape([math.log(d) for d in delta.ravel()], delta.shape)
+    return _row_arrays(f.scale * row)
 
 
 def field_value(f: FieldSpec, p, hp: HopfParams | None, n: int = 2) -> float:
@@ -903,24 +993,31 @@ def _exp_field(f0: float) -> float:
         raise ValueError(f"e^f is outside the floating-point range at f = {f0:.6g}") from None
 
 
-def conformal_scale(h, f: WJet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entrywise e^f · h for a real-valued scalar jet f, where h = (H, dH, ddH).
+def conformal_scale(h, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entrywise e^f · h for a real-valued scalar f = (value, gradient,
+    Hessian), where h = (H, dH, ddH), at each point of their batch axes.
 
     e^f by the chain rule, (e^f)' = e^f f', (e^f)'' = e^f (f'' + f'⊗f'), and
     then one Leibniz product, broadcast over the entries:
     (e^f h)'' = e^f h'' + h' ⊗ (e^f)' + (e^f)' ⊗ h' + h (e^f)''.
+    e^f's value is `math.exp` at each point, as `metric_values` forms it.
     """
-    if not is_real_valued(f):
+    f0, fg, fh = (np.asarray(a) for a in f)
+    m = fg.shape[-1]
+    flat = np.concatenate((f0[..., None], fg, fh.reshape(fh.shape[:-2] + (m * m,))), axis=-1)
+    if not all_real_valued(flat, m // 2):  # the layout of `WJet.data`
         raise ValueError("conformal factor must be a real-valued jet")
     H, dH, ddH = h
-    e0 = _exp_field(f.value.real)
-    eg = e0 * f.grad
-    eh = e0 * f.hess + eg[:, None] * f.grad
-    cross = dH[..., :, None] * eg
+    e0 = np.array([_exp_field(x) for x in f0.real.ravel()]).reshape(f0.shape)
+    eg = e0[..., None] * fg
+    eh = e0[..., None, None] * fh + eg[..., :, None] * fg[..., None, :]
+    eg, eh = eg[..., None, None, :], eh[..., None, None, :, :]  # broadcast over the entries
+    e0 = e0[..., None, None]
+    cross = dH[..., :, None] * eg[..., None, :]
     return (
         e0 * H,
-        e0 * dH + H[..., None] * eg,
-        e0 * ddH + (cross + cross.swapaxes(-1, -2)) + H[..., None, None] * eh,
+        e0[..., None] * dH + H[..., None] * eg,
+        e0[..., None, None] * ddH + (cross + cross.swapaxes(-1, -2)) + H[..., None, None] * eh,
     )
 
 
@@ -928,50 +1025,58 @@ def conformal_scale(h, f: WJet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _HOPF_FRAME_KINDS = ("hopf-omega-lambda", "hopf-lc-flat")
 
 
-def _metric_point(spec: MetricSpec, p) -> tuple[complex, ...]:
-    pt = tuple(complex(c) for c in p)
-    if len(pt) != spec.dim:
-        raise ValueError(f"point has {len(pt)} coordinates, metric expects {spec.dim}")
-    return pt
+def _metric_points(spec: MetricSpec, p) -> np.ndarray:
+    """p as a complex array of shape (..., dim): one point, or a sample of
+    them along the leading axes."""
+    pts = np.asarray(p, dtype=complex)
+    if pts.ndim == 0 or pts.shape[-1] != spec.dim:
+        size = pts.shape[-1] if pts.ndim else 1
+        raise ValueError(f"point has {size} coordinates, metric expects {spec.dim}")
+    return pts
 
 
-def _metric_arrays(spec: MetricSpec, pt: tuple[complex, ...]) -> tuple[np.ndarray, ...]:
-    """(H, dH, ddH) of the metric at pt."""
+def _metric_arrays(spec: MetricSpec, pts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(H, dH, ddH) of the metric at each point of pts[..., dim]."""
     table = spec.poly_table
     if table is not None:
-        return table.jet(pt)
+        return table.jet(pts)
     if spec.kind == "hopf-standard":
-        return partials(_hopf_standard_jets(pt))
+        # jet products point by point, their arrays stacked over the batch axes
+        arrays = [partials(_hopf_standard_jets(p)) for p in pts.reshape(-1, 2).tolist()]
+        return tuple(np.array(a).reshape(pts.shape[:-1] + a[0].shape) for a in zip(*arrays))
     if spec.kind in _HOPF_FRAME_KINDS:
         hp = spec.hopf_params()
-        return _hopf_metric_arrays(spec, hopf_rows(hopf_values(pt, hp), hp))
+        return _hopf_metric_arrays(spec, hopf_rows(hopf_frames(pts, hp), hp))
     if spec.kind == "conformal":
-        base = _metric_arrays(spec.base, pt)
-        return conformal_scale(base, field_jet(spec.f, pt, spec.hopf_params(), n=spec.dim))
+        base = _metric_arrays(spec.base, pts)
+        return conformal_scale(base, field_jet(spec.f, pts, spec.hopf_params(), n=spec.dim))
     raise ValueError(f"unknown metric kind {spec.kind!r}")  # pragma: no cover (MetricSpec checks)
 
 
-def _metric_jet(spec: MetricSpec, pt: tuple[complex, ...], arrays) -> MetricJet:
-    """`MetricJet(*arrays)` for spec at pt.  `MetricJet` checks positive
+def _metric_jet(spec: MetricSpec, pts: np.ndarray, arrays) -> MetricJet:
+    """`MetricJet(*arrays)` for spec at pts.  `MetricJet` checks positive
     definiteness, once; where a user polynomial (or a conformal rescaling of
-    one) fails it, the error names its seed."""
+    one) fails it, the error names its seed and the first such point."""
     try:
         return MetricJet(*arrays)
-    except NotPositiveDefinite:
+    except NotPositiveDefinite as exc:
         base = spec
         while base.kind == "conformal":
             base = base.base
         if base.kind != "user-polynomial":
             raise
+        pt = tuple(pts.reshape(-1, pts.shape[-1])[exc.index].tolist())
         raise ValueError(
             f"user polynomial metric (seed={base.seed_value}) is not positive definite at {pt}"
         ) from None
 
 
 def build_metric(spec: MetricSpec, p) -> MetricJet:
-    """Realize a MetricSpec as an order-2 metric jet at the point p."""
-    pt = _metric_point(spec, p)
-    return _metric_jet(spec, pt, _metric_arrays(spec, pt))
+    """Realize a MetricSpec as an order-2 metric jet at the point p, or at
+    every point of a sample p[..., dim] at once (one `MetricJet` whose arrays
+    carry the sample's axes in front)."""
+    pts = _metric_points(spec, p)
+    return _metric_jet(spec, pts, _metric_arrays(spec, pts))
 
 
 def build_hopf_metric(spec: MetricSpec, hv: HopfFrame) -> MetricJet:
@@ -980,15 +1085,15 @@ def build_hopf_metric(spec: MetricSpec, hv: HopfFrame) -> MetricJet:
     return MetricJet(*_hopf_metric_arrays(spec, hopf_rows(hv, spec.hopf_params())))
 
 
-def build_conformal_metrics(spec: MetricSpec, p) -> tuple[MetricJet, MetricJet, WJet]:
-    """The base metric ω of a conformal spec, its e^f ω and the jet of f at p,
-    from one build of the base's arrays and one f jet; each metric is checked
-    as `build_metric` checks it."""
-    pt = _metric_point(spec, p)
-    base = _metric_arrays(spec.base, pt)
-    mb = _metric_jet(spec.base, pt, base)
-    f = field_jet(spec.f, pt, spec.hopf_params(), n=spec.dim)
-    return mb, _metric_jet(spec, pt, conformal_scale(base, f)), f
+def build_conformal_metrics(spec: MetricSpec, p) -> tuple[MetricJet, MetricJet, tuple]:
+    """The base metric ω of a conformal spec, its e^f ω and the (value,
+    gradient, Hessian) of f at p, from one build of the base's arrays and one
+    f jet; each metric is checked as `build_metric` checks it."""
+    pts = _metric_points(spec, p)
+    base = _metric_arrays(spec.base, pts)
+    mb = _metric_jet(spec.base, pts, base)
+    f = field_jet(spec.f, pts, spec.hopf_params(), n=spec.dim)
+    return mb, _metric_jet(spec, pts, conformal_scale(base, f)), f
 
 
 def metric_values(spec: MetricSpec, p) -> np.ndarray:
@@ -999,7 +1104,7 @@ def metric_values(spec: MetricSpec, p) -> np.ndarray:
     with f from `field_value`, so neither builds a jet (nor checks that the
     values are positive definite); the other kinds build their metric.
     """
-    pt = _metric_point(spec, p)
+    pt = tuple(_metric_points(spec, p).tolist())
     if spec.kind in _HOPF_FRAME_KINDS:
         return np.array(hopf_metric(spec, hopf_values(pt, spec.hopf_params())))
     if spec.kind == "conformal":

@@ -2,7 +2,12 @@
 
 Each identity tag names one equation the engine can test pointwise; a check
 draws a deterministic point sample, evaluates the residual at every point,
-and aggregates into a report with a pass/fail verdict.
+and aggregates into a report with a pass/fail verdict.  A residual takes the
+whole sample: `lc-ricci-flat` and `key-relation` build one metric over all of
+its points and evaluate it in one pass, the other identities loop over the
+points.  If the sample fails (a `ValueError` other than `SpecError`),
+`run_check` evaluates it again one point at a time, so that each failure is
+charged to its own point.
 
 An identity is declared once, in `IDENTITIES`: its residual function (whose
 docstring states the equation), its default tolerance and what it needs of
@@ -17,9 +22,10 @@ difference J h(az, bw) J† − h(z, w) is divided by 1 + max|h(z, w)|.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,79 +181,6 @@ def sample_points(
     raise ValueError(f"unknown sampling domain {domain!r}")
 
 
-# -- finite-difference oracle -----------------------------------------------------------
-
-
-# Central-difference steps of `fd_jet`: first derivatives, second derivatives.
-FD_STEP, FD_STEP2 = 1e-5, 1e-4
-
-
-def fd_jet(fn, p, n_vars: int) -> tuple[complex, np.ndarray, np.ndarray]:
-    """Central-difference estimate of a function's (value, gradient, Hessian) at p.
-
-    `fn` maps a coordinate tuple to a complex value.  Derivatives are taken in
-    the 2·n_vars real coordinates and converted to Wirtinger derivatives via
-    ∂_{z^k} = ½(∂_{x^k} − i∂_{y^k}), ∂_{z̄^k} = ½(∂_{x^k} + i∂_{y^k}), in the
-    slots of WJet's gradient [2n] and Hessian [2n, 2n].
-
-    First derivatives use FD_STEP; second-derivative stencils use the larger
-    FD_STEP2 because their roundoff floor scales like ε/h² — at h = 1e-5 that
-    floor (≈2e-6 relative) would sit above the 1e-6 agreement target, while
-    h = 1e-4 balances truncation against roundoff near the optimum ε^{1/4}.
-    """
-    pt = np.array(p, dtype=complex)
-    nv = n_vars
-    d = 2 * nv
-
-    def shift(tvec):
-        q = pt.copy()
-        for k in range(nv):
-            q[k] = q[k] + tvec[k] + 1j * tvec[nv + k]
-        return fn(tuple(q))
-
-    f0 = complex(shift(np.zeros(d)))
-    grad = np.zeros(d, dtype=complex)
-    for a in range(d):
-        e = np.zeros(d)
-        e[a] = FD_STEP
-        grad[a] = (shift(e) - shift(-e)) / (2 * FD_STEP)
-    hess = np.zeros((d, d), dtype=complex)
-    for a in range(d):
-        ea = np.zeros(d)
-        ea[a] = FD_STEP2
-        hess[a, a] = (shift(ea) - 2 * f0 + shift(-ea)) / FD_STEP2**2
-        for b in range(a + 1, d):
-            eb = np.zeros(d)
-            eb[b] = FD_STEP2
-            mixed = (
-                shift(ea + eb) - shift(ea - eb) - shift(-ea + eb) + shift(-ea - eb)
-            ) / (4 * FD_STEP2**2)
-            hess[a, b] = hess[b, a] = mixed
-
-    # complex direction vectors: columns are real-coordinate weights
-    dirs = np.zeros((2 * nv, d), dtype=complex)  # row = formal variable slot
-    for k in range(nv):
-        dirs[k, k] = 0.5
-        dirs[k, nv + k] = -0.5j  # ∂_{z^k}
-        dirs[nv + k, k] = 0.5
-        dirs[nv + k, nv + k] = 0.5j  # ∂_{z̄^k}
-    return f0, dirs @ grad, dirs @ hess @ dirs.T
-
-
-def fd_oracle(spec: mz.MetricSpec, p) -> dict:
-    """FD (value, gradient, Hessian) of every metric entry, keyed by (i, j)."""
-    n = spec.dim
-
-    def entry_fn(i, j):
-        return lambda q: mz.build_metric(spec, q).H[i, j]
-
-    return {
-        (i, j): fd_jet(entry_fn(i, j), p, n)
-        for i in range(n)
-        for j in range(n)
-    }
-
-
 # -- per-identity residuals ----------------------------------------------------------
 
 
@@ -269,21 +202,25 @@ def _scaled_det(M, s: float) -> float:
     return abs(a * d - b * c)
 
 
-def _residual_lc_ricci_flat(spec: mz.MetricSpec, p, notes: dict) -> float:
+def _form_max(forms: np.ndarray) -> np.ndarray:
+    """max |A_{ij̄}| of each (1,1)-form in a stack A[..., i, j]."""
+    return np.abs(forms).max(axis=(-2, -1))
+
+
+def _residual_lc_ricci_flat(spec: mz.MetricSpec, points, notes: dict) -> np.ndarray:
     """max |𝔯ic(ω)| over both computation paths; zero for the Δ³ω_{−1/2} Hopf metric."""
-    m = mz.build_metric(spec, p)
-    r1 = geo.lc_ricci(m)
-    r2 = geo.lc_ricci_via_relation(m)
-    ric = geo.chern_ricci(m)
-    return _norm(max(_maxabs(r1), _maxabs(r2)), _maxabs(ric))
+    m = mz.build_metric(spec, points)
+    r1 = _form_max(geo.lc_ricci(m))
+    r2 = _form_max(geo.lc_ricci_via_relation(m))
+    return np.maximum(r1, r2) / (1.0 + _form_max(geo.chern_ricci(m)))
 
 
-def _residual_key_relation(spec: mz.MetricSpec, p, notes: dict) -> float:
+def _residual_key_relation(spec: mz.MetricSpec, points, notes: dict) -> np.ndarray:
     """The two 𝔯ic paths agree: curvature trace vs Ric − ½(∂∂*ω + ∂̄∂̄*ω)."""
-    m = mz.build_metric(spec, p)
+    m = mz.build_metric(spec, points)
     r1 = geo.lc_ricci(m)
     r2 = geo.lc_ricci_via_relation(m)
-    return _norm(_maxabs(r1 - r2), _maxabs(r1), _maxabs(r2))
+    return _form_max(r1 - r2) / (1.0 + np.maximum(_form_max(r1), _form_max(r2)))
 
 
 def _residual_conformal_law(spec: mz.MetricSpec, p, notes: dict) -> float:
@@ -291,13 +228,14 @@ def _residual_conformal_law(spec: mz.MetricSpec, p, notes: dict) -> float:
     n = spec.dim
     mb, mc, fj = mz.build_conformal_metrics(spec, p)
 
+    _, fg, fh = fj
     lhs = geo.lc_ricci(mc)
-    rhs = geo.lc_ricci(mb) - fj.hess[:n, n:]  # 𝔯ic(ω) − √−1∂∂̄f
+    rhs = geo.lc_ricci(mb) - fh[:n, n:]  # 𝔯ic(ω) − √−1∂∂̄f
     r_ric = _norm(_maxabs(lhs - rhs), _maxabs(lhs), _maxabs(rhs))
 
     _, a10_b = geo.del_star(mb)
     _, a10_c = geo.del_star(mc)
-    want = a10_b + 1j * (n - 1) * fj.grad[:n]
+    want = a10_b + 1j * (n - 1) * fg[:n]
     r_adj = _norm(_maxabs(a10_c - want), _maxabs(a10_c), _maxabs(want))
     return max(r_ric, r_adj)
 
@@ -416,14 +354,25 @@ _NEEDS = {
 class Identity:
     """How one identity tag is checked.
 
-    `residual(spec, point, notes)` returns the point's residual and may record
-    report notes; `tol` is the default pass tolerance; `needs` are keys of
-    `_NEEDS` that the metric spec must satisfy.
+    `residual(spec, points, notes)` returns one residual per point of the
+    sample `points` (a sequence of points) and may record report notes;
+    `tol` is the default pass tolerance; `needs` are keys of `_NEEDS` that
+    the metric spec must satisfy.
     """
 
-    residual: Callable[[mz.MetricSpec, tuple[complex, ...], dict], float]
+    residual: Callable[[mz.MetricSpec, list, dict], Sequence[float]]
     tol: float = 1e-8
     needs: tuple[str, ...] = ()
+
+
+def _each_point(residual):
+    """The sample residual of an identity evaluated one point at a time."""
+
+    @functools.wraps(residual)
+    def over_sample(spec, points, notes):
+        return [residual(spec, p, notes) for p in points]
+
+    return over_sample
 
 
 # scalar-key1 is looser: its terms are fourth order in derivatives of the
@@ -431,14 +380,14 @@ class Identity:
 IDENTITIES: dict[str, Identity] = {
     "lc-ricci-flat": Identity(_residual_lc_ricci_flat),
     "key-relation": Identity(_residual_key_relation),
-    "conformal-law": Identity(_residual_conformal_law, needs=("conformal",)),
-    "det-formula": Identity(_residual_det_formula, 1e-10, ("hopf-omega-lambda",)),
-    "tw-formula": Identity(_residual_tw_formula, needs=("hopf-omega-lambda",)),
-    "scalar-010": Identity(_residual_scalar_010),
-    "scalar-key1": Identity(_residual_scalar_key1, 1e-6),
-    "deck-invariance": Identity(_residual_deck, 1e-10, ("hopf", "dim-2")),
-    "hessian-matrices": Identity(_residual_hessian_matrices, 1e-10, ("hopf",)),
-    "kahler-collapse": Identity(_residual_kahler_collapse),
+    "conformal-law": Identity(_each_point(_residual_conformal_law), needs=("conformal",)),
+    "det-formula": Identity(_each_point(_residual_det_formula), 1e-10, ("hopf-omega-lambda",)),
+    "tw-formula": Identity(_each_point(_residual_tw_formula), needs=("hopf-omega-lambda",)),
+    "scalar-010": Identity(_each_point(_residual_scalar_010)),
+    "scalar-key1": Identity(_each_point(_residual_scalar_key1), 1e-6),
+    "deck-invariance": Identity(_each_point(_residual_deck), 1e-10, ("hopf", "dim-2")),
+    "hessian-matrices": Identity(_each_point(_residual_hessian_matrices), 1e-10, ("hopf",)),
+    "kahler-collapse": Identity(_each_point(_residual_kahler_collapse)),
 }
 
 
@@ -458,15 +407,23 @@ def run_check(c: CheckSpec) -> VerificationReport:
     notes: dict = {}
     per_point = []
     failures = []
-    for p in points:
-        try:
-            r = residual(c.metric, p, notes)
-        except mz.SpecError:
-            raise
-        except ValueError as exc:
-            failures.append((p, str(exc)))
-            continue
-        per_point.append((p, float(r)))
+    try:
+        per_point = [(p, float(r)) for p, r in zip(points, residual(c.metric, points, notes))]
+    except mz.SpecError:
+        raise
+    except ValueError:
+        # Some point fails: evaluate the sample again one point at a time,
+        # charging each failure to its point.
+        notes.clear()
+        for p in points:
+            try:
+                (r,) = residual(c.metric, [p], notes)
+            except mz.SpecError:
+                raise
+            except ValueError as exc:
+                failures.append((p, str(exc)))
+                continue
+            per_point.append((p, float(r)))
 
     if failures and len(failures) / len(points) >= 0.1:
         raise CheckAborted(

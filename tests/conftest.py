@@ -111,7 +111,7 @@ def leibniz_metric_arrays(spec, pt):
         elif spec.f.kind in ("log-phi", "log-delta"):
             f = hopf_field_oracle(spec.f, pt, spec.hopf_params())
         else:
-            f = mz.field_jet(spec.f, pt, spec.hopf_params(), n=n)
+            f = WJet(*mz.field_jet(spec.f, pt, spec.hopf_params(), n=n))
         ef = exp(f)
         return partials([[ef * WJet(H[i, j], dH[i, j], ddH[i, j]) for j in range(n)]
                          for i in range(n)])
@@ -356,3 +356,96 @@ def connection_oracle(m):
     anti, anti_grad = raise_index(B, dB)
     return (chern, 0.5 * (chern + chern.transpose(0, 2, 1)), 0.5 * anti,
             chern_grad, 0.5 * (chern_grad + chern_grad.transpose(0, 2, 1, 3)), 0.5 * anti_grad)
+
+
+# -- finite-difference oracle ---------------------------------------------------------
+
+# Central-difference steps of `fd_jet`, as fractions of each coordinate's
+# length scale: first derivatives, second derivatives.
+FD_STEP, FD_STEP2 = 1e-3, 1e-2
+
+
+def hopf_flatness(hp):
+    """The `fd_jet` flatness of a function of the Hopf potential: 1 in z and
+    2 − α in w, where Φ ∝ |w|^{2/(2−α)} changes by about itself over
+    |w|(2 − α)/2."""
+    return (1.0, 2.0 - hp.alpha)
+
+
+def _central_differences(fn, pt, h1, h2):
+    """Gradient and Hessian in the real coordinates (x, y) of pt by central
+    differences, with steps h1[a] (first derivatives) and h2[a] (second)."""
+    nv, d = len(pt), len(h1)
+
+    def shift(tvec):
+        return fn(tuple(pt + tvec[:nv] + 1j * tvec[nv:]))
+
+    f0 = complex(shift(np.zeros(d)))
+    grad = np.zeros(d, dtype=complex)
+    for a in range(d):
+        e = np.zeros(d)
+        e[a] = h1[a]
+        grad[a] = (shift(e) - shift(-e)) / (2 * h1[a])
+    hess = np.zeros((d, d), dtype=complex)
+    for a in range(d):
+        ea = np.zeros(d)
+        ea[a] = h2[a]
+        hess[a, a] = (shift(ea) - 2 * f0 + shift(-ea)) / h2[a] ** 2
+        for b in range(a + 1, d):
+            eb = np.zeros(d)
+            eb[b] = h2[b]
+            mixed = (
+                shift(ea + eb) - shift(ea - eb) - shift(-ea + eb) + shift(-ea - eb)
+            ) / (4 * h2[a] * h2[b])
+            hess[a, b] = hess[b, a] = mixed
+    return f0, grad, hess
+
+
+def fd_jet(fn, p, n_vars, flatness=1.0):
+    """Finite-difference estimate of a function's (value, gradient, Hessian) at p.
+
+    `fn` maps a coordinate tuple to a complex value.  Derivatives are taken in
+    the 2·n_vars real coordinates and converted to Wirtinger derivatives via
+    ∂_{z^k} = ½(∂_{x^k} − i∂_{y^k}), ∂_{z̄^k} = ½(∂_{x^k} + i∂_{y^k}), in the
+    slots of WJet's gradient [2n] and Hessian [2n, 2n].
+
+    Coordinate k's steps are FD_STEP and FD_STEP2 times its length scale
+    max|p|·flatness[k] (a scalar flatness serves every coordinate; Hopf
+    callers pass `hopf_flatness`).  Central differences at h and h/2 are
+    combined by one Richardson step, (4D(h/2) − D(h))/3, whose truncation
+    error is O(h⁴).  That allows steps large enough to keep the roundoff of
+    the function's values small: where α → 2, Φ itself carries a relative
+    roundoff of about 4e-14, and a plain second-order stencil cannot get the
+    Hessian's small entries to 1e-6 at any step.
+    """
+    pt = np.array(p, dtype=complex)
+    length = float(np.max(np.abs(pt))) * np.broadcast_to(np.asarray(flatness, float), (n_vars,))
+    h1, h2 = FD_STEP * np.tile(length, 2), FD_STEP2 * np.tile(length, 2)
+    f0, grad, hess = _central_differences(fn, pt, h1, h2)
+    _, grad_half, hess_half = _central_differences(fn, pt, h1 / 2, h2 / 2)
+    grad, hess = (4 * grad_half - grad) / 3, (4 * hess_half - hess) / 3
+
+    # complex direction vectors: columns are real-coordinate weights
+    nv, d = n_vars, 2 * n_vars
+    dirs = np.zeros((2 * nv, d), dtype=complex)  # row = formal variable slot
+    for k in range(nv):
+        dirs[k, k] = 0.5
+        dirs[k, nv + k] = -0.5j  # ∂_{z^k}
+        dirs[nv + k, k] = 0.5
+        dirs[nv + k, nv + k] = 0.5j  # ∂_{z̄^k}
+    return f0, dirs @ grad, dirs @ hess @ dirs.T
+
+
+def fd_oracle(spec, p):
+    """FD (value, gradient, Hessian) of every metric entry, keyed by (i, j);
+    a spec with Hopf parameters takes the Hopf flatness."""
+    from lcflat import metrics as mz
+
+    n = spec.dim
+    hp = spec.hopf_params()
+    flatness = hopf_flatness(hp) if hp is not None and n == 2 else 1.0
+
+    def entry_fn(i, j):
+        return lambda q: mz.build_metric(spec, q).H[i, j]
+
+    return {(i, j): fd_jet(entry_fn(i, j), p, n, flatness) for i in range(n) for j in range(n)}

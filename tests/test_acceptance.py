@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from conftest import fd_jet, fd_oracle, hopf_flatness
 from lcflat import geometry as geo
 from lcflat import metrics as mz
 from lcflat import verify as vf
@@ -264,7 +265,7 @@ def test_c10_finite_difference_oracle(capsys):
             (delta, lambda q: mz.phi_field(mz.hopf_values(q, hp), hp)[2].value.real),
             (log(phi), lambda q: math.log(mz.phi_value(q, hp))),
         ):
-            f1, f2 = rel_gaps(jet.grad, jet.hess, vf.fd_jet(fn, p, 2))
+            f1, f2 = rel_gaps(jet.grad, jet.hess, fd_jet(fn, p, 2, hopf_flatness(hp)))
             worst1, worst2 = max(worst1, f1), max(worst2, f2)
 
     # every built-in metric kind, all entries
@@ -288,7 +289,7 @@ def test_c10_finite_difference_oracle(capsys):
                 for _ in range(2)])
         for p in pts:
             h = mz.build_metric(spec, p)
-            table = vf.fd_oracle(spec, p)
+            table = fd_oracle(spec, p)
             for i in range(2):
                 for j in range(2):
                     f1, f2 = rel_gaps(h.dH[i, j], h.ddH[i, j], table[(i, j)])

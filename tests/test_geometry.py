@@ -475,10 +475,10 @@ PLANTED_DEFECTS = {
     # B and its gradient, the mixed slot of the stacked connection, transposed
     # on the wrong axes
     "B-wrong-axes": [(geo, "_connection", [
-        ("T[1] = dH[:, :, n:] - dH[:, :, n:].transpose(0, 2, 1)",
-         "T[1] = dH[:, :, n:] - dH[:, :, n:].transpose(2, 1, 0)"),
-        ("dT[1] = ddH[:, :, n:] - ddH[:, :, n:].transpose(0, 2, 1, 3)",
-         "dT[1] = ddH[:, :, n:] - ddH[:, :, n:].transpose(2, 1, 0, 3)"),
+        ("T[1] = dH[..., n:] - dH[..., n:].swapaxes(-1, -2)",
+         "T[1] = dH[..., n:] - dH[..., n:].swapaxes(-1, -3)"),
+        ("dT[1] = ddH[..., n:, :] - ddH[..., n:, :].swapaxes(-2, -3)",
+         "dT[1] = ddH[..., n:, :] - ddH[..., n:, :].swapaxes(-2, -4)"),
     ])],
     # the sign of Δ flipped in the (1,2) entry of Δ³ω_λ, in its value form and
     # in its row form alike
@@ -491,13 +491,17 @@ PLANTED_DEFECTS = {
     "chern-quad-dropped": [(geo, "chern_curvature", [("return -sec + quad", "return -sec")])],
     # the inverse metric transposed; the Chern side inverts H itself, so only
     # the connection and the scalars read the defect
-    "inverse-transposed": [(geo.MetricJet, "inverse", [("    return A\n", "    return A.T\n")])],
+    "inverse-transposed": [(geo.MetricJet, "inverse", [("    return A\n", "    return A.swapaxes(-1, -2)\n")])],
+    # the inverse of a sample's metric rolled one point along the batch axis,
+    # so that each point reads its neighbour's h^{kℓ̄}; one point is left alone
+    "batch-rolled-inverse": [(geo.MetricJet, "inverse", [
+        ("    return A\n", "    return np.roll(A, 1, axis=0) if A.ndim > 2 else A\n")])],
     # the term h'⊗(e^f)' of the conformal Leibniz product kept without its transpose
     "conformal-cross-unsymmetrised": [(M, "conformal_scale", [
         ("(cross + cross.swapaxes(-1, -2))", "(cross + cross)")])],
     # F_{iθ}θⱼ written for F_{jθ}θᵢ in θ's Hessian
     "theta-cross-unsymmetrised": [(M, "_theta_row", [
-        ("Fxx + cross + cross.T", "Fxx + cross + cross")])],
+        ("Fxx + cross + cross.swapaxes(0, 1)", "Fxx + cross + cross")])],
     # the rate of e₁ used for e₂ in the θ root
     "theta-root-c1-for-c2": [(M, "_theta_root", [
         ("c1, c2 = hp.c1, hp.c2", "c1, c2 = hp.c1, hp.c1")])],
@@ -573,6 +577,11 @@ PLANTED_DEFECT_CELLS = [
     ("riemannian-trace-swapped", "scalar-key1", "hopf-omega-lambda"),
     ("riemannian-trace-swapped", "scalar-key1", "user-polynomial"),
     ("riemannian-trace-swapped", "kahler-collapse", "kahler-test"),
+    # only the checks that evaluate a whole sample at once can mix up points
+    ("batch-rolled-inverse", "lc-ricci-flat", "hopf-lc-flat"),
+    ("batch-rolled-inverse", "key-relation", "hopf-lc-flat"),
+    ("batch-rolled-inverse", "key-relation", "hopf-standard"),
+    ("batch-rolled-inverse", "key-relation", "user-polynomial"),
 ]
 
 
@@ -601,6 +610,63 @@ def test_suite_cells_fail_on_a_planted_defect(monkeypatch, defect, identity, met
                 assert want == "aborted", (cell["metric"], seed)
             else:
                 assert rep.verdict == want, (cell["metric"], seed, rep.max_residual)
+
+
+# -- the batch axis ---------------------------------------------------------------------
+
+# Every metric kind that lc-ricci-flat and key-relation build over a whole
+# sample: the Hopf-frame kinds at the multipliers of the metric tests
+# (including complex ones and α near 2), conformal metrics over a Hopf base
+# with each field that reads the frame or a table, the polynomial kinds at
+# n = 1, 2, 3 and hopf-standard.
+_BATCH_MULTIPLIERS = [(E, E), (E**2, E), (E**1.5, E**1.1),
+                      (complex(E**2 * np.exp(0.4j)), complex(E * np.exp(-1.1j))), (1e3, 1.01)]
+BATCH_SPECS = (
+    [f"hopf-lc-flat{{a={a!r},b={b!r}}}" for a, b in _BATCH_MULTIPLIERS]
+    + [f"hopf-omega-lambda{{a={a!r},b={b!r},lambda=0.7}}" for a, b in _BATCH_MULTIPLIERS]
+    + [f"conformal{{base=hopf-lc-flat{{a={E**2!r},b={E!r}}},f={f}}}"
+       for f in ("log-delta{scale=3.0}", "log-phi{scale=-1.5}", "poly{seed=8,amp=0.15}")]
+    + [f"conformal{{base=hopf-omega-lambda{{a={E**1.5!r},b={E**1.1!r},lambda=-0.5}},f=log-phi}}"]
+    + [f"{kind}{{n={n}}}" for kind in ("flat", "kahler-test") for n in (1, 2, 3)]
+    + [f"user-polynomial{{seed=104,amp=0.05,n={n}}}" for n in (1, 2, 3)]
+    + ["hopf-standard"]
+)
+
+
+def _batched_arrays(m):
+    """The arrays the two batched identities read, each with its points on the
+    leading axis."""
+    ch = geo.christoffels(m)
+    stacked = (ch.value, ch.grad)  # [t, point, ...]
+    return ((m.H, m.dH, m.ddH) + tuple(np.moveaxis(a, 0, 1) for a in stacked)
+            + (geo.chern_ricci(m), geo.lc_ricci(m), geo.lc_ricci_via_relation(m)))
+
+
+@pytest.mark.parametrize("text", BATCH_SPECS)
+def test_a_sample_built_at_once_matches_each_point_built_alone(text):
+    """H, dH, ddH, the connection and its gradient, the Chern-Ricci form and
+    both 𝔯ic paths of one metric over 12 points against the same point built
+    as a sample of one, to 1e-15 of each array's largest entry."""
+    spec = M.parse_metric_spec(text)
+    pts = _check_points(spec, 12, (2,))
+    whole = _batched_arrays(M.build_metric(spec, pts))
+    for k, p in enumerate(pts):
+        for got, want in zip(whole, _batched_arrays(M.build_metric(spec, [p]))):
+            assert got.shape[1:] == want.shape[1:]
+            assert np.abs(got[k] - want[0]).max() <= 1e-15 * np.abs(want[0]).max(), (p, text)
+
+
+def test_one_point_has_no_batch_axis():
+    """A point builds a metric whose arrays have no batch axis, and a sample
+    of one builds the same arrays with one, bit for bit."""
+    spec = M.parse_metric_spec(f"hopf-lc-flat{{a={E**2!r},b={E!r}}}")
+    p = _check_points(spec, 1, (3,))[0]
+    alone, sample = M.build_metric(spec, p), M.build_metric(spec, [p])
+    assert alone.H.shape == (2, 2) and sample.H.shape == (1, 2, 2)
+    ch, ch1 = geo.christoffels(alone), geo.christoffels(sample)
+    assert np.array_equal(ch.value, ch1.value[:, 0]) and np.array_equal(ch.grad, ch1.grad[:, 0])
+    for form in (geo.chern_ricci, geo.lc_ricci, geo.lc_ricci_via_relation):
+        assert np.array_equal(form(alone), form(sample)[0])
 
 
 # -- validation and debug hooks ------------------------------------------------------
@@ -696,6 +762,18 @@ def test_debug_corruption_flips_mixed_symbols_and_their_gradients():
     assert np.array_equal(bad.lc_anti, -good.lc_anti)
     assert np.array_equal(bad.lc_anti_grad, -good.lc_anti_grad)
     assert np.array_equal(bad.chern_grad, good.chern_grad)
+
+
+def test_debug_corruption_flips_the_mixed_symbols_of_a_sample():
+    m = M.build_metric(M.parse_metric_spec("user-polynomial{seed=104,amp=0.05}"),
+                       V.sample_points("box", 5, 1, dim=2))
+    good = geo.christoffels(m)
+    with geo.debug_corruption():
+        bad = geo.christoffels(m)
+    assert good.lc_anti.shape == (5, 2, 2, 2)
+    assert np.array_equal(bad.lc_anti, -good.lc_anti)
+    assert np.array_equal(bad.lc_anti_grad, -good.lc_anti_grad)
+    assert np.array_equal(bad.chern, good.chern) and np.array_equal(bad.lc_hol_grad, good.lc_hol_grad)
 
 
 def test_debug_corruption_breaks_two_path_agreement_and_restores():

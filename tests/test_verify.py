@@ -4,10 +4,14 @@ plumbing, report shape, and the engineered mutation control."""
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import fd_jet, fd_oracle, hopf_flatness
 from lcflat import geometry as geo
 from lcflat import metrics as M
 from lcflat import verify as V
@@ -174,14 +178,15 @@ def test_kahler_collapse_validates_its_metric_once_per_point(monkeypatch):
 
 def test_user_polynomial_metric_is_validated_once_per_point(monkeypatch):
     """One positive-definiteness test per point: MetricJet's, whose failure
-    build_metric reports with the polynomial's seed."""
+    build_metric reports with the polynomial's seed.  key-relation builds one
+    metric over the sample, so the test is one call on a stack of 10."""
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
     spec = M.parse_metric_spec("user-polynomial{seed=101,amp=0.05}")
     rep = V.run_check(V.CheckSpec(identity="key-relation", metric=spec, n_points=10, seed=0))
     assert rep.verdict == "pass" and len(rep.per_point) == 10
-    assert len(calls) == 10
+    assert [a.shape for a in calls] == [(10, 2, 2)]
 
 
 def _box_points_sorted(n, seed):
@@ -193,10 +198,10 @@ def test_per_point_value_error_mentioning_requires_is_a_point_failure(monkeypatc
     """Only SpecError is a usage error; any other ValueError fails just its point."""
     bad = _box_points_sorted(20, 3)[7]
 
-    def residual(spec, p, notes):
-        if p == bad:
+    def residual(spec, points, notes):
+        if bad in points:
             raise ValueError("this step requires a smaller radius")
-        return 1e-15
+        return [1e-15] * len(points)
 
     monkeypatch.setitem(
         V.IDENTITIES, "key-relation", replace(V.IDENTITIES["key-relation"], residual=residual))
@@ -213,7 +218,8 @@ def test_non_finite_residual_forces_fail_and_sets_the_stats(monkeypatch, poison)
     """A non-finite residual that is not first in the sorted sample still wins max/argmax."""
     bad = _box_points_sorted(10, 3)[4]
     monkeypatch.setitem(V.IDENTITIES, "key-relation", replace(
-        V.IDENTITIES["key-relation"], residual=lambda spec, p, notes: poison if p == bad else 1e-15))
+        V.IDENTITIES["key-relation"],
+        residual=lambda spec, points, notes: [poison if p == bad else 1e-15 for p in points]))
     rep = V.run_check(
         V.CheckSpec(identity="key-relation", metric=M.MetricSpec(kind="flat"), n_points=10, seed=3)
     )
@@ -317,6 +323,67 @@ def test_hessian_check_records_display_reading_gap():
     assert rep.notes["display_transpose_gap"] > 1e-6
 
 
+# -- one pass over the sample, and the per-point fallback ----------------------
+
+
+# lc-ricci-flat at 40 points, seed 1, on two specs whose samples have failing
+# points, as the engine reported them when it built one metric per point:
+# which points fail and why, the verdict, the warning and every other point's
+# residual, bit for bit.  The batched check builds one metric over the sample
+# and, when that fails, evaluates the sample again one point at a time.
+FAILURE_PINS = json.loads((Path(__file__).parent / "data" / "failure_attribution.json").read_text())
+
+
+@pytest.mark.parametrize("metric", sorted(FAILURE_PINS))
+def test_failing_points_are_charged_to_their_own_point(metric):
+    want = FAILURE_PINS[metric]
+    rep = V.run_check(V.CheckSpec(identity="lc-ricci-flat", metric=M.parse_metric_spec(metric),
+                                  n_points=40, seed=1))
+    assert (rep.verdict, rep.warning) == (want["verdict"], want["warning"])
+    assert [[V._point_json(p), msg] for p, msg in rep.failures] == want["failures"]
+    assert [[V._point_json(p), r] for p, r in rep.per_point] == want["per_point"]
+
+
+def test_a_sample_with_too_many_failing_points_still_aborts():
+    spec = M.parse_metric_spec("hopf-lc-flat{a=1e160,b=1.5}")
+    with pytest.raises(V.CheckAborted, match=r"^4/40 points failed to construct; first error: "
+                                             r"the inverse metric is outside the floating-point range"):
+        V.run_check(V.CheckSpec(identity="lc-ricci-flat", metric=spec, n_points=40, seed=1))
+
+
+@pytest.mark.parametrize("metric, builds", [
+    ("hopf-lc-flat{a=7.38905609893065,b=2.718281828459045}", 1),
+    ("hopf-lc-flat{a=1e156,b=1.5}", 1 + 40),  # the sample, then each point
+])
+@pytest.mark.parametrize("identity", ["lc-ricci-flat", "key-relation"])
+def test_the_whole_sample_is_one_metric_unless_a_point_fails(monkeypatch, identity, metric, builds):
+    calls = []
+    build = M.build_metric
+    monkeypatch.setattr(M, "build_metric", lambda spec, p: calls.append(p) or build(spec, p))
+    V.run_check(V.CheckSpec(identity=identity, metric=M.parse_metric_spec(metric), n_points=40, seed=1))
+    assert len(calls) == builds and len(calls[0]) == 40
+
+
+def _log_uniform(u, lo, hi):
+    return math.exp(math.log(lo) + u * (math.log(hi) - math.log(lo)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi),
+       st.floats(0.0, 2 * math.pi), st.integers(0, 1000))
+def test_the_headline_check_passes_over_the_multiplier_range(ub, ur, phase_a, phase_b, seed):
+    """|b| in [1.01, 1e3] and |a|/|b| in [1, 1e3], log-uniform, with random
+    phases: lc-ricci-flat passes at 1e-8 with no failing point (the worst of
+    300 draws at 10 points measured 1.8e-13).  Closer to α = 2 the residual
+    meets the roundoff floor of ROADMAP item 2."""
+    mb = _log_uniform(ub, 1.01, 1e3)
+    ma = mb * _log_uniform(ur, 1.0, 1e3)
+    spec = M.MetricSpec(kind="hopf-lc-flat", a=ma * complex(math.cos(phase_a), math.sin(phase_a)),
+                        b=mb * complex(math.cos(phase_b), math.sin(phase_b)))
+    rep = V.run_check(V.CheckSpec(identity="lc-ricci-flat", metric=spec, n_points=10, seed=seed))
+    assert rep.verdict == "pass" and not rep.failures, (spec.canonical(), rep.max_residual)
+
+
 def test_corrupted_connection_is_caught_by_key_relation():
     spec = M.MetricSpec(kind="hopf-lc-flat", a=E**2, b=E)
     with geo.debug_corruption():
@@ -361,7 +428,7 @@ def assert_fd_close(grad, hess, fd):
 
 
 def test_fd_oracle_flat_metric_is_exact():
-    table = V.fd_oracle(M.MetricSpec(kind="flat"), (0.4 + 0.1j, -0.3 + 0.2j))
+    table = fd_oracle(M.MetricSpec(kind="flat"), (0.4 + 0.1j, -0.3 + 0.2j))
     for (i, j), (value, grad, hess) in table.items():
         assert abs(value - (1.0 if i == j else 0.0)) < 1e-10
         assert np.max(np.abs(grad)) < 1e-10 and np.max(np.abs(hess)) < 1e-10
@@ -381,7 +448,7 @@ def test_fd_oracle_flat_metric_is_exact():
 def test_fd_oracle_agrees_with_jets_on_builtin_metrics(spec):
     p = V.sample_points("box", 1, 9, dim=2)[0]
     m = M.build_metric(spec, p)
-    table = V.fd_oracle(spec, p)
+    table = fd_oracle(spec, p)
     for (i, j), fd in table.items():
         assert_fd_close(m.dH[i, j], m.ddH[i, j], fd)
 
@@ -395,5 +462,5 @@ def test_fd_oracle_on_potential_scalars():
         (Delta, lambda q: M.phi_field(M.hopf_values(q, HP), HP)[2].value.real),
     ]
     for jet, fn in cases:
-        assert_fd_close(jet.grad, jet.hess, V.fd_jet(fn, p, 2))
+        assert_fd_close(jet.grad, jet.hess, fd_jet(fn, p, 2, hopf_flatness(HP)))
 
