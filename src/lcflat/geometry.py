@@ -26,11 +26,11 @@ neither `MetricJet.inverse` nor the connection, so the second Ricci path shares
 no code with the first beyond the metric itself.
 
 Batch axis: every array may carry leading batch axes, one point per index,
-in front of the per-point axes described here.  The connection and the two
-Ricci paths are written in the gufunc style (`...` in the einsums,
-transposes relative to the last axes, n = H.shape[-1]), so one call serves a
-point and a whole sample; the torsion, the scalars and the Riemannian scalar
-take one point.
+in front of the per-point axes described here.  Every function is written in
+the gufunc style (`...` in the einsums, transposes relative to the last axes,
+reductions per point, n = H.shape[-1]), so one call serves a point and a
+whole sample: a scalar invariant is one value per point, a 0-d value for a
+point with no batch axes.
 
 Forms and tensors are returned as plain arrays: a (1,1)-form
 √−1 A_{ij̄} dz^i ∧ dz̄^j as the matrix A, a (1,0)- or (0,1)-form as its
@@ -180,7 +180,8 @@ class Christoffels:
 
 
 class Scalars:
-    """Scalar invariants at the point, each formed on its first read and kept.
+    """Scalar invariants of a metric, one value per point (a 0-d value for a
+    single point), each formed on its first read and kept.
 
     s_C          Chern scalar curvature
     s_LC         Levi-Civita scalar curvature (h^{ij̄} 𝔯ic_{ij̄}, the double trace of 𝔯R_{ij̄kℓ̄})
@@ -220,42 +221,34 @@ class Scalars:
         return d_del_star_parts(self.m)
 
     @cached_property
-    def s_C(self) -> float:
+    def s_C(self) -> np.ndarray:
         return chern_scalar(self.m)
 
     @cached_property
-    def s_LC(self) -> float:
+    def s_LC(self) -> np.ndarray:
         # h^{kℓ̄} h_{sℓ̄} = δ^k_s: the double trace of 𝔯R_{ij̄kℓ̄} is h^{ij̄} 𝔯ic_{ij̄}
-        return float(np.einsum("ij,ij->", self.m.inverse.T, self.lc_ric).real)
+        return _pairing(self.m.inverse, self.lc_ric).real
 
     @cached_property
-    def s(self) -> float:
+    def s(self) -> np.ndarray:
         return riemannian_scalar(self.m)
 
     @cached_property
-    def torsion_sq(self) -> float:
+    def torsion_sq(self) -> np.ndarray:
         return torsion(self.m)[1]
 
     @cached_property
-    def delstar_sq(self) -> float:
+    def delstar_sq(self) -> np.ndarray:
         return form01_norm_sq(self.del_stars[0], self.m)
 
     @cached_property
-    def ddstar_pairing(self) -> float:
+    def ddstar_pairing(self) -> np.ndarray:
         p1, p2 = self.ddstar_parts
-        return float(np.einsum("ij,ij->", self.m.inverse.T, p1 + p2).real)
+        return _pairing(self.m.inverse, p1 + p2).real
 
     @cached_property
-    def ddstar_hol_pairing(self) -> complex:
-        return complex(np.einsum("ij,ij->", self.m.inverse.T, self.ddstar_parts[0]))
-
-
-# -- metric arrays ----------------------------------------------------------------
-
-
-def _holo_grad(m: MetricJet) -> np.ndarray:
-    """[i, j, l] = ∂h_{jℓ̄}/∂z^i."""
-    return m.dH[:, :, : m.n].transpose(2, 0, 1)
+    def ddstar_hol_pairing(self) -> np.ndarray:
+        return _pairing(self.m.inverse, self.ddstar_parts[0])
 
 
 # -- connections ---------------------------------------------------------------
@@ -353,9 +346,13 @@ def chern_ricci(m: MetricJet) -> np.ndarray:
     return m.chern_ricci
 
 
-def chern_scalar(m: MetricJet) -> float:
-    G = m.inverse.T  # G[i, j] = h^{ij̄}
-    return float(np.einsum("ij,ij->", G, chern_ricci(m)).real)
+def _pairing(A: np.ndarray, form: np.ndarray) -> np.ndarray:
+    """h^{ij̄} F_{ij̄} of a (1,1)-form F at each point, for A the inverse of H."""
+    return np.einsum("...ij,...ij->...", A.swapaxes(-1, -2), form)  # h^{ij̄} = A[j, i]
+
+
+def chern_scalar(m: MetricJet) -> np.ndarray:
+    return _pairing(m.inverse, chern_ricci(m)).real
 
 
 # -- Levi-Civita curvature -------------------------------------------------------
@@ -420,23 +417,23 @@ def lc_ricci_via_relation(m: MetricJet) -> np.ndarray:
 # -- torsion and scalars ----------------------------------------------------------
 
 
-def torsion(m: MetricJet) -> tuple[np.ndarray, float]:
+def torsion(m: MetricJet) -> tuple[np.ndarray, np.ndarray]:
     """Torsion T^k_{ij} = Γ^k_{ij} − Γ^k_{ji} of the Chern connection and its
-    squared norm.
+    squared norm at each point.
 
     |T|² = h_{kℓ̄} h^{ip̄} h^{jq̄} T^k_{ij} conj(T^ℓ_{pq}), summed over all (i, j).
     """
     chern = m.connection.chern
-    T = chern - chern.transpose(0, 2, 1)
-    G = m.inverse.T  # G[i, p] = h^{ip̄}
-    tsq = np.einsum("kl,ip,jq,kij,lpq->", m.H, G, G, T, T.conj())
-    return T, float(tsq.real)
+    T = chern - chern.swapaxes(-1, -2)
+    G = m.inverse.swapaxes(-1, -2)  # G[..., i, p] = h^{ip̄}
+    tsq = np.einsum("...kl,...ip,...jq,...kij,...lpq->...", m.H, G, G, T, T.conj())
+    return T, tsq.real
 
 
-def form01_norm_sq(a: np.ndarray, m: MetricJet) -> float:
-    """|a|² for a (0,1)-form a_ī dz̄^i:  Σ a_ī conj(a_j̄) h^{jī}."""
+def form01_norm_sq(a: np.ndarray, m: MetricJet) -> np.ndarray:
+    """|a|² for a (0,1)-form a_ī dz̄^i at each point:  Σ a_ī conj(a_j̄) h^{jī}."""
     # h^{jī} = A[i, j]
-    return float(np.einsum("i,j,ij->", a, a.conj(), m.inverse).real)
+    return np.einsum("...i,...j,...ij->...", a, a.conj(), m.inverse).real
 
 
 def scalars(m: MetricJet) -> Scalars:
@@ -445,17 +442,18 @@ def scalars(m: MetricJet) -> Scalars:
     return Scalars(m)
 
 
-def kahler_defect(m: MetricJet) -> float:
-    """max |∂_i h_{jℓ̄} − ∂_j h_{iℓ̄}| at the point (0 iff Kähler there)."""
-    dval = _holo_grad(m)
-    return float(np.max(np.abs(dval - dval.transpose(1, 0, 2))))
+def kahler_defect(m: MetricJet) -> np.ndarray:
+    """max |∂_i h_{jℓ̄} − ∂_j h_{iℓ̄}| at each point (0 iff Kähler there)."""
+    dval = m.dH[..., : m.n]  # [..., j, l, i] = ∂h_{jℓ̄}/∂z^i
+    return np.abs(dval - dval.swapaxes(-3, -1)).max(axis=(-3, -2, -1))
 
 
 # -- background Riemannian scalar --------------------------------------------------
 
 
-def riemannian_scalar(m: MetricJet) -> float:
-    """Scalar curvature s = gᵃᵇ R_ab of the background Riemannian metric.
+def riemannian_scalar(m: MetricJet) -> np.ndarray:
+    """Scalar curvature s = gᵃᵇ R_ab of the background Riemannian metric, at
+    each point.
 
     The real metric is fixed by g(∂/∂z^i, ∂/∂z̄^j) = h_{ij̄} under ℂ-bilinear
     extension.  The Christoffel formula holds in any holonomic frame, so s is
@@ -463,40 +461,46 @@ def riemannian_scalar(m: MetricJet) -> float:
     G = [[0, H], [Hᵀ, 0]] and its derivatives are the same placement of dH
     and ddH.  G has its own inversion, independent of `MetricJet.inverse`.
     The derivative ∂Γ is never formed whole: R_mn reads two of its traces,
-    which are contracted as they are formed.
+    which are contracted as they are formed.  A point whose G leaves the
+    double range gets a non-finite s, without a warning.
     """
-    n = m.n
-    # G[a, b], dG[a, b, c] = ∂_c G_ab and ddG[a, b, c, e] = ∂_c ∂_e G_ab
-    G, dG, ddG = (np.zeros((2 * n, 2 * n) + A.shape[2:], complex) for A in (m.H, m.dH, m.ddH))
+    bs, n = m.H.shape[:-2], m.n
+    b, p = (np.s_[:],) * len(bs), len(bs)  # the batch axes, and the first per-point axis
+    # G[..., a, b], dG[..., a, b, c] = ∂_c G_ab and ddG[..., a, b, c, e] = ∂_c ∂_e G_ab
+    G, dG, ddG = (np.zeros(bs + (2 * n, 2 * n) + A.shape[p + 2 :], complex)
+                  for A in (m.H, m.dH, m.ddH))
     for B, A in ((G, m.H), (dG, m.dH), (ddG, m.ddH)):
-        B[:n, n:] = A
-        B[n:, :n] = A.swapaxes(0, 1)
+        B[b + np.s_[:n, n:]] = A
+        B[b + np.s_[n:, :n]] = A.swapaxes(p, p + 1)
 
-    Ginv = np.linalg.inv(G)
-    # ∂_c g^{lr} = −g^{la} ∂_c g_ab g^{br}, as dGinv[l, r, c], two pairwise products
-    dGinv = -np.einsum("la,abc->lbc", Ginv, dG)
-    dGinv = np.einsum("lbc,br->lrc", dGinv, Ginv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Ginv = np.linalg.inv(G)
+        # ∂_c g^{lr} = −g^{la} ∂_c g_ab g^{br}, as dGinv[..., l, r, c], two pairwise products
+        dGinv = -np.einsum("...la,...abc->...lbc", Ginv, dG)
+        dGinv = np.einsum("...lbc,...br->...lrc", dGinv, Ginv)
 
-    # Γ^l_{mn} = ½ g^{lr} (∂_m g_rn + ∂_n g_rm − ∂_r g_mn), bracket[r, m, n]
-    bracket = dG.transpose(0, 2, 1) + dG - dG.transpose(2, 0, 1)
-    Gamma = 0.5 * np.einsum("lr,rmn->lmn", Ginv, bracket)
+        # Γ^l_{mn} = ½ g^{lr} (∂_m g_rn + ∂_n g_rm − ∂_r g_mn), bracket[..., r, m, n]
+        bracket = dG.swapaxes(-1, -2) + dG - np.moveaxis(dG, -1, -3)
+        Gamma = 0.5 * np.einsum("...lr,...rmn->...lmn", Ginv, bracket)
 
-    # ∂_l Γ^l_{mn} and ∂_n Γ^l_{ml}: the two traces of
-    # ∂_c Γ^l_{mn} = ½ (∂_c g^{lr} bracket[r, m, n] + g^{lr} ∂_c bracket[r, m, n])
-    # that R_mn reads, each contracted as it is formed
-    dbracket = ddG.transpose(0, 2, 1, 3) + ddG - ddG.transpose(2, 0, 1, 3)  # [r, m, n, c]
-    dl_Gamma = 0.5 * (
-        np.einsum("lrl,rmn->mn", dGinv, bracket) + np.einsum("lr,rmnl->mn", Ginv, dbracket)
-    )
-    dn_Gamma = 0.5 * (
-        np.einsum("lrn,rml->mn", dGinv, bracket) + np.einsum("lr,rmln->mn", Ginv, dbracket)
-    )
+        # ∂_l Γ^l_{mn} and ∂_n Γ^l_{ml}: the two traces of
+        # ∂_c Γ^l_{mn} = ½ (∂_c g^{lr} bracket[r, m, n] + g^{lr} ∂_c bracket[r, m, n])
+        # that R_mn reads, each contracted as it is formed
+        dbracket = ddG.swapaxes(-2, -3) + ddG - np.moveaxis(ddG, -2, -4)  # [..., r, m, n, c]
+        dl_Gamma = 0.5 * (
+            np.einsum("...lrl,...rmn->...mn", dGinv, bracket)
+            + np.einsum("...lr,...rmnl->...mn", Ginv, dbracket)
+        )
+        dn_Gamma = 0.5 * (
+            np.einsum("...lrn,...rml->...mn", dGinv, bracket)
+            + np.einsum("...lr,...rmln->...mn", Ginv, dbracket)
+        )
 
-    # R_{mn} = ∂_l Γ^l_{mn} − ∂_n Γ^l_{ml} + Γ^l_{lr} Γ^r_{mn} − Γ^l_{nr} Γ^r_{ml}
-    ric = (
-        dl_Gamma
-        - dn_Gamma
-        + np.einsum("llr,rmn->mn", Gamma, Gamma)
-        - np.einsum("lnr,rml->mn", Gamma, Gamma)
-    )
-    return float(np.einsum("mn,mn->", Ginv, ric).real)
+        # R_{mn} = ∂_l Γ^l_{mn} − ∂_n Γ^l_{ml} + Γ^l_{lr} Γ^r_{mn} − Γ^l_{nr} Γ^r_{ml}
+        ric = (
+            dl_Gamma
+            - dn_Gamma
+            + np.einsum("...llr,...rmn->...mn", Gamma, Gamma)
+            - np.einsum("...lnr,...rml->...mn", Gamma, Gamma)
+        )
+        return np.einsum("...mn,...mn->...", Ginv, ric).real

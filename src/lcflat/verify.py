@@ -3,11 +3,13 @@
 Each identity tag names one equation the engine can test pointwise; a check
 draws a deterministic point sample, evaluates the residual at every point,
 and aggregates into a report with a pass/fail verdict.  A residual takes the
-whole sample: `lc-ricci-flat` and `key-relation` build one metric over all of
-its points and evaluate it in one pass, the other identities loop over the
-points.  If the sample fails (a `ValueError` other than `SpecError`),
-`run_check` evaluates it again one point at a time, so that each failure is
-charged to its own point.
+whole sample: `lc-ricci-flat`, `key-relation`, `conformal-law`, `scalar-010`,
+`scalar-key1` and `kahler-collapse` build one metric (two for
+`conformal-law`) over all of its points and evaluate it in one pass;
+`det-formula`, `tw-formula`, `deck-invariance` and `hessian-matrices`, which
+read the scalar Hopf frame, loop over the points.  If the sample fails (a
+`ValueError` other than `SpecError`), `run_check` evaluates it again one
+point at a time, so that each failure is charged to its own point.
 
 An identity is declared once, in `IDENTITIES`: its residual function (whose
 docstring states the equation), its default tolerance and what it needs of
@@ -38,7 +40,8 @@ SCHEMA_VERSION = "1"
 
 
 class CheckAborted(RuntimeError):
-    """Raised when too many sample points fail to construct (≥10%)."""
+    """Raised when too many sample points fail to construct (≥10%), or when a
+    residual does not return one value per point."""
 
 
 @dataclass(frozen=True)
@@ -207,6 +210,18 @@ def _form_max(forms: np.ndarray) -> np.ndarray:
     return np.abs(forms).max(axis=(-2, -1))
 
 
+def _vec_max(vectors: np.ndarray) -> np.ndarray:
+    """max |a_i| of each vector in a stack a[..., i]."""
+    return np.abs(vectors).max(axis=-1)
+
+
+def _first_max(*terms: np.ndarray) -> np.ndarray:
+    """max(terms) at each point as Python's `max` takes it over floats: a NaN
+    in the first term is the result, a NaN in a later term is passed over."""
+    stack = np.stack(np.broadcast_arrays(*terms))
+    return np.where(np.isnan(stack[0]), stack[0], np.fmax.reduce(stack))
+
+
 def _residual_lc_ricci_flat(spec: mz.MetricSpec, points, notes: dict) -> np.ndarray:
     """max |𝔯ic(ω)| over both computation paths; zero for the Δ³ω_{−1/2} Hopf metric."""
     m = mz.build_metric(spec, points)
@@ -223,21 +238,22 @@ def _residual_key_relation(spec: mz.MetricSpec, points, notes: dict) -> np.ndarr
     return _form_max(r1 - r2) / (1.0 + np.maximum(_form_max(r1), _form_max(r2)))
 
 
-def _residual_conformal_law(spec: mz.MetricSpec, p, notes: dict) -> float:
+def _residual_conformal_law(spec: mz.MetricSpec, points, notes: dict) -> np.ndarray:
     """𝔯ic(e^fω) = 𝔯ic(ω) − √−1∂∂̄f and ∂̄*_f ω_f = ∂̄*ω + √−1(n−1)∂f."""
     n = spec.dim
-    mb, mc, fj = mz.build_conformal_metrics(spec, p)
+    mb, mc, fj = mz.build_conformal_metrics(spec, points)
 
     _, fg, fh = fj
-    lhs = geo.lc_ricci(mc)
-    rhs = geo.lc_ricci(mb) - fh[:n, n:]  # 𝔯ic(ω) − √−1∂∂̄f
-    r_ric = _norm(_maxabs(lhs - rhs), _maxabs(lhs), _maxabs(rhs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = geo.lc_ricci(mc)
+        rhs = geo.lc_ricci(mb) - fh[..., :n, n:]  # 𝔯ic(ω) − √−1∂∂̄f
+        r_ric = _form_max(lhs - rhs) / (1.0 + np.maximum(_form_max(lhs), _form_max(rhs)))
 
-    _, a10_b = geo.del_star(mb)
-    _, a10_c = geo.del_star(mc)
-    want = a10_b + 1j * (n - 1) * fg[:n]
-    r_adj = _norm(_maxabs(a10_c - want), _maxabs(a10_c), _maxabs(want))
-    return max(r_ric, r_adj)
+        _, a10_b = geo.del_star(mb)
+        _, a10_c = geo.del_star(mc)
+        want = a10_b + 1j * (n - 1) * fg[..., :n]
+        r_adj = _vec_max(a10_c - want) / (1.0 + np.maximum(_vec_max(a10_c), _vec_max(want)))
+        return _first_max(r_ric, r_adj)
 
 
 def _residual_det_formula(spec: mz.MetricSpec, p, notes: dict) -> float:
@@ -277,19 +293,19 @@ def _residual_tw_formula(spec: mz.MetricSpec, p, notes: dict) -> float:
     return max(r1, r2, r3)
 
 
-def _residual_scalar_010(spec: mz.MetricSpec, p, notes: dict) -> float:
+def _residual_scalar_010(spec: mz.MetricSpec, points, notes: dict) -> np.ndarray:
     """s_LC = s_C − ½⟨∂∂*ω + ∂̄∂̄*ω, ω⟩."""
-    m = mz.build_metric(spec, p)
-    sc = geo.scalars(m)
-    return abs(sc.s_LC - (sc.s_C - 0.5 * sc.ddstar_pairing)) / (1.0 + abs(sc.s_LC))
+    sc = geo.scalars(mz.build_metric(spec, points))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(sc.s_LC - (sc.s_C - 0.5 * sc.ddstar_pairing)) / (1.0 + np.abs(sc.s_LC))
 
 
-def _residual_scalar_key1(spec: mz.MetricSpec, p, notes: dict) -> float:
+def _residual_scalar_key1(spec: mz.MetricSpec, points, notes: dict) -> np.ndarray:
     """s = 2s_C + (⟨∂∂*ω + ∂̄∂̄*ω, ω⟩ − 2|∂*ω|²) − ½|T|², s the Riemannian scalar."""
-    m = mz.build_metric(spec, p)
-    sc = geo.scalars(m)
-    rhs = 2.0 * sc.s_C + (sc.ddstar_pairing - 2.0 * sc.delstar_sq) - 0.5 * sc.torsion_sq
-    return abs(sc.s - rhs) / (1.0 + abs(sc.s))
+    sc = geo.scalars(mz.build_metric(spec, points))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = 2.0 * sc.s_C + (sc.ddstar_pairing - 2.0 * sc.delstar_sq) - 0.5 * sc.torsion_sq
+        return np.abs(sc.s - rhs) / (1.0 + np.abs(sc.s))
 
 
 def _residual_deck(spec: mz.MetricSpec, p, notes: dict) -> float:
@@ -317,24 +333,25 @@ def _residual_hessian_matrices(spec: mz.MetricSpec, p, notes: dict) -> float:
     return max(rL, rP, rdet)
 
 
-def _residual_kahler_collapse(spec: mz.MetricSpec, p, notes: dict) -> float:
+def _residual_kahler_collapse(spec: mz.MetricSpec, points, notes: dict) -> np.ndarray:
     """On a Kähler metric torsion, the adjoint forms and the Chern/Levi-Civita
     Ricci gap vanish, s = 2s_C and s_LC = s_C."""
-    m = mz.build_metric(spec, p)
-    defect = _norm(geo.kahler_defect(m), _maxabs(m.H))
-    sc = geo.scalars(m)
-    p1, p2 = sc.ddstar_parts
-    ric = geo.chern_ricci(m)
-    ric_gap = _norm(_maxabs(sc.lc_ric - ric), _maxabs(ric))
-    return max(
-        defect,
-        abs(sc.torsion_sq),
-        _maxabs(sc.del_stars[0]),
-        _maxabs(0.5 * (p1 + p2)),
-        abs(sc.s - 2.0 * sc.s_C) / (1.0 + abs(sc.s)),
-        abs(sc.s_LC - sc.s_C) / (1.0 + abs(sc.s_LC)),
-        ric_gap,
-    )
+    m = mz.build_metric(spec, points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = geo.kahler_defect(m) / (1.0 + _form_max(m.H))
+        sc = geo.scalars(m)
+        p1, p2 = sc.ddstar_parts
+        ric = geo.chern_ricci(m)
+        ric_gap = _form_max(sc.lc_ric - ric) / (1.0 + _form_max(ric))
+        return _first_max(
+            defect,
+            np.abs(sc.torsion_sq),
+            _vec_max(sc.del_stars[0]),
+            _form_max(0.5 * (p1 + p2)),
+            np.abs(sc.s - 2.0 * sc.s_C) / (1.0 + np.abs(sc.s)),
+            np.abs(sc.s_LC - sc.s_C) / (1.0 + np.abs(sc.s_LC)),
+            ric_gap,
+        )
 
 
 # -- the identity registry -------------------------------------------------------------
@@ -380,18 +397,28 @@ def _each_point(residual):
 IDENTITIES: dict[str, Identity] = {
     "lc-ricci-flat": Identity(_residual_lc_ricci_flat),
     "key-relation": Identity(_residual_key_relation),
-    "conformal-law": Identity(_each_point(_residual_conformal_law), needs=("conformal",)),
+    "conformal-law": Identity(_residual_conformal_law, needs=("conformal",)),
     "det-formula": Identity(_each_point(_residual_det_formula), 1e-10, ("hopf-omega-lambda",)),
     "tw-formula": Identity(_each_point(_residual_tw_formula), needs=("hopf-omega-lambda",)),
-    "scalar-010": Identity(_each_point(_residual_scalar_010)),
-    "scalar-key1": Identity(_each_point(_residual_scalar_key1), 1e-6),
+    "scalar-010": Identity(_residual_scalar_010),
+    "scalar-key1": Identity(_residual_scalar_key1, 1e-6),
     "deck-invariance": Identity(_each_point(_residual_deck), 1e-10, ("hopf", "dim-2")),
     "hessian-matrices": Identity(_each_point(_residual_hessian_matrices), 1e-10, ("hopf",)),
-    "kahler-collapse": Identity(_each_point(_residual_kahler_collapse)),
+    "kahler-collapse": Identity(_residual_kahler_collapse),
 }
 
 
 # -- orchestration ---------------------------------------------------------------------
+
+
+def _residuals(c: CheckSpec, points: list, notes: dict) -> list[float]:
+    """The identity's residual at each of the points, as floats; raises
+    CheckAborted unless the residual returns one value per point."""
+    r = np.asarray(IDENTITIES[c.identity].residual(c.metric, points, notes), dtype=float)
+    if r.shape != (len(points),):
+        raise CheckAborted(f"the {c.identity} residual returned shape {r.shape} "
+                           f"for {len(points)} points")
+    return r.tolist()
 
 
 def run_check(c: CheckSpec) -> VerificationReport:
@@ -403,12 +430,11 @@ def run_check(c: CheckSpec) -> VerificationReport:
     else:
         points = sample_points("box", c.n_points, c.seed, dim=c.metric.dim)
 
-    residual = IDENTITIES[c.identity].residual
     notes: dict = {}
     per_point = []
     failures = []
     try:
-        per_point = [(p, float(r)) for p, r in zip(points, residual(c.metric, points, notes))]
+        per_point = list(zip(points, _residuals(c, points, notes)))
     except mz.SpecError:
         raise
     except ValueError:
@@ -417,13 +443,13 @@ def run_check(c: CheckSpec) -> VerificationReport:
         notes.clear()
         for p in points:
             try:
-                (r,) = residual(c.metric, [p], notes)
+                (r,) = _residuals(c, [p], notes)
             except mz.SpecError:
                 raise
             except ValueError as exc:
                 failures.append((p, str(exc)))
                 continue
-            per_point.append((p, float(r)))
+            per_point.append((p, r))
 
     if failures and len(failures) / len(points) >= 0.1:
         raise CheckAborted(

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 from importlib.resources import files
 from pathlib import Path
 
@@ -500,6 +501,17 @@ def test_sweep_reports_an_aborted_cell_and_fails(runner):
     assert rows[1][6] == "pass"
     assert "check aborted: " in res.stderr
     assert "2 cells, 1 aborted" in res.stderr
+
+
+def test_a_residual_that_drops_a_point_aborts_without_a_traceback(runner, monkeypatch):
+    entry = vf.IDENTITIES["scalar-010"]
+    monkeypatch.setitem(vf.IDENTITIES, "scalar-010", replace(
+        entry, residual=lambda spec, pts, notes: entry.residual(spec, pts, notes)[:-1]))
+    res = runner.invoke(main, ["verify", "--identity", "scalar-010", "--metric", "flat",
+                               "--points", "4"])
+    assert res.exit_code == 1 and not isinstance(res.exception, vf.CheckAborted)
+    assert "check aborted: the scalar-010 residual returned shape (3,) for 4 points" in res.stderr
+    assert "Traceback" not in res.output
 
 
 def test_identity_lists_match_the_registry():

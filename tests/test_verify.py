@@ -344,6 +344,50 @@ def test_failing_points_are_charged_to_their_own_point(metric):
     assert [[V._point_json(p), r] for p, r in rep.per_point] == want["per_point"]
 
 
+# scalar-010, scalar-key1, kahler-collapse and conformal-law at 40 points,
+# seed 1, on specs whose samples have failing points or non-finite
+# invariants, as the engine reported them when it evaluated these identities
+# one point at a time: the verdict, the warning, the failures (point, message,
+# order) and every other point's residual (null for NaN), or the abort
+# message.  The same outcomes hold when a RuntimeWarning is an error.
+SCALAR_PINS = json.loads(
+    (Path(__file__).parent / "data" / "scalar_failure_attribution.json").read_text())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cell", list(SCALAR_PINS))
+def test_scalar_checks_charge_failing_points_as_the_pointwise_checks_did(cell):
+    identity, metric = cell.split(" ", 1)
+    want = SCALAR_PINS[cell]
+    check = V.CheckSpec(identity=identity, metric=M.parse_metric_spec(metric), n_points=40, seed=1)
+    if "aborted" in want:
+        with pytest.raises(V.CheckAborted) as exc:
+            V.run_check(check)
+        assert str(exc.value) == want["aborted"]
+        return
+    rep = V.run_check(check)
+    assert (rep.verdict, rep.warning) == (want["verdict"], want["warning"])
+    assert [[V._point_json(p), msg] for p, msg in rep.failures] == want["failures"]
+    assert [V._point_json(p) for p, _ in rep.per_point] == [p for p, _ in want["per_point"]]
+    for (p, r), (_, r0) in zip(rep.per_point, want["per_point"]):
+        if r0 is None:
+            assert math.isnan(r), p
+        else:
+            assert abs(r - r0) <= 1e-15 * (1 + abs(r0)), (p, r, r0)
+
+
+def test_a_residual_that_drops_a_point_aborts_the_check(monkeypatch):
+    """A residual must return one value per point; fewer values abort the
+    check instead of silently dropping points, and so does a 0-d value."""
+    entry = V.IDENTITIES["scalar-010"]
+    for short, shape in ((lambda res: res[:-1], r"\(9,\)"), (lambda res: res[0], r"\(\)")):
+        monkeypatch.setitem(V.IDENTITIES, "scalar-010", replace(
+            entry, residual=lambda spec, pts, notes, short=short: short(entry.residual(spec, pts, notes))))
+        check = V.CheckSpec(identity="scalar-010", metric=M.parse_metric_spec("flat{n=2}"), n_points=10)
+        with pytest.raises(V.CheckAborted, match=f"^the scalar-010 residual returned shape {shape} for 10 points$"):
+            V.run_check(check)
+
+
 def test_a_sample_with_too_many_failing_points_still_aborts():
     spec = M.parse_metric_spec("hopf-lc-flat{a=1e160,b=1.5}")
     with pytest.raises(V.CheckAborted, match=r"^4/40 points failed to construct; first error: "
