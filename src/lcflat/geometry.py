@@ -383,22 +383,16 @@ def lc_ricci(m: MetricJet) -> np.ndarray:
 # -- adjoint forms ---------------------------------------------------------------
 
 
-def _anti_trace(m: MetricJet) -> tuple[np.ndarray, np.ndarray]:
-    """Γ^k_{j̄k} (trace over the upper and second lower slot) and its gradient [..., j, s]."""
-    ch = christoffels(m)
-    return np.einsum("...kjk->...j", ch.lc_anti), np.einsum("...kjks->...js", ch.lc_anti_grad)
-
-
 def del_star(m: MetricJet) -> tuple[np.ndarray, np.ndarray]:
     """Components of the adjoint forms  ∂*ω = −2√−1 Γ^k_{j̄k} dz̄^j  and
     ∂̄*ω = 2√−1 conj(Γ^k_{īk}) dz^i, in that order."""
-    traces, _ = _anti_trace(m)
+    traces = np.einsum("...kjk->...j", christoffels(m).lc_anti)  # Γ^k_{j̄k}
     return -2j * traces, 2j * traces.conj()
 
 
 def d_del_star_parts(m: MetricJet) -> tuple[np.ndarray, np.ndarray]:
     """The (1,1)-forms ∂∂*ω and ∂̄∂̄*ω (in the √−1 A_{ij̄} dz^i∧dz̄^j convention)."""
-    _, grad = _anti_trace(m)
+    grad = np.einsum("...kjks->...js", christoffels(m).lc_anti_grad)  # ∂_s Γ^k_{j̄k}
     dz_traces = grad[..., : m.n].swapaxes(-1, -2)  # [..., i, j] = ∂_i Γ^k_{j̄k}
     return -2.0 * dz_traces, -2.0 * dz_traces.conj().swapaxes(-1, -2)
 

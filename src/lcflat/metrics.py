@@ -23,8 +23,9 @@ metric's entries are doubles.  The same closed form on the scalar frame
 (`hopf_metric`) gives the metrics' values bit for bit, so identities that
 read only the metric's values (`metric_values`) build no order-2 arrays.
 The closed forms of √−1∂∂̄ log Φ and √−1∂Φ∧∂̄Φ that the metrics are derived
-from are written once, on scalars, in `hessian_forms`, which the checks
-compare against the metrics and against derivatives of the Φ jet.
+from are written once, on the scalar frame or a stacked one, in
+`hessian_forms`, which the checks compare against the metrics and against
+derivatives of Φ's row (`phi_field`).
 
 The polynomial kinds (`flat`, `kahler-test`, `user-polynomial`) and the
 `poly` field are degree-≤2 polynomials in the 2n Wirtinger slots
@@ -42,10 +43,12 @@ neither solves θ nor builds the base twice at a point.
 `build_metric` takes one point or a sample of points (an array whose last
 axis holds the coordinates) and builds one metric over all of them: the
 rows, tables, fields and metric arrays carry the sample's axes in front,
-through the same code as one point.  Only the θ roots are found point by
-point (`hopf_frames`).  Each number is formed by the arithmetic that forms
-it at one point, so a sample's arrays equal the per-point arrays bit for
-bit.
+through the same code as one point, and so do `phi_field`,
+`hessian_forms` and `dbar_log_phi` over a stacked frame.  Only the θ roots
+are found point by point (`hopf_frames`), and the few real factors that
+numpy's vector exp and power round differently from Python's are formed
+point by point.  Each number is formed by the arithmetic that forms it at
+one point, so a sample's arrays equal the per-point arrays bit for bit.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import MetricJet, NotPositiveDefinite
-from .wjet import WJet, _jet, all_real_valued, jet_conj_var, jet_const, jet_var, partials
+from .wjet import WJet, all_real_valued, jet_conj_var, jet_const, jet_var, partials
 
 E = math.e
 
@@ -594,7 +597,7 @@ def _reciprocal(b: np.ndarray) -> np.ndarray:
     return _slots_last(out)
 
 
-def _product(a, b):
+def complex_product(a, b):
     """a·b for complex numbers or arrays a and b, as Python's complex product
     forms it: that product itself for numbers, and on arrays the same
     arithmetic on their parts.  numpy's complex multiply may fuse a multiply
@@ -676,7 +679,7 @@ def hopf_rows(hv: HopfFrame, hp: HopfParams) -> HopfRows:
     x = np.empty(e.shape, complex)
     x[...] = _MONOMIALS.reshape((3,) + (1,) * (theta.ndim - 1) + (_ROW,))
     # the value and gradient slots of |z|², |w|² and z̄w (the others are 0)
-    x[..., 0] = _product(z, zb), _product(w, wb), _product(zb, w)
+    x[..., 0] = complex_product(z, zb), complex_product(w, wb), complex_product(zb, w)
     x[0, ..., 1], x[0, ..., 3] = zb, z
     x[1, ..., 2], x[1, ..., 4] = wb, w
     x[2, ..., 2], x[2, ..., 3] = zb, w
@@ -694,28 +697,33 @@ def _row_arrays(row: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return row[..., 0], row[..., 1:5], row[..., 5:].reshape(row.shape[:-1] + (4, 4))
 
 
-def _row_jet(row: np.ndarray) -> WJet:
-    """The two-coordinate jet whose flat data is `row` (one point's, a new
-    array that nothing else writes), taken without a copy."""
-    return _jet(row, 2)
-
-
-def phi_field(hv: HopfFrame, hp: HopfParams) -> tuple[WJet, WJet, WJet]:
-    """Order-2 jets of (Φ, θ, Δ) at the point of the scalar frame hv, read
-    from `hopf_rows`; Φ = e^{kθ} by the chain rule."""
+def phi_field(hv: HopfFrame, hp: HopfParams) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The (value, gradient, Hessian) arrays of Φ, θ and Δ at the point of the
+    scalar frame hv, or at each point of a stacked frame (batch axes in
+    front), read from `hopf_rows`; Φ = e^{kθ} by the chain rule, its value
+    `math.exp` at each point (numpy's vector exp may round differently)."""
     fr = hopf_rows(hv, hp)
     k, theta = hp.k, fr.theta
-    phi = np.empty(_ROW, complex)
-    phi[0] = math.exp(k * hv.theta)
-    phi[1:5] = phi[0] * (k * theta[1:5])
-    phi[5:] = phi[0] * (k * theta[5:]) + (phi[1:5, None] * (k * theta[1:5])).ravel()
-    return _row_jet(phi), _row_jet(theta), _row_jet(fr.delta)
+    phi = np.empty(theta.shape, complex)
+    phi[..., 0] = np.reshape([math.exp(k * t) for t in np.ravel(hv.theta).tolist()],
+                             theta.shape[:-1])
+    phi[..., 1:5] = phi[..., :1] * (k * theta[..., 1:5])
+    phi[..., 5:] = phi[..., :1] * (k * theta[..., 5:]) + (
+        phi[..., 1:5, None] * (k * theta[..., None, 1:5])).reshape(theta.shape[:-1] + (16,))
+    return _row_arrays(phi), _row_arrays(theta), _row_arrays(fr.delta)
+
+
+def _forms(a, b, c, d) -> np.ndarray:
+    """The 2×2 matrices [[a, b], [c, d]] of the entries' batch axes, (..., 2, 2)."""
+    entries = np.stack((a, b, c, d), axis=-1)
+    return entries.reshape(entries.shape[:-1] + (2, 2))
 
 
 def hessian_forms(hv: HopfFrame, hp: HopfParams) -> tuple[np.ndarray, np.ndarray]:
     """Value matrices L of √−1∂∂̄logΦ and P of √−1∂Φ∧∂̄Φ, on the scalar frame
-    hv (`hopf_values`); no jet is built, and the caller's frame is read, so a
-    check that needs the frame for more solves θ once for all of it.
+    hv (`hopf_values`), or at each point of a stacked frame as (..., 2, 2)
+    arrays; no row is built, and the caller's frame is read, so a check that
+    needs the frame for more solves θ once for all of it.
 
     Eliminating θ from the implicit relation gives, with α = 2k₁/(k₁+k₂),
 
@@ -727,26 +735,36 @@ def hessian_forms(hv: HopfFrame, hp: HopfParams) -> tuple[np.ndarray, np.ndarray
         P = (1/Δ²) [[ |z|² Φ^{2−2α},  z̄w ],
                     [ zw̄,            |w|² Φ^{2α−2} ]].
 
-    Both are rank 1 (det L = det P = 0) and positive semidefinite.
+    Both are rank 1 (det L = det P = 0) and positive semidefinite.  The
+    real factors (|z|², |w|², the powers of Φ and of Δ) are formed at each
+    point by Python's float arithmetic, since numpy's vector power and square
+    round some of them differently, and z̄w by `complex_product`; so the
+    entries at a point of a sample are the entries at that point alone.
     """
-    z, w, Delta = hv.z, hv.w, hv.delta
-    Phi = math.exp(hp.k * hv.theta)
-    al, zbw = hp.alpha, hv.zb * w
-    try:  # a float power raises OverflowError; numpy raises FloatingPointError here
+    al = hp.alpha
+    zbw = complex_product(hv.zb, hv.w)
+    try:
+        factors = []  # at each point: |z|², |w|², Φ^{2−2α}, Φ^{2α−2}, 1/(Φ²Δ³), Δ²
+        frame = (np.ravel(c).tolist() for c in (hv.z, hv.w, hv.theta, hv.delta))
+        for z, w, theta, delta in zip(*frame):
+            Phi = math.exp(hp.k * theta)
+            factors.append((abs(z) ** 2, abs(w) ** 2, Phi ** (2.0 - 2.0 * al),
+                            Phi ** (2.0 * al - 2.0), Phi**-2.0 / delta**3, delta**2))
+        zz, ww, pz, pw, sL, sP = np.array(factors).T.reshape((6,) + np.shape(hv.theta))
         with np.errstate(over="raise", invalid="raise"):
-            L = np.array([[(al - 2.0) ** 2 * abs(w) ** 2, al * (al - 2.0) * zbw],
-                          [al * (al - 2.0) * zbw.conjugate(), al**2 * abs(z) ** 2]])
-            P = np.array([[abs(z) ** 2 * Phi ** (2.0 - 2.0 * al), zbw],
-                          [zbw.conjugate(), abs(w) ** 2 * Phi ** (2.0 * al - 2.0)]])
-            return L * (Phi**-2.0 / Delta**3), P / Delta**2
-    except ArithmeticError:
+            L = _forms((al - 2.0) ** 2 * ww, al * (al - 2.0) * zbw,
+                       al * (al - 2.0) * np.conj(zbw), al**2 * zz)
+            P = _forms(zz * pz, zbw, np.conj(zbw), ww * pw)
+            return L * sL[..., None, None], P / sP[..., None, None]
+    except ArithmeticError:  # a float power raises OverflowError, numpy FloatingPointError
         raise ValueError("a power of Φ is outside the floating-point range at this point") from None
 
 
 def dbar_log_phi(hv: HopfFrame) -> np.ndarray:
-    """∂̄ log Φ = (z e₁, w e₂)/Δ on the scalar frame: log Φ = kθ, and with F as
-    in `_theta_row`, θ_z̄ = −F_z̄/F_θ = z e₁/(kΔ) since F_θ = −kΔ (so for w̄)."""
-    return np.array([hv.z * hv.e1, hv.w * hv.e2]) / hv.delta
+    """∂̄ log Φ = (z e₁, w e₂)/Δ on the scalar frame, or at each point of a
+    stacked frame as (..., 2): log Φ = kθ, and with F as in `_theta_row`,
+    θ_z̄ = −F_z̄/F_θ = z e₁/(kΔ) since F_θ = −kΔ (so for w̄)."""
+    return np.stack((hv.z * hv.e1, hv.w * hv.e2), axis=-1) / np.asarray(hv.delta)[..., None]
 
 
 # -- polynomial coefficient tables -----------------------------------------------------

@@ -4,10 +4,12 @@ Each identity tag names one equation the engine can test pointwise; a check
 draws a deterministic point sample, evaluates the residual at every point,
 and aggregates into a report with a pass/fail verdict.  A residual takes the
 whole sample: `lc-ricci-flat`, `key-relation`, `conformal-law`, `scalar-010`,
-`scalar-key1` and `kahler-collapse` build one metric (two for
-`conformal-law`) over all of its points and evaluate it in one pass;
-`det-formula`, `tw-formula`, `deck-invariance` and `hessian-matrices`, which
-read the scalar Hopf frame, loop over the points.  If the sample fails (a
+`scalar-key1`, `kahler-collapse` and `tw-formula` build one metric (two for
+`conformal-law`) over all of its points and evaluate it in one pass, and
+`hessian-matrices` builds one Hopf frame and one set of its rows;
+`det-formula` and `deck-invariance`, which read only values on the scalar
+Hopf frame, loop over the points.  A residual that is the largest of
+several terms is NaN at a point where any term is.  If the sample fails (a
 `ValueError` other than `SpecError`), `run_check` evaluates it again one
 point at a time, so that each failure is charged to its own point.
 
@@ -187,22 +189,16 @@ def sample_points(
 # -- per-identity residuals ----------------------------------------------------------
 
 
-def _norm(diff: float, *scales: float) -> float:
-    return float(diff) / (1.0 + max(scales, default=0.0))
-
-
-def _maxabs(arr) -> float:
-    return float(np.abs(arr).max())
-
-
-def _scaled_det(M, s: float) -> float:
-    """|det M| / s² for a 2×2 matrix M with s = max|M| (0 for M = 0): a rank
-    defect on the matrix's own scale, so roundoff of order ε·s² cannot fail it.
-    The determinant is taken on M/s, whose products stay in range."""
-    if s == 0:
-        return 0.0
-    (a, b), (c, d) = (M / s).tolist()
-    return abs(a * d - b * c)
+def _scaled_det(M: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """|det M| / s² for each 2×2 matrix of a stack M[..., 2, 2], with s = max|M|
+    per matrix (0 where M = 0): a rank defect on the matrix's own scale, so
+    roundoff of order ε·s² cannot fail it.  The determinant is taken on M/s,
+    whose products stay in range, by `metrics.complex_product` and `hypot`,
+    as Python's complex arithmetic forms it at a point."""
+    m = M / np.where(s == 0, 1.0, s)[..., None, None]
+    det = (mz.complex_product(m[..., 0, 0], m[..., 1, 1])
+           - mz.complex_product(m[..., 0, 1], m[..., 1, 0]))
+    return np.hypot(det.real, det.imag)
 
 
 def _form_max(forms: np.ndarray) -> np.ndarray:
@@ -215,11 +211,10 @@ def _vec_max(vectors: np.ndarray) -> np.ndarray:
     return np.abs(vectors).max(axis=-1)
 
 
-def _first_max(*terms: np.ndarray) -> np.ndarray:
-    """max(terms) at each point as Python's `max` takes it over floats: a NaN
-    in the first term is the result, a NaN in a later term is passed over."""
-    stack = np.stack(np.broadcast_arrays(*terms))
-    return np.where(np.isnan(stack[0]), stack[0], np.fmax.reduce(stack))
+def _worst(*terms: np.ndarray) -> np.ndarray:
+    """The largest of the terms at each point; a NaN in any term is the
+    result there, so a term that cannot be formed fails its point."""
+    return functools.reduce(np.maximum, terms)
 
 
 def _residual_lc_ricci_flat(spec: mz.MetricSpec, points, notes: dict) -> np.ndarray:
@@ -253,7 +248,7 @@ def _residual_conformal_law(spec: mz.MetricSpec, points, notes: dict) -> np.ndar
         _, a10_c = geo.del_star(mc)
         want = a10_b + 1j * (n - 1) * fg[..., :n]
         r_adj = _vec_max(a10_c - want) / (1.0 + np.maximum(_vec_max(a10_c), _vec_max(want)))
-        return _first_max(r_ric, r_adj)
+        return _worst(r_ric, r_adj)
 
 
 def _residual_det_formula(spec: mz.MetricSpec, p, notes: dict) -> float:
@@ -273,24 +268,25 @@ def _residual_det_formula(spec: mz.MetricSpec, p, notes: dict) -> float:
         raise ValueError("Φ² is outside the floating-point range at this point") from None
 
 
-def _residual_tw_formula(spec: mz.MetricSpec, p, notes: dict) -> float:
+def _residual_tw_formula(spec: mz.MetricSpec, points, notes: dict) -> np.ndarray:
     """∂∂*ω_λ = ∂̄∂̄*ω_λ = √−1∂∂̄logΦ/(1+λ), and ∂*ω_λ = (√−1/(1+λ))∂̄logΦ componentwise."""
     hp = spec.hopf_params()
     lam = spec.lam_value
-    hv = mz.hopf_values(p, hp)
+    hv = mz.hopf_frames(np.asarray(points, dtype=complex), hp)
     m = mz.build_hopf_metric(spec, hv)
 
     L, _ = mz.hessian_forms(hv, hp)
     target = L / (1.0 + lam)
+    scale = 1.0 + _form_max(target)
     p1, p2 = geo.d_del_star_parts(m)
-    r1 = _norm(_maxabs(p1 - target), _maxabs(target))
-    r2 = _norm(_maxabs(p2 - target), _maxabs(target))
+    r1 = _form_max(p1 - target) / scale
+    r2 = _form_max(p2 - target) / scale
 
     # ∂*ω_λ = (√−1/(1+λ)) ∂̄logΦ componentwise
     want = 1j / (1.0 + lam) * mz.dbar_log_phi(hv)
     a01, _ = geo.del_star(m)
-    r3 = _norm(_maxabs(a01 - want), _maxabs(want))
-    return max(r1, r2, r3)
+    r3 = _vec_max(a01 - want) / (1.0 + _vec_max(want))
+    return _worst(r1, r2, r3)
 
 
 def _residual_scalar_010(spec: mz.MetricSpec, points, notes: dict) -> np.ndarray:
@@ -313,24 +309,24 @@ def _residual_deck(spec: mz.MetricSpec, p, notes: dict) -> float:
     return mz.deck_invariance_residual(spec, p)
 
 
-def _residual_hessian_matrices(spec: mz.MetricSpec, p, notes: dict) -> float:
+def _residual_hessian_matrices(spec: mz.MetricSpec, points, notes: dict) -> np.ndarray:
     """Closed forms of √−1∂∂̄logΦ and √−1∂Φ∧∂̄Φ against the solved jet, and their
     vanishing determinants."""
     hp = spec.hopf_params()
-    hv = mz.hopf_values(p, hp)
+    hv = mz.hopf_frames(np.asarray(points, dtype=complex), hp)
     L, P = mz.hessian_forms(hv, hp)
-    Phi, theta, _ = mz.phi_field(hv, hp)
-    L_jet = hp.k * theta.hess[:2, 2:]  # log Φ = kθ
-    P_jet = Phi.grad[:2, None] * Phi.grad[2:]
-    sL, sP = _maxabs(L), _maxabs(P)
-    rL = _norm(_maxabs(L - L_jet), sL)
-    rP = _norm(_maxabs(P - P_jet), sP)
-    rdet = max(_scaled_det(L, sL), _scaled_det(P, sP))
+    (_, dPhi, _), (_, _, ddtheta), _ = mz.phi_field(hv, hp)
+    L_jet = hp.k * ddtheta[..., :2, 2:]  # log Φ = kθ
+    P_jet = dPhi[..., :2, None] * dPhi[..., None, 2:]
+    sL, sP = _form_max(L), _form_max(P)
+    rL = _form_max(L - L_jet) / (1.0 + sL)
+    rP = _form_max(P - P_jet) / (1.0 + sP)
+    rdet = _worst(_scaled_det(L, sL), _scaled_det(P, sP))
     # The displayed matrices read with rows/columns swapped match the transpose;
     # record how far the literal row-column reading sits from the computed tensor.
-    lit = max(_maxabs(L - L.T), _maxabs(P - P.T))
+    lit = float(max(np.abs(L - L.swapaxes(-1, -2)).max(), np.abs(P - P.swapaxes(-1, -2)).max()))
     notes["display_transpose_gap"] = max(lit, notes.get("display_transpose_gap", 0.0))
-    return max(rL, rP, rdet)
+    return _worst(rL, rP, rdet)
 
 
 def _residual_kahler_collapse(spec: mz.MetricSpec, points, notes: dict) -> np.ndarray:
@@ -343,7 +339,7 @@ def _residual_kahler_collapse(spec: mz.MetricSpec, points, notes: dict) -> np.nd
         p1, p2 = sc.ddstar_parts
         ric = geo.chern_ricci(m)
         ric_gap = _form_max(sc.lc_ric - ric) / (1.0 + _form_max(ric))
-        return _first_max(
+        return _worst(
             defect,
             np.abs(sc.torsion_sq),
             _vec_max(sc.del_stars[0]),
@@ -399,11 +395,11 @@ IDENTITIES: dict[str, Identity] = {
     "key-relation": Identity(_residual_key_relation),
     "conformal-law": Identity(_residual_conformal_law, needs=("conformal",)),
     "det-formula": Identity(_each_point(_residual_det_formula), 1e-10, ("hopf-omega-lambda",)),
-    "tw-formula": Identity(_each_point(_residual_tw_formula), needs=("hopf-omega-lambda",)),
+    "tw-formula": Identity(_residual_tw_formula, needs=("hopf-omega-lambda",)),
     "scalar-010": Identity(_residual_scalar_010),
     "scalar-key1": Identity(_residual_scalar_key1, 1e-6),
     "deck-invariance": Identity(_each_point(_residual_deck), 1e-10, ("hopf", "dim-2")),
-    "hessian-matrices": Identity(_each_point(_residual_hessian_matrices), 1e-10, ("hopf",)),
+    "hessian-matrices": Identity(_residual_hessian_matrices, 1e-10, ("hopf",)),
     "kahler-collapse": Identity(_residual_kahler_collapse),
 }
 

@@ -168,10 +168,11 @@ def hopf_field_oracle(f, pt, hp):
 
 
 def phi_jets(pt, hp):
-    """(Φ, θ, Δ) jets at pt from `metrics.phi_field`, on the scalar frame at pt."""
+    """(Φ, θ, Δ) jets at pt from the arrays of `metrics.phi_field`, on the
+    scalar frame at pt."""
     from lcflat import metrics as mz
 
-    return mz.phi_field(mz.hopf_values(pt, hp), hp)
+    return tuple(WJet(*arrays) for arrays in mz.phi_field(mz.hopf_values(pt, hp), hp))
 
 
 def random_small_point(n, rng, scale=0.3):

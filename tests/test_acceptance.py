@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from conftest import fd_jet, fd_oracle, hopf_flatness
+from conftest import fd_jet, fd_oracle, hopf_flatness, phi_jets
 from lcflat import geometry as geo
 from lcflat import metrics as mz
 from lcflat import verify as vf
@@ -161,7 +161,7 @@ def test_c07_degenerations(capsys):
         pt = tuple(complex(x, y) for x, y in rng.uniform(-1.0, 1.0, (2, 2)))
         if sum(abs(c) ** 2 for c in pt) < 0.04:
             continue
-        phi, _, delta = mz.phi_field(mz.hopf_values(pt, hp), hp)
+        phi, _, delta = phi_jets(pt, hp)
         zj = jet_var(1, pt[0], 2)
         wj = jet_var(2, pt[1], 2)
         zbj = jet_conj_var(1, np.conj(pt[0]), 2)
@@ -259,10 +259,10 @@ def test_c10_finite_difference_oracle(capsys):
     worst1, worst2 = 0.0, 0.0
     # the potential trio on fundamental-domain points
     for p in vf.sample_points("hopf-fundamental", 3, 3, hp=hp):
-        phi, _, delta = mz.phi_field(mz.hopf_values(p, hp), hp)
+        phi, _, delta = phi_jets(p, hp)
         for jet, fn in (
             (phi, lambda q: mz.phi_value(q, hp)),
-            (delta, lambda q: mz.phi_field(mz.hopf_values(q, hp), hp)[2].value.real),
+            (delta, lambda q: mz.phi_field(mz.hopf_values(q, hp), hp)[2][0].real),
             (log(phi), lambda q: math.log(mz.phi_value(q, hp))),
         ):
             f1, f2 = rel_gaps(jet.grad, jet.hess, fd_jet(fn, p, 2, hopf_flatness(hp)))

@@ -509,6 +509,11 @@ PLANTED_DEFECTS = {
     # so that each point reads its neighbour's h^{kℓ̄}; one point is left alone
     "batch-rolled-inverse": [(geo.MetricJet, "inverse", [
         ("    return A\n", "    return np.roll(A, 1, axis=0) if A.ndim > 2 else A\n")])],
+    # Φ's row in `phi_field` rolled one point along the batch axis, so that each
+    # point reads its neighbour's Φ jet; one point is left alone
+    "phi-batch-rolled": [(M, "phi_field", [
+        ("    return _row_arrays(phi),",
+         "    phi = np.roll(phi, 1, axis=0) if phi.ndim > 1 else phi\n    return _row_arrays(phi),")])],
     # the term h'⊗(e^f)' of the conformal Leibniz product kept without its transpose
     "conformal-cross-unsymmetrised": [(M, "conformal_scale", [
         ("(cross + cross.swapaxes(-1, -2))", "(cross + cross)")])],
@@ -597,6 +602,7 @@ PLANTED_DEFECT_CELLS = [
     ("riemannian-trace-swapped", "kahler-collapse", "kahler-test"),
     # only the checks that evaluate a whole sample at once can mix up points
     ("batch-rolled-inverse", "lc-ricci-flat", "hopf-lc-flat"),
+    ("batch-rolled-inverse", "tw-formula", "hopf-omega-lambda"),
     ("batch-rolled-inverse", "key-relation", "hopf-lc-flat"),
     ("batch-rolled-inverse", "key-relation", "hopf-standard"),
     ("batch-rolled-inverse", "key-relation", "user-polynomial"),
@@ -612,6 +618,7 @@ PLANTED_DEFECT_CELLS = [
     ("riemannian-batch-rolled", "scalar-key1", "hopf-omega-lambda"),
     ("riemannian-batch-rolled", "scalar-key1", "user-polynomial"),
     ("riemannian-batch-rolled", "kahler-collapse", "kahler-test"),
+    ("phi-batch-rolled", "hessian-matrices", "hopf-lc-flat"),
 ]
 
 
@@ -681,6 +688,24 @@ def _batched_invariants(m):
             + list(geo.torsion(m)) + [geo.kahler_defect(m)] + list(geo.del_star(m)))
 
 
+def _batched_hopf_values(spec, pts):
+    """What the Hopf checks read of the frame at pts, each with its points on
+    the leading axis: `hessian_forms`, `dbar_log_phi` and the arrays of
+    `phi_field`, and the residuals of hessian-matrices and (on
+    hopf-omega-lambda) tw-formula; nothing for a spec with no Hopf
+    parameters."""
+    hp = spec.hopf_params()
+    if hp is None:
+        return []
+    hv = M.hopf_frames(np.asarray(pts, dtype=complex), hp)
+    identities = ["hessian-matrices"]
+    if spec.kind == "hopf-omega-lambda":
+        identities.append("tw-formula")
+    return (list(M.hessian_forms(hv, hp)) + [M.dbar_log_phi(hv)]
+            + [a for arrays in M.phi_field(hv, hp) for a in arrays]
+            + [np.asarray(V.IDENTITIES[i].residual(spec, pts, {})) for i in identities])
+
+
 def _leaves(values):
     """The arrays of a list whose items are arrays or tuples of arrays."""
     return [a for v in values for a in (v if isinstance(v, tuple) else (v,))]
@@ -691,18 +716,22 @@ def test_a_sample_built_at_once_matches_each_point_built_alone(text):
     """One metric over 12 points against the same point built as a sample of
     one.  H, dH, ddH, the connection and its gradient, the Chern-Ricci form
     and both 𝔯ic paths agree to 1e-15 of each array's largest entry; every
-    scalar invariant and the forms they trace, the torsion, the Kähler defect
-    and the adjoint forms agree to 1e-15·(1 + |value|) entry by entry."""
+    scalar invariant and the forms they trace, the torsion, the Kähler defect,
+    the adjoint forms and what the Hopf checks read of the frame (with the
+    residuals of hessian-matrices and tw-formula) agree to 1e-15·(1 + |value|)
+    entry by entry."""
     spec = M.parse_metric_spec(text)
     pts = _check_points(spec, 12, (2,))
     whole = M.build_metric(spec, pts)
-    arrays, invariants = _batched_arrays(whole), _leaves(_batched_invariants(whole))
+    arrays = _batched_arrays(whole)
+    invariants = _leaves(_batched_invariants(whole)) + _batched_hopf_values(spec, pts)
     for k, p in enumerate(pts):
         alone = M.build_metric(spec, [p])
         for got, want in zip(arrays, _batched_arrays(alone)):
             assert got.shape[1:] == want.shape[1:]
             assert np.abs(got[k] - want[0]).max() <= 1e-15 * np.abs(want[0]).max(), (p, text)
-        for got, want in zip(invariants, _leaves(_batched_invariants(alone)), strict=True):
+        alone_invariants = _leaves(_batched_invariants(alone)) + _batched_hopf_values(spec, [p])
+        for got, want in zip(invariants, alone_invariants, strict=True):
             assert got.shape[1:] == want.shape[1:]
             assert np.all(np.abs(got[k] - want[0]) <= 1e-15 * (1 + np.abs(want[0]))), (p, text)
 

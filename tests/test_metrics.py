@@ -529,15 +529,16 @@ def test_theta_root_budget_per_point(identity, budget, monkeypatch):
     assert len(calls) <= budget * 10
 
 
-def test_tw_formula_builds_one_jet_frame_per_point(monkeypatch):
-    """The metric's arrays need the rows; the ∂̄ log Φ target reads the scalar frame."""
+def test_tw_formula_builds_one_jet_frame_per_sample(monkeypatch):
+    """The metric's arrays need the rows, built once over the whole sample; the
+    closed forms and the ∂̄ log Φ target read the frame."""
     calls = []
     rows = M.hopf_rows
     monkeypatch.setattr(M, "hopf_rows", lambda hv, hp: calls.append(hv) or rows(hv, hp))
     spec = M.MetricSpec(kind="hopf-omega-lambda", a=E**2 * np.exp(0.4j), b=E, lam=0.5)
     rep = V.run_check(V.CheckSpec(identity="tw-formula", metric=spec, n_points=10, seed=3))
     assert rep.verdict == "pass" and len(rep.per_point) == 10
-    assert len(calls) <= 10
+    assert len(calls) == 1 and np.shape(calls[0].theta) == (10,)
 
 
 def test_conformal_law_builds_its_hopf_base_and_field_once_per_point(monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_jet, fd_oracle, hopf_flatness
+from conftest import fd_jet, fd_oracle, hopf_flatness, phi_jets
 from lcflat import geometry as geo
 from lcflat import metrics as M
 from lcflat import verify as V
@@ -123,7 +123,7 @@ def test_omega0_negative_control_fails_with_predicted_pattern():
         m = M.build_metric(OMEGA0, p)
         ric = geo.lc_ricci(m)
         L, _ = M.hessian_forms(M.hopf_values(p, HP), HP)
-        _, _, Delta = M.phi_field(M.hopf_values(p, HP), HP)
+        _, _, Delta = phi_jets(p, HP)
         dd_log_delta = log(Delta).hess[:2, 2:]
         rhs = (2.0 - 1.0 / (1.0 + 0.0)) * L + 3.0 * dd_log_delta
         assert np.max(np.abs(ric - rhs)) / (1 + np.max(np.abs(rhs))) < 1e-12
@@ -344,12 +344,15 @@ def test_failing_points_are_charged_to_their_own_point(metric):
     assert [[V._point_json(p), r] for p, r in rep.per_point] == want["per_point"]
 
 
-# scalar-010, scalar-key1, kahler-collapse and conformal-law at 40 points,
-# seed 1, on specs whose samples have failing points or non-finite
-# invariants, as the engine reported them when it evaluated these identities
-# one point at a time: the verdict, the warning, the failures (point, message,
-# order) and every other point's residual (null for NaN), or the abort
-# message.  The same outcomes hold when a RuntimeWarning is an error.
+# scalar-010, scalar-key1, kahler-collapse, conformal-law, tw-formula and
+# hessian-matrices at 40 points, seed 1, on specs whose samples have failing
+# points or non-finite invariants, as the engine reported them when it
+# evaluated these identities one point at a time: the verdict, the warning,
+# the failures (point, message, order) and every other point's residual (null
+# for NaN), or the abort message.  The same outcomes hold when a
+# RuntimeWarning is an error.  The one exception is kahler-collapse on
+# hopf-omega-lambda{a=1e156,...}: a NaN term fails its point, so the 21
+# points where |T|² is NaN have a NaN residual.
 SCALAR_PINS = json.loads(
     (Path(__file__).parent / "data" / "scalar_failure_attribution.json").read_text())
 
@@ -374,6 +377,31 @@ def test_scalar_checks_charge_failing_points_as_the_pointwise_checks_did(cell):
             assert math.isnan(r), p
         else:
             assert abs(r - r0) <= 1e-15 * (1 + abs(r0)), (p, r, r0)
+
+
+def _nan_torsion_norm(torsion):
+    return lambda m: (torsion(m)[0], np.full(m.H.shape[:-2], np.nan))
+
+
+def _nan_adjoint_forms(del_star):
+    return lambda m: tuple(np.full_like(a, np.nan) for a in del_star(m))
+
+
+@pytest.mark.parametrize("identity, metric, name, nan_term", [
+    ("kahler-collapse", "kahler-test{n=2}", "torsion", _nan_torsion_norm),
+    ("conformal-law", "conformal{base=user-polynomial{seed=7,amp=0.04},f=poly{seed=8,amp=0.15}}",
+     "del_star", _nan_adjoint_forms),
+], ids=["kahler-collapse", "conformal-law"])
+def test_a_nan_in_a_later_term_fails_its_point(monkeypatch, identity, metric, name, nan_term):
+    """A check that passes fails at every point once a term after the first
+    (|T|² of kahler-collapse, the adjoint term of conformal-law) is NaN: the
+    residual is NaN there, however small the first term is."""
+    check = V.CheckSpec(identity=identity, metric=M.parse_metric_spec(metric), n_points=10, seed=3)
+    assert V.run_check(check).verdict == "pass"
+    monkeypatch.setattr(geo, name, nan_term(getattr(geo, name)))
+    rep = V.run_check(check)
+    assert rep.verdict == "fail" and not rep.failures
+    assert all(math.isnan(r) for _, r in rep.per_point)
 
 
 def test_a_residual_that_drops_a_point_aborts_the_check(monkeypatch):
@@ -499,11 +527,11 @@ def test_fd_oracle_agrees_with_jets_on_builtin_metrics(spec):
 
 def test_fd_oracle_on_potential_scalars():
     p = V.sample_points("hopf-fundamental", 1, 17, hp=HP)[0]
-    Phi, _, Delta = M.phi_field(M.hopf_values(p, HP), HP)
+    Phi, _, Delta = phi_jets(p, HP)
     cases = [
         (Phi, lambda q: M.phi_value(q, HP)),
         (log(Phi), lambda q: math.log(M.phi_value(q, HP))),
-        (Delta, lambda q: M.phi_field(M.hopf_values(q, HP), HP)[2].value.real),
+        (Delta, lambda q: M.phi_field(M.hopf_values(q, HP), HP)[2][0].real),
     ]
     for jet, fn in cases:
         assert_fd_close(jet.grad, jet.hess, fd_jet(fn, p, 2, hopf_flatness(HP)))
