@@ -82,7 +82,13 @@ def is_hermitian(H: np.ndarray) -> bool:
     return bool((np.abs(H - Hh) <= atol + 1e-5 * aH.swapaxes(-1, -2)).all())
 
 
-class NotPositiveDefinite(ValueError):
+class PointFailure(ValueError):
+    """A number the engine cannot form at a point: out of the double range,
+    not positive definite, a root that does not converge.  `verify.run_check`
+    charges it to its point; any other error aborts the check."""
+
+
+class NotPositiveDefinite(PointFailure):
     """A metric value matrix with an eigenvalue ≤ 0; `index` is the flat
     batch index of the first such point (0 for one point)."""
 
@@ -112,7 +118,7 @@ class MetricJet:
         H = self.H
         _check_finite("the metric", H)
         if not is_hermitian(H):
-            raise ValueError("metric value matrix is not Hermitian")
+            raise PointFailure("metric value matrix is not Hermitian")
         low = np.linalg.eigvalsh(H)[..., 0]  # ascending: each point's least eigenvalue
         bad = low <= 0
         if np.count_nonzero(bad):
@@ -128,7 +134,7 @@ class MetricJet:
     @cached_property
     def inverse(self) -> np.ndarray:
         """Plain matrix inverse A of H, so that h^{kℓ̄} = A[ℓ, k]; raises
-        ValueError when it leaves the double range (H nearly subnormal)."""
+        PointFailure when it leaves the double range (H nearly subnormal)."""
         with np.errstate(over="ignore", invalid="ignore"):
             A = np.linalg.inv(self.H)
         _check_finite("the inverse metric", A)
@@ -147,16 +153,6 @@ class MetricJet:
             ric = np.einsum("...lk,...ijkl->...ij", A, chern_curvature(self, A))  # h^{kℓ̄} = A[ℓ, k]
         _check_finite("the Chern-Ricci form", ric)
         return ric
-
-    def hermitian_jet_residual(self) -> float:
-        """Largest Taylor coefficient of h_{ij̄} − conj(h_{jī}) over all entries."""
-        n = self.n
-        swap = np.r_[n : 2 * n, :n]  # conjugation trades the z and z̄ slots
-        dH = self.dH - self.dH.transpose(1, 0, 2).conj()[..., swap]
-        ddH = self.ddH - self.ddH.transpose(1, 0, 2, 3).conj()[..., swap, :][..., swap]
-        ddH *= 1.0 - 0.5 * np.eye(2 * n)  # Taylor coefficients: f_ss/2 on the diagonal
-        gap = self.H - self.H.conj().T
-        return float(max(np.max(np.abs(gap)), np.max(np.abs(dH)), np.max(np.abs(ddH))))
 
 
 class Christoffels:
@@ -255,9 +251,9 @@ class Scalars:
 
 
 def _check_finite(what: str, a: np.ndarray) -> None:
-    """Raise ValueError if any entry of the array is inf or NaN."""
+    """Raise PointFailure if any entry of the array is inf or NaN."""
     if not np.isfinite(a).all():
-        raise ValueError(f"{what} is outside the floating-point range at this point")
+        raise PointFailure(f"{what} is outside the floating-point range at this point")
 
 
 def _flip_anti(a: np.ndarray) -> np.ndarray:
@@ -289,7 +285,7 @@ def _connection(m: MetricJet) -> Christoffels:
     order 1, ∂A = −A (∂H) A.  The Chern and mixed symbols are one raised
     index h^{kℓ̄} T[t, j, ℓ, i] over the stack T = (∂h_{jℓ̄}/∂z^i, B), with
     its gradient by the product rule; the holomorphic Levi-Civita symbols are
-    the symmetric part of the Chern ones.  Raises ValueError when a symbol
+    the symmetric part of the Chern ones.  Raises PointFailure when a symbol
     leaves the double range at any point."""
     bs, n = m.H.shape[:-2], m.n  # the batch shape, and the dimension
     b, p = range(len(bs)), len(bs)  # the batch axes, and the first per-point axis
@@ -341,7 +337,7 @@ def chern_curvature(m: MetricJet, A: np.ndarray) -> np.ndarray:
 def chern_ricci(m: MetricJet) -> np.ndarray:
     """Chern-Ricci form R_{ij̄} = −∂² log det(h) / ∂z^i ∂z̄^j, taken as the trace
     h^{kℓ̄} R_{ij̄kℓ̄} of `chern_curvature` and built once per metric
-    (`MetricJet.chern_ricci`).  Raises ValueError when it leaves the double
+    (`MetricJet.chern_ricci`).  Raises PointFailure when it leaves the double
     range."""
     return m.chern_ricci
 

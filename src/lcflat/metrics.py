@@ -9,8 +9,9 @@ the one-parameter metrics
 and the conformally rescaled metric Δ³·ω_{−1/2}, whose Levi-Civita Ricci form
 vanishes identically — the headline identity this package verifies.
 
-Every metric is built as its order-2 arrays (H, dH, ddH); only
-`hopf-standard`, the identity over |z|² + |w|², still multiplies jets.
+Every metric is built as its order-2 arrays (H, dH, ddH), with no jet
+arithmetic: `hopf-standard`, the identity over S = |z|² + |w|², is the
+reciprocal of S's row on the diagonal.
 `hopf_values` solves Φ = e^{kθ} in closed form and returns the scalar frame:
 the coordinates, θ, e₁ = Φ^{−α} = e^{−c₁θ}, e₂ = Φ^{α−2} = e^{−c₂θ},
 u = |z|²e₁, v = |w|²e₂ and Δ = αu + (2−α)v.  `hopf_rows` extends it to
@@ -61,8 +62,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import MetricJet, NotPositiveDefinite
-from .wjet import WJet, all_real_valued, jet_conj_var, jet_const, jet_var, partials
+from .geometry import MetricJet, NotPositiveDefinite, PointFailure
+from .wjet import all_real_valued
 
 E = math.e
 
@@ -125,6 +126,12 @@ class HopfParams:
     def k(self) -> float:
         """(k₁+k₂)/2π, so that Φ = e^{kθ} for the θ of `_theta_root`."""
         return (self.k1 + self.k2) / (2.0 * math.pi)
+
+    @cached_property
+    def deck_jacobian(self) -> tuple[np.ndarray, np.ndarray]:
+        """J = diag(a, b), the Jacobian of the deck map, and J†."""
+        J = np.array([[self.a, 0.0], [0.0, self.b]])
+        return J, J.conj().T
 
 
 # keys each field kind accepts in the textual spec grammar
@@ -404,12 +411,6 @@ def parse_metric_spec(text: str) -> MetricSpec:
 # -- the Hopf potential -------------------------------------------------------------
 
 
-def _coordinate_jets(p, n: int):
-    zs = [jet_var(i + 1, p[i], n) for i in range(n)]
-    zbs = [jet_conj_var(i + 1, np.conj(p[i]), n) for i in range(n)]
-    return zs, zbs
-
-
 # Largest |log Φ| for which Φ is a finite, nonzero double.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -433,9 +434,9 @@ def _theta_root(p, hp: HopfParams) -> float:
     try:
         zz, ww = abs(p[0]) ** 2, abs(p[1]) ** 2
     except OverflowError:
-        raise ValueError("|z|² or |w|² is outside the floating-point range at this point") from None
+        raise PointFailure("|z|² or |w|² is outside the floating-point range at this point") from None
     if not (zz > 0.0 or ww > 0.0):
-        raise ValueError("Φ is undefined at the origin")
+        raise PointFailure("Φ is undefined at the origin")
     lz = math.log(zz) if zz > 0.0 else -math.inf
     lw = math.log(ww) if ww > 0.0 else -math.inf
     c1, c2 = hp.c1, hp.c2
@@ -454,9 +455,9 @@ def _theta_root(p, hp: HopfParams) -> float:
         if abs(step) <= 1e-14 * (abs(theta) - 1.0 / dg):
             break
     else:
-        raise ValueError("Φ root iteration did not converge")
+        raise PointFailure("Φ root iteration did not converge")
     if abs(hp.k * theta) > _LOG_FLOAT_MAX:
-        raise ValueError("Φ is outside the floating-point range at this point")
+        raise PointFailure("Φ is outside the floating-point range at this point")
     return theta
 
 
@@ -486,7 +487,7 @@ class HopfFrame(NamedTuple):
 def _check_implicit(residual: float, theta_size: float) -> None:
     """Raise unless F = u + v − 1 vanishes to 1e-10·(1 + |θ|)."""
     if residual > 1e-10 * (1.0 + theta_size):
-        raise ValueError(f"implicit jet iteration failed to converge (residual {residual:.3g})")
+        raise PointFailure(f"implicit jet iteration failed to converge (residual {residual:.3g})")
 
 
 def hopf_values(p, hp: HopfParams) -> HopfFrame:
@@ -502,7 +503,7 @@ def hopf_values(p, hp: HopfParams) -> HopfFrame:
     try:
         e1, e2 = math.exp(-hp.c1 * theta), math.exp(-hp.c2 * theta)
     except OverflowError:
-        raise ValueError(
+        raise PointFailure(
             "Φ^{−α} or Φ^{α−2} is outside the floating-point range at this point"
         ) from None
     z, w = complex(p[0]), complex(p[1])
@@ -547,17 +548,22 @@ _ONE = np.eye(1, _ROW, dtype=complex)[0]
 _SLOT_SWAP = np.eye(4)[list(_SWAP)]
 
 
-def _monomial_rows() -> np.ndarray:
-    """The Hessian slots of |z|², |w|² and z̄w, whose second partials are
-    ∂z∂z̄|z|² = ∂w∂w̄|w|² = ∂w∂z̄(z̄w) = 1; `hopf_rows` fills the rest."""
-    rows = np.zeros((3, _ROW), complex)
-    for k, (a, b) in enumerate(((0, 2), (1, 3), (1, 2))):
-        rows[k, 5 + 4 * a + b] = rows[k, 5 + 4 * b + a] = 1.0
-    rows.setflags(write=False)
-    return rows
+# The Hessians of |z|², |w|² and z̄w: ∂z∂z̄|z|² = ∂w∂w̄|w|² = ∂w∂z̄(z̄w) = 1.
+_MONOMIALS = np.zeros((3, _ROW), complex)
+_MONOMIALS[[0, 0, 1, 1, 2, 2], [7, 13, 12, 18, 11, 14]] = 1.0
 
 
-_MONOMIALS = _monomial_rows()
+def _monomial_rows(z, w, zb, wb) -> np.ndarray:
+    """The rows of |z|², |w|² and z̄w at a point, or at each point of a
+    sample, (3, ..., 21): their values by `complex_product`, their gradients
+    and their Hessians (every other slot is 0)."""
+    x = np.empty((3,) + np.shape(z) + (_ROW,), complex)
+    x[...] = _MONOMIALS.reshape((3,) + (1,) * np.ndim(z) + (_ROW,))
+    x[..., 0] = complex_product(z, zb), complex_product(w, wb), complex_product(zb, w)
+    x[0, ..., 1], x[0, ..., 3] = zb, z
+    x[1, ..., 2], x[1, ..., 4] = wb, w
+    x[2, ..., 2], x[2, ..., 3] = zb, w
+    return x
 
 
 def _leibniz(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -634,7 +640,7 @@ def _theta_row(hv: HopfFrame, hp: HopfParams) -> np.ndarray:
     Ft = -(c1 * u0 + c2 * v0)
     Ftt = c1 * c1 * u0 + c2 * c2 * v0
     if np.count_nonzero(~np.isfinite(Ft) | (Ft == 0.0)):  # at any point
-        raise ValueError("dF/dtheta vanishes at the solution")
+        raise PointFailure("dF/dtheta vanishes at the solution")
     tx = Fx / -Ft
     cross = Fxt[:, None] * tx
     txx = (Fxx + cross + cross.swapaxes(0, 1) + Ftt * (tx[:, None] * tx)) / -Ft
@@ -674,16 +680,7 @@ def hopf_rows(hv: HopfFrame, hp: HopfParams) -> HopfRows:
     e[..., 1:5] = e[..., :1] * g
     e[..., 5:] = e[..., :1] * (minus_r * theta[..., 5:]) + (
         e[..., 1:5, None] * g[..., None, :]).reshape(g.shape[:-1] + (16,))
-
-    z, w, zb, wb = hv.z, hv.w, hv.zb, hv.wb
-    x = np.empty(e.shape, complex)
-    x[...] = _MONOMIALS.reshape((3,) + (1,) * (theta.ndim - 1) + (_ROW,))
-    # the value and gradient slots of |z|², |w|² and z̄w (the others are 0)
-    x[..., 0] = complex_product(z, zb), complex_product(w, wb), complex_product(zb, w)
-    x[0, ..., 1], x[0, ..., 3] = zb, z
-    x[1, ..., 2], x[1, ..., 4] = wb, w
-    x[2, ..., 2], x[2, ..., 3] = zb, w
-    uvq = _leibniz(x, e)
+    uvq = _leibniz(_monomial_rows(hv.z, hv.w, hv.zb, hv.wb), e)
     res, size = _taylor_max(np.array((uvq[0] + uvq[1] - _ONE, theta)))
     bad = res > 1e-10 * (1.0 + size)
     if np.count_nonzero(bad):
@@ -757,7 +754,7 @@ def hessian_forms(hv: HopfFrame, hp: HopfParams) -> tuple[np.ndarray, np.ndarray
             P = _forms(zz * pz, zbw, np.conj(zbw), ww * pw)
             return L * sL[..., None, None], P / sP[..., None, None]
     except ArithmeticError:  # a float power raises OverflowError, numpy FloatingPointError
-        raise ValueError("a power of Φ is outside the floating-point range at this point") from None
+        raise PointFailure("a power of Φ is outside the floating-point range at this point") from None
 
 
 def dbar_log_phi(hv: HopfFrame) -> np.ndarray:
@@ -892,12 +889,24 @@ def _poly_field_table(n: int, seed: int, amp: float) -> PolyTable:
 # -- metric construction ---------------------------------------------------------------
 
 
-def _hopf_standard_jets(p) -> list[list[WJet]]:
-    zs, zbs = _coordinate_jets(p, 2)
-    S = zs[0] * zbs[0] + zs[1] * zbs[1]
-    inv = 1.0 / S
-    zero = jet_const(0.0, 2)
-    return [[inv, zero], [zero, inv]]
+def _check_squared_norm(s) -> None:
+    """Raise PointFailure where S = |z|² + |w|² is 0 or not finite, and 1/S
+    is then no metric."""
+    if np.count_nonzero(~np.isfinite(s) | (s == 0)):
+        raise PointFailure("1/(|z|² + |w|²) is outside the floating-point range at this point")
+
+
+def _hopf_standard_arrays(pts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(H, dH, ddH) of hopf-standard, δ_ij/S with S = |z|² + |w|², at each
+    point of pts[..., 2]: the `_reciprocal` of S's row (the rows of |z|² and
+    |w|² added) on the diagonal."""
+    z, w = pts[..., 0], pts[..., 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = _monomial_rows(z, w, z.conj(), w.conj())[:2].sum(axis=0)
+    _check_squared_norm(S[..., 0])
+    rows = np.zeros(z.shape + (2, 2, _ROW), complex)
+    rows[..., 0, 0, :] = rows[..., 1, 1, :] = _reciprocal(S)
+    return _row_arrays(rows)
 
 
 def _delta_cubed_omega(hf: HopfFrame, al: float, lam: float) -> list[list]:
@@ -1008,7 +1017,7 @@ def _exp_field(f0: float) -> float:
     try:
         return math.exp(f0)
     except OverflowError:
-        raise ValueError(f"e^f is outside the floating-point range at f = {f0:.6g}") from None
+        raise PointFailure(f"e^f is outside the floating-point range at f = {f0:.6g}") from None
 
 
 def conformal_scale(h, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1024,7 +1033,7 @@ def conformal_scale(h, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m = fg.shape[-1]
     flat = np.concatenate((f0[..., None], fg, fh.reshape(fh.shape[:-2] + (m * m,))), axis=-1)
     if not all_real_valued(flat, m // 2):  # the layout of `WJet.data`
-        raise ValueError("conformal factor must be a real-valued jet")
+        raise PointFailure("conformal factor must be a real-valued jet")
     H, dH, ddH = h
     e0 = np.array([_exp_field(x) for x in f0.real.ravel()]).reshape(f0.shape)
     eg = e0[..., None] * fg
@@ -1059,9 +1068,7 @@ def _metric_arrays(spec: MetricSpec, pts: np.ndarray) -> tuple[np.ndarray, ...]:
     if table is not None:
         return table.jet(pts)
     if spec.kind == "hopf-standard":
-        # jet products point by point, their arrays stacked over the batch axes
-        arrays = [partials(_hopf_standard_jets(p)) for p in pts.reshape(-1, 2).tolist()]
-        return tuple(np.array(a).reshape(pts.shape[:-1] + a[0].shape) for a in zip(*arrays))
+        return _hopf_standard_arrays(pts)
     if spec.kind in _HOPF_FRAME_KINDS:
         hp = spec.hopf_params()
         return _hopf_metric_arrays(spec, hopf_rows(hopf_frames(pts, hp), hp))
@@ -1084,7 +1091,7 @@ def _metric_jet(spec: MetricSpec, pts: np.ndarray, arrays) -> MetricJet:
         if base.kind != "user-polynomial":
             raise
         pt = tuple(pts.reshape(-1, pts.shape[-1])[exc.index].tolist())
-        raise ValueError(
+        raise PointFailure(
             f"user polynomial metric (seed={base.seed_value}) is not positive definite at {pt}"
         ) from None
 
@@ -1118,13 +1125,23 @@ def metric_values(spec: MetricSpec, p) -> np.ndarray:
     """The value matrix of `build_metric(spec, p)`, equal to it bit for bit.
 
     The Hopf metrics evaluate their closed form on the scalar frame
-    (`hopf_values`) and a conformal metric is e^f times its base's values,
-    with f from `field_value`, so neither builds a jet (nor checks that the
-    values are positive definite); the other kinds build their metric.
+    (`hopf_values`), hopf-standard is 1/S on the diagonal, and a conformal
+    metric is e^f times its base's values, with f from `field_value`, so
+    none of them builds a jet (nor checks that the values are positive
+    definite); the polynomial kinds build their metric.  A point given as a
+    tuple of complex numbers is read as it is.
     """
-    pt = tuple(_metric_points(spec, p).tolist())
+    if type(p) is tuple and len(p) == spec.dim and all(type(c) is complex for c in p):
+        pt = p
+    else:
+        pt = tuple(_metric_points(spec, p).tolist())
     if spec.kind in _HOPF_FRAME_KINDS:
         return np.array(hopf_metric(spec, hopf_values(pt, spec.hopf_params())))
+    if spec.kind == "hopf-standard":
+        z, w = pt
+        s = complex_product(z, z.conjugate()) + complex_product(w, w.conjugate())
+        _check_squared_norm(s)
+        return np.array([[1.0 / s, 0.0], [0.0, 1.0 / s]])
     if spec.kind == "conformal":
         f0 = field_value(spec.f, pt, spec.hopf_params(), n=spec.dim)
         return _exp_field(f0) * metric_values(spec.base, pt)
@@ -1155,6 +1172,6 @@ def deck_invariance_residual(spec: MetricSpec, p, hp: HopfParams | None = None) 
     image = (hp.a * pt[0], hp.b * pt[1])
     h_here = metric_values(spec, pt)
     h_image = metric_values(spec, image)
-    J = np.array([[hp.a, 0.0], [0.0, hp.b]])
-    diff = J @ h_image @ J.conj().T - h_here
+    J, Jh = hp.deck_jacobian
+    diff = J @ h_image @ Jh - h_here
     return float(np.abs(diff).max() / (1.0 + np.abs(h_here).max()))

@@ -9,9 +9,11 @@ whole sample: `lc-ricci-flat`, `key-relation`, `conformal-law`, `scalar-010`,
 `hessian-matrices` builds one Hopf frame and one set of its rows;
 `det-formula` and `deck-invariance`, which read only values on the scalar
 Hopf frame, loop over the points.  A residual that is the largest of
-several terms is NaN at a point where any term is.  If the sample fails (a
-`ValueError` other than `SpecError`), `run_check` evaluates it again one
-point at a time, so that each failure is charged to its own point.
+several terms is NaN at a point where any term is.  If some point of the
+sample fails (a `geometry.PointFailure`: out of the double range, not
+positive definite, a root that does not converge), `run_check` evaluates the
+sample again one point at a time, so that each failure is charged to its own
+point; any other error from a residual aborts the check.
 
 An identity is declared once, in `IDENTITIES`: its residual function (whose
 docstring states the equation), its default tolerance and what it needs of
@@ -42,8 +44,10 @@ SCHEMA_VERSION = "1"
 
 
 class CheckAborted(RuntimeError):
-    """Raised when too many sample points fail to construct (≥10%), or when a
-    residual does not return one value per point."""
+    """Raised when too many sample points fail to construct (≥10%), when a
+    residual does not return one value per point, or when it raises an error
+    that is not a `PointFailure` (a broken batch path, say, which a per-point
+    re-run would hide)."""
 
 
 @dataclass(frozen=True)
@@ -172,13 +176,16 @@ def sample_points(
             raise ValueError("hopf-fundamental sampling needs HopfParams")
         log_hi = math.log(abs(hp.a) * abs(hp.b))
         margin = 1e-3 * log_hi
+        # rng.uniform(lo, hi) draws lo + (hi − lo)·random(), so this is that draw
+        span = (log_hi - margin) - margin
         al = hp.alpha
         pts = []
         for _ in range(n):
             v = rng.standard_normal(4)
-            v /= math.sqrt(v @ v)
-            direction = (complex(v[0], v[1]), complex(v[2], v[3]))
-            t = math.exp(rng.uniform(margin, log_hi - margin))
+            norm = math.sqrt(v @ v)  # Python's sum of squares rounds differently
+            x0, x1, x2, x3 = v.tolist()
+            direction = (complex(x0 / norm, x1 / norm), complex(x2 / norm, x3 / norm))
+            t = math.exp(margin + span * rng.random())
             d1, d2 = abs(direction[0]) ** 2, abs(direction[1]) ** 2
             r = (d1 * t**-al + d2 * t ** (al - 2.0)) ** -0.5
             pts.append((r * direction[0], r * direction[1]))
@@ -259,13 +266,13 @@ def _residual_det_formula(spec: mz.MetricSpec, p, notes: dict) -> float:
         with np.errstate(over="raise", invalid="raise"):
             det = complex(np.linalg.det(np.array(mz.hopf_metric(spec, hv))))
     except ArithmeticError:
-        raise ValueError("det ω_λ is outside the floating-point range at this point") from None
+        raise geo.PointFailure("det ω_λ is outside the floating-point range at this point") from None
     Phi = math.exp(hp.k * hv.theta)
     try:
         expect = (1.0 + spec.lam_value) / (hv.delta**3 * Phi**2)
         return abs(det - expect) / abs(expect)
     except ArithmeticError:  # Φ² overflows, or Δ³Φ² does and expect is 0
-        raise ValueError("Φ² is outside the floating-point range at this point") from None
+        raise geo.PointFailure("Φ² is outside the floating-point range at this point") from None
 
 
 def _residual_tw_formula(spec: mz.MetricSpec, points, notes: dict) -> np.ndarray:
@@ -408,9 +415,16 @@ IDENTITIES: dict[str, Identity] = {
 
 
 def _residuals(c: CheckSpec, points: list, notes: dict) -> list[float]:
-    """The identity's residual at each of the points, as floats; raises
-    CheckAborted unless the residual returns one value per point."""
-    r = np.asarray(IDENTITIES[c.identity].residual(c.metric, points, notes), dtype=float)
+    """The identity's residual at each of the points, as floats.  Raises
+    CheckAborted unless the residual returns one value per point, and in
+    place of any error other than a `PointFailure` or a `SpecError`."""
+    try:
+        r = IDENTITIES[c.identity].residual(c.metric, points, notes)
+    except (geo.PointFailure, mz.SpecError):
+        raise
+    except Exception as exc:
+        raise CheckAborted(f"the {c.identity} residual raised {type(exc).__name__}: {exc}") from exc
+    r = np.asarray(r, dtype=float)
     if r.shape != (len(points),):
         raise CheckAborted(f"the {c.identity} residual returned shape {r.shape} "
                            f"for {len(points)} points")
@@ -431,18 +445,14 @@ def run_check(c: CheckSpec) -> VerificationReport:
     failures = []
     try:
         per_point = list(zip(points, _residuals(c, points, notes)))
-    except mz.SpecError:
-        raise
-    except ValueError:
+    except geo.PointFailure:
         # Some point fails: evaluate the sample again one point at a time,
         # charging each failure to its point.
         notes.clear()
         for p in points:
             try:
                 (r,) = _residuals(c, [p], notes)
-            except mz.SpecError:
-                raise
-            except ValueError as exc:
+            except geo.PointFailure as exc:
                 failures.append((p, str(exc)))
                 continue
             per_point.append((p, r))

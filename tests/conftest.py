@@ -27,6 +27,18 @@ def entry_jets(m):
     return [[WJet(m.H[i, j], m.dH[i, j], m.ddH[i, j]) for j in range(m.n)] for i in range(m.n)]
 
 
+def hermitian_jet_residual(m):
+    """Largest Taylor coefficient of h_{ij̄} − conj(h_{jī}) over all entries
+    of a MetricJet at one point."""
+    n = m.n
+    swap = np.r_[n : 2 * n, :n]  # conjugation trades the z and z̄ slots
+    dH = m.dH - m.dH.transpose(1, 0, 2).conj()[..., swap]
+    ddH = m.ddH - m.ddH.transpose(1, 0, 2, 3).conj()[..., swap, :][..., swap]
+    ddH *= 1.0 - 0.5 * np.eye(2 * n)  # Taylor coefficients: f_ss/2 on the diagonal
+    gap = m.H - m.H.conj().T
+    return float(max(np.max(np.abs(gap)), np.max(np.abs(dH)), np.max(np.abs(ddH))))
+
+
 def flat_jets(n):
     return [[jet_const(1.0 if i == j else 0.0, n) for j in range(n)] for i in range(n)]
 
@@ -87,8 +99,8 @@ def poly_field_jet(pt, n, seed, amp):
 
 
 def leibniz_metric_arrays(spec, pt):
-    """(H, dH, ddH) of a flat, kahler-test, user-polynomial or hopf metric, or
-    of a conformal rescaling of one, from entry jets multiplied one by one."""
+    """(H, dH, ddH) of a metric of any kind, or of a conformal rescaling of
+    one, from entry jets multiplied one by one."""
     from lcflat import metrics as mz
 
     n = spec.dim
@@ -104,6 +116,8 @@ def leibniz_metric_arrays(spec, pt):
         return partials(poly_metric_jets(zs, zbs, coeffs, amp))
     if spec.kind in ("hopf-lc-flat", "hopf-omega-lambda"):
         return hopf_metric_oracle(spec, pt)
+    if spec.kind == "hopf-standard":
+        return partials(hopf_standard_jets(pt))
     if spec.kind == "conformal":
         H, dH, ddH = leibniz_metric_arrays(spec.base, pt)
         if spec.f.kind == "poly":
@@ -115,11 +129,21 @@ def leibniz_metric_arrays(spec, pt):
         ef = exp(f)
         return partials([[ef * WJet(H[i, j], dH[i, j], ddH[i, j]) for j in range(n)]
                          for i in range(n)])
-    m = mz.build_metric(spec, pt)
-    return m.H, m.dH, m.ddH
+    raise ValueError(f"no jet oracle for {spec.kind}")  # pragma: no cover
 
 
-# -- the Hopf frame by jet products: the oracle of `metrics.hopf_rows` -----------------
+# -- the Hopf metrics by jet products: the oracles of their closed forms --------------
+
+
+def hopf_standard_jets(p):
+    """The entry jets of hopf-standard, δ_ij/(|z|² + |w|²), by jet products:
+    the build that the closed form of `metrics` replaced, and its bit-for-bit
+    oracle."""
+    zs, zbs = coordinate_jets(2, p)
+    S = zs[0] * zbs[0] + zs[1] * zbs[1]
+    inv = 1.0 / S
+    zero = jet_const(0.0, 2)
+    return [[inv, zero], [zero, inv]]
 
 
 def hopf_jets(p, hp):
@@ -173,6 +197,21 @@ def phi_jets(pt, hp):
     from lcflat import metrics as mz
 
     return tuple(WJet(*arrays) for arrays in mz.phi_field(mz.hopf_values(pt, hp), hp))
+
+
+def plant_batch_broadcast_error(monkeypatch):
+    """Plant, in the hopf-standard arrays, a numpy broadcasting error that
+    only a sample of more than two points raises: the batch axis added
+    against a per-point axis of H."""
+    from lcflat import metrics as mz
+
+    arrays = mz._hopf_standard_arrays
+
+    def planted(pts):
+        H, dH, ddH = arrays(pts)
+        return H + np.zeros(pts.shape[:-1]), dH, ddH
+
+    monkeypatch.setattr(mz, "_hopf_standard_arrays", planted)
 
 
 def random_small_point(n, rng, scale=0.3):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from conftest import plant_batch_broadcast_error
 from lcflat import verify as vf
 from lcflat.cli import cmd_verify, main
 
@@ -242,6 +243,20 @@ class TestSuite:
         assert len(passing) == 90
         worst = max(passing, key=lambda r: r["max_residual"])
         assert worst["max_residual"] <= 1e-13, worst
+
+    def test_suite_rows_match_the_pinned_rows(self, suite_payload):
+        """Every row's verdict is the pinned one, and its max and mean are
+        within 1e-15·(1 + |r|) of the pinned values (tests/data/suite_rows.json,
+        written by the engine that built `hopf-standard` by jet products)."""
+        _, payload = suite_payload
+        pins = json.loads((Path(__file__).parent / "data" / "suite_rows.json").read_text())
+        rows = payload["cells"]
+        assert [(r["identity"], r["metric"], r["seed"]) for r in rows] == [
+            (p["identity"], p["metric"], p["seed"]) for p in pins]
+        for row, pin in zip(rows, pins):
+            assert row["verdict"] == pin["verdict"], row
+            for key, r0 in (("max_residual", pin["max"]), ("mean_residual", pin["mean"])):
+                assert abs(row[key] - r0) <= 1e-15 * (1 + abs(r0)), (row, key, r0)
 
     def test_suite_deterministic_modulo_wall_time(self, suite_payload, tmp_path):
         _, first = suite_payload
@@ -511,6 +526,17 @@ def test_a_residual_that_drops_a_point_aborts_without_a_traceback(runner, monkey
                                "--points", "4"])
     assert res.exit_code == 1 and not isinstance(res.exception, vf.CheckAborted)
     assert "check aborted: the scalar-010 residual returned shape (3,) for 4 points" in res.stderr
+    assert "Traceback" not in res.output
+
+
+def test_a_broken_batch_path_aborts_without_a_traceback(runner, monkeypatch):
+    plant_batch_broadcast_error(monkeypatch)
+    res = runner.invoke(main, ["verify", "--identity", "key-relation", "--metric",
+                               "hopf-standard{a=2.718281828459045,b=2.718281828459045}",
+                               "--points", "20", "--seed", "1"])
+    assert res.exit_code == 1 and not isinstance(res.exception, vf.CheckAborted)
+    assert ("check aborted: the key-relation residual raised ValueError: "
+            "operands could not be broadcast together") in res.stderr
     assert "Traceback" not in res.output
 
 

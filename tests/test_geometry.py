@@ -17,6 +17,7 @@ import pytest
 from conftest import (
     chern_ricci_oracle,
     connection_oracle,
+    hermitian_jet_residual,
     lc_scalar_oracle,
     lowered_lc_curvature,
     metric_from_fn,
@@ -828,7 +829,7 @@ def test_hermitian_jet_residual_detects_jet_level_mismatch():
         return h
 
     m = metric_from_fn(2, fn, (0.2, 0.3))
-    assert m.hermitian_jet_residual() > 0.04
+    assert hermitian_jet_residual(m) > 0.04
 
     def fn_good(z, zb):
         h = [[jet_const(1.0 if i == j else 0.0, 2) for j in range(2)] for i in range(2)]
@@ -836,7 +837,7 @@ def test_hermitian_jet_residual_detects_jet_level_mismatch():
         h[1][0] = conj(h[0][1])
         return h
 
-    assert metric_from_fn(2, fn_good, (0.2, 0.3)).hermitian_jet_residual() == 0.0
+    assert hermitian_jet_residual(metric_from_fn(2, fn_good, (0.2, 0.3))) == 0.0
 
 
 def test_debug_corruption_flips_mixed_symbols_and_their_gradients():

@@ -11,12 +11,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    coordinate_jets,
     entry_jets,
     fd_jet,
     hopf_flatness,
     hopf_field_oracle,
     hopf_jets,
     hopf_metric_oracle,
+    hopf_standard_jets,
     hopf_theta_equation,
     leibniz_metric_arrays,
     phi_jets,
@@ -54,7 +56,7 @@ POINTS = [
 def test_constraint_jet_is_identically_one(hp, pt):
     """|z|²Φ^{−α} + |w|²Φ^{α−2} = 1 must hold through second order, not just in value."""
     Phi, _, _ = phi_jets(pt, hp)
-    zs, zbs = M._coordinate_jets(pt, 2)
+    zs, zbs = coordinate_jets(2, pt)
     c = zs[0] * zbs[0] * pow_real(Phi, -hp.alpha) + zs[1] * zbs[1] * pow_real(
         Phi, hp.alpha - 2.0
     )
@@ -80,7 +82,7 @@ def test_equal_multipliers_degeneration():
     assert hp.alpha == 1.0
     pt = POINTS[1]
     Phi, _, Delta = phi_jets(pt, hp)
-    zs, zbs = M._coordinate_jets(pt, 2)
+    zs, zbs = coordinate_jets(2, pt)
     S = zs[0] * zbs[0] + zs[1] * zbs[1]
     assert (Phi - S).max_abs() < 1e-12
     assert (Delta - 1.0).max_abs() < 1e-12
@@ -497,7 +499,8 @@ def test_value_only_identities_build_no_jets(monkeypatch):
                              f=M.FieldSpec(kind="log-delta", scale=3.0))
     checks = [("det-formula", omega), ("deck-invariance", omega),
               ("deck-invariance", M.MetricSpec(kind="hopf-lc-flat", a=E**2, b=E)),
-              ("deck-invariance", conformal)]
+              ("deck-invariance", conformal),
+              ("deck-invariance", M.MetricSpec(kind="hopf-standard", a=E, b=E))]
     for identity, spec in checks:
         rep = V.run_check(V.CheckSpec(identity=identity, metric=spec, n_points=10, seed=3))
         assert rep.verdict == "pass" and not rep.failures
@@ -606,6 +609,41 @@ def test_hopf_metric_arrays_match_the_jet_product_oracle(hp):
             hj = hopf_jets(q, hp)
             for got, want in zip(phi_jets(q, hp), (wjet.exp(hp.k * hj.theta), hj.theta, hj.delta)):
                 _assert_arrays_close(wjet.partials(got), wjet.partials(want))
+
+
+def test_hopf_standard_equals_the_jet_product_oracle_bit_for_bit():
+    """The closed form of hopf-standard (the reciprocal of S's row on the
+    diagonal) equals the arrays of the jet products of `hopf_standard_jets`
+    exactly, at 600 points spread over 7 decades of |p|, built as one sample
+    and one point at a time; so do its values (`metric_values`)."""
+    rng = np.random.default_rng(21)
+    scale = 10.0 ** rng.uniform(-3.5, 3.5, (600, 1))
+    pts = scale * (rng.standard_normal((600, 2)) + 1j * rng.standard_normal((600, 2)))
+    spec = M.MetricSpec(kind="hopf-standard")
+    sample = M.build_metric(spec, pts)
+    for k, p in enumerate(pts.tolist()):
+        want = wjet.partials(hopf_standard_jets(p))
+        one = M.build_metric(spec, p)
+        for got, alone, w in zip((sample.H[k], sample.dH[k], sample.ddH[k]),
+                                 (one.H, one.dH, one.ddH), want):
+            assert np.array_equal(got, w) and np.array_equal(alone, w), p
+        for q in (tuple(p), p):
+            assert np.array_equal(M.metric_values(spec, q), want[0]), q
+
+
+@pytest.mark.parametrize("pt", [(0j, 0j), (1e-170 + 0j, 0j), (1e200 + 0j, 1.0 + 0j)])
+def test_hopf_standard_fails_its_point_where_one_over_s_is_not_a_double(pt):
+    spec = M.MetricSpec(kind="hopf-standard")
+    for build in (M.build_metric, M.metric_values):
+        with pytest.raises(geo.PointFailure, match=r"^1/\(\|z\|² \+ \|w\|²\) is outside"):
+            build(spec, pt)
+
+
+def test_deck_jacobian_is_built_once_per_multipliers():
+    hp = M.HopfParams(E**2 * np.exp(0.7j), E * np.exp(-1.1j))
+    J, Jh = hp.deck_jacobian
+    assert hp.deck_jacobian[0] is J
+    assert np.array_equal(J, np.diag([hp.a, hp.b])) and np.array_equal(Jh, J.conj().T)
 
 
 @pytest.mark.parametrize("kind", ["log-phi", "log-delta"])
@@ -858,21 +896,48 @@ def test_conformal_scaling_matches_entrywise_jet_products(text):
         _assert_arrays_close((m.H, m.dH, m.ddH), leibniz_metric_arrays(spec, pt))
 
 
+def _count_jet_arithmetic(monkeypatch) -> list:
+    """Count the calls of `wjet.mul` and `wjet._reciprocal`, through which
+    every jet product and quotient goes."""
+    calls = []
+    for name in ("mul", "_reciprocal"):
+        fn = getattr(wjet, name)
+        monkeypatch.setattr(wjet, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    return calls
+
+
 @pytest.mark.parametrize("text", [
     "flat", "flat{n=3}", "kahler-test{n=3}", "user-polynomial{seed=5,amp=0.03,n=3}",
     "conformal{base=user-polynomial{seed=5,amp=0.03},f=poly{seed=2,amp=0.15}}",
     "conformal{base=kahler-test,f=zero}",
+    "hopf-standard", "hopf-omega-lambda{a=7.38905609893065,b=2.718281828459045,lambda=0.5}",
+    "hopf-lc-flat{a=12.1+3.2j,b=-2.5+1.1j}",
+    "conformal{base=hopf-standard,f=log-phi{scale=-1.0}}",
+    "conformal{base=hopf-omega-lambda{lambda=-0.5},f=log-delta{scale=3.0}}",
 ])
 def test_polynomial_metrics_make_no_jet_product(text, monkeypatch):
-    calls = []
-    mul = wjet.mul
-    monkeypatch.setattr(wjet, "mul", lambda a, b: calls.append(1) or mul(a, b))
+    """No metric kind is built by jet arithmetic, at one point or a sample,
+    nor are its values; the counter sees the products of the jet oracle."""
+    calls = _count_jet_arithmetic(monkeypatch)
     spec = M.parse_metric_spec(text)
-    M.build_metric(spec, (0.3 - 0.2j,) + (0.1 + 0.4j,) * (spec.dim - 1))
+    pt = (0.3 - 0.2j,) + (0.1 + 0.4j,) * (spec.dim - 1)
+    M.build_metric(spec, pt)
+    M.build_metric(spec, [pt, tuple(2.0 * c for c in pt)])
+    M.metric_values(spec, pt)
     assert calls == []
-    # The counter sees the products of the one kind still built from jets.
-    M.build_metric(M.MetricSpec(kind="hopf-standard"), (0.5 + 0.1j, 0.4 - 0.3j))
-    assert calls
+    hopf_standard_jets((0.5 + 0.1j, 0.4 - 0.3j))
+    assert calls.count("mul") == 2 and calls.count("_reciprocal") == 1
+
+
+def test_no_suite_cell_makes_a_jet_product(monkeypatch):
+    """No check of the suite grid does jet arithmetic, at any of its seeds."""
+    calls = _count_jet_arithmetic(monkeypatch)
+    for cell in cli._suite_cells():
+        spec = M.parse_metric_spec(cell["metric"])
+        for seed in cli.SUITE_SEEDS:
+            V.run_check(V.CheckSpec(identity=cell["identity"], metric=spec,
+                                    n_points=cell["n_points"], seed=seed))
+    assert calls == []
 
 
 def test_coefficient_tables_are_drawn_once_per_spec_and_read_only():

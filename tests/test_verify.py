@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_jet, fd_oracle, hopf_flatness, phi_jets
+from conftest import fd_jet, fd_oracle, hopf_flatness, phi_jets, plant_batch_broadcast_error
 from lcflat import geometry as geo
 from lcflat import metrics as M
 from lcflat import verify as V
@@ -189,18 +189,34 @@ def test_user_polynomial_metric_is_validated_once_per_point(monkeypatch):
     assert [a.shape for a in calls] == [(10, 2, 2)]
 
 
+# Hopf samples as the sampler drew them with numpy's `uniform` and an
+# in-place normalisation of the direction; a change in the draw stream fails.
+SAMPLE_PINS = json.loads((Path(__file__).parent / "data" / "sample_points.json").read_text())
+
+
+@pytest.mark.parametrize("pin", SAMPLE_PINS, ids=lambda pin: f"seed={pin['seed']}")
+def test_hopf_samples_keep_their_draws(pin):
+    hp = M.HopfParams(complex(*pin["a"]), complex(*pin["b"]))
+    pts = V.sample_points("hopf-fundamental", len(pin["points"]), pin["seed"], hp=hp)
+    assert len(pts) == len(pin["points"])
+    for got, want in zip(pts, pin["points"]):
+        for c, (re, im) in zip(got, want):
+            assert abs(c - complex(re, im)) <= 1e-12 * abs(complex(re, im)), (got, want)
+
+
 def _box_points_sorted(n, seed):
     pts = V.sample_points("box", n, seed, dim=2)
     return sorted(pts, key=lambda p: tuple((c.real, c.imag) for c in p))
 
 
 def test_per_point_value_error_mentioning_requires_is_a_point_failure(monkeypatch):
-    """Only SpecError is a usage error; any other ValueError fails just its point."""
+    """Only SpecError is a usage error; a PointFailure fails just its point,
+    whatever its message says."""
     bad = _box_points_sorted(20, 3)[7]
 
     def residual(spec, points, notes):
         if bad in points:
-            raise ValueError("this step requires a smaller radius")
+            raise geo.PointFailure("this step requires a smaller radius")
         return [1e-15] * len(points)
 
     monkeypatch.setitem(
@@ -434,6 +450,20 @@ def test_the_whole_sample_is_one_metric_unless_a_point_fails(monkeypatch, identi
     monkeypatch.setattr(M, "build_metric", lambda spec, p: calls.append(p) or build(spec, p))
     V.run_check(V.CheckSpec(identity=identity, metric=M.parse_metric_spec(metric), n_points=40, seed=1))
     assert len(calls) == builds and len(calls[0]) == 40
+
+
+def test_a_broken_batch_path_aborts_instead_of_falling_back(monkeypatch):
+    """Only a PointFailure sends a sample through the per-point fallback: a
+    numpy error that only the batched path raises aborts the check and names
+    the error, where a per-point re-run would pass it."""
+    spec = M.parse_metric_spec("hopf-standard{a=2.718281828459045,b=2.718281828459045}")
+    check = V.CheckSpec(identity="key-relation", metric=spec, n_points=20, seed=1)
+    assert V.run_check(check).verdict == "pass"
+    plant_batch_broadcast_error(monkeypatch)
+    V.run_check(replace(check, n_points=1))  # one point still builds
+    with pytest.raises(V.CheckAborted, match=r"^the key-relation residual raised ValueError: "
+                                             r"operands could not be broadcast together"):
+        V.run_check(check)
 
 
 def _log_uniform(u, lo, hi):
