@@ -692,16 +692,16 @@ def _batched_invariants(m):
 def _batched_hopf_values(spec, pts):
     """What the Hopf checks read of the frame at pts, each with its points on
     the leading axis: `hessian_forms`, `dbar_log_phi` and the arrays of
-    `phi_field`, and the residuals of hessian-matrices and (on
-    hopf-omega-lambda) tw-formula; nothing for a spec with no Hopf
-    parameters."""
+    `phi_field`, and the residuals of hessian-matrices, deck-invariance and
+    (on hopf-omega-lambda) tw-formula and det-formula; nothing for a spec
+    with no Hopf parameters."""
     hp = spec.hopf_params()
     if hp is None:
         return []
     hv = M.hopf_frames(np.asarray(pts, dtype=complex), hp)
-    identities = ["hessian-matrices"]
+    identities = ["hessian-matrices", "deck-invariance"]
     if spec.kind == "hopf-omega-lambda":
-        identities.append("tw-formula")
+        identities += ["tw-formula", "det-formula"]
     return (list(M.hessian_forms(hv, hp)) + [M.dbar_log_phi(hv)]
             + [a for arrays in M.phi_field(hv, hp) for a in arrays]
             + [np.asarray(V.IDENTITIES[i].residual(spec, pts, {})) for i in identities])
@@ -719,8 +719,8 @@ def test_a_sample_built_at_once_matches_each_point_built_alone(text):
     and both 𝔯ic paths agree to 1e-15 of each array's largest entry; every
     scalar invariant and the forms they trace, the torsion, the Kähler defect,
     the adjoint forms and what the Hopf checks read of the frame (with the
-    residuals of hessian-matrices and tw-formula) agree to 1e-15·(1 + |value|)
-    entry by entry."""
+    residuals of hessian-matrices, tw-formula, det-formula and
+    deck-invariance) agree to 1e-15·(1 + |value|) entry by entry."""
     spec = M.parse_metric_spec(text)
     pts = _check_points(spec, 12, (2,))
     whole = M.build_metric(spec, pts)

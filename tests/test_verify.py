@@ -342,19 +342,27 @@ def test_hessian_check_records_display_reading_gap():
 # -- one pass over the sample, and the per-point fallback ----------------------
 
 
-# lc-ricci-flat at 40 points, seed 1, on two specs whose samples have failing
-# points, as the engine reported them when it built one metric per point:
-# which points fail and why, the verdict, the warning and every other point's
-# residual, bit for bit.  The batched check builds one metric over the sample
-# and, when that fails, evaluates the sample again one point at a time.
+# lc-ricci-flat (a key that is a metric spec alone), det-formula and
+# deck-invariance (keys "identity metric") at 40 points, seed 1, on specs
+# whose samples have failing points, as the engine reported them when it
+# evaluated each point alone: which points fail and why, the verdict, the
+# warning and every other point's residual, bit for bit, or the abort
+# message.  The batched check evaluates the sample in one pass and, when
+# that fails, evaluates it again one point at a time.
 FAILURE_PINS = json.loads((Path(__file__).parent / "data" / "failure_attribution.json").read_text())
 
 
 @pytest.mark.parametrize("metric", sorted(FAILURE_PINS))
 def test_failing_points_are_charged_to_their_own_point(metric):
     want = FAILURE_PINS[metric]
-    rep = V.run_check(V.CheckSpec(identity="lc-ricci-flat", metric=M.parse_metric_spec(metric),
-                                  n_points=40, seed=1))
+    identity, metric = metric.split(" ", 1) if " " in metric else ("lc-ricci-flat", metric)
+    check = V.CheckSpec(identity=identity, metric=M.parse_metric_spec(metric), n_points=40, seed=1)
+    if "aborted" in want:
+        with pytest.raises(V.CheckAborted) as exc:
+            V.run_check(check)
+        assert str(exc.value) == want["aborted"]
+        return
+    rep = V.run_check(check)
     assert (rep.verdict, rep.warning) == (want["verdict"], want["warning"])
     assert [[V._point_json(p), msg] for p, msg in rep.failures] == want["failures"]
     assert [[V._point_json(p), r] for p, r in rep.per_point] == want["per_point"]
