@@ -185,7 +185,6 @@ class Scalars:
     torsion_sq   |T|²
     delstar_sq   |∂*ω|²
     ddstar_pairing       ⟨∂∂*ω + ∂̄∂̄*ω, ω⟩  (real)
-    ddstar_hol_pairing   ⟨∂∂*ω, ω⟩          (complex in general)
 
     The forms they trace are kept as well, so that a residual reading a form
     and its scalar forms it once:
@@ -241,10 +240,6 @@ class Scalars:
     def ddstar_pairing(self) -> np.ndarray:
         p1, p2 = self.ddstar_parts
         return _pairing(self.m.inverse, p1 + p2).real
-
-    @cached_property
-    def ddstar_hol_pairing(self) -> np.ndarray:
-        return _pairing(self.m.inverse, self.ddstar_parts[0])
 
 
 # -- connections ---------------------------------------------------------------

@@ -22,7 +22,7 @@ these, so the Hopf metrics form no power of Φ and, apart from the one
 division of Δ³ω_λ by Δ³, no quotient; nothing overflows while Φ² and the
 metric's entries are doubles.  The same closed form on the scalar frame
 (`hopf_metric`) gives the metrics' values bit for bit, so identities that
-read only the metric's values (`metric_values`) build no order-2 arrays.
+read only a Hopf metric's values (`metric_values`) build no order-2 arrays.
 The closed forms of √−1∂∂̄ log Φ and √−1∂Φ∧∂̄Φ that the metrics are derived
 from are written once, on the scalar frame or a stacked one, in
 `hessian_forms`, which the checks compare against the metrics and against
@@ -45,8 +45,11 @@ neither solves θ nor builds the base twice at a point.
 axis holds the coordinates) and builds one metric over all of them: the
 rows, tables, fields and metric arrays carry the sample's axes in front,
 through the same code as one point, and so do `phi_field`,
-`hessian_forms` and `dbar_log_phi` over a stacked frame.  Only the θ roots
-are found point by point (`hopf_frames`), and the few real factors that
+`hessian_forms` and `dbar_log_phi` over a stacked frame, and
+`metric_values`, `field_value` and `deck_invariance_residual` take a point
+or a sample alike.  Only the θ roots are found point by point
+(`hopf_frames`); the values of the Hopf metrics and fields are formed on
+one scalar frame per point and stacked, and the few real factors that
 numpy's vector exp and power round differently from Python's are formed
 point by point.  Each number is formed by the arithmetic that forms it at
 one point, so a sample's arrays equal the per-point arrays bit for bit.
@@ -467,16 +470,17 @@ def phi_value(p, hp: HopfParams) -> float:
 
 
 class HopfFrame(NamedTuple):
-    """The coordinates and θ, e₁ = e^{−c₁θ}, e₂ = e^{−c₂θ}, u = |z|²e₁,
-    v = |w|²e₂ and Δ = αu + (2−α)v at one point, as values (`hopf_values`),
-    or at each point of a sample, as arrays over its batch axes
-    (`hopf_frames`)."""
+    """The coordinates and θ, Φ = e^{kθ}, e₁ = e^{−c₁θ}, e₂ = e^{−c₂θ},
+    u = |z|²e₁, v = |w|²e₂ and Δ = αu + (2−α)v at one point, as values
+    (`hopf_values`), or at each point of a sample, as arrays over its batch
+    axes (`hopf_frames`)."""
 
     z: complex
     w: complex
     zb: complex
     wb: complex
     theta: float
+    phi: float
     e1: float
     e2: float
     u: float
@@ -498,6 +502,8 @@ def hopf_values(p, hp: HopfParams) -> HopfFrame:
     slot of a Leibniz product is the product of the values.  So the closed
     form of the metrics on this frame (`hopf_metric`) equals the values of
     their rows bit for bit.  u + v = 1, so neither term of Δ can overflow.
+    Φ = e^{kθ} is `math.exp` (numpy's vector exp may round differently), and
+    `_theta_root` keeps it a double.
     """
     theta = _theta_root(p, hp)
     try:
@@ -510,7 +516,8 @@ def hopf_values(p, hp: HopfParams) -> HopfFrame:
     zb, wb = z.conjugate(), w.conjugate()
     u, v = (z * zb).real * e1, (w * wb).real * e2
     _check_implicit(abs(u + v - 1.0), abs(theta))
-    return HopfFrame(z, w, zb, wb, theta, e1, e2, u, v, hp.alpha * u + (2.0 - hp.alpha) * v)
+    return HopfFrame(z, w, zb, wb, theta, math.exp(hp.k * theta), e1, e2, u, v,
+                     hp.alpha * u + (2.0 - hp.alpha) * v)
 
 
 def hopf_frames(pts: np.ndarray, hp: HopfParams) -> HopfFrame:
@@ -523,7 +530,7 @@ def hopf_frames(pts: np.ndarray, hp: HopfParams) -> HopfFrame:
         return frames[0]
     shape = pts.shape[:-1]
     coords = np.array([f[:4] for f in frames]).T.reshape((4,) + shape)
-    reals = np.array([f[4:] for f in frames]).T.reshape((6,) + shape)
+    reals = np.array([f[4:] for f in frames]).T.reshape((-1,) + shape)
     return HopfFrame(*coords, *reals)
 
 
@@ -698,12 +705,11 @@ def phi_field(hv: HopfFrame, hp: HopfParams) -> tuple[tuple[np.ndarray, ...], ..
     """The (value, gradient, Hessian) arrays of Φ, θ and Δ at the point of the
     scalar frame hv, or at each point of a stacked frame (batch axes in
     front), read from `hopf_rows`; Φ = e^{kθ} by the chain rule, its value
-    `math.exp` at each point (numpy's vector exp may round differently)."""
+    the frame's."""
     fr = hopf_rows(hv, hp)
     k, theta = hp.k, fr.theta
     phi = np.empty(theta.shape, complex)
-    phi[..., 0] = np.reshape([math.exp(k * t) for t in np.ravel(hv.theta).tolist()],
-                             theta.shape[:-1])
+    phi[..., 0] = hv.phi
     phi[..., 1:5] = phi[..., :1] * (k * theta[..., 1:5])
     phi[..., 5:] = phi[..., :1] * (k * theta[..., 5:]) + (
         phi[..., 1:5, None] * (k * theta[..., None, 1:5])).reshape(theta.shape[:-1] + (16,))
@@ -742,9 +748,8 @@ def hessian_forms(hv: HopfFrame, hp: HopfParams) -> tuple[np.ndarray, np.ndarray
     zbw = complex_product(hv.zb, hv.w)
     try:
         factors = []  # at each point: |z|², |w|², Φ^{2−2α}, Φ^{2α−2}, 1/(Φ²Δ³), Δ²
-        frame = (np.ravel(c).tolist() for c in (hv.z, hv.w, hv.theta, hv.delta))
-        for z, w, theta, delta in zip(*frame):
-            Phi = math.exp(hp.k * theta)
+        frame = (np.ravel(c).tolist() for c in (hv.z, hv.w, hv.phi, hv.delta))
+        for z, w, Phi, delta in zip(*frame):
             factors.append((abs(z) ** 2, abs(w) ** 2, Phi ** (2.0 - 2.0 * al),
                             Phi ** (2.0 * al - 2.0), Phi**-2.0 / delta**3, delta**2))
         zz, ww, pz, pw, sL, sP = np.array(factors).T.reshape((6,) + np.shape(hv.theta))
@@ -889,21 +894,16 @@ def _poly_field_table(n: int, seed: int, amp: float) -> PolyTable:
 # -- metric construction ---------------------------------------------------------------
 
 
-def _check_squared_norm(s) -> None:
-    """Raise PointFailure where S = |z|² + |w|² is 0 or not finite, and 1/S
-    is then no metric."""
-    if np.count_nonzero(~np.isfinite(s) | (s == 0)):
-        raise PointFailure("1/(|z|² + |w|²) is outside the floating-point range at this point")
-
-
 def _hopf_standard_arrays(pts: np.ndarray) -> tuple[np.ndarray, ...]:
     """(H, dH, ddH) of hopf-standard, δ_ij/S with S = |z|² + |w|², at each
     point of pts[..., 2]: the `_reciprocal` of S's row (the rows of |z|² and
-    |w|² added) on the diagonal."""
+    |w|² added) on the diagonal.  Where S is 0 or not finite, 1/S is no
+    metric, and the point fails."""
     z, w = pts[..., 0], pts[..., 1]
     with np.errstate(over="ignore", invalid="ignore"):
         S = _monomial_rows(z, w, z.conj(), w.conj())[:2].sum(axis=0)
-    _check_squared_norm(S[..., 0])
+    if np.count_nonzero(~np.isfinite(S[..., 0]) | (S[..., 0] == 0)):
+        raise PointFailure("1/(|z|² + |w|²) is outside the floating-point range at this point")
     rows = np.zeros(z.shape + (2, 2, _ROW), complex)
     rows[..., 0, 0, :] = rows[..., 1, 1, :] = _reciprocal(S)
     return _row_arrays(rows)
@@ -999,18 +999,20 @@ def field_jet(f: FieldSpec, p, hp: HopfParams | None, n: int = 2) -> tuple[np.nd
     return _row_arrays(f.scale * row)
 
 
-def field_value(f: FieldSpec, p, hp: HopfParams | None, n: int = 2) -> float:
-    """The value of `field_jet(f, p, hp, n)`, bit for bit, from the scalar
-    frame; no jet is built."""
-    if f.kind == "zero":
-        return 0.0
-    if f.kind == "poly":
-        return f.poly_table(n).jet(p)[0].real
+def field_value(f: FieldSpec, p, hp: HopfParams | None, n: int = 2) -> np.ndarray:
+    """The value of `field_jet(f, p, hp, n)`, bit for bit, at the point p or
+    at each point of a sample p[..., n]: the Hopf fields from one scalar frame
+    per point, in Python floats, and no jet built."""
+    pts = np.asarray(p, dtype=complex)
+    if f.kind not in ("log-phi", "log-delta"):
+        return field_jet(f, pts, hp, n)[0].real[()]
     hp = _field_hopf_params(f, hp)
-    hv = hopf_values(p, hp)
+    frames = [hopf_values(q, hp) for q in pts.reshape(-1, n).tolist()]
     if f.kind == "log-phi":
-        return (f.scale * hp.k) * hv.theta
-    return f.scale * math.log(hv.delta)
+        values = [(f.scale * hp.k) * hv.theta for hv in frames]
+    else:
+        values = [f.scale * math.log(hv.delta) for hv in frames]
+    return np.reshape(values, pts.shape[:-1])[()]
 
 
 def _exp_field(f0: float) -> float:
@@ -1121,38 +1123,41 @@ def build_conformal_metrics(spec: MetricSpec, p) -> tuple[MetricJet, MetricJet, 
     return mb, _metric_jet(spec, pts, conformal_scale(base, f)), f
 
 
-def metric_values(spec: MetricSpec, p) -> np.ndarray:
-    """The value matrix of `build_metric(spec, p)`, equal to it bit for bit.
+def hopf_metric_values(spec: MetricSpec, frames: list[HopfFrame]) -> np.ndarray:
+    """`hopf_metric` on each scalar frame of the list, stacked, (N, 2, 2)."""
+    return np.array([hopf_metric(spec, hf) for hf in frames])
 
-    The Hopf metrics evaluate their closed form on the scalar frame
-    (`hopf_values`), hopf-standard is 1/S on the diagonal, and a conformal
-    metric is e^f times its base's values, with f from `field_value`, so
-    none of them builds a jet (nor checks that the values are positive
-    definite); the polynomial kinds build their metric.  A point given as a
-    tuple of complex numbers is read as it is.
+
+def metric_values(spec: MetricSpec, p) -> np.ndarray:
+    """The value matrix of `build_metric(spec, p)`, equal to it bit for bit,
+    at the point p or at each point of a sample p[..., dim].
+
+    The Hopf metrics evaluate their closed form on one scalar frame per point
+    (`hopf_values`), a conformal metric is e^f times its base's values, with
+    f from `field_value`, and the other kinds (hopf-standard, the polynomial
+    kinds) read the value slot of their arrays; so none of them builds a jet
+    (nor checks that the values are positive definite).
     """
-    if type(p) is tuple and len(p) == spec.dim and all(type(c) is complex for c in p):
-        pt = p
-    else:
-        pt = tuple(_metric_points(spec, p).tolist())
+    pts = _metric_points(spec, p)
+    flat = pts.reshape(-1, spec.dim)
     if spec.kind in _HOPF_FRAME_KINDS:
-        return np.array(hopf_metric(spec, hopf_values(pt, spec.hopf_params())))
-    if spec.kind == "hopf-standard":
-        z, w = pt
-        s = complex_product(z, z.conjugate()) + complex_product(w, w.conjugate())
-        _check_squared_norm(s)
-        return np.array([[1.0 / s, 0.0], [0.0, 1.0 / s]])
-    if spec.kind == "conformal":
-        f0 = field_value(spec.f, pt, spec.hopf_params(), n=spec.dim)
-        return _exp_field(f0) * metric_values(spec.base, pt)
-    return build_metric(spec, pt).H
+        hp = spec.hopf_params()
+        H = hopf_metric_values(spec, [hopf_values(q, hp) for q in flat.tolist()])
+    elif spec.kind == "conformal":
+        f0 = field_value(spec.f, flat, spec.hopf_params(), spec.dim)
+        e = np.array([_exp_field(x) for x in f0.tolist()])
+        H = e[:, None, None] * metric_values(spec.base, flat)
+    else:
+        H = _metric_arrays(spec, flat)[0]
+    return H.reshape(pts.shape[:-1] + H.shape[1:])
 
 
 # -- deck invariance ---------------------------------------------------------------
 
 
-def deck_invariance_residual(spec: MetricSpec, p, hp: HopfParams | None = None) -> float:
-    """Max-entry residual of the deck-pullback equation J h(az, bw) J† = h(z, w).
+def deck_invariance_residual(spec: MetricSpec, p, hp: HopfParams | None = None) -> np.ndarray:
+    """Max-entry residual of the deck-pullback equation J h(az, bw) J† = h(z, w),
+    at the point p or at each point of a sample p[..., 2].
 
     J = diag(a, b) is the Jacobian of the deck map, so the pullback of the
     metric tensor at (az, bw) has matrix J h(az,bw) J†; a metric descends to
@@ -1161,17 +1166,19 @@ def deck_invariance_residual(spec: MetricSpec, p, hp: HopfParams | None = None) 
     with the size of the metric.  Works for any
     2-dimensional metric so that non-invariant ones (e.g. flat) can serve as
     negative controls; the deck parameters come from the MetricSpec unless
-    passed explicitly.
+    passed explicitly.  The images are formed by Python's complex product,
+    and the values at the points and at their images are one stack.
     """
     hp = hp or spec.hopf_params()
     if hp is None:
         raise SpecError("deck test needs Hopf parameters (a, b) on the MetricSpec or passed in")
     if spec.dim != 2:
         raise SpecError("deck transformation acts on two complex coordinates")
-    pt = tuple(complex(c) for c in p)
-    image = (hp.a * pt[0], hp.b * pt[1])
-    h_here = metric_values(spec, pt)
-    h_image = metric_values(spec, image)
+    pts = _metric_points(spec, p)
+    here = pts.reshape(-1, 2).tolist()
+    H = metric_values(spec, here + [[hp.a * z, hp.b * w] for z, w in here])
+    h_here, h_image = H[:len(here)], H[len(here):]
     J, Jh = hp.deck_jacobian
     diff = J @ h_image @ Jh - h_here
-    return float(np.abs(diff).max() / (1.0 + np.abs(h_here).max()))
+    r = np.abs(diff).max(axis=(-2, -1)) / (1.0 + np.abs(h_here).max(axis=(-2, -1)))
+    return r.reshape(pts.shape[:-1])[()]

@@ -7,13 +7,14 @@ whole sample: `lc-ricci-flat`, `key-relation`, `conformal-law`, `scalar-010`,
 `scalar-key1`, `kahler-collapse` and `tw-formula` build one metric (two for
 `conformal-law`) over all of its points and evaluate it in one pass, and
 `hessian-matrices` builds one Hopf frame and one set of its rows;
-`det-formula` and `deck-invariance`, which read only values on the scalar
-Hopf frame, loop over the points.  A residual that is the largest of
-several terms is NaN at a point where any term is.  If some point of the
-sample fails (a `geometry.PointFailure`: out of the double range, not
-positive definite, a root that does not converge), `run_check` evaluates the
-sample again one point at a time, so that each failure is charged to its own
-point; any other error from a residual aborts the check.
+`det-formula` and `deck-invariance`, which read only the metric's values,
+stack them over the sample (deck: the points and their images in one stack)
+and take one determinant or one pullback of the stack.  A residual that is
+the largest of several terms is NaN at a point where any term is.  If some
+point of the sample fails (a `geometry.PointFailure`: out of the double
+range, not positive definite, a root that does not converge), `run_check`
+evaluates the sample again one point at a time, so that each failure is
+charged to its own point; any other error from a residual aborts the check.
 
 An identity is declared once, in `IDENTITIES`: its residual function (whose
 docstring states the equation), its default tolerance and what it needs of
@@ -258,21 +259,23 @@ def _residual_conformal_law(spec: mz.MetricSpec, points, notes: dict) -> np.ndar
         return _worst(r_ric, r_adj)
 
 
-def _residual_det_formula(spec: mz.MetricSpec, p, notes: dict) -> float:
+def _residual_det_formula(spec: mz.MetricSpec, points, notes: dict) -> list[float]:
     """det(ω_λ) = (1+λ)/(Δ³Φ²)."""
     hp = spec.hopf_params()
-    hv = mz.hopf_values(p, hp)
-    try:  # a huge λ makes h's entries, or its determinant, overflow
+    frames = [mz.hopf_values(p, hp) for p in points]
+    try:  # a huge λ makes h's entries, or their determinants, overflow
         with np.errstate(over="raise", invalid="raise"):
-            det = complex(np.linalg.det(np.array(mz.hopf_metric(spec, hv))))
+            dets = np.linalg.det(mz.hopf_metric_values(spec, frames)).tolist()
     except ArithmeticError:
         raise geo.PointFailure("det ω_λ is outside the floating-point range at this point") from None
-    Phi = math.exp(hp.k * hv.theta)
+    s, out = 1.0 + spec.lam_value, []
     try:
-        expect = (1.0 + spec.lam_value) / (hv.delta**3 * Phi**2)
-        return abs(det - expect) / abs(expect)
+        for det, hv in zip(dets, frames):
+            expect = s / (hv.delta**3 * hv.phi**2)
+            out.append(abs(det - expect) / abs(expect))
     except ArithmeticError:  # Φ² overflows, or Δ³Φ² does and expect is 0
         raise geo.PointFailure("Φ² is outside the floating-point range at this point") from None
+    return out
 
 
 def _residual_tw_formula(spec: mz.MetricSpec, points, notes: dict) -> np.ndarray:
@@ -311,9 +314,9 @@ def _residual_scalar_key1(spec: mz.MetricSpec, points, notes: dict) -> np.ndarra
         return np.abs(sc.s - rhs) / (1.0 + np.abs(sc.s))
 
 
-def _residual_deck(spec: mz.MetricSpec, p, notes: dict) -> float:
+def _residual_deck(spec: mz.MetricSpec, points, notes: dict) -> np.ndarray:
     """J h(az, bw) J† = h(z, w) for J = diag(a, b): the metric descends to the quotient."""
-    return mz.deck_invariance_residual(spec, p)
+    return mz.deck_invariance_residual(spec, points)
 
 
 def _residual_hessian_matrices(spec: mz.MetricSpec, points, notes: dict) -> np.ndarray:
@@ -385,27 +388,17 @@ class Identity:
     needs: tuple[str, ...] = ()
 
 
-def _each_point(residual):
-    """The sample residual of an identity evaluated one point at a time."""
-
-    @functools.wraps(residual)
-    def over_sample(spec, points, notes):
-        return [residual(spec, p, notes) for p in points]
-
-    return over_sample
-
-
 # scalar-key1 is looser: its terms are fourth order in derivatives of the
 # metric, so more roundoff accumulates.
 IDENTITIES: dict[str, Identity] = {
     "lc-ricci-flat": Identity(_residual_lc_ricci_flat),
     "key-relation": Identity(_residual_key_relation),
     "conformal-law": Identity(_residual_conformal_law, needs=("conformal",)),
-    "det-formula": Identity(_each_point(_residual_det_formula), 1e-10, ("hopf-omega-lambda",)),
+    "det-formula": Identity(_residual_det_formula, 1e-10, ("hopf-omega-lambda",)),
     "tw-formula": Identity(_residual_tw_formula, needs=("hopf-omega-lambda",)),
     "scalar-010": Identity(_residual_scalar_010),
     "scalar-key1": Identity(_residual_scalar_key1, 1e-6),
-    "deck-invariance": Identity(_each_point(_residual_deck), 1e-10, ("hopf", "dim-2")),
+    "deck-invariance": Identity(_residual_deck, 1e-10, ("hopf", "dim-2")),
     "hessian-matrices": Identity(_residual_hessian_matrices, 1e-10, ("hopf",)),
     "kahler-collapse": Identity(_residual_kahler_collapse),
 }

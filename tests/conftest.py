@@ -171,7 +171,8 @@ def hopf_jets(p, hp):
     e1j, e2j = exp(-c1 * theta), exp(-c2 * theta)
     u, v = z * zb * e1j, w * wb * e2j
     assert (u + v - 1.0).max_abs() <= 1e-10 * (1.0 + theta.max_abs())
-    return mz.HopfFrame(z, w, zb, wb, theta, e1j, e2j, u, v, hp.alpha * u + (2.0 - hp.alpha) * v)
+    return mz.HopfFrame(z, w, zb, wb, theta, exp(hp.k * theta), e1j, e2j, u, v,
+                        hp.alpha * u + (2.0 - hp.alpha) * v)
 
 
 def hopf_metric_oracle(spec, pt):

@@ -1,8 +1,12 @@
 """End-to-end tests of the command-line interface via click's test runner."""
 
+import inspect
 import json
 import math
+import os
 import re
+import sys
+import types
 from dataclasses import replace
 from importlib.resources import files
 from pathlib import Path
@@ -12,7 +16,7 @@ from click.testing import CliRunner
 
 from conftest import plant_batch_broadcast_error
 from lcflat import verify as vf
-from lcflat.cli import cmd_verify, main
+from lcflat.cli import _suite_cells, cmd_verify, main
 
 E = math.e
 LC_FLAT = "hopf-lc-flat{a=7.38905609893065,b=2.718281828459045}"
@@ -558,3 +562,64 @@ def test_identity_lists_match_the_registry():
     for group, tol in re.findall(r"((?:`[a-z0-9-]+`[\s/]*)+) at ([0-9.e-]+)", sentence[2]):
         tols.update(dict.fromkeys(re.findall(r"`([a-z0-9-]+)`", group), float(tol)))
     assert tols == {tag: entry.tol for tag, entry in IDENTITIES.items()}
+
+
+# What no command may leave unentered: `wjet`, which the tests' jet oracles
+# use, and `metrics.phi_value`, a name the benchmark's tracer wraps.
+UNENTERED_ON_PURPOSE = {("wjet.py", None), ("metrics.py", "phi_value")}
+
+
+def _defined_functions() -> set:
+    """(file, first line, name) of every function and method that a module
+    of the package defines, read from its compiled code."""
+    import lcflat
+
+    found = set()
+    for path in Path(lcflat.__file__).parent.glob("*.py"):
+        name = os.path.realpath(path)
+        stack = [compile(path.read_text(), name, "exec")]
+        while stack:
+            for const in stack.pop().co_consts:
+                if isinstance(const, types.CodeType):
+                    stack.append(const)
+                    # a function's code, not a class body, lambda or comprehension
+                    if const.co_flags & inspect.CO_OPTIMIZED and not const.co_name.startswith("<"):
+                        found.add((name, const.co_firstlineno, const.co_name))
+    return found
+
+
+def test_every_function_in_the_package_is_entered_by_some_command(runner, tmp_path):
+    """The commands enter every function of `src/lcflat/` (the exemptions
+    above aside), so the package holds only what the CLI runs."""
+    entered = set()
+
+    def trace(frame, event, arg):
+        code = frame.f_code
+        entered.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+    runs = [["suite", "--output", str(tmp_path / "suite.json")], ["suite", "--corrupt-gamma"],
+            ["sweep", "--a-grid", "3,2", "--b-grid", "2", "--points", "2"],
+            ["dump-samples", "--domain", "box", "-n", "2"],
+            ["dump-samples", "--domain", "hopf-fundamental", "-n", "2", "--a", "3", "--b", "2"]]
+    metrics = {}
+    for cell in _suite_cells():
+        metrics.setdefault(cell["identity"], cell["metric"])
+    for k, (identity, metric) in enumerate(metrics.items()):
+        runs.append(["verify", "--identity", identity, "--metric", metric, "--points", "3",
+                     "--format", ("json", "pretty")[k % 2]])
+    # a sample with failing points, evaluated again point by point
+    runs.append(["verify", "--identity", "lc-ricci-flat", "--metric",
+                 "user-polynomial{seed=4,amp=0.1,n=2}", "--points", "40", "--seed", "1"])
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        for args in runs:
+            runner.invoke(main, args, catch_exceptions=False)
+    finally:
+        sys.settrace(previous)
+    entered = {(os.path.realpath(path), line, name) for path, line, name in entered}
+    missing = sorted(f"{Path(path).name}:{line} {name}" for path, line, name in
+                     _defined_functions() - entered
+                     if (Path(path).name, None) not in UNENTERED_ON_PURPOSE
+                     and (Path(path).name, name) not in UNENTERED_ON_PURPOSE)
+    assert missing == []

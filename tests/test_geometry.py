@@ -238,7 +238,8 @@ def test_scalar_identity_lc_vs_chern():
         sc = geo.scalars(m)
         assert abs(sc.s_LC - (sc.s_C - 0.5 * sc.ddstar_pairing)) < 1e-12 * (1 + abs(sc.s_LC))
         # the half-sum pairing is twice the real part of the holomorphic half
-        assert abs(sc.ddstar_pairing - 2 * sc.ddstar_hol_pairing.real) < 1e-12
+        hol = geo._pairing(m.inverse, sc.ddstar_parts[0])
+        assert abs(sc.ddstar_pairing - 2 * hol.real) < 1e-12
 
 
 def test_scalars_are_real():
@@ -911,8 +912,7 @@ def test_connection_and_chern_ricci_are_built_once_per_metric(monkeypatch):
     assert geo.chern_ricci(m) is geo.chern_ricci(m)
 
 
-SCALAR_FIELDS = ("s_C", "s_LC", "s", "torsion_sq", "delstar_sq", "ddstar_pairing",
-                 "ddstar_hol_pairing")
+SCALAR_FIELDS = ("s_C", "s_LC", "s", "torsion_sq", "delstar_sq", "ddstar_pairing")
 SCALAR_FORMS = ("lc_ric", "del_stars", "ddstar_parts")  # the forms `Scalars` keeps
 
 

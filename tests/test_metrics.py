@@ -506,6 +506,59 @@ def test_value_only_identities_build_no_jets(monkeypatch):
         assert rep.verdict == "pass" and not rep.failures
 
 
+def test_det_and_deck_read_the_values_of_a_sample_in_one_stack(monkeypatch):
+    """det-formula stacks the value matrices of its whole sample for one
+    determinant, and deck-invariance reads the values at its points and at
+    their images in one `metric_values` call."""
+    stacks = []
+    for name in ("hopf_metric_values", "metric_values"):
+        fn = getattr(M, name)
+        monkeypatch.setattr(M, name, lambda spec, p, fn=fn, name=name:
+                            stacks.append((name, len(p))) or fn(spec, p))
+    spec = M.MetricSpec(kind="hopf-omega-lambda", a=E**2, b=E * np.exp(0.3j), lam=0.5)
+    for identity, want in (("det-formula", [("hopf_metric_values", 7)]),
+                           ("deck-invariance", [("metric_values", 14), ("hopf_metric_values", 14)])):
+        stacks.clear()
+        rep = V.run_check(V.CheckSpec(identity=identity, metric=spec, n_points=7, seed=3))
+        assert rep.verdict == "pass" and len(rep.per_point) == 7
+        assert stacks == want, identity
+
+
+VALUE_SPECS = [
+    "hopf-omega-lambda{a=12.1+3.2j,b=-2.5+1.1j,lambda=0.5}",
+    "hopf-lc-flat{a=12.1+3.2j,b=-2.5+1.1j}",
+    "hopf-standard",
+    "flat{a=2.718281828459045,b=2.718281828459045}",
+    "conformal{base=hopf-omega-lambda{lambda=-0.5},f=log-delta{scale=3.0}}",
+    "conformal{base=hopf-lc-flat{a=7.38905609893065},f=log-phi{scale=-1.5}}",
+    "conformal{base=flat{a=2.718281828459045,b=2.718281828459045},f=poly{seed=3,amp=0.1}}",
+    "conformal{base=hopf-standard,f=zero}",
+]
+
+
+@pytest.mark.parametrize("text", VALUE_SPECS)
+def test_values_of_a_sample_equal_the_values_of_each_point(text):
+    """`metric_values`, `field_value` and `deck_invariance_residual` take a
+    point or a sample p[..., 2] alike: the sample's batch axes lead the
+    result, and each entry equals the value at that point alone bit for
+    bit."""
+    spec = M.parse_metric_spec(text)
+    hp = spec.hopf_params()
+    pts = np.array(V.sample_points("hopf-fundamental", 6, 11, hp=hp)).reshape(2, 3, 2)
+    H, r = M.metric_values(spec, pts), M.deck_invariance_residual(spec, pts)
+    assert H.shape == (2, 3, 2, 2) and r.shape == (2, 3)
+    f = spec.f if spec.kind == "conformal" else M.FieldSpec(kind="log-delta", scale=3.0)
+    fv = M.field_value(f, pts, hp)
+    assert fv.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        p = tuple(pts[idx].tolist())
+        one, r_one = M.metric_values(spec, p), M.deck_invariance_residual(spec, p)
+        assert one.shape == (2, 2) and np.shape(r_one) == ()
+        assert H[idx].tobytes() == one.tobytes(), p
+        assert r[idx].tobytes() == np.float64(r_one).tobytes(), p
+        assert fv[idx].tobytes() == np.float64(M.field_value(f, p, hp)).tobytes(), p
+
+
 def test_det_formula_solves_one_theta_root_per_point(monkeypatch):
     calls = []
     root = M._theta_root
