@@ -37,17 +37,18 @@ arithmetic.  A conformal factor scales the base's arrays by one Leibniz
 product, broadcast over the entries.
 
 A check that already holds a scalar frame builds its Hopf metric from it
-(`build_hopf_metric`), and a check that needs a conformal metric and its
-base builds both from one set of base arrays (`build_conformal_metrics`), so
-neither solves θ nor builds the base twice at a point.
+(`build_hopf_metric`).  A conformal metric and its base share one set of
+base arrays, and a Hopf base and a Hopf field (log-phi, log-delta) read one
+frame and one set of rows (`_conformal_arrays`), or, for values only, one
+scalar frame per point; so a check on such a spec solves θ once at a point.
 
 `build_metric` takes one point or a sample of points (an array whose last
 axis holds the coordinates) and builds one metric over all of them: the
 rows, tables, fields and metric arrays carry the sample's axes in front,
 through the same code as one point, and so do `phi_field`,
 `hessian_forms` and `dbar_log_phi` over a stacked frame, and
-`metric_values`, `field_value` and `deck_invariance_residual` take a point
-or a sample alike.  Only the θ roots are found point by point
+`metric_values` and `deck_invariance_residual` take a point or a sample
+alike.  Only the θ roots are found point by point
 (`hopf_frames`); the values of the Hopf metrics and fields are formed on
 one scalar frame per point and stacked, and the few real factors that
 numpy's vector exp and power round differently from Python's are formed
@@ -66,7 +67,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import MetricJet, NotPositiveDefinite, PointFailure
-from .wjet import all_real_valued
 
 E = math.e
 
@@ -968,28 +968,25 @@ def _hopf_metric_arrays(spec: MetricSpec, fr: HopfRows) -> tuple[np.ndarray, ...
             rows[..., 5:].reshape(bs + (2, 2, 4, 4)))
 
 
-def _field_hopf_params(f: FieldSpec, hp: HopfParams | None) -> HopfParams:
-    if hp is None:
-        raise SpecError(f"{f.kind} field needs Hopf parameters")
-    return hp
-
-
 def field_jet(f: FieldSpec, p, hp: HopfParams | None, n: int = 2) -> tuple[np.ndarray, ...]:
     """Real-valued order-2 jet of a scalar conformal factor, as (value,
     gradient, Hessian) arrays in the slots of `partials`, at the point p or at
-    each point of an array p[..., n] of points (batch axes in front).  The
-    Hopf fields are rows of `hopf_rows`: log Φ = kθ, and log Δ by the chain
-    rule, (log Δ)' = Δ'/Δ, (log Δ)'' = Δ''/Δ − (Δ'/Δ)⊗(Δ'/Δ).  The value is
-    the one `field_value` gives."""
+    each point of an array p[..., n] of points (batch axes in front)."""
     pts = np.asarray(p, dtype=complex)
     if f.kind == "zero":
-        bs, m = pts.shape[:-1], 2 * n
-        return np.zeros(bs, complex), np.zeros(bs + (m,), complex), np.zeros(bs + (m, m), complex)
+        return tuple(np.zeros(pts.shape[:-1] + (2 * n,) * k, complex) for k in range(3))
     if f.kind == "poly":
         return f.poly_table(n).jet(pts)
-    hp = _field_hopf_params(f, hp)
+    if hp is None:
+        raise SpecError(f"{f.kind} field needs Hopf parameters")
     hv = hopf_frames(pts, hp)
-    fr = hopf_rows(hv, hp)
+    return _hopf_field(f, hv, hopf_rows(hv, hp), hp)
+
+
+def _hopf_field(f: FieldSpec, hv: HopfFrame, fr: HopfRows, hp: HopfParams) -> tuple:
+    """(value, gradient, Hessian) of a Hopf field from the frame hv and its rows
+    fr, its values those of `_hopf_field_value`: log Φ = kθ, and log Δ by the
+    chain rule, (log Δ)' = Δ'/Δ, (log Δ)'' = Δ''/Δ − (Δ'/Δ)⊗(Δ'/Δ)."""
     if f.kind == "log-phi":
         return _row_arrays((f.scale * hp.k) * fr.theta)
     delta = np.asarray(hv.delta)
@@ -999,20 +996,27 @@ def field_jet(f: FieldSpec, p, hp: HopfParams | None, n: int = 2) -> tuple[np.nd
     return _row_arrays(f.scale * row)
 
 
-def field_value(f: FieldSpec, p, hp: HopfParams | None, n: int = 2) -> np.ndarray:
-    """The value of `field_jet(f, p, hp, n)`, bit for bit, at the point p or
-    at each point of a sample p[..., n]: the Hopf fields from one scalar frame
-    per point, in Python floats, and no jet built."""
-    pts = np.asarray(p, dtype=complex)
-    if f.kind not in ("log-phi", "log-delta"):
-        return field_jet(f, pts, hp, n)[0].real[()]
-    hp = _field_hopf_params(f, hp)
-    frames = [hopf_values(q, hp) for q in pts.reshape(-1, n).tolist()]
-    if f.kind == "log-phi":
-        values = [(f.scale * hp.k) * hv.theta for hv in frames]
-    else:
-        values = [f.scale * math.log(hv.delta) for hv in frames]
-    return np.reshape(values, pts.shape[:-1])[()]
+def _hopf_field_value(f: FieldSpec, hv: HopfFrame, hp: HopfParams) -> float:
+    """The value of a Hopf field on the scalar frame hv."""
+    return (f.scale * hp.k) * hv.theta if f.kind == "log-phi" else f.scale * math.log(hv.delta)
+
+
+EQ_TOL = 1e-12  # per Taylor coefficient, of the largest coefficient (or of 1)
+
+
+def all_real_valued(data: np.ndarray, n_vars: int) -> bool:
+    """True iff every jet in a stack of flat jet arrays data[..., 1 + m + m²]
+    (value, gradient, row-major Hessian; m = 2·n_vars) equals its conjugate,
+    which trades the z and z̄ slots, Taylor coefficient by coefficient (½ on
+    the Hessian's diagonal), to EQ_TOL of its own largest coefficient."""
+    m = 2 * n_vars
+    swap = np.r_[n_vars:m, :n_vars]
+    perm = np.concatenate(([0], 1 + swap, 1 + m + (m * swap[:, None] + swap).ravel()))
+    weights = np.ones(1 + m + m * m)
+    weights[1 + m :: m + 1] = 0.5
+    c = data * weights
+    gap = np.abs(c - c[..., perm].conj()).max(axis=-1)
+    return bool((gap <= EQ_TOL * np.maximum(1.0, np.abs(c).max(axis=-1))).all())
 
 
 def _exp_field(f0: float) -> float:
@@ -1050,8 +1054,14 @@ def conformal_scale(h, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-# Metric kinds that are one closed form over the Hopf frame.
+# Metric kinds that are one closed form over the Hopf frame, and field kinds read off it.
 _HOPF_FRAME_KINDS = ("hopf-omega-lambda", "hopf-lc-flat")
+_HOPF_FIELD_KINDS = ("log-phi", "log-delta")
+
+
+def _hopf_frame_shared(spec: MetricSpec) -> bool:
+    """Whether the conformal spec's base and field both read the Hopf frame."""
+    return spec.base.kind in _HOPF_FRAME_KINDS and spec.f.kind in _HOPF_FIELD_KINDS
 
 
 def _metric_points(spec: MetricSpec, p) -> np.ndarray:
@@ -1075,9 +1085,20 @@ def _metric_arrays(spec: MetricSpec, pts: np.ndarray) -> tuple[np.ndarray, ...]:
         hp = spec.hopf_params()
         return _hopf_metric_arrays(spec, hopf_rows(hopf_frames(pts, hp), hp))
     if spec.kind == "conformal":
-        base = _metric_arrays(spec.base, pts)
-        return conformal_scale(base, field_jet(spec.f, pts, spec.hopf_params(), n=spec.dim))
+        return conformal_scale(*_conformal_arrays(spec, pts))
     raise ValueError(f"unknown metric kind {spec.kind!r}")  # pragma: no cover (MetricSpec checks)
+
+
+def _conformal_arrays(spec: MetricSpec, pts: np.ndarray) -> tuple[tuple, tuple]:
+    """The base's (H, dH, ddH) and f's (value, gradient, Hessian) at each point
+    of pts[..., dim]; a Hopf base and a Hopf field read one frame and one set
+    of its rows."""
+    hp = spec.hopf_params()
+    if not _hopf_frame_shared(spec):
+        return _metric_arrays(spec.base, pts), field_jet(spec.f, pts, hp, n=spec.dim)
+    hv = hopf_frames(pts, hp)
+    fr = hopf_rows(hv, hp)
+    return _hopf_metric_arrays(spec.base, fr), _hopf_field(spec.f, hv, fr, hp)
 
 
 def _metric_jet(spec: MetricSpec, pts: np.ndarray, arrays) -> MetricJet:
@@ -1117,9 +1138,8 @@ def build_conformal_metrics(spec: MetricSpec, p) -> tuple[MetricJet, MetricJet, 
     gradient, Hessian) of f at p, from one build of the base's arrays and one
     f jet; each metric is checked as `build_metric` checks it."""
     pts = _metric_points(spec, p)
-    base = _metric_arrays(spec.base, pts)
+    base, f = _conformal_arrays(spec, pts)
     mb = _metric_jet(spec.base, pts, base)
-    f = field_jet(spec.f, pts, spec.hopf_params(), n=spec.dim)
     return mb, _metric_jet(spec, pts, conformal_scale(base, f)), f
 
 
@@ -1133,10 +1153,10 @@ def metric_values(spec: MetricSpec, p) -> np.ndarray:
     at the point p or at each point of a sample p[..., dim].
 
     The Hopf metrics evaluate their closed form on one scalar frame per point
-    (`hopf_values`), a conformal metric is e^f times its base's values, with
-    f from `field_value`, and the other kinds (hopf-standard, the polynomial
-    kinds) read the value slot of their arrays; so none of them builds a jet
-    (nor checks that the values are positive definite).
+    (`hopf_values`), a conformal metric is e^f times its base's values, a Hopf
+    field and a Hopf base read off the same frames, and the other kinds read
+    the value slot of their arrays; so none of them builds a jet (nor checks
+    that the values are positive definite).
     """
     pts = _metric_points(spec, p)
     flat = pts.reshape(-1, spec.dim)
@@ -1144,9 +1164,15 @@ def metric_values(spec: MetricSpec, p) -> np.ndarray:
         hp = spec.hopf_params()
         H = hopf_metric_values(spec, [hopf_values(q, hp) for q in flat.tolist()])
     elif spec.kind == "conformal":
-        f0 = field_value(spec.f, flat, spec.hopf_params(), spec.dim)
-        e = np.array([_exp_field(x) for x in f0.tolist()])
-        H = e[:, None, None] * metric_values(spec.base, flat)
+        f, hp = spec.f, spec.hopf_params()
+        if f.kind in _HOPF_FIELD_KINDS and hp is not None:
+            frames = [hopf_values(q, hp) for q in flat.tolist()]
+            f0 = [_hopf_field_value(f, hv, hp) for hv in frames]
+        else:  # (field_jet raises the SpecError of a Hopf field without Hopf parameters)
+            f0 = field_jet(f, flat, hp, spec.dim)[0].real.tolist()
+        e = np.array([_exp_field(x) for x in f0])[:, None, None]
+        H = e * (hopf_metric_values(spec.base, frames) if _hopf_frame_shared(spec)
+                 else metric_values(spec.base, flat))
     else:
         H = _metric_arrays(spec, flat)[0]
     return H.reshape(pts.shape[:-1] + H.shape[1:])

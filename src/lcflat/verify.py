@@ -165,12 +165,10 @@ def sample_points(
     rng = np.random.default_rng(seed)
     if domain == "box":
         pts = []
-        while len(pts) < n:
-            raw = rng.uniform(-BOX_HALFWIDTH, BOX_HALFWIDTH, size=2 * dim)
-            coords = raw[:dim] + 1j * raw[dim:]
-            if np.linalg.norm(coords) <= ORIGIN_EXCLUSION:
-                continue
-            pts.append(tuple(complex(c) for c in coords))
+        while len(pts) < n:  # each round draws the rows still needed, in stream order
+            raw = rng.uniform(-BOX_HALFWIDTH, BOX_HALFWIDTH, size=(n - len(pts), 2 * dim))
+            coords = raw[:, :dim] + 1j * raw[:, dim:]
+            pts += map(tuple, coords[np.linalg.norm(coords, axis=-1) > ORIGIN_EXCLUSION].tolist())
         return pts
     if domain == "hopf-fundamental":
         if hp is None:

@@ -21,14 +21,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import cache
 from typing import Callable
 
 import numpy as np
 
-# Per-coefficient tolerance for jet equality, scaled by the dominant
-# coefficient magnitude (never below an absolute scale of 1).
-EQ_TOL = 1e-12
+from .metrics import EQ_TOL, all_real_valued
 
 
 class WJet:
@@ -341,29 +338,6 @@ def partials(jets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def is_real_valued(a: WJet) -> bool:
     """True iff a = conj(a), Taylor coefficient by coefficient, to EQ_TOL."""
     return all_real_valued(a.data, a.n_vars)
-
-
-@cache
-def _conj_layout(n_vars: int) -> tuple[np.ndarray, np.ndarray]:
-    """For a flat jet array: the permutation that conjugation applies (it
-    trades the z and z̄ slots), and the weights that turn it into Taylor
-    coefficients (½ on the Hessian's diagonal)."""
-    m = 2 * n_vars
-    swap = np.r_[n_vars:m, :n_vars]
-    perm = np.concatenate(([0], 1 + swap, 1 + m + (m * swap[:, None] + swap).ravel()))
-    weights = np.ones(1 + m + m * m)
-    weights[1 + m :: m + 1] = 0.5
-    return perm, weights
-
-
-def all_real_valued(data: np.ndarray, n_vars: int) -> bool:
-    """`is_real_valued` of every jet in a stack of flat jet arrays
-    data[..., 1 + m + m²] (the layout of `WJet.data`, m = 2·n_vars), each
-    against its own largest coefficient."""
-    perm, weights = _conj_layout(n_vars)
-    c = data * weights
-    gap = np.abs(c - c[..., perm].conj()).max(axis=-1)
-    return bool((gap <= EQ_TOL * np.maximum(1.0, np.abs(c).max(axis=-1))).all())
 
 
 def jets_close(a: WJet, b: WJet, tol: float = EQ_TOL) -> bool:

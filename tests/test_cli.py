@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import types
 from dataclasses import replace
@@ -623,3 +624,26 @@ def test_every_function_in_the_package_is_entered_by_some_command(runner, tmp_pa
                      if (Path(path).name, None) not in UNENTERED_ON_PURPOSE
                      and (Path(path).name, name) not in UNENTERED_ON_PURPOSE)
     assert missing == []
+
+
+def test_the_cli_never_loads_the_jet_engine(tmp_path):
+    """`wjet` is the jet engine of the tests and the benchmark, not of the
+    CLI: a fresh interpreter that imports `lcflat.cli`, and then runs
+    `lcflat suite`, leaves `lcflat.wjet` out of `sys.modules`."""
+    import lcflat
+
+    src = str(Path(lcflat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "\n".join([
+        "import sys, lcflat.cli",
+        "assert 'lcflat.wjet' not in sys.modules, 'loaded by import lcflat.cli'",
+        "try:",
+        "    lcflat.cli.main(['suite', '--output', sys.argv[1]])",
+        "except SystemExit as exc:",
+        "    assert exc.code == 0, f'suite exited {exc.code}'",
+        "assert 'lcflat.wjet' not in sys.modules, 'loaded by lcflat suite'",
+    ])
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "suite.json")],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads((tmp_path / "suite.json").read_text())["ok"]

@@ -538,17 +538,17 @@ VALUE_SPECS = [
 
 @pytest.mark.parametrize("text", VALUE_SPECS)
 def test_values_of_a_sample_equal_the_values_of_each_point(text):
-    """`metric_values`, `field_value` and `deck_invariance_residual` take a
+    """`metric_values`, `deck_invariance_residual` and a field's jet take a
     point or a sample p[..., 2] alike: the sample's batch axes lead the
     result, and each entry equals the value at that point alone bit for
-    bit."""
+    bit, and a Hopf field's value is its value on the point's scalar frame."""
     spec = M.parse_metric_spec(text)
     hp = spec.hopf_params()
     pts = np.array(V.sample_points("hopf-fundamental", 6, 11, hp=hp)).reshape(2, 3, 2)
     H, r = M.metric_values(spec, pts), M.deck_invariance_residual(spec, pts)
     assert H.shape == (2, 3, 2, 2) and r.shape == (2, 3)
     f = spec.f if spec.kind == "conformal" else M.FieldSpec(kind="log-delta", scale=3.0)
-    fv = M.field_value(f, pts, hp)
+    fv = M.field_jet(f, pts, hp)[0]
     assert fv.shape == (2, 3)
     for idx in np.ndindex(2, 3):
         p = tuple(pts[idx].tolist())
@@ -556,7 +556,10 @@ def test_values_of_a_sample_equal_the_values_of_each_point(text):
         assert one.shape == (2, 2) and np.shape(r_one) == ()
         assert H[idx].tobytes() == one.tobytes(), p
         assert r[idx].tobytes() == np.float64(r_one).tobytes(), p
-        assert fv[idx].tobytes() == np.float64(M.field_value(f, p, hp)).tobytes(), p
+        assert fv[idx].tobytes() == M.field_jet(f, p, hp)[0].tobytes(), p
+        if f.kind in ("log-phi", "log-delta"):
+            want = M._hopf_field_value(f, M.hopf_values(p, hp), hp)
+            assert fv[idx].real.tobytes() == np.float64(want).tobytes() and fv[idx].imag == 0, p
 
 
 def test_det_formula_solves_one_theta_root_per_point(monkeypatch):
@@ -597,20 +600,56 @@ def test_tw_formula_builds_one_jet_frame_per_sample(monkeypatch):
     assert len(calls) == 1 and np.shape(calls[0].theta) == (10,)
 
 
-def test_conformal_law_builds_its_hopf_base_and_field_once_per_point(monkeypatch):
-    """The base's arrays and the field's jet are built once per point and
-    shared by both metrics, so a Hopf base and a Hopf field make one θ root
-    and one set of rows each."""
+def _count_theta_roots_and_rows(monkeypatch) -> tuple[list, list]:
+    """Lists that record each `_theta_root` call and each `hopf_rows` build."""
     roots, rows = [], []
     root, build_rows = M._theta_root, M.hopf_rows
     monkeypatch.setattr(M, "_theta_root", lambda p, hp: roots.append(p) or root(p, hp))
     monkeypatch.setattr(M, "hopf_rows", lambda hv, hp: rows.append(hv) or build_rows(hv, hp))
+    return roots, rows
+
+
+def _hopf_conformal_check(identity: str) -> None:
     (cell,) = [c for c in cli._suite_cells()
-               if c["identity"] == "conformal-law" and "hopf" in c["metric"]]
-    rep = V.run_check(V.CheckSpec(identity="conformal-law", metric=M.parse_metric_spec(cell["metric"]),
+               if c["identity"] == identity and c["metric"].startswith("conformal{base=hopf")]
+    rep = V.run_check(V.CheckSpec(identity=identity, metric=M.parse_metric_spec(cell["metric"]),
                                   n_points=10, seed=3))
     assert rep.verdict == "pass" and len(rep.per_point) == 10
-    assert len(roots) <= 2 * 10 and len(rows) <= 2 * 10
+
+
+def test_conformal_law_builds_its_hopf_base_and_field_once_per_point(monkeypatch):
+    """The base's arrays and the field's jet are built once and shared by
+    both metrics, and a Hopf base and a Hopf field read one frame: one θ
+    root per point and one set of rows per check."""
+    roots, rows = _count_theta_roots_and_rows(monkeypatch)
+    _hopf_conformal_check("conformal-law")
+    assert len(roots) == 10 and len(rows) == 1
+
+
+def test_conformal_deck_invariance_reads_one_scalar_frame_per_point_and_image(monkeypatch):
+    """The field's value and the base's values come from one scalar frame at
+    each point and one at its image, and no rows are built."""
+    roots, rows = _count_theta_roots_and_rows(monkeypatch)
+    _hopf_conformal_check("deck-invariance")
+    assert len(roots) == 2 * 10 and not rows
+
+
+def test_suite_cells_solve_theta_once_per_point_and_build_rows_once_per_check(monkeypatch):
+    """Over every suite cell and seed: at most one θ root per evaluated point
+    (deck-invariance: one at each point and one at its image) and at most
+    one `hopf_rows` build per check."""
+    roots, rows = _count_theta_roots_and_rows(monkeypatch)
+    for cell in cli._suite_cells():
+        spec = M.parse_metric_spec(cell["metric"])
+        per_point = 2 if cell["identity"] == "deck-invariance" else 1
+        for seed in cli.SUITE_SEEDS:
+            roots.clear()
+            rows.clear()
+            rep = V.run_check(V.CheckSpec(identity=cell["identity"], metric=spec,
+                                          n_points=cell["n_points"], seed=seed))
+            assert not rep.failures, cell
+            assert len(roots) <= per_point * cell["n_points"], (cell, seed, len(roots))
+            assert len(rows) <= 1, (cell, seed, len(rows))
 
 
 def test_conformal_metrics_reject_a_user_polynomial_by_its_seed():
@@ -706,7 +745,7 @@ def test_hopf_field_jets_match_the_jet_product_oracle(hp, kind):
     for pt in V.sample_points("hopf-fundamental", 10, 9, hp=hp):
         got = wjet.WJet(*M.field_jet(f, pt, hp))
         _assert_arrays_close(wjet.partials(got), wjet.partials(hopf_field_oracle(f, pt, hp)))
-        assert got.value == M.field_value(f, pt, hp)
+        assert got.value == M._hopf_field_value(f, M.hopf_values(pt, hp), hp)
 
 
 @pytest.mark.parametrize("identity, metric", [

@@ -62,6 +62,37 @@ def test_box_points_avoid_origin_ball():
         assert np.linalg.norm(p) > 0.1
 
 
+def _box_points_one_row_at_a_time(n, seed, dim):
+    """The box sampler as a loop that draws one point per call and redraws
+    while the point is in the origin ball."""
+    rng = np.random.default_rng(seed)
+    pts, redrawn = [], 0
+    while len(pts) < n:
+        raw = rng.uniform(-V.BOX_HALFWIDTH, V.BOX_HALFWIDTH, size=2 * dim)
+        coords = raw[:dim] + 1j * raw[dim:]
+        if np.linalg.norm(coords) <= V.ORIGIN_EXCLUSION:
+            redrawn += 1
+            continue
+        pts.append(tuple(complex(c) for c in coords))
+    return pts, redrawn
+
+
+def test_box_sampler_draws_as_a_loop_over_single_points():
+    """The sampler draws the rows a round still needs in one call; the stream
+    is consumed in the same order, so its points equal those of one draw per
+    point, bit for bit, redrawn points included."""
+    redrawn = 0
+    for dim in (1, 2, 3):
+        for seed in range(50):
+            want, r = _box_points_one_row_at_a_time(40, seed, dim)
+            got = V.sample_points("box", 40, seed, dim=dim)
+            assert [[(c.real, c.imag) for c in p] for p in got] == \
+                [[(c.real, c.imag) for c in p] for p in want], (dim, seed)
+            assert all(type(c) is complex for p in got for c in p)
+            redrawn += r
+    assert redrawn > 0
+
+
 def test_sampler_edge_cases():
     assert len(V.sample_points("box", 1, 0)) == 1
     with pytest.raises(ValueError, match="domain"):
@@ -525,6 +556,263 @@ def test_report_validates_against_shipped_schema():
         V.CheckSpec(identity="lc-ricci-flat", metric=spec, n_points=40, seed=11, tol=1e-8)
     )
     jsonschema.validate(rep2.to_dict(), schema)
+
+
+# -- normaliser pins ------------------------------------------------------------------
+#
+# A normaliser is the easiest place to fool a check: `/` for `*`, or the
+# smaller of two scales for the larger, can turn a real error into a PASS.
+# Each pin plants an absolute error of known size in one quantity that a
+# residual reads and requires the residual that the identity's formula
+# predicts (a difference over its normaliser, as the module docstring and the
+# residual's docstring state them), within 1e-12 relative.  The planted error
+# is far above the identity's roundoff, so the unplanted difference does not
+# show at 1e-12.
+
+
+def _form_max(a):
+    return np.abs(a).max(axis=(-2, -1))
+
+
+def _plus(a, index, size):
+    """A copy of the array a (complex) with `size` added at [..., *index]."""
+    out = np.array(a, complex)
+    out[(...,) + index] += size
+    return out
+
+
+def _planted(monkeypatch, owner, name, plant):
+    """Replace owner.name by a function that passes its output through plant."""
+    fn = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: plant(fn(*args)))
+
+
+class _PlantedScalars:
+    """`geo.Scalars` with a planted addition to some of its fields."""
+
+    def __init__(self, sc, plants):
+        self.sc, self.plants = sc, plants
+
+    def __getattr__(self, name):
+        value = getattr(self.sc, name)
+        return value + self.plants[name] if name in self.plants else value
+
+
+def _pin_lc_ricci_flat(monkeypatch, spec, pts):
+    # max(|𝔯ic| by either path) / (1 + max|Ric|): e on the relation path.
+    m = M.build_metric(spec, pts)
+    e = 0.25
+    _planted(monkeypatch, geo, "lc_ricci_via_relation", lambda r: _plus(r, (0, 0), e))
+    return e / (1.0 + _form_max(geo.chern_ricci(m)))
+
+
+def _pin_key_relation(monkeypatch, spec, pts):
+    # max|r1 − r2| / (1 + max(max|r1|, max|r2|)): r2 + e, with e above 2 max|r1|,
+    # so the larger scale is max|r2 + e|.
+    m = M.build_metric(spec, pts)
+    r1, r2 = geo.lc_ricci(m), geo.lc_ricci_via_relation(m)
+    e = 1.0 + 3.0 * _form_max(r1)
+    _planted(monkeypatch, geo, "lc_ricci_via_relation", lambda r: _plus(r, (0, 0), e))
+    return e / (1.0 + _form_max(_plus(r2, (0, 0), e)))
+
+
+def _conformal_terms(spec, pts):
+    n = spec.dim
+    mb, mc, (_, fg, fh) = M.build_conformal_metrics(spec, pts)
+    lhs, rhs = geo.lc_ricci(mc), geo.lc_ricci(mb) - fh[..., :n, n:]
+    a10_c, want = geo.del_star(mc)[1], geo.del_star(mb)[1] + 1j * (n - 1) * fg[..., :n]
+    return lhs, rhs, a10_c, want
+
+
+def _pin_conformal_ric(monkeypatch, spec, pts):
+    # r_ric = max|lhs − rhs| / (1 + max(max|lhs|, max|rhs|)): e on f_zz̄ moves
+    # rhs by −e, and e is above 2 max|lhs|.
+    n = spec.dim
+    lhs, rhs, _, _ = _conformal_terms(spec, pts)
+    e = 1.0 + 3.0 * _form_max(lhs)
+    _planted(monkeypatch, M, "build_conformal_metrics", lambda out: (
+        out[0], out[1], (out[2][0], out[2][1], _plus(out[2][2], (0, n), e))))
+    return e / (1.0 + _form_max(_plus(rhs, (0, 0), -e)))
+
+
+def _pin_conformal_adjoint(monkeypatch, spec, pts):
+    # r_adj = max|∂̄*_f ω_f − want| / (1 + max(max|∂̄*_f ω_f|, max|want|)):
+    # e on f_z moves want by √−1(n−1)e.
+    n = spec.dim
+    _, _, a10_c, want = _conformal_terms(spec, pts)
+    e = 1.0 + 3.0 * np.abs(a10_c).max(axis=-1)
+    _planted(monkeypatch, M, "build_conformal_metrics", lambda out: (
+        out[0], out[1], (out[2][0], _plus(out[2][1], (0,), e), out[2][2])))
+    return (n - 1) * e / (1.0 + np.abs(_plus(want, (0,), 1j * (n - 1) * e)).max(axis=-1))
+
+
+def _pin_det_formula(monkeypatch, spec, pts):
+    # |det − expect| / |expect| with expect = (1+λ)/(Δ³Φ²): e added to det.
+    hp = spec.hopf_params()
+    expect = np.array([(1.0 + spec.lam_value) / (hv.delta**3 * hv.phi**2)
+                       for hv in (M.hopf_values(p, hp) for p in pts)])
+    e = 0.1 * expect.max()
+    _planted(monkeypatch, np.linalg, "det", lambda d: d + e)
+    return e / expect
+
+
+def _tw_terms(spec, pts):
+    hp = spec.hopf_params()
+    hv = M.hopf_frames(np.asarray(pts), hp)
+    target = M.hessian_forms(hv, hp)[0] / (1.0 + spec.lam_value)
+    return target, 1j / (1.0 + spec.lam_value) * M.dbar_log_phi(hv)
+
+
+def _pin_tw_ddstar(monkeypatch, spec, pts):
+    # max|∂∂*ω − L/(1+λ)| / (1 + max|L/(1+λ)|): e on ∂∂*ω.
+    target, _ = _tw_terms(spec, pts)
+    e = 0.5
+    _planted(monkeypatch, geo, "d_del_star_parts", lambda p: (_plus(p[0], (0, 0), e), p[1]))
+    return e / (1.0 + _form_max(target))
+
+
+def _pin_tw_delstar(monkeypatch, spec, pts):
+    # max|∂*ω − want| / (1 + max|want|), want = (√−1/(1+λ))∂̄ log Φ: e on ∂*ω.
+    _, want = _tw_terms(spec, pts)
+    e = 0.5
+    _planted(monkeypatch, geo, "del_star", lambda a: (_plus(a[0], (0,), e), a[1]))
+    return e / (1.0 + np.abs(want).max(axis=-1))
+
+
+def _pin_scalar_010(monkeypatch, spec, pts):
+    # |s_LC − (s_C − ½⟨·,·⟩)| / (1 + |s_LC|): e on s_C.
+    s_lc = geo.scalars(M.build_metric(spec, pts)).s_LC
+    e = 0.5
+    _planted(monkeypatch, geo, "scalars", lambda sc: _PlantedScalars(sc, {"s_C": e}))
+    return e / (1.0 + np.abs(s_lc))
+
+
+def _pin_scalar_key1(monkeypatch, spec, pts):
+    # |s − (2s_C + …)| / (1 + |s|): e on s_C moves the right-hand side by 2e.
+    s = geo.scalars(M.build_metric(spec, pts)).s
+    e = 0.5
+    _planted(monkeypatch, geo, "scalars", lambda sc: _PlantedScalars(sc, {"s_C": e}))
+    return 2.0 * e / (1.0 + np.abs(s))
+
+
+def _pin_deck(monkeypatch, spec, pts):
+    # max|J h(az, bw) J† − h(z, w)| / (1 + max|h(z, w)|): e on h₁₁ at each image,
+    # which J = diag(a, b) scales by |a|².
+    h = M.metric_values(spec, pts)
+    e = 0.3
+    half = len(pts)
+    _planted(monkeypatch, M, "metric_values",
+             lambda H: np.concatenate((H[:half], _plus(H[half:], (0, 0), e))))
+    return abs(spec.hopf_params().a) ** 2 * e / (1.0 + _form_max(h))
+
+
+def _pin_hessian_L(monkeypatch, spec, pts):
+    # max|L − k θ_{zz̄…}| / (1 + max|L|): e on θ_{zz̄} moves the jet's L by k·e.
+    hp = spec.hopf_params()
+    L, _ = M.hessian_forms(M.hopf_frames(np.asarray(pts), hp), hp)
+    e = 0.5
+
+    def plant(out):
+        phi, (t0, tg, th), delta = out
+        return phi, (t0, tg, _plus(th, (0, 2), e)), delta
+
+    _planted(monkeypatch, M, "phi_field", plant)
+    return hp.k * e / (1.0 + _form_max(L))
+
+
+def _pin_hessian_P(monkeypatch, spec, pts):
+    # max|P − Φ'⊗Φ̄'| / (1 + max|P|): e on Φ_z̄ moves column z̄ of the jet's P by
+    # (Φ_z, Φ_w)·e.
+    hp = spec.hopf_params()
+    hv = M.hopf_frames(np.asarray(pts), hp)
+    _, P = M.hessian_forms(hv, hp)
+    dphi = M.phi_field(hv, hp)[0][1]
+    e = 0.5
+
+    def plant(out):
+        (p0, pg, ph), theta, delta = out
+        return (p0, _plus(pg, (2,), e), ph), theta, delta
+
+    _planted(monkeypatch, M, "phi_field", plant)
+    return e * np.abs(dphi[..., :2]).max(axis=-1) / (1.0 + _form_max(P))
+
+
+def _pin_kahler_s(monkeypatch, spec, pts):
+    # |s − 2s_C| / (1 + |s|): e on s.
+    s = geo.scalars(M.build_metric(spec, pts)).s
+    e = 0.5
+    _planted(monkeypatch, geo, "scalars", lambda sc: _PlantedScalars(sc, {"s": e}))
+    return e / (1.0 + np.abs(s + e))
+
+
+def _pin_kahler_s_lc(monkeypatch, spec, pts):
+    # |s_LC − s_C| / (1 + |s_LC|): e on s_LC.
+    s_lc = geo.scalars(M.build_metric(spec, pts)).s_LC
+    e = 0.5
+    _planted(monkeypatch, geo, "scalars", lambda sc: _PlantedScalars(sc, {"s_LC": e}))
+    return e / (1.0 + np.abs(s_lc + e))
+
+
+def _pin_kahler_defect(monkeypatch, spec, pts):
+    # (Kähler defect) / (1 + max|h|): e on the defect.
+    H = M.build_metric(spec, pts).H
+    e = 0.5
+    _planted(monkeypatch, geo, "kahler_defect", lambda d: d + e)
+    return e / (1.0 + _form_max(H))
+
+
+def _pin_kahler_ricci_gap(monkeypatch, spec, pts):
+    # max|𝔯ic − Ric| / (1 + max|Ric|): e on 𝔯ic.
+    ric = geo.chern_ricci(M.build_metric(spec, pts))
+    e = 0.5
+    _planted(monkeypatch, geo, "scalars", lambda sc: _PlantedScalars(
+        sc, {"lc_ric": np.eye(1, ric.shape[-1] ** 2).reshape(ric.shape[-2:]) * e}))
+    return e / (1.0 + _form_max(ric))
+
+
+A2 = "a=7.38905609893065,b=2.718281828459045"
+HOPF_CONFORMAL = f"conformal{{base=hopf-omega-lambda{{{A2},lambda=-0.5}},f=log-delta{{scale=3.0}}}}"
+NORMALISER_PINS = {
+    "lc-ricci-flat": (f"hopf-lc-flat{{{A2}}}", _pin_lc_ricci_flat),
+    "key-relation": ("user-polynomial{seed=101,amp=0.05}", _pin_key_relation),
+    "conformal-law/ricci": (HOPF_CONFORMAL, _pin_conformal_ric),
+    "conformal-law/adjoint": (HOPF_CONFORMAL, _pin_conformal_adjoint),
+    "conformal-law/poly": ("conformal{base=user-polynomial{seed=7,amp=0.04},f=poly{seed=8,amp=0.15}}",
+                           _pin_conformal_ric),
+    "det-formula": (f"hopf-omega-lambda{{{A2},lambda=0.5}}", _pin_det_formula),
+    "tw-formula/ddstar": (f"hopf-omega-lambda{{{A2},lambda=0.5}}", _pin_tw_ddstar),
+    "tw-formula/delstar": (f"hopf-omega-lambda{{{A2},lambda=0.5}}", _pin_tw_delstar),
+    "scalar-010": ("user-polynomial{seed=103,amp=0.05}", _pin_scalar_010),
+    "scalar-key1": ("user-polynomial{seed=104,amp=0.05}", _pin_scalar_key1),
+    "deck-invariance": ("hopf-omega-lambda{a=6.8+2.9j,b=2.718281828459045,lambda=0.0}", _pin_deck),
+    "hessian-matrices/L": (f"hopf-lc-flat{{{A2}}}", _pin_hessian_L),
+    "hessian-matrices/P": (f"hopf-lc-flat{{{A2}}}", _pin_hessian_P),
+    "kahler-collapse/s": ("kahler-test{n=3}", _pin_kahler_s),
+    "kahler-collapse/s_LC": ("kahler-test{n=3}", _pin_kahler_s_lc),
+    "kahler-collapse/defect": ("kahler-test{n=3}", _pin_kahler_defect),
+    "kahler-collapse/ricci-gap": ("kahler-test{n=3}", _pin_kahler_ricci_gap),
+}
+
+
+def test_every_identity_has_a_normaliser_pin():
+    assert {name.split("/")[0] for name in NORMALISER_PINS} == set(V.IDENTITIES)
+
+
+@pytest.mark.parametrize("name", list(NORMALISER_PINS))
+def test_a_planted_error_gives_the_residual_its_normaliser_predicts(name, monkeypatch):
+    text, pin = NORMALISER_PINS[name]
+    identity = name.split("/")[0]
+    spec = M.parse_metric_spec(text)
+    hp = spec.hopf_params()
+    if hp is not None and spec.dim == 2:
+        pts = V.sample_points("hopf-fundamental", 8, 1, hp=hp)
+    else:
+        pts = V.sample_points("box", 8, 1, dim=spec.dim)
+    clean = np.asarray(V.IDENTITIES[identity].residual(spec, pts, {}), float)
+    want = np.broadcast_to(pin(monkeypatch, spec, pts), clean.shape)
+    got = np.asarray(V.IDENTITIES[identity].residual(spec, pts, {}), float)
+    assert (want > 1e10 * clean).all()  # the planted error dominates
+    assert np.abs(got - want).max() <= 1e-12 * want.min(), (got, want)
 
 
 # -- FD oracle ----------------------------------------------------------------------
