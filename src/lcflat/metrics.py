@@ -39,8 +39,8 @@ product, broadcast over the entries.
 A check that already holds a scalar frame builds its Hopf metric from it
 (`build_hopf_metric`).  A conformal metric and its base share one set of
 base arrays, and a Hopf base and a Hopf field (log-phi, log-delta) read one
-frame and one set of rows (`_conformal_arrays`), or, for values only, one
-scalar frame per point; so a check on such a spec solves θ once at a point.
+frame and one set of rows (`_conformal_arrays`); so a check on such a spec
+solves θ once at a point.
 
 `build_metric` takes one point or a sample of points (an array whose last
 axis holds the coordinates) and builds one metric over all of them: the
@@ -49,11 +49,11 @@ through the same code as one point, and so do `phi_field`,
 `hessian_forms` and `dbar_log_phi` over a stacked frame, and
 `metric_values` and `deck_invariance_residual` take a point or a sample
 alike.  Only the θ roots are found point by point
-(`hopf_frames`); the values of the Hopf metrics and fields are formed on
-one scalar frame per point and stacked, and the few real factors that
-numpy's vector exp and power round differently from Python's are formed
-point by point.  Each number is formed by the arithmetic that forms it at
-one point, so a sample's arrays equal the per-point arrays bit for bit.
+(`hopf_frames`), and the values of the two Hopf metrics are formed on one
+scalar frame per point and stacked.  Each number is formed by the
+arithmetic that forms it at one point (numpy's ufuncs round a one-point
+array as they round a sample), so a sample's arrays equal the per-point
+arrays bit for bit.
 """
 
 from __future__ import annotations
@@ -738,28 +738,25 @@ def hessian_forms(hv: HopfFrame, hp: HopfParams) -> tuple[np.ndarray, np.ndarray
         P = (1/Δ²) [[ |z|² Φ^{2−2α},  z̄w ],
                     [ zw̄,            |w|² Φ^{2α−2} ]].
 
-    Both are rank 1 (det L = det P = 0) and positive semidefinite.  The
-    real factors (|z|², |w|², the powers of Φ and of Δ) are formed at each
-    point by Python's float arithmetic, since numpy's vector power and square
-    round some of them differently, and z̄w by `complex_product`; so the
-    entries at a point of a sample are the entries at that point alone.
+    Both are rank 1 (det L = det P = 0) and positive semidefinite.  Every
+    factor is a numpy ufunc call, which rounds a scalar frame's values as it
+    rounds a stacked frame's (numpy's scalar operators, as in `x ** 2` on the
+    float that `np.abs` returns, may not); so the entries at a point of a
+    sample are the entries at that point alone.
     """
-    al = hp.alpha
-    zbw = complex_product(hv.zb, hv.w)
-    try:
-        factors = []  # at each point: |z|², |w|², Φ^{2−2α}, Φ^{2α−2}, 1/(Φ²Δ³), Δ²
-        frame = (np.ravel(c).tolist() for c in (hv.z, hv.w, hv.phi, hv.delta))
-        for z, w, Phi, delta in zip(*frame):
-            factors.append((abs(z) ** 2, abs(w) ** 2, Phi ** (2.0 - 2.0 * al),
-                            Phi ** (2.0 * al - 2.0), Phi**-2.0 / delta**3, delta**2))
-        zz, ww, pz, pw, sL, sP = np.array(factors).T.reshape((6,) + np.shape(hv.theta))
-        with np.errstate(over="raise", invalid="raise"):
+    al, phi, delta = hp.alpha, hv.phi, hv.delta
+    zbw = np.multiply(hv.zb, hv.w)
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            zz, ww = np.square(np.abs(hv.z)), np.square(np.abs(hv.w))
             L = _forms((al - 2.0) ** 2 * ww, al * (al - 2.0) * zbw,
                        al * (al - 2.0) * np.conj(zbw), al**2 * zz)
-            P = _forms(zz * pz, zbw, np.conj(zbw), ww * pw)
-            return L * sL[..., None, None], P / sP[..., None, None]
-    except ArithmeticError:  # a float power raises OverflowError, numpy FloatingPointError
-        raise PointFailure("a power of Φ is outside the floating-point range at this point") from None
+            P = _forms(zz * np.power(phi, 2.0 - 2.0 * al), zbw, np.conj(zbw),
+                       ww * np.power(phi, 2.0 * al - 2.0))
+            sL = np.power(phi, -2.0) / np.power(delta, 3.0)
+            return L * sL[..., None, None], P / np.square(delta)[..., None, None]
+        except FloatingPointError:
+            raise PointFailure("a power of Φ is outside the floating-point range at this point") from None
 
 
 def dbar_log_phi(hv: HopfFrame) -> np.ndarray:
@@ -985,20 +982,18 @@ def field_jet(f: FieldSpec, p, hp: HopfParams | None, n: int = 2) -> tuple[np.nd
 
 def _hopf_field(f: FieldSpec, hv: HopfFrame, fr: HopfRows, hp: HopfParams) -> tuple:
     """(value, gradient, Hessian) of a Hopf field from the frame hv and its rows
-    fr, its values those of `_hopf_field_value`: log Φ = kθ, and log Δ by the
-    chain rule, (log Δ)' = Δ'/Δ, (log Δ)'' = Δ''/Δ − (Δ'/Δ)⊗(Δ'/Δ)."""
-    if f.kind == "log-phi":
-        return _row_arrays((f.scale * hp.k) * fr.theta)
-    delta = np.asarray(hv.delta)
-    row = fr.delta / delta[..., None]
-    row[..., 5:] -= (row[..., 1:5, None] * row[..., None, 1:5]).reshape(row.shape[:-1] + (16,))
-    row[..., 0] = np.reshape([math.log(d) for d in delta.ravel()], delta.shape)
-    return _row_arrays(f.scale * row)
-
-
-def _hopf_field_value(f: FieldSpec, hv: HopfFrame, hp: HopfParams) -> float:
-    """The value of a Hopf field on the scalar frame hv."""
-    return (f.scale * hp.k) * hv.theta if f.kind == "log-phi" else f.scale * math.log(hv.delta)
+    fr: log Φ = kθ, and log Δ by the chain rule, (log Δ)' = Δ'/Δ,
+    (log Δ)'' = Δ''/Δ − (Δ'/Δ)⊗(Δ'/Δ), with value `np.log` of the frame's Δ.
+    A scale that takes the rows out of the double range leaves infinities
+    (and NaNs) without a warning; `conformal_scale` fails their points."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if f.kind == "log-phi":
+            return _row_arrays((f.scale * hp.k) * fr.theta)
+        delta = np.asarray(hv.delta)
+        row = fr.delta / delta[..., None]
+        row[..., 5:] -= (row[..., 1:5, None] * row[..., None, 1:5]).reshape(row.shape[:-1] + (16,))
+        row[..., 0] = np.log(delta)
+        return _row_arrays(f.scale * row)
 
 
 EQ_TOL = 1e-12  # per Taylor coefficient, of the largest coefficient (or of 1)
@@ -1019,13 +1014,6 @@ def all_real_valued(data: np.ndarray, n_vars: int) -> bool:
     return bool((gap <= EQ_TOL * np.maximum(1.0, np.abs(c).max(axis=-1))).all())
 
 
-def _exp_field(f0: float) -> float:
-    try:
-        return math.exp(f0)
-    except OverflowError:
-        raise PointFailure(f"e^f is outside the floating-point range at f = {f0:.6g}") from None
-
-
 def conformal_scale(h, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Entrywise e^f · h for a real-valued scalar f = (value, gradient,
     Hessian), where h = (H, dH, ddH), at each point of their batch axes.
@@ -1033,15 +1021,21 @@ def conformal_scale(h, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     e^f by the chain rule, (e^f)' = e^f f', (e^f)'' = e^f (f'' + f'⊗f'), and
     then one Leibniz product, broadcast over the entries:
     (e^f h)'' = e^f h'' + h' ⊗ (e^f)' + (e^f)' ⊗ h' + h (e^f)''.
-    e^f's value is `math.exp` at each point, as `metric_values` forms it.
+    A point fails where f's arrays are not finite or e^f is not a positive
+    finite double (it overflows, or underflows to 0).
     """
     f0, fg, fh = (np.asarray(a) for a in f)
     m = fg.shape[-1]
     flat = np.concatenate((f0[..., None], fg, fh.reshape(fh.shape[:-2] + (m * m,))), axis=-1)
+    with np.errstate(over="ignore"):
+        e0 = np.exp(f0.real)
+    bad = ~(np.isfinite(flat).all(axis=-1) & (e0 > 0.0) & (e0 < np.inf))
+    if np.count_nonzero(bad):
+        x = f0.real.flat[bad.argmax()]
+        raise PointFailure(f"e^f is outside the floating-point range at f = {x:.6g}")
     if not all_real_valued(flat, m // 2):  # the layout of `WJet.data`
         raise PointFailure("conformal factor must be a real-valued jet")
     H, dH, ddH = h
-    e0 = np.array([_exp_field(x) for x in f0.real.ravel()]).reshape(f0.shape)
     eg = e0[..., None] * fg
     eh = e0[..., None, None] * fh + eg[..., :, None] * fg[..., None, :]
     eg, eh = eg[..., None, None, :], eh[..., None, None, :, :]  # broadcast over the entries
@@ -1057,11 +1051,6 @@ def conformal_scale(h, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # Metric kinds that are one closed form over the Hopf frame, and field kinds read off it.
 _HOPF_FRAME_KINDS = ("hopf-omega-lambda", "hopf-lc-flat")
 _HOPF_FIELD_KINDS = ("log-phi", "log-delta")
-
-
-def _hopf_frame_shared(spec: MetricSpec) -> bool:
-    """Whether the conformal spec's base and field both read the Hopf frame."""
-    return spec.base.kind in _HOPF_FRAME_KINDS and spec.f.kind in _HOPF_FIELD_KINDS
 
 
 def _metric_points(spec: MetricSpec, p) -> np.ndarray:
@@ -1094,7 +1083,7 @@ def _conformal_arrays(spec: MetricSpec, pts: np.ndarray) -> tuple[tuple, tuple]:
     of pts[..., dim]; a Hopf base and a Hopf field read one frame and one set
     of its rows."""
     hp = spec.hopf_params()
-    if not _hopf_frame_shared(spec):
+    if spec.base.kind not in _HOPF_FRAME_KINDS or spec.f.kind not in _HOPF_FIELD_KINDS:
         return _metric_arrays(spec.base, pts), field_jet(spec.f, pts, hp, n=spec.dim)
     hv = hopf_frames(pts, hp)
     fr = hopf_rows(hv, hp)
@@ -1152,27 +1141,16 @@ def metric_values(spec: MetricSpec, p) -> np.ndarray:
     """The value matrix of `build_metric(spec, p)`, equal to it bit for bit,
     at the point p or at each point of a sample p[..., dim].
 
-    The Hopf metrics evaluate their closed form on one scalar frame per point
-    (`hopf_values`), a conformal metric is e^f times its base's values, a Hopf
-    field and a Hopf base read off the same frames, and the other kinds read
-    the value slot of their arrays; so none of them builds a jet (nor checks
-    that the values are positive definite).
+    The two Hopf metrics evaluate their closed form on one scalar frame per
+    point (`hopf_values`), so they build no rows; every other kind, a
+    conformal one included, reads the value slot of its arrays.  None of
+    them checks that the values are positive definite.
     """
     pts = _metric_points(spec, p)
     flat = pts.reshape(-1, spec.dim)
     if spec.kind in _HOPF_FRAME_KINDS:
         hp = spec.hopf_params()
         H = hopf_metric_values(spec, [hopf_values(q, hp) for q in flat.tolist()])
-    elif spec.kind == "conformal":
-        f, hp = spec.f, spec.hopf_params()
-        if f.kind in _HOPF_FIELD_KINDS and hp is not None:
-            frames = [hopf_values(q, hp) for q in flat.tolist()]
-            f0 = [_hopf_field_value(f, hv, hp) for hv in frames]
-        else:  # (field_jet raises the SpecError of a Hopf field without Hopf parameters)
-            f0 = field_jet(f, flat, hp, spec.dim)[0].real.tolist()
-        e = np.array([_exp_field(x) for x in f0])[:, None, None]
-        H = e * (hopf_metric_values(spec.base, frames) if _hopf_frame_shared(spec)
-                 else metric_values(spec.base, flat))
     else:
         H = _metric_arrays(spec, flat)[0]
     return H.reshape(pts.shape[:-1] + H.shape[1:])

@@ -199,12 +199,9 @@ def _scaled_det(M: np.ndarray, s: np.ndarray) -> np.ndarray:
     """|det M| / s² for each 2×2 matrix of a stack M[..., 2, 2], with s = max|M|
     per matrix (0 where M = 0): a rank defect on the matrix's own scale, so
     roundoff of order ε·s² cannot fail it.  The determinant is taken on M/s,
-    whose products stay in range, by `metrics.complex_product` and `hypot`,
-    as Python's complex arithmetic forms it at a point."""
+    whose products stay in range."""
     m = M / np.where(s == 0, 1.0, s)[..., None, None]
-    det = (mz.complex_product(m[..., 0, 0], m[..., 1, 1])
-           - mz.complex_product(m[..., 0, 1], m[..., 1, 0]))
-    return np.hypot(det.real, det.imag)
+    return np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
 
 
 def _form_max(forms: np.ndarray) -> np.ndarray:

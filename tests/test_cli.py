@@ -466,6 +466,28 @@ def test_power_beyond_a_double_aborts_the_check(runner, identity, metric):
     assert "check aborted: " in res.stderr
 
 
+# e^f underflows to 0 at every point of the first spec (log Δ < 0 there, times
+# 1e300) and overflows at every point of the other two (f ≈ 6.2e307).
+E_F_OUT_OF_RANGE = [
+    ("deck-invariance", "conformal{base=hopf-lc-flat{a=1e150,b=1.5},f=log-delta{scale=1e300}}"),
+    ("conformal-law", "conformal{base=hopf-lc-flat,f=log-phi{scale=1e308}}"),
+    ("deck-invariance", "conformal{base=hopf-lc-flat,f=log-phi{scale=1e308}}"),
+]
+
+
+@pytest.mark.parametrize("identity, metric", E_F_OUT_OF_RANGE,
+                         ids=["deck-underflow", "conformal-law-overflow", "deck-overflow"])
+def test_an_e_f_outside_the_doubles_fails_every_point(runner, identity, metric):
+    # A zero "metric" is no metric, so the first check cannot pass; the
+    # overflow is charged to the points, not raised as a RuntimeWarning
+    # (which fails the test).
+    res = invoke(runner, ["verify", "--identity", identity, "--metric", metric,
+                          "--points", "40", "--seed", "1"])
+    assert res.exit_code == 1, res.output
+    assert "check aborted: 40/40 points failed to construct; first error: " \
+        "e^f is outside the floating-point range at f = " in res.stderr
+
+
 @pytest.mark.parametrize("identity, metric", [
     ("det-formula", "hopf-omega-lambda{a=1e100,b=1.5}"),
     ("deck-invariance", "hopf-lc-flat{a=1e40,b=1.5}"),

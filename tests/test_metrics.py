@@ -289,6 +289,20 @@ def test_hessian_forms_closed_form_entries_and_rank():
     assert np.linalg.eigvalsh(L).min() > -1e-14
 
 
+@pytest.mark.parametrize("hp", [M.HopfParams(E**2, E), M.HopfParams(1e3, 1.01),
+                                M.HopfParams(3.3, 2.9), M.HopfParams(1e6, 1.0001)],
+                         ids=["e2-e", "1e3", "3.3-2.9", "1e6"])
+def test_hessian_forms_of_a_sample_equal_those_of_each_point_bit_for_bit(hp):
+    """L and P over a stacked frame of 300 points equal, row by row, L and P
+    on each point's scalar frame: numpy's ufuncs round a scalar as they
+    round an array."""
+    pts = V.sample_points("hopf-fundamental", 300, 17, hp=hp)
+    L, P = M.hessian_forms(M.hopf_frames(np.asarray(pts), hp), hp)
+    for k, p in enumerate(pts):
+        one_L, one_P = M.hessian_forms(M.hopf_values(p, hp), hp)
+        assert L[k].tobytes() == one_L.tobytes() and P[k].tobytes() == one_P.tobytes(), p
+
+
 def test_hessian_form_equal_multipliers_at_symmetric_point():
     """a=b at (1,1): ∂∂̄log(|z|²+|w|²) = ¼[[1,−1],[−1,1]]."""
     hp = M.HopfParams(E, E)
@@ -494,12 +508,8 @@ def test_value_only_identities_build_no_jets(monkeypatch):
     for owner, name in ((M, "hopf_rows"), (wjet.WJet, "__init__"), (wjet, "_jet")):
         monkeypatch.setattr(owner, name, no_jets)
     omega = M.MetricSpec(kind="hopf-omega-lambda", a=E**2, b=E * np.exp(0.3j), lam=0.5)
-    conformal = M.MetricSpec(kind="conformal",
-                             base=M.MetricSpec(kind="hopf-omega-lambda", a=E**2, b=E, lam=-0.5),
-                             f=M.FieldSpec(kind="log-delta", scale=3.0))
     checks = [("det-formula", omega), ("deck-invariance", omega),
               ("deck-invariance", M.MetricSpec(kind="hopf-lc-flat", a=E**2, b=E)),
-              ("deck-invariance", conformal),
               ("deck-invariance", M.MetricSpec(kind="hopf-standard", a=E, b=E))]
     for identity, spec in checks:
         rep = V.run_check(V.CheckSpec(identity=identity, metric=spec, n_points=10, seed=3))
@@ -524,6 +534,11 @@ def test_det_and_deck_read_the_values_of_a_sample_in_one_stack(monkeypatch):
         assert stacks == want, identity
 
 
+def _hopf_field_value(f, hv, hp):
+    """A Hopf field's value on the scalar frame hv: scale·kθ or scale·log Δ."""
+    return (f.scale * hp.k) * hv.theta if f.kind == "log-phi" else f.scale * np.log(hv.delta)
+
+
 VALUE_SPECS = [
     "hopf-omega-lambda{a=12.1+3.2j,b=-2.5+1.1j,lambda=0.5}",
     "hopf-lc-flat{a=12.1+3.2j,b=-2.5+1.1j}",
@@ -541,7 +556,8 @@ def test_values_of_a_sample_equal_the_values_of_each_point(text):
     """`metric_values`, `deck_invariance_residual` and a field's jet take a
     point or a sample p[..., 2] alike: the sample's batch axes lead the
     result, and each entry equals the value at that point alone bit for
-    bit, and a Hopf field's value is its value on the point's scalar frame."""
+    bit, and a Hopf field's value is scale·kθ or scale·log Δ on the point's
+    scalar frame."""
     spec = M.parse_metric_spec(text)
     hp = spec.hopf_params()
     pts = np.array(V.sample_points("hopf-fundamental", 6, 11, hp=hp)).reshape(2, 3, 2)
@@ -558,7 +574,7 @@ def test_values_of_a_sample_equal_the_values_of_each_point(text):
         assert r[idx].tobytes() == np.float64(r_one).tobytes(), p
         assert fv[idx].tobytes() == M.field_jet(f, p, hp)[0].tobytes(), p
         if f.kind in ("log-phi", "log-delta"):
-            want = M._hopf_field_value(f, M.hopf_values(p, hp), hp)
+            want = _hopf_field_value(f, M.hopf_values(p, hp), hp)
             assert fv[idx].real.tobytes() == np.float64(want).tobytes() and fv[idx].imag == 0, p
 
 
@@ -626,12 +642,13 @@ def test_conformal_law_builds_its_hopf_base_and_field_once_per_point(monkeypatch
     assert len(roots) == 10 and len(rows) == 1
 
 
-def test_conformal_deck_invariance_reads_one_scalar_frame_per_point_and_image(monkeypatch):
-    """The field's value and the base's values come from one scalar frame at
-    each point and one at its image, and no rows are built."""
+def test_conformal_deck_invariance_reads_one_frame_over_its_points_and_images(monkeypatch):
+    """The field's values and the base's values are read off one frame over
+    the points and their images: one θ root at each point and one at its
+    image, and one set of rows per check."""
     roots, rows = _count_theta_roots_and_rows(monkeypatch)
     _hopf_conformal_check("deck-invariance")
-    assert len(roots) == 2 * 10 and not rows
+    assert len(roots) == 2 * 10 and len(rows) == 1
 
 
 def test_suite_cells_solve_theta_once_per_point_and_build_rows_once_per_check(monkeypatch):
@@ -745,7 +762,7 @@ def test_hopf_field_jets_match_the_jet_product_oracle(hp, kind):
     for pt in V.sample_points("hopf-fundamental", 10, 9, hp=hp):
         got = wjet.WJet(*M.field_jet(f, pt, hp))
         _assert_arrays_close(wjet.partials(got), wjet.partials(hopf_field_oracle(f, pt, hp)))
-        assert got.value == M._hopf_field_value(f, M.hopf_values(pt, hp), hp)
+        assert got.value == _hopf_field_value(f, M.hopf_values(pt, hp), hp)
 
 
 @pytest.mark.parametrize("identity, metric", [

@@ -3,6 +3,7 @@ plumbing, report shape, and the engineered mutation control."""
 
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -432,6 +433,21 @@ def test_scalar_checks_charge_failing_points_as_the_pointwise_checks_did(cell):
             assert math.isnan(r), p
         else:
             assert abs(r - r0) <= 1e-15 * (1 + abs(r0)), (p, r, r0)
+
+
+@pytest.mark.parametrize("identity", ["conformal-law", "deck-invariance"])
+def test_a_field_past_the_doubles_fails_each_point_on_its_e_f_without_a_warning(identity):
+    """scale = 1e308 takes f and its rows past the doubles: each point fails
+    on its e^f (not on the reality test, which cannot read an inf), and no
+    RuntimeWarning is issued on the way."""
+    spec = M.parse_metric_spec("conformal{base=hopf-lc-flat,f=log-phi{scale=1e308}}")
+    points = V.sample_points("hopf-fundamental", 40, 1, hp=spec.hopf_params())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for p in points:
+            with pytest.raises(geo.PointFailure, match=r"^e\^f is outside the floating-point range at f = "):
+                V.IDENTITIES[identity].residual(spec, [p], {})
+    assert not caught, [str(w.message) for w in caught]
 
 
 def _nan_torsion_norm(torsion):
