@@ -74,7 +74,9 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    # A NaN or ±inf is no JSON: payloads write them as null (`vf.json_number`),
+    # and one that slips through raises here rather than writing a bare NaN.
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if output:
         _write_atomic(output, text + "\n")
     else:
@@ -252,10 +254,10 @@ def cmd_suite(output, corrupt_gamma):
                 else:
                     row.update(
                         verdict=report.verdict,
-                        max_residual=report.max_residual,
-                        mean_residual=report.mean_residual,
+                        max_residual=vf.json_number(report.max_residual),
+                        mean_residual=vf.json_number(report.mean_residual),
                         warning=report.warning,
-                        notes=report.notes,
+                        notes=report.json_notes(),
                     )
                 row["ok"] = row["verdict"] == cell["expected"]
                 ok = ok and row["ok"]

@@ -471,9 +471,9 @@ def phi_value(p, hp: HopfParams) -> float:
 
 class HopfFrame(NamedTuple):
     """The coordinates and θ, Φ = e^{kθ}, e₁ = e^{−c₁θ}, e₂ = e^{−c₂θ},
-    u = |z|²e₁, v = |w|²e₂ and Δ = αu + (2−α)v at one point, as values
-    (`hopf_values`), or at each point of a sample, as arrays over its batch
-    axes (`hopf_frames`)."""
+    u = |z|²e₁, v = |w|²e₂, Δ = αu + (2−α)v and the complex products
+    z·z̄, w·w̄ and z̄·w at one point, as values (`hopf_values`), or at each
+    point of a sample, as arrays over its batch axes (`hopf_frames`)."""
 
     z: complex
     w: complex
@@ -486,6 +486,9 @@ class HopfFrame(NamedTuple):
     u: float
     v: float
     delta: float
+    zz: complex
+    ww: complex
+    zbw: complex
 
 
 def _check_implicit(residual: float, theta_size: float) -> None:
@@ -498,7 +501,8 @@ def hopf_values(p, hp: HopfParams) -> HopfFrame:
     """The frame's values at p ≠ 0, from one `_theta_root`.
 
     Each value is formed by the arithmetic that forms the value slot of the
-    matching row in `hopf_rows` (u is (z·z̄)e₁, not |z|²e₁), and the value
+    matching row in `hopf_rows` (u is (z·z̄)e₁, not |z|²e₁; the rows of
+    |z|², |w|² and z̄w take their values from zz, ww and zbw), and the value
     slot of a Leibniz product is the product of the values.  So the closed
     form of the metrics on this frame (`hopf_metric`) equals the values of
     their rows bit for bit.  u + v = 1, so neither term of Δ can overflow.
@@ -514,24 +518,24 @@ def hopf_values(p, hp: HopfParams) -> HopfFrame:
         ) from None
     z, w = complex(p[0]), complex(p[1])
     zb, wb = z.conjugate(), w.conjugate()
-    u, v = (z * zb).real * e1, (w * wb).real * e2
+    zz, ww = z * zb, w * wb
+    u, v = zz.real * e1, ww.real * e2
     _check_implicit(abs(u + v - 1.0), abs(theta))
     return HopfFrame(z, w, zb, wb, theta, math.exp(hp.k * theta), e1, e2, u, v,
-                     hp.alpha * u + (2.0 - hp.alpha) * v)
+                     hp.alpha * u + (2.0 - hp.alpha) * v, zz, ww, zb * w)
 
 
 def hopf_frames(pts: np.ndarray, hp: HopfParams) -> HopfFrame:
     """The frame at each point of the (..., 2) array pts, from one
     `hopf_values` (one θ root) per point: the scalar frame itself at one
     point (pts of shape (2,)), and at a sample a frame of arrays over its
-    batch axes, the coordinates complex and the rest real."""
+    batch axes, the coordinates and the products complex and the rest real
+    (the real parts of one complex array, which hold the values exactly)."""
     frames = [hopf_values(p, hp) for p in pts.reshape(-1, 2).tolist()]
     if pts.ndim == 1:
         return frames[0]
-    shape = pts.shape[:-1]
-    coords = np.array([f[:4] for f in frames]).T.reshape((4,) + shape)
-    reals = np.array([f[4:] for f in frames]).T.reshape((-1,) + shape)
-    return HopfFrame(*coords, *reals)
+    fields = np.array(frames, complex).T.reshape((len(HopfFrame._fields),) + pts.shape[:-1])
+    return HopfFrame(*fields[:4], *fields[4:-3].real, *fields[-3:])
 
 
 # -- order-2 rows ----------------------------------------------------------------------
@@ -560,13 +564,14 @@ _MONOMIALS = np.zeros((3, _ROW), complex)
 _MONOMIALS[[0, 0, 1, 1, 2, 2], [7, 13, 12, 18, 11, 14]] = 1.0
 
 
-def _monomial_rows(z, w, zb, wb) -> np.ndarray:
+def _monomial_rows(z, w, zb, wb, values) -> np.ndarray:
     """The rows of |z|², |w|² and z̄w at a point, or at each point of a
-    sample, (3, ..., 21): their values by `complex_product`, their gradients
-    and their Hessians (every other slot is 0)."""
+    sample, (3, ..., 21): their values (z·z̄, w·w̄ and z̄·w, as Python's
+    complex product forms them: a frame's products, or `complex_product`),
+    their gradients and their Hessians (every other slot is 0)."""
     x = np.empty((3,) + np.shape(z) + (_ROW,), complex)
     x[...] = _MONOMIALS.reshape((3,) + (1,) * np.ndim(z) + (_ROW,))
-    x[..., 0] = complex_product(z, zb), complex_product(w, wb), complex_product(zb, w)
+    x[..., 0] = values
     x[0, ..., 1], x[0, ..., 3] = zb, z
     x[1, ..., 2], x[1, ..., 4] = wb, w
     x[2, ..., 2], x[2, ..., 3] = zb, w
@@ -687,7 +692,7 @@ def hopf_rows(hv: HopfFrame, hp: HopfParams) -> HopfRows:
     e[..., 1:5] = e[..., :1] * g
     e[..., 5:] = e[..., :1] * (minus_r * theta[..., 5:]) + (
         e[..., 1:5, None] * g[..., None, :]).reshape(g.shape[:-1] + (16,))
-    uvq = _leibniz(_monomial_rows(hv.z, hv.w, hv.zb, hv.wb), e)
+    uvq = _leibniz(_monomial_rows(hv.z, hv.w, hv.zb, hv.wb, (hv.zz, hv.ww, hv.zbw)), e)
     res, size = _taylor_max(np.array((uvq[0] + uvq[1] - _ONE, theta)))
     bad = res > 1e-10 * (1.0 + size)
     if np.count_nonzero(bad):
@@ -897,8 +902,10 @@ def _hopf_standard_arrays(pts: np.ndarray) -> tuple[np.ndarray, ...]:
     |w|² added) on the diagonal.  Where S is 0 or not finite, 1/S is no
     metric, and the point fails."""
     z, w = pts[..., 0], pts[..., 1]
+    zb, wb = z.conj(), w.conj()
     with np.errstate(over="ignore", invalid="ignore"):
-        S = _monomial_rows(z, w, z.conj(), w.conj())[:2].sum(axis=0)
+        values = complex_product(z, zb), complex_product(w, wb), complex_product(zb, w)
+        S = _monomial_rows(z, w, zb, wb, values)[:2].sum(axis=0)
     if np.count_nonzero(~np.isfinite(S[..., 0]) | (S[..., 0] == 0)):
         raise PointFailure("1/(|z|² + |w|²) is outside the floating-point range at this point")
     rows = np.zeros(z.shape + (2, 2, _ROW), complex)
@@ -917,7 +924,7 @@ def _delta_cubed_omega(hf: HopfFrame, al: float, lam: float) -> list[list]:
          [ conj of the (1,2) entry,     e₂((1+λ)α²u + Δv)         ]]
     """
     s, D = 1.0 + lam, hf.delta
-    h12 = (s * al * (al - 2.0) + D) * (hf.zb * hf.w * (hf.e1 * hf.e2))
+    h12 = (s * al * (al - 2.0) + D) * (hf.zbw * (hf.e1 * hf.e2))
     return [
         [hf.e1 * (s * (al - 2.0) ** 2 * hf.v + D * hf.u), h12],
         [h12.conjugate(), hf.e2 * (s * al**2 * hf.u + D * hf.v)],

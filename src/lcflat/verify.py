@@ -41,7 +41,7 @@ from . import __version__
 from . import geometry as geo
 from . import metrics as mz
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"  # 2: a non-finite residual, max, mean or note is null
 
 
 class CheckAborted(RuntimeError):
@@ -104,11 +104,11 @@ class VerificationReport:
                 "tol": self.check.tol,
             },
             "per_point": [
-                {"point": _point_json(p), "residual": r} for p, r in self.per_point
+                {"point": _point_json(p), "residual": json_number(r)} for p, r in self.per_point
             ],
             "stats": {
-                "max": self.max_residual,
-                "mean": self.mean_residual,
+                "max": json_number(self.max_residual),
+                "mean": json_number(self.mean_residual),
                 "argmax_point": _point_json(self.argmax_point)
                 if self.argmax_point is not None
                 else None,
@@ -118,9 +118,19 @@ class VerificationReport:
             ],
             "verdict": self.verdict,
             "warning": self.warning,
-            "notes": self.notes,
+            "notes": self.json_notes(),
             "wall_time": self.wall_time,
         }
+
+    def json_notes(self) -> dict:
+        """The notes with each non-finite value as None (`json_number`)."""
+        return {k: json_number(v) for k, v in self.notes.items()}
+
+
+def json_number(x: float) -> float | None:
+    """x for a JSON payload: x itself if finite, else None (null), since JSON
+    has no token for NaN or ±inf (RFC 8259, section 6)."""
+    return x if math.isfinite(x) else None
 
 
 def _point_json(p: tuple[complex, ...]) -> list:
@@ -419,6 +429,38 @@ def _residuals(c: CheckSpec, points: list, notes: dict) -> list[float]:
     return r.tolist()
 
 
+def _pairwise_sum(xs: list[float], lo: int, n: int) -> float:
+    """The sum of xs[lo:lo + n], added in the order in which numpy's float64
+    `add.reduce` adds a contiguous array: one by one below 8 terms, in 8
+    running sums up to 128 (then the rest one by one), and above that the
+    two halves (the first a multiple of 8 long) summed apart."""
+    if n < 8:
+        s = 0.0
+        for i in range(lo, lo + n):
+            s += xs[i]
+        return s
+    if n <= 128:
+        r = xs[lo:lo + 8]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            for j in range(8):
+                r[j] += xs[i + j]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, lo + n):
+            s += xs[i]
+        return s
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(xs, lo, half) + _pairwise_sum(xs, lo + half, n - half)
+
+
+def _mean(xs: list[float]) -> float:
+    """`np.mean` of the floats xs, bit for bit, without forming an array (a
+    check's few residuals cost more to pack than to add).  The reduction
+    starts from 0.0, so −0.0 terms sum to 0.0 as numpy's do."""
+    return (0.0 + _pairwise_sum(xs, 0, len(xs))) / len(xs)
+
+
 def run_check(c: CheckSpec) -> VerificationReport:
     """Evaluate one identity over a deterministic point sample and aggregate."""
     t0 = time.perf_counter()
@@ -452,14 +494,16 @@ def run_check(c: CheckSpec) -> VerificationReport:
         )
 
     per_point.sort(key=lambda pr: tuple((c.real, c.imag) for c in pr[0]))
-    residuals = np.array([r for _, r in per_point])
-    if residuals.size:
+    residuals = [r for _, r in per_point]
+    if residuals:
         # A non-finite residual is the worst point: the first one is max and
         # argmax, it makes the mean non-finite, and the verdict is fail.
-        # (Python's max() would skip a NaN that is not first.)
-        bad = ~np.isfinite(residuals)
-        k = int(bad.argmax()) if bad.any() else int(residuals.argmax())
-        max_r, mean_r, argmax = float(residuals[k]), float(residuals.mean()), per_point[k][0]
+        # (Python's max() would skip a NaN that is not first.)  Otherwise the
+        # first maximum is the argmax, as `np.argmax` picks it.
+        k = next((i for i, r in enumerate(residuals) if not math.isfinite(r)), None)
+        if k is None:
+            k = residuals.index(max(residuals))
+        max_r, mean_r, argmax = residuals[k], _mean(residuals), per_point[k][0]
     else:
         max_r, mean_r, argmax = float("nan"), float("nan"), None
     verdict = "pass" if math.isfinite(max_r) and max_r <= c.tol else "fail"

@@ -4,10 +4,17 @@ import math
 import sys
 
 import numpy as np
+from hypothesis import settings
 
 from lcflat import geometry as geo
 from lcflat.geometry import MetricJet
 from lcflat.wjet import WJet, conj, exp, jet_conj_var, jet_const, jet_var, log, partials
+
+# Every run draws the same Hypothesis examples: each property test is seeded
+# from its own source, and no saved example is replayed (derandomize implies no
+# database).  A test's own max_examples and deadline still apply.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def coordinate_jets(n, pt):
@@ -151,7 +158,8 @@ def hopf_jets(p, hp):
     `metrics.hopf_rows` replaced: θ's jet from its closed-form partials
     (θᵢ = −Fᵢ/F_θ, θᵢⱼ = −(Fᵢⱼ + F_{iθ}θⱼ + F_{jθ}θᵢ + F_{θθ}θᵢθⱼ)/F_θ for
     F = |z|²e^{−c₁θ} + |w|²e^{−c₂θ} − 1), then e₁ = exp(−c₁θ), e₂ = exp(−c₂θ),
-    u = z·z̄·e₁, v = w·w̄·e₂ and Δ = αu + (2−α)v by jet arithmetic."""
+    u = z·z̄·e₁, v = w·w̄·e₂, Δ = αu + (2−α)v, z·z̄, w·w̄ and z̄·w by jet
+    arithmetic."""
     from lcflat import metrics as mz
 
     hv = mz.hopf_values(p, hp)
@@ -172,7 +180,7 @@ def hopf_jets(p, hp):
     u, v = z * zb * e1j, w * wb * e2j
     assert (u + v - 1.0).max_abs() <= 1e-10 * (1.0 + theta.max_abs())
     return mz.HopfFrame(z, w, zb, wb, theta, exp(hp.k * theta), e1j, e2j, u, v,
-                        hp.alpha * u + (2.0 - hp.alpha) * v)
+                        hp.alpha * u + (2.0 - hp.alpha) * v, z * zb, w * wb, zb * w)
 
 
 def hopf_metric_oracle(spec, pt):

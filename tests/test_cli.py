@@ -488,6 +488,66 @@ def test_an_e_f_outside_the_doubles_fails_every_point(runner, identity, metric):
         "e^f is outside the floating-point range at f = " in res.stderr
 
 
+def _strict_json(text):
+    """The JSON text parsed, raising on a bare NaN, Infinity or -Infinity
+    token, which Python's json module accepts but RFC 8259 does not."""
+    def bare(token):
+        raise ValueError(f"bare {token} token in the JSON output")
+
+    return json.loads(text, parse_constant=bare)
+
+
+def test_a_nan_residual_is_written_as_null(runner):
+    # kahler-collapse at a = 1e156 is NaN at 21 of its 40 points, and fails.
+    res = invoke(runner, ["verify", "--identity", "kahler-collapse",
+                          "--metric", "hopf-omega-lambda{a=1e156,b=1.5,lambda=0}",
+                          "--points", "40", "--seed", "1", "--format", "json"])
+    assert res.exit_code == 1
+    payload = _strict_json(res.stdout)
+    assert payload["verdict"] == "fail" and payload["schema_version"] == "2"
+    assert sum(row["residual"] is None for row in payload["per_point"]) == 21
+    assert payload["stats"]["max"] is None and payload["stats"]["mean"] is None
+    assert payload["stats"]["argmax_point"] is not None
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads(files("lcflat").joinpath("report_schema.json").read_text())
+    jsonschema.validate({k: v for k, v in payload.items() if k != "run_config"}, schema)
+
+
+def test_non_finite_residuals_and_notes_are_null_in_reports_and_suite_rows(
+        runner, monkeypatch, tmp_path):
+    """A residual of inf or NaN, and a NaN note, are null in a verify report
+    and in a suite row alike."""
+    def residual(spec, points, notes):
+        notes["gap"] = math.nan
+        return [math.inf] + [math.nan] * (len(points) - 1)
+
+    monkeypatch.setitem(vf.IDENTITIES, "key-relation",
+                        replace(vf.IDENTITIES["key-relation"], residual=residual))
+    out = tmp_path / "report.json"
+    res = invoke(runner, ["verify", "--identity", "key-relation", "--metric", "flat",
+                          "--points", "3", "--output", str(out)])
+    assert res.exit_code == 1
+    report = _strict_json(out.read_text())
+    assert [row["residual"] for row in report["per_point"]] == [None, None, None]
+    assert (report["stats"]["max"], report["stats"]["mean"], report["notes"]) == (None, None, {"gap": None})
+
+    monkeypatch.setattr("lcflat.cli._suite_cells", lambda: [
+        dict(identity="key-relation", metric="flat", n_points=3, expected="fail")])
+    out = tmp_path / "suite.json"
+    res = invoke(runner, ["suite", "--output", str(out)])
+    assert res.exit_code == 0
+    rows = _strict_json(out.read_text())["cells"]
+    assert len(rows) == 3 and all(
+        (r["max_residual"], r["mean_residual"], r["notes"]) == (None, None, {"gap": None}) for r in rows)
+
+
+def test_emit_refuses_a_float_that_json_cannot_hold():
+    from lcflat.cli import _emit
+
+    with pytest.raises(ValueError):
+        _emit({"residual": math.nan}, None)
+
+
 @pytest.mark.parametrize("identity, metric", [
     ("det-formula", "hopf-omega-lambda{a=1e100,b=1.5}"),
     ("deck-invariance", "hopf-lc-flat{a=1e40,b=1.5}"),

@@ -303,6 +303,31 @@ def test_hessian_forms_of_a_sample_equal_those_of_each_point_bit_for_bit(hp):
         assert L[k].tobytes() == one_L.tobytes() and P[k].tobytes() == one_P.tobytes(), p
 
 
+@pytest.mark.parametrize("hp", [M.HopfParams(E**2, E), M.HopfParams(1e3, 1.01),
+                                M.HopfParams(complex(E**2 * np.exp(0.4j)), complex(E * np.exp(-1.1j))),
+                                M.HopfParams(1e6, 1.0001)],
+                         ids=["e2-e", "1e3", "complex", "1e6"])
+def test_frame_products_equal_complex_product_bit_for_bit(hp):
+    """The frame's z·z̄, w·w̄ and z̄·w, the values of the rows of |z|², |w|²
+    and z̄w, equal `complex_product` of its coordinates bit for bit: on a
+    stacked frame of 300 points, and on each point's scalar frame.  Every
+    field of the stacked frame is the scalar frames' field, with the
+    coordinates and products complex and the rest real."""
+    pts = V.sample_points("hopf-fundamental", 300, 17, hp=hp)
+    hv = M.hopf_frames(np.asarray(pts), hp)
+    for got, a, b in ((hv.zz, hv.z, hv.zb), (hv.ww, hv.w, hv.wb), (hv.zbw, hv.zb, hv.w)):
+        assert got.dtype == complex and got.tobytes() == M.complex_product(a, b).tobytes()
+    frames = [M.hopf_values(p, hp) for p in pts]
+    for name in M.HopfFrame._fields:
+        want = np.array([getattr(f, name) for f in frames])
+        got = getattr(hv, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    for f in frames:
+        for got, a, b in ((f.zz, f.z, f.zb), (f.ww, f.w, f.wb), (f.zbw, f.zb, f.w)):
+            want = M.complex_product(a, b)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
 def test_hessian_form_equal_multipliers_at_symmetric_point():
     """a=b at (1,1): ∂∂̄log(|z|²+|w|²) = ¼[[1,−1],[−1,1]]."""
     hp = M.HopfParams(E, E)

@@ -277,6 +277,80 @@ def test_non_finite_residual_forces_fail_and_sets_the_stats(monkeypatch, poison)
     assert math.isnan(rep.max_residual) == math.isnan(poison)
 
 
+def _stub_check(monkeypatch, values, n, seed=3):
+    """run_check on key-relation over flat at n box points, with a stub
+    residual that gives the k-th point of the sorted sample values[k]."""
+    order = _box_points_sorted(n, seed)
+    monkeypatch.setitem(V.IDENTITIES, "key-relation", replace(
+        V.IDENTITIES["key-relation"],
+        residual=lambda spec, points, notes: [values[order.index(p)] for p in points]))
+    rep = V.run_check(
+        V.CheckSpec(identity="key-relation", metric=M.MetricSpec(kind="flat"), n_points=n, seed=seed))
+    return rep, order
+
+
+def test_a_tied_maximum_is_argmax_at_its_first_point_in_sorted_order(monkeypatch):
+    rep, order = _stub_check(monkeypatch, [1e-15, 3e-15, 2e-15, 3e-15, 0.0, 3e-15, 1e-16], 7)
+    assert rep.argmax_point == order[1] and rep.max_residual == 3e-15
+    assert rep.verdict == "pass"
+    rep, order = _stub_check(monkeypatch, [2e-15] * 5, 5)
+    assert rep.argmax_point == order[0] and rep.max_residual == 2e-15
+
+
+@pytest.mark.parametrize("poison", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 4, 8], ids=["first", "middle", "last"])
+def test_a_non_finite_residual_anywhere_is_max_and_argmax(monkeypatch, poison, where):
+    """A NaN or ±inf at the first, a middle or the last point of the sorted
+    sample is the max and the argmax, above a larger finite residual, and
+    fails the check; of two non-finite residuals the first one wins."""
+    values = [1e-15] * 9
+    values[(where + 2) % 9] = 0.5  # a finite maximum elsewhere
+    values[where] = poison
+    rep, order = _stub_check(monkeypatch, values, 9)
+    assert rep.argmax_point == order[where] and rep.verdict == "fail"
+    assert rep.max_residual.hex() == poison.hex()
+    if where < 8:
+        values[8] = math.inf
+        rep, order = _stub_check(monkeypatch, values, 9)
+        assert rep.argmax_point == order[where] and rep.max_residual.hex() == poison.hex()
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 8, 40])
+def test_the_mean_residual_is_numpys_mean_bit_for_bit(monkeypatch, n):
+    """numpy sums one by one below 8 terms and in 8 running sums from 8 on.
+    One residual of 1 and n − 1 of 2⁻⁵³ (half an ulp of 1) tell the orders
+    apart: left to right each 2⁻⁵³ rounds away, a compensated sum keeps them
+    all, and numpy's running sums keep some.  The report's mean is `np.mean`
+    of the sorted residuals, bit for bit."""
+    values = [1.0] + [2.0**-53] * (n - 1)
+    rep, _ = _stub_check(monkeypatch, values, n)
+    assert [r for _, r in rep.per_point] == values
+    want = float(np.mean(values)).hex()
+    assert rep.mean_residual.hex() == want
+    if n >= 8:
+        assert (1.0 / n).hex() != want != (math.fsum(values) / n).hex()
+
+
+def test_the_mean_equals_numpys_at_every_size_to_300_and_past_its_blocks():
+    """`_mean` adds as numpy's float64 reduction adds (8 running sums in
+    blocks of up to 128, halves above), at every size up to 300 and at
+    sizes past numpy's buffer; a left-to-right sum and `math.fsum` each
+    round differently on some of these sums."""
+    rng = np.random.default_rng(5)
+    naive = compensated = 0
+    for n in [*range(1, 301), 1000, 8191, 8192, 8193, 20000]:
+        values = (rng.random(n) * 10.0 ** rng.uniform(-17.0, 3.0, n)).tolist()
+        want = float(np.mean(values)).hex()
+        assert V._mean(values).hex() == want, n
+        total = 0.0
+        for v in values:
+            total += v
+        naive += (total / n).hex() != want
+        compensated += (math.fsum(values) / n).hex() != want
+    assert naive and compensated
+    assert V._mean([-0.0] * 10).hex() == float(np.mean([-0.0] * 10)).hex() == "0x0.0p+0"
+
+
 def test_deck_invariance_negative_control_through_reports():
     rep = V.run_check(
         V.CheckSpec(
@@ -369,6 +443,32 @@ def test_hessian_check_records_display_reading_gap():
     )
     assert rep.verdict == "pass"
     assert rep.notes["display_transpose_gap"] > 1e-6
+
+
+@pytest.mark.parametrize("metric, n, seed, failed, larger", [
+    ("hopf-lc-flat{a=7.38905609893065,b=2.718281828459045}", 10, 3, 0, "P"),
+    ("hopf-omega-lambda{a=(5.1+3.2j),b=(-1.3+0.9j),lambda=0.7}", 25, 4, 0, "P"),
+    # near the w-axis with Φ near 1 and α near 2, L's gap is the larger
+    ("hopf-lc-flat{a=2.0,b=1.02}", 20, 15, 0, "L"),
+    ("hopf-lc-flat{a=1e156,b=1.5}", 40, 1, 1, "P"),  # the point-by-point re-run
+], ids=["e2-e", "complex", "L-larger", "fallback"])
+def test_the_display_transpose_gap_is_the_sample_max_of_the_transpose_gaps(
+        metric, n, seed, failed, larger):
+    """The note is max over the evaluated points of max(|L − Lᵀ|, |P − Pᵀ|),
+    with L and P from `hessian_forms` on each point, also when the sample
+    is evaluated again point by point; the cases cover a sample where each
+    of the two gaps is the larger."""
+    spec = M.parse_metric_spec(metric)
+    hp = spec.hopf_params()
+    rep = V.run_check(V.CheckSpec(identity="hessian-matrices", metric=spec, n_points=n, seed=seed))
+    assert len(rep.failures) == failed and len(rep.per_point) == n - failed
+    gap = {"L": 0.0, "P": 0.0}
+    for p, _ in rep.per_point:
+        forms = dict(zip("LP", M.hessian_forms(M.hopf_values(p, hp), hp)))
+        for name, A in forms.items():
+            gap[name] = max(gap[name], np.abs(A - A.T).max())
+    assert max(gap, key=gap.get) == larger
+    assert rep.notes == {"display_transpose_gap": max(gap.values())}
 
 
 # -- one pass over the sample, and the per-point fallback ----------------------
