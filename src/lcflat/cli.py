@@ -377,6 +377,9 @@ def cmd_dump_samples(domain, n_points, seed, a_val, b_val, output):
         pts = vf.sample_points(domain, n_points, seed, hp=hp)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    except MemoryError:
+        click.echo(f"drawing {n_points} sample points ran out of memory", err=True)
+        sys.exit(1)
     payload = {
         "run_config": RunConfig(command="dump-samples", seed=seed).echo(),
         "domain": domain,

@@ -445,47 +445,43 @@ def riemannian_scalar(m: MetricJet) -> np.ndarray:
     taken on the 2n Wirtinger slots, where the complexified metric is
     G = [[0, H], [Hᵀ, 0]] and its derivatives are the same placement of dH
     and ddH.  G has its own inversion, independent of `MetricJet.inverse`.
-    The derivative ∂Γ is never formed whole: R_mn reads two of its traces,
-    which are contracted as they are formed.  A point whose G leaves the
+    ∂G and ∂∂G are one stack, so the brackets of Γ and their derivatives are
+    formed in one pass and raised by one matrix product.  Of
+
+        ∂_cΓ^l_{mn} = ∂_c g^{lr} Γ_{r,mn} + ½ g^{lr} ∂_c bracket_{rmn},
+
+    with Γ_{r,mn} = ½ bracket_{rmn} and ∂_c g^{lr} = −g^{la} ∂_c g_ab g^{br}
+    (so that the first term is −g^{la} ∂_c g_ab Γ^b_{mn}), only the two traces
+    that R_mn reads are formed.  A point whose G or ∂_c g^{lr} leaves the
     double range gets a non-finite s, without a warning.
     """
     bs, n = m.H.shape[:-2], m.n
-    b, p = (np.s_[:],) * len(bs), len(bs)  # the batch axes, and the first per-point axis
-    # G[..., a, b], dG[..., a, b, c] = ∂_c G_ab and ddG[..., a, b, c, e] = ∂_c ∂_e G_ab
-    G, dG, ddG = (np.zeros(bs + (2 * n, 2 * n) + A.shape[p + 2 :], complex)
-                  for A in (m.H, m.dH, m.ddH))
-    for B, A in ((G, m.H), (dG, m.dH), (ddG, m.ddH)):
-        B[b + np.s_[:n, n:]] = A
-        B[b + np.s_[n:, :n]] = A.swapaxes(p, p + 1)
+    N = 2 * n
+    # G[..., a, b] and E[..., a, b, c, x]: ∂_c G_ab at x = 0 and ∂_c ∂_e G_ab at x = 1 + e
+    G, E = np.zeros(bs + (N, N), complex), np.zeros(bs + (N, N, N, N + 1), complex)
+    G[..., :n, n:], E[..., :n, n:, :, 0], E[..., :n, n:, :, 1:] = m.H, m.dH, m.ddH
+    G[..., n:, :n], E[..., n:, :n, :, :] = m.H.swapaxes(-1, -2), E[..., :n, n:, :, :].swapaxes(-3, -4)
 
     with np.errstate(over="ignore", invalid="ignore"):
         Ginv = np.linalg.inv(G)
-        # ∂_c g^{lr} = −g^{la} ∂_c g_ab g^{br}, as dGinv[..., l, r, c], two pairwise products
-        dGinv = -np.einsum("...la,...abc->...lbc", Ginv, dG)
-        dGinv = np.einsum("...lbc,...br->...lrc", dGinv, Ginv)
+        # bracket[..., r, m, n, x] = E[r, n, m, x] + E[r, m, n, x] − E[m, n, r, x]: at x = 0
+        # ∂_m g_rn + ∂_n g_rm − ∂_r g_mn, and at x = 1 + c its derivative ∂_c
+        bracket = E + E.swapaxes(-2, -3)
+        bracket -= E.swapaxes(-2, -3).swapaxes(-3, -4)
+        # K[..., l, m, n, 0] = Γ^l_mn and K[..., l, m, n, 1 + c] = ½ g^{lr} ∂_c bracket_rmn
+        K = ((0.5 * Ginv) @ bracket.reshape(bs + (N, -1))).reshape(bs + (N, N, N, N + 1))
+        Gamma, dK = K[..., 0], K[..., 1:]
+        # ∂_c g^{lr} = −g^{la} ∂_c g_ab g^{br} as dGinv[..., l, c, r], from W[..., l, c, b] = g^{la} ∂_c g_ab
+        W = Ginv @ E[..., 0].swapaxes(-1, -2).reshape(bs + (N, -1))
+        dGinv = (W.reshape(bs + (-1, N)) @ -Ginv).reshape(bs + (N, N, N))
+        # Q[..., l, r', c] = (∂_c g^{lr} | Γ^l_cr) and P[..., m, n, r'] = (Γ_{r,mn} | Γ^r_mn):
+        # Q·P over r' is the first term of ∂_cΓ^l_mn plus Γ^l_cr Γ^r_mn
+        Q = np.concatenate((dGinv.swapaxes(-1, -2), Gamma.swapaxes(-1, -2)), axis=-2)
+        P = np.concatenate(((0.5 * bracket[..., 0]).swapaxes(-3, -2).swapaxes(-2, -1),
+                            Gamma.swapaxes(-3, -2).swapaxes(-2, -1)), axis=-1)
 
-        # Γ^l_{mn} = ½ g^{lr} (∂_m g_rn + ∂_n g_rm − ∂_r g_mn), bracket[..., r, m, n]
-        bracket = dG.swapaxes(-1, -2) + dG - np.moveaxis(dG, -1, -3)
-        Gamma = 0.5 * np.einsum("...lr,...rmn->...lmn", Ginv, bracket)
-
-        # ∂_l Γ^l_{mn} and ∂_n Γ^l_{ml}: the two traces of
-        # ∂_c Γ^l_{mn} = ½ (∂_c g^{lr} bracket[r, m, n] + g^{lr} ∂_c bracket[r, m, n])
-        # that R_mn reads, each contracted as it is formed
-        dbracket = ddG.swapaxes(-2, -3) + ddG - np.moveaxis(ddG, -2, -4)  # [..., r, m, n, c]
-        dl_Gamma = 0.5 * (
-            np.einsum("...lrl,...rmn->...mn", dGinv, bracket)
-            + np.einsum("...lr,...rmnl->...mn", Ginv, dbracket)
-        )
-        dn_Gamma = 0.5 * (
-            np.einsum("...lrn,...rml->...mn", dGinv, bracket)
-            + np.einsum("...lr,...rmln->...mn", Ginv, dbracket)
-        )
-
-        # R_{mn} = ∂_l Γ^l_{mn} − ∂_n Γ^l_{ml} + Γ^l_{lr} Γ^r_{mn} − Γ^l_{nr} Γ^r_{ml}
-        ric = (
-            dl_Gamma
-            - dn_Gamma
-            + np.einsum("...llr,...rmn->...mn", Gamma, Gamma)
-            - np.einsum("...lnr,...rml->...mn", Gamma, Gamma)
-        )
+        # R_{mn} = ∂_l Γ^l_{mn} − ∂_n Γ^l_{ml} + Γ^l_{lr} Γ^r_{mn} − Γ^l_{nr} Γ^r_{ml}, two traces of
+        # ∂_cΓ^l_{mn} + Γ^l_{cr} Γ^r_{mn} = dK[l, m, n, c] + Q[l, ·, c]·P[m, n, ·]
+        ric = (np.einsum("...lmnl->...mn", dK) + np.einsum("...r,...mnr->...mn", np.einsum("...lrl->...r", Q), P)
+               - np.einsum("...lmln->...mn", dK) - P.reshape(bs + (N, -1)) @ Q.reshape(bs + (-1, N)))
         return np.einsum("...mn,...mn->...", Ginv, ric).real

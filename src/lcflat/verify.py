@@ -45,10 +45,10 @@ SCHEMA_VERSION = "2"  # 2: a non-finite residual, max, mean or note is null
 
 
 class CheckAborted(RuntimeError):
-    """Raised when too many sample points fail to construct (≥10%), when a
-    residual does not return one value per point, or when it raises an error
-    that is not a `PointFailure` (a broken batch path, say, which a per-point
-    re-run would hide)."""
+    """Raised when the sample cannot be drawn in memory, when too many sample
+    points fail to construct (≥10%), when a residual does not return one value
+    per point, or when it raises an error that is not a `PointFailure` (a
+    broken batch path, say, which a per-point re-run would hide)."""
 
 
 @dataclass(frozen=True)
@@ -465,10 +465,13 @@ def run_check(c: CheckSpec) -> VerificationReport:
     """Evaluate one identity over a deterministic point sample and aggregate."""
     t0 = time.perf_counter()
     hp = c.metric.hopf_params()
-    if hp is not None and c.metric.dim == 2:
-        points = sample_points("hopf-fundamental", c.n_points, c.seed, hp=hp)
-    else:
-        points = sample_points("box", c.n_points, c.seed, dim=c.metric.dim)
+    try:
+        if hp is not None and c.metric.dim == 2:
+            points = sample_points("hopf-fundamental", c.n_points, c.seed, hp=hp)
+        else:
+            points = sample_points("box", c.n_points, c.seed, dim=c.metric.dim)
+    except MemoryError as exc:
+        raise CheckAborted(f"drawing {c.n_points} sample points ran out of memory") from exc
 
     notes: dict = {}
     per_point = []

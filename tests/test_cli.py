@@ -616,6 +616,41 @@ def test_a_residual_that_drops_a_point_aborts_without_a_traceback(runner, monkey
     assert "Traceback" not in res.output
 
 
+def _no_memory_for_the_sample(monkeypatch):
+    def sample_points(*args, **kw):
+        raise MemoryError
+
+    monkeypatch.setattr(vf, "sample_points", sample_points)
+
+
+def test_a_sample_too_large_for_memory_aborts_without_a_traceback(runner, monkeypatch):
+    _no_memory_for_the_sample(monkeypatch)
+    res = runner.invoke(main, ["verify", "--identity", "key-relation", "--metric", "flat",
+                               "--points", "100000000"])
+    assert res.exit_code == 1 and not isinstance(res.exception, (vf.CheckAborted, MemoryError))
+    assert res.stderr == "check aborted: drawing 100000000 sample points ran out of memory\n"
+    assert "Traceback" not in res.output
+
+
+def test_dump_samples_too_large_for_memory_exits_one_without_a_traceback(runner, monkeypatch):
+    _no_memory_for_the_sample(monkeypatch)
+    res = runner.invoke(main, ["dump-samples", "-n", "1000000000"])
+    assert res.exit_code == 1 and not isinstance(res.exception, MemoryError)
+    assert res.stderr == "drawing 1000000000 sample points ran out of memory\n"
+
+
+def test_a_sample_too_large_for_memory_is_an_aborted_suite_row(monkeypatch, tmp_path):
+    _no_memory_for_the_sample(monkeypatch)
+    out = tmp_path / "suite.json"
+    res = CliRunner().invoke(main, ["suite", "--output", str(out)])
+    assert res.exit_code == 1 and not isinstance(res.exception, (vf.CheckAborted, MemoryError))
+    rows = json.loads(out.read_text())["cells"]
+    assert len(rows) == 99
+    for row in rows:
+        assert row["verdict"] == "aborted"
+        assert row["error"] == f"drawing {row['n_points']} sample points ran out of memory"
+
+
 def test_a_broken_batch_path_aborts_without_a_traceback(runner, monkeypatch):
     plant_batch_broadcast_error(monkeypatch)
     res = runner.invoke(main, ["verify", "--identity", "key-relation", "--metric",

@@ -422,6 +422,35 @@ def test_riemannian_scalar_matches_the_full_derivative_formula(text):
         assert abs(s - want) <= tol * (1 + abs(want)), (p, s, want)
 
 
+# The oracle specs stop at n = 3; the stacks of `riemannian_scalar` are reshaped
+# over 2n slots, so s is checked at n = 1, 5 and 8 (2n = 16) as well.  At n = 8, s
+# (about −1.4) is the sum of two terms near −13 and +12, each summed over 16 slots,
+# and the two summation orders part by up to 1.9e-15·(1 + |s|) at seeds 1–3; each
+# lies within 2.8e-15·(1 + |s|) of s summed in 80-bit extended precision.
+WIDE_ORACLE_SPECS = ["kahler-test{n=1}", "user-polynomial{seed=104,amp=0.05,n=5}", "kahler-test{n=8}"]
+
+
+@pytest.mark.parametrize("text", WIDE_ORACLE_SPECS)
+def test_riemannian_scalar_matches_both_oracles_up_to_n_8(text):
+    """s against the real-coordinate oracle at 1e-13 and against the whole
+    (2n)⁴ tensor ∂Γ at 1e-15 (1e-14 at n = 8), at seeds 1–3.  The polynomial
+    metric at n = 5 is not positive definite at 2 of those 30 points, which are
+    skipped."""
+    spec = M.parse_metric_spec(text)
+    full_tol = 1e-14 if spec.dim == 8 else 1e-15
+    checked = 0
+    for p in _check_points(spec, 10, (1, 2, 3)):
+        try:
+            m = M.build_metric(spec, p)
+        except geo.PointFailure:
+            continue
+        s = geo.riemannian_scalar(m)
+        for want, tol in ((riemannian_scalar_oracle(m), 1e-13), (riemannian_scalar_full_oracle(m), full_tol)):
+            assert abs(s - want) <= tol * (1 + abs(want)), (p, s, want)
+        checked += 1
+    assert checked >= 28
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_riemannian_scalar_out_of_range_is_nan_without_a_warning():
     """At a = 1e156 three of 40 sampled points have a G whose products leave
@@ -437,8 +466,17 @@ def test_a_riemannian_scalar_out_of_range_is_nan_without_a_warning():
 
 # Planted defects in `riemannian_scalar`: one source line and its replacement.
 SCALAR_DEFECTS = {
-    "untransposed-block": ("B[b + np.s_[n:, :n]] = A.swapaxes(p, p + 1)", "B[b + np.s_[n:, :n]] = A"),
-    "dropped-quadratic-term": ('            - np.einsum("...lnr,...rml->...mn", Gamma, Gamma)\n', ""),
+    # the lower-left blocks of G and of its derivatives not transposed
+    "untransposed-block": (
+        "G[..., n:, :n], E[..., n:, :n, :, :] = m.H.swapaxes(-1, -2), E[..., :n, n:, :, :].swapaxes(-3, -4)",
+        "G[..., n:, :n], E[..., n:, :n, :, :] = m.H, E[..., :n, n:, :, :]"),
+    # −Γ^l_{nr} Γ^r_{ml} dropped from R_mn: the Γ halves of Q and P left out of the product that reads it
+    "dropped-quadratic-term": ("- P.reshape(bs + (N, -1)) @ Q.reshape(bs + (-1, N)))",
+                               "- P[..., :N].reshape(bs + (N, -1)) @ Q[..., :N, :].reshape(bs + (-1, N)))"),
+    # ∂_c g^{lr} taken as +g^{la} ∂_c g_ab g^{br}, which flips the sign of the term
+    # −g^{la} ∂_c g_ab Γ^b_{mn} of ∂_cΓ^l_{mn}
+    "flipped-inverse-derivative": ("dGinv = (W.reshape(bs + (-1, N)) @ -Ginv)",
+                                   "dGinv = (W.reshape(bs + (-1, N)) @ Ginv)"),
 }
 
 
@@ -471,6 +509,9 @@ def _scalar_key1_cell(kind):
     ("dropped-quadratic-term", "user-polynomial"),
     # H is real and diagonal on hopf-standard, so the untransposed block is invisible there
     ("dropped-quadratic-term", "hopf-standard"),
+    ("flipped-inverse-derivative", "hopf-standard"),
+    ("flipped-inverse-derivative", "hopf-omega-lambda"),
+    ("flipped-inverse-derivative", "user-polynomial"),
 ])
 def test_scalar_key1_suite_cells_fail_on_a_planted_scalar_defect(monkeypatch, defect, kind):
     cell = _scalar_key1_cell(kind)
@@ -525,9 +566,11 @@ PLANTED_DEFECTS = {
     # the rate of e₁ used for e₂ in the θ root
     "theta-root-c1-for-c2": [(M, "_theta_root", [
         ("c1, c2 = hp.c1, hp.c2", "c1, c2 = hp.c1, hp.c1")])],
-    # ∂_nΓ^l_{ml} taken as ∂_lΓ^l_{mn} in the Riemannian Ricci tensor
+    # ∂_nΓ^l_{ml} + Γ^l_{nr}Γ^r_{ml} taken as ∂_lΓ^l_{mn} + Γ^l_{lr}Γ^r_{mn} in the
+    # Riemannian Ricci tensor
     "riemannian-trace-swapped": [(geo, "riemannian_scalar", [
-        ("            - dn_Gamma\n", "            - dl_Gamma\n")])],
+        ('- np.einsum("...lmln->...mn", dK) - P.reshape(bs + (N, -1)) @ Q.reshape(bs + (-1, N)))',
+         '- np.einsum("...lmnl->...mn", dK) - np.einsum("...r,...mnr->...mn", np.einsum("...lrl->...r", Q), P))')])],
     # the inverse of a sample's complexified metric G rolled one point along the
     # batch axis in the Riemannian scalar; one point is left alone
     "riemannian-batch-rolled": [(geo, "riemannian_scalar", [
@@ -657,7 +700,8 @@ def test_suite_cells_fail_on_a_planted_defect(monkeypatch, defect, identity, met
 # the Hopf-frame kinds at the multipliers of the metric tests
 # (including complex ones and α near 2), conformal metrics over a Hopf base
 # with each field that reads the frame or a table, the polynomial kinds at
-# n = 1, 2, 3 and hopf-standard.
+# n = 1, 2, 3, two of them at n = 5, and hopf-standard.  At amp = 0.05 the n = 5
+# polynomial metric is not positive definite at a point of the 12, so it runs at 0.03.
 _BATCH_MULTIPLIERS = [(E, E), (E**2, E), (E**1.5, E**1.1),
                       (complex(E**2 * np.exp(0.4j)), complex(E * np.exp(-1.1j))), (1e3, 1.01)]
 BATCH_SPECS = (
@@ -668,7 +712,7 @@ BATCH_SPECS = (
     + [f"conformal{{base=hopf-omega-lambda{{a={E**1.5!r},b={E**1.1!r},lambda=-0.5}},f=log-phi}}"]
     + [f"{kind}{{n={n}}}" for kind in ("flat", "kahler-test") for n in (1, 2, 3)]
     + [f"user-polynomial{{seed=104,amp=0.05,n={n}}}" for n in (1, 2, 3)]
-    + ["hopf-standard"]
+    + ["kahler-test{n=5}", "user-polynomial{seed=104,amp=0.03,n=5}", "hopf-standard"]
 )
 
 
