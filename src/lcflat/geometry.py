@@ -458,9 +458,13 @@ def riemannian_scalar(m: MetricJet) -> np.ndarray:
     bs, n = m.H.shape[:-2], m.n
     N = 2 * n
     # G[..., a, b] and E[..., a, b, c, x]: ∂_c G_ab at x = 0 and ∂_c ∂_e G_ab at x = 1 + e
-    G, E = np.zeros(bs + (N, N), complex), np.zeros(bs + (N, N, N, N + 1), complex)
-    G[..., :n, n:], E[..., :n, n:, :, 0], E[..., :n, n:, :, 1:] = m.H, m.dH, m.ddH
-    G[..., n:, :n], E[..., n:, :n, :, :] = m.H.swapaxes(-1, -2), E[..., :n, n:, :, :].swapaxes(-3, -4)
+    G = np.zeros(bs + (N, N), complex)
+    E = np.zeros(bs + (N, N, N, N + 1), complex)
+    G[..., :n, n:] = m.H
+    E[..., :n, n:, :, 0] = m.dH
+    E[..., :n, n:, :, 1:] = m.ddH
+    G[..., n:, :n] = m.H.swapaxes(-1, -2)
+    E[..., n:, :n, :, :] = E[..., :n, n:, :, :].swapaxes(-3, -4)
 
     with np.errstate(over="ignore", invalid="ignore"):
         Ginv = np.linalg.inv(G)
@@ -476,12 +480,12 @@ def riemannian_scalar(m: MetricJet) -> np.ndarray:
         dGinv = (W.reshape(bs + (-1, N)) @ -Ginv).reshape(bs + (N, N, N))
         # Q[..., l, r', c] = (∂_c g^{lr} | Γ^l_cr) and P[..., m, n, r'] = (Γ_{r,mn} | Γ^r_mn):
         # Q·P over r' is the first term of ∂_cΓ^l_mn plus Γ^l_cr Γ^r_mn
-        Q = np.concatenate((dGinv.swapaxes(-1, -2), Gamma.swapaxes(-1, -2)), axis=-2)
-        P = np.concatenate(((0.5 * bracket[..., 0]).swapaxes(-3, -2).swapaxes(-2, -1),
-                            Gamma.swapaxes(-3, -2).swapaxes(-2, -1)), axis=-1)
+        Q = np.concatenate((dGinv, Gamma), axis=-1).swapaxes(-1, -2)
+        P = np.concatenate((0.5 * bracket[..., 0], Gamma), axis=-3).swapaxes(-3, -2).swapaxes(-2, -1)
 
-        # R_{mn} = ∂_l Γ^l_{mn} − ∂_n Γ^l_{ml} + Γ^l_{lr} Γ^r_{mn} − Γ^l_{nr} Γ^r_{ml}, two traces of
-        # ∂_cΓ^l_{mn} + Γ^l_{cr} Γ^r_{mn} = dK[l, m, n, c] + Q[l, ·, c]·P[m, n, ·]
-        ric = (np.einsum("...lmnl->...mn", dK) + np.einsum("...r,...mnr->...mn", np.einsum("...lrl->...r", Q), P)
-               - np.einsum("...lmln->...mn", dK) - P.reshape(bs + (N, -1)) @ Q.reshape(bs + (-1, N)))
-        return np.einsum("...mn,...mn->...", Ginv, ric).real
+        # R_{mn} = tr_l − tr_n: tr_l = ∂_l Γ^l_{mn} + Γ^l_{lr} Γ^r_{mn} and tr_n = ∂_n Γ^l_{ml} + Γ^l_{nr} Γ^r_{ml}
+        # are two traces of ∂_cΓ^l_{mn} + Γ^l_{cr} Γ^r_{mn} = dK[l, m, n, c] + Q[l, ·, c]·P[m, n, ·]
+        q_l = np.einsum("...lrl->...r", Q)
+        tr_l = np.einsum("...lmnl->...mn", dK) + np.einsum("...r,...mnr->...mn", q_l, P)
+        tr_n = np.einsum("...lmln->...mn", dK) + P.reshape(bs + (N, -1)) @ Q.reshape(bs + (-1, N))
+        return np.einsum("...mn,...mn->...", Ginv, tr_l - tr_n).real

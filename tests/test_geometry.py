@@ -359,9 +359,13 @@ ORACLE_SPECS = [
     "conformal{base=user-polynomial{seed=7,amp=0.04},f=poly{seed=8,amp=0.15}}",
     f"conformal{{base=hopf-omega-lambda{{a={E**2!r},b={E!r},lambda=-0.5}},f=log-delta{{scale=3.0}}}}",
 ]
+# The stacks of `riemannian_scalar` are reshaped over the 2n Wirtinger slots, so
+# its oracle checks also run at n = 1, 5 and 8 (2n = 16).
+RIEMANNIAN_ORACLE_SPECS = ORACLE_SPECS + ["kahler-test{n=1}", "user-polynomial{seed=104,amp=0.03,n=5}",
+                                          "kahler-test{n=8}"]
 
 
-@pytest.mark.parametrize("text", ORACLE_SPECS)
+@pytest.mark.parametrize("text", RIEMANNIAN_ORACLE_SPECS)
 def test_scalars_and_torsion_match_the_derivations_they_replaced(text):
     """s on the Wirtinger slots against s on the real coordinates, the torsion
     read from the Chern symbols against the raised metric gradient, and
@@ -407,10 +411,13 @@ def test_stacked_connection_matches_the_symbol_by_symbol_raise(text):
 # On the Hopf-frame metrics s is a sum with cancellation, and the two
 # summation orders part by more than 1e-15·(1 + |s|): up to 2.0e-15 on these
 # three specs at seeds 1–6, and 5.6e-15 on hopf-omega-lambda{a=1e3,b=1.01,lambda=3}.
-CANCELLING_SPECS = {ORACLE_SPECS[3], ORACLE_SPECS[4], ORACLE_SPECS[8]}
+# On kahler-test{n=8}, s ≈ −1.4 is the sum of terms near −13 and +12, each
+# summed over 16 slots: the two orders part by up to 1.9e-15·(1 + |s|) at
+# seeds 1–6.
+CANCELLING_SPECS = {ORACLE_SPECS[3], ORACLE_SPECS[4], ORACLE_SPECS[8], "kahler-test{n=8}"}
 
 
-@pytest.mark.parametrize("text", ORACLE_SPECS)
+@pytest.mark.parametrize("text", RIEMANNIAN_ORACLE_SPECS)
 def test_riemannian_scalar_matches_the_full_derivative_formula(text):
     """s from the two traces of ∂Γ that R_mn reads, against s from the whole
     (2n)⁴ tensor ∂Γ, at seeds 1–3."""
@@ -420,35 +427,6 @@ def test_riemannian_scalar_matches_the_full_derivative_formula(text):
         m = M.build_metric(spec, p)
         s, want = geo.riemannian_scalar(m), riemannian_scalar_full_oracle(m)
         assert abs(s - want) <= tol * (1 + abs(want)), (p, s, want)
-
-
-# The oracle specs stop at n = 3; the stacks of `riemannian_scalar` are reshaped
-# over 2n slots, so s is checked at n = 1, 5 and 8 (2n = 16) as well.  At n = 8, s
-# (about −1.4) is the sum of two terms near −13 and +12, each summed over 16 slots,
-# and the two summation orders part by up to 1.9e-15·(1 + |s|) at seeds 1–3; each
-# lies within 2.8e-15·(1 + |s|) of s summed in 80-bit extended precision.
-WIDE_ORACLE_SPECS = ["kahler-test{n=1}", "user-polynomial{seed=104,amp=0.05,n=5}", "kahler-test{n=8}"]
-
-
-@pytest.mark.parametrize("text", WIDE_ORACLE_SPECS)
-def test_riemannian_scalar_matches_both_oracles_up_to_n_8(text):
-    """s against the real-coordinate oracle at 1e-13 and against the whole
-    (2n)⁴ tensor ∂Γ at 1e-15 (1e-14 at n = 8), at seeds 1–3.  The polynomial
-    metric at n = 5 is not positive definite at 2 of those 30 points, which are
-    skipped."""
-    spec = M.parse_metric_spec(text)
-    full_tol = 1e-14 if spec.dim == 8 else 1e-15
-    checked = 0
-    for p in _check_points(spec, 10, (1, 2, 3)):
-        try:
-            m = M.build_metric(spec, p)
-        except geo.PointFailure:
-            continue
-        s = geo.riemannian_scalar(m)
-        for want, tol in ((riemannian_scalar_oracle(m), 1e-13), (riemannian_scalar_full_oracle(m), full_tol)):
-            assert abs(s - want) <= tol * (1 + abs(want)), (p, s, want)
-        checked += 1
-    assert checked >= 28
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -464,19 +442,20 @@ def test_a_riemannian_scalar_out_of_range_is_nan_without_a_warning():
         assert np.isnan(s[k]) and np.isnan(geo.riemannian_scalar(M.build_metric(spec, pts[k])))
 
 
-# Planted defects in `riemannian_scalar`: one source line and its replacement.
+# Planted defects in `riemannian_scalar`: (source line, replacement) edits.
 SCALAR_DEFECTS = {
     # the lower-left blocks of G and of its derivatives not transposed
-    "untransposed-block": (
-        "G[..., n:, :n], E[..., n:, :n, :, :] = m.H.swapaxes(-1, -2), E[..., :n, n:, :, :].swapaxes(-3, -4)",
-        "G[..., n:, :n], E[..., n:, :n, :, :] = m.H, E[..., :n, n:, :, :]"),
+    "untransposed-block": [
+        ("G[..., n:, :n] = m.H.swapaxes(-1, -2)", "G[..., n:, :n] = m.H"),
+        ("E[..., n:, :n, :, :] = E[..., :n, n:, :, :].swapaxes(-3, -4)",
+         "E[..., n:, :n, :, :] = E[..., :n, n:, :, :]")],
     # −Γ^l_{nr} Γ^r_{ml} dropped from R_mn: the Γ halves of Q and P left out of the product that reads it
-    "dropped-quadratic-term": ("- P.reshape(bs + (N, -1)) @ Q.reshape(bs + (-1, N)))",
-                               "- P[..., :N].reshape(bs + (N, -1)) @ Q[..., :N, :].reshape(bs + (-1, N)))"),
+    "dropped-quadratic-term": [("+ P.reshape(bs + (N, -1)) @ Q.reshape(bs + (-1, N))",
+                                "+ P[..., :N].reshape(bs + (N, -1)) @ Q[..., :N, :].reshape(bs + (-1, N))")],
     # ∂_c g^{lr} taken as +g^{la} ∂_c g_ab g^{br}, which flips the sign of the term
     # −g^{la} ∂_c g_ab Γ^b_{mn} of ∂_cΓ^l_{mn}
-    "flipped-inverse-derivative": ("dGinv = (W.reshape(bs + (-1, N)) @ -Ginv)",
-                                   "dGinv = (W.reshape(bs + (-1, N)) @ Ginv)"),
+    "flipped-inverse-derivative": [("dGinv = (W.reshape(bs + (-1, N)) @ -Ginv)",
+                                    "dGinv = (W.reshape(bs + (-1, N)) @ Ginv)")],
 }
 
 
@@ -516,7 +495,7 @@ def _scalar_key1_cell(kind):
 def test_scalar_key1_suite_cells_fail_on_a_planted_scalar_defect(monkeypatch, defect, kind):
     cell = _scalar_key1_cell(kind)
     monkeypatch.setattr(geo, "riemannian_scalar",
-                        _mutant(geo, "riemannian_scalar", [SCALAR_DEFECTS[defect]]))
+                        _mutant(geo, "riemannian_scalar", SCALAR_DEFECTS[defect]))
     for seed in (1, 2, 3):
         rep = V.run_check(V.CheckSpec(identity="scalar-key1",
                                       metric=M.parse_metric_spec(cell["metric"]),
@@ -566,11 +545,12 @@ PLANTED_DEFECTS = {
     # the rate of e₁ used for e₂ in the θ root
     "theta-root-c1-for-c2": [(M, "_theta_root", [
         ("c1, c2 = hp.c1, hp.c2", "c1, c2 = hp.c1, hp.c1")])],
-    # ∂_nΓ^l_{ml} + Γ^l_{nr}Γ^r_{ml} taken as ∂_lΓ^l_{mn} + Γ^l_{lr}Γ^r_{mn} in the
-    # Riemannian Ricci tensor
+    # ∂_nΓ^l_{ml} taken as ∂_lΓ^l_{mn} in the Riemannian Ricci tensor: tr_n's
+    # first-order half, from dK and the ∂_c g^{lr} halves of Q and P, traced as tr_l's
     "riemannian-trace-swapped": [(geo, "riemannian_scalar", [
-        ('- np.einsum("...lmln->...mn", dK) - P.reshape(bs + (N, -1)) @ Q.reshape(bs + (-1, N)))',
-         '- np.einsum("...lmnl->...mn", dK) - np.einsum("...r,...mnr->...mn", np.einsum("...lrl->...r", Q), P))')])],
+        ('tr_n = np.einsum("...lmln->...mn", dK) + P.reshape(bs + (N, -1)) @ Q.reshape(bs + (-1, N))',
+         'tr_n = (np.einsum("...lmnl->...mn", dK) + np.einsum("...r,...mnr->...mn", q_l[..., :N], P[..., :N])'
+         ' + P[..., N:].reshape(bs + (N, -1)) @ Q[..., N:, :].reshape(bs + (-1, N)))')])],
     # the inverse of a sample's complexified metric G rolled one point along the
     # batch axis in the Riemannian scalar; one point is left alone
     "riemannian-batch-rolled": [(geo, "riemannian_scalar", [
