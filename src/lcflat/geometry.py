@@ -83,9 +83,9 @@ def is_hermitian(H: np.ndarray) -> bool:
 
 
 class PointFailure(ValueError):
-    """A number the engine cannot form at a point: out of the double range,
-    not positive definite, a root that does not converge.  `verify.run_check`
-    charges it to its point; any other error aborts the check."""
+    """A number the engine cannot form at a point: out of the double range, a
+    singular matrix, not positive definite, a root that does not converge.
+    `verify.run_check` charges it to its point; any other error aborts the check."""
 
 
 class NotPositiveDefinite(PointFailure):
@@ -134,9 +134,9 @@ class MetricJet:
     @cached_property
     def inverse(self) -> np.ndarray:
         """Plain matrix inverse A of H, so that h^{kℓ̄} = A[ℓ, k]; raises
-        PointFailure when it leaves the double range (H nearly subnormal)."""
+        PointFailure where H is singular or A leaves the double range."""
         with np.errstate(over="ignore", invalid="ignore"):
-            A = np.linalg.inv(self.H)
+            A = _inv(self.H, "the metric value matrix")
         _check_finite("the inverse metric", A)
         return A
 
@@ -149,7 +149,7 @@ class MetricJet:
         # H is inverted here, not read from `inverse`, so that the second Ricci
         # path shares no inversion with the connection.
         with np.errstate(over="ignore", invalid="ignore"):
-            A = np.linalg.inv(self.H)
+            A = _inv(self.H, "the metric value matrix")
             ric = np.einsum("...lk,...ijkl->...ij", A, chern_curvature(self, A))  # h^{kℓ̄} = A[ℓ, k]
         _check_finite("the Chern-Ricci form", ric)
         return ric
@@ -245,6 +245,14 @@ class Scalars:
 # -- connections ---------------------------------------------------------------
 
 
+def _inv(a: np.ndarray, what: str) -> np.ndarray:
+    """`np.linalg.inv`, a singular matrix raised as a PointFailure naming it (`what`)."""
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        raise PointFailure(f"{what} is singular at this point") from None
+
+
 def _check_finite(what: str, a: np.ndarray) -> None:
     """Raise PointFailure if any entry of the array is inf or NaN."""
     if not np.isfinite(a).all():
@@ -298,14 +306,13 @@ def _connection(m: MetricJet) -> Christoffels:
         T[1] = dH[..., n:] - dH[..., n:].swapaxes(-1, -2)
         dT[1] = ddH[..., n:, :] - ddH[..., n:, :].swapaxes(-2, -3)
         Tl, dTl = Tl.reshape(bs + (n, -1)), dTl.reshape(bs + (n, -1))
-        # ∂_s h^{kℓ̄} = −h^{kc̄} ∂_s h_{ac̄} h^{aℓ̄}, as [..., s, k, ℓ]
-        dAt = np.einsum("...kc,...acs->...ska", At, dH) @ -At[..., None, :, :]
+        # ∂_s h^{kℓ̄} = −h^{kc̄} ∂_s h_{ac̄} h^{aℓ̄}, as [..., (s k), ℓ]: one product per point
+        dAt = np.einsum("...kc,...acs->...ska", At, dH).reshape(bs + (-1, n)) @ -At
         # slots 0 and 2: h^{kℓ̄} T[t, j, ℓ, i] and its gradient, each product
         # transposed from [..., k, t, j, i, (s)] or [..., s, k, t, j, i] to
         # [t, ..., k, i, j, (s)]
         value[::2] = (At @ Tl).reshape(bs + (n, 2, n, n)).transpose(p + 1, *b, p, p + 3, p + 2)
-        np.add((dAt.reshape(bs + (-1, n)) @ Tl).reshape(bs + (2 * n, n, 2, n, n))
-               .transpose(p + 2, *b, p + 1, p + 4, p + 3, p),
+        np.add((dAt @ Tl).reshape(bs + (2 * n, n, 2, n, n)).transpose(p + 2, *b, p + 1, p + 4, p + 3, p),
                (At @ dTl).reshape(bs + (n, 2, n, n, 2 * n)).transpose(p + 1, *b, p, p + 3, p + 2, p + 4),
                out=grad[::2])
         for raised in (value, grad):  # (Γ_C, ·, Γ_B) -> (Γ_C, ½(Γ_C + Γ_Cᵀ), ½Γ_B)
@@ -453,7 +460,7 @@ def riemannian_scalar(m: MetricJet) -> np.ndarray:
     with Γ_{r,mn} = ½ bracket_{rmn} and ∂_c g^{lr} = −g^{la} ∂_c g_ab g^{br}
     (so that the first term is −g^{la} ∂_c g_ab Γ^b_{mn}), only the two traces
     that R_mn reads are formed.  A point whose G or ∂_c g^{lr} leaves the
-    double range gets a non-finite s, without a warning.
+    double range gets a non-finite s, without a warning; a singular G fails it.
     """
     bs, n = m.H.shape[:-2], m.n
     N = 2 * n
@@ -467,7 +474,7 @@ def riemannian_scalar(m: MetricJet) -> np.ndarray:
     E[..., n:, :n, :, :] = E[..., :n, n:, :, :].swapaxes(-3, -4)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        Ginv = np.linalg.inv(G)
+        Ginv = _inv(G, "the complexified metric G")
         # bracket[..., r, m, n, x] = E[r, n, m, x] + E[r, m, n, x] − E[m, n, r, x]: at x = 0
         # ∂_m g_rn + ∂_n g_rm − ∂_r g_mn, and at x = 1 + c its derivative ∂_c
         bracket = E + E.swapaxes(-2, -3)

@@ -62,6 +62,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -129,6 +130,13 @@ class HopfParams:
     def k(self) -> float:
         """(k₁+k₂)/2π, so that Φ = e^{kθ} for the θ of `_theta_root`."""
         return (self.k1 + self.k2) / (2.0 * math.pi)
+
+    @cached_property
+    def minus_rates(self) -> tuple[np.ndarray, np.ndarray]:
+        """−(c₁, c₂, c₁, c₂), e₁'s and e₂'s rates in the slots (z, w, z̄, w̄), and
+        −(c₁, c₂, c₁ + c₂), those of e₁, e₂ and e₁e₂."""
+        c1, c2 = self.c1, self.c2
+        return np.array((-c1, -c2, -c1, -c2)), np.array((-c1, -c2, -(c1 + c2)))
 
     @cached_property
     def deck_jacobian(self) -> tuple[np.ndarray, np.ndarray]:
@@ -443,16 +451,16 @@ def _theta_root(p, hp: HopfParams) -> float:
     lz = math.log(zz) if zz > 0.0 else -math.inf
     lw = math.log(ww) if ww > 0.0 else -math.inf
     c1, c2 = hp.c1, hp.c2
+    exp, expm1 = math.exp, math.expm1
     theta = max(lz / c1, lw / c2)
     for _ in range(100):
         ez, ew = lz - c1 * theta, lw - c2 * theta
         if ez < ew:
-            e_hi, c_hi, e_lo, c_lo = ew, c2, ez, c1
+            x_lo = exp(ez)
+            g, dg = expm1(ew) + x_lo, -(c2 * exp(ew) + c1 * x_lo)
         else:
-            e_hi, c_hi, e_lo, c_lo = ez, c1, ew, c2
-        x_lo = math.exp(e_lo)
-        g = math.expm1(e_hi) + x_lo
-        dg = -(c_hi * math.exp(e_hi) + c_lo * x_lo)
+            x_lo = exp(ew)
+            g, dg = expm1(ez) + x_lo, -(c1 * exp(ez) + c2 * x_lo)
         step = g / dg
         theta -= step
         if abs(step) <= 1e-14 * (abs(theta) - 1.0 / dg):
@@ -531,10 +539,11 @@ def hopf_frames(pts: np.ndarray, hp: HopfParams) -> HopfFrame:
     point (pts of shape (2,)), and at a sample a frame of arrays over its
     batch axes, the coordinates and the products complex and the rest real
     (the real parts of one complex array, which hold the values exactly)."""
-    frames = [hopf_values(p, hp) for p in pts.reshape(-1, 2).tolist()]
     if pts.ndim == 1:
-        return frames[0]
-    fields = np.array(frames, complex).T.reshape((len(HopfFrame._fields),) + pts.shape[:-1])
+        return hopf_values(pts.tolist(), hp)
+    flat, k = pts.reshape(-1, 2).tolist(), len(HopfFrame._fields)
+    fields = np.fromiter(chain.from_iterable(hopf_values(p, hp) for p in flat), complex, k * len(flat))
+    fields = fields.reshape(-1, k).T.reshape((k,) + pts.shape[:-1])
     return HopfFrame(*fields[:4], *fields[4:-3].real, *fields[-3:])
 
 
@@ -552,8 +561,6 @@ _ROW = 21
 # Conjugation trades the z and z̄ slots: row[..., _CONJ].conj() is the conjugate row.
 _SWAP = (2, 3, 0, 1)
 _CONJ = np.array([0, *(1 + s for s in _SWAP), *(5 + 4 * s + t for s in _SWAP for t in _SWAP)])
-# The row of the constant function 1.
-_ONE = np.eye(1, _ROW, dtype=complex)[0]
 # The Hessian of F in `_theta_row` is this pattern times (e₁, e₂, e₁, e₂)
 # down its rows: F_{zz̄} = e₁, F_{ww̄} = e₂.
 _SLOT_SWAP = np.eye(4)[list(_SWAP)]
@@ -597,12 +604,6 @@ def _taylor_max(rows: np.ndarray) -> np.ndarray:
     return c.max(axis=-1)
 
 
-def _slots_last(a: np.ndarray) -> np.ndarray:
-    """An array [slot, ...], formed slot first so that per-point values
-    broadcast against it, as rows [..., slot]."""
-    return a.transpose(*range(1, a.ndim), 0)
-
-
 def _reciprocal(b: np.ndarray) -> np.ndarray:
     """The row of 1/b at each point, by the arithmetic of `wjet._reciprocal`:
     with c the value of b and e = b/c − 1, 1/b = (1 − e + e²)/c."""
@@ -612,7 +613,7 @@ def _reciprocal(b: np.ndarray) -> np.ndarray:
     out = e / -c
     out[0] = 1.0 / c
     out[5:] += (e[1:5, None] * e[1:5]).reshape((16,) + e.shape[1:]) * (2.0 / c)
-    return _slots_last(out)
+    return out.transpose(*range(1, out.ndim), 0)  # as rows [..., slot]
 
 
 def complex_product(a, b):
@@ -639,24 +640,28 @@ def _theta_row(hv: HopfFrame, hp: HopfParams) -> np.ndarray:
         θᵢ = −Fᵢ/F_θ,   θᵢⱼ = −(Fᵢⱼ + F_{iθ}θⱼ + F_{jθ}θᵢ + F_{θθ}θᵢθⱼ)/F_θ.
 
     F is linear in each of |z|², |w|², so the only x-x partials are
-    F_{zz̄} = e₁ and F_{ww̄} = e₂.  The partials are formed slot first,
-    [slot, ...], so that the frame's values broadcast against them.
+    F_{zz̄} = e₁ and F_{ww̄} = e₂, and F_x = (z̄, w̄, z, w)·(e₁, e₂, e₁, e₂).
+    The partials are formed slot first, [slot, ...], so that the frame's
+    values broadcast against them, and written into the row's slots.
     """
-    c1, c2 = hp.c1, hp.c2
-    e1, e2, u0, v0 = hv.e1, hv.e2, hv.u, hv.v
-    Fz, Fw, Fzb, Fwb = hv.zb * e1, hv.wb * e2, hv.z * e1, hv.w * e2
-    Fx = np.array((Fz, Fw, Fzb, Fwb))
-    Fxt = np.array((-c1 * Fz, -c2 * Fw, -c1 * Fzb, -c2 * Fwb))
-    ee = np.array((e1, e2, e1, e2))
-    Fxx = _SLOT_SWAP.reshape((4, 4) + (1,) * (ee.ndim - 1)) * ee[:, None]
+    c1, c2, u0, v0 = hp.c1, hp.c2, hv.u, hv.v
+    ee = np.array((hv.e1, hv.e2, hv.e1, hv.e2))
+    bcast = (1,) * (ee.ndim - 1)
+    Fx = np.array((hv.zb, hv.wb, hv.z, hv.w)) * ee
+    Fxt = hp.minus_rates[0].reshape((4,) + bcast) * Fx
+    Fxx = _SLOT_SWAP.reshape((4, 4) + bcast) * ee[:, None]
     Ft = -(c1 * u0 + c2 * v0)
     Ftt = c1 * c1 * u0 + c2 * c2 * v0
     if np.count_nonzero(~np.isfinite(Ft) | (Ft == 0.0)):  # at any point
         raise PointFailure("dF/dtheta vanishes at the solution")
-    tx = Fx / -Ft
+    row = np.empty(ee.shape[1:] + (_ROW,), complex)
+    slots = row.transpose(-1, *range(row.ndim - 1))  # [slot, ...]
+    slots[0] = hv.theta
+    tx = np.divide(Fx, -Ft, out=slots[1:5])
     cross = Fxt[:, None] * tx
-    txx = (Fxx + cross + cross.swapaxes(0, 1) + Ftt * (tx[:, None] * tx)) / -Ft
-    return _slots_last(np.concatenate(((hv.theta,), tx, txx.reshape((16,) + tx.shape[1:]))))
+    np.divide(Fxx + cross + cross.swapaxes(0, 1) + Ftt * (tx[:, None] * tx), -Ft,
+              out=slots[5:].reshape((4,) + tx.shape))
+    return row
 
 
 class HopfRows(NamedTuple):
@@ -685,7 +690,7 @@ def hopf_rows(hv: HopfFrame, hp: HopfParams) -> HopfRows:
     frame's values, or products of them.
     """
     theta = _theta_row(hv, hp)
-    minus_r = np.array([-hp.c1, -hp.c2, -(hp.c1 + hp.c2)]).reshape((3,) + (1,) * theta.ndim)
+    minus_r = hp.minus_rates[1].reshape((3,) + (1,) * theta.ndim)
     g = minus_r * theta[..., 1:5]
     e = np.empty((3,) + theta.shape, complex)
     e[..., 0] = hv.e1, hv.e2, hv.e1 * hv.e2
@@ -693,7 +698,9 @@ def hopf_rows(hv: HopfFrame, hp: HopfParams) -> HopfRows:
     e[..., 5:] = e[..., :1] * (minus_r * theta[..., 5:]) + (
         e[..., 1:5, None] * g[..., None, :]).reshape(g.shape[:-1] + (16,))
     uvq = _leibniz(_monomial_rows(hv.z, hv.w, hv.zb, hv.wb, (hv.zz, hv.ww, hv.zbw)), e)
-    res, size = _taylor_max(np.array((uvq[0] + uvq[1] - _ONE, theta)))
+    F = np.array((uvq[0] + uvq[1], theta))  # F = u + v − 1, beside θ for its size
+    F[0, ..., 0] -= 1.0
+    res, size = _taylor_max(F)
     bad = res > 1e-10 * (1.0 + size)
     if np.count_nonzero(bad):
         k = bad.argmax()
@@ -931,17 +938,22 @@ def _delta_cubed_omega(hf: HopfFrame, al: float, lam: float) -> list[list]:
     ]
 
 
-def _delta_cubed_omega_rows(fr: HopfRows, al: float, lam: float) -> np.ndarray:
-    """The rows of h₁₁, h₁₂ and h₂₂ of `_delta_cubed_omega`, and of Δ³, by two
-    stacked Leibniz products: Δ·(u, v, Δ), then e₁·A, C·q, e₂·B and Δ²·Δ for
+def _delta_cubed_omega_rows(fr: HopfRows, al: float, lam: float, cube: bool) -> np.ndarray:
+    """The rows of h₁₁, h₁₂ and h₂₂ of `_delta_cubed_omega`, and with `cube` of Δ³,
+    by two stacked Leibniz products: Δ·(u, v), then e₁·A, C·q, e₂·B (and Δ²·Δ) for
     A = (1+λ)(α−2)²v + Δu, C = (1+λ)α(α−2) + Δ and B = (1+λ)α²u + Δv.
     Each value slot is formed as the matching value of `_delta_cubed_omega`.
-    The stack is (4, ..., 21), over the batch axes of the frame."""
+    The stack is (3 + cube, ..., 21), over the batch axes of the frame."""
     s, D = 1.0 + lam, fr.delta
     u, v, q = fr.uvq
-    Du, Dv, D2 = _leibniz(D, np.array((u, v, D)))
-    factors = np.array((fr.e[0], D + s * al * (al - 2.0) * _ONE, fr.e[1], D2))
-    return _leibniz(factors, np.array((s * (al - 2.0) ** 2 * v + Du, q, s * al**2 * u + Dv, D)))
+    Du, Dv = _leibniz(D, fr.uvq[:2])
+    left, right = np.empty((2, 3 + cube) + D.shape, complex)  # (e₁, C, e₂) and (A, q, B)
+    left[0], left[1], left[2] = fr.e[0], D, fr.e[1]
+    left[1, ..., 0] += s * al * (al - 2.0)
+    right[0], right[1], right[2] = s * (al - 2.0) ** 2 * v + Du, q, s * al**2 * u + Dv
+    if cube:
+        left[3], right[3] = _leibniz(D, D), D
+    return _leibniz(left, right)
 
 
 def hopf_metric(spec: MetricSpec, hf: HopfFrame) -> list[list]:
@@ -959,17 +971,14 @@ def _hopf_metric_arrays(spec: MetricSpec, fr: HopfRows) -> tuple[np.ndarray, ...
     batch axes: ω_λ is Δ³ω_λ times the reciprocal of Δ·Δ·Δ, as `hopf_metric`
     forms it."""
     al = spec.hopf_params().alpha
-    if spec.kind == "hopf-lc-flat":
-        h = _delta_cubed_omega_rows(fr, al, -0.5)
-    else:
-        h = _delta_cubed_omega_rows(fr, al, spec.lam_value)
+    lc_flat = spec.kind == "hopf-lc-flat"
+    h = _delta_cubed_omega_rows(fr, al, -0.5 if lc_flat else spec.lam_value, cube=not lc_flat)
+    if not lc_flat:
         h = _leibniz(_reciprocal(h[3]), h[:3])
-    rows = h[[0, 1, 1, 2]]
-    rows[2] = rows[2][..., _CONJ].conj()
-    rows = rows.transpose(*range(1, rows.ndim - 1), 0, -1)  # [..., entry, slot]
-    bs = rows.shape[:-2]
-    return (rows[..., 0].reshape(bs + (2, 2)), rows[..., 1:5].reshape(bs + (2, 2, 4)),
-            rows[..., 5:].reshape(bs + (2, 2, 4, 4)))
+    rows = np.empty(h.shape[1:-1] + (2, 2, _ROW), complex)  # [..., i, j, slot]
+    rows[..., 0, 0, :], rows[..., 0, 1, :], rows[..., 1, 1, :] = h
+    np.conjugate(h[1][..., _CONJ], out=rows[..., 1, 0, :])
+    return rows[..., 0], rows[..., 1:5], rows[..., 5:].reshape(rows.shape[:-1] + (4, 4))
 
 
 def field_jet(f: FieldSpec, p, hp: HopfParams | None, n: int = 2) -> tuple[np.ndarray, ...]:

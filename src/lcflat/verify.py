@@ -12,9 +12,9 @@ stack them over the sample (deck: the points and their images in one stack)
 and take one determinant or one pullback of the stack.  A residual that is
 the largest of several terms is NaN at a point where any term is.  If some
 point of the sample fails (a `geometry.PointFailure`: out of the double
-range, not positive definite, a root that does not converge), `run_check`
-evaluates the sample again one point at a time, so that each failure is
-charged to its own point; any other error from a residual aborts the check.
+range, singular, not positive definite, a root that does not converge),
+`run_check` evaluates the sample again one point at a time, charging each
+failure to its own point; any other error from a residual aborts the check.
 
 An identity is declared once, in `IDENTITIES`: its residual function (whose
 docstring states the equation), its default tolerance and what it needs of

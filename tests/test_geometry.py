@@ -408,6 +408,19 @@ def test_stacked_connection_matches_the_symbol_by_symbol_raise(text):
             assert np.abs(new - old).max() <= 2e-15 * (1 + np.abs(old).max()), p
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (3,), (40,)], ids=lambda s: f"N={s[0] if s else '-'}")
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_a_stacked_product_equals_its_per_slot_products(n, shape):
+    """`_connection` forms ∂_s h^{kℓ̄} for the 2n slots as one product per point,
+    X[..., (s k), a] @ B, in place of the 2n slot products X[..., s, k, a] @ B;
+    its residuals stay bit for bit only while a row of a product does not
+    depend on the rows stacked beside it, which this checks at the
+    connection's shapes."""
+    rng = np.random.default_rng(n)
+    X, B = (rng.standard_normal(s + (2,)) @ (1.0, 1j) for s in (shape + (2 * n, n, n), shape + (n, n)))
+    assert np.array_equal((X.reshape(shape + (-1, n)) @ -B).reshape(X.shape), X @ -B[..., None, :, :])
+
+
 # On the Hopf-frame metrics s is a sum with cancellation, and the two
 # summation orders part by more than 1e-15·(1 + |s|): up to 2.0e-15 on these
 # three specs at seeds 1–6, and 5.6e-15 on hopf-omega-lambda{a=1e3,b=1.01,lambda=3}.
@@ -519,9 +532,13 @@ PLANTED_DEFECTS = {
     # in its row form alike
     "minus-D": [
         (M, "_delta_cubed_omega", [("(s * al * (al - 2.0) + D)", "(s * al * (al - 2.0) - D)")]),
-        (M, "_delta_cubed_omega_rows", [("D + s * al * (al - 2.0) * _ONE",
-                                         "-D + s * al * (al - 2.0) * _ONE")]),
+        (M, "_delta_cubed_omega_rows", [("left[0], left[1], left[2] = fr.e[0], D, fr.e[1]",
+                                         "left[0], left[1], left[2] = fr.e[0], -D, fr.e[1]")]),
     ],
+    # ∂_s h^{kℓ̄} = −h^{kc̄} ∂_s h_{ac̄} h^{aℓ̄} formed with +A for −A, in the
+    # connection's one product per point
+    "inverse-derivative-sign": [(geo, "_connection", [
+        ("reshape(bs + (-1, n)) @ -At", "reshape(bs + (-1, n)) @ At")])],
     # the quadratic term h^{pq̄}(∂_i h_{kq̄})(∂̄_j h_{pℓ̄}) dropped from the Chern curvature
     "chern-quad-dropped": [(geo, "chern_curvature", [("return -sec + quad", "return -sec")])],
     # the inverse metric transposed; the Chern side inverts H itself, so only
@@ -554,8 +571,9 @@ PLANTED_DEFECTS = {
     # the inverse of a sample's complexified metric G rolled one point along the
     # batch axis in the Riemannian scalar; one point is left alone
     "riemannian-batch-rolled": [(geo, "riemannian_scalar", [
-        ("Ginv = np.linalg.inv(G)\n",
-         "Ginv = np.linalg.inv(G)\n        Ginv = np.roll(Ginv, 1, axis=0) if Ginv.ndim > 2 else Ginv\n")])],
+        ('Ginv = _inv(G, "the complexified metric G")\n',
+         'Ginv = _inv(G, "the complexified metric G")\n'
+         '        Ginv = np.roll(Ginv, 1, axis=0) if Ginv.ndim > 2 else Ginv\n')])],
 }
 # Suite cells named by their spec text, where a defect misses the other cells
 # of the same kind.
@@ -576,6 +594,20 @@ PLANTED_DEFECT_CELLS = [
     ("minus-D", "lc-ricci-flat", "hopf-lc-flat"),
     ("minus-D", "det-formula", "hopf-omega-lambda"),
     ("minus-D", "tw-formula", "hopf-omega-lambda"),
+    # ∂h⁻¹ = 0 on the flat metric, so kahler-collapse on flat is immune
+    ("inverse-derivative-sign", "lc-ricci-flat", "hopf-lc-flat"),
+    ("inverse-derivative-sign", "tw-formula", "hopf-omega-lambda"),
+    ("inverse-derivative-sign", "key-relation", "hopf-lc-flat"),
+    ("inverse-derivative-sign", "key-relation", "hopf-standard"),
+    ("inverse-derivative-sign", "key-relation", "user-polynomial"),
+    ("inverse-derivative-sign", "conformal-law", "conformal"),
+    ("inverse-derivative-sign", "scalar-010", "hopf-standard"),
+    ("inverse-derivative-sign", "scalar-010", "hopf-omega-lambda"),
+    ("inverse-derivative-sign", "scalar-010", "user-polynomial"),
+    ("inverse-derivative-sign", "scalar-key1", "hopf-standard"),
+    ("inverse-derivative-sign", "scalar-key1", "hopf-omega-lambda"),
+    ("inverse-derivative-sign", "scalar-key1", "user-polynomial"),
+    ("inverse-derivative-sign", "kahler-collapse", "kahler-test"),
     ("chern-quad-dropped", "lc-ricci-flat", "hopf-lc-flat"),
     ("chern-quad-dropped", "key-relation", "hopf-lc-flat"),
     ("chern-quad-dropped", "key-relation", "hopf-standard"),

@@ -621,6 +621,58 @@ def test_a_broken_batch_path_aborts_instead_of_falling_back(monkeypatch):
         V.run_check(check)
 
 
+def _plant_singular_inversion(monkeypatch, H, size):
+    """`np.linalg.inv` raises LinAlgError, as on a singular matrix, on a stack of
+    size × size matrices that holds H: as a metric's value matrix (size 2) or
+    as the H block of the complexified metric G = [[0, H], [Hᵀ, 0]] (size 4)."""
+    inv = np.linalg.inv
+
+    def planted(a):
+        if a.shape[-1] == size and (a[..., :2, -2:] == H).all(axis=(-2, -1)).any():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", planted)
+
+
+HEADLINE_SPEC = "hopf-lc-flat{a=7.38905609893065,b=2.718281828459045}"
+
+
+@pytest.mark.parametrize("identity, size, matrix", [
+    ("lc-ricci-flat", 2, "the metric value matrix"),
+    ("scalar-key1", 4, "the complexified metric G"),
+])
+def test_a_singular_inversion_fails_its_point(monkeypatch, identity, size, matrix):
+    """A LinAlgError from inverting a singular matrix at one point of a 12-point
+    sample is a PointFailure that names the matrix: that point fails with its
+    message, the report warns, and the other 11 residuals are those of each
+    point evaluated alone, bit for bit, as the fallback evaluates them."""
+    spec = M.parse_metric_spec(HEADLINE_SPEC)
+    check = V.CheckSpec(identity=identity, metric=spec, n_points=12, seed=1)
+    clean = V.run_check(check)
+    bad = clean.per_point[5][0]
+    alone = [(p, V._residuals(check, [p], {})[0]) for p, _ in clean.per_point if p != bad]
+    _plant_singular_inversion(monkeypatch, M.build_metric(spec, bad).H, size)
+    rep = V.run_check(check)
+    assert rep.failures == [(bad, f"{matrix} is singular at this point")]
+    assert rep.warning == "1 of 12 points failed to construct"
+    assert rep.per_point == alone
+    assert rep.verdict == clean.verdict == "pass"
+
+
+@pytest.mark.parametrize("read, size, matrix", [
+    (lambda m: m.inverse, 2, "the metric value matrix"),
+    (geo.chern_ricci, 2, "the metric value matrix"),
+    (geo.riemannian_scalar, 4, "the complexified metric G"),
+], ids=["inverse", "chern_ricci", "riemannian_scalar"])
+def test_each_inversion_names_its_singular_matrix(monkeypatch, read, size, matrix):
+    spec = M.parse_metric_spec(HEADLINE_SPEC)
+    m = M.build_metric(spec, V.sample_points("hopf-fundamental", 3, 1, hp=spec.hopf_params()))
+    _plant_singular_inversion(monkeypatch, m.H[1], size)
+    with pytest.raises(geo.PointFailure, match=f"^{matrix} is singular at this point$"):
+        read(m)
+
+
 def _log_uniform(u, lo, hi):
     return math.exp(math.log(lo) + u * (math.log(hi) - math.log(lo)))
 
