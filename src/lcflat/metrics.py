@@ -943,11 +943,11 @@ def _delta_cubed_omega_rows(fr: HopfRows, al: float, lam: float, cube: bool) -> 
     by two stacked Leibniz products: Δ·(u, v), then e₁·A, C·q, e₂·B (and Δ²·Δ) for
     A = (1+λ)(α−2)²v + Δu, C = (1+λ)α(α−2) + Δ and B = (1+λ)α²u + Δv.
     Each value slot is formed as the matching value of `_delta_cubed_omega`.
-    The stack is (3 + cube, ..., 21), over the batch axes of the frame."""
+    The stack is (4 or 3, ..., 21), over the batch axes of the frame."""
     s, D = 1.0 + lam, fr.delta
     u, v, q = fr.uvq
     Du, Dv = _leibniz(D, fr.uvq[:2])
-    left, right = np.empty((2, 3 + cube) + D.shape, complex)  # (e₁, C, e₂) and (A, q, B)
+    left, right = np.empty((2, 4 if cube else 3) + D.shape, complex)  # (e₁, C, e₂) and (A, q, B)
     left[0], left[1], left[2] = fr.e[0], D, fr.e[1]
     left[1, ..., 0] += s * al * (al - 2.0)
     right[0], right[1], right[2] = s * (al - 2.0) ** 2 * v + Du, q, s * al**2 * u + Dv
@@ -968,8 +968,8 @@ def hopf_metric(spec: MetricSpec, hf: HopfFrame) -> list[list]:
 
 def _hopf_metric_arrays(spec: MetricSpec, fr: HopfRows) -> tuple[np.ndarray, ...]:
     """(H, dH, ddH) of `hopf_metric` from the rows of the frame, over its
-    batch axes: ω_λ is Δ³ω_λ times the reciprocal of Δ·Δ·Δ, as `hopf_metric`
-    forms it."""
+    batch axes, as views of one (..., 2, 2, 21) array of the entries' rows:
+    ω_λ is Δ³ω_λ times the reciprocal of Δ·Δ·Δ, as `hopf_metric` forms it."""
     al = spec.hopf_params().alpha
     lc_flat = spec.kind == "hopf-lc-flat"
     h = _delta_cubed_omega_rows(fr, al, -0.5 if lc_flat else spec.lam_value, cube=not lc_flat)
@@ -978,7 +978,7 @@ def _hopf_metric_arrays(spec: MetricSpec, fr: HopfRows) -> tuple[np.ndarray, ...
     rows = np.empty(h.shape[1:-1] + (2, 2, _ROW), complex)  # [..., i, j, slot]
     rows[..., 0, 0, :], rows[..., 0, 1, :], rows[..., 1, 1, :] = h
     np.conjugate(h[1][..., _CONJ], out=rows[..., 1, 0, :])
-    return rows[..., 0], rows[..., 1:5], rows[..., 5:].reshape(rows.shape[:-1] + (4, 4))
+    return _row_arrays(rows)
 
 
 def field_jet(f: FieldSpec, p, hp: HopfParams | None, n: int = 2) -> tuple[np.ndarray, ...]:
