@@ -103,11 +103,11 @@ class MetricJet:
     sample, as three arrays.
 
     H[..., i, j] = h_{ij̄}, its Wirtinger gradient dH[..., i, j, s] and its
-    Hessian ddH[..., i, j, s, t], in the slots of `wjet.partials`; the leading
-    axes, if any, index the points.  H must be finite and Hermitian positive
-    definite at every point, which is checked when the metric is built.  The
-    inverse, the connection and the Chern-Ricci form are built once per
-    metric; read the last two through `christoffels` and `chern_ricci`.
+    Hessian ddH[..., i, j, s, t] in the slots s, t of (z¹…zⁿ, z̄¹…z̄ⁿ); the
+    leading axes, if any, index the points.  H must be finite and Hermitian
+    positive definite at every point, which is checked when the metric is
+    built.  The inverse, the connection and the Chern-Ricci form are built
+    once per metric; read the last two through `christoffels` and `chern_ricci`.
     """
 
     H: np.ndarray

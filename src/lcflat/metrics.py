@@ -9,46 +9,46 @@ the one-parameter metrics
 and the conformally rescaled metric Δ³·ω_{−1/2}, whose Levi-Civita Ricci form
 vanishes identically — the headline identity this package verifies.
 
-Every metric is built as its order-2 arrays (H, dH, ddH), with no jet
-arithmetic: `hopf-standard`, the identity over S = |z|² + |w|², is the
-reciprocal of S's row on the diagonal.
+Every metric and conformal factor is built as order-2 rows (see "order-2
+rows" below) by one row algebra, for every kind and field and any n; the
+(H, dH, ddH) views the geometry reads are taken where the `MetricJet` is made.
 `hopf_values` solves Φ = e^{kθ} in closed form and returns the scalar frame:
 the coordinates, θ, e₁ = Φ^{−α} = e^{−c₁θ}, e₂ = Φ^{α−2} = e^{−c₂θ},
 u = |z|²e₁, v = |w|²e₂ and Δ = αu + (2−α)v.  `hopf_rows` extends it to
-order 2 as plain arrays: rows of (value, gradient, Hessian) for θ (from its
-closed-form partials), e₁, e₂ and e₁e₂ (one stacked chain rule), u, v and
-z̄w·e₁e₂ (one stacked Leibniz product) and Δ.  Δ³ω_λ is a polynomial in
-these, so the Hopf metrics form no power of Φ and, apart from the one
-division of Δ³ω_λ by Δ³, no quotient; nothing overflows while Φ² and the
-metric's entries are doubles.  The same closed form on the scalar frame
-(`hopf_metric`) gives the metrics' values bit for bit, so identities that
-read only a Hopf metric's values (`metric_values`) build no order-2 arrays.
+order 2: the rows of θ (from its closed-form partials), e₁, e₂ and e₁e₂
+(one stacked chain rule), u, v and z̄w·e₁e₂ (one stacked product) and Δ.
+Δ³ω_λ is a polynomial in these, so the Hopf metrics form no power of Φ and,
+apart from the one division of Δ³ω_λ by Δ³, no quotient; nothing overflows
+while Φ² and the metric's entries are doubles.  `hopf-standard`, the
+identity over S = |z|² + |w|², is the reciprocal of S's row on the diagonal.
+The same closed form on the scalar frame (`hopf_metric`) gives the metrics'
+values bit for bit, so identities that read only a Hopf metric's values
+(`metric_values`) build no rows.
 The closed forms of √−1∂∂̄ log Φ and √−1∂Φ∧∂̄Φ that the metrics are derived
 from are written once, on the scalar frame or a stacked one, in
 `hessian_forms`, which the checks compare against the metrics and against
 derivatives of Φ's row (`phi_field`).
 
 The polynomial kinds (`flat`, `kahler-test`, `user-polynomial`) and the
-`poly` field are degree-≤2 polynomials in the 2n Wirtinger slots
-x = (z¹…zⁿ, z̄¹…z̄ⁿ), so their order-2 jet is exact and linear in the
-coefficients.  Each is a `PolyTable` (C0, B, Q) with h(x) = C0 + B·x + ½xᵀQx,
-drawn once per spec; a point's jet is two contractions and no jet
-arithmetic.  A conformal factor scales the base's arrays by one Leibniz
-product, broadcast over the entries.
+`poly` field are degree-≤2 polynomials in the slots x, so their order-2 jet
+is exact and linear in the coefficients.  Each is a `PolyTable` (C0, B, Q)
+with h(x) = C0 + B·x + ½xᵀQx, drawn once per spec; a point's rows are two
+contractions and a copy of Q.  A conformal metric e^f·h is the product of
+the rows of e^f and the base's rows, broadcast over the entries
+(`conformal_scale`).
 
 A check that already holds a scalar frame builds its Hopf metric from it
 (`build_hopf_metric`).  A conformal metric and its base share one set of
-base arrays, and a Hopf base and a Hopf field (log-phi, log-delta) read one
-frame and one set of rows (`_conformal_arrays`); so a check on such a spec
+base rows, and a Hopf base and a Hopf field (log-phi, log-delta) read one
+frame and one set of its rows (`_conformal_rows`); so a check on such a spec
 solves θ once at a point.
 
 `build_metric` takes one point or a sample of points (an array whose last
-axis holds the coordinates) and builds one metric over all of them: the
-rows, tables, fields and metric arrays carry the sample's axes in front,
-through the same code as one point, and so do `phi_field`,
-`hessian_forms` and `dbar_log_phi` over a stacked frame, and
-`metric_values` and `deck_invariance_residual` take a point or a sample
-alike.  Only the θ roots are found point by point
+axis holds the coordinates) and builds one metric over all of them: every
+row carries the sample's axes in front, through the same code as one
+point, and so do `phi_field`, `hessian_forms` and `dbar_log_phi` over a
+stacked frame, and `metric_values` and `deck_invariance_residual` take a
+point or a sample alike.  Only the θ roots are found point by point
 (`hopf_frames`), and the values of the two Hopf metrics are formed on one
 scalar frame per point and stacked.  Each number is formed by the
 arithmetic that forms it at one point (numpy's ufuncs round a one-point
@@ -549,21 +549,88 @@ def hopf_frames(pts: np.ndarray, hp: HopfParams) -> HopfFrame:
 
 # -- order-2 rows ----------------------------------------------------------------------
 #
-# A row is the order-2 jet of one function of (z, w) at a point: its value,
-# its gradient in the slots (z, w, z̄, w̄) and its Hessian row-major, which is
-# the flat layout of a two-coordinate `WJet`.  At each point of a sample the
-# rows carry the sample's batch axes in front, (..., 21), and k rows stack
-# along a new first axis, (k, ..., 21), so that a stack unpacks into its
-# rows.  `_leibniz` multiplies two stacks row by row, broadcasting
-# (Griewank & Walther, Evaluating Derivatives, ch. 13).
+# A row is the order-2 jet of one function of the 2n Wirtinger slots
+# x = (z¹…zⁿ, z̄¹…z̄ⁿ) at a point: its value, gradient and row-major Hessian,
+# 1 + m + m² numbers for m = 2n (the flat layout of a `WJet`).  A sample's
+# axes go in front, (..., 1 + m + m²); k rows stack along a new first axis,
+# and a metric's entries are rows (..., n, n, 1 + m + m²).  The helpers below
+# are the whole arithmetic of order-2 jets (Griewank & Walther, Evaluating
+# Derivatives, ch. 13): each reads m from the row length and broadcasts.
 
-_ROW = 21
-# Conjugation trades the z and z̄ slots: row[..., _CONJ].conj() is the conjugate row.
-_SWAP = (2, 3, 0, 1)
-_CONJ = np.array([0, *(1 + s for s in _SWAP), *(5 + 4 * s + t for s in _SWAP for t in _SWAP)])
+
+def _slots(rows: np.ndarray) -> int:
+    """m = 2n, the gradient's length in rows of length 1 + m + m²."""
+    return (math.isqrt(4 * rows.shape[-1] - 3) - 1) // 2
+
+
+def _row_arrays(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(value, gradient, Hessian) views of rows, (...), (..., m) and (..., m, m)."""
+    m = _slots(rows)
+    return rows[..., 0], rows[..., 1 : 1 + m], rows[..., 1 + m :].reshape(rows.shape[:-1] + (m, m))
+
+
+def _leibniz(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise product of two stacks of rows (shapes broadcast), by the
+    arithmetic of `wjet.mul`: (ab)' = a'b + ab',
+    (ab)'' = a''b + a'⊗b' + b'⊗a' + ab''."""
+    m = _slots(b)
+    cross = a[..., 1 : 1 + m, None] * b[..., None, 1 : 1 + m]
+    out = a[..., :1] * b
+    out[..., 1 + m :] += (cross + cross.swapaxes(-1, -2)).reshape(out.shape[:-1] + (m * m,))
+    out[..., 1:] += b[..., :1] * a[..., 1:]
+    return out
+
+
+def _exp_rows(e0, x: np.ndarray) -> np.ndarray:
+    """The rows of e^x from the rows of x and the values e0 of e^x, by the
+    chain rule of `wjet.exp`: (e^x)' = e^x x', (e^x)'' = e^x x'' + (e^x)'⊗x'.
+    x's value slot is not read, so e0 is e^x exactly as the caller forms it."""
+    m = _slots(x)
+    out = np.empty(x.shape, complex)
+    out[..., 0] = e0
+    out[..., 1:] = out[..., :1] * x[..., 1:]
+    grad = out[..., 1 : 1 + m]
+    out[..., 1 + m :] += (grad[..., :, None] * x[..., None, 1 : 1 + m]).reshape(x.shape[:-1] + (m * m,))
+    return out
+
+
+def _reciprocal(b: np.ndarray) -> np.ndarray:
+    """The rows of 1/b, by the arithmetic of `wjet._reciprocal`: with c the
+    value of b and e = b/c − 1, 1/b = (1 − e + e²)/c."""
+    m = _slots(b)
+    b = b.transpose(-1, *range(b.ndim - 1))  # slot first, [slot, ...]
+    c = b[0]
+    e = b / c
+    out = e / -c
+    out[0] = 1.0 / c
+    out[1 + m :] += (e[1 : 1 + m, None] * e[1 : 1 + m]).reshape((m * m,) + e.shape[1:]) * (2.0 / c)
+    return out.transpose(*range(1, out.ndim), 0)  # as rows [..., slot]
+
+
+def _conj_perm(m: int) -> np.ndarray:
+    """The permutation p of the row slots with rows[..., p].conj() the
+    conjugate rows: conjugation trades the z and z̄ slots of the gradient and
+    of both Hessian axes (p[1 : 1 + m] − 1 is that swap of m slots)."""
+    swap = (np.arange(m) + m // 2) % m
+    return np.concatenate(([0], 1 + swap, 1 + m + (m * swap[:, None] + swap).ravel()))
+
+
+_CONJ = _conj_perm(4)  # the two coordinates of a Hopf surface
+
+
+def _taylor_max(rows: np.ndarray) -> np.ndarray:
+    """Largest Taylor coefficient magnitude of each row (f_ss/2 on the
+    Hessian's diagonal), as `WJet.max_abs` reads a jet."""
+    m = _slots(rows)
+    c = np.abs(rows)
+    c[..., 1 + m :: m + 1] *= 0.5  # the Hessian's diagonal
+    return c.max(axis=-1)
+
+
+_ROW = 21  # a Hopf row: value, 4 gradient slots, 16 Hessian slots
 # The Hessian of F in `_theta_row` is this pattern times (e₁, e₂, e₁, e₂)
 # down its rows: F_{zz̄} = e₁, F_{ww̄} = e₂.
-_SLOT_SWAP = np.eye(4)[list(_SWAP)]
+_SLOT_SWAP = np.eye(4)[_CONJ[1:5] - 1]
 
 
 # The Hessians of |z|², |w|² and z̄w: ∂z∂z̄|z|² = ∂w∂w̄|w|² = ∂w∂z̄(z̄w) = 1.
@@ -583,37 +650,6 @@ def _monomial_rows(z, w, zb, wb, values) -> np.ndarray:
     x[1, ..., 2], x[1, ..., 4] = wb, w
     x[2, ..., 2], x[2, ..., 3] = zb, w
     return x
-
-
-def _leibniz(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise product of two stacks of rows (shapes broadcast), by the
-    arithmetic of `wjet.mul`: (ab)' = a'b + ab',
-    (ab)'' = a''b + a'⊗b' + b'⊗a' + ab''."""
-    cross = a[..., 1:5, None] * b[..., None, 1:5]
-    out = a[..., :1] * b
-    out[..., 5:] += (cross + cross.swapaxes(-1, -2)).reshape(out.shape[:-1] + (16,))
-    out[..., 1:] += b[..., :1] * a[..., 1:]
-    return out
-
-
-def _taylor_max(rows: np.ndarray) -> np.ndarray:
-    """Largest Taylor coefficient magnitude of each row (f_ss/2 on the
-    Hessian's diagonal), as `WJet.max_abs` reads a jet."""
-    c = np.abs(rows)
-    c[..., 5::5] *= 0.5  # the Hessian's diagonal
-    return c.max(axis=-1)
-
-
-def _reciprocal(b: np.ndarray) -> np.ndarray:
-    """The row of 1/b at each point, by the arithmetic of `wjet._reciprocal`:
-    with c the value of b and e = b/c − 1, 1/b = (1 − e + e²)/c."""
-    b = b.transpose(-1, *range(b.ndim - 1))  # slot first, [slot, ...]
-    c = b[0]
-    e = b / c
-    out = e / -c
-    out[0] = 1.0 / c
-    out[5:] += (e[1:5, None] * e[1:5]).reshape((16,) + e.shape[1:]) * (2.0 / c)
-    return out.transpose(*range(1, out.ndim), 0)  # as rows [..., slot]
 
 
 def complex_product(a, b):
@@ -680,10 +716,7 @@ def hopf_rows(hv: HopfFrame, hp: HopfParams) -> HopfRows:
     θ's row comes from its closed-form partials (`_theta_row`).  With
     k = (k₁+k₂)/2π, Φ = e^{kθ}; since kα = c₁ and k(2−α) = c₂, the factors
     e₁ = Φ^{−α}, e₂ = Φ^{α−2} and e₁e₂ = Φ^{−2} are e^{−rθ} for the rates
-    r = c₁, c₂, c₁ + c₂, one stacked chain rule:
-
-        (e^{−rθ})' = −r e^{−rθ} θ',   (e^{−rθ})'' = e^{−rθ}(r² θ'⊗θ' − r θ'').
-
+    r = c₁, c₂, c₁ + c₂, one stacked chain rule (`_exp_rows` of −rθ).
     |z|², |w|² and z̄w have fixed rows, so u, v and q = z̄w·e₁e₂ are one
     stacked Leibniz product, and Δ = αu + (2−α)v = −F_θ/k.  F = u + v − 1
     is checked to vanish through order 2.  The value slots are the scalar
@@ -691,12 +724,7 @@ def hopf_rows(hv: HopfFrame, hp: HopfParams) -> HopfRows:
     """
     theta = _theta_row(hv, hp)
     minus_r = hp.minus_rates[1].reshape((3,) + (1,) * theta.ndim)
-    g = minus_r * theta[..., 1:5]
-    e = np.empty((3,) + theta.shape, complex)
-    e[..., 0] = hv.e1, hv.e2, hv.e1 * hv.e2
-    e[..., 1:5] = e[..., :1] * g
-    e[..., 5:] = e[..., :1] * (minus_r * theta[..., 5:]) + (
-        e[..., 1:5, None] * g[..., None, :]).reshape(g.shape[:-1] + (16,))
+    e = _exp_rows((hv.e1, hv.e2, hv.e1 * hv.e2), minus_r * theta)
     uvq = _leibniz(_monomial_rows(hv.z, hv.w, hv.zb, hv.wb, (hv.zz, hv.ww, hv.zbw)), e)
     F = np.array((uvq[0] + uvq[1], theta))  # F = u + v − 1, beside θ for its size
     F[0, ..., 0] -= 1.0
@@ -708,24 +736,14 @@ def hopf_rows(hv: HopfFrame, hp: HopfParams) -> HopfRows:
     return HopfRows(theta, e, uvq, hp.alpha * uvq[0] + (2.0 - hp.alpha) * uvq[1])
 
 
-def _row_arrays(row: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(value, gradient, Hessian) of a row (or of each row of a stack)."""
-    return row[..., 0], row[..., 1:5], row[..., 5:].reshape(row.shape[:-1] + (4, 4))
-
-
 def phi_field(hv: HopfFrame, hp: HopfParams) -> tuple[tuple[np.ndarray, ...], ...]:
     """The (value, gradient, Hessian) arrays of Φ, θ and Δ at the point of the
     scalar frame hv, or at each point of a stacked frame (batch axes in
     front), read from `hopf_rows`; Φ = e^{kθ} by the chain rule, its value
     the frame's."""
     fr = hopf_rows(hv, hp)
-    k, theta = hp.k, fr.theta
-    phi = np.empty(theta.shape, complex)
-    phi[..., 0] = hv.phi
-    phi[..., 1:5] = phi[..., :1] * (k * theta[..., 1:5])
-    phi[..., 5:] = phi[..., :1] * (k * theta[..., 5:]) + (
-        phi[..., 1:5, None] * (k * theta[..., None, 1:5])).reshape(theta.shape[:-1] + (16,))
-    return _row_arrays(phi), _row_arrays(theta), _row_arrays(fr.delta)
+    phi = _exp_rows(hv.phi, hp.k * fr.theta)
+    return _row_arrays(phi), _row_arrays(fr.theta), _row_arrays(fr.delta)
 
 
 def _forms(a, b, c, d) -> np.ndarray:
@@ -787,17 +805,17 @@ class PolyTable(NamedTuple):
 
     B has shape S + (2n,) and Q, symmetric in its last two axes, S + (2n, 2n).
     The order-2 jet of such a polynomial is exact: at x the value is
-    C0 + (B + ½Qx)·x, the gradient B + Qx and the Hessian Q (`jet`).
+    C0 + (B + ½Qx)·x, the gradient B + Qx and the Hessian Q (`rows`).
     """
 
     C0: np.ndarray
     B: np.ndarray
     Q: np.ndarray
 
-    def jet(self, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(value, gradient, Hessian) at the point p, in the slots of
-        `partials`; for an array p[..., k] of points, at each of them, with
-        the batch axes of p in front of S.
+    def rows(self, p) -> np.ndarray:
+        """The rows of h at the point p, S + (1 + m + m²,); for an array
+        p[..., n] of points, at each of them, with the batch axes of p in
+        front of S.
 
         The contractions are einsums rather than matmuls: a BLAS matrix-vector
         product may fuse multiply and add, and then δ + zⁱz̄ʲ (kahler-test)
@@ -807,11 +825,12 @@ class PolyTable(NamedTuple):
         x = np.concatenate((x, x.conj()), axis=-1)
         x = x.reshape(x.shape[:-1] + (1,) * self.C0.ndim + x.shape[-1:])  # broadcasts over S
         Qx = np.einsum("...st,...t->...s", self.Q, x)
-        # Q repeated over the batch axes, as a read-only view of the table
-        # (what np.broadcast_to gives, at a fifth of its cost)
-        Q = self.Q
-        Q = np.ndarray(Qx.shape + Q.shape[-1:], Q.dtype, Q, 0, (0,) * (Qx.ndim - Q.ndim + 1) + Q.strides)
-        return self.C0 + np.einsum("...s,...s->...", self.B + 0.5 * Qx, x), self.B + Qx, Q
+        m = x.shape[-1]
+        rows = np.empty(Qx.shape[:-1] + (1 + m + m * m,), complex)
+        rows[..., 0] = self.C0 + np.einsum("...s,...s->...", self.B + 0.5 * Qx, x)
+        np.add(self.B, Qx, out=rows[..., 1 : 1 + m])
+        rows[..., 1 + m :] = self.Q.reshape(self.Q.shape[:-2] + (m * m,))
+        return rows
 
 
 def _poly_table(C0, n: int) -> PolyTable:
@@ -832,14 +851,14 @@ def _add_monomial(t: PolyTable, idx: tuple, c: complex, *slots: int) -> None:
 
 
 def _conj(t: PolyTable, n: int) -> PolyTable:
-    """The table of conj(h): conjugation trades the z and z̄ slots."""
-    swap = np.r_[n : 2 * n, :n]
+    """The table of conj(h), through `_conj_perm`."""
+    swap = _conj_perm(2 * n)[1 : 1 + 2 * n] - 1
     return PolyTable(t.C0.conj(), t.B[..., swap].conj(), t.Q[..., swap, :][..., swap].conj())
 
 
 def _frozen(t: PolyTable) -> PolyTable:
-    """t with read-only arrays: a spec keeps its table, and `jet` hands out Q."""
-    t = PolyTable(*(np.array(a, order="C") for a in t))  # C order: `jet` views Q
+    """t with read-only arrays: a spec keeps its table."""
+    t = PolyTable(*(np.array(a, order="C") for a in t))
     for a in t:
         a.setflags(write=False)
     return t
@@ -903,8 +922,8 @@ def _poly_field_table(n: int, seed: int, amp: float) -> PolyTable:
 # -- metric construction ---------------------------------------------------------------
 
 
-def _hopf_standard_arrays(pts: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(H, dH, ddH) of hopf-standard, δ_ij/S with S = |z|² + |w|², at each
+def _hopf_standard_rows(pts: np.ndarray) -> np.ndarray:
+    """The rows of hopf-standard, δ_ij/S with S = |z|² + |w|², at each
     point of pts[..., 2]: the `_reciprocal` of S's row (the rows of |z|² and
     |w|² added) on the diagonal.  Where S is 0 or not finite, 1/S is no
     metric, and the point fails."""
@@ -917,7 +936,7 @@ def _hopf_standard_arrays(pts: np.ndarray) -> tuple[np.ndarray, ...]:
         raise PointFailure("1/(|z|² + |w|²) is outside the floating-point range at this point")
     rows = np.zeros(z.shape + (2, 2, _ROW), complex)
     rows[..., 0, 0, :] = rows[..., 1, 1, :] = _reciprocal(S)
-    return _row_arrays(rows)
+    return rows
 
 
 def _delta_cubed_omega(hf: HopfFrame, al: float, lam: float) -> list[list]:
@@ -966,10 +985,10 @@ def hopf_metric(spec: MetricSpec, hf: HopfFrame) -> list[list]:
     return [[inv_d3 * x for x in row] for row in _delta_cubed_omega(hf, al, spec.lam_value)]
 
 
-def _hopf_metric_arrays(spec: MetricSpec, fr: HopfRows) -> tuple[np.ndarray, ...]:
-    """(H, dH, ddH) of `hopf_metric` from the rows of the frame, over its
-    batch axes, as views of one (..., 2, 2, 21) array of the entries' rows:
-    ω_λ is Δ³ω_λ times the reciprocal of Δ·Δ·Δ, as `hopf_metric` forms it."""
+def _hopf_metric_rows(spec: MetricSpec, fr: HopfRows) -> np.ndarray:
+    """The rows (..., 2, 2, 21) of `hopf_metric`'s entries from the rows of
+    the frame, over its batch axes: ω_λ is Δ³ω_λ times the reciprocal of
+    Δ·Δ·Δ, as `hopf_metric` forms it, and h₂₁ is the conjugate row of h₁₂."""
     al = spec.hopf_params().alpha
     lc_flat = spec.kind == "hopf-lc-flat"
     h = _delta_cubed_omega_rows(fr, al, -0.5 if lc_flat else spec.lam_value, cube=not lc_flat)
@@ -978,90 +997,66 @@ def _hopf_metric_arrays(spec: MetricSpec, fr: HopfRows) -> tuple[np.ndarray, ...
     rows = np.empty(h.shape[1:-1] + (2, 2, _ROW), complex)  # [..., i, j, slot]
     rows[..., 0, 0, :], rows[..., 0, 1, :], rows[..., 1, 1, :] = h
     np.conjugate(h[1][..., _CONJ], out=rows[..., 1, 0, :])
-    return _row_arrays(rows)
+    return rows
 
 
-def field_jet(f: FieldSpec, p, hp: HopfParams | None, n: int = 2) -> tuple[np.ndarray, ...]:
-    """Real-valued order-2 jet of a scalar conformal factor, as (value,
-    gradient, Hessian) arrays in the slots of `partials`, at the point p or at
-    each point of an array p[..., n] of points (batch axes in front)."""
-    pts = np.asarray(p, dtype=complex)
+def _field_rows(f: FieldSpec, pts: np.ndarray, hp: HopfParams | None, n: int) -> np.ndarray:
+    """The rows of a real-valued scalar conformal factor at each point of
+    pts[..., n] (batch axes in front)."""
     if f.kind == "zero":
-        return tuple(np.zeros(pts.shape[:-1] + (2 * n,) * k, complex) for k in range(3))
+        return np.zeros(pts.shape[:-1] + (1 + 2 * n + 4 * n * n,), complex)
     if f.kind == "poly":
-        return f.poly_table(n).jet(pts)
+        return f.poly_table(n).rows(pts)
     if hp is None:
         raise SpecError(f"{f.kind} field needs Hopf parameters")
     hv = hopf_frames(pts, hp)
     return _hopf_field(f, hv, hopf_rows(hv, hp), hp)
 
 
-def _hopf_field(f: FieldSpec, hv: HopfFrame, fr: HopfRows, hp: HopfParams) -> tuple:
-    """(value, gradient, Hessian) of a Hopf field from the frame hv and its rows
+def _hopf_field(f: FieldSpec, hv: HopfFrame, fr: HopfRows, hp: HopfParams) -> np.ndarray:
+    """The rows of a Hopf field from the frame hv and its rows
     fr: log Φ = kθ, and log Δ by the chain rule, (log Δ)' = Δ'/Δ,
     (log Δ)'' = Δ''/Δ − (Δ'/Δ)⊗(Δ'/Δ), with value `np.log` of the frame's Δ.
     A scale that takes the rows out of the double range leaves infinities
     (and NaNs) without a warning; `conformal_scale` fails their points."""
     with np.errstate(over="ignore", invalid="ignore"):
         if f.kind == "log-phi":
-            return _row_arrays((f.scale * hp.k) * fr.theta)
+            return (f.scale * hp.k) * fr.theta
         delta = np.asarray(hv.delta)
         row = fr.delta / delta[..., None]
-        row[..., 5:] -= (row[..., 1:5, None] * row[..., None, 1:5]).reshape(row.shape[:-1] + (16,))
+        _, grad, hess = _row_arrays(row)
+        hess -= grad[..., :, None] * grad[..., None, :]
         row[..., 0] = np.log(delta)
-        return _row_arrays(f.scale * row)
+        return f.scale * row
 
 
 EQ_TOL = 1e-12  # per Taylor coefficient, of the largest coefficient (or of 1)
 
 
-def all_real_valued(data: np.ndarray, n_vars: int) -> bool:
-    """True iff every jet in a stack of flat jet arrays data[..., 1 + m + m²]
-    (value, gradient, row-major Hessian; m = 2·n_vars) equals its conjugate,
-    which trades the z and z̄ slots, Taylor coefficient by coefficient (½ on
-    the Hessian's diagonal), to EQ_TOL of its own largest coefficient."""
-    m = 2 * n_vars
-    swap = np.r_[n_vars:m, :n_vars]
-    perm = np.concatenate(([0], 1 + swap, 1 + m + (m * swap[:, None] + swap).ravel()))
-    weights = np.ones(1 + m + m * m)
-    weights[1 + m :: m + 1] = 0.5
-    c = data * weights
-    gap = np.abs(c - c[..., perm].conj()).max(axis=-1)
-    return bool((gap <= EQ_TOL * np.maximum(1.0, np.abs(c).max(axis=-1))).all())
+def all_real_valued(rows: np.ndarray) -> bool:
+    """True iff every row of a stack equals its conjugate row (`_conj_perm`),
+    Taylor coefficient by coefficient, to EQ_TOL of its own largest
+    coefficient (`_taylor_max`)."""
+    gap = _taylor_max(rows - rows[..., _conj_perm(_slots(rows))].conj())
+    return bool((gap <= EQ_TOL * np.maximum(1.0, _taylor_max(rows))).all())
 
 
-def conformal_scale(h, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entrywise e^f · h for a real-valued scalar f = (value, gradient,
-    Hessian), where h = (H, dH, ddH), at each point of their batch axes.
-
-    e^f by the chain rule, (e^f)' = e^f f', (e^f)'' = e^f (f'' + f'⊗f'), and
-    then one Leibniz product, broadcast over the entries:
-    (e^f h)'' = e^f h'' + h' ⊗ (e^f)' + (e^f)' ⊗ h' + h (e^f)''.
-    A point fails where f's arrays are not finite or e^f is not a positive
+def conformal_scale(h: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The rows of e^f · h, entry by entry, for the rows h (..., n, n, 1 + m + m²)
+    of a metric and f (..., 1 + m + m²) of a real-valued scalar, at each point
+    of their batch axes: one `_leibniz` of the `_exp_rows` of f and h.
+    A point fails where f's rows are not finite or e^f is not a positive
     finite double (it overflows, or underflows to 0).
     """
-    f0, fg, fh = (np.asarray(a) for a in f)
-    m = fg.shape[-1]
-    flat = np.concatenate((f0[..., None], fg, fh.reshape(fh.shape[:-2] + (m * m,))), axis=-1)
+    f0 = f[..., 0].real
     with np.errstate(over="ignore"):
-        e0 = np.exp(f0.real)
-    bad = ~(np.isfinite(flat).all(axis=-1) & (e0 > 0.0) & (e0 < np.inf))
+        e0 = np.exp(f0)
+    bad = ~(np.isfinite(f).all(axis=-1) & (e0 > 0.0) & (e0 < np.inf))
     if np.count_nonzero(bad):
-        x = f0.real.flat[bad.argmax()]
-        raise PointFailure(f"e^f is outside the floating-point range at f = {x:.6g}")
-    if not all_real_valued(flat, m // 2):  # the layout of `WJet.data`
+        raise PointFailure(f"e^f is outside the floating-point range at f = {f0.flat[bad.argmax()]:.6g}")
+    if not all_real_valued(f):
         raise PointFailure("conformal factor must be a real-valued jet")
-    H, dH, ddH = h
-    eg = e0[..., None] * fg
-    eh = e0[..., None, None] * fh + eg[..., :, None] * fg[..., None, :]
-    eg, eh = eg[..., None, None, :], eh[..., None, None, :, :]  # broadcast over the entries
-    e0 = e0[..., None, None]
-    cross = dH[..., :, None] * eg[..., None, :]
-    return (
-        e0 * H,
-        e0[..., None] * dH + H[..., None] * eg,
-        e0[..., None, None] * ddH + (cross + cross.swapaxes(-1, -2)) + H[..., None, None] * eh,
-    )
+    return _leibniz(_exp_rows(e0, f)[..., None, None, :], h)
 
 
 # Metric kinds that are one closed form over the Hopf frame, and field kinds read off it.
@@ -1079,39 +1074,40 @@ def _metric_points(spec: MetricSpec, p) -> np.ndarray:
     return pts
 
 
-def _metric_arrays(spec: MetricSpec, pts: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(H, dH, ddH) of the metric at each point of pts[..., dim]."""
+def _metric_rows(spec: MetricSpec, pts: np.ndarray) -> np.ndarray:
+    """The rows (..., dim, dim, 1 + m + m²) of the metric's entries at each
+    point of pts[..., dim]."""
     table = spec.poly_table
     if table is not None:
-        return table.jet(pts)
+        return table.rows(pts)
     if spec.kind == "hopf-standard":
-        return _hopf_standard_arrays(pts)
+        return _hopf_standard_rows(pts)
     if spec.kind in _HOPF_FRAME_KINDS:
         hp = spec.hopf_params()
-        return _hopf_metric_arrays(spec, hopf_rows(hopf_frames(pts, hp), hp))
+        return _hopf_metric_rows(spec, hopf_rows(hopf_frames(pts, hp), hp))
     if spec.kind == "conformal":
-        return conformal_scale(*_conformal_arrays(spec, pts))
+        return conformal_scale(*_conformal_rows(spec, pts))
     raise ValueError(f"unknown metric kind {spec.kind!r}")  # pragma: no cover (MetricSpec checks)
 
 
-def _conformal_arrays(spec: MetricSpec, pts: np.ndarray) -> tuple[tuple, tuple]:
-    """The base's (H, dH, ddH) and f's (value, gradient, Hessian) at each point
-    of pts[..., dim]; a Hopf base and a Hopf field read one frame and one set
-    of its rows."""
+def _conformal_rows(spec: MetricSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The base's rows and f's rows at each point of pts[..., dim]; a Hopf
+    base and a Hopf field read one frame and one set of its rows."""
     hp = spec.hopf_params()
     if spec.base.kind not in _HOPF_FRAME_KINDS or spec.f.kind not in _HOPF_FIELD_KINDS:
-        return _metric_arrays(spec.base, pts), field_jet(spec.f, pts, hp, n=spec.dim)
+        return _metric_rows(spec.base, pts), _field_rows(spec.f, pts, hp, spec.dim)
     hv = hopf_frames(pts, hp)
     fr = hopf_rows(hv, hp)
-    return _hopf_metric_arrays(spec.base, fr), _hopf_field(spec.f, hv, fr, hp)
+    return _hopf_metric_rows(spec.base, fr), _hopf_field(spec.f, hv, fr, hp)
 
 
-def _metric_jet(spec: MetricSpec, pts: np.ndarray, arrays) -> MetricJet:
-    """`MetricJet(*arrays)` for spec at pts.  `MetricJet` checks positive
-    definiteness, once; where a user polynomial (or a conformal rescaling of
-    one) fails it, the error names its seed and the first such point."""
+def _metric_jet(spec: MetricSpec, pts: np.ndarray, rows: np.ndarray) -> MetricJet:
+    """The `MetricJet` of the rows of spec at pts: its (H, dH, ddH) are the
+    rows' views.  `MetricJet` checks positive definiteness, once; where a
+    user polynomial (or a conformal rescaling of one) fails it, the error
+    names its seed and the first such point."""
     try:
-        return MetricJet(*arrays)
+        return MetricJet(*_row_arrays(rows))
     except NotPositiveDefinite as exc:
         base = spec
         while base.kind == "conformal":
@@ -1129,23 +1125,23 @@ def build_metric(spec: MetricSpec, p) -> MetricJet:
     every point of a sample p[..., dim] at once (one `MetricJet` whose arrays
     carry the sample's axes in front)."""
     pts = _metric_points(spec, p)
-    return _metric_jet(spec, pts, _metric_arrays(spec, pts))
+    return _metric_jet(spec, pts, _metric_rows(spec, pts))
 
 
 def build_hopf_metric(spec: MetricSpec, hv: HopfFrame) -> MetricJet:
     """`build_metric` of a Hopf-frame kind at the point of the scalar frame
     hv (`hopf_values`), extended to rows with no second θ root."""
-    return MetricJet(*_hopf_metric_arrays(spec, hopf_rows(hv, spec.hopf_params())))
+    return MetricJet(*_row_arrays(_hopf_metric_rows(spec, hopf_rows(hv, spec.hopf_params()))))
 
 
 def build_conformal_metrics(spec: MetricSpec, p) -> tuple[MetricJet, MetricJet, tuple]:
     """The base metric ω of a conformal spec, its e^f ω and the (value,
-    gradient, Hessian) of f at p, from one build of the base's arrays and one
-    f jet; each metric is checked as `build_metric` checks it."""
+    gradient, Hessian) of f at p, from one build of the base's rows and of
+    f's; each metric is checked as `build_metric` checks it."""
     pts = _metric_points(spec, p)
-    base, f = _conformal_arrays(spec, pts)
+    base, f = _conformal_rows(spec, pts)
     mb = _metric_jet(spec.base, pts, base)
-    return mb, _metric_jet(spec, pts, conformal_scale(base, f)), f
+    return mb, _metric_jet(spec, pts, conformal_scale(base, f)), _row_arrays(f)
 
 
 def hopf_metric_values(spec: MetricSpec, frames: list[HopfFrame]) -> np.ndarray:
@@ -1159,7 +1155,7 @@ def metric_values(spec: MetricSpec, p) -> np.ndarray:
 
     The two Hopf metrics evaluate their closed form on one scalar frame per
     point (`hopf_values`), so they build no rows; every other kind, a
-    conformal one included, reads the value slot of its arrays.  None of
+    conformal one included, reads the value slot of its rows.  None of
     them checks that the values are positive definite.
     """
     pts = _metric_points(spec, p)
@@ -1168,7 +1164,7 @@ def metric_values(spec: MetricSpec, p) -> np.ndarray:
         hp = spec.hopf_params()
         H = hopf_metric_values(spec, [hopf_values(q, hp) for q in flat.tolist()])
     else:
-        H = _metric_arrays(spec, flat)[0]
+        H = _metric_rows(spec, flat)[..., 0]
     return H.reshape(pts.shape[:-1] + H.shape[1:])
 
 

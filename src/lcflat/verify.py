@@ -188,9 +188,11 @@ def sample_points(
         # rng.uniform(lo, hi) draws lo + (hi − lo)·random(), so this is that draw
         span = (log_hi - margin) - margin
         al = hp.alpha
+        # the normal draws, reserved at once as the box's are: an oversize sample fails here
+        normals = np.empty((n, 4))
         pts = []
-        for _ in range(n):
-            v = rng.standard_normal(4)
+        for v in normals:
+            rng.standard_normal(out=v)
             norm = math.sqrt(v @ v)  # Python's sum of squares rounds differently
             x0, x1, x2, x3 = v.tolist()
             direction = (complex(x0 / norm, x1 / norm), complex(x2 / norm, x3 / norm))

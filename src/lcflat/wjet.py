@@ -337,7 +337,7 @@ def partials(jets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def is_real_valued(a: WJet) -> bool:
     """True iff a = conj(a), Taylor coefficient by coefficient, to EQ_TOL."""
-    return all_real_valued(a.data, a.n_vars)
+    return all_real_valued(a.data)
 
 
 def jets_close(a: WJet, b: WJet, tol: float = EQ_TOL) -> bool:

@@ -105,6 +105,14 @@ def poly_field_jet(pt, n, seed, amp):
     return amp * (q + conj(q))
 
 
+def field_jet(f, p, hp, n=2):
+    """(value, gradient, Hessian) of a conformal factor at the point p or at
+    each point of an array p[..., n]: the views of its rows."""
+    from lcflat import metrics as mz
+
+    return mz._row_arrays(mz._field_rows(f, np.asarray(p, dtype=complex), hp, n))
+
+
 def leibniz_metric_arrays(spec, pt):
     """(H, dH, ddH) of a metric of any kind, or of a conformal rescaling of
     one, from entry jets multiplied one by one."""
@@ -132,7 +140,7 @@ def leibniz_metric_arrays(spec, pt):
         elif spec.f.kind in ("log-phi", "log-delta"):
             f = hopf_field_oracle(spec.f, pt, spec.hopf_params())
         else:
-            f = WJet(*mz.field_jet(spec.f, pt, spec.hopf_params(), n=n))
+            f = WJet(*field_jet(spec.f, pt, spec.hopf_params(), n=n))
         ef = exp(f)
         return partials([[ef * WJet(H[i, j], dH[i, j], ddH[i, j]) for j in range(n)]
                          for i in range(n)])
@@ -209,18 +217,17 @@ def phi_jets(pt, hp):
 
 
 def plant_batch_broadcast_error(monkeypatch):
-    """Plant, in the hopf-standard arrays, a numpy broadcasting error that
+    """Plant, in the hopf-standard rows, a numpy broadcasting error that
     only a sample of more than two points raises: the batch axis added
-    against a per-point axis of H."""
+    against a per-point axis of the rows."""
     from lcflat import metrics as mz
 
-    arrays = mz._hopf_standard_arrays
+    build = mz._hopf_standard_rows
 
     def planted(pts):
-        H, dH, ddH = arrays(pts)
-        return H + np.zeros(pts.shape[:-1]), dH, ddH
+        return build(pts) + np.zeros(pts.shape[:-1] + (1,))
 
-    monkeypatch.setattr(mz, "_hopf_standard_arrays", planted)
+    monkeypatch.setattr(mz, "_hopf_standard_rows", planted)
 
 
 def random_small_point(n, rng, scale=0.3):

@@ -553,9 +553,15 @@ PLANTED_DEFECTS = {
     "phi-batch-rolled": [(M, "phi_field", [
         ("    return _row_arrays(phi),",
          "    phi = np.roll(phi, 1, axis=0) if phi.ndim > 1 else phi\n    return _row_arrays(phi),")])],
-    # the term h'⊗(e^f)' of the conformal Leibniz product kept without its transpose
-    "conformal-cross-unsymmetrised": [(M, "conformal_scale", [
+    # the cross term a'⊗b' of the shared Leibniz product kept without its
+    # transpose: in e^f·h, and in the Hopf rows and metric entries
+    "conformal-cross-unsymmetrised": [(M, "_leibniz", [
         ("(cross + cross.swapaxes(-1, -2))", "(cross + cross)")])],
+    # the term (e^x)'⊗x' dropped from the Hessian of the shared chain rule
+    # (e₁, e₂, e₁e₂ in the Hopf rows, Φ, and e^f)
+    "exp-square-dropped": [(M, "_exp_rows", [
+        ("    out[..., 1 + m :] += (grad[..., :, None] * x[..., None, 1 : 1 + m])"
+         ".reshape(x.shape[:-1] + (m * m,))\n", "")])],
     # F_{iθ}θⱼ written for F_{jθ}θᵢ in θ's Hessian
     "theta-cross-unsymmetrised": [(M, "_theta_row", [
         ("Fxx + cross + cross.swapaxes(0, 1)", "Fxx + cross + cross")])],
@@ -577,10 +583,12 @@ PLANTED_DEFECTS = {
 }
 # Suite cells named by their spec text, where a defect misses the other cells
 # of the same kind.
+LC_FLAT_EE = f"hopf-lc-flat{{a={math.e!r},b={math.e!r}}}"
 LC_FLAT_E2 = f"hopf-lc-flat{{a={math.e**2!r},b={math.e!r}}}"
 LC_FLAT_E15 = f"hopf-lc-flat{{a={math.e**1.5!r},b={math.e**1.1!r}}}"
 CONFORMAL_HOPF = (f"conformal{{base=hopf-omega-lambda{{a={math.e**2!r},b={math.e!r},lambda=-0.5}},"
                   "f=log-delta{scale=3.0}}")
+CONFORMAL_POLY = "conformal{base=user-polynomial{seed=7,amp=0.04},f=poly{seed=8,amp=0.15}}"
 PLANTED_DEFECT_CELLS = [
     ("B-wrong-axes", "lc-ricci-flat", "hopf-lc-flat"),
     ("B-wrong-axes", "tw-formula", "hopf-omega-lambda"),
@@ -629,7 +637,26 @@ PLANTED_DEFECT_CELLS = [
     ("inverse-transposed", "scalar-key1", "hopf-omega-lambda"),
     ("inverse-transposed", "scalar-key1", "user-polynomial"),
     ("inverse-transposed", "kahler-collapse", "kahler-test"),
+    # the Hopf rows' check of F = u + v − 1 through order 2 aborts the checks
+    # that build rows, except where c₁ = c₂ (a = b); no row is built for
+    # hopf-standard or the value-only checks, which are immune
     ("conformal-cross-unsymmetrised", "conformal-law", "conformal"),
+    ("conformal-cross-unsymmetrised", "lc-ricci-flat", "hopf-lc-flat"),
+    ("conformal-cross-unsymmetrised", "tw-formula", "hopf-omega-lambda"),
+    ("conformal-cross-unsymmetrised", "key-relation", "hopf-lc-flat"),
+    ("conformal-cross-unsymmetrised", "scalar-010", "hopf-omega-lambda"),
+    ("conformal-cross-unsymmetrised", "scalar-key1", "hopf-omega-lambda"),
+    ("conformal-cross-unsymmetrised", "deck-invariance", "conformal"),
+    ("conformal-cross-unsymmetrised", "hessian-matrices", "hopf-lc-flat"),
+    # likewise, at a = b too
+    ("exp-square-dropped", "conformal-law", "conformal"),
+    ("exp-square-dropped", "lc-ricci-flat", "hopf-lc-flat"),
+    ("exp-square-dropped", "tw-formula", "hopf-omega-lambda"),
+    ("exp-square-dropped", "key-relation", "hopf-lc-flat"),
+    ("exp-square-dropped", "scalar-010", "hopf-omega-lambda"),
+    ("exp-square-dropped", "scalar-key1", "hopf-omega-lambda"),
+    ("exp-square-dropped", "deck-invariance", "conformal"),
+    ("exp-square-dropped", "hessian-matrices", "hopf-lc-flat"),
     # θ's Hessian is symmetric where c₁ = c₂ (a = b), so those cells are immune;
     # where it is wrong, the order-2 check of F = u + v − 1 aborts the check
     ("theta-cross-unsymmetrised", "lc-ricci-flat", LC_FLAT_E2),
@@ -680,8 +707,17 @@ PLANTED_DEFECT_CELLS = [
 
 
 # How a defect shows: a failing verdict, or a check that aborts because its
-# points fail to build.
-PLANTED_DEFECT_OUTCOMES = {"theta-cross-unsymmetrised": "aborted", "theta-root-c1-for-c2": "aborted"}
+# points fail to build; by defect, or by (defect, identity, metric spec text)
+# where a defect shows both ways.
+PLANTED_DEFECT_OUTCOMES = {
+    "theta-cross-unsymmetrised": "aborted", "theta-root-c1-for-c2": "aborted",
+    "conformal-cross-unsymmetrised": "aborted", "exp-square-dropped": "aborted",
+    # no Hopf row is built for the poly conformal metric
+    ("conformal-cross-unsymmetrised", "conformal-law", CONFORMAL_POLY): "fail",
+    ("exp-square-dropped", "conformal-law", CONFORMAL_POLY): "fail",
+    # where c₁ = c₂ the defect cancels in F = u + v − 1 and reaches the metric
+    ("conformal-cross-unsymmetrised", "lc-ricci-flat", LC_FLAT_EE): "fail",
+}
 
 
 @pytest.mark.parametrize("defect, identity, metric", PLANTED_DEFECT_CELLS)
@@ -693,8 +729,9 @@ def test_suite_cells_fail_on_a_planted_defect(monkeypatch, defect, identity, met
     cells = [c for c in cli._suite_cells() if c["identity"] == identity and c["expected"] == "pass"
              and metric in (c["metric"], c["metric"].split("{")[0])]
     assert cells
-    want = PLANTED_DEFECT_OUTCOMES.get(defect, "fail")
     for cell in cells:
+        want = PLANTED_DEFECT_OUTCOMES.get((defect, identity, cell["metric"]),
+                                           PLANTED_DEFECT_OUTCOMES.get(defect, "fail"))
         spec = M.parse_metric_spec(cell["metric"])
         for seed in (1, 2, 3):
             check = V.CheckSpec(identity=identity, metric=spec, n_points=cell["n_points"], seed=seed)

@@ -14,6 +14,7 @@ from conftest import (
     coordinate_jets,
     entry_jets,
     fd_jet,
+    field_jet,
     hopf_flatness,
     hopf_field_oracle,
     hopf_jets,
@@ -589,7 +590,7 @@ def test_values_of_a_sample_equal_the_values_of_each_point(text):
     H, r = M.metric_values(spec, pts), M.deck_invariance_residual(spec, pts)
     assert H.shape == (2, 3, 2, 2) and r.shape == (2, 3)
     f = spec.f if spec.kind == "conformal" else M.FieldSpec(kind="log-delta", scale=3.0)
-    fv = M.field_jet(f, pts, hp)[0]
+    fv = field_jet(f, pts, hp)[0]
     assert fv.shape == (2, 3)
     for idx in np.ndindex(2, 3):
         p = tuple(pts[idx].tolist())
@@ -597,7 +598,7 @@ def test_values_of_a_sample_equal_the_values_of_each_point(text):
         assert one.shape == (2, 2) and np.shape(r_one) == ()
         assert H[idx].tobytes() == one.tobytes(), p
         assert r[idx].tobytes() == np.float64(r_one).tobytes(), p
-        assert fv[idx].tobytes() == M.field_jet(f, p, hp)[0].tobytes(), p
+        assert fv[idx].tobytes() == field_jet(f, p, hp)[0].tobytes(), p
         if f.kind in ("log-phi", "log-delta"):
             want = _hopf_field_value(f, M.hopf_values(p, hp), hp)
             assert fv[idx].real.tobytes() == np.float64(want).tobytes() and fv[idx].imag == 0, p
@@ -699,7 +700,7 @@ def test_conformal_metrics_reject_a_user_polynomial_by_its_seed():
     a metric at the point."""
     spec = M.parse_metric_spec("conformal{base=user-polynomial{seed=5,amp=4},f=zero}")
     bad = [p for p in V.sample_points("box", 40, 1, dim=2)
-           if np.linalg.eigvalsh(spec.base.poly_table.jet(p)[0]).min() <= 0]
+           if np.linalg.eigvalsh(spec.base.poly_table.rows(p)[..., 0]).min() <= 0]
     assert bad
     for build in (lambda p: M.build_metric(spec, p), lambda p: M.build_conformal_metrics(spec, p)):
         with pytest.raises(ValueError, match=r"user polynomial metric \(seed=5\) is not positive definite"):
@@ -718,6 +719,108 @@ def test_dbar_log_phi_closed_form_matches_the_theta_jet(hp, tol):
         want = hp.k * M.hopf_rows(hv, hp).theta[3:5]  # the z̄, w̄ slots
         got = M.dbar_log_phi(hv)
         assert np.abs(got - want).max() <= tol * np.abs(want).max(), p
+
+
+# -- the row algebra against the jet engine ----------------------------------------------
+
+ROW_DIMS = [1, 2, 3, 8]
+# unbatched rows, and samples of 1, 3 and 40 points
+ROW_BATCHES = [(), (1,), (3,), (40,)]
+
+
+def _random_rows(rng, n, batch, scale=1.0):
+    """Rows of 1 + m + m² slots (m = 2n) over the batch axes, with complex
+    values, gradients and symmetric Hessians of size about `scale`."""
+    m = 2 * n
+    rows = scale * (rng.standard_normal(batch + (1 + m + m * m,))
+                    + 1j * rng.standard_normal(batch + (1 + m + m * m,)))
+    hess = M._row_arrays(rows)[2]
+    hess[...] = hess + hess.swapaxes(-1, -2)
+    return rows
+
+
+def _jets(rows):
+    """The `WJet` of each row, in the order of the rows' batch axes."""
+    n = M._slots(rows) // 2
+    return [wjet._jet(np.array(row), n) for row in rows.reshape(-1, rows.shape[-1])]
+
+
+@pytest.mark.parametrize("batch", ROW_BATCHES, ids=str)
+@pytest.mark.parametrize("n", ROW_DIMS)
+def test_leibniz_rows_equal_jet_products_bit_for_bit(n, batch):
+    """`_leibniz` is `wjet.mul` row by row, at any n; a row that broadcasts
+    against a stack multiplies each of its rows.  The gradient and Hessian
+    slots are the same array arithmetic, bit for bit.  The value slot is an
+    array product here and a product of two numpy scalars in `wjet.mul`,
+    which may round differently (numpy's array loop may fuse a multiply and
+    an add), so it agrees to 2ε|a₀||b₀| (ε the machine epsilon of a double)."""
+    rng = np.random.default_rng(100 + n)
+    a, b = _random_rows(rng, n, batch), _random_rows(rng, n, batch)
+    one = a.reshape(-1, a.shape[-1])[0]  # one row, against the stack b
+    b_jets = _jets(b)
+    for x, got in ((a, M._leibniz(a, b)), (one, M._leibniz(one, b))):
+        assert got.shape == b.shape
+        for row, xj, yj in zip(got.reshape(-1, b.shape[-1]), _jets(np.broadcast_to(x, b.shape)), b_jets):
+            want = wjet.mul(xj, yj).data
+            assert np.array_equal(row[1:], want[1:])
+            assert abs(row[0] - want[0]) <= 2 * np.finfo(float).eps * abs(xj.value) * abs(yj.value)
+
+
+@pytest.mark.parametrize("batch", ROW_BATCHES, ids=str)
+@pytest.mark.parametrize("n", ROW_DIMS)
+def test_exp_rows_equal_the_jet_exponential_bit_for_bit(n, batch):
+    """`_exp_rows` at rate 1, with e^x's value formed as `wjet.exp` forms it
+    (`cmath.exp`), is `wjet.exp` row by row, bit for bit."""
+    import cmath
+
+    rng = np.random.default_rng(200 + n)
+    x = _random_rows(rng, n, batch, scale=0.5)
+    e0 = np.array([cmath.exp(c) for c in x[..., 0].ravel().tolist()]).reshape(batch)
+    got = M._exp_rows(e0, x)
+    for row, jet in zip(got.reshape(-1, x.shape[-1]), _jets(x)):
+        assert np.array_equal(row, wjet.exp(jet).data)
+
+
+@pytest.mark.parametrize("batch", ROW_BATCHES, ids=str)
+@pytest.mark.parametrize("n", ROW_DIMS)
+def test_reciprocal_rows_equal_the_jet_reciprocal_bit_for_bit(n, batch):
+    rng = np.random.default_rng(300 + n)
+    b = _random_rows(rng, n, batch)
+    got = M._reciprocal(b)
+    for row, jet in zip(got.reshape(-1, b.shape[-1]), _jets(b)):
+        assert np.array_equal(row, wjet._reciprocal(jet).data)
+
+
+@pytest.mark.parametrize("batch", ROW_BATCHES, ids=str)
+@pytest.mark.parametrize("n", ROW_DIMS)
+def test_conjugation_permutation_is_the_jet_conjugate(n, batch):
+    """rows[..., _conj_perm(2n)].conj() is `wjet.conj` row by row, exactly
+    (a permutation and a conjugation); `_CONJ` is the permutation at n = 2,
+    and real-valued rows (a jet plus its conjugate) pass `all_real_valued`
+    where a complex row does not."""
+    rng = np.random.default_rng(400 + n)
+    rows = _random_rows(rng, n, batch)
+    got = rows[..., M._conj_perm(2 * n)].conj()
+    for row, jet in zip(got.reshape(-1, rows.shape[-1]), _jets(rows)):
+        assert np.array_equal(row, wjet.conj(jet).data)
+    assert np.array_equal(M._conj_perm(4), M._CONJ)
+    assert M.all_real_valued(rows + got) and not M.all_real_valued(rows)
+
+
+@pytest.mark.parametrize("batch", ROW_BATCHES, ids=str)
+@pytest.mark.parametrize("n", ROW_DIMS)
+def test_taylor_max_is_the_jet_max_abs(n, batch):
+    """`_taylor_max` reads each row's Taylor coefficients (halving the
+    Hessian's diagonal) as `WJet.max_abs` does; halving a complex number
+    before or after its modulus gives the same double, so the two agree bit
+    for bit."""
+    rng = np.random.default_rng(500 + n)
+    rows = _random_rows(rng, n, batch)
+    rows[..., -1] *= 1e3  # the Hessian's last diagonal entry is the largest coefficient
+    got = M._taylor_max(rows)
+    assert got.shape == batch
+    for value, jet in zip(got.ravel().tolist(), _jets(rows)):
+        assert value == jet.max_abs()
 
 
 # -- the rows against the jet-product oracle ------------------------------------------
@@ -785,7 +888,7 @@ def test_deck_jacobian_is_built_once_per_multipliers():
 def test_hopf_field_jets_match_the_jet_product_oracle(hp, kind):
     f = M.FieldSpec(kind=kind, scale=-1.5)
     for pt in V.sample_points("hopf-fundamental", 10, 9, hp=hp):
-        got = wjet.WJet(*M.field_jet(f, pt, hp))
+        got = wjet.WJet(*field_jet(f, pt, hp))
         _assert_arrays_close(wjet.partials(got), wjet.partials(hopf_field_oracle(f, pt, hp)))
         assert got.value == _hopf_field_value(f, M.hopf_values(pt, hp), hp)
 
@@ -942,7 +1045,7 @@ def test_conformal_ricci_change_law():
         conf = M.MetricSpec(kind="conformal", base=base, f=f)
         mb = M.build_metric(base, pt)
         mc = M.build_metric(conf, pt)
-        fj = wjet.WJet(*M.field_jet(f, pt, None))
+        fj = wjet.WJet(*field_jet(f, pt, None))
         ddbar_f = np.array(
             [[fj.hess[i, 2 + j] for j in range(2)] for i in range(2)]
         )
@@ -958,7 +1061,7 @@ def test_conformal_adjoint_change_law():
     f = M.FieldSpec(kind="poly", seed=22, amp=0.2)
     mb = M.build_metric(base, pt)
     mc = M.build_metric(M.MetricSpec(kind="conformal", base=base, f=f), pt)
-    fj = wjet.WJet(*M.field_jet(f, pt, None))
+    fj = wjet.WJet(*field_jet(f, pt, None))
     _, a10_base = geo.del_star(mb)
     _, a10_conf = geo.del_star(mc)
     df = np.array([d_dz(fj, i + 1).value for i in range(2)])
@@ -992,7 +1095,7 @@ def test_polynomial_metric_tables_match_jet_products(n):
     for spec in specs:
         for _ in range(4):
             pt = tuple(rng.uniform(-1.2, 1.2, n) + 1j * rng.uniform(-1.2, 1.2, n))
-            _assert_arrays_close(spec.poly_table.jet(pt), leibniz_metric_arrays(spec, pt))
+            _assert_arrays_close(M._row_arrays(spec.poly_table.rows(pt)), leibniz_metric_arrays(spec, pt))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -1002,7 +1105,7 @@ def test_poly_field_table_matches_jet_products(n):
         f = M.FieldSpec(kind="poly", seed=seed, amp=amp)
         for _ in range(4):
             pt = tuple(rng.uniform(-1.2, 1.2, n) + 1j * rng.uniform(-1.2, 1.2, n))
-            got = M.field_jet(f, pt, None, n=n)
+            got = field_jet(f, pt, None, n=n)
             _assert_arrays_close(got, wjet.partials(poly_field_jet(pt, n, seed, amp)))
 
 
@@ -1080,17 +1183,20 @@ def test_coefficient_tables_are_drawn_once_per_spec_and_read_only():
     f = M.FieldSpec(kind="poly", seed=2, amp=0.15)
     assert f.poly_table(3) is f.poly_table(3)
     assert M.MetricSpec(kind="hopf-lc-flat").poly_table is None
+    for a in spec.poly_table:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
     m = M.build_metric(spec, (0.1j, 0.2, -0.3))
-    with pytest.raises(ValueError, match="read-only"):
-        m.ddH[0, 0, 0, 0] = 1.0
+    assert not any(np.shares_memory(x, a) for x in (m.H, m.dH, m.ddH) for a in spec.poly_table)
 
 
 def test_conformal_scale_rejects_complex_factor():
     from lcflat.wjet import jet_var
 
-    h = (np.ones((1, 1), complex), np.zeros((1, 1, 4), complex), np.zeros((1, 1, 4, 4), complex))
+    h = np.zeros((1, 1, 21), complex)
+    h[..., 0] = 1.0
     with pytest.raises(ValueError, match="real-valued"):
-        M.conformal_scale(h, wjet.partials(jet_var(1, 0.1, 2)))
+        M.conformal_scale(h, jet_var(1, 0.1, 2).data)
 
 
 # -- spec grammar -----------------------------------------------------------------
@@ -1131,7 +1237,7 @@ def test_log_phi_field_is_scale_times_log_phi():
     for pt in POINTS[:2]:
         log_phi = log(phi_jets(pt, hp)[0])
         for scale in (-1.0, 0.5):
-            got = wjet.WJet(*M.field_jet(M.FieldSpec(kind="log-phi", scale=scale), pt, hp))
+            got = wjet.WJet(*field_jet(M.FieldSpec(kind="log-phi", scale=scale), pt, hp))
             assert (got - scale * log_phi).max_abs() < 1e-14
 
 

@@ -106,6 +106,23 @@ def test_sampler_edge_cases():
         V.sample_points("box", 3, 0, dim=0)  # no point could leave the origin ball
 
 
+def test_an_oversize_hopf_sample_fails_before_its_first_draw(monkeypatch):
+    """The Hopf sampler reserves its sample's normal draws before the first
+    one, as the box sampler draws its sample at once, so a sample too large
+    for memory fails at once instead of after drawing point by point; its
+    points are tuples of Python complex numbers, as the box sampler's are."""
+    pts = V.sample_points("hopf-fundamental", 5, 3, hp=HP)
+    assert all(type(p) is tuple and len(p) == 2 and all(type(c) is complex for c in p) for p in pts)
+
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"drew ({name}) before the sample was reserved")
+
+    monkeypatch.setattr(V.np.random, "default_rng", lambda seed: NoDraws())
+    with pytest.raises(MemoryError):  # 32 bytes a point: 3.2e16 bytes, past any address space
+        V.sample_points("hopf-fundamental", 10**15, 1, hp=HP)
+
+
 # -- check spec validation ------------------------------------------------------
 
 
