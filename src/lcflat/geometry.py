@@ -84,7 +84,8 @@ def is_hermitian(H: np.ndarray) -> bool:
 
 class PointFailure(ValueError):
     """A number the engine cannot form at a point: out of the double range, a
-    singular matrix, not positive definite, a root that does not converge.
+    singular matrix, not positive definite, a root or an eigenvalue solve that
+    does not converge.
     `verify.run_check` charges it to its point; any other error aborts the check."""
 
 
@@ -119,7 +120,11 @@ class MetricJet:
         _check_finite("the metric", H)
         if not is_hermitian(H):
             raise PointFailure("metric value matrix is not Hermitian")
-        low = np.linalg.eigvalsh(H)[..., 0]  # ascending: each point's least eigenvalue
+        try:
+            low = np.linalg.eigvalsh(H)[..., 0]  # ascending: each point's least eigenvalue
+        except np.linalg.LinAlgError:
+            raise PointFailure("the metric value matrix's eigenvalues did not converge "
+                               "at this point") from None
         bad = low <= 0
         if np.count_nonzero(bad):
             k = int(bad.argmax())

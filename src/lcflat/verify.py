@@ -431,38 +431,6 @@ def _residuals(c: CheckSpec, points: list, notes: dict) -> list[float]:
     return r.tolist()
 
 
-def _pairwise_sum(xs: list[float], lo: int, n: int) -> float:
-    """The sum of xs[lo:lo + n], added in the order in which numpy's float64
-    `add.reduce` adds a contiguous array: one by one below 8 terms, in 8
-    running sums up to 128 (then the rest one by one), and above that the
-    two halves (the first a multiple of 8 long) summed apart."""
-    if n < 8:
-        s = 0.0
-        for i in range(lo, lo + n):
-            s += xs[i]
-        return s
-    if n <= 128:
-        r = xs[lo:lo + 8]
-        end = lo + n - n % 8
-        for i in range(lo + 8, end, 8):
-            for j in range(8):
-                r[j] += xs[i + j]
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for i in range(end, lo + n):
-            s += xs[i]
-        return s
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(xs, lo, half) + _pairwise_sum(xs, lo + half, n - half)
-
-
-def _mean(xs: list[float]) -> float:
-    """`np.mean` of the floats xs, bit for bit, without forming an array (a
-    check's few residuals cost more to pack than to add).  The reduction
-    starts from 0.0, so −0.0 terms sum to 0.0 as numpy's do."""
-    return (0.0 + _pairwise_sum(xs, 0, len(xs))) / len(xs)
-
-
 def run_check(c: CheckSpec) -> VerificationReport:
     """Evaluate one identity over a deterministic point sample and aggregate."""
     t0 = time.perf_counter()
@@ -508,7 +476,16 @@ def run_check(c: CheckSpec) -> VerificationReport:
         k = next((i for i, r in enumerate(residuals) if not math.isfinite(r)), None)
         if k is None:
             k = residuals.index(max(residuals))
-        max_r, mean_r, argmax = residuals[k], _mean(residuals), per_point[k][0]
+        max_r, argmax = residuals[k], per_point[k][0]
+        # The mean is the exact sum rounded once, so any order of the same
+        # residuals gives it.  Where fsum raises (a sum past the double range,
+        # or +inf with −inf) a plain sum gives the inf or NaN; 0.0 + turns a
+        # sum of −0.0 terms into 0.0.
+        try:
+            total = math.fsum(residuals)
+        except (OverflowError, ValueError):
+            total = sum(residuals)
+        mean_r = (0.0 + total) / len(residuals)
     else:
         max_r, mean_r, argmax = float("nan"), float("nan"), None
     verdict = "pass" if math.isfinite(max_r) and max_r <= c.tol else "fail"

@@ -333,39 +333,49 @@ def test_a_non_finite_residual_anywhere_is_max_and_argmax(monkeypatch, poison, w
 
 
 @pytest.mark.parametrize("n", [1, 3, 7, 8, 40])
-def test_the_mean_residual_is_numpys_mean_bit_for_bit(monkeypatch, n):
-    """numpy sums one by one below 8 terms and in 8 running sums from 8 on.
-    One residual of 1 and n − 1 of 2⁻⁵³ (half an ulp of 1) tell the orders
-    apart: left to right each 2⁻⁵³ rounds away, a compensated sum keeps them
-    all, and numpy's running sums keep some.  The report's mean is `np.mean`
-    of the sorted residuals, bit for bit."""
+def test_the_mean_residual_is_the_exact_sum_rounded_once_over_n(monkeypatch, n):
+    """One residual of 1 and n − 1 of 2⁻⁵³ (half an ulp of 1) tell summation
+    orders apart: left to right, numpy's order below 8 terms, each 2⁻⁵³ rounds
+    away, numpy's 8 running sums keep some of them, and the exact sum keeps
+    them all.  The report's mean is
+    `math.fsum` of the residuals over n, which differs from `np.mean` here at
+    every n but 1."""
     values = [1.0] + [2.0**-53] * (n - 1)
     rep, _ = _stub_check(monkeypatch, values, n)
     assert [r for _, r in rep.per_point] == values
-    want = float(np.mean(values)).hex()
+    want = (math.fsum(values) / n).hex()
     assert rep.mean_residual.hex() == want
-    if n >= 8:
-        assert (1.0 / n).hex() != want != (math.fsum(values) / n).hex()
+    assert (float(np.mean(values)).hex() != want) == (n > 1)
 
 
-def test_the_mean_equals_numpys_at_every_size_to_300_and_past_its_blocks():
-    """`_mean` adds as numpy's float64 reduction adds (8 running sums in
-    blocks of up to 128, halves above), at every size up to 300 and at
-    sizes past numpy's buffer; a left-to-right sum and `math.fsum` each
-    round differently on some of these sums."""
+def test_the_mean_residual_is_the_same_for_every_order_of_the_residuals(monkeypatch):
+    """The same 40 residuals, spread over 20 orders of magnitude, given to the
+    sorted sample's points in 8 orders: `np.mean` rounds them to more than one
+    value, and the report's mean is `math.fsum` over 40 in every order."""
     rng = np.random.default_rng(5)
-    naive = compensated = 0
-    for n in [*range(1, 301), 1000, 8191, 8192, 8193, 20000]:
-        values = (rng.random(n) * 10.0 ** rng.uniform(-17.0, 3.0, n)).tolist()
-        want = float(np.mean(values)).hex()
-        assert V._mean(values).hex() == want, n
-        total = 0.0
-        for v in values:
-            total += v
-        naive += (total / n).hex() != want
-        compensated += (math.fsum(values) / n).hex() != want
-    assert naive and compensated
-    assert V._mean([-0.0] * 10).hex() == float(np.mean([-0.0] * 10)).hex() == "0x0.0p+0"
+    values = (rng.random(40) * 10.0 ** rng.uniform(-17.0, 3.0, 40)).tolist()
+    orders = [values] + [rng.permutation(values).tolist() for _ in range(7)]
+    assert len({float(np.mean(v)).hex() for v in orders}) > 1
+    want = (math.fsum(values) / 40).hex()
+    for v in orders:
+        rep, _ = _stub_check(monkeypatch, v, 40)
+        assert rep.mean_residual.hex() == want
+
+
+@pytest.mark.parametrize("values, want", [
+    ([1e-15, 2e-15, math.nan, 1e-15], math.nan),
+    ([math.nan, 1e308, 1e308], math.nan),
+    ([math.inf, -math.inf, 1e-15], math.nan),
+    ([1e-15, math.inf, 2e-15], math.inf),
+    ([1e308, 1e308], math.inf),
+    ([-0.0] * 10, 0.0),
+], ids=["nan", "nan-and-overflow", "inf-and-minus-inf", "inf", "overflow", "minus-zeros"])
+def test_the_mean_residual_of_special_values(monkeypatch, values, want):
+    """A NaN anywhere makes the mean NaN, as do +inf and −inf together; a +inf
+    makes it inf, and so does a finite sum past the double range, where
+    `math.fsum` raises; −0.0 residuals have the mean 0.0."""
+    rep, _ = _stub_check(monkeypatch, values, len(values))
+    assert rep.mean_residual.hex() == want.hex()
 
 
 def test_deck_invariance_negative_control_through_reports():
@@ -688,6 +698,42 @@ def test_each_inversion_names_its_singular_matrix(monkeypatch, read, size, matri
     _plant_singular_inversion(monkeypatch, m.H[1], size)
     with pytest.raises(geo.PointFailure, match=f"^{matrix} is singular at this point$"):
         read(m)
+
+
+def _plant_eigvalsh_failure(monkeypatch, H=None):
+    """`np.linalg.eigvalsh` raises LinAlgError, as when its iteration does not
+    converge, on a stack of matrices that holds H, or on every stack if H is None."""
+    eigvalsh = np.linalg.eigvalsh
+
+    def planted(a):
+        if H is None or (a == H).all(axis=(-2, -1)).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", planted)
+
+
+def test_an_eigenvalue_solve_that_does_not_converge_fails_its_point(monkeypatch):
+    """A LinAlgError from the metric's positive-definiteness test at one point
+    of a 12-point sample is a PointFailure that names the metric value matrix:
+    that point fails with its message, the report warns, and the other 11
+    residuals are those of each point evaluated alone.  At every point it is
+    the ≥10% abort, with the same message."""
+    spec = M.parse_metric_spec(HEADLINE_SPEC)
+    check = V.CheckSpec(identity="lc-ricci-flat", metric=spec, n_points=12, seed=1)
+    clean = V.run_check(check)
+    bad = clean.per_point[5][0]
+    alone = [(p, V._residuals(check, [p], {})[0]) for p, _ in clean.per_point if p != bad]
+    message = "the metric value matrix's eigenvalues did not converge at this point"
+    _plant_eigvalsh_failure(monkeypatch, M.build_metric(spec, bad).H)
+    rep = V.run_check(check)
+    assert rep.failures == [(bad, message)]
+    assert rep.warning == "1 of 12 points failed to construct"
+    assert rep.per_point == alone
+    assert rep.verdict == clean.verdict == "pass"
+    _plant_eigvalsh_failure(monkeypatch)
+    with pytest.raises(V.CheckAborted, match=f"^12/12 points failed to construct; first error: {message}$"):
+        V.run_check(check)
 
 
 def _log_uniform(u, lo, hi):
