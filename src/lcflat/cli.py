@@ -232,7 +232,9 @@ def cmd_suite(output, corrupt_gamma):
     cfg = RunConfig(command="suite", output=output, corrupt_gamma=corrupt_gamma)
     rows = []
     ok = True
-    with geo.debug_corruption() if corrupt_gamma else nullcontext():
+    # One run draws each distinct sample and solves each θ root once; every
+    # row equals its check run alone, bit for bit.
+    with geo.debug_corruption() if corrupt_gamma else nullcontext(), vf.shared_scope():
         for cell in _suite_cells():
             spec = _parse_spec_or_usage_error(cell["metric"])
             for seed in SUITE_SEEDS:
@@ -340,7 +342,10 @@ def cmd_sweep(a_grid, b_grid, n_points, seed, tol, output):
             max_residual, verdict = math.nan, "aborted"
         else:
             max_residual, verdict = report.max_residual, report.verdict
-            worst = max(worst, max_residual)
+            # The first non-finite max is the worst, as in run_check; max()
+            # would skip a NaN.
+            if math.isfinite(worst) and not max_residual <= worst:
+                worst = max_residual
         all_pass = all_pass and verdict == "pass"
         lines.append(
             f"{a!r},{b!r},{check.metric.hopf_params().alpha!r},-0.5,lc-ricci-flat,"

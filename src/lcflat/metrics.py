@@ -41,7 +41,10 @@ A check that already holds a scalar frame builds its Hopf metric from it
 (`build_hopf_metric`).  A conformal metric and its base share one set of
 base rows, and a Hopf base and a Hopf field (log-phi, log-delta) read one
 frame and one set of its rows (`_conformal_rows`); so a check on such a spec
-solves θ once at a point.
+solves θ once at a point.  Inside a `shared_frames` block (`lcflat suite`
+opens one around its whole grid) `hopf_values` also returns the frame it
+already solved for the same (a, b, point), so a run solves θ once per
+distinct point however many checks read it.
 
 `build_metric` takes one point or a sample of points (an array whose last
 axis holds the coordinates) and builds one metric over all of them: every
@@ -60,6 +63,7 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -505,7 +509,43 @@ def _check_implicit(residual: float, theta_size: float) -> None:
         raise PointFailure(f"implicit jet iteration failed to converge (residual {residual:.3g})")
 
 
+# The frames `hopf_values` has solved, by (a, b, point), while a
+# `shared_frames` block is open; None outside one.
+_FRAMES: dict | None = None
+
+
+@contextmanager
+def shared_frames():
+    """Within the block, `hopf_values` returns the frame it already solved
+    for the same (a, b, point) rather than solving θ again; on exit every
+    frame is dropped.  A frame is a function of |a|, |b| and the point alone,
+    so a shared frame is the one the call would solve; a point whose solve
+    raises is not kept, and raises again on its next call."""
+    global _FRAMES
+    outer, _FRAMES = _FRAMES, {}
+    try:
+        yield
+    finally:
+        _FRAMES = outer
+
+
 def hopf_values(p, hp: HopfParams) -> HopfFrame:
+    """The frame's values at p ≠ 0, from one `_theta_root` (or the frame
+    already solved at p, inside `shared_frames`)."""
+    if _FRAMES is None:
+        return _solve_frame(p, hp)
+    z, w = complex(p[0]), complex(p[1])
+    key = (hp.a, hp.b, z, w)
+    if not (z.real and z.imag and w.real and w.imag):
+        # 0.0 == −0.0, but the frame keeps the coordinates' signed zeros
+        key += tuple(math.copysign(1.0, x) for x in (z.real, z.imag, w.real, w.imag))
+    hv = _FRAMES.get(key)
+    if hv is None:
+        hv = _FRAMES[key] = _solve_frame(p, hp)
+    return hv
+
+
+def _solve_frame(p, hp: HopfParams) -> HopfFrame:
     """The frame's values at p ≠ 0, from one `_theta_root`.
 
     Each value is formed by the arithmetic that forms the value slot of the

@@ -15,6 +15,8 @@ point of the sample fails (a `geometry.PointFailure`: out of the double
 range, singular, not positive definite, a root that does not converge),
 `run_check` evaluates the sample again one point at a time, charging each
 failure to its own point; any other error from a residual aborts the check.
+Inside a `shared_scope` block, which `lcflat suite` opens around its grid,
+the checks share each distinct sample and each θ root they have in common.
 
 An identity is declared once, in `IDENTITIES`: its residual function (whose
 docstring states the equation), its default tolerance and what it needs of
@@ -33,6 +35,7 @@ import functools
 import math
 import time
 from collections.abc import Callable, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,6 +147,29 @@ BOX_HALFWIDTH = 1.2
 ORIGIN_EXCLUSION = 0.1
 
 
+# The samples `sample_points` has drawn, by its arguments, while a
+# `shared_scope` block is open; None outside one.
+_SAMPLES: dict | None = None
+
+
+@contextmanager
+def shared_scope():
+    """Within the block, `sample_points` returns a copy of the sample it
+    already drew for the same (domain, n, seed, dim, a, b), and
+    `metrics.hopf_values` the frame it already solved for the same
+    (a, b, point) (`metrics.shared_frames`); on exit both are dropped.  A
+    sample is a function of its arguments alone, so every check in the block
+    reports what it reports when run alone, bit for bit.  A draw that raises
+    is not kept."""
+    global _SAMPLES
+    outer, _SAMPLES = _SAMPLES, {}
+    try:
+        with mz.shared_frames():
+            yield
+    finally:
+        _SAMPLES = outer
+
+
 def sample_points(
     domain: str,
     n: int,
@@ -153,7 +179,8 @@ def sample_points(
     hp: mz.HopfParams | None = None,
 ) -> list[tuple[complex, ...]]:
     """Deterministic point sample in a box or a Hopf fundamental-domain shell,
-    as tuples of complex coordinates.
+    as tuples of complex coordinates.  Inside `shared_scope` it is a copy of
+    the sample already drawn for the same arguments.
 
     box: independent uniform real coordinates in [−w, w] (w = BOX_HALFWIDTH),
     redrawn while the point sits inside the ball of radius ORIGIN_EXCLUSION.
@@ -166,6 +193,19 @@ def sample_points(
     defining relation |z|²Φ^{−α} + |w|²Φ^{α−2} = 1 into the closed form
     r = (|d₁|² t^{−α} + |d₂|² t^{α−2})^{−1/2}.
     """
+    if _SAMPLES is None:
+        return _draw_points(domain, n, seed, dim, hp)
+    key = (domain, n, seed, dim, None if hp is None else (hp.a, hp.b))
+    pts = _SAMPLES.get(key)
+    if pts is None:
+        pts = _SAMPLES[key] = _draw_points(domain, n, seed, dim, hp)
+    return list(pts)
+
+
+def _draw_points(
+    domain: str, n: int, seed: int, dim: int, hp: mz.HopfParams | None
+) -> list[tuple[complex, ...]]:
+    """`sample_points`, drawn afresh."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if dim < 1:

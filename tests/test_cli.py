@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import types
+from contextlib import nullcontext
 from dataclasses import replace
 from importlib.resources import files
 from pathlib import Path
@@ -16,8 +17,10 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import plant_batch_broadcast_error
+from lcflat import geometry as geo
+from lcflat import metrics as mz
 from lcflat import verify as vf
-from lcflat.cli import _suite_cells, cmd_verify, main
+from lcflat.cli import SUITE_SEEDS, _suite_cells, cmd_verify, main
 
 E = math.e
 LC_FLAT = "hopf-lc-flat{a=7.38905609893065,b=2.718281828459045}"
@@ -292,6 +295,104 @@ def test_suite_corrupt_gamma_mutation(tmp_path):
     # identities blind to the mixed connection still behave
     for tag in ("det-formula", "deck-invariance", "hessian-matrices", "kahler-collapse"):
         assert all(r["ok"] for r in by_identity[tag])
+
+
+# -- one suite run shares its samples and θ roots ---------------------------------
+
+
+def _suite_checks():
+    return [vf.CheckSpec(identity=cell["identity"], metric=mz.parse_metric_spec(cell["metric"]),
+                         n_points=cell["n_points"], seed=seed)
+            for cell in _suite_cells() for seed in SUITE_SEEDS]
+
+
+def _assert_rows_equal_checks_run_alone(rows, corrupt):
+    """Each row's outcome is that of its check run alone, outside the suite,
+    compared with == (bit for bit), not within a tolerance."""
+    checks = _suite_checks()
+    assert len(rows) == len(checks)
+    for row, check in zip(rows, checks):
+        assert (row["identity"], row["seed"]) == (check.identity, check.seed)
+        with geo.debug_corruption() if corrupt else nullcontext():
+            try:
+                report = vf.run_check(check)
+            except vf.CheckAborted as exc:
+                assert (row["verdict"], row["error"]) == ("aborted", str(exc)), row
+                continue
+        assert (row["verdict"], row["max_residual"], row["mean_residual"], row["warning"],
+                row["notes"]) == (report.verdict, vf.json_number(report.max_residual),
+                                  vf.json_number(report.mean_residual), report.warning,
+                                  report.json_notes()), row
+
+
+def test_suite_rows_equal_each_check_run_alone(suite_payload):
+    _, payload = suite_payload
+    _assert_rows_equal_checks_run_alone(payload["cells"], corrupt=False)
+
+
+def test_corrupt_suite_rows_equal_each_corrupt_check_run_alone(tmp_path):
+    out = tmp_path / "corrupt.json"
+    res = CliRunner().invoke(main, ["suite", "--corrupt-gamma", "--output", str(out)],
+                             catch_exceptions=False)
+    assert res.exit_code == 1
+    _assert_rows_equal_checks_run_alone(json.loads(out.read_text())["cells"], corrupt=True)
+
+
+def _count_roots_and_draws(monkeypatch):
+    """Record the (a, b, point) of every θ root solved and the arguments of
+    every sample drawn; a point's key tells −0.0 from 0.0."""
+    roots, draws = [], []
+    theta_root, draw_points = mz._theta_root, vf._draw_points
+
+    def counted_root(p, hp):
+        roots.append((hp.a, hp.b) + tuple(x.hex() for c in p for x in (c.real, c.imag)))
+        return theta_root(p, hp)
+
+    def counted_draw(domain, n, seed, dim, hp):
+        draws.append((domain, n, seed, dim, None if hp is None else (hp.a, hp.b)))
+        return draw_points(domain, n, seed, dim, hp)
+
+    monkeypatch.setattr(mz, "_theta_root", counted_root)
+    monkeypatch.setattr(vf, "_draw_points", counted_draw)
+    return roots, draws
+
+
+def test_one_suite_run_solves_each_root_and_draws_each_sample_once(monkeypatch, tmp_path):
+    roots, draws = _count_roots_and_draws(monkeypatch)
+    for check in _suite_checks():  # alone: every root and every draw, repeats included
+        try:
+            vf.run_check(check)
+        except vf.CheckAborted:
+            pass
+    distinct_roots, distinct_draws = len(set(roots)), len(set(draws))
+    assert distinct_roots < len(roots) and distinct_draws < len(draws)
+    for _ in range(2):  # each run starts empty
+        roots.clear()
+        draws.clear()
+        res = CliRunner().invoke(main, ["suite", "--output", str(tmp_path / "suite.json")],
+                                 catch_exceptions=False)
+        assert res.exit_code == 0
+        assert (len(roots), len(draws)) == (distinct_roots, distinct_draws)
+        assert (len(set(roots)), len(set(draws))) == (distinct_roots, distinct_draws)
+
+
+@pytest.mark.parametrize("bad_cell", [False, True])
+def test_nothing_is_shared_after_a_suite_run(monkeypatch, tmp_path, bad_cell):
+    """After a run, even one that a bad cell spec ends with a usage error,
+    a check solves one θ root per point again."""
+    if bad_cell:
+        cells = _suite_cells()
+        monkeypatch.setattr("lcflat.cli._suite_cells", lambda: cells[:3] + [
+            dict(cells[3], metric="hopf-lc-flat{a=0.5,b=2}")])
+    res = CliRunner().invoke(main, ["suite", "--output", str(tmp_path / "suite.json")])
+    assert res.exit_code == (2 if bad_cell else 0), res.output
+    roots, _ = _count_roots_and_draws(monkeypatch)
+    check = vf.CheckSpec(identity="lc-ricci-flat", metric=mz.parse_metric_spec(LC_FLAT),
+                         n_points=40, seed=1)
+    for _ in range(2):
+        roots.clear()
+        vf.run_check(check)
+        assert len(roots) == 40
 
 
 class TestSweep:
@@ -603,6 +704,23 @@ def test_sweep_reports_an_aborted_cell_and_fails(runner):
     assert rows[1][6] == "pass"
     assert "check aborted: " in res.stderr
     assert "2 cells, 1 aborted" in res.stderr
+
+
+def test_sweep_reports_a_non_finite_max_as_the_worst_residual(runner, monkeypatch):
+    # max(worst, nan) would keep the finite worst and leave the NaN cell out
+    inner = vf.run_check
+    maxima = {3.0: 1e-15, 4.0: math.nan, 5.0: 0.5}
+
+    def run_check(c):
+        r = maxima[c.metric.a]
+        return replace(inner(c), max_residual=r, verdict="pass" if r <= c.tol else "fail")
+
+    monkeypatch.setattr(vf, "run_check", run_check)
+    res = runner.invoke(main, ["sweep", "--a-grid", "3,4,5", "--b-grid", "2", "--points", "2"])
+    assert res.exit_code == 1
+    assert [line.split(",")[5:] for line in res.stdout.strip().splitlines()[1:]] == [
+        ["1.000000e-15", "pass"], ["nan", "fail"], ["5.000000e-01", "fail"]]
+    assert "sweep: 3 cells, 0 aborted, worst residual nan" in res.stderr
 
 
 def test_a_residual_that_drops_a_point_aborts_without_a_traceback(runner, monkeypatch):

@@ -513,8 +513,21 @@ FAILURE_PINS = json.loads((Path(__file__).parent / "data" / "failure_attribution
 
 @pytest.mark.parametrize("metric", sorted(FAILURE_PINS))
 def test_failing_points_are_charged_to_their_own_point(metric):
-    want = FAILURE_PINS[metric]
-    identity, metric = metric.split(" ", 1) if " " in metric else ("lc-ricci-flat", metric)
+    _assert_failure_pins(metric)
+
+
+@pytest.mark.parametrize("metric", sorted(FAILURE_PINS))
+def test_shared_samples_and_frames_keep_the_pinned_failures(metric):
+    # The second run reads the first run's sample and frames; the failing
+    # points are solved again and fail again.
+    with V.shared_scope():
+        _assert_failure_pins(metric)
+        _assert_failure_pins(metric)
+
+
+def _assert_failure_pins(key):
+    want = FAILURE_PINS[key]
+    identity, metric = key.split(" ", 1) if " " in key else ("lc-ricci-flat", key)
     check = V.CheckSpec(identity=identity, metric=M.parse_metric_spec(metric), n_points=40, seed=1)
     if "aborted" in want:
         with pytest.raises(V.CheckAborted) as exc:
@@ -525,6 +538,57 @@ def test_failing_points_are_charged_to_their_own_point(metric):
     assert (rep.verdict, rep.warning) == (want["verdict"], want["warning"])
     assert [[V._point_json(p), msg] for p, msg in rep.failures] == want["failures"]
     assert [[V._point_json(p), r] for p, r in rep.per_point] == want["per_point"]
+
+
+def _frame_bits(hv) -> list:
+    return [(x.real.hex(), x.imag.hex()) for x in hv]
+
+
+def test_shared_frames_are_keyed_by_the_multipliers_and_the_signed_zeros():
+    plus, minus = [0.0 + 0.5j, 0.3 + 0.2j], [complex(-0.0, 0.5), 0.3 + 0.2j]
+    # the same point under another b, and under another a
+    others = M.HopfParams(HP.a, E**1.1), M.HopfParams(E**1.5, HP.b)
+    base = _frame_bits(M.hopf_values(plus, HP))
+    want = [_frame_bits(M.hopf_values(minus, HP))]
+    want += [_frame_bits(M.hopf_values(plus, hp)) for hp in others]
+    assert all(w != base for w in want)
+    with V.shared_scope():
+        M.hopf_values(plus, HP)
+        assert _frame_bits(M.hopf_values(minus, HP)) == want[0]
+        assert [_frame_bits(M.hopf_values(plus, hp)) for hp in others] == want[1:]
+
+
+def test_shared_scope_keeps_no_failure(monkeypatch):
+    solved = []
+    theta_root = M._theta_root
+    monkeypatch.setattr(M, "_theta_root", lambda p, hp: solved.append(p) or theta_root(p, hp))
+    with V.shared_scope():
+        for p in ([0j, 0j], [1e200 + 0j, 0.5j]):  # the origin, and |z|² past the doubles
+            for _ in range(2):
+                with pytest.raises(geo.PointFailure):
+                    M.hopf_values(p, HP)
+        assert len(solved) == 4
+
+        draw_points, failed = V._draw_points, []
+
+        def draw_once_out_of_memory(*args):
+            if not failed:
+                failed.append(args)
+                raise MemoryError
+            return draw_points(*args)
+
+        monkeypatch.setattr(V, "_draw_points", draw_once_out_of_memory)
+        with pytest.raises(MemoryError):
+            V.sample_points("hopf-fundamental", 5, 1, hp=HP)
+        assert V.sample_points("hopf-fundamental", 5, 1, hp=HP) == draw_points(
+            "hopf-fundamental", 5, 1, 2, HP)
+
+
+def test_shared_samples_are_copies():
+    with V.shared_scope():
+        first = V.sample_points("box", 4, 2, dim=3)
+        first.clear()
+        assert V.sample_points("box", 4, 2, dim=3) == V._draw_points("box", 4, 2, 3, None)
 
 
 # scalar-010, scalar-key1, kahler-collapse, conformal-law, tw-formula and
