@@ -7,6 +7,9 @@ expected verdicts), 1 at least one identity check failed, 2 usage error
 The default seed is 0, overridable with the LCFLAT_SEED environment variable;
 an explicit --seed flag wins over both.  Reports are written atomically
 (temp file + rename) so a crashed run never leaves a truncated JSON behind.
+An --output in a directory that does not exist is a usage error, raised
+before any check runs; a write that fails ends the command with a one-line
+message naming the path (exit 1).
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ class RunConfig:
     identity: str | None = None
     n_points: int | None = None
     seed: int | None = None
+    a: float | None = None
+    b: float | None = None
     tol: float | None = None
     output: str | None = None
     fmt: str | None = None
@@ -60,17 +65,31 @@ class RunConfig:
         return {k: v for k, v in d.items() if v is not None and v is not False}
 
 
+def _output_dir_exists(ctx, param, path: str | None) -> str | None:
+    """--output: a usage error, before any check runs, unless the path's
+    directory exists."""
+    if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise click.BadParameter(f"the directory of {path!r} does not exist")
+    return path
+
+
 def _write_atomic(path: str, text: str) -> None:
+    """Write text to path by a temp file and a rename.  An OSError ends the
+    command with a one-line message that names the path (exit 1)."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lcflat-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lcflat-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        click.echo(f"cannot write {path}: {exc.strerror or exc}", err=True)
+        sys.exit(1)
 
 
 def _emit(payload: dict, output: str | None) -> None:
@@ -102,7 +121,8 @@ def main():
 @click.option("--points", "n_points", default=100, show_default=True, type=int)
 @click.option("--seed", default=None, type=int, help="sampling seed [default: 0 or $LCFLAT_SEED]")
 @click.option("--tol", default=None, type=float, help="pass tolerance [default: per identity]")
-@click.option("--output", default=None, type=click.Path(dir_okay=False), help="write JSON report here")
+@click.option("--output", default=None, type=click.Path(dir_okay=False), callback=_output_dir_exists,
+              help="write JSON report here")
 @click.option("--format", "fmt", default="pretty", show_default=True, type=click.Choice(["json", "pretty"]))
 @click.option("--corrupt-gamma", is_flag=True, hidden=True, help="debug: flip the mixed connection sign")
 def cmd_verify(identity, metric_text, n_points, seed, tol, output, fmt, corrupt_gamma):
@@ -223,7 +243,8 @@ SUITE_SEEDS = (1, 2, 3)
 
 
 @main.command("suite")
-@click.option("--output", default=None, type=click.Path(dir_okay=False), help="write aggregate JSON here")
+@click.option("--output", default=None, type=click.Path(dir_okay=False), callback=_output_dir_exists,
+              help="write aggregate JSON here")
 @click.option("--corrupt-gamma", is_flag=True, help="debug: flip the mixed connection sign (mutation test)")
 def cmd_suite(output, corrupt_gamma):
     """Run the full identity grid at seeds 1, 2, 3; exit 0 iff every cell
@@ -289,7 +310,8 @@ def cmd_suite(output, corrupt_gamma):
 @click.option("--points", "n_points", default=30, show_default=True, type=int)
 @click.option("--seed", default=None, type=int)
 @click.option("--tol", default=vf.IDENTITIES["lc-ricci-flat"].tol, show_default=True, type=float)
-@click.option("--output", default=None, type=click.Path(dir_okay=False), help="write CSV here")
+@click.option("--output", default=None, type=click.Path(dir_okay=False), callback=_output_dir_exists,
+              help="write CSV here")
 def cmd_sweep(a_grid, b_grid, n_points, seed, tol, output):
     """Max Ricci-form residual of the flattened metric per (a, b) grid cell.
 
@@ -368,7 +390,7 @@ def cmd_sweep(a_grid, b_grid, n_points, seed, tol, output):
 @click.option("--seed", default=None, type=int)
 @click.option("--a", "a_val", default=None, type=float, help="deck |a| (hopf-fundamental)")
 @click.option("--b", "b_val", default=None, type=float, help="deck |b| (hopf-fundamental)")
-@click.option("--output", default=None, type=click.Path(dir_okay=False))
+@click.option("--output", default=None, type=click.Path(dir_okay=False), callback=_output_dir_exists)
 def cmd_dump_samples(domain, n_points, seed, a_val, b_val, output):
     """Print the deterministic point sample a check with these settings would use."""
     seed = seed if seed is not None else _default_seed()
@@ -386,7 +408,10 @@ def cmd_dump_samples(domain, n_points, seed, a_val, b_val, output):
         click.echo(f"drawing {n_points} sample points ran out of memory", err=True)
         sys.exit(1)
     payload = {
-        "run_config": RunConfig(command="dump-samples", seed=seed).echo(),
+        # everything the points depend on: the domain (below), n, the seed and a, b
+        "run_config": RunConfig(command="dump-samples", n_points=n_points, seed=seed,
+                                a=None if hp is None else hp.a,
+                                b=None if hp is None else hp.b).echo(),
         "domain": domain,
         "points": [[[c.real, c.imag] for c in p] for p in pts],
     }

@@ -136,6 +136,22 @@ class MetricJet:
     def n(self) -> int:
         return self.H.shape[-1]
 
+    def prefix(self, k: int) -> MetricJet:
+        """This metric at the first k points of its sample (one leading batch
+        axis), with whatever it has formed so far (`inverse`, `connection`,
+        `chern_ricci`) sliced to them.  It is not checked again: the check is
+        per point, and every point passed it when this metric was built."""
+        m = object.__new__(MetricJet)
+        m.H, m.dH, m.ddH = self.H[:k], self.dH[:k], self.ddH[:k]
+        formed = self.__dict__
+        for name in ("inverse", "chern_ricci"):
+            if name in formed:
+                m.__dict__[name] = formed[name][:k]
+        if "connection" in formed:
+            ch = formed["connection"]
+            m.__dict__["connection"] = Christoffels(ch.value[:, :k], ch.grad[:, :k])
+        return m
+
     @cached_property
     def inverse(self) -> np.ndarray:
         """Plain matrix inverse A of H, so that h^{kℓ̄} = A[ℓ, k]; raises

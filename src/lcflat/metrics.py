@@ -41,10 +41,13 @@ A check that already holds a scalar frame builds its Hopf metric from it
 (`build_hopf_metric`).  A conformal metric and its base share one set of
 base rows, and a Hopf base and a Hopf field (log-phi, log-delta) read one
 frame and one set of its rows (`_conformal_rows`); so a check on such a spec
-solves θ once at a point.  Inside a `shared_frames` block (`lcflat suite`
+solves θ once at a point.  Inside a `shared_builds` block (`lcflat suite`
 opens one around its whole grid) `hopf_values` also returns the frame it
 already solved for the same (a, b, point), so a run solves θ once per
-distinct point however many checks read it.
+distinct point however many checks read it; and `build_metric`,
+`build_hopf_metric` and the base of `build_conformal_metrics` return, for a
+sample that begins one already built for the same spec, the `prefix` of
+that metric, with the connection and Chern-Ricci form it has formed.
 
 `build_metric` takes one point or a sample of points (an array whose last
 axis holds the coordinates) and builds one metric over all of them: every
@@ -509,29 +512,35 @@ def _check_implicit(residual: float, theta_size: float) -> None:
         raise PointFailure(f"implicit jet iteration failed to converge (residual {residual:.3g})")
 
 
-# The frames `hopf_values` has solved, by (a, b, point), while a
-# `shared_frames` block is open; None outside one.
+# While a `shared_builds` block is open: the frames `hopf_values` has
+# solved, by (a, b, point), and the metrics built on a sample, by (spec, the
+# bytes of its first point), each with the bytes of its whole sample
+# (`_shared_metric`).  None outside one.
 _FRAMES: dict | None = None
+_METRICS: dict | None = None
 
 
 @contextmanager
-def shared_frames():
+def shared_builds():
     """Within the block, `hopf_values` returns the frame it already solved
-    for the same (a, b, point) rather than solving θ again; on exit every
-    frame is dropped.  A frame is a function of |a|, |b| and the point alone,
-    so a shared frame is the one the call would solve; a point whose solve
+    for the same (a, b, point) rather than solving θ again, and a metric
+    built on a sample that begins one already built for the same spec is a
+    `prefix` of that metric; on exit every frame and metric is dropped.  A
+    frame is a function of |a|, |b| and the point alone, and a metric's
+    arrays at a point do not depend on the other points of its sample, so a
+    shared frame or metric is the one the call would build.  A build that
     raises is not kept, and raises again on its next call."""
-    global _FRAMES
-    outer, _FRAMES = _FRAMES, {}
+    global _FRAMES, _METRICS
+    outer, _FRAMES, _METRICS = (_FRAMES, _METRICS), {}, {}
     try:
         yield
     finally:
-        _FRAMES = outer
+        _FRAMES, _METRICS = outer
 
 
 def hopf_values(p, hp: HopfParams) -> HopfFrame:
     """The frame's values at p ≠ 0, from one `_theta_root` (or the frame
-    already solved at p, inside `shared_frames`)."""
+    already solved at p, inside `shared_builds`)."""
     if _FRAMES is None:
         return _solve_frame(p, hp)
     z, w = complex(p[0]), complex(p[1])
@@ -1160,27 +1169,51 @@ def _metric_jet(spec: MetricSpec, pts: np.ndarray, rows: np.ndarray) -> MetricJe
         ) from None
 
 
+def _shared_metric(spec: MetricSpec, at, build) -> MetricJet:
+    """build(), the metric of spec at the points of `at` (an array of them,
+    or the frame of `hopf_frames` at them).  Inside `shared_builds`, a sample
+    pts[N, dim] whose bytes begin those of a sample already built for spec
+    gets that metric's `prefix`; else the metric built is kept in place of
+    the one kept for the same first point, if any.  One point, with no
+    sample axis, is built afresh and not kept."""
+    if _METRICS is None:
+        return build()
+    pts = np.stack((at.z, at.w), axis=-1) if isinstance(at, HopfFrame) else at
+    if pts.ndim != 2:
+        return build()
+    data = pts.tobytes()
+    key = (spec.canonical(), data[: pts.itemsize * pts.shape[1]])
+    kept = _METRICS.get(key)
+    if kept is not None and kept[0].startswith(data):
+        return kept[1].prefix(len(pts))
+    m = build()
+    _METRICS[key] = data, m
+    return m
+
+
 def build_metric(spec: MetricSpec, p) -> MetricJet:
     """Realize a MetricSpec as an order-2 metric jet at the point p, or at
     every point of a sample p[..., dim] at once (one `MetricJet` whose arrays
     carry the sample's axes in front)."""
     pts = _metric_points(spec, p)
-    return _metric_jet(spec, pts, _metric_rows(spec, pts))
+    return _shared_metric(spec, pts, lambda: _metric_jet(spec, pts, _metric_rows(spec, pts)))
 
 
 def build_hopf_metric(spec: MetricSpec, hv: HopfFrame) -> MetricJet:
-    """`build_metric` of a Hopf-frame kind at the point of the scalar frame
-    hv (`hopf_values`), extended to rows with no second θ root."""
-    return MetricJet(*_row_arrays(_hopf_metric_rows(spec, hopf_rows(hv, spec.hopf_params()))))
+    """`build_metric` of a Hopf-frame kind at the points of the frame hv
+    (`hopf_frames`), extended to rows with no second θ root."""
+    return _shared_metric(spec, hv, lambda: MetricJet(
+        *_row_arrays(_hopf_metric_rows(spec, hopf_rows(hv, spec.hopf_params())))))
 
 
 def build_conformal_metrics(spec: MetricSpec, p) -> tuple[MetricJet, MetricJet, tuple]:
     """The base metric ω of a conformal spec, its e^f ω and the (value,
     gradient, Hessian) of f at p, from one build of the base's rows and of
-    f's; each metric is checked as `build_metric` checks it."""
+    f's; each metric is checked as `build_metric` checks it, and ω is the
+    one `build_metric` gives for the base."""
     pts = _metric_points(spec, p)
     base, f = _conformal_rows(spec, pts)
-    mb = _metric_jet(spec.base, pts, base)
+    mb = _shared_metric(spec.base, pts, lambda: _metric_jet(spec.base, pts, base))
     return mb, _metric_jet(spec, pts, conformal_scale(base, f)), _row_arrays(f)
 
 

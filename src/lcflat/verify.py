@@ -16,7 +16,10 @@ range, singular, not positive definite, a root that does not converge),
 `run_check` evaluates the sample again one point at a time, charging each
 failure to its own point; any other error from a residual aborts the check.
 Inside a `shared_scope` block, which `lcflat suite` opens around its grid,
-the checks share each distinct sample and each θ root they have in common.
+the checks share each distinct sample and each θ root they have in common,
+and a check whose sample begins one an earlier check built the same metric
+on reads the first points of that metric, with the connection and
+Chern-Ricci form it has formed, rather than building its own.
 
 An identity is declared once, in `IDENTITIES`: its residual function (whose
 docstring states the equation), its default tolerance and what it needs of
@@ -155,16 +158,19 @@ _SAMPLES: dict | None = None
 @contextmanager
 def shared_scope():
     """Within the block, `sample_points` returns a copy of the sample it
-    already drew for the same (domain, n, seed, dim, a, b), and
+    already drew for the same (domain, n, seed, dim, a, b),
     `metrics.hopf_values` the frame it already solved for the same
-    (a, b, point) (`metrics.shared_frames`); on exit both are dropped.  A
-    sample is a function of its arguments alone, so every check in the block
-    reports what it reports when run alone, bit for bit.  A draw that raises
-    is not kept."""
+    (a, b, point), and a metric built for a spec on a sample that begins one
+    already built for it is the `MetricJet.prefix` of that metric
+    (`metrics.shared_builds`); on exit all of them are dropped.  A sample is
+    a function of its arguments alone, and a metric's arrays at a point do
+    not depend on the other points of its sample, so every check in the
+    block reports what it reports when run alone, bit for bit.  A draw or a
+    build that raises is not kept."""
     global _SAMPLES
     outer, _SAMPLES = _SAMPLES, {}
     try:
-        with mz.shared_frames():
+        with mz.shared_builds():
             yield
     finally:
         _SAMPLES = outer

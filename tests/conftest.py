@@ -230,6 +230,13 @@ def plant_batch_broadcast_error(monkeypatch):
     monkeypatch.setattr(mz, "_hopf_standard_rows", planted)
 
 
+def count_prefixes(monkeypatch) -> list:
+    """A list that records the k of every `MetricJet.prefix(k)` taken."""
+    taken, prefix = [], MetricJet.prefix
+    monkeypatch.setattr(MetricJet, "prefix", lambda m, k: taken.append(k) or prefix(m, k))
+    return taken
+
+
 def random_small_point(n, rng, scale=0.3):
     return tuple(scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import plant_batch_broadcast_error
+from conftest import count_prefixes, plant_batch_broadcast_error
 from lcflat import geometry as geo
 from lcflat import metrics as mz
 from lcflat import verify as vf
@@ -379,7 +379,7 @@ def test_one_suite_run_solves_each_root_and_draws_each_sample_once(monkeypatch, 
 @pytest.mark.parametrize("bad_cell", [False, True])
 def test_nothing_is_shared_after_a_suite_run(monkeypatch, tmp_path, bad_cell):
     """After a run, even one that a bad cell spec ends with a usage error,
-    a check solves one θ root per point again."""
+    a check solves one θ root per point again and builds its own metric."""
     if bad_cell:
         cells = _suite_cells()
         monkeypatch.setattr("lcflat.cli._suite_cells", lambda: cells[:3] + [
@@ -387,12 +387,50 @@ def test_nothing_is_shared_after_a_suite_run(monkeypatch, tmp_path, bad_cell):
     res = CliRunner().invoke(main, ["suite", "--output", str(tmp_path / "suite.json")])
     assert res.exit_code == (2 if bad_cell else 0), res.output
     roots, _ = _count_roots_and_draws(monkeypatch)
+    prefixes = count_prefixes(monkeypatch)
     check = vf.CheckSpec(identity="lc-ricci-flat", metric=mz.parse_metric_spec(LC_FLAT),
                          n_points=40, seed=1)
-    for _ in range(2):
+    for n in (40, 20):
         roots.clear()
-        vf.run_check(check)
-        assert len(roots) == 40
+        vf.run_check(replace(check, n_points=n))
+        assert len(roots) == n and not prefixes
+
+
+def _metric_reuses_the_grid_implies() -> int:
+    """Run every suite check alone, recording the spec of each metric it
+    builds (a conformal check: its base), and count the builds that an
+    earlier check's build covers: the same spec and seed (so the same
+    sampling domain and first point) on at least as many points.  A sample
+    is a prefix of any longer one with the same domain and seed."""
+    built, longest, reuses = [], {}, 0
+    shared_metric = mz._shared_metric
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mz, "_shared_metric",
+                   lambda spec, at, build: built.append(spec.canonical()) or shared_metric(spec, at, build))
+        for check in _suite_checks():
+            built.clear()
+            vf.run_check(check)
+            for spec in built:
+                key = (spec, check.seed)
+                reuses += check.n_points <= longest.get(key, 0)
+                longest[key] = max(longest.get(key, 0), check.n_points)
+    return reuses
+
+
+def test_one_suite_run_reads_each_nested_sample_off_the_metric_built_first(monkeypatch, tmp_path):
+    """Each run of `lcflat suite` takes one prefix per metric build that an
+    earlier build covers, and no more: 21 on today's grid, where key-relation,
+    scalar-010, scalar-key1, kahler-collapse, the lc-ricci-flat control and
+    the conformal base repeat an earlier row's spec on fewer points."""
+    want = _metric_reuses_the_grid_implies()
+    assert want == 21
+    taken = count_prefixes(monkeypatch)
+    for _ in range(2):  # each run starts empty
+        taken.clear()
+        res = CliRunner().invoke(main, ["suite", "--output", str(tmp_path / "suite.json")],
+                                 catch_exceptions=False)
+        assert res.exit_code == 0
+        assert len(taken) == want
 
 
 class TestSweep:
@@ -748,6 +786,69 @@ def test_a_sample_too_large_for_memory_aborts_without_a_traceback(runner, monkey
     assert res.exit_code == 1 and not isinstance(res.exception, (vf.CheckAborted, MemoryError))
     assert res.stderr == "check aborted: drawing 100000000 sample points ran out of memory\n"
     assert "Traceback" not in res.output
+
+
+# Each command with an --output, run small.
+OUTPUT_COMMANDS = {
+    "verify": ["verify", "--identity", "lc-ricci-flat", "--metric", LC_FLAT, "--points", "3"],
+    "suite": ["suite"],
+    "sweep": ["sweep", "--a-grid", "3", "--b-grid", "2", "--points", "2"],
+    "dump-samples": ["dump-samples", "-n", "2"],
+}
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_COMMANDS))
+def test_an_output_in_a_missing_directory_is_a_usage_error_before_any_check(
+        runner, monkeypatch, tmp_path, command):
+    def no_work(*args, **kw):
+        raise AssertionError("a check or a sample ran before the --output was checked")
+
+    monkeypatch.setattr(vf, "run_check", no_work)
+    monkeypatch.setattr(vf, "sample_points", no_work)
+    path = tmp_path / "no" / "such" / "dir" / "out.json"
+    res = runner.invoke(main, OUTPUT_COMMANDS[command] + ["--output", str(path)])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 2
+    assert f"the directory of '{path}' does not exist" in res.stderr
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_COMMANDS))
+def test_a_failed_write_is_a_one_line_message_naming_the_path(runner, monkeypatch, tmp_path, command):
+    """An OSError while the output is written ends the command with exit 1
+    and one line that names the path, and leaves no temp file behind."""
+    if command == "suite":
+        cells = _suite_cells()
+        monkeypatch.setattr("lcflat.cli._suite_cells", lambda: cells[:1])
+
+    def no_space(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", no_space)
+    path = tmp_path / "out.json"
+    res = runner.invoke(main, OUTPUT_COMMANDS[command] + ["--output", str(path)])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 1
+    assert f"cannot write {path}: No space left on device\n" in res.stderr
+    assert "Traceback" not in res.output
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["--domain", "box", "-n", "5", "--seed", "3"],
+    ["--domain", "hopf-fundamental", "-n", "4", "--seed", "2"],
+    ["--domain", "hopf-fundamental", "-n", "6", "--a", "9.5", "--b", "1.25"],
+], ids=["box", "hopf-default-multipliers", "hopf"])
+def test_dump_samples_records_what_its_points_depend_on(runner, args):
+    payload = json.loads(invoke(runner, ["dump-samples", *args]).output)
+    cfg = payload["run_config"]
+    hp = None
+    if payload["domain"] == "hopf-fundamental":
+        hp = mz.HopfParams(cfg["a"], cfg["b"])
+    else:
+        assert "a" not in cfg and "b" not in cfg
+    pts = vf.sample_points(payload["domain"], cfg["n_points"], cfg["seed"], hp=hp)
+    assert payload["points"] == [[[c.real, c.imag] for c in p] for p in pts]
 
 
 def test_dump_samples_too_large_for_memory_exits_one_without_a_traceback(runner, monkeypatch):

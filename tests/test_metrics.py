@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     coordinate_jets,
+    count_prefixes,
     entry_jets,
     fd_jet,
     field_jet,
@@ -1283,3 +1284,127 @@ def test_user_polynomial_error_names_the_default_seed():
     spec = M.parse_metric_spec("user-polynomial{amp=1e300}")
     with pytest.raises(V.CheckAborted, match=r"seed=0\) is not positive definite"):
         V.run_check(V.CheckSpec(identity="key-relation", metric=spec, n_points=3))
+
+
+# -- a metric's prefix, and the metrics one shared scope keeps ----------------------
+
+
+# The metric kinds whose prefixes are compared with fresh builds, as (spec,
+# whether to build the base of the conformal spec), each over 40 points.
+PREFIX_KINDS = {
+    "hopf-lc-flat": ("hopf-lc-flat{a=7.38905609893065,b=2.718281828459045}", False),
+    "hopf-omega-lambda": ("hopf-omega-lambda{a=4.4816890703380645,b=3.0041660239464334,"
+                          "lambda=1.0}", False),
+    "hopf-standard": ("hopf-standard", False),
+    "user-polynomial-n2": ("user-polynomial{seed=104,amp=0.05}", False),
+    "user-polynomial-n3": ("user-polynomial{seed=103,amp=0.05,n=3}", False),
+    "conformal-base": ("conformal{base=hopf-omega-lambda{a=7.38905609893065,"
+                       "b=2.718281828459045,lambda=-0.5},f=log-delta{scale=3.0}}", True),
+}
+
+
+def _prefix_points(spec: M.MetricSpec, n: int) -> list:
+    hp = spec.hopf_params()
+    if hp is not None and spec.dim == 2:
+        return V.sample_points("hopf-fundamental", n, 1, hp=hp)
+    return V.sample_points("box", n, 1, dim=spec.dim)
+
+
+def _metric_arrays(m: geo.MetricJet) -> dict:
+    """Every array a check reads of m, or forms from it."""
+    return {
+        "H": m.H, "dH": m.dH, "ddH": m.ddH, "inverse": m.inverse,
+        "connection.value": m.connection.value, "connection.grad": m.connection.grad,
+        "chern_ricci": m.chern_ricci, "lc_ricci": geo.lc_ricci(m),
+        "lc_ricci_via_relation": geo.lc_ricci_via_relation(m),
+        "torsion": geo.torsion(m)[0], "torsion_sq": geo.torsion(m)[1],
+        "riemannian_scalar": geo.riemannian_scalar(m),
+    }
+
+
+@pytest.mark.parametrize("formed", [False, True], ids=["bare", "formed"])
+@pytest.mark.parametrize("kind", list(PREFIX_KINDS))
+def test_a_prefix_equals_a_fresh_build_bit_for_bit(kind, formed):
+    """`MetricJet.prefix(k)` of a 40-point metric equals the metric built on
+    the first k points, compared with == (bit for bit): the arrays, what the
+    metric had formed before the prefix was taken (`formed`), and every form
+    and scalar a check reads of it."""
+    text, conformal_base = PREFIX_KINDS[kind]
+    spec = M.parse_metric_spec(text)
+
+    def build(pts):
+        if conformal_base:
+            return M.build_conformal_metrics(spec, pts)[0]
+        return M.build_metric(spec, pts)
+
+    pts = _prefix_points(spec, 40)
+    full = build(pts)
+    if formed:
+        full.inverse, full.connection, full.chern_ricci
+    for k in (1, 7, 39):
+        fresh = build(pts[:k])
+        got, want = _metric_arrays(full.prefix(k)), _metric_arrays(fresh)
+        for name, a in want.items():
+            assert got[name].shape == a.shape and (got[name] == a).all(), (kind, k, name)
+        if conformal_base:  # the base is the metric `build_metric` gives for it
+            alone = _metric_arrays(M.build_metric(spec.base, pts[:k]))
+            assert all((alone[name] == a).all() for name, a in want.items()), k
+
+
+def test_a_prefix_reads_flipped_mixed_symbols_and_keeps_the_kept_ones_clean():
+    spec = M.parse_metric_spec(PREFIX_KINDS["hopf-lc-flat"][0])
+    pts = _prefix_points(spec, 40)
+    full = M.build_metric(spec, pts)
+    clean = full.connection.value.copy(), full.connection.grad.copy()
+    with geo.debug_corruption():
+        bad = geo.christoffels(full.prefix(7))
+    fresh = geo.christoffels(M.build_metric(spec, pts[:7]))
+    assert np.abs(fresh.lc_anti).max() > 1e-3
+    assert (bad.lc_anti == -fresh.lc_anti).all() and (bad.lc_anti_grad == -fresh.lc_anti_grad).all()
+    assert (bad.chern == fresh.chern).all() and (bad.lc_hol_grad == fresh.lc_hol_grad).all()
+    assert (full.connection.value == clean[0]).all() and (full.connection.grad == clean[1]).all()
+    assert (geo.christoffels(full.prefix(7)).lc_anti == fresh.lc_anti).all()
+
+
+def test_a_shared_scope_keeps_the_longest_sample_of_a_spec(monkeypatch):
+    """A sample that begins a kept one reads its prefix; a longer one is
+    built and kept in its place; another spec or another first point is
+    built afresh; on exit nothing is kept."""
+    taken = count_prefixes(monkeypatch)
+    spec = M.parse_metric_spec("user-polynomial{seed=104,amp=0.05}")
+    pts = _prefix_points(spec, 40)
+    with V.shared_scope():
+        short = M.build_metric(spec, pts[:7])
+        assert M.build_metric(spec, pts[:7]) is not short and taken == [7]
+        full = M.build_metric(spec, pts)
+        assert taken == [7]
+        M.build_metric(spec, pts[:20])
+        M.build_metric(spec, pts[1:5])
+        M.build_metric(M.parse_metric_spec("user-polynomial{seed=103,amp=0.05}"), pts[:3])
+        assert taken == [7, 20]
+        kept = [m for _, m in M._METRICS.values()]
+        assert len(kept) == 3 and sum(m is full for m in kept) == 1
+        M.build_metric(spec, pts[0])  # one point, no sample axis: built, not kept
+        assert taken == [7, 20] and len(M._METRICS) == 3
+    assert M._METRICS is None
+    M.build_metric(spec, pts[:7])
+    assert taken == [7, 20]
+
+
+def test_a_shared_scope_keeps_no_metric_whose_build_raises(monkeypatch):
+    """This user polynomial is not a metric at some of the 40 points, so its
+    build raises, is not kept and raises again; a point where it is a metric
+    is kept."""
+    taken = count_prefixes(monkeypatch)
+    spec = M.parse_metric_spec("user-polynomial{seed=4,amp=0.1,n=2}")
+    pts = _prefix_points(spec, 40)
+    with V.shared_scope():
+        for _ in range(2):
+            with pytest.raises(geo.PointFailure, match="not positive definite"):
+                M.build_metric(spec, pts)
+            assert not M._METRICS
+        good = next(p for p in pts if geo.is_hermitian(M.metric_values(spec, p))
+                    and np.linalg.eigvalsh(M.metric_values(spec, p))[0] > 0)
+        M.build_metric(spec, [good])
+        M.build_metric(spec, [good])
+        assert len(M._METRICS) == 1 and taken == [1]

@@ -518,8 +518,9 @@ def test_failing_points_are_charged_to_their_own_point(metric):
 
 @pytest.mark.parametrize("metric", sorted(FAILURE_PINS))
 def test_shared_samples_and_frames_keep_the_pinned_failures(metric):
-    # The second run reads the first run's sample and frames; the failing
-    # points are solved again and fail again.
+    # The second run reads the first run's sample and frames, and the
+    # metrics its point-by-point pass built; the failing points are solved
+    # and built again and fail again.
     with V.shared_scope():
         _assert_failure_pins(metric)
         _assert_failure_pins(metric)
